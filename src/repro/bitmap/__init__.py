@@ -3,10 +3,10 @@
 This package implements the storage encoding the CODS paper builds on:
 WAH-compressed bitmaps (:class:`WAHBitmap`), an uncompressed variant for
 ablations (:class:`PlainBitmap`), run-length encoded vectors for sorted
-columns (:class:`RLEVector`), a streaming builder and compression stats.
+columns (:class:`RLEVector`), batched column-level kernels
+(:mod:`repro.bitmap.batch`) and compression stats.
 """
 
-from repro.bitmap.builder import WAHBuilder
 from repro.bitmap.codecs import codec_names, get_codec, register_codec
 from repro.bitmap.plain import PlainBitmap
 from repro.bitmap.rle import RLEVector
@@ -18,7 +18,6 @@ __all__ = [
     "WAHBitmap",
     "PlainBitmap",
     "RLEVector",
-    "WAHBuilder",
     "CompressionStats",
     "bitmap_stats",
     "get_codec",

@@ -4,9 +4,10 @@ A bitmap-encoded column holds one compressed bitmap per distinct value —
 up to hundreds of thousands of them.  Per-bitmap Python calls would
 dominate runtime at high cardinality, so the operations the evolution
 algorithms perform across *all* value bitmaps of a column (distinction's
-first-set-bit, cardinality counts, full position decode) are implemented
-here as single vectorized passes over the concatenation of all word
-arrays.  The semantics are identical to looping over
+first-set-bit, cardinality counts, full position decode, and building,
+filtering and concatenating every bitmap) are implemented here as single
+vectorized passes over the concatenation of all word arrays.  The
+semantics are identical to looping over
 :class:`~repro.bitmap.wah.WAHBitmap` methods; tests assert equivalence.
 """
 
@@ -17,12 +18,13 @@ import numpy as np
 from repro.bitmap.wah import (
     FILL_FLAG,
     FILL_LEN_MASK,
+    FULL_GROUP,
     GROUP_BITS,
     MAX_FILL_GROUPS,
+    ONE_FILL_FLAG,
     WAHBitmap,
 )
-
-_BIT_INDEX = np.arange(GROUP_BITS, dtype=np.uint32)
+from repro.errors import BitmapError
 
 
 class WordDirectory:
@@ -151,8 +153,14 @@ def batch_positions(bitmaps) -> tuple[np.ndarray, np.ndarray]:
 
     lit_idx = np.flatnonzero(literal)
     if len(lit_idx):
-        matrix = (lit_words[:, None] >> _BIT_INDEX) & np.uint32(1)
+        # One byte per bit (not a uint32): this matrix is the largest
+        # temporary of every filter, concat and compaction.
+        matrix = np.unpackbits(
+            lit_words.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4),
+            axis=1, bitorder="little",
+        )
         row, bit = np.nonzero(matrix)
+        del matrix
         word_of = lit_idx[row]
         rank_in_word = np.arange(len(row)) - np.repeat(
             np.cumsum(lit_pop) - lit_pop, lit_pop
@@ -236,176 +244,227 @@ def batch_vids_at(bitmaps, positions) -> np.ndarray:
     return result
 
 
-def batch_select(bitmaps, sorted_positions: np.ndarray) -> list:
-    """Bitmap-filter every bitmap of a column in one vectorized pass.
+def batch_from_positions(flat_positions, bounds, nbits: int) -> list:
+    """One ``nbits``-bit WAH bitmap per segment of ``flat_positions``,
+    every word of every bitmap assembled in one vectorized pass.
 
-    Equivalent to ``[bm.select(sorted_positions) for bm in bitmaps]``:
-    all set positions are extracted once (:func:`batch_positions`), their
-    survival and rank under ``sorted_positions`` is computed with a
-    single ``searchsorted``, and only the final per-value construction
-    touches Python.
+    Segment ``i`` is ``flat_positions[bounds[i]:bounds[i + 1]]``, the
+    strictly increasing set positions of bitmap ``i`` (the layout
+    :func:`batch_positions` returns).  Word for word equal to
+    ``[WAHBitmap.from_positions(segment, nbits) for each segment]``: the
+    canonical words go into one ``uint32`` buffer that is sliced per
+    bitmap, so the only per-bitmap Python work is object creation.
+    This is the one constructor behind bulk load, bitmap filtering,
+    concatenation, delta encoding, PARTITION and DECOMPOSE's key column
+    (one single-position segment per key: a column of unit bitmaps).
     """
-    if not _all_wah(bitmaps):
-        return [bm.select(sorted_positions) for bm in bitmaps]
-    picks = np.asarray(sorted_positions, dtype=np.int64)
-    new_len = len(picks)
-    flat, bounds = batch_positions(bitmaps)
-    if new_len == 0 or len(flat) == 0:
-        return [WAHBitmap.zeros(new_len) for _ in bitmaps]
-    index = np.searchsorted(picks, flat)
-    clamped = np.minimum(index, new_len - 1)
-    keep = (index < new_len) & (picks[clamped] == flat)
-    new_positions = index[keep]
+    flat = np.asarray(flat_positions)
+    bounds = np.asarray(bounds, dtype=np.int64)
     counts = np.diff(bounds)
-    seg_of_position = np.repeat(
-        np.arange(len(bitmaps), dtype=np.int64), counts
+    occupied = counts > 0
+    ngroups = (nbits + GROUP_BITS - 1) // GROUP_BITS
+    partial = nbits % GROUP_BITS != 0
+    if ngroups > MAX_FILL_GROUPS:
+        raise BitmapError("bitmap too long for a single fill word")
+    # One flag per position, true at each segment's first position:
+    # first "exceeds its predecessor", then "opens a new literal word".
+    first = np.ones(len(flat), dtype=bool)
+    seg_first = bounds[:-1][occupied]
+    if len(flat):
+        if flat.min() < 0 or flat.max() >= nbits:
+            raise BitmapError("position out of range")
+        np.greater(flat[1:], flat[:-1], out=first[1:])
+        first[seg_first] = True
+        if not first.all():
+            raise BitmapError("positions must be strictly increasing")
+    if nbits <= np.iinfo(np.int32).max:
+        flat = flat.astype(np.int32, copy=False)
+
+    # Literal words: one per (segment, 31-bit group) holding a set bit.
+    group = flat // GROUP_BITS
+    bit_of = np.uint32(1) << (flat - group * GROUP_BITS).astype(np.uint32)
+    np.not_equal(group[1:], group[:-1], out=first[1:])
+    first[seg_first] = True
+    word_at = np.flatnonzero(first)
+    word_group = group[word_at].astype(np.int64)
+    word_value = np.bitwise_or.reduceat(bit_of, word_at)
+    word_bounds = np.searchsorted(word_at, bounds)
+    del flat, group, bit_of, first
+
+    # Runs: consecutive all-one groups of a segment merge into one
+    # one-fill; every other literal word is a run of its own.
+    full = word_value == FULL_GROUP
+    run_first = np.ones(len(word_at), dtype=bool)
+    run_first[1:] = ~(
+        full[1:] & full[:-1] & (word_group[1:] == word_group[:-1] + 1)
     )
-    kept_per_segment = np.bincount(
-        seg_of_position[keep], minlength=len(bitmaps)
+    run_first[word_bounds[:-1][occupied]] = True
+    run_at = np.flatnonzero(run_first)
+    run_len = np.diff(run_at, append=len(word_at))
+    run_start = word_group[run_at]
+    run_end = run_start + run_len
+    run_bounds = np.searchsorted(run_at, word_bounds)
+
+    # Zero-fill gap in front of each run, and each segment's tail: a
+    # zero fill up to the end, the partial trailing group kept literal.
+    prev_end = np.zeros(len(run_at), dtype=np.int64)
+    prev_end[1:] = run_end[:-1]
+    prev_end[run_bounds[:-1][occupied]] = 0
+    gap = run_start - prev_end
+    has_gap = gap > 0
+    tail = np.full(len(counts), ngroups, dtype=np.int64)
+    tail[occupied] -= run_end[run_bounds[1:][occupied] - 1]
+    tail_fill = tail - partial
+    has_tail_fill = tail_fill > 0
+    tail_words = has_tail_fill.astype(np.int64) + ((tail > 0) & partial)
+
+    # Buffer layout: per segment, its runs (gap fill + payload), then
+    # its tail words.
+    run_cum = np.concatenate(([0], np.cumsum(1 + has_gap)))
+    tail_cum = np.concatenate(([0], np.cumsum(tail_words)))
+    out_bounds = run_cum[run_bounds] + tail_cum
+    run_out = run_cum[:-1] + np.repeat(tail_cum[:-1], np.diff(run_bounds))
+    buffer = np.zeros(int(out_bounds[-1]), dtype=np.uint32)
+    buffer[run_out[has_gap]] = FILL_FLAG | gap[has_gap].astype(np.uint32)
+    buffer[run_out + has_gap] = np.where(
+        full[run_at],
+        ONE_FILL_FLAG | run_len.astype(np.uint32),
+        word_value[run_at],
     )
-    new_bounds = np.concatenate(([0], np.cumsum(kept_per_segment)))
+    tail_at = out_bounds[1:] - tail_words
+    buffer[tail_at[has_tail_fill]] = FILL_FLAG | tail_fill[
+        has_tail_fill
+    ].astype(np.uint32)
+    # Partial-tail literals are zero words; the buffer is zero-initialized.
+
+    edges = out_bounds.tolist()
     return [
-        WAHBitmap.from_positions(
-            new_positions[new_bounds[i] : new_bounds[i + 1]], new_len
-        )
-        for i in range(len(bitmaps))
+        WAHBitmap(buffer[lo:hi], nbits, _count=count)
+        for lo, hi, count in zip(edges, edges[1:], counts.tolist())
     ]
 
 
+def batch_select(bitmaps, sorted_positions) -> tuple[list, np.ndarray]:
+    """Bitmap-filter every bitmap of a column in one vectorized pass.
+
+    Returns ``([bm.select(sorted_positions) for bm in bitmaps], their
+    set-bit counts)``: all set positions are extracted once
+    (:func:`batch_positions`), their survival and rank under
+    ``sorted_positions`` is one ``searchsorted``, and all output bitmaps
+    are built by one :func:`batch_from_positions`.
+    """
+    if not _all_wah(bitmaps):
+        filtered = [bm.select(sorted_positions) for bm in bitmaps]
+        return filtered, np.array([bm.count() for bm in filtered])
+    picks = np.asarray(sorted_positions, dtype=np.int64)
+    flat, bounds = batch_positions(bitmaps)
+    if len(picks) == 0:
+        flat = flat[:0]  # nothing survives; keeps picks[rank] in range
+    rank = np.searchsorted(picks, flat)
+    rank[rank == len(picks)] = 0
+    kept = np.flatnonzero(picks[rank] == flat)
+    del flat
+    new_bounds = np.searchsorted(kept, bounds)
+    return (
+        batch_from_positions(rank[kept], new_bounds, len(picks)),
+        np.diff(new_bounds),
+    )
+
+
+def batch_split(bitmaps, mask: np.ndarray) -> tuple:
+    """Bitmap-filter a column both ways in one pass (PARTITION).
+
+    ``mask`` is a dense boolean row vector.  Returns ``batch_select``'s
+    result for the rows where it is set and for the rows where it is
+    not, extracting the column's positions only once.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if not _all_wah(bitmaps):
+        return (
+            batch_select(bitmaps, np.flatnonzero(mask)),
+            batch_select(bitmaps, np.flatnonzero(~mask)),
+        )
+    flat, bounds = batch_positions(bitmaps)
+    # Every row's rank among the rows of its own side.
+    ones_before = np.cumsum(mask)
+    ntrue = int(ones_before[-1]) if len(mask) else 0
+    row_rank = np.where(
+        mask, ones_before - 1, np.arange(len(mask)) - ones_before
+    )
+    side = mask[flat]
+    rank = row_rank[flat]
+    del flat, row_rank, ones_before
+    true_bounds = np.concatenate(([0], np.cumsum(side)))[bounds]
+    false_bounds = bounds - true_bounds
+    return (
+        (
+            batch_from_positions(rank[side], true_bounds, ntrue),
+            np.diff(true_bounds),
+        ),
+        (
+            batch_from_positions(
+                rank[~side], false_bounds, len(mask) - ntrue
+            ),
+            np.diff(false_bounds),
+        ),
+    )
+
+
 def batch_concat_positions(
-    left_bitmaps, right_bitmaps, pairing, left_nbits: int, right_nbits: int
+    left_bitmaps, right_bitmaps, right_target, left_nbits: int,
+    right_nbits: int,
 ) -> list:
     """Concatenate column bitmaps (UNION) in one vectorized pass.
 
-    ``pairing`` is a list of ``(left_vid | None, right_vid | None)``
-    describing each output value.  Positions from both sides are
-    extracted once; each output bitmap is built from the merged
-    (left, shifted-right) position list.
+    Output value ``i`` continues left bitmap ``i`` (zeros beyond the
+    left side's values) with the right bitmap ``j`` that has
+    ``right_target[j] == i`` (zeros when there is none).  Positions of
+    both sides are extracted once, scattered to their output value —
+    left part first, right part shifted by ``left_nbits`` — and built by
+    one :func:`batch_from_positions`.
     """
-    total = left_nbits + right_nbits
+    right_target = np.asarray(right_target, dtype=np.int64)
+    nleft = len(left_bitmaps)
+    nout = max(nleft, int(right_target.max()) + 1 if len(right_target) else 0)
     if not _all_wah(list(left_bitmaps) + list(right_bitmaps)):
+        right_of = dict(zip(right_target.tolist(), right_bitmaps))
         results = []
-        for left_vid, right_vid in pairing:
-            codec = type(
-                left_bitmaps[left_vid]
-                if left_vid is not None
-                else right_bitmaps[right_vid]
-            )
-            left_bm = (
-                left_bitmaps[left_vid]
-                if left_vid is not None
-                else codec.zeros(left_nbits)
-            )
-            right_bm = (
-                right_bitmaps[right_vid]
-                if right_vid is not None
-                else codec.zeros(right_nbits)
-            )
+        for vid in range(nout):
+            left_bm = left_bitmaps[vid] if vid < nleft else None
+            right_bm = right_of.get(vid)
+            codec = type(left_bm if left_bm is not None else right_bm)
+            if left_bm is None:
+                left_bm = codec.zeros(left_nbits)
+            if right_bm is None:
+                right_bm = codec.zeros(right_nbits)
             results.append(left_bm.concat(right_bm))
         return results
 
     left_flat, left_bounds = batch_positions(list(left_bitmaps))
     right_flat, right_bounds = batch_positions(list(right_bitmaps))
-    right_flat = right_flat + left_nbits
-    results = []
-    empty = np.empty(0, dtype=np.int64)
-    for left_vid, right_vid in pairing:
-        left_part = (
-            left_flat[left_bounds[left_vid] : left_bounds[left_vid + 1]]
-            if left_vid is not None
-            else empty
-        )
-        right_part = (
-            right_flat[
-                right_bounds[right_vid] : right_bounds[right_vid + 1]
-            ]
-            if right_vid is not None
-            else empty
-        )
-        positions = (
-            np.concatenate((left_part, right_part))
-            if len(left_part) and len(right_part)
-            else (left_part if len(left_part) else right_part)
-        )
-        results.append(WAHBitmap.from_positions(positions, total))
-    return results
-
-
-def unit_bitmap(position: int, nbits: int) -> WAHBitmap:
-    """A bitmap with exactly one set bit — direct word assembly.
-
-    Decomposition's changed-side key column consists entirely of these
-    (one row per distinct key), so this constructor is on the hot path.
-    """
-    group = position // GROUP_BITS
-    bit = position % GROUP_BITS
-    ngroups = (nbits + GROUP_BITS - 1) // GROUP_BITS
-    partial = nbits % GROUP_BITS != 0
-    words = []
-    if group > 0:
-        remaining = group
-        while remaining > 0:  # fills over MAX_FILL_GROUPS never occur here
-            chunk = min(remaining, MAX_FILL_GROUPS)
-            words.append(int(FILL_FLAG) | chunk)
-            remaining -= chunk
-    words.append(1 << bit)
-    tail = ngroups - group - 1
-    if tail > 0:
-        if partial:
-            if tail > 1:
-                words.append(int(FILL_FLAG) | (tail - 1))
-            words.append(0)  # the partial trailing group stays a literal
-        else:
-            words.append(int(FILL_FLAG) | tail)
-    return WAHBitmap(np.array(words, dtype=np.uint32), nbits, _count=1)
-
-
-def batch_unit_bitmaps(positions: np.ndarray, nbits: int) -> list:
-    """One unit bitmap per entry of ``positions``, built in one pass.
-
-    Equivalent to ``[unit_bitmap(int(p), nbits) for p in positions]``;
-    all word arrays are assembled into a single buffer and sliced, so
-    the per-bitmap Python work is just object creation.  This is the
-    decompose hot path: the changed table's key column is exactly one
-    unit bitmap per distinct key value.
-    """
-    pos = np.asarray(positions, dtype=np.int64)
-    n = len(pos)
-    if n == 0:
-        return []
-    ngroups = (nbits + GROUP_BITS - 1) // GROUP_BITS
-    partial = nbits % GROUP_BITS != 0
-    group = pos // GROUP_BITS
-    bit = (pos % GROUP_BITS).astype(np.uint32)
-    tail = ngroups - group - 1
-
-    lead = group > 0
-    if partial:
-        tail_fill = tail > 1
-        tail_lit = tail > 0
-        tail_fill_len = tail - 1
-    else:
-        tail_fill = tail > 0
-        tail_lit = np.zeros(n, dtype=bool)
-        tail_fill_len = tail
-    counts = 1 + lead.astype(np.int64) + tail_fill + tail_lit
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    buffer = np.zeros(int(offsets[-1]), dtype=np.uint32)
-
-    lead_at = offsets[:-1][lead]
-    buffer[lead_at] = FILL_FLAG | group[lead].astype(np.uint32)
-    lit_at = offsets[:-1] + lead
-    buffer[lit_at] = (np.uint32(1) << bit).astype(np.uint32)
-    fill_at = (lit_at + 1)[tail_fill]
-    buffer[fill_at] = FILL_FLAG | tail_fill_len[tail_fill].astype(np.uint32)
-    # Tail literals are zero words; the buffer is zero-initialized.
-
-    return [
-        WAHBitmap(
-            buffer[offsets[i] : offsets[i + 1]], nbits, _count=1
-        )
-        for i in range(n)
-    ]
+    left_counts = np.zeros(nout, dtype=np.int64)
+    left_counts[:nleft] = np.diff(left_bounds)
+    right_counts = np.zeros(nout, dtype=np.int64)
+    right_counts[right_target] = np.diff(right_bounds)
+    bounds = np.concatenate(([0], np.cumsum(left_counts + right_counts)))
+    # Each source segment moves as a block — its positions keep their
+    # order — to its slot in the output value: by ``*_shift`` places.
+    left_shift = bounds[:nleft] - left_bounds[:-1]
+    right_shift = (
+        bounds[right_target] + left_counts[right_target] - right_bounds[:-1]
+    )
+    merged = np.empty(int(bounds[-1]), dtype=np.int64)
+    merged[
+        np.arange(len(left_flat))
+        + np.repeat(left_shift, np.diff(left_bounds))
+    ] = left_flat
+    del left_flat
+    merged[
+        np.arange(len(right_flat))
+        + np.repeat(right_shift, np.diff(right_bounds))
+    ] = right_flat + left_nbits
+    del right_flat
+    return batch_from_positions(merged, bounds, left_nbits + right_nbits)
 
 
 def _all_wah(bitmaps) -> bool:

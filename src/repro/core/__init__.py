@@ -7,7 +7,7 @@ from repro.core.distinction import (
     distinction_scan,
 )
 from repro.core.engine import EvolutionEngine
-from repro.core.filtering import filter_column, filter_table
+from repro.core.filtering import filter_column
 from repro.core.merge_general import merge_general
 from repro.core.merge_kfk import merge_key_fk
 from repro.core.query import (
@@ -29,7 +29,6 @@ __all__ = [
     "distinction_bitmap",
     "distinction_scan",
     "filter_column",
-    "filter_table",
     "group_count",
     "merge_general",
     "merge_key_fk",

@@ -15,7 +15,9 @@ dependency in the data (Property 2 must hold for correctness).
 
 from __future__ import annotations
 
-from repro.bitmap.batch import batch_unit_bitmaps
+import numpy as np
+
+from repro.bitmap.batch import batch_from_positions
 from repro.bitmap.wah import WAHBitmap
 from repro.core.distinction import distinction, distinction_with_ranks
 from repro.core.filtering import filter_column
@@ -153,7 +155,10 @@ def _build_changed_table(
                 key_column.name,
                 key_column.dtype,
                 key_column.dictionary,
-                batch_unit_bitmaps(rank_of_vid, new_len),
+                # One unit bitmap per key value, set at its witness rank.
+                batch_from_positions(
+                    rank_of_vid, np.arange(len(rank_of_vid) + 1), new_len
+                ),
                 new_len,
                 key_column.codec_name,
             )

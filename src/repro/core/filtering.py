@@ -12,9 +12,6 @@ import numpy as np
 
 from repro.core.status import EvolutionStatus
 from repro.storage.column import BitmapColumn
-from repro.storage.dictionary import Dictionary
-from repro.storage.schema import TableSchema
-from repro.storage.table import Table
 
 
 def filter_column(
@@ -24,46 +21,5 @@ def filter_column(
     compact: bool = True,
 ) -> BitmapColumn:
     """Bitmap-filter one column to the given sorted positions."""
-    from repro.bitmap.batch import batch_select
-
-    new_len = len(positions)
-    filtered = batch_select(column.bitmaps, positions)
-    status.filtered_bitmaps(len(filtered))
-    if not compact:
-        return BitmapColumn(
-            column.name, column.dtype, column.dictionary, filtered,
-            new_len, column.codec_name,
-        )
-    dictionary = Dictionary()
-    bitmaps = []
-    for vid, bitmap in enumerate(filtered):
-        if bitmap.count() > 0:
-            dictionary.add(column.dictionary.value(vid))
-            bitmaps.append(bitmap)
-    return BitmapColumn(
-        column.name, column.dtype, dictionary, bitmaps, new_len,
-        column.codec_name,
-    )
-
-
-def filter_table(
-    table: Table,
-    attrs,
-    positions: np.ndarray,
-    new_name: str,
-    status: EvolutionStatus,
-    primary_key=(),
-) -> Table:
-    """Build a new table from ``attrs`` of ``table`` at ``positions``."""
-    attrs = list(attrs)
-    with status.step(
-        "filtering",
-        f"bitmap filtering {len(attrs)} columns down to "
-        f"{len(positions)} rows",
-    ):
-        schema = table.schema.project(attrs, new_name, primary_key)
-        columns = {
-            attr: filter_column(table.column(attr), positions, status)
-            for attr in attrs
-        }
-    return Table(schema, columns, len(positions))
+    status.filtered_bitmaps(column.distinct_count)
+    return column.select(positions, compact)

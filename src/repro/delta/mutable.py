@@ -4,9 +4,9 @@ A :class:`MutableTable` wraps an immutable :class:`~repro.storage.table.
 Table` (the compressed main store) and a :class:`~repro.delta.store.
 DeltaStore` (the uncompressed write buffer).  Writes never touch the
 compressed columns; reads merge both sides at query time; compaction
-folds the buffer into freshly WAH-encoded columns, re-using the
-streaming :class:`~repro.bitmap.builder.WAHBuilder` so the dense row
-vectors are never turned into dense bit arrays.
+folds the buffer into freshly WAH-encoded columns, built by the batched
+constructor (:func:`~repro.bitmap.batch.batch_from_positions`) so the
+dense row vectors are never turned into dense bit arrays.
 
 Reads are MVCC: :meth:`MutableTable.snapshot` pins a consistent view
 (main-store generation + delta epoch) that stays frozen while writes and
@@ -27,13 +27,11 @@ rows it actually touches.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 
 import numpy as np
 
-from repro.bitmap.builder import WAHBuilder
-from repro.bitmap.codecs import WAH
 from repro.delta.policy import (
     CompactionPolicy,
     CompactionProgress,
@@ -49,30 +47,11 @@ from repro.storage.types import coerce
 
 
 def _delta_column(name, dtype, values, codec_name) -> BitmapColumn:
-    """Encode plain row-ordered values into per-value bitmaps.
-
-    The WAH path streams each value's positions through a
-    :class:`WAHBuilder`; other codecs fall back to the generic
-    constructor.
-    """
-    if codec_name != WAH:
-        return BitmapColumn.from_values(name, dtype, values, codec_name)
+    """Encode plain row-ordered (already coerced) values into per-value
+    bitmaps: dictionary-encode, then the bulk-load constructor."""
     dictionary = Dictionary()
-    positions: list[list[int]] = []
-    for row, value in enumerate(values):
-        vid = dictionary.add(value)
-        if vid == len(positions):
-            positions.append([])
-        positions[vid].append(row)
-    nrows = len(values)
-    bitmaps = []
-    for vid_positions in positions:
-        builder = WAHBuilder()
-        builder.append_positions(
-            np.asarray(vid_positions, dtype=np.int64), nrows
-        )
-        bitmaps.append(builder.build())
-    return BitmapColumn(name, dtype, dictionary, bitmaps, nrows, codec_name)
+    vids = dictionary.encode(values)
+    return BitmapColumn.from_vids(name, dtype, dictionary, vids, codec_name)
 
 
 def _relabeled_table(table: Table, name: str, renames: dict) -> Table:
@@ -640,8 +619,8 @@ class MutableTable:
         """Fold the delta into a fresh all-WAH main table.
 
         Surviving main rows are kept by bitmap filtering (never
-        decompressed), buffered rows are WAH-encoded via the streaming
-        builder, and the two parts are concatenated per column.
+        decompressed), buffered rows are WAH-encoded by the batched
+        constructor, and the two parts are concatenated per column.
         Afterwards the buffer holds only writes that raced the fold (in
         the single-threaded case: none) and the returned table *is* the
         new main.  An in-flight incremental run is driven to completion
@@ -746,14 +725,13 @@ class MutableTable:
         nrows = len(run.keep) + len(run.live_cutoff)
         new_main = Table(self.schema, run.merged, nrows)
 
-        main_remap = {int(p): i for i, p in enumerate(run.keep)}
-        delta_remap = {
-            d: len(run.keep) + k for k, d in enumerate(run.live_cutoff)
-        }
+        # Only deletions newer than the cutoff need their new position
+        # (normally none): a folded row's new position is its rank among
+        # the rows that were kept.
         deleted_main: dict[int, int] = {}
         for position, at in old_delta.deleted_main.items():
             if at > run.cutoff_epoch:
-                deleted_main[main_remap[position]] = at
+                deleted_main[int(np.searchsorted(run.keep, position))] = at
         new_deleted_delta: dict[int, int] = {}
         for index, at in old_delta.deleted_delta.items():
             if index >= run.cutoff_appended:
@@ -761,7 +739,9 @@ class MutableTable:
             elif at > run.cutoff_epoch:
                 # A pre-cutoff buffered row deleted mid-run: it was folded
                 # into the new main, so the deletion masks its new position.
-                deleted_main[delta_remap[index]] = at
+                deleted_main[
+                    len(run.keep) + bisect_left(run.live_cutoff, index)
+                ] = at
         carried = {
             name: old_delta.columns[name][run.cutoff_appended:]
             for name in self.schema.column_names

@@ -81,28 +81,25 @@ class BitmapColumn:
         vids: np.ndarray,
         codec_name: str = WAH,
     ) -> "BitmapColumn":
-        """Build from a pre-encoded vid array (row order)."""
-        codec = get_codec(codec_name)
+        """Build from a pre-encoded vid array (row order): one stable
+        sort groups the row positions by vid, one batched constructor
+        builds every value's bitmap."""
+        from repro.bitmap.batch import batch_from_positions
+
         nrows = len(vids)
-        nvals = len(dictionary)
-        bitmaps = [None] * nvals
-        if nrows:
-            order = np.argsort(vids, kind="stable")
-            sorted_vids = vids[order]
-            boundaries = np.concatenate(
-                (
-                    [0],
-                    np.flatnonzero(sorted_vids[1:] != sorted_vids[:-1]) + 1,
-                    [nrows],
-                )
-            )
-            for i in range(len(boundaries) - 1):
-                lo, hi = int(boundaries[i]), int(boundaries[i + 1])
-                vid = int(sorted_vids[lo])
-                bitmaps[vid] = codec.from_positions(order[lo:hi], nrows)
-        for vid in range(nvals):
-            if bitmaps[vid] is None:
-                bitmaps[vid] = codec.zeros(nrows)
+        order = np.argsort(vids, kind="stable")
+        bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(vids, minlength=len(dictionary))))
+        )
+        if codec_name == WAH:
+            bitmaps = batch_from_positions(order, bounds, nrows)
+        else:
+            codec = get_codec(codec_name)
+            edges = bounds.tolist()
+            bitmaps = [
+                codec.from_positions(order[lo:hi], nrows)
+                for lo, hi in zip(edges, edges[1:])
+            ]
         return cls(name, dtype, dictionary, bitmaps, nrows, codec_name)
 
     # ------------------------------------------------------------------
@@ -197,21 +194,36 @@ class BitmapColumn:
         """
         from repro.bitmap.batch import batch_select
 
-        new_len = len(sorted_positions)
-        filtered = batch_select(self._bitmaps, sorted_positions)
-        if not compact:
-            return BitmapColumn(
-                self.name, self.dtype, self._dictionary, filtered,
-                new_len, self.codec_name,
-            )
-        dictionary = Dictionary()
-        bitmaps = []
-        for vid, bitmap in enumerate(filtered):
-            if bitmap.count() > 0:
-                dictionary.add(self._dictionary.value(vid))
-                bitmaps.append(bitmap)
+        filtered, counts = batch_select(self._bitmaps, sorted_positions)
+        return self._filtered(
+            filtered, counts if compact else None, len(sorted_positions)
+        )
+
+    def split(self, mask: np.ndarray) -> tuple["BitmapColumn", "BitmapColumn"]:
+        """PARTITION's two-way bitmap filtering in one pass: the rows
+        where the dense boolean ``mask`` is set and the rows where it is
+        not, each as ``select(..., compact=True)`` would return them."""
+        from repro.bitmap.batch import batch_split
+
+        (true_bitmaps, true_counts), (false_bitmaps, false_counts) = (
+            batch_split(self._bitmaps, mask)
+        )
+        ntrue = int(np.count_nonzero(mask))
+        return (
+            self._filtered(true_bitmaps, true_counts, ntrue),
+            self._filtered(false_bitmaps, false_counts, len(mask) - ntrue),
+        )
+
+    def _filtered(self, bitmaps: list, counts, nrows: int) -> "BitmapColumn":
+        """This column over ``nrows`` filtered rows; with ``counts`` (set
+        bits per bitmap) the values that vanished are dropped."""
+        dictionary = self._dictionary
+        if counts is not None:
+            kept = np.flatnonzero(counts).tolist()
+            dictionary = Dictionary([dictionary.value(vid) for vid in kept])
+            bitmaps = [bitmaps[vid] for vid in kept]
         return BitmapColumn(
-            self.name, self.dtype, dictionary, bitmaps, new_len,
+            self.name, self.dtype, dictionary, bitmaps, nrows,
             self.codec_name,
         )
 
@@ -229,18 +241,9 @@ class BitmapColumn:
         from repro.bitmap.batch import batch_concat_positions
 
         dictionary = Dictionary(self._dictionary.values())
-        pairing: list[tuple] = [
-            (vid, None) for vid in range(len(self._bitmaps))
-        ]
-        for vid_other, value in enumerate(other._dictionary.values()):
-            existing = dictionary.vid_or_none(value)
-            if existing is not None and existing < len(self._bitmaps):
-                pairing[existing] = (existing, vid_other)
-            else:
-                dictionary.add(value)
-                pairing.append((None, vid_other))
+        right_target = [dictionary.add(value) for value in other._dictionary]
         bitmaps = batch_concat_positions(
-            self._bitmaps, other._bitmaps, pairing,
+            self._bitmaps, other._bitmaps, right_target,
             self._nrows, other._nrows,
         )
         return BitmapColumn(

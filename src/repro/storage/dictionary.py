@@ -50,6 +50,12 @@ class Dictionary:
             typed = np.asarray(values)
             if typed.dtype == object:
                 raise TypeError
+            if typed.dtype.kind == "U" and typed is not values and int(
+                np.char.str_len(typed).sum()
+            ) != sum(map(len, values)):
+                # NumPy drops trailing NULs from fixed-width strings;
+                # such values keep their identity on the Python path.
+                raise TypeError
             uniques, inverse = np.unique(typed, return_inverse=True)
         except TypeError:
             return np.fromiter(

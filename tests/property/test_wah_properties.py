@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitmap import WAHBitmap
+from repro.bitmap.batch import batch_from_positions
 from repro.bitmap.reference import encode_reference
 
 bit_arrays = st.lists(st.booleans(), min_size=0, max_size=600).map(
@@ -123,3 +124,34 @@ def test_sparse_positions_independent_of_nbits(positions):
     assert np.array_equal(small.positions(), large.positions())
     # Tail padding adds at most a couple of words.
     assert large.word_count <= small.word_count + 2
+
+
+@given(
+    st.integers(min_value=0, max_value=330).flatmap(
+        lambda nbits: st.tuples(
+            st.just(nbits),
+            st.lists(
+                # A segment is any bit pattern of that length: random
+                # bits, or runs (full groups, all ones, empty).
+                any_bits.map(
+                    lambda bits: np.flatnonzero(np.resize(bits, nbits))
+                    if len(bits) else np.empty(0, dtype=np.int64)
+                ),
+                max_size=6,
+            ),
+        )
+    )
+)
+def test_batched_constructor_equals_per_segment_constructor(case):
+    """``batch_from_positions`` is ``WAHBitmap.from_positions`` applied
+    to every segment: same words, same length, same count."""
+    nbits, segments = case
+    flat = np.concatenate(segments + [np.empty(0, dtype=np.int64)])
+    bounds = np.cumsum([0] + [len(s) for s in segments])
+    bitmaps = batch_from_positions(flat, bounds, nbits)
+    assert len(bitmaps) == len(segments)
+    for bitmap, segment in zip(bitmaps, segments):
+        reference = WAHBitmap.from_positions(segment, nbits)
+        assert bitmap.words.tolist() == reference.words.tolist()
+        assert bitmap.nbits == reference.nbits == nbits
+        assert bitmap.count() == reference.count() == len(segment)

@@ -111,6 +111,29 @@ class TestMutableTable:
         ]
         assert mutable.nrows == 5
 
+    def test_compaction_encodes_buffered_values_exactly(self):
+        """The fold dictionary-encodes the buffer in bulk: first-seen
+        vid order, NULLs, and strings NumPy would truncate all survive,
+        for the WAH codec and the fallback alike."""
+        rows = [(5, "z"), (6, None), (7, "z\0"), (8, "z"), (9, None)]
+        for codec in ("wah", "plain"):
+            table = table_from_python(
+                "R",
+                {
+                    "K": (DataType.INT, [1, 2]),
+                    "S": (DataType.STRING, ["a", "b"]),
+                },
+                codec_name=codec,
+            )
+            mutable = frozen(table)
+            mutable.insert_rows(rows)
+            main = mutable.compact()
+            assert main.to_rows() == [(1, "a"), (2, "b")] + rows
+            assert main.column("S").dictionary.values() == [
+                "a", "b", "z", None, "z\0",
+            ]
+            assert main.column("S").codec_name == codec
+
     def test_insert_rows_is_atomic(self):
         mutable = frozen()
         with pytest.raises(StorageError):

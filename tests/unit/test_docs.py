@@ -355,6 +355,33 @@ class TestExecutionPipelineDocs:
         assert "bench_vectorized_scan.py" in ci
 
 
+class TestBatchedConstructorDocs:
+    def test_architecture_names_the_constructor_and_its_callers(self):
+        import repro.bitmap.batch as batch
+
+        text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+        assert "batch kernels" in text and "builders" not in text
+        for name in (
+            "batch_from_positions", "batch_select",
+            "batch_concat_positions", "batch_split",
+        ):
+            assert hasattr(batch, name), f"repro.bitmap.batch lost {name}"
+            assert f"`{name}" in text, f"ARCHITECTURE.md omits {name}"
+        for caller in ("BitmapColumn.from_vids", "_delta_column", "PARTITION"):
+            assert caller in text
+
+    def test_streaming_builder_is_gone(self):
+        import repro.bitmap
+
+        assert not hasattr(repro.bitmap, "WAHBuilder")
+        assert not (REPO / "src" / "repro" / "bitmap" / "builder.py").exists()
+
+    def test_ci_gates_the_smo_oracle_checks(self):
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert "benchmarks/e2e/run.py --workload schema_evolution --smoke" in ci
+        assert "pytest benchmarks/e2e/tests" in ci
+
+
 class TestConcurrencyDocs:
     def test_architecture_documents_the_lock_order(self):
         text = (REPO / "docs" / "ARCHITECTURE.md").read_text()

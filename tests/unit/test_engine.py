@@ -1,5 +1,6 @@
 """Unit tests for the EvolutionEngine (dispatch, catalog effects, status)."""
 
+import numpy as np
 import pytest
 
 from repro.core import EvolutionEngine
@@ -68,6 +69,41 @@ class TestSimpleOps:
         assert grant.nrows + industrial.nrows == 7
         assert all(r[2] == "425 Grant Ave" for r in grant.to_rows())
         assert all(r[2] != "425 Grant Ave" for r in industrial.to_rows())
+
+    @pytest.mark.parametrize("codec", ["wah", "plain"])
+    def test_partition_single_pass_equals_two_filters(self, codec):
+        """PARTITION splits each column's positions once; the outputs
+        and the filtering count are those of two separate filters."""
+        rng = np.random.default_rng(3)
+        table = table_from_python(
+            "R",
+            {
+                "k": (DataType.INT, rng.integers(0, 40, 500).tolist()),
+                "v": (DataType.STRING,
+                      [f"v{i}" for i in rng.integers(0, 7, 500)]),
+            },
+            codec_name=codec,
+        )
+        engine = EvolutionEngine()
+        engine.load_table(table)
+        predicate = Comparison("k", "<", 13)
+        status = engine.apply(PartitionTable("R", "Lo", "Hi", predicate))
+        assert status.bitmaps_filtered == 2 * (
+            table.column("k").distinct_count
+            + table.column("v").distinct_count
+        )
+        matches = predicate.bitmap(table)
+        for name, positions in (
+            ("Lo", matches.positions()),
+            ("Hi", matches.invert().positions()),
+        ):
+            got = engine.table(name)
+            want = table.select_rows(positions, name)
+            assert got.schema == want.schema and got.nrows == want.nrows
+            for column in ("k", "v"):
+                assert (got.column(column).dictionary.values()
+                        == want.column(column).dictionary.values())
+                assert got.column(column).bitmaps == want.column(column).bitmaps
 
     def test_add_column_default_is_o1(self, engine):
         status = engine.apply(

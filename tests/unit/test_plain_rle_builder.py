@@ -1,9 +1,9 @@
-"""Tests for the plain codec, the RLE vector and the streaming builder."""
+"""Tests for the plain codec and the RLE vector."""
 
 import numpy as np
 import pytest
 
-from repro.bitmap import PlainBitmap, RLEVector, WAHBitmap, WAHBuilder
+from repro.bitmap import PlainBitmap, RLEVector, WAHBitmap
 from repro.bitmap.codecs import codec_names, get_codec, register_codec
 from repro.errors import BitmapError, SerializationError
 
@@ -133,57 +133,3 @@ class TestRLEVector:
             RLEVector(np.array([1]), np.array([0]))
         with pytest.raises(BitmapError):
             RLEVector(np.array([1, 2]), np.array([1]))
-
-
-class TestWAHBuilder:
-    def test_append_bits(self):
-        builder = WAHBuilder()
-        for bit in [1, 0, 1, 1, 0]:
-            builder.append_bit(bit)
-        assert builder.build().to_dense().tolist() == [
-            True, False, True, True, False,
-        ]
-
-    def test_append_runs(self):
-        builder = WAHBuilder()
-        builder.append_run(0, 100)
-        builder.append_run(1, 50)
-        builder.append_run(0, 10)
-        bm = builder.build()
-        assert bm.nbits == 160
-        assert bm.count() == 50
-        assert bm.first_set() == 100
-
-    def test_append_dense_chunks(self):
-        rng = np.random.default_rng(1)
-        chunks = [rng.random(37) < 0.5 for _ in range(5)]
-        builder = WAHBuilder()
-        for chunk in chunks:
-            builder.append_dense(chunk)
-        expected = np.concatenate(chunks)
-        assert np.array_equal(builder.build().to_dense(), expected)
-        assert builder.build() == WAHBitmap.from_dense(expected)
-
-    def test_append_positions(self):
-        builder = WAHBuilder()
-        builder.append_positions([1, 3], 5)
-        builder.append_positions([0], 5)
-        bm = builder.build()
-        assert bm.positions().tolist() == [1, 3, 5]
-        assert bm.nbits == 10
-
-    def test_adjacent_runs_merge(self):
-        builder = WAHBuilder()
-        builder.append_run(1, 10)
-        builder.append_run(1, 10)
-        bm = builder.build()
-        starts, ends = bm.one_intervals()
-        assert starts.tolist() == [0] and ends.tolist() == [20]
-
-    def test_negative_run_rejected(self):
-        with pytest.raises(BitmapError):
-            WAHBuilder().append_run(1, -1)
-
-    def test_position_out_of_chunk(self):
-        with pytest.raises(BitmapError):
-            WAHBuilder().append_positions([5], 5)

@@ -199,6 +199,25 @@ class TestIncrementalCompaction:
         assert sorted(mutable.main.to_rows()) == [(2, "b"), (3, "a"),
                                                   (4, "c"), (6, "e")]
 
+    def test_post_cutoff_deletes_land_on_shifted_positions(self):
+        """With rows dropped by the fold, a deletion that raced it must
+        mask the victim's *new* position: its rank among the kept main
+        rows, or behind them among the cutoff-live buffered rows."""
+        mutable = frozen()
+        mutable.insert((5, "d"))
+        mutable.insert((6, "e"))
+        mutable.delete(Comparison("K", "=", 2))      # folded away: main
+        mutable.delete(Comparison("K", "=", 5))      # folded away: delta
+        mutable.compact_step()                       # cutoff pinned
+        mutable.delete(Comparison("K", "=", 4))      # main position 3 -> 2
+        mutable.delete(Comparison("K", "=", 6))      # delta index 1 -> 3
+        assert mutable.compact_step().done
+        assert mutable.main.to_rows() == [
+            (1, "a"), (3, "a"), (4, "c"), (6, "e"),
+        ]
+        assert sorted(mutable.delta.deleted_main) == [2, 3]
+        assert mutable.to_rows() == [(1, "a"), (3, "a")]
+
     def test_update_between_steps(self):
         mutable = frozen()
         mutable.insert((5, "d"))

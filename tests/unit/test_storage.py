@@ -193,6 +193,14 @@ class TestDictionary:
         assert vids.tolist() == [0, 1, 0]
         assert dictionary.value(1) is None
 
+    def test_encode_keeps_trailing_nul_strings_apart(self):
+        # A fixed-width NumPy string drops trailing NULs; the bulk path
+        # must not merge "a\0" into "a".
+        dictionary = Dictionary()
+        vids = dictionary.encode(["a\0", "a", "a\0", "b"])
+        assert vids.tolist() == [0, 1, 0, 2]
+        assert dictionary.values() == ["a\0", "a", "b"]
+
     def test_lookup_errors(self):
         dictionary = Dictionary(["x"])
         with pytest.raises(StorageError):
