@@ -1,7 +1,7 @@
 """Ablation abl1: WAH-compressed vs uncompressed bitmaps.
 
 Same decomposition algorithm, same data — only the bitmap codec of every
-column changes.  Finding (see EXPERIMENTS.md): dense bitmaps are
+column changes.  Finding: dense bitmaps are
 somewhat *faster* in wall time at small scale (NumPy fancy indexing has
 tiny constants), but their storage is O(distinct × rows) — 223× larger
 at 400k rows / 4k distinct — which makes the per-value-bitmap design

@@ -38,6 +38,7 @@ import numpy as np
 from repro.bench.exporters import aggregate_json
 from repro.db import Database
 from repro.delta import CompactionPolicy
+from repro.exec import iter_rows
 from repro.sql.parser import parse_sql
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.table import Table
@@ -102,18 +103,18 @@ def row_oracle(adapter, sql: str) -> list[tuple]:
     pre-aggregation caller had to do client-side."""
     if sql == GROUPED_COUNT_SQL:
         groups: dict = {}
-        for grp, _v in adapter.scan_rows(TABLE):
+        for grp, _v in iter_rows(adapter.scan_batches(TABLE)):
             groups[grp] = groups.get(grp, 0) + 1
         return sorted(groups.items())
     if sql == GROUPED_SUM_SQL:
         sums: dict = {}
-        for grp, v in adapter.scan_rows(TABLE):
+        for grp, v in iter_rows(adapter.scan_batches(TABLE)):
             sums[grp] = sums.get(grp, 0) + v
         return sorted(sums.items())
     if sql == GLOBAL_SQL:
         count, total = 0, 0
         low, high = None, None
-        for _grp, v in adapter.scan_rows(TABLE):
+        for _grp, v in iter_rows(adapter.scan_batches(TABLE)):
             count += 1
             total += v
             low = v if low is None or v < low else low

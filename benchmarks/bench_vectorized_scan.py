@@ -30,6 +30,7 @@ import numpy as np
 from repro.bench.exporters import vectorized_scan_json
 from repro.db import Database
 from repro.delta import CompactionPolicy
+from repro.exec import iter_rows
 from repro.smo.predicate import Comparison
 from repro.sql.parser import parse_sql
 from repro.storage.schema import ColumnSchema, TableSchema
@@ -83,16 +84,17 @@ def build_database(nrows: int, seed: int = 2010) -> Database:
 
 
 def row_path(adapter, table: str, predicate=None) -> list[tuple]:
-    """The seed row-at-a-time SELECT: materialize every merged row as a
-    tuple and test the predicate row by row (exactly the pre-refactor
-    ``SqlExecutor._filtered_projection`` fallback)."""
+    """The row-at-a-time SELECT: materialize every merged row as a
+    tuple (an unfiltered batch scan) and test the predicate row by
+    row."""
+    rows = iter_rows(adapter.scan_batches(table))
     if predicate is None:
-        return list(adapter.scan_rows(table))
+        return list(rows)
     schema = adapter.schema(table)
     positions = {n: i for i, n in enumerate(schema.column_names)}
     return [
         row
-        for row in adapter.scan_rows(table)
+        for row in rows
         if predicate.matches(lambda a, r=row: r[positions[a]])
     ]
 
@@ -129,7 +131,7 @@ def bench_scan(db: Database, sql: str, predicate, repeats: int = 5) -> dict:
     )
     if sorted(batch_rows) != sorted(row_rows):
         raise AssertionError(f"paths diverged on {sql!r}")
-    total = len(list(db.adapter.scan_rows(TABLE)))
+    total = len(row_path(db.adapter, TABLE))
     return {
         "sql": sql,
         "rows_returned": len(batch_rows),

@@ -94,11 +94,10 @@ def bench_compaction(workload: MixedReadWriteWorkload) -> dict:
     mutable = _mutable_for(workload, CompactionPolicy.never())
     counters = workload.apply_to(mutable)
 
-    # Measure the query-time merge itself (decode + filter + append),
-    # bypassing the MVCC read-path caches that would otherwise serve a
-    # previously decoded generation.
+    # Measure the query-time merge itself (decode + filter + append):
+    # to_rows() is the uncached reference merge.
     started = time.perf_counter()
-    merged_rows = mutable.copy_on_read_rows()
+    merged_rows = mutable.to_rows()
     merged_scan_seconds = time.perf_counter() - started
 
     stats = mutable.delta_stats()

@@ -3,7 +3,7 @@
 Scale is controlled by ``CODS_BENCH_ROWS`` (default 20 000 here, so the
 whole suite finishes in minutes on a laptop; the paper used 10 000 000).
 ``benchmarks/run_figures.py`` / ``cods-figures`` run the full-size
-sweeps and write the EXPERIMENTS.md numbers.
+sweeps and print the figures' numbers.
 """
 
 from __future__ import annotations

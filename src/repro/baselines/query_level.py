@@ -76,14 +76,18 @@ class QueryLevelEvolution(EvolutionSystem):
 
     def extract(self, name: str) -> Table:
         schema = self.schemas.get(name) or self.adapter.schema(name)
-        return Table.from_rows(
-            schema.renamed(name), self.adapter.scan_rows(name)
-        )
+        return Table.from_rows(schema.renamed(name), self._scan(name))
 
     def table_names(self) -> list[str]:
         return sorted(self.schemas)
 
     # -- helpers -------------------------------------------------------------
+
+    def _scan(self, name: str):
+        """Every row of ``name`` as tuples."""
+        from repro.exec import iter_rows
+
+        return iter_rows(self.adapter.scan_batches(name))
 
     def _build_indexes(self, schema: TableSchema) -> None:
         """Rebuild indexes on all declared key columns of a table."""
@@ -244,13 +248,10 @@ class QueryLevelEvolution(EvolutionSystem):
             extras = list(op.values)
             rows = (
                 row + (extras[index],)
-                for index, row in enumerate(self.adapter.scan_rows(op.table))
+                for index, row in enumerate(self._scan(op.table))
             )
         else:
-            rows = (
-                row + (op.default,)
-                for row in self.adapter.scan_rows(op.table)
-            )
+            rows = (row + (op.default,) for row in self._scan(op.table))
         self.adapter.insert_rows(temp_name, rows)
         self.executor.execute(f"DROP TABLE {op.table}")
         self.executor.execute(

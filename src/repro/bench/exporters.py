@@ -64,17 +64,6 @@ def load_write_path_json(path) -> dict:
     return load_bench_json(path)
 
 
-def snapshot_scan_json(payload: dict, path) -> None:
-    """Write the snapshot-scan benchmark record
-    (``benchmarks/bench_snapshot_scan.py``) as indented JSON."""
-    bench_json(payload, path)
-
-
-def load_snapshot_scan_json(path) -> dict:
-    """Read back a snapshot-scan benchmark record."""
-    return load_bench_json(path)
-
-
 def session_api_json(payload: dict, path) -> None:
     """Write the session-API benchmark record
     (``benchmarks/bench_session_api.py``) as indented JSON."""

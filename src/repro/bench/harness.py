@@ -4,7 +4,7 @@ Regenerates the paper's evaluation (Figure 3a/3b) and the per-operator
 Table 1 micro-benchmarks.  The paper runs 10 M rows with distinct-value
 counts 100 … 1 M; scale is configurable (``CODS_BENCH_ROWS``) and the
 sweep keeps the paper's distinct/rows ratios so the curve *shapes* are
-comparable (see DESIGN.md §2 on faithfulness limits).
+comparable; absolute times are not (pure Python, scaled-down rows).
 """
 
 from __future__ import annotations

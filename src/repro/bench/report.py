@@ -2,8 +2,7 @@
 
 Figure 3 is a pair of line charts (time vs #distinct values, one line
 per system); we render the same series as an aligned text table plus a
-crude log-scale ASCII chart, and compute the headline speedup factors
-for EXPERIMENTS.md.
+crude log-scale ASCII chart, and compute the headline speedup factors.
 """
 
 from __future__ import annotations

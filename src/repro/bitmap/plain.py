@@ -1,6 +1,6 @@
 """Uncompressed bitmap with the same interface as :class:`WAHBitmap`.
 
-Used by the codec ablation (DESIGN.md, experiment ``abl1``): the paper
+Used by the codec ablation (``benchmarks/bench_ablation_codec.py``): the paper
 argues that operating on WAH-compressed bitmaps is what makes data-level
 evolution cheap; this class lets the benchmarks quantify the difference
 by swapping the column codec while keeping every algorithm identical.

@@ -13,7 +13,8 @@ Two strategies:
 * **scan** (composite keys): decode the key columns to vid arrays and
   take the first occurrence of each distinct combination.  The demo
   paper defers composite keys to the tech report; this is our
-  reconstruction (documented in DESIGN.md).
+  reconstruction, and Property 2 makes the first occurrence as good a
+  witness as any other.
 """
 
 from __future__ import annotations

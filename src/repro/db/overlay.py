@@ -22,12 +22,8 @@ the overlay — ``docs/migration.md`` spells out the visible differences.
 from __future__ import annotations
 
 from repro.errors import StorageError
-from repro.sql.adapter import (
-    EngineAdapter,
-    _filter_rows,
-    _matching_row_ids,
-    _patch_rows,
-)
+from repro.exec import batches_from_rows, iter_rows
+from repro.sql.adapter import EngineAdapter, _drop_rows, _patch_rows
 from repro.storage.types import coerce
 
 
@@ -65,17 +61,13 @@ class TableOverlay:
         return count
 
     def delete(self, predicate) -> int:
-        self._rows, count = _filter_rows(self.schema, self._rows, predicate)
+        self._rows, count = _drop_rows(self.schema, self._rows, predicate)
         return count
 
-    def scan(self):
-        return iter(list(self._rows))
-
-    def matching_rows(self, predicate) -> list[tuple]:
-        if predicate is None:
-            return list(self._rows)
-        ids = _matching_row_ids(self.schema, self._rows, predicate)
-        return [self._rows[int(row_id)] for row_id in ids]
+    def scan_batches(self):
+        # A copy: a cursor still draining these batches must not see
+        # rows the scope inserts afterwards.
+        return batches_from_rows(self.schema.column_names, list(self._rows))
 
 
 class ReadYourWritesAdapter(EngineAdapter):
@@ -111,7 +103,8 @@ class ReadYourWritesAdapter(EngineAdapter):
         overlay = self._overlays.get(name)
         if overlay is None:
             overlay = TableOverlay(
-                self._inner.schema(name), self._inner.scan_rows(name)
+                self._inner.schema(name),
+                iter_rows(self._inner.scan_batches(name)),
             )
             self._overlays[name] = overlay
         return overlay
@@ -138,23 +131,16 @@ class ReadYourWritesAdapter(EngineAdapter):
             return overlay.schema
         return self._inner.schema(name)
 
-    def scan_rows(self, name: str):
-        overlay = self._overlays.get(name)
-        if overlay is not None:
-            return overlay.scan()
-        return self._inner.scan_rows(name)
-
     def scan_batches(self, name: str):
         overlay = self._overlays.get(name)
         if overlay is not None:
-            return EngineAdapter.scan_batches(self, name)
+            return overlay.scan_batches()
         return self._inner.scan_batches(name)
 
-    def filter_rows(self, name: str, predicate):
-        overlay = self._overlays.get(name)
-        if overlay is not None:
-            return iter(overlay.matching_rows(predicate))
-        return self._inner.filter_rows(name, predicate)
+    def scan_path(self, name: str) -> str:
+        if name in self._overlays:
+            return "transaction overlay rows via compiled evaluator batches"
+        return self._inner.scan_path(name)
 
     def table_stats(self, name: str):
         # A written table reads from its overlay rows, which the inner

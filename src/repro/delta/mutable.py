@@ -10,8 +10,8 @@ dense row vectors are never turned into dense bit arrays.
 
 Reads are MVCC: :meth:`MutableTable.snapshot` pins a consistent view
 (main-store generation + delta epoch) that stays frozen while writes and
-compaction proceed, and :meth:`MutableTable.scan` iterates such a pinned
-view lazily instead of copying the merged rows.  Compaction can run
+compaction proceed; both the live handle and a pinned view are read
+through ``scan_batches()``.  Compaction can run
 *incrementally* — :meth:`MutableTable.compact_step` merges a budgeted
 number of columns per call and is safe to interleave with DML and pinned
 snapshots; superseded generations are retained until the last pinning
@@ -37,7 +37,7 @@ from repro.delta.policy import (
     CompactionProgress,
     DeltaStats,
 )
-from repro.delta.snapshot import Snapshot, decoded_main_rows
+from repro.delta.snapshot import Snapshot, reference_rows
 from repro.delta.store import DeltaStore
 from repro.errors import SchemaError, StorageError
 from repro.storage.column import BitmapColumn
@@ -169,14 +169,6 @@ class MutableTable:
         # Redo logging: a repro.wal.TableWal once durability is on
         # (shared with the delta store; see attach_wal).
         self._wal = None
-        # Single-entry merged-view cache: (generation, epoch) -> rows.
-        # Visibility is fully determined by that pair, so the entry is
-        # valid until the next write (epoch bump) or compaction
-        # (generation bump).
-        self._merged_cache: tuple[tuple[int, int], list] | None = None
-        # Single-entry surviving-main cache: (generation, deletions) ->
-        # filtered main rows; inserts bump the epoch but not this key.
-        self._main_rows_cache: tuple[tuple[int, int], list] | None = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -286,7 +278,7 @@ class MutableTable:
             )
 
     # ------------------------------------------------------------------
-    # MVCC reads (snapshots pin a generation + epoch; no copy-on-read)
+    # MVCC reads (snapshots pin a generation + epoch)
     # ------------------------------------------------------------------
 
     def snapshot(self) -> Snapshot:
@@ -305,18 +297,6 @@ class MutableTable:
             self._snapshots.append(snapshot)
             return snapshot
 
-    def _serve_pinned_rows(self, generation: int, epoch: int):
-        """The cached merged view, when (generation, epoch) is still the
-        current visible state — lets a fresh snapshot share it instead
-        of rebuilding.  ``None`` when the state has moved on."""
-        with self._lock:
-            if (
-                generation == self._generation
-                and epoch == self._delta.epoch
-            ):
-                return self._merged_rows()
-            return None
-
     def _release_snapshot(self, snapshot: Snapshot) -> None:
         with self._lock:
             try:
@@ -330,141 +310,38 @@ class MutableTable:
                 if generation in pinned
             }
 
-    def _surviving_rows(self) -> list[tuple]:
-        """The main store's surviving rows, cached per (generation,
-        deletion count) — within a generation ``deleted_main`` only
-        grows, so the pair identifies the filtered list exactly.  The
-        cache outlives epoch bumps from inserts, and it doubles as the
-        materialization hint of the batch read path's main-side
-        :class:`~repro.exec.batch.TableBatch`."""
-        with self._lock:
-            deleted = self._delta.deleted_main
-            if not deleted:
-                return decoded_main_rows(self._main)
-            key = (self._generation, len(deleted))
-            cached = self._main_rows_cache
-            if cached is not None and cached[0] == key:
-                return cached[1]
-            rows = [
-                row
-                for position, row in enumerate(
-                    decoded_main_rows(self._main)
-                )
-                if position not in deleted
-            ]
-            self._main_rows_cache = (key, rows)
-            return rows
-
-    def _merged_rows(self) -> list[tuple]:
-        """The currently visible merged rows, cached per (generation,
-        epoch).  The list is immutable by contract — writes never touch
-        it, they bump the epoch and a later read rebuilds."""
-        with self._lock:
-            key = (self._generation, self._delta.epoch)
-            cached = self._merged_cache
-            if cached is not None and cached[0] == key:
-                return cached[1]
-            main_rows = self._surviving_rows()
-            live = self._delta.live_rows()
-            rows = main_rows + live if live else main_rows
-            self._merged_cache = (key, rows)
-            return rows
-
-    def scan(self):
-        """Iterate the rows visible right now as a pinned MVCC view:
-        the merged row list of the current (generation, epoch) — built
-        at most once per visible state — so later writes and compactions
-        never change what this iterator yields, and no per-scan copy is
-        made."""
-        return iter(self._merged_rows())
-
     def scan_batches(self) -> list:
         """The currently visible rows as column batches (see
         ``repro.exec``): the main store as a
         :class:`~repro.exec.batch.TableBatch` selected by the current
         validity bitmap, then the live buffered rows as a
         :class:`~repro.exec.batch.DeltaBatch` pinned at the current
-        epoch.  This is the epoch-wise main+delta merge of the
-        vectorized read path; row order matches :meth:`scan`."""
+        epoch.  This is the epoch-wise main+delta merge every query
+        reads; row order matches :meth:`to_rows`."""
         from repro.exec import DeltaBatch, TableBatch
 
         with self._lock:
-            validity = self._delta.main_validity(self._main.nrows)
-            hint = None
-            if validity is not None:
-                # The hint serves the surviving-rows cache only while
-                # the table is still in the state this batch captured;
-                # after a later delete or compaction it declines
-                # (returns None) and the batch gathers from its own
-                # pinned selection instead.
-                key = (self._generation, len(self._delta.deleted_main))
-
-                def hint(key=key):
-                    if key == (
-                        self._generation, len(self._delta.deleted_main)
-                    ):
-                        return self._surviving_rows()
-                    return None
-
-            batches = [TableBatch(self._main, validity, rows_hint=hint)]
+            batches = [
+                TableBatch(
+                    self._main, self._delta.main_validity(self._main.nrows)
+                )
+            ]
             delta_batch = DeltaBatch(self._delta)
             if delta_batch.selected_count:
                 batches.append(delta_batch)
             return batches
 
     def to_rows(self) -> list[tuple]:
-        """All visible rows as an eager merged copy: surviving main rows
-        in row order, then live delta rows in insertion order.  The
-        returned list is the caller's (defensive copy of the cached
-        merged view) — this is the pre-MVCC copy-on-read entry point;
-        ``scan()``/``snapshot()`` avoid the copy."""
-        return list(self._merged_rows())
-
-    def copy_on_read_rows(self) -> list[tuple]:
-        """The pre-MVCC merged read, bypassing every read-path cache:
-        decode the main store and rebuild the merged list from scratch.
-        Benchmarks use this as the copy-on-read baseline; everything
-        else should call :meth:`to_rows` or :meth:`scan`."""
-        main_rows = self._main.to_rows()
-        deleted = self._delta.deleted_main
-        if deleted:
-            main_rows = [
-                row
-                for position, row in enumerate(main_rows)
-                if position not in deleted
-            ]
-        return main_rows + self._delta.live_rows()
-
-    def head(self, limit: int = 10) -> list[tuple]:
-        out = []
-        for row in self.scan():
-            out.append(row)
-            if len(out) >= limit:
-                break
-        return out
+        """All visible rows as a fresh list: surviving main rows in row
+        order, then live delta rows in insertion order.  This is the
+        *reference merge* (:func:`~repro.delta.snapshot.reference_rows`)
+        — plain and uncached, what tests compare ``scan_batches()``
+        against and what the demo displays; queries read batches."""
+        with self._lock:
+            return reference_rows(self._main, self._delta)
 
     def sorted_rows(self) -> list[tuple]:
         return sorted(self.to_rows(), key=canonical_sort_key)
-
-    def matching_rows(self, predicate=None) -> list[tuple]:
-        """Visible rows satisfying ``predicate`` (all when ``None``).
-
-        The main side is evaluated in the compressed domain and only the
-        matching rows are materialized; the delta side uses the buffer's
-        hash indexes once built (row-wise below the threshold)."""
-        if predicate is None:
-            return self.to_rows()
-        with self._lock:
-            positions = self._matching_main_positions(predicate)
-            rows = (
-                self._main.select_rows(positions, compact=True).to_rows()
-                if len(positions)
-                else []
-            )
-            return rows + [
-                self._delta.row(index)
-                for index in self._matching_delta_indices(predicate)
-            ]
 
     # ------------------------------------------------------------------
     # DML
@@ -787,9 +664,6 @@ class MutableTable:
             store._wal = self._wal
             store._lock = self._lock
             self._delta = store
-            # Epochs (and deletion state) restart with the new buffer.
-            self._merged_cache = None
-            self._main_rows_cache = None
 
     def rewire_metadata(
         self, new_main: Table, renames: dict[str, str] | None = None

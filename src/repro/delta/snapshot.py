@@ -22,23 +22,50 @@ import numpy as np
 
 from repro.errors import StorageError
 
-#: Decoded row lists, weakly keyed by main-store generation.  A
-#: generation's compressed columns never change, so its decoded rows can
-#: be shared by every scan/snapshot that pins it — and the entry dies
-#: with the generation (when the last pinning snapshot closes).  The
-#: cache is deliberately *not* wired into ``Table.to_rows`` itself: the
-#: query-level baselines must keep paying the full decompression cost
-#: the paper charges them.
+#: Decoded row lists, weakly keyed by main-store generation — the read
+#: path's one cache.  A generation's compressed columns never change, so
+#: its decoded rows can be shared by every batch that reads it, and the
+#: entry dies with the generation (when the last pinning snapshot
+#: closes).  The cache is deliberately *not* wired into
+#: ``Table.to_rows`` itself: the query-level baselines must keep paying
+#: the full decompression cost the paper charges them.
 _DECODED_ROWS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def decoded_main_rows(table) -> list:
-    """Memoized ``table.to_rows()`` for the delta read path."""
+    """Memoized ``table.to_rows()`` for the batch read path."""
     rows = _DECODED_ROWS.get(table)
     if rows is None:
         rows = table.to_rows()
         _DECODED_ROWS[table] = rows
     return rows
+
+
+def reference_rows(main, delta, epoch: int | None = None) -> list[tuple]:
+    """The *reference merge* of a main/delta view at ``epoch`` (``None``
+    = now): decode the main store, drop the positions deleted at the
+    epoch, append the buffered rows live at the epoch.
+
+    Plain and uncached on purpose — it shares neither the validity
+    bitmaps nor the decoded-rows cache of the batch read path, so tests
+    can compare ``scan_batches()`` against it.  Behind
+    ``MutableTable.to_rows`` and ``Snapshot.to_rows``; queries never
+    come here."""
+    with delta._lock:
+        if epoch is None:
+            epoch = delta.epoch
+        dead = {
+            position
+            for position, at in delta.deleted_main.items()
+            if at <= epoch
+        }
+        live = delta.live_rows(epoch)
+    rows = main.to_rows()
+    if dead:
+        rows = [
+            row for position, row in enumerate(rows) if position not in dead
+        ]
+    return rows + live
 
 
 class Snapshot:
@@ -50,7 +77,7 @@ class Snapshot:
     """
 
     __slots__ = ("_owner", "_main", "_delta", "epoch", "generation",
-                 "_closed", "_rows", "_main_rows")
+                 "_closed")
 
     def __init__(self, owner, main, delta, epoch: int, generation: int):
         self._owner = owner
@@ -59,8 +86,6 @@ class Snapshot:
         self.epoch = epoch
         self.generation = generation
         self._closed = False
-        self._rows = None  # visible rows, materialized on first read
-        self._main_rows = None  # surviving main rows, same laziness
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -78,8 +103,6 @@ class Snapshot:
         owner, self._owner = self._owner, None
         self._main = None
         self._delta = None
-        self._rows = None
-        self._main_rows = None
         if owner is not None:
             owner._release_snapshot(self)
 
@@ -125,88 +148,18 @@ class Snapshot:
             self._main.nrows, self.epoch
         )
 
-    def _visible_rows(self) -> list[tuple]:
-        """Materialize the pinned view once: surviving main rows in row
-        order, then delta rows visible at the pinned epoch, in insertion
-        order.
-
-        The main side comes from the per-generation decoded-rows cache
-        (shared by every reader of the same generation) and is reused
-        as-is when nothing masks it — later deletions carry higher
-        epochs, so the pinned view is immutable and can be resolved up
-        front.  Repeated reads of one snapshot are free.
-        """
-        if self._rows is not None:
-            return self._rows
-        if self._owner is not None:
-            rows = self._owner._serve_pinned_rows(self.generation, self.epoch)
-            if rows is not None:
-                self._rows = rows
-                return rows
-        with self._delta._lock:
-            rows = self._surviving_rows()
-            live = self._delta.live_rows(self.epoch)
-            # `rows + live` builds a fresh list, so the shared
-            # decoded-rows cache is never aliased into a list we might
-            # hand out.
-            self._rows = rows + live if live else rows
-            return self._rows
-
-    def _surviving_rows(self) -> list[tuple] | None:
-        """Surviving main rows at the pinned epoch, materialized once
-        per snapshot — also the materialization hint for the batch read
-        path's main-side :class:`~repro.exec.batch.TableBatch`.
-        Declines (``None``) once the snapshot is closed; a batch handed
-        out earlier then gathers from its own pinned selection."""
-        if self._main_rows is not None:
-            return self._main_rows
-        if self._closed:
-            return None
-        with self._delta._lock:
-            rows = decoded_main_rows(self._main)
-            if self._delta.deleted_main:
-                dead = {
-                    position
-                    for position, at in self._delta.deleted_main.items()
-                    if at <= self.epoch
-                }
-                if dead:
-                    rows = [
-                        row
-                        for position, row in enumerate(rows)
-                        if position not in dead
-                    ]
-            self._main_rows = rows
-            return rows
-
-    def scan(self):
-        """Iterate the pinned view lazily-materialized: the row list is
-        built at most once per snapshot and shared with the
-        per-generation cache when nothing masks the main store."""
-        self._check_open()
-        return iter(self._visible_rows())
-
     def scan_batches(self) -> list:
         """The pinned view as column batches (see ``repro.exec``): one
         :class:`~repro.exec.batch.TableBatch` over the pinned main
         generation, selected by the validity bitmap at the pinned
         epoch, then one :class:`~repro.exec.batch.DeltaBatch` of the
         buffered rows live at that epoch.  Batch order reproduces
-        :meth:`scan`'s row order exactly."""
+        :meth:`to_rows`'s row order exactly."""
         self._check_open()
         from repro.exec import DeltaBatch, TableBatch
 
         main, delta, epoch = self._main, self._delta, self.epoch
-        validity = delta.main_validity(main.nrows, epoch)
-        batches = [
-            TableBatch(
-                main,
-                validity,
-                rows_hint=(
-                    self._surviving_rows if validity is not None else None
-                ),
-            )
-        ]
+        batches = [TableBatch(main, delta.main_validity(main.nrows, epoch))]
         delta_batch = DeltaBatch(delta, epoch)
         if delta_batch.selected_count:
             batches.append(delta_batch)
@@ -233,42 +186,10 @@ class Snapshot:
         )
 
     def to_rows(self) -> list[tuple]:
-        """The pinned view as an eager row list (a defensive copy — the
-        internal list may be shared with the generation cache)."""
+        """The pinned view as a fresh row list — the reference merge
+        (:func:`reference_rows`), for tests and display."""
         self._check_open()
-        return list(self._visible_rows())
-
-    def head(self, limit: int = 10) -> list[tuple]:
-        self._check_open()
-        out = []
-        for row in self.scan():
-            out.append(row)
-            if len(out) >= limit:
-                break
-        return out
-
-    def matching_rows(self, predicate) -> list[tuple]:
-        """Rows of the pinned view satisfying ``predicate``.
-
-        The main side is evaluated in the compressed domain
-        (``predicate.bitmap``) and only the matching rows are
-        materialized; the delta side goes through the buffer's hash
-        indexes when built (row-wise below the threshold).
-        """
-        self._check_open()
-        if predicate is None:
-            return self.to_rows()
-        predicate.validate(self._main.schema)
-        surviving = self._surviving()
-        matching = predicate.bitmap(self._main).positions()
-        positions = np.intersect1d(matching, surviving, assume_unique=True)
-        rows = (
-            self._main.select_rows(positions, compact=True).to_rows()
-            if len(positions)
-            else []
-        )
-        indices = self._delta.matching_live_indices(predicate, self.epoch)
-        return rows + [self._delta.row(index) for index in indices]
+        return reference_rows(self._main, self._delta, self.epoch)
 
     def __repr__(self) -> str:
         if self._closed:

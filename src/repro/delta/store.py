@@ -84,11 +84,11 @@ class DeltaStore:
         self.epoch = start_epoch
         self.index_threshold = index_threshold
         self._indexes: dict[str, dict] = {}
-        # Single-entry memo of (epoch, live indices, live rows|None).
-        # What is visible *at* an epoch never changes once later writes
-        # carry higher epochs, so an entry only needs replacing when a
-        # different epoch is asked for — scans repeating against an
-        # unchanged buffer pay the liveness loop once.
+        # Single-entry memo of (epoch, live indices).  What is visible
+        # *at* an epoch never changes once later writes carry higher
+        # epochs, so an entry only needs replacing when a different
+        # epoch is asked for — scans repeating against an unchanged
+        # buffer pay the liveness loop once.
         self._live_cache: tuple | None = None
         # Redo emission: a repro.wal.TableWal once durability is on.
         self._wal = None
@@ -362,7 +362,7 @@ class DeltaStore:
                 if inserted <= epoch
                 and (index not in deleted or deleted[index] > epoch)
             ]
-            self._live_cache = (epoch, indices, None)
+            self._live_cache = (epoch, indices)
             return indices
 
     def row(self, index: int) -> tuple:
@@ -374,26 +374,13 @@ class DeltaStore:
         )
 
     def live_rows(self, epoch: int | None = None) -> list[tuple]:
-        """Buffered rows visible at ``epoch``, in insertion order
-        (treat the returned list as read-only — it may be memoized)."""
+        """Buffered rows visible at ``epoch``, in insertion order."""
         with self._lock:
-            if epoch is None:
-                epoch = self.epoch
-            indices = self.live_indices(epoch)
-            cached = self._live_cache
-            if (
-                cached is not None
-                and cached[0] == epoch
-                and cached[2] is not None
-            ):
-                return cached[2]
             names = self.schema.column_names
-            rows = [
+            return [
                 tuple(self.columns[name][index] for name in names)
-                for index in indices
+                for index in self.live_indices(epoch)
             ]
-            self._live_cache = (epoch, indices, rows)
-            return rows
 
     def main_validity(self, main_nrows: int, epoch: int | None = None):
         """The main store's validity at ``epoch`` as a dense selection

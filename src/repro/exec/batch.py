@@ -132,7 +132,7 @@ class ValuesBatch(ColumnBatch):
 
     This is the generic representation: the row-store baseline, the
     query-level column baseline (which must pay decompression — the
-    cost the paper charges it), chunked wraps of ``scan_rows``, and
+    cost the paper charges it), transaction overlays, and
     join outputs re-entering the pipeline all land here.  Predicates
     run as compiled per-column evaluators over the selected positions.
     """
@@ -199,25 +199,16 @@ class TableBatch(ColumnBatch):
     values' bitmaps, so no row is decoded to be *rejected*.  Selected
     rows are gathered from the per-generation decoded-rows cache (a
     generation's columns never change, so the decode happens at most
-    once per generation however many queries read it — the same cache
-    the tuple read path uses).
+    once per generation however many queries read it).
     """
 
-    __slots__ = ("table", "column_names", "physical_rows", "rows_hint")
+    __slots__ = ("table", "column_names", "physical_rows")
 
-    def __init__(self, table, selection=None, rows_hint=None):
+    def __init__(self, table, selection=None):
         super().__init__(selection)
         self.table = table
         self.column_names = table.schema.column_names
         self.physical_rows = table.nrows
-        # A zero-arg callable returning the materialized rows of the
-        # *initial* selection (owners pass their cached surviving-row
-        # lists so repeated full scans never re-gather), or ``None``
-        # when the owner's state has moved past what this batch
-        # captured — the batch then gathers from its own selection,
-        # which is always correct.  Dropped the moment the selection is
-        # tightened — with_selection never carries it over.
-        self.rows_hint = rows_hint
 
     def with_selection(self, selection) -> "TableBatch":
         return TableBatch(self.table, selection)
@@ -229,15 +220,12 @@ class TableBatch(ColumnBatch):
         return PlainBitmap(bitmap.to_dense())
 
     def rows(self, out_positions=None) -> list[tuple]:
-        if self.selection is None:
-            base = decoded_main_rows(self.table)
-        else:
-            base = self.rows_hint() if self.rows_hint is not None else None
-            if base is None:
-                positions = self.selection.positions()
-                if not len(positions):
-                    return []
-                base = gather(decoded_main_rows(self.table), positions)
+        base = decoded_main_rows(self.table)
+        if self.selection is not None:
+            positions = self.selection.positions()
+            if not len(positions):
+                return []
+            base = gather(base, positions)
         return project_rows(base, out_positions)
 
 
@@ -253,8 +241,7 @@ class DeltaBatch(ColumnBatch):
     per-column evaluators over the buffer's plain vectors.
     """
 
-    __slots__ = ("delta", "epoch", "column_names", "physical_rows",
-                 "rows_hint")
+    __slots__ = ("delta", "epoch", "column_names", "physical_rows")
 
     def __init__(self, delta, epoch: int | None = None, selection=...,
                  physical_rows: int | None = None):
@@ -264,7 +251,6 @@ class DeltaBatch(ColumnBatch):
         self.physical_rows = (
             delta.n_appended if physical_rows is None else physical_rows
         )
-        self.rows_hint = None
         if selection is ...:
             live = delta.live_indices(self.epoch)
             selection = (
@@ -272,13 +258,7 @@ class DeltaBatch(ColumnBatch):
                 if len(live) == self.physical_rows
                 else mask_from_positions(live, self.physical_rows)
             )
-            # The initial (liveness) selection materializes through the
-            # store's epoch-keyed memo instead of re-gathering per scan.
-            self.rows_hint = self._live_rows
         super().__init__(selection)
-
-    def _live_rows(self) -> list[tuple]:
-        return self.delta.live_rows(self.epoch)
 
     def with_selection(self, selection) -> "DeltaBatch":
         return DeltaBatch(
@@ -297,14 +277,13 @@ class DeltaBatch(ColumnBatch):
         return mask_from_positions(positions[hits], self.physical_rows)
 
     def rows(self, out_positions=None) -> list[tuple]:
-        if self.rows_hint is not None:
-            return project_rows(self.rows_hint(), out_positions)
         names = (
             self.column_names
             if out_positions is None
             else [self.column_names[p] for p in out_positions]
         )
-        positions = self.selected_positions()
+        # One list conversion shared by every column's gather.
+        positions = self.selected_positions().tolist()
         return list(
             zip(
                 *(

@@ -10,9 +10,9 @@ same lazy chain::
 
 with each stage choosing its strategy from the batch kind the adapter
 emitted (compressed-domain bitmaps, delta hash indexes, or compiled
-columnar evaluators).  Semantics — row order, duplicate handling,
-error messages — match the historical row-at-a-time executor exactly;
-tier-1 equivalence is pinned by
+columnar evaluators).  Semantics — row order, duplicate handling —
+match a row-at-a-time evaluation over the reference merge
+(``to_rows()``) exactly; tier-1 equivalence is pinned by
 ``tests/property/test_exec_properties.py``.
 
 Observability hooks (see ``docs/observability.md``):
@@ -82,16 +82,9 @@ def _use_presorted_order(adapter, select, column_names) -> bool:
 
 
 def _scan_detail(adapter, table: str) -> str:
-    """The backend path a scan of ``table`` takes, from the adapter's
-    declared capabilities (static — safe for plan-only EXPLAIN)."""
-    capabilities = adapter.capabilities
-    if capabilities.pushdown:
-        path = "main: compressed-domain bitmap, delta: hash index"
-    elif capabilities.hash_join:
-        path = "row heap via compiled evaluator batches"
-    else:
-        path = "decoded column vectors via compiled evaluator"
-    return f"table={table} ({path})"
+    """The path a scan of ``table`` takes, as named by the adapter that
+    will emit the batches (static — safe for plan-only EXPLAIN)."""
+    return f"table={table} ({adapter.scan_path(table)})"
 
 
 def _observed_batches(batches, span):

@@ -10,10 +10,14 @@ buffers instead of rebuilding compressed columns.
 The delta-backed adapter additionally supports *snapshot-scoped*
 queries — ``begin_snapshot``/``end_snapshot``/``snapshot_scope`` pin an
 MVCC view so a sequence of SELECTs reads one consistent state while DML
-keeps landing — and pushes WHERE predicates down into the storage
-layer (compressed-domain bitmaps on the main store, hash indexes on the
-delta buffer) via :meth:`EngineAdapter.filter_rows`.  See
-``docs/ARCHITECTURE.md``.
+keeps landing.
+
+Reads have one contract: :meth:`EngineAdapter.scan_batches` hands the
+executor column batches, each of which evaluates predicates in its own
+representation (compressed-domain bitmaps on the main store, hash
+indexes on the delta buffer), and :meth:`EngineAdapter.table_stats`
+feeds the planner.  See ``docs/ARCHITECTURE.md``, "The execution
+pipeline".
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ class AdapterCapabilities:
     rather than special-casing adapter classes, so a new backend opts
     into behaviours by declaration:
 
-    * ``pushdown`` — :meth:`EngineAdapter.filter_rows` evaluates WHERE
-      predicates inside the storage engine;
+    * ``pushdown`` — :meth:`EngineAdapter.scan_batches` emits batches
+      over the compressed main store, so predicates, DISTINCT, ORDER BY
+      and aggregates can stay on dictionary codes and bitmaps;
     * ``snapshots`` — ``begin_snapshot``/``end_snapshot``/
       ``snapshot_scope`` pin MVCC views (required for
       ``Database.transaction``);
@@ -132,30 +137,20 @@ class EngineAdapter:
         returns the affected count."""
         raise NotImplementedError
 
-    def scan_rows(self, name: str):
-        """Iterate all rows of a table as tuples (schema column order)."""
-        raise NotImplementedError
-
     def scan_batches(self, name: str):
         """Iterate a table's visible rows as column batches (see
-        ``repro.exec``) — the entry point of the vectorized SELECT
-        pipeline.  The default wraps :meth:`scan_rows` into chunked
-        :class:`~repro.exec.batch.ValuesBatch` windows, so any adapter
-        that can scan rows joins the pipeline for free; backends with a
-        native columnar representation override it to hand over
-        compressed or buffered batches directly (see
-        ``docs/migration.md``, "scan_batches vs scan_rows")."""
-        return batches_from_rows(
-            self.schema(name).column_names, self.scan_rows(name)
-        )
+        ``repro.exec``) — the one way rows leave storage.  Row-backed
+        sources chunk their tuples with
+        :func:`~repro.exec.batches_from_rows`; columnar backends hand
+        over compressed or buffered batches directly (see
+        ``docs/migration.md``, "For adapter authors").  Callers that
+        want tuples read ``iter_rows(adapter.scan_batches(name))``."""
+        raise NotImplementedError
 
-    def filter_rows(self, name: str, predicate):
-        """Rows matching ``predicate``, resolved inside the storage
-        engine — or ``None`` when the adapter has no pushdown path.
-        Retained for direct callers; SELECT execution now routes
-        predicates through :meth:`scan_batches`, whose batch kinds
-        carry the same pushdown strategies."""
-        return None
+    def scan_path(self, name: str) -> str:
+        """One phrase naming how :meth:`scan_batches` reads ``name``
+        right now — EXPLAIN's scan detail.  Must not scan."""
+        raise NotImplementedError
 
     def table_stats(self, name: str):
         """Optional planner statistics for ``name`` — a
@@ -219,7 +214,7 @@ def _patch_rows(schema, rows, assignments, predicate):
     return out, len(matching)
 
 
-def _filter_rows(schema, rows, predicate):
+def _drop_rows(schema, rows, predicate):
     """DELETE over materialized tuples (thin wrapper over the batch
     evaluators): returns the kept rows and the deleted count
     (``predicate`` None deletes everything)."""
@@ -281,7 +276,7 @@ class RowEngineAdapter(EngineAdapter):
 
     def delete_rows(self, name: str, predicate) -> int:
         heap = self.engine.table(name)
-        heap.rows, count = _filter_rows(heap.schema, heap.rows, predicate)
+        heap.rows, count = _drop_rows(heap.schema, heap.rows, predicate)
         if count:
             self._rebuild_indexes(heap)  # deletes shift every row id
         return count
@@ -292,8 +287,12 @@ class RowEngineAdapter(EngineAdapter):
             if only is None or column in only:
                 heap.create_index(column)
 
-    def scan_rows(self, name: str):
-        return self.engine.table(name).scan()
+    def scan_batches(self, name: str):
+        heap = self.engine.table(name)
+        return batches_from_rows(heap.schema.column_names, heap.scan())
+
+    def scan_path(self, name: str) -> str:
+        return "row heap via compiled evaluator batches"
 
     def create_index(self, table: str, column: str) -> None:
         self.engine.create_index(table, column)
@@ -318,10 +317,7 @@ class ColumnStoreAdapter(EngineAdapter):
 
     def __init__(self, catalog: Catalog | None = None):
         self.catalog = catalog if catalog is not None else Catalog()
-        # Row-count of tuples materialized / re-compressed.  These were
-        # plain ints in the seed; they are registry counters now, with
-        # the attributes below kept as read-through aliases so existing
-        # reports and tests are unchanged.
+        # Row-count of tuples materialized / re-compressed.
         self._rows_materialized = self.metrics.counter(
             "adapter.rows_materialized"
         )
@@ -332,7 +328,7 @@ class ColumnStoreAdapter(EngineAdapter):
     @property
     def rows_materialized(self) -> int:
         """Read-through alias of the ``adapter.rows_materialized``
-        registry counter (the seed's ad-hoc attribute)."""
+        registry counter."""
         return self._rows_materialized.value
 
     @property
@@ -391,7 +387,7 @@ class ColumnStoreAdapter(EngineAdapter):
         table = self.catalog.table(name)
         rows = table.to_rows()
         self._rows_materialized.inc(len(rows))
-        kept, count = _filter_rows(table.schema, rows, predicate)
+        kept, count = _drop_rows(table.schema, rows, predicate)
         if count:
             self._rows_recompressed.inc(len(kept))
             self.catalog.put(
@@ -399,16 +395,11 @@ class ColumnStoreAdapter(EngineAdapter):
             )
         return count
 
-    def scan_rows(self, name: str):
-        table = self.catalog.table(name)
-        self._rows_materialized.inc(table.nrows)
-        return iter(table.to_rows())
-
     def scan_batches(self, name: str):
         """One fully-decoded batch per SELECT: the query-level baseline
         joins the vectorized pipeline but keeps paying the whole
         decompression cost the paper charges it (every column is
-        materialized and counted, exactly like :meth:`scan_rows`)."""
+        materialized and counted)."""
         table = self.catalog.table(name)
         self._rows_materialized.inc(table.nrows)
         columns = {
@@ -416,6 +407,9 @@ class ColumnStoreAdapter(EngineAdapter):
             for column_name in table.schema.column_names
         }
         return [ValuesBatch(table.schema.column_names, columns)]
+
+    def scan_path(self, name: str) -> str:
+        return "decoded column vectors via compiled evaluator"
 
     def table_stats(self, name: str):
         """Statistics straight off the compressed catalog table (the
@@ -579,15 +573,6 @@ class MutableColumnAdapter(EngineAdapter):
             stack.pop()
         return None
 
-    def scan_rows(self, name: str):
-        snapshot = self._pinned(name)
-        if snapshot is not None:
-            return snapshot.scan()
-        pending = self.evolution_engine.pending_delta(name)
-        if pending is not None:
-            return pending.scan()
-        return iter(self.catalog.table(name).to_rows())
-
     def scan_batches(self, name: str):
         """Native column batches: the compressed main store flows
         through as a :class:`~repro.exec.batch.TableBatch` (predicates
@@ -604,6 +589,9 @@ class MutableColumnAdapter(EngineAdapter):
             return mutable.scan_batches()
         return [TableBatch(self.catalog.table(name))]
 
+    def scan_path(self, name: str) -> str:
+        return "main: compressed-domain bitmap, delta: hash index"
+
     def table_stats(self, name: str):
         """Planner statistics for the view a scan would see: the pinned
         snapshot scope when one is open, else the live mutable handle
@@ -618,25 +606,6 @@ class MutableColumnAdapter(EngineAdapter):
         if mutable is not None and mutable.is_valid:
             return mutable.statistics()
         return table_statistics(self.catalog.table(name))
-
-    def filter_rows(self, name: str, predicate):
-        """Predicate pushdown: compressed-domain bitmaps over the main
-        store plus hash-indexed (or row-wise, below the threshold)
-        evaluation over the delta buffer — only matching rows are ever
-        materialized.  Honors an active snapshot scope."""
-        snapshot = self._pinned(name)
-        if snapshot is not None:
-            return iter(snapshot.matching_rows(predicate))
-        mutable = self.evolution_engine.delta_handle(name)
-        if mutable is not None and mutable.is_valid:
-            return iter(mutable.matching_rows(predicate))
-        table = self.catalog.table(name)
-        if predicate is None:
-            return iter(table.to_rows())
-        positions = predicate.bitmap(table).positions()
-        if not len(positions):
-            return iter(())
-        return iter(table.select_rows(positions, compact=True).to_rows())
 
     # -- snapshot-scoped queries ----------------------------------------
 

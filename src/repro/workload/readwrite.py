@@ -91,7 +91,7 @@ class MixedReadWriteWorkload:
     *`` scans, ``"aggregate"`` cycles the GROUP BY queries of
     :data:`AGGREGATE_SCAN_QUERIES`, and ``"mixed"`` interleaves both.
     The row-level drivers (:meth:`apply_to`, :meth:`apply_to_adapter`)
-    predate the SQL aggregate surface and always read full scans.  The
+    have no SQL surface and always read full scans.  The
     same seed always yields the same table and the same stream.
     """
 
@@ -182,29 +182,15 @@ class MixedReadWriteWorkload:
         employee = int(rng.integers(0, self.n_employees))
         return Comparison("Employee", "=", f"emp{employee:07d}")
 
-    def apply_to(self, mutable, scan_strategy: str = "batch") -> dict:
+    def apply_to(self, mutable) -> dict:
         """Drive the whole stream against a DML target exposing
-        ``insert/update/delete`` plus a read path (a :class:`repro.delta.
-        MutableTable`); returns per-kind operation counts, the rows
-        affected and the rows scanned.
-
-        ``scan_strategy`` selects how SCAN operations read:
-
-        * ``"batch"`` (default) — pin an MVCC snapshot and read it
-          through the vectorized pipeline (``snapshot.scan_batches()``
-          materialized by :func:`repro.exec.iter_rows`), the path
-          SELECTs take since the columnar refactor;
-        * ``"snapshot"`` — pin an MVCC snapshot and iterate its tuple
-          view (the pre-vectorization MVCC read path);
-        * ``"copy"`` — the copy-on-read baseline, reproduced exactly as
-          the pre-MVCC read path did it: decode the main store and
-          rebuild the merged row list on every scan.
+        ``insert/update/delete`` plus ``snapshot()`` (a
+        :class:`repro.delta.MutableTable`); returns per-kind operation
+        counts, the rows affected and the rows scanned.  A SCAN pins an
+        MVCC snapshot and reads it through the batch pipeline
+        (``snapshot.scan_batches()`` materialized by
+        :func:`repro.exec.iter_rows`), the path SELECTs take.
         """
-        if scan_strategy not in ("batch", "snapshot", "copy"):
-            raise WorkloadError(
-                f"unknown scan strategy {scan_strategy!r} "
-                "(expected 'batch', 'snapshot' or 'copy')"
-            )
         counters = {INSERT: 0, UPDATE: 0, DELETE: 0, SCAN: 0}
         affected = 0
         scanned = 0
@@ -218,21 +204,10 @@ class MixedReadWriteWorkload:
                 affected += mutable.update(op.assignments, op.predicate)
             elif op.kind == DELETE:
                 affected += mutable.delete(op.predicate)
-            elif scan_strategy == "copy":
-                started = time.perf_counter()
-                for _row in mutable.copy_on_read_rows():
-                    scanned += 1
-                scan_seconds += time.perf_counter() - started
-            elif scan_strategy == "batch":
-                started = time.perf_counter()
-                with mutable.snapshot() as snapshot:
-                    for _row in iter_rows(snapshot.scan_batches()):
-                        scanned += 1
-                scan_seconds += time.perf_counter() - started
             else:
                 started = time.perf_counter()
                 with mutable.snapshot() as snapshot:
-                    for _row in snapshot.scan():
+                    for _row in iter_rows(snapshot.scan_batches()):
                         scanned += 1
                 scan_seconds += time.perf_counter() - started
         counters["rows_affected"] = affected
@@ -266,7 +241,7 @@ class MixedReadWriteWorkload:
             elif op.kind == DELETE:
                 affected += adapter.delete_rows(table, op.predicate)
             else:
-                for _row in adapter.scan_rows(table):
+                for _row in iter_rows(adapter.scan_batches(table)):
                     scanned += 1
         counters["rows_affected"] = affected
         counters["rows_scanned"] = scanned

@@ -5,7 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exec import filter_batches, iter_rows
 from repro.storage import DataType, Table, table_from_python
+
+
+def rows_where(view, predicate=None) -> list[tuple]:
+    """Rows of a ``MutableTable`` / ``Snapshot`` satisfying
+    ``predicate`` (all when ``None``), read the way queries read them:
+    through ``scan_batches()`` and the batch filter."""
+    batches = view.scan_batches()
+    if predicate is not None:
+        batches = filter_batches(batches, predicate)
+    return list(iter_rows(batches))
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Integration: the data-level engine and every query-level baseline
-must agree on arbitrary operator streams (DESIGN.md invariant 4)."""
+must agree on arbitrary operator streams (data-level evolution equals
+query-level evolution)."""
 
 import numpy as np
 import pytest

@@ -11,6 +11,7 @@ import pytest
 from repro.db import Database
 from repro.delta import CompactionPolicy
 from repro.errors import CapabilityError, TransactionError
+from repro.exec import iter_rows
 from repro.workload.readwrite import MixedReadWriteWorkload
 
 
@@ -264,7 +265,7 @@ class TestDroppedTableScopes:
         with adapter.snapshot_scope("audit"):
             db.execute("DECOMPOSE TABLE audit INTO audit (name), "
                        "note_log (name, note)")
-            rows = list(adapter.scan_rows("audit"))
+            rows = list(iter_rows(adapter.scan_batches("audit")))
             assert rows == [("Jones",)]
 
 
@@ -314,6 +315,45 @@ class TestReadYourWrites:
                 ("Ellis", "Alchemy"), ("Jones", "Typing"),
             ]
         assert db.execute("SELECT * FROM emp") == [("Ellis", "Brewing")]
+
+    def test_first_touch_copies_the_pinned_view_not_live_state(self):
+        """The overlay's first-touch copy reads the pinned snapshot's
+        batches: main rows deleted before the pin stay out, delta rows
+        live at the pin come in, and DML (and a compaction) landing
+        between the pin and the first write never leaks in."""
+        db = seeded_db()
+        db.execute("INSERT INTO emp VALUES ('Smith', 'Welding')")
+        db.compact("emp")  # three rows in the compressed main
+        db.execute("DELETE FROM emp WHERE name = 'Ellis'")  # dead main row
+        db.execute("INSERT INTO emp VALUES ('Brown', 'Brewing'), "
+                   "('Gray', 'Glazing')")
+        db.execute("DELETE FROM emp WHERE name = 'Gray'")  # dead delta row
+        pinned = [
+            ("Jones", "Typing"), ("Smith", "Welding"), ("Brown", "Brewing"),
+        ]
+        with db.transaction() as tx:
+            assert tx.execute("SELECT * FROM emp") == pinned
+            # Later DML on both sides of the split, outside the scope.
+            db.execute("DELETE FROM emp WHERE name = 'Jones'")
+            db.execute("UPDATE emp SET skill = 'Filing' "
+                       "WHERE name = 'Brown'")
+            db.execute("INSERT INTO emp VALUES ('Late', 'Arrival')")
+            db.compact("emp")
+            # First write: the overlay materializes now.
+            assert tx.execute(
+                "UPDATE emp SET skill = 'Forging' WHERE name = 'Smith'"
+            ) == 1
+            assert tx.execute("SELECT * FROM emp") == [
+                ("Jones", "Typing"), ("Smith", "Forging"),
+                ("Brown", "Brewing"),
+            ]
+            assert tx.execute(
+                "SELECT name FROM emp WHERE skill = 'Brewing'"
+            ) == [("Brown",)]
+        # Commit replays the UPDATE against live state.
+        assert sorted(db.execute("SELECT * FROM emp")) == [
+            ("Brown", "Filing"), ("Late", "Arrival"), ("Smith", "Forging"),
+        ]
 
     def test_insert_select_reads_the_scopes_own_writes(self):
         db = seeded_db()

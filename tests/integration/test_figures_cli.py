@@ -1,7 +1,7 @@
 """Integration: the figure-regeneration CLI at miniature scale.
 
 Runs the real harness (all five systems) on tiny inputs so CI exercises
-the exact code path that produces EXPERIMENTS.md, and asserts the
+the exact code path that regenerates the figures, and asserts the
 paper's qualitative claims hold even at toy scale.
 """
 

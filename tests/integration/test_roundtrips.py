@@ -1,7 +1,8 @@
 """Integration: structural roundtrips across the whole stack.
 
-Covers DESIGN.md invariants 3 (decompose∘merge = identity) and 7
-(history replay determinism), plus persistence across an evolution.
+Covers two invariants — decompose∘merge = identity, and replaying the
+recorded history reproduces the catalog — plus persistence across an
+evolution.
 """
 
 import pytest

@@ -1,6 +1,6 @@
 """Property-based tests for the evolution algorithms.
 
-DESIGN.md invariants 3–6 on hypothesis-generated tables: lossless
+Four invariants on hypothesis-generated tables: lossless
 decomposition inverts under mergence, data-level equals query-level,
 general mergence equals the nested-loop reference, and Property 1's
 zero-work guarantee holds.

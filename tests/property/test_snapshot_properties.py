@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.delta import CompactionPolicy, MutableTable
 from repro.smo.predicate import And, Comparison, Not, Or
 from repro.storage import DataType, table_from_python
+from tests.conftest import rows_where
 
 KS = list(range(5))
 SS = ["a", "b", "c"]
@@ -134,9 +135,10 @@ def apply_stream(mutable, oracle, stream, pinned=None):
             snapshot.close()
         # Invariants after every operation:
         assert sorted(mutable.to_rows()) == sorted(oracle.rows)
-        assert sorted(mutable.scan()) == sorted(oracle.rows)
+        assert sorted(rows_where(mutable)) == sorted(oracle.rows)
         for snapshot, frozen in pinned:
             assert snapshot.to_rows() == frozen
+            assert rows_where(snapshot) == frozen
         live_generations = {s.generation for s, _ in pinned}
         assert set(mutable.retained_versions) <= live_generations
     return pinned
@@ -174,8 +176,8 @@ def test_snapshots_never_move_under_dml_and_compaction(
 @settings(max_examples=30, deadline=None)
 @given(initial=st.lists(rows, max_size=6), stream=operations)
 def test_snapshot_matches_predicate_oracle(initial, stream):
-    """matching_rows on a pinned snapshot equals filtering its frozen
-    row list, whatever happened afterwards."""
+    """A filtered batch read of a pinned snapshot equals filtering its
+    frozen row list, whatever happened afterwards."""
     mutable = MutableTable(
         base_table(initial),
         CompactionPolicy(None, None, None, index_threshold=2),
@@ -186,7 +188,7 @@ def test_snapshot_matches_predicate_oracle(initial, stream):
     apply_stream(mutable, oracle, stream, pinned=[(snapshot, frozen)])
     if not snapshot.closed:  # the stream's close_oldest may have taken it
         predicate = Comparison("S", "=", "a")
-        assert sorted(snapshot.matching_rows(predicate)) == sorted(
+        assert sorted(rows_where(snapshot, predicate)) == sorted(
             row for row in frozen if _matches(predicate, row)
         )
         snapshot.close()

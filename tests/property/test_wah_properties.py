@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the WAH codec.
 
-DESIGN.md invariants 1 and 2: round-trips against dense truth, identity
+Invariants: round-trips against dense truth, identity
 with the pure-Python reference encoder, and agreement of every
 structural/logical operation with its NumPy-on-dense counterpart.
 """

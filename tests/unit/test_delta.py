@@ -16,6 +16,7 @@ from repro.errors import (
     SqlSyntaxError,
     StorageError,
 )
+from repro.exec import iter_rows
 from repro.smo.predicate import And, Comparison
 from repro.sql import (
     ColumnStoreAdapter,
@@ -143,9 +144,9 @@ class TestMutableTable:
 
     def test_scan_is_snapshot(self):
         mutable = frozen()
-        scan = mutable.scan()
+        batches = mutable.scan_batches()
         mutable.insert((5, "d"))
-        assert len(list(scan)) == 4
+        assert len(list(iter_rows(batches))) == 4
 
     def test_delete_spans_main_and_delta(self):
         mutable = frozen()

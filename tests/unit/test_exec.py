@@ -9,7 +9,6 @@ the pipeline on all three registered backends.
 import numpy as np
 import pytest
 
-from repro.db import Database
 from repro.delta import CompactionPolicy, DeltaStore, MutableTable
 from repro.exec import (
     DeltaBatch,
@@ -135,16 +134,6 @@ class TestTableBatch:
             Comparison("s", "=", "b")
         )
         assert batch.rows() == [(5, "b")]
-
-    def test_rows_hint_serves_unfiltered_reads_only(self):
-        table = small_table()
-        validity = mask_from_positions([0, 1], table.nrows)
-        sentinel = [("hint", "rows")]
-        batch = TableBatch(table, validity, rows_hint=lambda: sentinel)
-        assert batch.rows() is sentinel
-        # Tightening the selection must drop the hint.
-        filtered = batch.filter(Comparison("s", "=", "a"))
-        assert filtered.rows() == [(1, "a")]
 
 
 class TestDeltaBatch:
@@ -290,13 +279,11 @@ class TestSelectThroughPipeline:
 
 
 class TestScanBatchesSurface:
-    def test_mutable_table_batches_match_scan(self):
+    def test_mutable_table_batches_match_reference_merge(self):
         mutable = MutableTable(small_table(), CompactionPolicy.never())
         mutable.insert((6, "d"))
         mutable.delete(Comparison("k", "=", 2))
-        assert list(iter_rows(mutable.scan_batches())) == list(
-            mutable.scan()
-        )
+        assert list(iter_rows(mutable.scan_batches())) == mutable.to_rows()
 
     def test_batches_keep_their_captured_selection_under_later_dml(self):
         """A batch handed out by scan_batches describes one instant;
@@ -336,14 +323,12 @@ class TestScanBatchesSurface:
             assert list(iter_rows(snapshot.scan_batches())) == frozen
             assert frozen == snapshot.to_rows()
 
-    def test_generic_wrap_for_foreign_adapters(self):
-        """An adapter that only implements scan_rows joins the pipeline
-        through the EngineAdapter default."""
+    def test_row_adapter_chunks_its_heap(self):
         adapter = RowEngineAdapter()
         seeded_executor(adapter)
         batches = list(adapter.scan_batches("t"))
         assert [b.column_names for b in batches] == [("k", "s")]
-        assert list(iter_rows(batches)) == list(adapter.scan_rows("t"))
+        assert list(iter_rows(batches)) == adapter.engine.table("t").rows
 
     def test_column_adapter_still_charges_materialization(self):
         adapter = ColumnStoreAdapter()
@@ -351,21 +336,3 @@ class TestScanBatchesSurface:
         before = adapter.rows_materialized
         executor.execute("SELECT * FROM t WHERE k = 1")
         assert adapter.rows_materialized == before + 4
-
-
-class TestWorkloadBatchStrategy:
-    def test_batch_strategy_agrees_with_the_others(self):
-        from repro.workload.readwrite import MixedReadWriteWorkload
-
-        workload = MixedReadWriteWorkload(200, 40, n_employees=10)
-        results = {}
-        for strategy in ("batch", "snapshot", "copy"):
-            db = Database(policy=CompactionPolicy(max_delta_rows=64))
-            db.load_table(workload.build())
-            mutable = db.engine.mutable("R")
-            results[strategy] = workload.apply_to(
-                mutable, scan_strategy=strategy
-            )
-        scanned = {r["rows_scanned"] for r in results.values()}
-        affected = {r["rows_affected"] for r in results.values()}
-        assert len(scanned) == 1 and len(affected) == 1

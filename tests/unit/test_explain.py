@@ -169,6 +169,35 @@ class TestTransactions:
         by_operator = {row[0].strip(): row for row in rows}
         assert by_operator["scan"][4] == len(ROWS) + 2
 
+    def test_scan_detail_follows_the_overlay_after_a_write(self):
+        # The adapter that emits the batches names the path: once the
+        # scope has written r, its rows come from the overlay as value
+        # batches — and EXPLAIN ANALYZE's observed batch kinds agree.
+        db = Database()
+        db.execute("CREATE TABLE r (k INT, s STRING, KEY(k))")
+        db.executemany("INSERT INTO r VALUES (?, ?)", ROWS)
+        db.execute("CREATE TABLE untouched (k INT)")
+
+        def scan_detail(tx, statement):
+            return {
+                row[0].strip(): row[1] for row in tx.execute(statement)
+            }["scan"]
+
+        with db.transaction() as tx:
+            before = scan_detail(tx, "EXPLAIN SELECT * FROM r")
+            assert "main: compressed-domain bitmap" in before
+            tx.execute("INSERT INTO r VALUES (7, 'z')")
+            after = scan_detail(tx, "EXPLAIN SELECT * FROM r")
+            assert "transaction overlay" in after
+            assert "compressed-domain" not in after
+            analyzed = scan_detail(tx, "EXPLAIN ANALYZE SELECT * FROM r")
+            assert "transaction overlay" in analyzed
+            assert analyzed.endswith("[ValuesBatch]")
+            # Tables the scope has not written keep the storage path.
+            assert "main: compressed-domain bitmap" in scan_detail(
+                tx, "EXPLAIN SELECT * FROM untouched"
+            )
+
     def test_explain_is_a_read_in_a_read_only_transaction(self):
         db = Database()
         db.execute("CREATE TABLE r (k INT, s STRING)")

@@ -14,6 +14,7 @@ from repro.delta import (
     Snapshot,
 )
 from repro.errors import SerializationError, StorageError
+from repro.exec import filter_batches, iter_rows
 from repro.smo.predicate import And, Comparison, Not, Or
 from repro.sql import MutableColumnAdapter, SqlExecutor
 from repro.storage import (
@@ -25,6 +26,7 @@ from repro.storage import (
     save_mutable_table,
     table_from_python,
 )
+from tests.conftest import rows_where
 
 
 def small_table(name="R"):
@@ -55,7 +57,7 @@ class TestSnapshotPinning:
         mutable.update({"S": "z"}, Comparison("K", "=", 2))
         assert snapshot.to_rows() == pinned
         assert snapshot.nrows == 4
-        assert list(snapshot.scan()) == pinned
+        assert rows_where(snapshot) == pinned
         assert mutable.nrows == 4  # -1 main, +1 insert (update is in-place)
 
     def test_snapshot_sees_delta_state_at_pin(self):
@@ -80,10 +82,10 @@ class TestSnapshotPinning:
 
     def test_scan_is_pinned_without_explicit_snapshot(self):
         mutable = frozen()
-        rows = mutable.scan()
+        batches = mutable.scan_batches()
         mutable.insert((5, "d"))
         mutable.compact()
-        assert len(list(rows)) == 4
+        assert len(list(iter_rows(batches))) == 4
 
     def test_context_manager_closes(self):
         mutable = frozen()
@@ -96,15 +98,15 @@ class TestSnapshotPinning:
             snapshot.to_rows()
         snapshot.close()  # idempotent
 
-    def test_matching_rows_on_snapshot(self):
+    def test_filtered_read_on_snapshot(self):
         mutable = frozen()
         mutable.insert((5, "a"))
         snapshot = mutable.snapshot()
         mutable.delete()  # later deletes must not leak into the pin
-        assert sorted(snapshot.matching_rows(Comparison("S", "=", "a"))) == [
+        assert sorted(rows_where(snapshot, Comparison("S", "=", "a"))) == [
             (1, "a"), (3, "a"), (5, "a"),
         ]
-        assert snapshot.matching_rows(None) == snapshot.to_rows()
+        assert rows_where(snapshot) == snapshot.to_rows()
 
     def test_snapshot_readable_after_handle_invalidation(self):
         engine = EvolutionEngine()
@@ -303,8 +305,8 @@ class TestDeltaHashIndex:
         ]
         for predicate in predicates:
             assert indexed.delta.index_matches(predicate) is not None
-            assert sorted(indexed.matching_rows(predicate)) == sorted(
-                plain.matching_rows(predicate)
+            assert sorted(rows_where(indexed, predicate)) == sorted(
+                rows_where(plain, predicate)
             ), str(predicate)
 
     def test_index_respects_deletes_and_epochs(self):
@@ -312,8 +314,8 @@ class TestDeltaHashIndex:
         mutable.insert_rows([(5, "d"), (6, "d")])
         snapshot = mutable.snapshot()
         mutable.delete(Comparison("K", "=", 5))
-        assert mutable.matching_rows(Comparison("S", "=", "d")) == [(6, "d")]
-        assert snapshot.matching_rows(Comparison("S", "=", "d")) == [
+        assert rows_where(mutable, Comparison("S", "=", "d")) == [(6, "d")]
+        assert rows_where(snapshot, Comparison("S", "=", "d")) == [
             (5, "d"), (6, "d"),
         ]
 
@@ -325,7 +327,7 @@ class TestDeltaHashIndex:
             mutable.main.with_renamed_column("S", "Skill"), {"S": "Skill"}
         )
         assert mutable.delta.indexed_columns == ("Skill",)
-        assert mutable.matching_rows(Comparison("Skill", "=", "d")) == [
+        assert rows_where(mutable, Comparison("Skill", "=", "d")) == [
             (5, "d")
         ]
 
@@ -402,7 +404,7 @@ class TestMetadataRenames:
         mutable.delete()  # later deletes stay invisible to the pin
         assert snapshot.to_rows() == pinned
         assert sorted(
-            snapshot.matching_rows(Comparison("Skill", "=", "a"))
+            rows_where(snapshot, Comparison("Skill", "=", "a"))
         ) == [(1, "a"), (3, "a")]
 
     def test_retained_generation_follows_rename(self):
@@ -410,7 +412,7 @@ class TestMetadataRenames:
         snapshot = mutable.snapshot()  # pins generation 0
         mutable.compact()              # generation 0 becomes retained
         engine.apply_sql_like("RENAME COLUMN S TO Skill IN R")
-        assert snapshot.matching_rows(Comparison("Skill", "=", "d")) == [
+        assert rows_where(snapshot, Comparison("Skill", "=", "d")) == [
             (5, "d")
         ]
         snapshot.close()
@@ -490,7 +492,7 @@ class TestSnapshotScopedSql:
             # table's pinned rows.
             assert executor.execute("SELECT * FROM r") == [(99, "z")]
 
-    def test_filter_rows_pushdown_matches_scan(self):
+    def test_predicate_pushdown_matches_scan(self):
         adapter, executor = self.executor()
         executor.execute("INSERT INTO r VALUES (3, 'a'), (4, 'c')")
         adapter.compact("r")  # rows into the compressed main
@@ -501,7 +503,9 @@ class TestSnapshotScopedSql:
         # Pushdown also serves tables without a mutable handle.
         fresh = MutableColumnAdapter()
         fresh.catalog.create(small_table())
-        rows = fresh.filter_rows("R", Comparison("S", "=", "a"))
+        rows = iter_rows(
+            filter_batches(fresh.scan_batches("R"), Comparison("S", "=", "a"))
+        )
         assert sorted(rows) == [(1, "a"), (3, "a")]
 
     def test_create_index_builds_delta_index(self):
@@ -588,37 +592,6 @@ class TestSidecarV2:
         assert not delta_sidecar_path(path).exists()
 
 
-class TestSnapshotScanBench:
-    def test_bench_script_runs(self, tmp_path):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parents[2]
-        out = tmp_path / "BENCH_snapshot_scan.json"
-        result = subprocess.run(
-            [
-                sys.executable,
-                str(repo / "benchmarks" / "bench_snapshot_scan.py"),
-                "--rows", "500", "--ops", "60", "--out", str(out),
-            ],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
-        )
-        assert result.returncode == 0, result.stderr
-        from repro.bench.exporters import load_snapshot_scan_json
-
-        payload = load_snapshot_scan_json(out)
-        assert payload["benchmark"] == "snapshot_scan"
-        assert payload["pinned_snapshot"]["pinned_rows"] >= 0
-        assert payload["scan_under_write"]["speedup"] > 0
-        assert (
-            payload["delta_index"]["row_wise"]["matched"]
-            == payload["delta_index"]["indexed"]["matched"]
-        )
-
-
 class TestDeltaStatsSurface:
     def test_stats_carry_mvcc_fields(self):
         mutable = MutableTable(
@@ -626,7 +599,7 @@ class TestDeltaStatsSurface:
             CompactionPolicy(None, None, None, index_threshold=1),
         )
         mutable.insert((5, "d"))
-        mutable.matching_rows(Comparison("S", "=", "d"))  # builds the index
+        rows_where(mutable, Comparison("S", "=", "d"))  # builds the index
         with mutable.snapshot():
             stats = mutable.delta_stats()
             assert stats.epoch == mutable.epoch > 0
