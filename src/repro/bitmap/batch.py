@@ -204,9 +204,13 @@ def batch_vids_at(bitmaps, positions) -> np.ndarray:
 
     Cost is ``O(words + nbitmaps · npositions · log words)`` — per
     bitmap a binary search of the query groups against its group
-    offsets, never a decode — so it beats position extraction exactly
-    when the query set is small (e.g. the handful of deleted rows a
-    validity mask removes from an aggregate's popcounts).
+    offsets, never a decode — but each bitmap is one Python iteration,
+    so it is *not* cheaper than position extraction on
+    high-cardinality columns: two positions across the six columns of a
+    20 000-row table (5 370 value bitmaps) take 86 ms against 30 ms for
+    :func:`batch_select` (2-core Xeon, Python 3.11, NumPy 2.4).  Used
+    for the handful of deleted rows a validity mask removes from an
+    aggregate's popcounts.
     """
     queries = np.asarray(positions, dtype=np.int64)
     result = np.full(len(queries), -1, dtype=np.int64)

@@ -19,9 +19,14 @@ snapshot closes.  The whole lifecycle is documented in
 ``docs/ARCHITECTURE.md`` and the persisted form in
 ``docs/delta-format.md``.
 
-Deletes and updates locate main-store victims in the *compressed*
-domain (``Predicate.bitmap``), so a DML statement only materializes the
-rows it actually touches.
+A DELETE or UPDATE costs in proportion to its victims, not the table.
+Main-store victims are located in the *compressed* domain: ``=`` / ``IN``
+resolve to value ids by dictionary lookup, ``Predicate.bitmap`` hands
+back the matching value bitmap(s), and its positions are dropped when
+``deleted_main`` holds them (a dict lookup each) — survivors are never
+enumerated.  An UPDATE reads its victims' old images through the read
+path's row gather (``TableBatch.rows``) from the generation's decoded
+rows, so a cold generation costs one decode, shared with SELECT.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.bitmap.plain import PlainBitmap
 from repro.delta.policy import (
     CompactionPolicy,
     CompactionProgress,
@@ -400,9 +406,8 @@ class MutableTable:
         """Delete visible rows matching ``predicate`` (all when None);
         returns the number deleted.
 
-        Main-store victims are found in the compressed domain — the
-        predicate's bitmap, AND-ed with the validity bitmap — without
-        materializing any row.
+        Main-store victims are found in the compressed domain (see
+        :meth:`_matching_main_positions`) without materializing any row.
         """
         with self._lock:
             self._check_valid()
@@ -426,8 +431,12 @@ class MutableTable:
         so the compressed main is never patched.  The whole statement is
         one ``update`` redo record (see
         :meth:`~repro.delta.store.DeltaStore.apply_update`), not a
-        delete+insert record pair per victim.
+        delete+insert record pair per victim.  The main victims' old
+        images are gathered, in position order, from the decoded rows
+        the read path keeps per generation.
         """
+        from repro.exec import TableBatch
+
         with self._lock:
             self._check_valid()
             if not assignments:
@@ -445,9 +454,12 @@ class MutableTable:
 
             main_positions = self._matching_main_positions(predicate)
             old_main = (
-                self._main.select_rows(
-                    main_positions, compact=True
-                ).to_rows()
+                TableBatch(
+                    self._main,
+                    PlainBitmap.from_positions(
+                        main_positions, self._main.nrows
+                    ),
+                ).rows()
                 if len(main_positions)
                 else []
             )
@@ -471,13 +483,18 @@ class MutableTable:
             return count
 
     def _matching_main_positions(self, predicate) -> np.ndarray:
-        """Sorted visible main positions satisfying ``predicate``."""
-        surviving = self._delta.surviving_main_positions(self._main.nrows)
+        """Sorted visible main positions satisfying ``predicate``: the
+        predicate bitmap's positions less those in ``deleted_main``, a
+        dict lookup each.  Only a predicate-less statement, which hits
+        every survivor anyway, enumerates the survivors."""
         if predicate is None:
-            return surviving
+            return self._delta.surviving_main_positions(self._main.nrows)
         predicate.validate(self.schema)
         matching = predicate.bitmap(self._main).positions()
-        return np.intersect1d(matching, surviving, assume_unique=True)
+        deleted = self._delta.deleted_main
+        return np.array(
+            [p for p in matching.tolist() if p not in deleted], dtype=np.int64
+        )
 
     def _matching_delta_indices(self, predicate) -> list[int]:
         """Live delta indices satisfying ``predicate`` — through the

@@ -1,9 +1,10 @@
 """Predicates for PARTITION TABLE conditions (and the SQL WHERE clause).
 
 Predicates evaluate in the compressed domain: a comparison first selects
-the satisfying *values* from the column dictionary (``O(distinct)``),
-then ORs their disjoint bitmaps (``O(matching rows)``) — rows are never
-materialized.
+the satisfying *values* from the column dictionary (a hash lookup per
+literal for ``=`` / ``IN``, a scan of the ``O(distinct)`` values for the
+others), then ORs their disjoint bitmaps (``O(matching rows)``; one
+matching value is its bitmap as stored) — rows are never materialized.
 """
 
 from __future__ import annotations
@@ -86,22 +87,39 @@ class Comparison(Predicate):
         return lambda value: compare(value, literal)
 
     def _matching_vids(self, column) -> list[int]:
+        """Sorted vids of the dictionary values satisfying the test.
+
+        ``=`` and ``IN`` are dictionary lookups, ``O(literals)``; ranges
+        and ``!=`` scan the dictionary, ``O(distinct)``."""
+        dictionary = column.dictionary
         if self.op == IN:
-            literals = {coerce(v, column.dtype) for v in self.value}
-            test = lambda v: v in literals  # noqa: E731
-        else:
-            literal = coerce(self.value, column.dtype)
-            compare = _COMPARATORS[self.op]
-            test = lambda v: compare(v, literal)  # noqa: E731
+            # A hash lookup is set membership, which is what IN means.
+            vids = {
+                dictionary.vid_or_none(coerce(v, column.dtype))
+                for v in self.value
+            }
+            vids.discard(None)
+            return sorted(vids)
+        literal = coerce(self.value, column.dtype)
+        if self.op == EQ:
+            # Re-check ``a == b`` on the hit: a NaN literal matches no
+            # value, not even the NaN object it was looked up as.
+            vid = dictionary.vid_or_none(literal)
+            if vid is None or dictionary.value(vid) != literal:
+                return []
+            return [vid]
+        compare = _COMPARATORS[self.op]
         return [
             vid
-            for vid, value in enumerate(column.dictionary.values())
-            if test(value)
+            for vid, value in enumerate(dictionary.values())
+            if compare(value, literal)
         ]
 
     def bitmap(self, table):
         column = table.column(self.attr)
         vids = self._matching_vids(column)
+        if len(vids) == 1:
+            return column.bitmap_for_vid(vids[0])
         bitmaps = [column.bitmap_for_vid(v) for v in vids]
         from repro.bitmap.codecs import get_codec
 

@@ -8,8 +8,6 @@ data-level evolution algorithms never materialize rows.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bitmap.codecs import WAH
 from repro.errors import SchemaError, StorageError
 from repro.storage.column import BitmapColumn
@@ -169,20 +167,6 @@ class Table:
         schema = self.schema.project(attrs, new_name, primary_key)
         columns = {name: self._columns[name] for name in schema.column_names}
         return Table(schema, columns, self._nrows)
-
-    def select_rows(self, sorted_positions: np.ndarray, new_name: str | None
-                    = None, compact: bool = True) -> "Table":
-        """Keep only the rows at ``sorted_positions`` (bitmap filtering
-        applied to every column)."""
-        name = new_name or self.schema.name
-        schema = self.schema.renamed(name)
-        columns = {
-            column_name: self._columns[column_name].select(
-                sorted_positions, compact=compact
-            )
-            for column_name in self.schema.column_names
-        }
-        return Table(schema, columns, len(sorted_positions))
 
     def with_column(self, column_schema: ColumnSchema,
                     column: BitmapColumn) -> "Table":

@@ -1,6 +1,11 @@
 """Property tests: delta/main merged reads match an eager row-list
-oracle under any interleaving of insert/update/delete/compact, and
-compaction preserves content (``same_content``)."""
+oracle, *in order*, under any interleaving of insert/update/delete/
+compact, and compaction preserves content (``same_content``).
+
+Every column may hold NULLs, and predicate literals include ``None``,
+values absent from every dictionary, ints against the FLOAT column and
+integral floats against the INT column — the cases where a dictionary
+lookup and the row-at-a-time comparison could disagree."""
 
 from __future__ import annotations
 
@@ -11,25 +16,40 @@ from hypothesis import strategies as st
 from repro.delta import CompactionPolicy, MutableTable
 from repro.smo.predicate import And, Comparison, Not, Or
 from repro.storage import DataType, Table, table_from_python
+from repro.storage.types import coerce
 
-KS = list(range(5))
-SS = ["a", "b", "c"]
+KS = [0, 1, 2, 3, 4, None]
+FS = [0.0, 1.5, 2.0, 3.0, None]
+SS = ["a", "b", "c", None]
+DTYPES = {"K": DataType.INT, "F": DataType.FLOAT, "S": DataType.STRING}
+NAMES = tuple(DTYPES)
+
+# Non-NULL literals per column: stored values, values no dictionary
+# holds (7, 9.5, "zz"), an integral float against INT and ints against
+# FLOAT.  NULL joins them for =, != and IN (a NULL range bound raises on
+# every path alike, so ranges leave it out).
+LITERALS = {
+    "K": [0, 1, 2, 3, 4, 7, 2.0, 7.0],
+    "F": [0.0, 1.5, 2.0, 3.0, 9.5, 2, 3, 5],
+    "S": ["a", "b", "c", "zz"],
+}
 
 
 def base_table(rows):
     return table_from_python(
         "R",
         {
-            "K": (DataType.INT, [k for k, _s in rows]),
-            "S": (DataType.STRING, [s for _k, s in rows]),
+            name: (dtype, [row[index] for row in rows])
+            for index, (name, dtype) in enumerate(DTYPES.items())
         },
     )
 
 
 class Oracle:
-    """Eager row-list semantics: the specification the delta store must
-    match.  Updates patch rows in place; row *multisets* are compared,
-    so out-of-place updates in the implementation are equivalent."""
+    """Eager row-list semantics in the order ``to_rows`` promises:
+    surviving main rows, then live delta rows.  An UPDATE removes its
+    victims and appends their new versions in that same order (main
+    positions first, then delta indices) — the out-of-place write."""
 
     def __init__(self, rows):
         self.rows = [tuple(row) for row in rows]
@@ -38,50 +58,50 @@ class Oracle:
         self.rows.append(tuple(row))
 
     def delete(self, predicate):
-        if predicate is None:
-            count = len(self.rows)
-            self.rows = []
-            return count
         kept = [row for row in self.rows if not self._matches(predicate, row)]
         count = len(self.rows) - len(kept)
         self.rows = kept
         return count
 
     def update(self, assignments, predicate):
-        count = 0
-        for index, row in enumerate(self.rows):
-            if predicate is None or self._matches(predicate, row):
-                self.rows[index] = (
-                    assignments.get("K", row[0]),
-                    assignments.get("S", row[1]),
+        coerced = {
+            name: coerce(value, DTYPES[name])
+            for name, value in assignments.items()
+        }
+        kept, moved = [], []
+        for row in self.rows:
+            if self._matches(predicate, row):
+                moved.append(
+                    tuple(
+                        coerced.get(name, value)
+                        for name, value in zip(NAMES, row)
+                    )
                 )
-                count += 1
-        return count
+            else:
+                kept.append(row)
+        self.rows = kept + moved
+        return len(moved)
 
     @staticmethod
     def _matches(predicate, row):
-        return predicate.matches(lambda attr: row[0 if attr == "K" else 1])
+        return predicate is None or predicate.matches(
+            lambda attr: row[NAMES.index(attr)]
+        )
 
 
-comparisons = st.one_of(
-    st.tuples(
-        st.just("K"),
-        st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
-        st.sampled_from(KS),
-    ).map(lambda t: Comparison(*t)),
-    st.tuples(
-        st.just("S"),
-        st.sampled_from(["=", "!="]),
-        st.sampled_from(SS),
-    ).map(lambda t: Comparison(*t)),
-    st.tuples(
-        st.just("K"),
-        st.lists(st.sampled_from(KS), min_size=1, max_size=3),
-    ).map(lambda t: Comparison(t[0], "IN", tuple(t[1]))),
-)
+def comparisons_on(name):
+    literals = st.sampled_from(LITERALS[name])
+    return st.one_of(
+        st.tuples(st.sampled_from(["<", "<=", ">", ">="]), literals),
+        st.tuples(st.sampled_from(["=", "!="]), st.none() | literals),
+        st.lists(st.none() | literals, min_size=1, max_size=3).map(
+            lambda values: ("IN", tuple(values))
+        ),
+    ).map(lambda t: Comparison(name, *t))
+
 
 predicates = st.recursive(
-    comparisons,
+    st.one_of(*(comparisons_on(name) for name in NAMES)),
     lambda inner: st.one_of(
         st.tuples(inner, inner).map(lambda t: And(*t)),
         st.tuples(inner, inner).map(lambda t: Or(*t)),
@@ -90,39 +110,26 @@ predicates = st.recursive(
     max_leaves=3,
 )
 
-rows = st.tuples(st.sampled_from(KS), st.sampled_from(SS))
+rows = st.tuples(st.sampled_from(KS), st.sampled_from(FS), st.sampled_from(SS))
+
+assignments = st.fixed_dictionaries(
+    {},
+    optional={
+        "K": st.sampled_from(KS),
+        "F": st.sampled_from([*FS, 4]),
+        "S": st.sampled_from(SS),
+    },
+).filter(bool)
 
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), rows),
         st.tuples(st.just("delete"), st.none() | predicates),
-        st.tuples(
-            st.just("update"),
-            st.tuples(
-                st.dictionaries(
-                    st.sampled_from(["K", "S"]),
-                    st.sampled_from(KS) | st.sampled_from(SS),
-                    min_size=1,
-                    max_size=2,
-                ),
-                st.none() | predicates,
-            ),
-        ),
+        st.tuples(st.just("update"), st.tuples(assignments, st.none() | predicates)),
         st.tuples(st.just("compact"), st.none()),
     ),
     max_size=12,
 )
-
-
-def coerced_assignments(raw):
-    """Keep only type-correct assignments (K int, S string)."""
-    out = {}
-    for column, value in raw.items():
-        if column == "K" and isinstance(value, int):
-            out[column] = value
-        if column == "S" and isinstance(value, str):
-            out[column] = value
-    return out
 
 
 def apply_stream(mutable, oracle, stream):
@@ -133,17 +140,14 @@ def apply_stream(mutable, oracle, stream):
         elif kind == "delete":
             assert mutable.delete(payload) == oracle.delete(payload)
         elif kind == "update":
-            raw, predicate = payload
-            assignments = coerced_assignments(raw)
-            if not assignments:
-                continue
-            assert mutable.update(assignments, predicate) == oracle.update(
-                assignments, predicate
+            values, predicate = payload
+            assert mutable.update(values, predicate) == oracle.update(
+                values, predicate
             )
         else:
             mutable.compact()
         assert mutable.nrows == len(oracle.rows)
-        assert sorted(mutable.to_rows()) == sorted(oracle.rows)
+        assert mutable.to_rows() == oracle.rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,7 +186,7 @@ def test_autocompaction_is_transparent(initial, stream, threshold):
     )
     oracle = Oracle(initial)
     apply_stream(eager, oracle, stream)
-    assert sorted(eager.to_rows()) == sorted(oracle.rows)
+    assert eager.to_rows() == oracle.rows
 
 
 @settings(max_examples=30, deadline=None)
@@ -197,16 +201,16 @@ def test_persistence_preserves_any_state(tmp_path_factory, initial, stream):
     path = tmp_path_factory.mktemp("delta") / "r.cods"
     save_mutable_table(mutable, path)
     restored = load_mutable_table(path, CompactionPolicy.never())
-    assert sorted(restored.to_rows()) == sorted(oracle.rows)
+    assert restored.to_rows() == oracle.rows
 
 
 @pytest.mark.parametrize("threshold", [1, 3, 7])
 def test_repeated_compaction_is_idempotent(threshold):
     mutable = MutableTable(
-        base_table([(1, "a"), (2, "b")]), CompactionPolicy.never()
+        base_table([(1, 1.5, "a"), (2, 2.0, "b")]), CompactionPolicy.never()
     )
     for index in range(threshold):
-        mutable.insert((index, "c"))
+        mutable.insert((index, None, "c"))
     first = mutable.compact()
     second = mutable.compact()
     assert first is second  # no pending changes -> same main returned

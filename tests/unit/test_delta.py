@@ -254,6 +254,66 @@ class TestMutableTable:
         assert not left.same_content(right)
 
 
+class TestDmlTouchesOnlyItsVictims:
+    """UPDATE and DELETE cost O(victims): no bitmap filtering, no
+    position expansion of whole columns, no survivors array."""
+
+    @staticmethod
+    def wide(rows):
+        return frozen(
+            table_from_python(
+                "R",
+                {
+                    "K": (DataType.INT, list(range(rows))),
+                    "S": (DataType.STRING, [f"s{i % 997}" for i in range(rows)]),
+                },
+            )
+        )
+
+    def test_update_and_delete_never_scan_the_table(self, monkeypatch):
+        import repro.bitmap.batch as batch
+        from repro.storage import BitmapColumn
+
+        mutable = self.wide(50_000)
+        mutable.insert_rows([(-1, "d1"), (-2, "d2")])
+        assert len(list(iter_rows(mutable.scan_batches()))) == 50_002
+
+        def table_sized(*args, **kwargs):
+            raise AssertionError("a one-row statement did O(table) work")
+
+        monkeypatch.setattr(BitmapColumn, "select", table_sized)
+        monkeypatch.setattr(batch, "batch_select", table_sized)
+        monkeypatch.setattr(batch, "batch_positions", table_sized)
+        monkeypatch.setattr(
+            DeltaStore, "surviving_main_positions", table_sized
+        )
+        assert mutable.update({"S": "u"}, Comparison("K", "IN", (7, -1))) == 2
+        assert mutable.delete(Comparison("K", "IN", (11, -2))) == 2
+        monkeypatch.undo()
+
+        rows = mutable.to_rows()
+        assert len(rows) == 50_000
+        assert rows[7] == (8, "s8") and rows[10] == (12, "s12")
+        assert rows[-2:] == [(7, "u"), (-1, "u")]
+
+    def test_updates_on_a_cold_generation_decode_the_main_once(
+        self, monkeypatch
+    ):
+        mutable = self.wide(1_000)
+        decodes = []
+        to_rows = Table.to_rows
+
+        def counted(table):
+            decodes.append(table)
+            return to_rows(table)
+
+        monkeypatch.setattr(Table, "to_rows", counted)
+        assert mutable.update({"S": "u"}, Comparison("K", "=", 3)) == 1
+        assert mutable.update({"S": "v"}, Comparison("S", "=", "s5")) == 1
+        assert len(list(iter_rows(mutable.scan_batches()))) == 1_000
+        assert decodes == [mutable.main]
+
+
 class TestSqlDml:
     def test_parse_update(self):
         statement = parse_sql(

@@ -423,6 +423,50 @@ class TestExecutionPipelineDocs:
         assert "bench_vectorized_scan.py" in ci
 
 
+class TestWritePathDocs:
+    def test_every_function_the_write_path_passage_names_exists(self):
+        """Fact pins on "The main/delta split": how victims are located
+        and where old images come from, by the names that do it."""
+        from repro.delta import DeltaStore, MutableTable
+        from repro.delta import snapshot
+        from repro.exec import TableBatch
+        from repro.smo.predicate import Predicate
+        from repro.storage.dictionary import Dictionary
+
+        owners = {
+            "MutableTable": MutableTable, "DeltaStore": DeltaStore,
+            "Dictionary": Dictionary, "Predicate": Predicate,
+            "TableBatch": TableBatch,
+        }
+        text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+        section = text[text.index("## The main/delta split"):]
+        section = section[:section.index("\n## ", 1)]
+        named = set(re.findall(r"`(\w+)\.(\w+)`", section))
+        for owner, attribute in named:
+            assert callable(getattr(owners[owner], attribute, None)), (
+                f"ARCHITECTURE.md names {owner}.{attribute}, which does "
+                "not exist"
+            )
+        assert {
+            ("MutableTable", "_matching_main_positions"),
+            ("Dictionary", "vid_or_none"),
+            ("Predicate", "bitmap"),
+            ("TableBatch", "rows"),
+        } <= named
+        assert "`decoded_main_rows`" in section
+        assert callable(snapshot.decoded_main_rows)
+
+    def test_the_filtering_read_of_old_images_is_gone(self):
+        roots = [REPO / "docs", REPO / "src"]
+        for path in sorted(p for root in roots for p in root.rglob("*")):
+            if path.suffix in (".md", ".py"):
+                assert "select_rows" not in path.read_text(), path
+
+    def test_ci_runs_the_write_path_crash_oracle(self):
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert "benchmarks/e2e/run.py --workload oltp_durable --smoke" in ci
+
+
 class TestBatchedConstructorDocs:
     def test_architecture_names_the_constructor_and_its_callers(self):
         import repro.bitmap.batch as batch

@@ -98,12 +98,13 @@ class TestSimpleOps:
             ("Hi", matches.invert().positions()),
         ):
             got = engine.table(name)
-            want = table.select_rows(positions, name)
-            assert got.schema == want.schema and got.nrows == want.nrows
+            assert got.schema == table.schema.renamed(name)
+            assert got.nrows == len(positions)
             for column in ("k", "v"):
+                want = table.column(column).select(positions, compact=True)
                 assert (got.column(column).dictionary.values()
-                        == want.column(column).dictionary.values())
-                assert got.column(column).bitmaps == want.column(column).bitmaps
+                        == want.dictionary.values())
+                assert got.column(column).bitmaps == want.bitmaps
 
     def test_add_column_default_is_o1(self, engine):
         status = engine.apply(

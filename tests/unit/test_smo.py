@@ -1,7 +1,10 @@
 """Unit tests for SMO operators, predicates, parser, plans and history."""
 
+import numpy as np
 import pytest
 
+from repro.bitmap.codecs import codec_names, get_codec
+from repro.bitmap.ops import union_disjoint
 from repro.errors import SmoValidationError
 from repro.smo import (
     AddColumn,
@@ -34,6 +37,7 @@ from repro.storage import (
     TableSchema,
     table_from_python,
 )
+from repro.storage.types import coerce
 
 
 @pytest.fixture
@@ -214,6 +218,77 @@ class TestPredicates:
             if predicate.matches(lambda attr, r=row: r[names.index(attr)])
         ]
         assert predicate.bitmap(table).positions().tolist() == row_level
+
+    @staticmethod
+    def scanned_bitmap(predicate, table):
+        """``=`` / ``IN`` the long way: test every dictionary value, OR
+        the hits' bitmaps with ``union_disjoint``."""
+        column = table.column(predicate.attr)
+        if predicate.op == "IN":
+            literals = {coerce(v, column.dtype) for v in predicate.value}
+            hits = [value in literals for value in column.dictionary]
+        else:
+            literal = coerce(predicate.value, column.dtype)
+            hits = [value == literal for value in column.dictionary]
+        return union_disjoint(
+            [column.bitmap_for_vid(vid) for vid, hit in enumerate(hits) if hit],
+            table.nrows,
+            get_codec(column.codec_name),
+        )
+
+    @pytest.mark.parametrize("layout", ["shuffled", "sorted"])
+    @pytest.mark.parametrize("codec", codec_names())
+    def test_lookup_equals_the_dictionary_scan_word_for_word(
+        self, codec, layout
+    ):
+        """``=`` and ``IN`` resolve by dictionary lookup, and one hit is
+        the stored bitmap itself; either way the result is the scan's,
+        word for word.  ``sorted`` gives each value one long run (fill
+        words, the layout run-length encoding targets)."""
+        strings = ["x"] * 700 + ["y"] * 600 + [None] * 500 + ["z"] * 200
+        floats = [0.5] * 900 + [1.0] * 600 + [2.0] * 500
+        if layout == "shuffled":
+            order = np.random.default_rng(3).permutation(len(strings))
+            strings = [strings[i] for i in order]
+            floats = [floats[i] for i in order]
+        table = table_from_python(
+            "P",
+            {"s": (DataType.STRING, strings), "f": (DataType.FLOAT, floats)},
+            codec_name=codec,
+        )
+        predicates = [
+            Comparison("s", "=", "y"),
+            Comparison("s", "=", "absent"),
+            Comparison("s", "=", None),
+            Comparison("s", "IN", ("x", "x", "absent", None)),
+            Comparison("s", "IN", ("z", "z", "absent")),
+            Comparison("s", "IN", ("absent",)),
+            Comparison("f", "=", 1),
+            Comparison("f", "IN", (2, 0.5, 2.0, 7)),
+        ]
+        for predicate in predicates:
+            got = predicate.bitmap(table)
+            want = self.scanned_bitmap(predicate, table)
+            assert type(got) is type(want) and got.nbits == table.nrows
+            assert got == want, predicate
+            values = table.column(predicate.attr).to_values()
+            assert got.positions().tolist() == [
+                i for i, value in enumerate(values)
+                if predicate.matches(lambda attr, v=value: v)
+            ], predicate
+
+    def test_nan_literal_keeps_the_scan_semantics(self):
+        """The NULL keeps the column on the per-value encode path, so
+        the dictionary holds this very NaN object: the lookup finds it,
+        ``=`` still rejects it (``nan == nan`` is false) and ``IN``
+        keeps it (membership tests identity first), as the scan did."""
+        nan = float("nan")
+        table = table_from_python(
+            "P", {"f": (DataType.FLOAT, [1.0, nan, None])}
+        )
+        assert table.column("f").dictionary.vid_or_none(nan) == 1
+        assert Comparison("f", "=", nan).bitmap(table).count() == 0
+        assert Comparison("f", "IN", (nan,)).bitmap(table).positions().tolist() == [1]
 
     def test_unknown_operator(self):
         with pytest.raises(Exception):

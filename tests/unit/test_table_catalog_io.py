@@ -1,6 +1,5 @@
 """Unit tests for tables, the catalog and both IO formats."""
 
-import numpy as np
 import pytest
 
 from repro.errors import SchemaError, SerializationError, StorageError
@@ -65,10 +64,6 @@ class TestTable:
         projected = small_table.project(["b"], "P")
         assert projected.column("b") is small_table.column("b")
         assert projected.nrows == small_table.nrows
-
-    def test_select_rows(self, small_table):
-        out = small_table.select_rows(np.array([1, 3]), "Sub")
-        assert out.to_rows() == [(2, "y"), (3, "z")]
 
     def test_with_without_rename_column(self, small_table):
         from repro.storage import BitmapColumn
