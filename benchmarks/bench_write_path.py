@@ -26,6 +26,7 @@ import time
 from bench_common import mutable_handle as _mutable_for
 
 from repro.bench.exporters import write_path_json
+from repro.bitmap import WAHBitmap
 from repro.db import Database
 from repro.delta import CompactionPolicy
 from repro.storage.table import Table
@@ -112,12 +113,12 @@ def bench_compaction(workload: MixedReadWriteWorkload) -> dict:
     oracle = Table.from_rows(compacted.schema, merged_rows)
     if not compacted.same_content(oracle):
         raise AssertionError("compacted table diverges from the oracle")
-    codecs = {
-        compacted.column(name).codec_name
-        for name in compacted.column_names
-    }
-    if codecs != {"wah"}:
-        raise AssertionError(f"expected pure-WAH output, got {codecs}")
+    if not all(
+        isinstance(bitmap, WAHBitmap)
+        for column in compacted.columns()
+        for bitmap in column.bitmaps
+    ):
+        raise AssertionError("expected pure-WAH output")
     if len(compacted_rows) != len(merged_rows):
         raise AssertionError("compaction changed the row count")
 

@@ -4,7 +4,9 @@ PVLDB 3(2), 2010).
 
 The package implements the paper's platform end to end:
 
-* :mod:`repro.bitmap` — WAH-compressed bitmaps (the storage encoding);
+* :mod:`repro.bitmap` — WAH-compressed bitmaps, the one storage
+  encoding of every column, plus the dense selection vector of the
+  read path;
 * :mod:`repro.storage` — a bitmap-encoded column store with catalog,
   CSV and binary persistence;
 * :mod:`repro.fd` — functional-dependency theory (lossless-join checks);
@@ -63,7 +65,7 @@ from repro.baselines import (
     SqliteEvolution,
     make_system,
 )
-from repro.bitmap import PlainBitmap, RLEVector, WAHBitmap
+from repro.bitmap import PlainBitmap, WAHBitmap
 from repro.core import EvolutionEngine, EvolutionStatus
 from repro.db import Database, Session, Transaction, connect
 from repro.delta import (
@@ -157,7 +159,6 @@ __all__ = [
     "PartitionTable",
     "PlainBitmap",
     "QueryLevelEvolution",
-    "RLEVector",
     "RenameColumn",
     "RenameTable",
     "SalesStarWorkload",

@@ -1,15 +1,13 @@
 """Bitmap substrate: WAH compression and friends.
 
 This package implements the storage encoding the CODS paper builds on:
-WAH-compressed bitmaps (:class:`WAHBitmap`), an uncompressed variant for
-ablations (:class:`PlainBitmap`), run-length encoded vectors for sorted
-columns (:class:`RLEVector`), batched column-level kernels
-(:mod:`repro.bitmap.batch`) and compression stats.
+WAH-compressed bitmaps (:class:`WAHBitmap`), the one codec of every
+column, with batched column-level kernels (:mod:`repro.bitmap.batch`)
+and compression stats.  :class:`PlainBitmap` is not a column codec: it
+is the dense selection vector of the vectorized read path.
 """
 
-from repro.bitmap.codecs import codec_names, get_codec, register_codec
 from repro.bitmap.plain import PlainBitmap
-from repro.bitmap.rle import RLEVector
 from repro.bitmap.stats import CompressionStats, bitmap_stats
 from repro.bitmap.wah import GROUP_BITS, WAHBitmap
 
@@ -17,10 +15,6 @@ __all__ = [
     "GROUP_BITS",
     "WAHBitmap",
     "PlainBitmap",
-    "RLEVector",
     "CompressionStats",
     "bitmap_stats",
-    "get_codec",
-    "register_codec",
-    "codec_names",
 ]

@@ -71,8 +71,6 @@ class WordDirectory:
 
 def batch_count(bitmaps) -> np.ndarray:
     """Set-bit count of each bitmap, in one vectorized pass."""
-    if not _all_wah(bitmaps):
-        return np.array([bm.count() for bm in bitmaps], dtype=np.int64)
     directory = WordDirectory(bitmaps)
     per_word = np.zeros(len(directory.words), dtype=np.int64)
     one_fill = directory.is_fill & directory.fill_value
@@ -86,8 +84,6 @@ def batch_count(bitmaps) -> np.ndarray:
 
 def batch_first_set(bitmaps) -> np.ndarray:
     """First set bit of each bitmap (-1 when empty), one pass."""
-    if not _all_wah(bitmaps):
-        return np.array([bm.first_set() for bm in bitmaps], dtype=np.int64)
     directory = WordDirectory(bitmaps)
     interesting = (directory.is_fill & directory.fill_value) | (
         ~directory.is_fill & (directory.words != 0)
@@ -117,16 +113,6 @@ def batch_positions(bitmaps) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(positions, boundaries)`` where positions of bitmap ``i``
     are ``positions[boundaries[i]:boundaries[i+1]]``, sorted.
     """
-    if not _all_wah(bitmaps):
-        parts = [bm.positions() for bm in bitmaps]
-        boundaries = np.concatenate(
-            ([0], np.cumsum([len(p) for p in parts]))
-        ).astype(np.int64)
-        positions = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        )
-        return positions, boundaries
-
     directory = WordDirectory(bitmaps)
     one_fill = directory.is_fill & directory.fill_value
     literal = ~directory.is_fill
@@ -219,10 +205,6 @@ def batch_vids_at(bitmaps, positions) -> np.ndarray:
     qgroup = queries // GROUP_BITS
     qshift = (queries % GROUP_BITS).astype(np.uint32)
     for vid, bm in enumerate(bitmaps):
-        if not isinstance(bm, WAHBitmap):
-            dense = bm.to_dense()
-            result[dense[queries]] = vid
-            continue
         words = bm.words
         if len(words) == 0:
             continue
@@ -357,9 +339,6 @@ def batch_select(bitmaps, sorted_positions) -> tuple[list, np.ndarray]:
     ``sorted_positions`` is one ``searchsorted``, and all output bitmaps
     are built by one :func:`batch_from_positions`.
     """
-    if not _all_wah(bitmaps):
-        filtered = [bm.select(sorted_positions) for bm in bitmaps]
-        return filtered, np.array([bm.count() for bm in filtered])
     picks = np.asarray(sorted_positions, dtype=np.int64)
     flat, bounds = batch_positions(bitmaps)
     if len(picks) == 0:
@@ -383,11 +362,6 @@ def batch_split(bitmaps, mask: np.ndarray) -> tuple:
     not, extracting the column's positions only once.
     """
     mask = np.asarray(mask, dtype=bool)
-    if not _all_wah(bitmaps):
-        return (
-            batch_select(bitmaps, np.flatnonzero(mask)),
-            batch_select(bitmaps, np.flatnonzero(~mask)),
-        )
     flat, bounds = batch_positions(bitmaps)
     # Every row's rank among the rows of its own side.
     ones_before = np.cumsum(mask)
@@ -430,20 +404,6 @@ def batch_concat_positions(
     right_target = np.asarray(right_target, dtype=np.int64)
     nleft = len(left_bitmaps)
     nout = max(nleft, int(right_target.max()) + 1 if len(right_target) else 0)
-    if not _all_wah(list(left_bitmaps) + list(right_bitmaps)):
-        right_of = dict(zip(right_target.tolist(), right_bitmaps))
-        results = []
-        for vid in range(nout):
-            left_bm = left_bitmaps[vid] if vid < nleft else None
-            right_bm = right_of.get(vid)
-            codec = type(left_bm if left_bm is not None else right_bm)
-            if left_bm is None:
-                left_bm = codec.zeros(left_nbits)
-            if right_bm is None:
-                right_bm = codec.zeros(right_nbits)
-            results.append(left_bm.concat(right_bm))
-        return results
-
     left_flat, left_bounds = batch_positions(list(left_bitmaps))
     right_flat, right_bounds = batch_positions(list(right_bitmaps))
     left_counts = np.zeros(nout, dtype=np.int64)
@@ -469,7 +429,3 @@ def batch_concat_positions(
     ] = right_flat + left_nbits
     del right_flat
     return batch_from_positions(merged, bounds, left_nbits + right_nbits)
-
-
-def _all_wah(bitmaps) -> bool:
-    return all(isinstance(bm, WAHBitmap) for bm in bitmaps)

@@ -10,48 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bitmap.wah import WAHBitmap
 
-def union_disjoint(bitmaps, nbits: int, codec=None):
+
+def union_disjoint(bitmaps, nbits: int) -> WAHBitmap:
     """OR of pairwise-disjoint bitmaps (e.g. several values of one column).
 
     ``O(total set bits)`` — each bitmap contributes its positions once.
     """
     bitmaps = list(bitmaps)
-    if codec is None:
-        if not bitmaps:
-            raise ValueError("need a codec for an empty union")
-        codec = type(bitmaps[0])
     if not bitmaps:
-        return codec.zeros(nbits)
+        return WAHBitmap.zeros(nbits)
     parts = [bm.positions() for bm in bitmaps]
-    positions = np.sort(np.concatenate(parts))
-    return codec.from_positions(positions, nbits)
+    return WAHBitmap.from_positions(np.sort(np.concatenate(parts)), nbits)
 
 
-def union(bitmaps, nbits: int, codec=None):
+def union(bitmaps, nbits: int) -> WAHBitmap:
     """OR of arbitrary (possibly overlapping) bitmaps."""
     bitmaps = list(bitmaps)
-    if codec is None:
-        if not bitmaps:
-            raise ValueError("need a codec for an empty union")
-        codec = type(bitmaps[0])
     if not bitmaps:
-        return codec.zeros(nbits)
+        return WAHBitmap.zeros(nbits)
     parts = [bm.positions() for bm in bitmaps]
-    positions = np.unique(np.concatenate(parts))
-    return codec.from_positions(positions, nbits)
-
-
-def intersection(bitmaps, nbits: int, codec=None):
-    """AND of bitmaps, folded pairwise (few operands expected)."""
-    bitmaps = list(bitmaps)
-    if codec is None:
-        if not bitmaps:
-            raise ValueError("need a codec for an empty intersection")
-        codec = type(bitmaps[0])
-    if not bitmaps:
-        return codec.ones(nbits)
-    result = bitmaps[0]
-    for bitmap in bitmaps[1:]:
-        result = result & bitmap
-    return result
+    return WAHBitmap.from_positions(np.unique(np.concatenate(parts)), nbits)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bitmap.batch import batch_from_positions
-from repro.bitmap.wah import WAHBitmap
 from repro.core.distinction import distinction, distinction_with_ranks
 from repro.core.filtering import filter_column
 from repro.core.status import EvolutionStatus
@@ -129,13 +128,7 @@ def _build_changed_table(
     directly from unit bitmaps; only the non-key columns need filtering.
     """
     single_key = (
-        len(key_attrs) == 1
-        and isinstance(
-            table.column(key_attrs[0]).bitmaps[0]
-            if table.column(key_attrs[0]).bitmaps
-            else None,
-            WAHBitmap,
-        )
+        len(key_attrs) == 1 and table.column(key_attrs[0]).distinct_count > 0
     )
     schema = table.schema.project(
         changed_attrs, changed_name, tuple(key_attrs)
@@ -160,7 +153,6 @@ def _build_changed_table(
                     rank_of_vid, np.arange(len(rank_of_vid) + 1), new_len
                 ),
                 new_len,
-                key_column.codec_name,
             )
             status.created_bitmaps(key_column.distinct_count)
             for attr in changed_attrs:

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bitmap.batch import batch_from_positions
+from repro.bitmap.wah import WAHBitmap
 from repro.core.status import EvolutionStatus
 from repro.smo.ops import MergeTables
 from repro.storage.column import BitmapColumn
@@ -195,7 +197,6 @@ def _build_join_column(
     total: int,
 ) -> BitmapColumn:
     """R's join-attribute column: per group one pure interval fill."""
-    codec = type(column.bitmaps[0]) if column.bitmaps else None
     group_vids = groups.group_value_vids[attr]
     sizes = groups.n1 * groups.n2
     ends = groups.offsets + sizes
@@ -210,9 +211,6 @@ def _build_join_column(
             [len(order)],
         )
     )
-    from repro.bitmap.codecs import get_codec
-
-    codec = get_codec(column.codec_name)
     for b in range(len(boundaries) - 1):
         lo, hi = int(boundaries[b]), int(boundaries[b + 1])
         if lo == hi:
@@ -221,12 +219,11 @@ def _build_join_column(
         vid = int(group_vids[chunk[0]])
         dictionary.add(column.dictionary.value(vid))
         bitmaps.append(
-            codec.from_intervals(groups.offsets[chunk], ends[chunk], total)
+            WAHBitmap.from_intervals(
+                groups.offsets[chunk], ends[chunk], total
+            )
         )
-    return BitmapColumn(
-        column.name, column.dtype, dictionary, bitmaps, total,
-        column.codec_name,
-    )
+    return BitmapColumn(column.name, column.dtype, dictionary, bitmaps, total)
 
 
 def _build_s_side_column(
@@ -250,9 +247,6 @@ def _build_s_side_column(
     sorted_vids = kept_vids[order]
     sorted_starts = starts[order]
     sorted_ends = ends[order]
-    from repro.bitmap.codecs import get_codec
-
-    codec = get_codec(column.codec_name)
     dictionary = Dictionary()
     bitmaps = []
     if len(order):
@@ -268,15 +262,12 @@ def _build_s_side_column(
             vid = int(sorted_vids[lo])
             dictionary.add(column.dictionary.value(vid))
             bitmaps.append(
-                codec.from_intervals(
+                WAHBitmap.from_intervals(
                     sorted_starts[lo:hi], sorted_ends[lo:hi], total
                 )
             )
     status.created_bitmaps(len(bitmaps))
-    return BitmapColumn(
-        column.name, column.dtype, dictionary, bitmaps, total,
-        column.codec_name,
-    )
+    return BitmapColumn(column.name, column.dtype, dictionary, bitmaps, total)
 
 
 def _build_t_side_column(
@@ -310,34 +301,19 @@ def _build_t_side_column(
     )
     vid_per_position = kept_vids[row_of_position]
 
+    # Grouped by vid, strictly increasing within each group: one
+    # batched constructor builds every value's bitmap.
     order = np.lexsort((positions, vid_per_position))
     sorted_vids = vid_per_position[order]
-    sorted_positions = positions[order]
-    from repro.bitmap.codecs import get_codec
-
-    codec = get_codec(column.codec_name)
-    dictionary = Dictionary()
-    bitmaps = []
-    if len(order):
-        boundaries = np.concatenate(
-            (
-                [0],
-                np.flatnonzero(np.diff(sorted_vids)) + 1,
-                [len(order)],
-            )
-        )
-        for b in range(len(boundaries) - 1):
-            lo, hi = int(boundaries[b]), int(boundaries[b + 1])
-            vid = int(sorted_vids[lo])
-            dictionary.add(column.dictionary.value(vid))
-            bitmaps.append(
-                codec.from_positions(sorted_positions[lo:hi], total)
-            )
-    status.created_bitmaps(len(bitmaps))
-    return BitmapColumn(
-        column.name, column.dtype, dictionary, bitmaps, total,
-        column.codec_name,
+    starts = np.flatnonzero(np.diff(sorted_vids, prepend=-1))
+    dictionary = Dictionary(
+        column.dictionary.value(vid) for vid in sorted_vids[starts].tolist()
     )
+    bitmaps = batch_from_positions(
+        positions[order], np.append(starts, len(order)), total
+    )
+    status.created_bitmaps(len(bitmaps))
+    return BitmapColumn(column.name, column.dtype, dictionary, bitmaps, total)
 
 
 def merge_general(

@@ -167,7 +167,6 @@ def merge_key_fk(
                 column_schema.dtype,
                 t_col.dictionary,
                 out_vids,
-                t_col.codec_name,
             )
             status.created_bitmaps(new_column.distinct_count)
         columns[column_schema.name] = new_column

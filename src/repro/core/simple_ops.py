@@ -11,6 +11,7 @@ table size; DROP/RENAME COLUMN are metadata.
 
 from __future__ import annotations
 
+from repro.bitmap.wah import WAHBitmap
 from repro.core.status import EvolutionStatus
 from repro.smo.ops import (
     AddColumn,
@@ -108,20 +109,13 @@ def add_column(
             f"default column {op.column.name!r} is one fill bitmap "
             "(O(1) in the table size)",
         ):
-            from repro.bitmap.codecs import get_codec
-
-            codec_name = (
-                table.columns()[0].codec_name if table.schema.columns else "wah"
-            )
-            codec = get_codec(codec_name)
             value = coerce(op.default, op.column.dtype)
             column = BitmapColumn(
                 op.column.name,
                 op.column.dtype,
                 Dictionary([value]),
-                [codec.ones(table.nrows)],
+                [WAHBitmap.ones(table.nrows)],
                 table.nrows,
-                codec_name,
             )
             status.created_bitmaps(1)
     return table.with_column(op.column, column)

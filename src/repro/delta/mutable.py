@@ -52,12 +52,12 @@ from repro.storage.table import Table, canonical_sort_key
 from repro.storage.types import coerce
 
 
-def _delta_column(name, dtype, values, codec_name) -> BitmapColumn:
+def _delta_column(name, dtype, values) -> BitmapColumn:
     """Encode plain row-ordered (already coerced) values into per-value
     bitmaps: dictionary-encode, then the bulk-load constructor."""
     dictionary = Dictionary()
     vids = dictionary.encode(values)
-    return BitmapColumn.from_vids(name, dtype, dictionary, vids, codec_name)
+    return BitmapColumn.from_vids(name, dtype, dictionary, vids)
 
 
 def _relabeled_table(table: Table, name: str, renames: dict) -> Table:
@@ -580,9 +580,7 @@ class MutableTable:
         if len(run.keep) != self._main.nrows:
             main_part = main_part.select(run.keep, compact=True)
         values = [self._delta.columns[name][i] for i in run.live_cutoff]
-        delta_part = _delta_column(
-            name, column_schema.dtype, values, main_part.codec_name
-        )
+        delta_part = _delta_column(name, column_schema.dtype, values)
         if delta_part.nrows:
             return main_part.concat(delta_part)
         return main_part

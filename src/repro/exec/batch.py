@@ -214,10 +214,7 @@ class TableBatch(ColumnBatch):
         return TableBatch(self.table, selection)
 
     def _matches(self, predicate) -> PlainBitmap:
-        bitmap = predicate.bitmap(self.table)
-        if isinstance(bitmap, PlainBitmap):
-            return bitmap
-        return PlainBitmap(bitmap.to_dense())
+        return PlainBitmap(predicate.bitmap(self.table).to_dense())
 
     def rows(self, out_positions=None) -> list[tuple]:
         base = decoded_main_rows(self.table)

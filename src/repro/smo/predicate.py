@@ -120,11 +120,9 @@ class Comparison(Predicate):
         vids = self._matching_vids(column)
         if len(vids) == 1:
             return column.bitmap_for_vid(vids[0])
-        bitmaps = [column.bitmap_for_vid(v) for v in vids]
-        from repro.bitmap.codecs import get_codec
-
-        codec = get_codec(column.codec_name)
-        return union_disjoint(bitmaps, table.nrows, codec)
+        return union_disjoint(
+            [column.bitmap_for_vid(v) for v in vids], table.nrows
+        )
 
     def __str__(self) -> str:
         if self.op == IN:
@@ -167,13 +165,8 @@ class Or(Predicate):
         )
 
     def bitmap(self, table):
-        from repro.bitmap.codecs import get_codec
-
-        codec = get_codec(table.columns()[0].codec_name)
         return union(
-            [self.left.bitmap(table), self.right.bitmap(table)],
-            table.nrows,
-            codec,
+            [self.left.bitmap(table), self.right.bitmap(table)], table.nrows
         )
 
     def __str__(self) -> str:

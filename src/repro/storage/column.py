@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bitmap.codecs import WAH, get_codec
 from repro.bitmap.stats import CompressionStats
 from repro.errors import StorageError
 from repro.storage.dictionary import Dictionary
@@ -22,22 +21,12 @@ from repro.storage.types import DataType, coerce
 class BitmapColumn:
     """One column of a column-store table, encoded as per-value bitmaps."""
 
-    __slots__ = ("name", "dtype", "codec_name", "_codec", "_dictionary",
-                 "_bitmaps", "_nrows")
+    __slots__ = ("name", "dtype", "_dictionary", "_bitmaps", "_nrows")
 
-    def __init__(
-        self,
-        name: str,
-        dtype: DataType,
-        dictionary: Dictionary,
-        bitmaps: list,
-        nrows: int,
-        codec_name: str = WAH,
-    ):
+    def __init__(self, name: str, dtype: DataType, dictionary: Dictionary,
+                 bitmaps: list, nrows: int):
         self.name = name
         self.dtype = dtype
-        self.codec_name = codec_name
-        self._codec = get_codec(codec_name)
         self._dictionary = dictionary
         self._bitmaps = bitmaps
         self._nrows = int(nrows)
@@ -52,13 +41,7 @@ class BitmapColumn:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_values(
-        cls,
-        name: str,
-        dtype: DataType,
-        values,
-        codec_name: str = WAH,
-    ) -> "BitmapColumn":
+    def from_values(cls, name: str, dtype: DataType, values) -> "BitmapColumn":
         """Build a column from row-ordered values.
 
         Values are dictionary-encoded, then each distinct value's sorted
@@ -70,17 +53,11 @@ class BitmapColumn:
             vids = dictionary.encode(values)
         else:
             vids = dictionary.encode([coerce(v, dtype) for v in values])
-        return cls.from_vids(name, dtype, dictionary, vids, codec_name)
+        return cls.from_vids(name, dtype, dictionary, vids)
 
     @classmethod
-    def from_vids(
-        cls,
-        name: str,
-        dtype: DataType,
-        dictionary: Dictionary,
-        vids: np.ndarray,
-        codec_name: str = WAH,
-    ) -> "BitmapColumn":
+    def from_vids(cls, name: str, dtype: DataType, dictionary: Dictionary,
+                  vids: np.ndarray) -> "BitmapColumn":
         """Build from a pre-encoded vid array (row order): one stable
         sort groups the row positions by vid, one batched constructor
         builds every value's bitmap."""
@@ -91,16 +68,8 @@ class BitmapColumn:
         bounds = np.concatenate(
             ([0], np.cumsum(np.bincount(vids, minlength=len(dictionary))))
         )
-        if codec_name == WAH:
-            bitmaps = batch_from_positions(order, bounds, nrows)
-        else:
-            codec = get_codec(codec_name)
-            edges = bounds.tolist()
-            bitmaps = [
-                codec.from_positions(order[lo:hi], nrows)
-                for lo, hi in zip(edges, edges[1:])
-            ]
-        return cls(name, dtype, dictionary, bitmaps, nrows, codec_name)
+        bitmaps = batch_from_positions(order, bounds, nrows)
+        return cls(name, dtype, dictionary, bitmaps, nrows)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -222,10 +191,7 @@ class BitmapColumn:
             kept = np.flatnonzero(counts).tolist()
             dictionary = Dictionary([dictionary.value(vid) for vid in kept])
             bitmaps = [bitmaps[vid] for vid in kept]
-        return BitmapColumn(
-            self.name, self.dtype, dictionary, bitmaps, nrows,
-            self.codec_name,
-        )
+        return BitmapColumn(self.name, self.dtype, dictionary, bitmaps, nrows)
 
     def concat(self, other: "BitmapColumn") -> "BitmapColumn":
         """Concatenate rows of two columns (UNION TABLES).
@@ -248,14 +214,13 @@ class BitmapColumn:
         )
         return BitmapColumn(
             self.name, self.dtype, dictionary, bitmaps,
-            self._nrows + other._nrows, self.codec_name,
+            self._nrows + other._nrows,
         )
 
     def renamed(self, new_name: str) -> "BitmapColumn":
         """Same data under a new column name (shares bitmaps)."""
         return BitmapColumn(
-            new_name, self.dtype, self._dictionary, self._bitmaps,
-            self._nrows, self.codec_name,
+            new_name, self.dtype, self._dictionary, self._bitmaps, self._nrows
         )
 
     # ------------------------------------------------------------------
@@ -280,5 +245,5 @@ class BitmapColumn:
     def __repr__(self) -> str:
         return (
             f"BitmapColumn({self.name!r}, {self.dtype}, rows={self._nrows}, "
-            f"distinct={self.distinct_count}, codec={self.codec_name})"
+            f"distinct={self.distinct_count})"
         )

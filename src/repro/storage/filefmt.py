@@ -5,10 +5,10 @@ Layout (all integers little-endian):
     magic "CODS" | u16 format version | u32 schema JSON length | schema JSON
     u32 column count
     per column:
-        u32 codec name length | codec name
+        u32 codec name length | codec name (always "wah")
         u32 dictionary JSON length | dictionary JSON (vid order)
         u32 bitmap count
-        per bitmap: u32 byte length | bitmap bytes (codec serialization)
+        per bitmap: u32 byte length | WAH bitmap bytes
 
 Bitmaps are stored in their *compressed* form byte-for-byte, so loading
 a table never decompresses anything — matching the paper's premise that
@@ -45,7 +45,7 @@ import struct
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.bitmap.codecs import get_codec
+from repro.bitmap.wah import WAHBitmap
 from repro.errors import SerializationError
 from repro.storage.column import BitmapColumn
 from repro.storage.dictionary import Dictionary
@@ -57,6 +57,7 @@ _MAGIC = b"CODS"
 _VERSION = 1
 _DELTA_MAGIC = b"CODD"
 _DELTA_VERSION = 3
+_CODEC = b"wah"
 
 
 def delta_sidecar_path(path) -> Path:
@@ -151,7 +152,7 @@ def save_table(table: Table, path) -> None:
         handle.write(struct.pack("<I", len(table.schema.column_names)))
         for name in table.schema.column_names:
             column = table.column(name)
-            _write_block(handle, column.codec_name.encode())
+            _write_block(handle, _CODEC)
             dictionary_json = json.dumps(
                 [_encode_value(v) for v in column.dictionary.values()]
             )
@@ -178,8 +179,12 @@ def load_table(path) -> Table:
             raise SerializationError(f"{path}: column count mismatch")
         columns = {}
         for column_schema in schema.columns:
-            codec_name = _read_block(handle).decode()
-            codec = get_codec(codec_name)
+            codec = _read_block(handle)
+            if codec != _CODEC:
+                raise SerializationError(
+                    f"{path}: column {column_schema.name!r} has bitmap "
+                    f"codec {codec!r}; only {_CODEC.decode()!r} is readable"
+                )
             values = [
                 _decode_value(v)
                 for v in json.loads(_read_block(handle).decode())
@@ -191,7 +196,7 @@ def load_table(path) -> Table:
                     f"{column_schema.name!r}"
                 )
             bitmaps = [
-                codec.from_bytes(_read_block(handle))
+                WAHBitmap.from_bytes(_read_block(handle))
                 for _ in range(bitmap_count)
             ]
             columns[column_schema.name] = BitmapColumn(
@@ -200,7 +205,6 @@ def load_table(path) -> Table:
                 Dictionary(values),
                 bitmaps,
                 nrows,
-                codec_name,
             )
     return Table(schema, columns, nrows)
 

@@ -8,7 +8,6 @@ data-level evolution algorithms never materialize rows.
 
 from __future__ import annotations
 
-from repro.bitmap.codecs import WAH
 from repro.errors import SchemaError, StorageError
 from repro.storage.column import BitmapColumn
 from repro.storage.schema import ColumnSchema, TableSchema
@@ -52,12 +51,7 @@ class Table:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_columns(
-        cls,
-        schema: TableSchema,
-        data: dict,
-        codec_name: str = WAH,
-    ) -> "Table":
+    def from_columns(cls, schema: TableSchema, data: dict) -> "Table":
         """Build from ``{column_name: row-ordered values}``."""
         lengths = {len(values) for values in data.values()}
         if len(lengths) > 1:
@@ -73,17 +67,11 @@ class Table:
                 column_schema.name,
                 column_schema.dtype,
                 data[column_schema.name],
-                codec_name,
             )
         return cls(schema, columns, nrows)
 
     @classmethod
-    def from_rows(
-        cls,
-        schema: TableSchema,
-        rows,
-        codec_name: str = WAH,
-    ) -> "Table":
+    def from_rows(cls, schema: TableSchema, rows) -> "Table":
         """Build from an iterable of row tuples (schema column order)."""
         rows = list(rows)
         names = schema.column_names
@@ -91,13 +79,11 @@ class Table:
             name: [row[index] for row in rows]
             for index, name in enumerate(names)
         }
-        return cls.from_columns(schema, data, codec_name)
+        return cls.from_columns(schema, data)
 
     @classmethod
-    def empty(cls, schema: TableSchema, codec_name: str = WAH) -> "Table":
-        return cls.from_columns(
-            schema, {name: [] for name in schema.column_names}, codec_name
-        )
+    def empty(cls, schema: TableSchema) -> "Table":
+        return cls.from_columns(schema, {n: [] for n in schema.column_names})
 
     # ------------------------------------------------------------------
     # Accessors
@@ -243,7 +229,7 @@ class Table:
         )
 
 
-def table_from_python(name: str, spec: dict, primary_key=(), codec_name=WAH,
+def table_from_python(name: str, spec: dict, primary_key=(),
                       candidate_keys=()) -> Table:
     """Convenience constructor: ``spec`` maps column name to
     ``(DataType, values)``; used heavily by tests and examples."""
@@ -254,4 +240,4 @@ def table_from_python(name: str, spec: dict, primary_key=(), codec_name=WAH,
         name, columns, tuple(primary_key), tuple(candidate_keys)
     )
     data = {cname: values for cname, (_dtype, values) in spec.items()}
-    return Table.from_columns(schema, data, codec_name)
+    return Table.from_columns(schema, data)

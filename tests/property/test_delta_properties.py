@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitmap import WAHBitmap
 from repro.delta import CompactionPolicy, MutableTable
 from repro.smo.predicate import And, Comparison, Not, Or
 from repro.storage import DataType, Table, table_from_python
@@ -166,8 +167,9 @@ def test_any_interleaving_matches_oracle(initial, stream):
     expected = Table.from_rows(compacted.schema, oracle.rows)
     assert compacted.same_content(expected)
     assert all(
-        compacted.column(name).codec_name == "wah"
+        isinstance(bitmap, WAHBitmap)
         for name in compacted.column_names
+        for bitmap in compacted.column(name).bitmaps
     )
     assert not mutable.has_pending_changes
 

@@ -1,10 +1,9 @@
-"""Property-based tests for RLE vectors, columns, FDs and the SMO parser."""
+"""Property-based tests for bitmap columns, FDs and the SMO parser."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmap import RLEVector
 from repro.fd import (
     FunctionalDependency,
     candidate_keys,
@@ -19,44 +18,6 @@ from repro.storage import BitmapColumn, DataType
 vid_arrays = st.lists(
     st.integers(min_value=0, max_value=6), min_size=0, max_size=120
 ).map(lambda xs: np.array(xs, dtype=np.int64))
-
-
-class TestRLEProperties:
-    @given(vid_arrays)
-    def test_roundtrip(self, vids):
-        assert np.array_equal(RLEVector.from_values(vids).decode(), vids)
-
-    @given(vid_arrays)
-    def test_positions_partition_rows(self, vids):
-        vector = RLEVector.from_values(vids)
-        collected = np.sort(
-            np.concatenate(
-                [vector.positions_of(v) for v in set(vids.tolist())]
-            )
-        ) if len(vids) else np.empty(0)
-        assert np.array_equal(collected, np.arange(len(vids)))
-
-    @given(vid_arrays, st.randoms(use_true_random=False))
-    def test_select_matches_fancy_indexing(self, vids, rnd):
-        vector = RLEVector.from_values(vids)
-        n = len(vids)
-        k = rnd.randint(0, n) if n else 0
-        picks = np.array(sorted(rnd.sample(range(n), k)), dtype=np.int64)
-        assert np.array_equal(vector.select(picks).decode(), vids[picks])
-
-    @given(vid_arrays, vid_arrays)
-    def test_concat(self, left, right):
-        combined = RLEVector.from_values(left).concat(
-            RLEVector.from_values(right)
-        )
-        assert np.array_equal(
-            combined.decode(), np.concatenate([left, right])
-        )
-
-    @given(vid_arrays)
-    def test_serialization(self, vids):
-        vector = RLEVector.from_values(vids)
-        assert RLEVector.from_bytes(vector.to_bytes()) == vector
 
 
 class TestColumnProperties:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bitmap import PlainBitmap, WAHBitmap
+from repro.bitmap import WAHBitmap
 from repro.bitmap.batch import (
     batch_concat_positions,
     batch_count,
@@ -18,10 +18,10 @@ from repro.bitmap.batch import (
 from repro.errors import BitmapError, StorageError
 
 
-def column_bitmaps(vids: np.ndarray, cardinality: int, codec=WAHBitmap):
+def column_bitmaps(vids: np.ndarray, cardinality: int):
     n = len(vids)
     return [
-        codec.from_positions(np.flatnonzero(vids == v), n)
+        WAHBitmap.from_positions(np.flatnonzero(vids == v), n)
         for v in range(cardinality)
     ]
 
@@ -68,19 +68,6 @@ class TestBatchEquivalence:
         bitmaps = [WAHBitmap.from_positions([0], 3)]  # rows 1,2 uncovered
         with pytest.raises(StorageError):
             batch_decode_vids(bitmaps, 3)
-
-    def test_plain_codec_fallback(self):
-        rng = np.random.default_rng(6)
-        vids = rng.integers(0, 4, 100)
-        vids[:4] = np.arange(4)
-        bitmaps = column_bitmaps(vids, 4, codec=PlainBitmap)
-        assert batch_count(bitmaps).tolist() == [
-            bm.count() for bm in bitmaps
-        ]
-        assert batch_first_set(bitmaps).tolist() == [
-            bm.first_set() for bm in bitmaps
-        ]
-        assert np.array_equal(batch_decode_vids(bitmaps, 100), vids)
 
     def test_empty_list(self):
         assert batch_count([]).tolist() == []
@@ -250,26 +237,6 @@ class TestBatchFilterAndConcat:
             batch_concat_positions([], left, [0, 1], 0, 3), left
         )
 
-    def test_mixed_codecs_take_the_per_bitmap_fallback(self):
-        vids = np.random.default_rng(11).integers(0, 3, 90)
-        vids[:3] = np.arange(3)
-        mixed = column_bitmaps(vids, 3)
-        mixed[1] = PlainBitmap.from_positions(np.flatnonzero(vids == 1), 90)
-        picks = np.arange(0, 90, 3)
-        filtered, counts = batch_select(mixed, picks)
-        assert [type(bm) for bm in filtered] == [type(bm) for bm in mixed]
-        assert filtered == [bm.select(picks) for bm in mixed]
-        assert counts.tolist() == [bm.count() for bm in filtered]
-        mask = vids != 2
-        (true, _), (false, false_counts) = batch_split(mixed, mask)
-        assert isinstance(true[1], PlainBitmap)
-        assert false_counts.tolist() == [0, 0, int((vids == 2).sum())]
-        plain = column_bitmaps(vids, 3, codec=PlainBitmap)
-        merged = batch_concat_positions(plain, plain[:1], [3], 90, 90)
-        assert len(merged) == 4
-        assert merged[3] == PlainBitmap.zeros(90).concat(plain[0])
-        assert merged[0] == plain[0].concat(PlainBitmap.zeros(90))
-
 
 class TestBatchVidsAt:
     """Point lookups into a bitmap family: the vid owning each queried
@@ -310,10 +277,3 @@ class TestBatchVidsAt:
         bitmaps = column_bitmaps(vids, 4)[:2]
         got = batch_vids_at(bitmaps, np.arange(8))
         assert got.tolist() == [0, 1, -1, -1, 0, 1, -1, -1]
-
-    def test_plain_codec_fallback(self):
-        vids = np.array([2, 0, 1, 1, 2, 0, 0, 2])
-        bitmaps = column_bitmaps(vids, 3, codec=PlainBitmap)
-        assert np.array_equal(
-            batch_vids_at(bitmaps, np.arange(8)), vids
-        )

@@ -15,6 +15,7 @@ from repro.core import (
     merge_key_fk,
     plan_decomposition,
 )
+from repro.bitmap import WAHBitmap
 from repro.core.distinction import distinction_with_ranks
 from repro.errors import EvolutionError, LosslessJoinError
 from repro.fd import FunctionalDependency
@@ -263,6 +264,49 @@ class TestMergeGeneral:
             (1, "z", "p"), (1, "z", "q"),
             (2, "y", "r"),
         ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_t_side_column_equals_the_per_value_constructor(self, seed):
+        """One batched constructor builds the T-side column: word for
+        word what ``WAHBitmap.from_positions`` builds per value, in the
+        same dictionary order, counted as one created bitmap each."""
+        rng = np.random.default_rng(seed)
+        left = table_from_python(
+            "S",
+            {
+                "J": (DataType.INT, rng.integers(0, 8, 120).tolist()),
+                "A": (DataType.INT, rng.integers(0, 5, 120).tolist()),
+            },
+        )
+        right = table_from_python(
+            "T",
+            {
+                # J = 8 and 9 join nothing: their B values drop out.
+                "J": (DataType.INT, rng.integers(0, 10, 90).tolist()),
+                "B": (DataType.STRING,
+                      [f"b{v}" for v in rng.integers(0, 40, 90)]),
+            },
+        )
+        status = EvolutionStatus()
+        merged = merge_general(
+            left, right, MergeTables("S", "T", "R", ("J",)), ("J",), status
+        )
+        column = merged.column("B")
+        values = column.to_values()
+        present = set(values)
+        assert column.dictionary.values() == [
+            v for v in right.column("B").dictionary.values() if v in present
+        ]
+        for vid, value in enumerate(column.dictionary.values()):
+            want = WAHBitmap.from_positions(
+                [row for row, v in enumerate(values) if v == value],
+                merged.nrows,
+            )
+            assert column.bitmaps[vid].words.tolist() == want.words.tolist()
+            assert column.bitmaps[vid].count() == want.count()
+        assert status.bitmaps_created == sum(
+            merged.column(name).distinct_count for name in ("J", "A", "B")
+        )
 
     def test_no_common_values(self):
         left = table_from_python(

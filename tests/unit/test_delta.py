@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+from repro.bitmap import WAHBitmap
 from repro.core.engine import EvolutionEngine
 from repro.delta import CompactionPolicy, DeltaStore, MutableTable
 from repro.demo.cli import DemoSession
@@ -114,26 +115,23 @@ class TestMutableTable:
 
     def test_compaction_encodes_buffered_values_exactly(self):
         """The fold dictionary-encodes the buffer in bulk: first-seen
-        vid order, NULLs, and strings NumPy would truncate all survive,
-        for the WAH codec and the fallback alike."""
+        vid order, NULLs, and strings NumPy would truncate all survive."""
         rows = [(5, "z"), (6, None), (7, "z\0"), (8, "z"), (9, None)]
-        for codec in ("wah", "plain"):
-            table = table_from_python(
-                "R",
-                {
-                    "K": (DataType.INT, [1, 2]),
-                    "S": (DataType.STRING, ["a", "b"]),
-                },
-                codec_name=codec,
-            )
-            mutable = frozen(table)
-            mutable.insert_rows(rows)
-            main = mutable.compact()
-            assert main.to_rows() == [(1, "a"), (2, "b")] + rows
-            assert main.column("S").dictionary.values() == [
-                "a", "b", "z", None, "z\0",
-            ]
-            assert main.column("S").codec_name == codec
+        table = table_from_python(
+            "R",
+            {
+                "K": (DataType.INT, [1, 2]),
+                "S": (DataType.STRING, ["a", "b"]),
+            },
+        )
+        mutable = frozen(table)
+        mutable.insert_rows(rows)
+        main = mutable.compact()
+        assert main.to_rows() == [(1, "a"), (2, "b")] + rows
+        assert main.column("S").dictionary.values() == [
+            "a", "b", "z", None, "z\0",
+        ]
+        assert all(isinstance(bm, WAHBitmap) for bm in main.column("S").bitmaps)
 
     def test_insert_rows_is_atomic(self):
         mutable = frozen()
@@ -200,8 +198,9 @@ class TestMutableTable:
         assert table.to_rows() == expected
         assert not mutable.has_pending_changes
         assert all(
-            table.column(name).codec_name == "wah"
+            isinstance(bitmap, WAHBitmap)
             for name in table.column_names
+            for bitmap in table.column(name).bitmaps
         )
         oracle = Table.from_rows(table.schema, expected)
         assert table.same_content(oracle)

@@ -583,3 +583,56 @@ class TestAggregationDocs:
         assert (REPO / "benchmarks" / "bench_aggregate.py").exists()
         ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
         assert "bench_aggregate.py" in ci
+
+
+class TestOneCodecDocs:
+    REMOVED = (
+        "codec_name", "get_codec", "register_codec", "RLEVector", "_all_wah",
+    )
+
+    def test_removed_codec_names_appear_nowhere(self):
+        """WAH is the only column codec; only the migration note may
+        still name what was removed."""
+        paths = [
+            *(REPO / "src").rglob("*.py"),
+            *(REPO / "docs").glob("*.md"),
+            REPO / "README.md",
+            *(REPO / "examples").glob("*.py"),
+            *(REPO / "benchmarks").glob("bench_*.py"),
+        ]
+        migration = REPO / "docs" / "migration.md"
+        for path in paths:
+            if path == migration:
+                continue
+            text = path.read_text()
+            for name in self.REMOVED:
+                assert name not in text, f"{path} still mentions {name}"
+        note = migration.read_text()
+        assert "## Removed: per-column codecs" in note
+        for name in self.REMOVED[:-1]:
+            assert name in note, f"migration.md omits {name}"
+
+    def test_codec_modules_and_ablations_are_gone(self):
+        import repro
+        import repro.bitmap
+        import repro.bitmap.ops as ops
+
+        for module in ("codecs.py", "rle.py"):
+            assert not (REPO / "src" / "repro" / "bitmap" / module).exists()
+        for script in ("bench_ablation_codec.py", "bench_ablation_rle.py"):
+            assert not (REPO / "benchmarks" / script).exists()
+        assert not hasattr(repro, "RLEVector")
+        assert not hasattr(repro.bitmap, "RLEVector")
+        assert not hasattr(ops, "intersection")
+
+    def test_format_doc_names_one_codec(self):
+        text = (REPO / "docs" / "delta-format.md").read_text()
+        assert 'codec name (always "wah")' in text
+        assert '"rle"' not in text and '"plain"' not in text
+
+    def test_ci_runs_every_pytest_benchmark_script(self):
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert (
+            "python -m pytest benchmarks/bench_*.py --benchmark-disable -q"
+            in ci
+        )

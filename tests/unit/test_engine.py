@@ -70,8 +70,7 @@ class TestSimpleOps:
         assert all(r[2] == "425 Grant Ave" for r in grant.to_rows())
         assert all(r[2] != "425 Grant Ave" for r in industrial.to_rows())
 
-    @pytest.mark.parametrize("codec", ["wah", "plain"])
-    def test_partition_single_pass_equals_two_filters(self, codec):
+    def test_partition_single_pass_equals_two_filters(self):
         """PARTITION splits each column's positions once; the outputs
         and the filtering count are those of two separate filters."""
         rng = np.random.default_rng(3)
@@ -82,7 +81,6 @@ class TestSimpleOps:
                 "v": (DataType.STRING,
                       [f"v{i}" for i in rng.integers(0, 7, 500)]),
             },
-            codec_name=codec,
         )
         engine = EvolutionEngine()
         engine.load_table(table)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.bitmap.codecs import codec_names, get_codec
 from repro.bitmap.ops import union_disjoint
 from repro.errors import SmoValidationError
 from repro.smo import (
@@ -233,14 +232,10 @@ class TestPredicates:
         return union_disjoint(
             [column.bitmap_for_vid(vid) for vid, hit in enumerate(hits) if hit],
             table.nrows,
-            get_codec(column.codec_name),
         )
 
     @pytest.mark.parametrize("layout", ["shuffled", "sorted"])
-    @pytest.mark.parametrize("codec", codec_names())
-    def test_lookup_equals_the_dictionary_scan_word_for_word(
-        self, codec, layout
-    ):
+    def test_lookup_equals_the_dictionary_scan_word_for_word(self, layout):
         """``=`` and ``IN`` resolve by dictionary lookup, and one hit is
         the stored bitmap itself; either way the result is the scan's,
         word for word.  ``sorted`` gives each value one long run (fill
@@ -254,7 +249,6 @@ class TestPredicates:
         table = table_from_python(
             "P",
             {"s": (DataType.STRING, strings), "f": (DataType.FLOAT, floats)},
-            codec_name=codec,
         )
         predicates = [
             Comparison("s", "=", "y"),

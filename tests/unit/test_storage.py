@@ -283,13 +283,6 @@ class TestBitmapColumn:
         assert stats.logical_bits == 10_000
         assert stats.ratio > 100
 
-    def test_plain_codec_column(self):
-        column = BitmapColumn.from_values(
-            "c", DataType.INT, [1, 2, 1], codec_name="plain"
-        )
-        assert column.to_values() == [1, 2, 1]
-        assert column.codec_name == "plain"
-
     def test_renamed_shares_bitmaps(self):
         column = BitmapColumn.from_values("c", DataType.INT, [1, 2])
         renamed = column.renamed("d")

@@ -1,5 +1,7 @@
 """Unit tests for tables, the catalog and both IO formats."""
 
+import struct
+
 import pytest
 
 from repro.errors import SchemaError, SerializationError, StorageError
@@ -181,6 +183,23 @@ class TestCsvIO:
             load_csv(path, schema=wrong)
 
 
+# ``save_table`` of Z(a INT) = [7, 7, 9]: header, schema JSON, then the
+# one column's codec block, dictionary JSON and two WAH bitmaps.
+PINNED_CODS = (
+    b"CODS\x01\x00\x03\x00\x00\x00\x00\x00\x00\x00t\x00\x00\x00"
+    b'{"name": "Z", "columns": [{"name": "a", "dtype": "INT", '
+    b'"nullable": true}], "primary_key": [], "candidate_keys": []}'
+    b"\x01\x00\x00\x00"
+    b"\x03\x00\x00\x00wah"
+    b"\x06\x00\x00\x00[7, 9]"
+    b"\x02\x00\x00\x00"
+    b"\x14\x00\x00\x00WAH1\x03\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"
+    b"\x03\x00\x00\x00"
+    b"\x14\x00\x00\x00WAH1\x03\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"
+    b"\x04\x00\x00\x00"
+)
+
+
 class TestBinaryIO:
     def test_roundtrip(self, small_table, tmp_path):
         path = tmp_path / "r.cods"
@@ -241,3 +260,36 @@ class TestBinaryIO:
         path = tmp_path / "z.cods"
         save_table(table, path)
         assert path.stat().st_size < 2_000
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        """Files written before WAH became the only codec still load,
+        and saving writes them back byte for byte."""
+        path = tmp_path / "z.cods"
+        path.write_bytes(PINNED_CODS)
+        loaded = load_table(path)
+        assert loaded.to_rows() == [(7,), (7,), (9,)]
+        save_table(loaded, tmp_path / "again.cods")
+        assert (tmp_path / "again.cods").read_bytes() == PINNED_CODS
+        save_table(
+            table_from_python("Z", {"a": (DataType.INT, [7, 7, 9])}), path
+        )
+        assert path.read_bytes() == PINNED_CODS
+
+    @pytest.mark.parametrize(
+        "codec", [b"plain", b"\xff\xfewah"], ids=["plain", "non-utf8"]
+    )
+    def test_codec_other_than_wah_is_rejected(self, small_table, tmp_path,
+                                              codec):
+        path = tmp_path / "r.cods"
+        save_table(small_table, path)
+        data = path.read_bytes()
+        block = struct.pack("<I", 3) + b"wah"
+        at = data.index(block, data.index(block) + 1)  # column b's block
+        path.write_bytes(
+            data[:at] + struct.pack("<I", len(codec)) + codec
+            + data[at + len(block):]
+        )
+        with pytest.raises(SerializationError) as info:
+            load_table(path)
+        assert str(path) in str(info.value)
+        assert "column 'b'" in str(info.value)
