@@ -56,3 +56,6 @@ class PlainBitmap:
         if len(self._bits) != len(other._bits):
             raise BitmapError("bitmap length mismatch")
         return PlainBitmap(self._bits & other._bits)
+
+    def __invert__(self) -> "PlainBitmap":
+        return PlainBitmap(~self._bits)

@@ -6,11 +6,14 @@ still *see* those buffered writes (read-your-writes), while every other
 session keeps reading live state.  The seam is the adapter: the
 transaction's session reads through a :class:`ReadYourWritesAdapter`,
 which serves untouched tables straight from the scoped (pinned) adapter
-underneath and written tables from a per-table :class:`TableOverlay` —
-the pinned base rows with the scope's own inserts, updates and deletes
-applied on top, flowing into the batch pipeline as
-:class:`~repro.exec.batch.ValuesBatch` windows like any row-backed
-source.
+underneath and written tables from a per-table :class:`TableOverlay`.
+
+An overlay is the pinned snapshot's own column batches with the
+scope's writes applied as the main/delta split applies them: a DELETE
+narrows the batches' selections, an INSERT appends a
+:class:`~repro.exec.batch.ValuesBatch`, and an UPDATE is both, as in
+:meth:`repro.delta.MutableTable.update`.  No row is decoded to start an
+overlay, and a written table keeps the compressed-domain paths.
 
 The overlay is *presentation only*: nothing here touches the delta
 stores or the WAL.  Commit replays the buffered statement text against
@@ -21,53 +24,63 @@ the overlay — ``docs/migration.md`` spells out the visible differences.
 
 from __future__ import annotations
 
-from repro.errors import StorageError
-from repro.exec import batches_from_rows, iter_rows
-from repro.sql.adapter import EngineAdapter, _drop_rows, _patch_rows
-from repro.storage.types import coerce
+from repro.exec import ValuesBatch
+from repro.sql.adapter import EngineAdapter
 
 
 class TableOverlay:
-    """One written table's view inside a transaction: the pinned base
-    rows patched by the scope's own DML, in insertion order."""
+    """One written table's view inside a transaction: the pinned
+    snapshot's batches, narrowed by the scope's deletes and followed by
+    the rows it inserted or updated, in write order.  Batches are
+    immutable, so a cursor still draining an earlier
+    :meth:`scan_batches` copy never sees later writes."""
 
-    __slots__ = ("schema", "_rows")
+    __slots__ = ("schema", "_batches")
 
-    def __init__(self, schema, base_rows):
+    def __init__(self, schema, batches):
         self.schema = schema
-        self._rows = list(base_rows)
+        self._batches = list(batches)
 
-    def _coerce_row(self, row) -> tuple:
-        row = tuple(row)
-        if len(row) != len(self.schema.columns):
-            raise StorageError(
-                f"row arity {len(row)} != {len(self.schema.columns)} for "
-                f"table {self.schema.name!r}"
+    def _append(self, rows: list) -> int:
+        if rows:
+            self._batches.append(
+                ValuesBatch.from_rows(self.schema.column_names, rows)
             )
-        return tuple(
-            coerce(value, column.dtype)
-            for value, column in zip(row, self.schema.columns)
-        )
+        return len(rows)
+
+    def _take(self, predicate) -> list:
+        """Drop the rows matching ``predicate`` (all when ``None``)
+        from every batch's selection; returns the victims as batches
+        selecting exactly them."""
+        kept, victims = [], []
+        for batch in self._batches:
+            hit = batch if predicate is None else batch.filter(predicate)
+            if not hit.selected_count:
+                kept.append(batch)
+                continue
+            victims.append(hit)
+            if hit.selected_count < batch.selected_count:
+                kept.append(batch.without(hit))
+        self._batches = kept
+        return victims
 
     def insert_rows(self, rows) -> int:
-        incoming = [self._coerce_row(row) for row in rows]
-        self._rows.extend(incoming)
-        return len(incoming)
+        return self._append([self.schema.coerce_row(row) for row in rows])
 
     def update(self, assignments, predicate) -> int:
-        self._rows, count = _patch_rows(
-            self.schema, self._rows, assignments, predicate
-        )
-        return count
+        coerced = self.schema.coerce_assignments(assignments)
+        names = self.schema.column_names
+        return self._append([
+            tuple(coerced.get(name, value) for name, value in zip(names, row))
+            for victim in self._take(predicate)
+            for row in victim.rows()
+        ])
 
     def delete(self, predicate) -> int:
-        self._rows, count = _drop_rows(self.schema, self._rows, predicate)
-        return count
+        return sum(victim.selected_count for victim in self._take(predicate))
 
-    def scan_batches(self):
-        # A copy: a cursor still draining these batches must not see
-        # rows the scope inserts afterwards.
-        return batches_from_rows(self.schema.column_names, list(self._rows))
+    def scan_batches(self) -> list:
+        return list(self._batches)
 
 
 class ReadYourWritesAdapter(EngineAdapter):
@@ -77,10 +90,10 @@ class ReadYourWritesAdapter(EngineAdapter):
     transaction buffers the statement text separately for commit
     replay).
 
-    The first write to a table materializes its overlay from the
-    *inner* adapter's view — the pinned snapshot, thanks to the
+    The first write to a table starts its overlay from the *inner*
+    adapter's batches — the pinned snapshot, thanks to the
     transaction's pin-on-first-touch — so the overlay starts from
-    exactly the rows the scope was already reading.
+    exactly the rows the scope was already reading, none decoded.
     """
 
     def __init__(self, inner: EngineAdapter):
@@ -98,20 +111,15 @@ class ReadYourWritesAdapter(EngineAdapter):
     # -- overlay lifecycle ----------------------------------------------
 
     def overlay(self, name: str) -> TableOverlay:
-        """The table's overlay, materialized from the pinned view on
-        first touch."""
+        """The table's overlay, started from the pinned view's batches
+        on first touch."""
         overlay = self._overlays.get(name)
         if overlay is None:
             overlay = TableOverlay(
-                self._inner.schema(name),
-                iter_rows(self._inner.scan_batches(name)),
+                self._inner.schema(name), self._inner.scan_batches(name)
             )
             self._overlays[name] = overlay
         return overlay
-
-    @property
-    def written_tables(self) -> list[str]:
-        return sorted(self._overlays)
 
     def discard(self) -> None:
         """Drop every overlay (rollback)."""
@@ -138,16 +146,14 @@ class ReadYourWritesAdapter(EngineAdapter):
         return self._inner.scan_batches(name)
 
     def scan_path(self, name: str) -> str:
+        path = self._inner.scan_path(name)
         if name in self._overlays:
-            return "transaction overlay rows via compiled evaluator batches"
-        return self._inner.scan_path(name)
+            return f"{path}, transaction rows: compiled evaluator"
+        return path
 
     def table_stats(self, name: str):
-        # A written table reads from its overlay rows, which the inner
-        # backend's statistics no longer describe — decline, so the
-        # planner takes the row-wise (always-correct) strategies.
-        if name in self._overlays:
-            return None
+        # The pinned view's statistics, written tables included: they
+        # are a hint for strategy choice, never for correctness.
         return self._inner.table_stats(name)
 
     def create_index(self, table: str, column: str) -> None:

@@ -49,7 +49,6 @@ from repro.errors import SchemaError, StorageError
 from repro.storage.column import BitmapColumn
 from repro.storage.dictionary import Dictionary
 from repro.storage.table import Table, canonical_sort_key
-from repro.storage.types import coerce
 
 
 def _delta_column(name, dtype, values) -> BitmapColumn:
@@ -442,15 +441,7 @@ class MutableTable:
             if not assignments:
                 return 0
             names = self.schema.column_names
-            for column in assignments:
-                if column not in names:
-                    raise SchemaError(
-                        f"no column {column!r} in table {self.name!r}"
-                    )
-            coerced = {
-                column: coerce(value, self.schema.column(column).dtype)
-                for column, value in assignments.items()
-            }
+            coerced = self.schema.coerce_assignments(assignments)
 
             main_positions = self._matching_main_positions(predicate)
             old_main = (

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.storage.schema import TableSchema
-from repro.storage.types import coerce
 
 #: Appended rows after which per-column hash indexes are built on demand.
 DEFAULT_INDEX_THRESHOLD = 256
@@ -135,18 +134,6 @@ class DeltaStore:
     # Writes (each bumps the epoch counter)
     # ------------------------------------------------------------------
 
-    def _coerce_row(self, row) -> tuple:
-        row = tuple(row)
-        if len(row) != len(self.schema.columns):
-            raise StorageError(
-                f"row arity {len(row)} != {len(self.schema.columns)} for "
-                f"table {self.schema.name!r}"
-            )
-        return tuple(
-            coerce(value, column.dtype)
-            for value, column in zip(row, self.schema.columns)
-        )
-
     def _admit(self, coerced: tuple, epoch: int) -> int:
         index = self.n_appended
         for value, name in zip(coerced, self.schema.column_names):
@@ -161,7 +148,7 @@ class DeltaStore:
         """Buffer one row tuple (schema column order); returns its
         delta index."""
         with self._lock:
-            coerced = self._coerce_row(row)
+            coerced = self.schema.coerce_row(row)
             self.epoch += 1
             if self._wal is not None:
                 self._wal.log_insert([coerced], self.epoch)
@@ -172,7 +159,7 @@ class DeltaStore:
         is admitted, so a malformed row leaves no partial batch behind.
         The whole batch shares one epoch.  Returns the count."""
         with self._lock:
-            coerced = [self._coerce_row(row) for row in rows]
+            coerced = [self.schema.coerce_row(row) for row in rows]
             if not coerced:
                 return 0
             self.epoch += 1
@@ -216,7 +203,7 @@ class DeltaStore:
         deletes-from-main, deletes-from-delta, appends.  Returns the
         number of rows appended."""
         with self._lock:
-            coerced = [self._coerce_row(row) for row in rows]
+            coerced = [self.schema.coerce_row(row) for row in rows]
             if not positions and not indices and not coerced:
                 return 0
             for index in indices:
@@ -245,7 +232,7 @@ class DeltaStore:
     def replay_insert(self, rows, epoch: int) -> None:
         """Re-admit logged rows at their logged (shared) epoch."""
         with self._lock:
-            coerced = [self._coerce_row(row) for row in rows]
+            coerced = [self.schema.coerce_row(row) for row in rows]
             self.epoch = epoch
             for row in coerced:
                 self._admit(row, epoch)
@@ -268,7 +255,7 @@ class DeltaStore:
         sequence exactly (so later records — and ``compact`` cutoffs —
         land on the same positions they were logged against)."""
         with self._lock:
-            coerced = [self._coerce_row(row) for row in rows]
+            coerced = [self.schema.coerce_row(row) for row in rows]
             current = epoch
             for position in positions:
                 self.deleted_main[position] = current
@@ -284,19 +271,6 @@ class DeltaStore:
                 self._admit(row, current)
                 self.epoch = current
                 current += 1
-
-    def clear(self) -> None:
-        """Reset to empty (after the delta is folded into the main).
-        The epoch counter survives — it is monotonic for the table's
-        whole lifetime, across compactions."""
-        with self._lock:
-            for values in self.columns.values():
-                values.clear()
-            self.insert_epochs.clear()
-            self.deleted_main.clear()
-            self.deleted_delta.clear()
-            self._indexes.clear()
-            self._live_cache = None
 
     def adopt_schema(
         self, schema: TableSchema, renames: dict[str, str] | None = None

@@ -111,6 +111,13 @@ class ColumnBatch:
             _and_selection(self.selection, self._matches(predicate))
         )
 
+    def without(self, subset: "ColumnBatch") -> "ColumnBatch":
+        """The same source less the rows ``subset`` — a proper
+        :meth:`filter` of this batch — selects."""
+        return self.with_selection(
+            _and_selection(self.selection, ~subset.selection)
+        )
+
     def _matches(self, predicate) -> PlainBitmap:
         """Bitmap of physical rows satisfying ``predicate``.  May
         over-approximate outside the current selection (the caller ANDs
@@ -132,9 +139,10 @@ class ValuesBatch(ColumnBatch):
 
     This is the generic representation: the row-store baseline, the
     query-level column baseline (which must pay decompression — the
-    cost the paper charges it), transaction overlays, and
-    join outputs re-entering the pipeline all land here.  Predicates
-    run as compiled per-column evaluators over the selected positions.
+    cost the paper charges it), the rows a transaction writes inside
+    its scope, and join outputs re-entering the pipeline all land here.
+    Predicates run as compiled per-column evaluators over the selected
+    positions.
     """
 
     __slots__ = ("column_names", "columns", "physical_rows", "_source_rows")
@@ -238,13 +246,17 @@ class DeltaBatch(ColumnBatch):
     per-column evaluators over the buffer's plain vectors.
     """
 
-    __slots__ = ("delta", "epoch", "column_names", "physical_rows")
+    __slots__ = ("delta", "epoch", "column_names", "columns",
+                 "physical_rows")
 
     def __init__(self, delta, epoch: int | None = None, selection=...,
-                 physical_rows: int | None = None):
+                 physical_rows: int | None = None, columns=None):
         self.delta = delta
         self.epoch = delta.epoch if epoch is None else epoch
-        self.column_names = delta.schema.column_names
+        # A metadata-only rename re-keys the store's dict, never a held
+        # batch's (a transaction overlay holds batches across statements).
+        self.columns = delta.columns if columns is None else columns
+        self.column_names = tuple(self.columns)
         self.physical_rows = (
             delta.n_appended if physical_rows is None else physical_rows
         )
@@ -259,18 +271,23 @@ class DeltaBatch(ColumnBatch):
 
     def with_selection(self, selection) -> "DeltaBatch":
         return DeltaBatch(
-            self.delta, self.epoch, selection, self.physical_rows
+            self.delta, self.epoch, selection, self.physical_rows,
+            self.columns,
         )
 
     def _matches(self, predicate) -> PlainBitmap:
-        matched = self.delta.index_matches(predicate)
+        matched = (
+            self.delta.index_matches(predicate)
+            if self.delta.columns is self.columns
+            else None
+        )
         if matched is not None:
             return mask_from_positions(
                 [p for p in matched if p < self.physical_rows],
                 self.physical_rows,
             )
         positions = self.selected_positions()
-        hits = compile_predicate(predicate)(self.delta.columns, positions)
+        hits = compile_predicate(predicate)(self.columns, positions)
         return mask_from_positions(positions[hits], self.physical_rows)
 
     def rows(self, out_positions=None) -> list[tuple]:
@@ -284,7 +301,7 @@ class DeltaBatch(ColumnBatch):
         return list(
             zip(
                 *(
-                    gather(self.delta.columns[name], positions)
+                    gather(self.columns[name], positions)
                     for name in names
                 )
             )

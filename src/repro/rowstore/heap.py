@@ -7,10 +7,9 @@ column stores escape during data evolution.
 
 from __future__ import annotations
 
-from repro.errors import SchemaError, StorageError
+from repro.errors import SchemaError
 from repro.rowstore.btree import BPlusTree
 from repro.storage.schema import TableSchema
-from repro.storage.types import coerce
 
 
 class HeapTable:
@@ -32,15 +31,7 @@ class HeapTable:
 
     def insert(self, row) -> None:
         """Insert one row (coerced to schema types), maintaining indexes."""
-        if len(row) != len(self.schema.columns):
-            raise StorageError(
-                f"row arity {len(row)} != {len(self.schema.columns)} for "
-                f"table {self.schema.name!r}"
-            )
-        coerced = tuple(
-            coerce(value, column.dtype)
-            for value, column in zip(row, self.schema.columns)
-        )
+        coerced = self.schema.coerce_row(row)
         row_id = len(self.rows)
         self.rows.append(coerced)
         for column_name, tree in self.indexes.items():

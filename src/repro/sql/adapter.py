@@ -32,7 +32,6 @@ from repro.rowstore.engine import RowEngine
 from repro.storage.catalog import Catalog
 from repro.storage.schema import TableSchema
 from repro.storage.table import Table
-from repro.storage.types import coerce
 
 
 @dataclass(frozen=True)
@@ -197,20 +196,16 @@ def _matching_row_ids(schema, rows, predicate):
 def _patch_rows(schema, rows, assignments, predicate):
     """UPDATE over materialized tuples (thin wrapper over the batch
     evaluators): returns the new row list and the affected count.
-    Shared by every adapter that stores (or rebuilds from) plain
+    Shared by this module's adapters that store (or rebuild from) plain
     tuples."""
-    positions = {n: i for i, n in enumerate(schema.column_names)}
-    updates = [
-        (positions[column], coerce(value, schema.column(column).dtype))
-        for column, value in assignments
-    ]
+    coerced = schema.coerce_assignments(assignments)
+    names = schema.column_names
     out = list(rows)
     matching = _matching_row_ids(schema, out, predicate)
     for row_id in map(int, matching):
-        patched = list(out[row_id])
-        for position, value in updates:
-            patched[position] = value
-        out[row_id] = tuple(patched)
+        out[row_id] = tuple(
+            coerced.get(name, value) for name, value in zip(names, out[row_id])
+        )
     return out, len(matching)
 
 
@@ -222,11 +217,7 @@ def _drop_rows(schema, rows, predicate):
     if predicate is None:
         return [], len(rows)
     deleted = set(map(int, _matching_row_ids(schema, rows, predicate)))
-    if not deleted:
-        return rows, 0
-    kept = [
-        row for row_id, row in enumerate(rows) if row_id not in deleted
-    ]
+    kept = [row for row_id, row in enumerate(rows) if row_id not in deleted]
     return kept, len(deleted)
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import SchemaError
-from repro.storage.types import DataType
+from repro.errors import SchemaError, StorageError
+from repro.storage.types import DataType, coerce
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,32 @@ class TableSchema:
         """True if ``attrs`` is a superset of any declared key."""
         attrs = frozenset(attrs)
         return any(attrs >= frozenset(key) for key in self.all_keys())
+
+    # -- coercion ---------------------------------------------------------
+
+    def coerce_row(self, row) -> tuple:
+        """``row`` (schema column order) with every value coerced to
+        its column's type; a wrong arity raises :class:`StorageError`."""
+        row = tuple(row)
+        if len(row) != len(self.columns):
+            raise StorageError(
+                f"row arity {len(row)} != {len(self.columns)} for "
+                f"table {self.name!r}"
+            )
+        return tuple(
+            coerce(value, column.dtype)
+            for value, column in zip(row, self.columns)
+        )
+
+    def coerce_assignments(self, assignments) -> dict:
+        """An UPDATE's ``{column: value}`` (a mapping or pairs) coerced
+        to the columns' types; unknown columns raise before coercion."""
+        pairs = dict(assignments).items()
+        columns = [self.column(name) for name, _value in pairs]
+        return {
+            column.name: coerce(value, column.dtype)
+            for column, (_name, value) in zip(columns, pairs)
+        }
 
     # -- derivations ------------------------------------------------------
 

@@ -317,10 +317,11 @@ class TestReadYourWrites:
         assert db.execute("SELECT * FROM emp") == [("Ellis", "Brewing")]
 
     def test_first_touch_copies_the_pinned_view_not_live_state(self):
-        """The overlay's first-touch copy reads the pinned snapshot's
-        batches: main rows deleted before the pin stay out, delta rows
-        live at the pin come in, and DML (and a compaction) landing
-        between the pin and the first write never leaks in."""
+        """The overlay starts from the pinned snapshot's batches: main
+        rows deleted before the pin stay out, delta rows live at the pin
+        come in, and DML (and a compaction) landing between the pin and
+        the first write never leaks in.  An in-scope UPDATE moves the
+        row to the end of the scan, where commit's replay puts it."""
         db = seeded_db()
         db.execute("INSERT INTO emp VALUES ('Smith', 'Welding')")
         db.compact("emp")  # three rows in the compressed main
@@ -339,13 +340,13 @@ class TestReadYourWrites:
                        "WHERE name = 'Brown'")
             db.execute("INSERT INTO emp VALUES ('Late', 'Arrival')")
             db.compact("emp")
-            # First write: the overlay materializes now.
+            # First write: the overlay starts now.
             assert tx.execute(
                 "UPDATE emp SET skill = 'Forging' WHERE name = 'Smith'"
             ) == 1
             assert tx.execute("SELECT * FROM emp") == [
-                ("Jones", "Typing"), ("Smith", "Forging"),
-                ("Brown", "Brewing"),
+                ("Jones", "Typing"), ("Brown", "Brewing"),
+                ("Smith", "Forging"),
             ]
             assert tx.execute(
                 "SELECT name FROM emp WHERE skill = 'Brewing'"
@@ -354,6 +355,23 @@ class TestReadYourWrites:
         assert sorted(db.execute("SELECT * FROM emp")) == [
             ("Brown", "Filing"), ("Late", "Arrival"), ("Smith", "Forging"),
         ]
+
+    def test_written_table_survives_a_column_rename_outside(self):
+        """The overlay holds the pinned delta's batches across
+        statements; a metadata-only column rename by another session
+        re-keys the live buffer but not the scope's view."""
+        db = seeded_db()  # emp's rows are all in the delta
+        with db.transaction() as tx:
+            tx.execute("INSERT INTO emp VALUES ('Smith', 'Welding')")
+            db.execute("RENAME COLUMN skill TO trade IN emp")
+            assert tx.execute(
+                "UPDATE emp SET skill = 'Filing' WHERE skill = 'Typing'"
+            ) == 1
+            assert tx.execute("SELECT * FROM emp WHERE name != 'x'") == [
+                ("Ellis", "Alchemy"), ("Smith", "Welding"),
+                ("Jones", "Filing"),
+            ]
+            tx.rollback()
 
     def test_insert_select_reads_the_scopes_own_writes(self):
         db = seeded_db()

@@ -96,13 +96,6 @@ class TestDeltaStore:
         store.delete_main(3)
         assert store.surviving_main_positions(4).tolist() == [1, 2]
 
-    def test_clear_resets(self):
-        store = DeltaStore(small_table().schema)
-        store.append((5, "d"))
-        store.delete_main(0)
-        store.clear()
-        assert store.is_empty
-
 
 class TestMutableTable:
     def test_merged_read_order(self):

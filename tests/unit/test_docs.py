@@ -508,6 +508,20 @@ class TestConcurrencyDocs:
         assert "read-your-writes" in text
         assert "first touch" in text
 
+    def test_overlay_narrows_batches_instead_of_copying_rows(self):
+        src = REPO / "src" / "repro"
+        overlay = (src / "db" / "overlay.py").read_text()
+        for name in ("iter_rows", "_patch_rows", "_drop_rows"):
+            assert name not in overlay, f"db/overlay.py uses {name}"
+        users = sorted(
+            path.relative_to(src).as_posix()
+            for path in src.rglob("*.py")
+            if re.search(r"\b_(patch|drop)_rows\b", path.read_text())
+        )
+        assert users == ["sql/adapter.py"]
+        text = (REPO / "docs" / "migration.md").read_text()
+        assert "moves the updated rows to the\n  end of the scan" in text
+
     def test_wal_format_doc_names_the_update_record(self):
         text = (REPO / "docs" / "wal-format.md").read_text()
         assert "`update`" in text

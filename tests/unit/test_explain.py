@@ -171,8 +171,9 @@ class TestTransactions:
 
     def test_scan_detail_follows_the_overlay_after_a_write(self):
         # The adapter that emits the batches names the path: once the
-        # scope has written r, its rows come from the overlay as value
-        # batches — and EXPLAIN ANALYZE's observed batch kinds agree.
+        # scope has written r, its rows are the pinned main and delta
+        # batches followed by the scope's own rows as value batches —
+        # and EXPLAIN ANALYZE's observed batch kinds agree.
         db = Database()
         db.execute("CREATE TABLE r (k INT, s STRING, KEY(k))")
         db.executemany("INSERT INTO r VALUES (?, ?)", ROWS)
@@ -183,18 +184,26 @@ class TestTransactions:
                 row[0].strip(): row[1] for row in tx.execute(statement)
             }["scan"]
 
+        compressed = db.adapter.metrics.counter("exec.agg_batches_compressed")
         with db.transaction() as tx:
             before = scan_detail(tx, "EXPLAIN SELECT * FROM r")
             assert "main: compressed-domain bitmap" in before
             tx.execute("INSERT INTO r VALUES (7, 'z')")
             after = scan_detail(tx, "EXPLAIN SELECT * FROM r")
-            assert "transaction overlay" in after
-            assert "compressed-domain" not in after
+            assert after == (
+                "table=r (main: compressed-domain bitmap, delta: hash "
+                "index, transaction rows: compiled evaluator)"
+            )
             analyzed = scan_detail(tx, "EXPLAIN ANALYZE SELECT * FROM r")
-            assert "transaction overlay" in analyzed
-            assert analyzed.endswith("[ValuesBatch]")
+            assert analyzed.endswith("[TableBatch+DeltaBatch+ValuesBatch]")
+            # The written table keeps the compressed-domain aggregate.
+            seen = compressed.value
+            assert tx.execute("SELECT k, COUNT(*) FROM r GROUP BY k") == [
+                (0, 4), (1, 3), (2, 3), (7, 1),
+            ]
+            assert compressed.value - seen >= 1
             # Tables the scope has not written keep the storage path.
-            assert "main: compressed-domain bitmap" in scan_detail(
+            assert "transaction rows" not in scan_detail(
                 tx, "EXPLAIN SELECT * FROM untouched"
             )
 
