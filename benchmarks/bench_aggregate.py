@@ -4,9 +4,10 @@ codes vs the row-at-a-time oracle.
 
 The aggregation subsystem (``repro.exec.aggregate``) promises that a
 low-cardinality GROUP BY over the compressed main store never decodes
-a data row: COUNTs come straight from bitmap popcounts intersected
-with the selection bitmap, and grouped SUM/MIN/MAX fold the per-vid
-joint distribution instead of row values.  This measures that promise
+a data row: COUNTs are a ``bincount`` of the column's cached vid array
+under the selection, and SUM/MIN/MAX/AVG are NumPy reductions of the
+(group, value vid) joint counts against the dictionary's typed values
+instead of row values.  This measures that promise
 against a row-wise oracle — materialize every merged row as a tuple,
 group in a Python dict — on a 2-column table (32-group key, 200-value
 measure) with a non-empty delta:
@@ -15,7 +16,8 @@ measure) with a non-empty delta:
   compressed path must be at least ``--min-speedup`` (default 3×)
   faster, the gate of record;
 * ``grouped_sum`` and ``global`` — reported for context (grouped SUM
-  through the vid joint distribution, ungrouped COUNT/SUM/MIN/MAX).
+  as one ``add.reduceat`` over the joint counts; ungrouped
+  COUNT/SUM/MIN/MAX as reductions of the per-vid counts).
 
 Both the mutable (main + delta) and pure column backends run; the gate
 applies to the mutable backend, where epoch-consistent delta merging

@@ -184,52 +184,6 @@ def batch_decode_vids(bitmaps, nrows: int) -> np.ndarray:
     return vids
 
 
-def batch_vids_at(bitmaps, positions) -> np.ndarray:
-    """The vid (bitmap index) whose bit is set at each queried position,
-    ``-1`` where none is.
-
-    Cost is ``O(words + nbitmaps · npositions · log words)`` — per
-    bitmap a binary search of the query groups against its group
-    offsets, never a decode — but each bitmap is one Python iteration,
-    so it is *not* cheaper than position extraction on
-    high-cardinality columns: two positions across the six columns of a
-    20 000-row table (5 370 value bitmaps) take 86 ms against 30 ms for
-    :func:`batch_select` (2-core Xeon, Python 3.11, NumPy 2.4).  Used
-    for the handful of deleted rows a validity mask removes from an
-    aggregate's popcounts.
-    """
-    queries = np.asarray(positions, dtype=np.int64)
-    result = np.full(len(queries), -1, dtype=np.int64)
-    if len(queries) == 0:
-        return result
-    qgroup = queries // GROUP_BITS
-    qshift = (queries % GROUP_BITS).astype(np.uint32)
-    for vid, bm in enumerate(bitmaps):
-        words = bm.words
-        if len(words) == 0:
-            continue
-        ngroups = (bm.nbits + GROUP_BITS - 1) // GROUP_BITS
-        if len(words) == ngroups:
-            # One word per group (no multi-group fills): the covering
-            # word is the query group itself, no offset search needed.
-            word_idx = qgroup
-        else:
-            is_fill = (words & FILL_FLAG) != 0
-            groups = np.where(
-                is_fill, words & FILL_LEN_MASK, 1
-            ).astype(np.int64)
-            offsets = np.concatenate(([0], np.cumsum(groups)[:-1]))
-            word_idx = np.searchsorted(offsets, qgroup, side="right") - 1
-        word = words[word_idx]
-        member = np.where(
-            (word & FILL_FLAG) != 0,
-            (word & np.uint32(0x40000000)) != 0,
-            (word >> qshift) & np.uint32(1) != 0,
-        )
-        result[member] = vid
-    return result
-
-
 def batch_from_positions(flat_positions, bounds, nbits: int) -> list:
     """One ``nbits``-bit WAH bitmap per segment of ``flat_positions``,
     every word of every bitmap assembled in one vectorized pass.

@@ -4,17 +4,22 @@ The dictionary-plus-bitmaps layout makes three classic read-path
 operations cheap *without decoding rows*:
 
 * **GROUP BY / aggregates** — a :class:`~repro.exec.batch.TableBatch`
-  groups by dictionary *vids*: ``COUNT`` is a bitmap population count
-  (``repro.bitmap.batch.batch_count``) intersected with the selection,
-  SUM/MIN/MAX/AVG fold per-vid counts against the dictionary's O(
-  distinct) value list, and multi-column / mixed aggregates run over
-  vectorized vid arrays.  Delta and values batches fall back to a
-  row-wise hash aggregator; both sides produce *partials* keyed by
-  decoded group values that merge epoch-consistently, so a query sees
-  exactly the main+delta state its scan pinned.
+  groups by dictionary *vids*.  Every count is a ``bincount`` over a
+  column's cached row-order vid array (restricted to the selection):
+  per vid for an ungrouped aggregate, per (group code, value vid) pair
+  for a grouped one.  SUM/AVG/MIN/MAX are then NumPy reductions of
+  those O(distinct) pair counts against the dictionary's values held
+  as a typed array (``int64``, ``float64`` or ``object``, one code
+  path for all three), so Python loops only over result groups.
+  Delta and values batches fall back to a row-wise hash aggregator;
+  both sides produce *partials* keyed by decoded group values that
+  merge epoch-consistently, so a query sees exactly the main+delta
+  state its scan pinned.
 * **DISTINCT** — on a single dictionary-backed column, distinct values
   are the live vids; enumeration orders them by first selected
-  position, reproducing the streaming-dedup row order exactly.
+  position (from the first-set bits, or from the cached vid array
+  under a selection), reproducing the streaming-dedup row order
+  exactly.
 * **ORDER BY** — each value bitmap's positions are an already-sorted
   run, so the main store emits dictionary-order presorted runs that
   merge (``heapq.merge``) with the sorted delta rows instead of
@@ -30,12 +35,13 @@ returns is what EXPLAIN renders.
 from __future__ import annotations
 
 import heapq
+import math
 import weakref
 from collections import Counter
 
 import numpy as np
 
-from repro.bitmap.batch import batch_first_set, batch_positions, batch_vids_at
+from repro.bitmap.batch import batch_first_set
 from repro.errors import SqlExecutionError
 from repro.exec.batch import TableBatch, gather, project_rows
 from repro.sql.ast import AGGREGATE_FUNCTIONS, Aggregate
@@ -261,113 +267,112 @@ def _require_numeric(agg, value):
 # Compressed-domain path (TableBatch)
 # ----------------------------------------------------------------------
 
-
-def _selected_value_counts(column, selection) -> np.ndarray:
-    """Per-vid selected-row counts — population counts intersected with
-    the selection bitmap; no row decode.
-
-    When one side of the selection is small (a validity mask deleting a
-    few rows, or a highly selective predicate) the counts come from the
-    cached full popcounts plus point lookups (:func:`batch_vids_at`) on
-    the small side alone, skipping the full position decode."""
-    nvids = column.distinct_count
-    if selection is None:
-        return column.value_counts()
-    dense = selection.to_dense()
-    selected = int(selection.count())
-    smaller = min(selected, column.nrows - selected)
-    if nvids * (64 + smaller) <= 8 * max(1, column.nrows):
-        if selected <= column.nrows - selected:
-            vids = batch_vids_at(column.bitmaps, np.flatnonzero(dense))
-            return np.bincount(vids[vids >= 0], minlength=nvids)
-        vids = batch_vids_at(column.bitmaps, np.flatnonzero(~dense))
-        counts = np.array(
-            [bm.count() for bm in column.bitmaps], dtype=np.int64
-        )
-        return counts - np.bincount(vids[vids >= 0], minlength=nvids)
-    flat, bounds = batch_positions(column.bitmaps)
-    if not len(flat):
-        return np.zeros(nvids, dtype=np.int64)
-    keep = dense[flat]
-    vid_per_position = np.repeat(
-        np.arange(nvids, dtype=np.int64), np.diff(bounds)
-    )
-    return np.bincount(vid_per_position[keep], minlength=nvids)
+#: Per-(main-store table, key) arrays: row-order vid arrays keyed by
+#: column name, typed dictionary values keyed by ``("typed", name)``.
+#: Tables are immutable — mutation swaps in a fresh ``Table`` object —
+#: so the weak keying doubles as invalidation, exactly like the
+#: decoded-row cache in :mod:`repro.delta.snapshot`.
+_COLUMN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-#: Row-order vid arrays per (main-store table, column name).  Tables
-#: are immutable — mutation swaps in a fresh ``Table`` object — so the
-#: weak keying doubles as invalidation, exactly like the decoded-row
-#: cache in :mod:`repro.delta.snapshot`.
-_VID_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+def _cached(table, key, build):
+    per_table = _COLUMN_CACHE.get(table)
+    if per_table is None:
+        per_table = {}
+        _COLUMN_CACHE[table] = per_table
+    found = per_table.get(key)
+    if found is None:
+        found = build()
+        per_table[key] = found
+    return found
 
 
 def _decode_vids(table, name: str) -> np.ndarray:
-    per_table = _VID_CACHE.get(table)
-    if per_table is None:
-        per_table = {}
-        _VID_CACHE[table] = per_table
-    vids = per_table.get(name)
-    if vids is None:
+    def build():
         vids = table.column(name).decode_vids()
         vids.flags.writeable = False
-        per_table[name] = vids
-    return vids
+        return vids
+
+    return _cached(table, name, build)
 
 
-def _nonzero_counts(codes, space: int):
-    """``(unique values, counts)`` of an int code array.  When the code
-    space is small relative to the data a ``bincount`` histogram beats
-    ``np.unique``'s sort by a wide margin."""
-    if space <= 4 * len(codes) + 1024:
-        histogram = np.bincount(codes, minlength=space)
-        present = np.flatnonzero(histogram)
-        return present, histogram[present]
-    return np.unique(codes, return_counts=True)
+def _selected_value_counts(table, name: str, selection) -> np.ndarray:
+    """Per-vid selected-row counts of one main-store column: a
+    ``bincount`` over the cached row-order vid array, restricted to the
+    selection's rows when there is one."""
+    vids = _decode_vids(table, name)
+    if selection is not None:
+        vids = vids[selection.to_dense()]
+    return np.bincount(vids, minlength=table.column(name).distinct_count)
 
 
-def _accumulate_table_global(batch: TableBatch, acc: GroupAccumulator):
-    """Ungrouped aggregates over one main-store batch: O(distinct) per
-    aggregate column, O(1)/popcount for COUNT(*)."""
-    state = acc.state(())
-    table = batch.table
-    counts_cache: dict = {}
-    for index, agg in enumerate(acc.aggs):
-        if agg.func == "count" and agg.column is None:
-            state[index] += batch.selected_count
-            continue
-        cached = counts_cache.get(agg.column)
-        if cached is None:
-            column = table.column(agg.column)
-            cached = (
-                column.dictionary.values(),
-                _selected_value_counts(column, batch.selection),
-            )
-            counts_cache[agg.column] = cached
-        values, counts = cached
-        if agg.func == "count":
-            total = int(counts.sum())
-            for vid, value in enumerate(values):
-                if value is None:
-                    total -= int(counts[vid])
-            state[index] += total
-        elif agg.func in ("sum", "avg"):
-            total, nonnull = 0, 0
-            for vid in np.flatnonzero(counts):
-                value = values[vid]
-                if value is None:
-                    continue
-                _require_numeric(agg, value)
-                n = int(counts[vid])
-                total += value * n
-                nonnull += n
-            state[index][0] += total
-            state[index][1] += nonnull
+class _TypedValues:
+    """One column's dictionary as arrays indexed by vid — O(distinct),
+    built once per immutable main table.
+
+    ``summable`` holds each numeric value and 0 elsewhere, as ``int64``
+    when every non-NULL value is an ``int`` whose magnitude times the
+    row count stays below 2**63 (so any sum is exact), as ``float64``
+    when every non-NULL value is a ``float``, and as ``object`` (Python
+    arithmetic: big ints, mixed int/float) otherwise.  :meth:`ranked`
+    orders the non-NULL values for MIN/MAX over any orderable type."""
+
+    __slots__ = ("values", "null", "numeric", "summable", "_ranked")
+
+    def __init__(self, values: list, nrows: int):
+        self.values = values
+        self.null = np.array([value is None for value in values], bool)
+        self.numeric = np.array(
+            [
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                for value in values
+            ],
+            bool,
+        )
+        present = [value for value in values if value is not None]
+        if all(type(value) is int for value in present) and (
+            max(map(abs, present), default=0) * max(1, nrows) < 2**63
+        ):
+            dtype = np.int64
+        elif all(type(value) is float for value in present):
+            dtype = np.float64
         else:
-            for vid in np.flatnonzero(counts):
-                value = values[vid]
-                if value is not None:
-                    acc.merge_minmax(state, index, agg.func, value)
+            dtype = object
+        self.summable = np.array(
+            [
+                value if numeric else 0
+                for value, numeric in zip(values, self.numeric.tolist())
+            ],
+            dtype=dtype,
+        )
+        self._ranked = None
+
+    def ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, rank)``: the non-NULL vids in value order, and each
+        vid's index in it.  Sorted on first use — only MIN/MAX need it."""
+        if self._ranked is None:
+            order = np.array(
+                sorted(
+                    np.flatnonzero(~self.null).tolist(),
+                    key=self.values.__getitem__,
+                ),
+                dtype=np.int64,
+            )
+            rank = np.zeros(len(self.values), dtype=np.int64)
+            rank[order] = np.arange(len(order))
+            self._ranked = (order, rank)
+        return self._ranked
+
+
+def _typed_values(table, name: str) -> _TypedValues:
+    return _cached(
+        table,
+        ("typed", name),
+        lambda: _TypedValues(
+            table.column(name).dictionary.values(), table.nrows
+        ),
+    )
 
 
 def _group_codes(table, group_names):
@@ -395,85 +400,117 @@ def _keys_for_codes(codes, columns, sizes) -> list[tuple]:
     return keys
 
 
-def _accumulate_table_grouped(
-    batch: TableBatch, group_names, acc: GroupAccumulator
-):
+def _nonzero_counts(codes, space: int):
+    """``(unique values, counts)`` of an int code array.  When the code
+    space is small relative to the data a ``bincount`` histogram beats
+    ``np.unique``'s sort by a wide margin."""
+    if space <= 4 * len(codes) + 1024:
+        histogram = np.bincount(codes, minlength=space)
+        present = np.flatnonzero(histogram)
+        return present, histogram[present]
+    return np.unique(codes, return_counts=True)
+
+
+def _value_pairs(table, name, selection, grouping):
+    """The selected non-NULL values of column ``name`` as joint (group,
+    value vid) counts sorted by group: ``(vid, counts, starts, slots,
+    nonnull)`` where ``starts`` opens each group's run, ``slots`` is its
+    index into ``grouping``'s group codes, and ``nonnull`` its row
+    count.  ``None`` when no non-NULL value is selected."""
+    typed = _typed_values(table, name)
+    if grouping is None:
+        per_vid = _selected_value_counts(table, name, selection)
+        vid = np.flatnonzero(per_vid)
+        group, counts = np.zeros_like(vid), per_vid[vid]
+        group_codes = group[:1]
+    else:
+        codes, space, dense, group_codes = grouping
+        nvals = max(1, len(typed.values))
+        vids = _decode_vids(table, name)
+        if dense is not None:
+            vids = vids[dense]
+        joint, counts = _nonzero_counts(codes * nvals + vids, space * nvals)
+        group, vid = np.divmod(joint, nvals)
+    keep = ~typed.null[vid]
+    if not keep.any():
+        return None
+    group, vid, counts = group[keep], vid[keep], counts[keep]
+    starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+    slots = np.searchsorted(group_codes, group[starts]).tolist()
+    nonnull = np.add.reduceat(counts, starts).tolist()
+    return vid, counts, starts, slots, nonnull
+
+
+def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
+    """Fold one main-store batch in the dictionary domain.
+
+    Per aggregate column the selected rows collapse to their joint
+    (group code, value vid) counts (:func:`_value_pairs`); each
+    aggregate is then one NumPy reduction over those pairs
+    (``add.reduceat`` of value × count for SUM/AVG, ``minimum`` /
+    ``maximum.reduceat`` of the value ranks for MIN/MAX), the same call
+    for every value dtype.  Python loops run over result groups only.
+    Float sums may differ in the last ulp from a row-by-row sum, as any
+    reordering of float additions can.
+    """
     table = batch.table
-    nrows = batch.physical_rows
-    if nrows == 0:
-        return
-    group_columns = [table.column(name) for name in group_names]
-    count_star_only = all(
-        agg.func == "count" and agg.column is None for agg in acc.aggs
-    )
-    if len(group_columns) == 1 and count_star_only:
-        # The popcount fast path: per-group COUNT(*) is exactly the
-        # group column's per-vid selected counts.  Nothing is decoded
-        # but the ≤distinct group keys themselves.
-        column = group_columns[0]
-        counts = _selected_value_counts(column, batch.selection)
-        values = column.dictionary.values()
-        width = len(acc.aggs)
-        for vid in np.flatnonzero(counts):
-            state = acc.state((values[vid],))
-            n = int(counts[vid])
-            for index in range(width):
-                state[index] += n
-        return
-
-    codes, sizes = _group_codes(table, group_names)
-    positions = batch.selected_positions()
-    if not len(positions):
-        return
-    selected_codes = codes[positions]
-    code_space = 1
-    for size in sizes:
-        code_space *= size
-    unique_codes, star_counts = _nonzero_counts(selected_codes, code_space)
-    states = {}
-    for code, key in zip(
-        unique_codes.tolist(),
-        _keys_for_codes(unique_codes, group_columns, sizes),
-    ):
-        states[code] = acc.state(key)
-
-    vids_cache: dict = {}
-    for index, agg in enumerate(acc.aggs):
-        if agg.func == "count" and agg.column is None:
-            for code, n in zip(unique_codes.tolist(), star_counts.tolist()):
-                states[code][index] += n
-            continue
-        cached = vids_cache.get(agg.column)
-        if cached is None:
-            column = table.column(agg.column)
-            cached = (
-                column.dictionary.values(),
-                _decode_vids(table, agg.column)[positions],
-            )
-            vids_cache[agg.column] = cached
-        values, agg_vids = cached
-        # Joint (group, value) distribution: every per-group partial
-        # below is a function of these pair counts alone.
-        joint = selected_codes * len(values) + agg_vids
-        unique_joint, joint_counts = _nonzero_counts(
-            joint, code_space * max(1, len(values))
+    selection = batch.selection
+    if group_names:
+        dense = None if selection is None else selection.to_dense()
+        codes, sizes = _group_codes(table, group_names)
+        if dense is not None:
+            codes = codes[dense]
+        space = math.prod(sizes)
+        group_codes, star_counts = _nonzero_counts(codes, space)
+        keys = _keys_for_codes(
+            group_codes, [table.column(name) for name in group_names], sizes
         )
-        group_part = (unique_joint // len(values)).tolist()
-        vid_part = (unique_joint % len(values)).tolist()
+        grouping = (codes, space, dense, group_codes)
+    elif batch.selected_count:
+        star_counts = np.array([batch.selected_count])
+        keys = [()]
+        grouping = None
+    else:
+        return
+    states = [acc.state(key) for key in keys]
+    pairs_cache: dict = {}
+    for index, agg in enumerate(acc.aggs):
+        if agg.column is None:
+            for state, n in zip(states, star_counts.tolist()):
+                state[index] += n
+            continue
+        if agg.column not in pairs_cache:
+            pairs_cache[agg.column] = _value_pairs(
+                table, agg.column, selection, grouping
+            )
+        pairs = pairs_cache[agg.column]
+        if pairs is None:
+            continue
+        vid, counts, starts, slots, nonnull = pairs
+        typed = _typed_values(table, agg.column)
         func = agg.func
-        for code, vid, n in zip(group_part, vid_part, joint_counts.tolist()):
-            value = values[vid]
-            if value is None:
-                continue
-            state = states[code]
-            if func == "count":
-                state[index] += int(n)
-            elif func in ("sum", "avg"):
-                _require_numeric(agg, value)
-                state[index][0] += value * int(n)
-                state[index][1] += int(n)
-            else:
-                acc.merge_minmax(state, index, func, value)
+        if func == "count":
+            for slot, n in zip(slots, nonnull):
+                states[slot][index] += n
+        elif func in ("sum", "avg"):
+            bad = np.flatnonzero(~typed.numeric[vid])
+            if len(bad):
+                _require_numeric(agg, typed.values[vid[bad[0]]])
+            totals = np.add.reduceat(
+                typed.summable[vid] * counts, starts
+            ).tolist()
+            for slot, total, n in zip(slots, totals, nonnull):
+                partial = states[slot][index]
+                partial[0] += total
+                partial[1] += n
+        else:
+            reduce = np.minimum if func == "min" else np.maximum
+            order, rank = typed.ranked()
+            best = order[reduce.reduceat(rank[vid], starts)].tolist()
+            for slot, best_vid in zip(slots, best):
+                acc.merge_minmax(
+                    states[slot], index, func, typed.values[best_vid]
+                )
 
 
 def _accumulate_rows(batch, group_names, acc: GroupAccumulator):
@@ -534,10 +571,7 @@ def accumulate_batch(
     """Fold one batch into the accumulator, in the cheapest domain the
     batch (and the chosen ``strategy``) supports."""
     if strategy == "compressed" and isinstance(batch, TableBatch):
-        if group_names:
-            _accumulate_table_grouped(batch, group_names, acc)
-        else:
-            _accumulate_table_global(batch, acc)
+        _accumulate_table(batch, group_names, acc)
         acc.batches_compressed += 1
     else:
         _accumulate_rows(batch, group_names, acc)
@@ -575,17 +609,13 @@ def _table_batch_distinct(batch: TableBatch, name: str):
     if batch.selection is None:
         first = batch_first_set(column.bitmaps)
     else:
-        flat, bounds = batch_positions(column.bitmaps)
-        keep = batch.selection.to_dense()[flat]
-        vid_per_position = np.repeat(
-            np.arange(nvids, dtype=np.int64), np.diff(bounds)
-        )
-        selected_vids = vid_per_position[keep]
-        selected_positions = flat[keep]
+        positions = np.flatnonzero(batch.selection.to_dense())
         first = np.full(nvids, -1, dtype=np.int64)
-        # Positions within a vid run ascend, so writing them reversed
-        # leaves each vid's smallest selected position in place.
-        first[selected_vids[::-1]] = selected_positions[::-1]
+        # Fancy assignment keeps the last write per vid, so writing the
+        # ascending positions reversed leaves each vid's first in place.
+        first[_decode_vids(batch.table, name)[positions][::-1]] = (
+            positions[::-1]
+        )
     live = np.flatnonzero(first >= 0)
     values = column.dictionary.values()
     for vid in live[np.argsort(first[live], kind="stable")]:

@@ -4,10 +4,12 @@
 Semantics across backends are pinned by the property suite
 (``tests/property/test_aggregate_properties.py``); these tests target
 the pieces directly: strategy selection and its reason strings, the
-validation rules, the per-vid selected-count kernel's three paths, the
-bincount-vs-unique histogram helper, the statistics catalog, and the
-``exec.agg_*`` counters.
+validation rules, the per-vid selected-count kernel, the numeric-type
+errors of SUM/AVG on both paths, the bincount-vs-unique histogram
+helper, the statistics catalog, and the ``exec.agg_*`` counters.
 """
+
+import datetime
 
 import numpy as np
 import pytest
@@ -17,18 +19,22 @@ from repro.errors import SqlExecutionError
 from repro.exec.aggregate import (
     _nonzero_counts,
     _selected_value_counts,
+    aggregate_rows,
     choose_aggregate_strategy,
     validate_aggregate_select,
 )
+from repro.exec.batch import TableBatch
 from repro.sql import MutableColumnAdapter, RowEngineAdapter, SqlExecutor
 from repro.sql.parser import parse_sql
 from repro.storage.column import BitmapColumn
+from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.statistics import (
     ColumnStats,
     TableStats,
     column_statistics,
     table_statistics,
 )
+from repro.storage.table import Table
 from repro.storage.types import DataType
 
 
@@ -142,19 +148,18 @@ class TestValidation:
 
 
 class TestSelectedValueCounts:
-    """The three paths — full popcounts, point lookups on the smaller
-    selection side, and the full position decode — must agree with a
+    """The one per-vid counts kernel — a ``bincount`` over the cached
+    vid array, whole or restricted to the selection — must agree with a
     brute-force histogram."""
 
-    def column(self, nrows=400, cardinality=7, seed=3):
+    def table(self, nrows=400, cardinality=7, seed=3):
         rng = np.random.default_rng(seed)
         values = [f"v{vid}" for vid in rng.integers(0, cardinality, nrows)]
-        return values, BitmapColumn.from_values(
-            "c", DataType.STRING, values
-        )
+        schema = TableSchema("t", (ColumnSchema("c", DataType.STRING),))
+        return values, Table.from_rows(schema, [(v,) for v in values])
 
-    def brute_force(self, values, column, dense):
-        order = list(column.dictionary.values())
+    def brute_force(self, values, table, dense):
+        order = list(table.column("c").dictionary.values())
         counts = np.zeros(len(order), dtype=np.int64)
         for position, value in enumerate(values):
             if dense is None or dense[position]:
@@ -162,27 +167,105 @@ class TestSelectedValueCounts:
         return counts
 
     def test_no_selection_uses_popcounts(self):
-        values, column = self.column()
-        got = _selected_value_counts(column, None)
-        assert np.array_equal(got, self.brute_force(values, column, None))
+        values, table = self.table()
+        got = _selected_value_counts(table, "c", None)
+        assert np.array_equal(got, self.brute_force(values, table, None))
 
     @pytest.mark.parametrize(
         "selected",
         [
-            [3],  # tiny selection: point lookups on the selected side
-            list(range(398)),  # tiny complement: popcounts minus lookups
-            list(range(0, 400, 2)),  # balanced: full position decode
+            [3],
+            list(range(398)),
+            list(range(0, 400, 2)),
             [],
         ],
     )
     def test_selection_paths_agree(self, selected):
-        values, column = self.column()
+        values, table = self.table()
         selection = WAHBitmap.from_positions(selected, len(values))
-        got = _selected_value_counts(column, selection)
+        got = _selected_value_counts(table, "c", selection)
         assert np.array_equal(
             got,
-            self.brute_force(values, column, selection.to_dense()),
+            self.brute_force(values, table, selection.to_dense()),
         )
+
+
+class TestNumericErrorParity:
+    """SUM/AVG over a non-numeric column fail with the same message on
+    the compressed and the hash path, grouped or not — and only when a
+    non-NULL value of that column is actually selected."""
+
+    SCHEMA = TableSchema(
+        "t",
+        (
+            ColumnSchema("g", DataType.INT),
+            ColumnSchema("flag", DataType.BOOL),
+            ColumnSchema("name", DataType.STRING),
+            ColumnSchema("day", DataType.DATE),
+            ColumnSchema("empty", DataType.INT),
+        ),
+    )
+    ROWS = [
+        (0, True, "x", datetime.date(2020, 1, 1), None),
+        (1, None, None, None, None),
+        (1, False, "y", datetime.date(2021, 6, 1), None),
+    ]
+
+    def run(self, sql, strategy, selected=None):
+        table = Table.from_rows(self.SCHEMA, self.ROWS)
+        selection = (
+            None
+            if selected is None
+            else WAHBitmap.from_positions(selected, table.nrows)
+        )
+        return aggregate_rows(
+            [TableBatch(table, selection)], parse_sql(sql), self.SCHEMA,
+            strategy,
+        )
+
+    @pytest.mark.parametrize("func", ["SUM", "AVG"])
+    @pytest.mark.parametrize(
+        "column, type_name",
+        [("flag", "bool"), ("name", "str"), ("day", "date")],
+    )
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_same_message_on_both_paths(self, func, column, type_name,
+                                        grouped):
+        sql = (
+            f"SELECT g, {func}({column}) FROM t GROUP BY g"
+            if grouped
+            else f"SELECT {func}({column}) FROM t"
+        )
+        messages = []
+        for strategy in ("compressed", "hash"):
+            with pytest.raises(SqlExecutionError) as info:
+                self.run(sql, strategy)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == (
+            f"{func}({column}) requires a numeric column, got {type_name}"
+        )
+
+    @pytest.mark.parametrize("strategy", ["compressed", "hash"])
+    def test_only_selected_values_are_checked(self, strategy):
+        # Row 1 holds NULL in every non-numeric column.
+        assert self.run(
+            "SELECT SUM(name), AVG(day) FROM t", strategy, selected=[1]
+        ) == [(None, None)]
+        assert self.run(
+            "SELECT g, SUM(flag) FROM t GROUP BY g", strategy, selected=[1]
+        ) == [(1, None)]
+
+    @pytest.mark.parametrize("strategy", ["compressed", "hash"])
+    def test_all_null_column_sums_to_null(self, strategy):
+        assert self.run(
+            "SELECT SUM(empty), AVG(empty), MIN(empty), COUNT(empty) "
+            "FROM t",
+            strategy,
+        ) == [(None, None, None, 0)]
+        assert self.run(
+            "SELECT g, SUM(empty), MAX(empty) FROM t GROUP BY g", strategy
+        ) == [(0, None, None), (1, None, None)]
 
 
 class TestNonzeroCounts:

@@ -13,7 +13,6 @@ from repro.bitmap.batch import (
     batch_positions,
     batch_select,
     batch_split,
-    batch_vids_at,
 )
 from repro.errors import BitmapError, StorageError
 
@@ -236,44 +235,3 @@ class TestBatchFilterAndConcat:
         assert_same_bitmaps(
             batch_concat_positions([], left, [0, 1], 0, 3), left
         )
-
-
-class TestBatchVidsAt:
-    """Point lookups into a bitmap family: the vid owning each queried
-    position, ``-1`` where no bitmap covers it."""
-
-    def test_matches_decoded_vids(self, random_column):
-        vids, bitmaps = random_column
-        rng = np.random.default_rng(11)
-        queries = rng.integers(0, len(vids), 50)
-        assert np.array_equal(
-            batch_vids_at(bitmaps, queries), vids[queries]
-        )
-
-    def test_empty_queries(self):
-        _, bitmaps = (None, column_bitmaps(np.zeros(10, np.int64), 1))
-        assert batch_vids_at(bitmaps, np.array([], np.int64)).tolist() == []
-
-    def test_fill_heavy_runs(self):
-        # Sorted vids → long 0/1 fills, exercising the cumsum +
-        # searchsorted word-index path.
-        vids = np.repeat(np.arange(5), 200)
-        bitmaps = column_bitmaps(vids, 5)
-        queries = np.array([0, 199, 200, 500, 731, 999])
-        assert np.array_equal(
-            batch_vids_at(bitmaps, queries), vids[queries]
-        )
-
-    def test_literal_dense_fast_path(self):
-        # Alternating vids keep every word literal (one word per
-        # group), the direct word_idx = qgroup path.
-        vids = np.tile(np.array([0, 1]), 80)
-        bitmaps = column_bitmaps(vids, 2)
-        queries = np.arange(len(vids))
-        assert np.array_equal(batch_vids_at(bitmaps, queries), vids)
-
-    def test_uncovered_positions_are_minus_one(self):
-        vids = np.array([0, 1, 2, 3, 0, 1, 2, 3])
-        bitmaps = column_bitmaps(vids, 4)[:2]
-        got = batch_vids_at(bitmaps, np.arange(8))
-        assert got.tolist() == [0, 1, -1, -1, 0, 1, -1, -1]
