@@ -72,7 +72,7 @@ class QueryLevelEvolution(EvolutionSystem):
         self.adapter.insert_rows(table.schema.name, table.to_rows())
         self.schemas[table.schema.name] = table.schema
         if self.with_indexes:
-            self._build_indexes(table.schema)
+            self._create_indexes(table.schema)
 
     def extract(self, name: str) -> Table:
         schema = self.schemas.get(name) or self.adapter.schema(name)
@@ -89,7 +89,7 @@ class QueryLevelEvolution(EvolutionSystem):
 
         return iter_rows(self.adapter.scan_batches(name))
 
-    def _build_indexes(self, schema: TableSchema) -> None:
+    def _create_indexes(self, schema: TableSchema) -> None:
         """Rebuild indexes on all declared key columns of a table."""
         indexed = []
         for key in schema.all_keys():
@@ -163,8 +163,8 @@ class QueryLevelEvolution(EvolutionSystem):
             )
         self.executor.execute(f"DROP TABLE {op.table}")
         if self.with_indexes:
-            self._build_indexes(new_schemas[op.left_name])
-            self._build_indexes(new_schemas[op.right_name])
+            self._create_indexes(new_schemas[op.left_name])
+            self._create_indexes(new_schemas[op.right_name])
 
     def _merge(self, op: MergeTables, new_schemas) -> None:
         join = op.join_attrs or tuple(
@@ -182,7 +182,7 @@ class QueryLevelEvolution(EvolutionSystem):
         self.executor.execute(f"DROP TABLE {op.left}")
         self.executor.execute(f"DROP TABLE {op.right}")
         if self.with_indexes:
-            self._build_indexes(out_schema)
+            self._create_indexes(out_schema)
 
     def _create(self, op: CreateTable, new_schemas) -> None:
         self.executor.execute(render_create_table(op.schema))
@@ -201,7 +201,7 @@ class QueryLevelEvolution(EvolutionSystem):
             f"INSERT INTO {op.new_name} SELECT * FROM {op.table}"
         )
         if self.with_indexes:
-            self._build_indexes(new_schemas[op.new_name])
+            self._create_indexes(new_schemas[op.new_name])
 
     def _union(self, op: UnionTables, new_schemas) -> None:
         out_schema = new_schemas[op.out_name]
@@ -220,7 +220,7 @@ class QueryLevelEvolution(EvolutionSystem):
             f"ALTER TABLE {temp_name} RENAME TO {op.out_name}"
         )
         if self.with_indexes:
-            self._build_indexes(out_schema)
+            self._create_indexes(out_schema)
 
     def _partition(self, op: PartitionTable, new_schemas) -> None:
         for out_name, where in (
@@ -234,8 +234,8 @@ class QueryLevelEvolution(EvolutionSystem):
             )
         self.executor.execute(f"DROP TABLE {op.table}")
         if self.with_indexes:
-            self._build_indexes(new_schemas[op.true_name])
-            self._build_indexes(new_schemas[op.false_name])
+            self._create_indexes(new_schemas[op.true_name])
+            self._create_indexes(new_schemas[op.false_name])
 
     def _add_column(self, op: AddColumn, new_schemas) -> None:
         # Full scan + reload: literal SELECT items are outside the SQL
@@ -258,7 +258,7 @@ class QueryLevelEvolution(EvolutionSystem):
             f"ALTER TABLE {temp_name} RENAME TO {op.table}"
         )
         if self.with_indexes:
-            self._build_indexes(schema)
+            self._create_indexes(schema)
 
     def _drop_column(self, op: DropColumn, new_schemas) -> None:
         schema = new_schemas[op.table]
@@ -273,7 +273,7 @@ class QueryLevelEvolution(EvolutionSystem):
             f"ALTER TABLE {temp_name} RENAME TO {op.table}"
         )
         if self.with_indexes:
-            self._build_indexes(schema)
+            self._create_indexes(schema)
 
     def _rename_column(self, op: RenameColumn, new_schemas) -> None:
         # Metadata-only in real systems; granted here to keep the

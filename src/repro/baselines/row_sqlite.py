@@ -88,7 +88,7 @@ class SqliteEvolution(EvolutionSystem):
         )
         return f'CREATE TABLE "{schema.name}" ({columns})'
 
-    def _build_indexes(self, schema: TableSchema) -> None:
+    def _create_indexes(self, schema: TableSchema) -> None:
         indexed = []
         for key in schema.all_keys():
             for attr in key:
@@ -116,7 +116,7 @@ class SqliteEvolution(EvolutionSystem):
         self.connection.commit()
         self.schemas[schema.name] = schema
         if self.with_indexes:
-            self._build_indexes(schema)
+            self._create_indexes(schema)
 
     def extract(self, name: str) -> Table:
         schema = self.schemas[name]
@@ -157,8 +157,8 @@ class SqliteEvolution(EvolutionSystem):
                 )
             execute(f'DROP TABLE "{op.table}"')
             if self.with_indexes:
-                self._build_indexes(new_schemas[op.left_name])
-                self._build_indexes(new_schemas[op.right_name])
+                self._create_indexes(new_schemas[op.left_name])
+                self._create_indexes(new_schemas[op.right_name])
         elif isinstance(op, MergeTables):
             join = op.join_attrs or tuple(
                 a
@@ -176,7 +176,7 @@ class SqliteEvolution(EvolutionSystem):
             execute(f'DROP TABLE "{op.left}"')
             execute(f'DROP TABLE "{op.right}"')
             if self.with_indexes:
-                self._build_indexes(out_schema)
+                self._create_indexes(out_schema)
         elif isinstance(op, CreateTable):
             execute(self._create_sql(op.schema))
         elif isinstance(op, DropTable):
@@ -191,7 +191,7 @@ class SqliteEvolution(EvolutionSystem):
                 f'INSERT INTO "{op.new_name}" SELECT * FROM "{op.table}"'
             )
             if self.with_indexes:
-                self._build_indexes(new_schemas[op.new_name])
+                self._create_indexes(new_schemas[op.new_name])
         elif isinstance(op, UnionTables):
             temp = f"__union_{op.out_name}"
             execute(self._create_sql(new_schemas[op.out_name].renamed(temp)))
@@ -202,7 +202,7 @@ class SqliteEvolution(EvolutionSystem):
                 execute(f'DROP TABLE "{op.right}"')
             execute(f'ALTER TABLE "{temp}" RENAME TO "{op.out_name}"')
             if self.with_indexes:
-                self._build_indexes(new_schemas[op.out_name])
+                self._create_indexes(new_schemas[op.out_name])
         elif isinstance(op, PartitionTable):
             for out, where in (
                 (op.true_name, str(op.predicate)),
@@ -215,8 +215,8 @@ class SqliteEvolution(EvolutionSystem):
                 )
             execute(f'DROP TABLE "{op.table}"')
             if self.with_indexes:
-                self._build_indexes(new_schemas[op.true_name])
-                self._build_indexes(new_schemas[op.false_name])
+                self._create_indexes(new_schemas[op.true_name])
+                self._create_indexes(new_schemas[op.false_name])
         elif isinstance(op, AddColumn):
             if op.values is not None:
                 raise EvolutionError(

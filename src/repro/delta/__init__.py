@@ -10,8 +10,7 @@ table with an uncompressed write buffer:
 
 * :class:`DeltaStore` — appended rows in plain column vectors plus
   epoch-versioned deletion maps (the validity bitmaps) over the main
-  store and the buffer itself, and per-column hash indexes once the
-  buffer grows;
+  store and the buffer itself;
 * :class:`MutableTable` — the DML facade: ``insert``/``update``/
   ``delete`` land in the delta, reads merge delta + main at query time;
 * :class:`Snapshot` — an MVCC handle pinning one (generation, epoch)
@@ -33,17 +32,11 @@ from repro.delta.policy import (
     DeltaStats,
 )
 from repro.delta.snapshot import Snapshot
-from repro.delta.store import (
-    DEFAULT_INDEX_THRESHOLD,
-    RANGE_PROBE_MAX_DISTINCT_SHARE,
-    DeltaStore,
-)
+from repro.delta.store import DeltaStore
 
 __all__ = [
     "CompactionPolicy",
     "CompactionProgress",
-    "DEFAULT_INDEX_THRESHOLD",
-    "RANGE_PROBE_MAX_DISTINCT_SHARE",
     "DeltaStats",
     "DeltaStore",
     "MutableTable",

@@ -27,6 +27,9 @@ back the matching value bitmap(s), and its positions are dropped when
 enumerated.  An UPDATE reads its victims' old images through the read
 path's row gather (``TableBatch.rows``) from the generation's decoded
 rows, so a cold generation costs one decode, shared with SELECT.
+Buffered victims are found the way a SELECT finds them: a
+``DeltaBatch`` filtered by the compiled evaluator, one pass over the
+buffer the compaction policy keeps small.
 """
 
 from __future__ import annotations
@@ -159,9 +162,7 @@ class MutableTable:
         # combined with others: Database._commit_lock -> table locks
         # (sorted by name) -> WriteAheadLog's internal lock.
         self._lock = threading.RLock()
-        self._delta = DeltaStore(
-            table.schema, index_threshold=self.policy.index_threshold
-        )
+        self._delta = DeltaStore(table.schema)
         self._delta._lock = self._lock
         self.on_compact = on_compact
         self.compactions = 0
@@ -260,7 +261,6 @@ class MutableTable:
                 compactions=self.compactions,
                 epoch=self._delta.epoch,
                 open_snapshots=len(self._snapshots),
-                indexed_columns=len(self._delta.indexed_columns),
                 compaction_steps=self.compaction_steps,
             )
 
@@ -415,7 +415,8 @@ class MutableTable:
                 for position in self._matching_main_positions(predicate):
                     if self._delta.delete_main(int(position)):
                         count += 1
-                for index in self._matching_delta_indices(predicate):
+                victims = self._delta_victims(predicate)
+                for index in victims.selected_positions().tolist():
                     if self._delta.delete_delta(index):
                         count += 1
                 self._maybe_autocompact()
@@ -432,7 +433,8 @@ class MutableTable:
         :meth:`~repro.delta.store.DeltaStore.apply_update`), not a
         delete+insert record pair per victim.  The main victims' old
         images are gathered, in position order, from the decoded rows
-        the read path keeps per generation.
+        the read path keeps per generation, the buffered ones from the
+        filtered ``DeltaBatch`` that found them.
         """
         from repro.exec import TableBatch
 
@@ -454,8 +456,8 @@ class MutableTable:
                 if len(main_positions)
                 else []
             )
-            delta_indices = self._matching_delta_indices(predicate)
-            old_delta = [self._delta.row(index) for index in delta_indices]
+            delta_victims = self._delta_victims(predicate)
+            old_delta = delta_victims.rows()
 
             updated = [
                 tuple(
@@ -467,7 +469,7 @@ class MutableTable:
             with self._wal_txn():
                 count = self._delta.apply_update(
                     [int(position) for position in main_positions],
-                    list(delta_indices),
+                    delta_victims.selected_positions().tolist(),
                     updated,
                 )
                 self._maybe_autocompact()
@@ -487,14 +489,16 @@ class MutableTable:
             [p for p in matching.tolist() if p not in deleted], dtype=np.int64
         )
 
-    def _matching_delta_indices(self, predicate) -> list[int]:
-        """Live delta indices satisfying ``predicate`` — through the
-        buffer's per-column hash indexes once it has grown past the
-        policy's ``index_threshold``, row at a time below it."""
-        if predicate is None:
-            return self._delta.live_indices()
+    def _delta_victims(self, predicate):
+        """The live buffered rows satisfying ``predicate``: a
+        ``DeltaBatch`` filtered exactly as a SELECT filters it."""
+        from repro.exec import DeltaBatch
+
+        victims = DeltaBatch(self._delta)
+        if predicate is None or not victims.selected_count:
+            return victims
         predicate.validate(self.schema)
-        return self._delta.matching_live_indices(predicate)
+        return victims.filter(predicate)
 
     # ------------------------------------------------------------------
     # Compaction (full or incremental; safe under pinned snapshots)
@@ -636,7 +640,6 @@ class MutableTable:
             deleted_main,
             new_deleted_delta,
             old_delta.epoch,
-            index_threshold=old_delta.index_threshold,
         )
         new_delta._wal = old_delta._wal
         new_delta._lock = self._lock
@@ -678,7 +681,7 @@ class MutableTable:
 
         ``new_main`` must hold the same rows as the current main — only
         the table name and/or column names (per ``renames``) may differ.
-        The buffer, its epochs, its indexes and any in-flight
+        The buffer, its epochs and any in-flight
         incremental compaction are rewired in place, making RENAME
         TABLE / RENAME COLUMN O(1) metadata operations even with pending
         writes (the invariant documented in ``docs/ARCHITECTURE.md``).

@@ -8,9 +8,8 @@ size (absolute buffered rows) and by ratio (buffered or deleted rows
 relative to the main store), the knobs of Krueger et al.'s merge
 scheduler.  It also carries the *incremental* knobs: ``step_columns``
 budgets how many columns one :meth:`repro.delta.MutableTable.
-compact_step` call merges, and ``index_threshold`` sets the buffer size
-past which per-column hash indexes take over predicate evaluation (see
-``docs/ARCHITECTURE.md``, "The compaction lifecycle").
+compact_step` call merges (see ``docs/ARCHITECTURE.md``, "The
+compaction lifecycle").
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class DeltaStats:
     compactions: int      # compactions performed so far
     epoch: int = 0        # write-versioning counter (monotonic)
     open_snapshots: int = 0   # pinned MVCC snapshots
-    indexed_columns: int = 0  # delta columns with a built hash index
     compaction_steps: int = 0  # incremental compact_step() calls
 
     @property
@@ -63,7 +61,6 @@ class DeltaStats:
             "compactions": self.compactions,
             "epoch": self.epoch,
             "open_snapshots": self.open_snapshots,
-            "indexed_columns": self.indexed_columns,
             "compaction_steps": self.compaction_steps,
         }
 
@@ -80,7 +77,6 @@ class DeltaStats:
             "delta.buffered_rows": self.delta_live,
             "delta.live_rows": self.live_rows,
             "delta.deleted_main": self.deleted_main,
-            "delta.indexed_columns": self.indexed_columns,
             "snapshot.pins_active": self.open_snapshots,
             "compaction.runs": self.compactions,
             "compaction.steps": self.compaction_steps,
@@ -89,17 +85,10 @@ class DeltaStats:
 
 def aggregate_gauges(stats_list) -> dict:
     """Sum :meth:`DeltaStats.as_gauges` across tables — the values the
-    adapter's callback gauges expose process-wide."""
-    totals = {
-        "delta.tables": 0,
-        "delta.buffered_rows": 0,
-        "delta.live_rows": 0,
-        "delta.deleted_main": 0,
-        "delta.indexed_columns": 0,
-        "snapshot.pins_active": 0,
-        "compaction.runs": 0,
-        "compaction.steps": 0,
-    }
+    adapter's callback gauges expose process-wide (every name, zero
+    for an empty list)."""
+    empty = DeltaStats("", 0, 0, 0, 0, 0, 0)
+    totals = dict.fromkeys(empty.as_gauges(), 0)
     for stats in stats_list:
         for key, value in stats.as_gauges().items():
             totals[key] += value
@@ -130,16 +119,13 @@ class CompactionPolicy:
 
     ``step_columns`` is the incremental-compaction budget: how many
     columns one ``compact_step()`` call merges (a full ``compact()``
-    ignores it).  ``index_threshold`` is the appended-row count past
-    which the delta buffer builds per-column hash indexes for predicate
-    evaluation (``None`` disables indexing).
+    ignores it).
     """
 
     max_delta_rows: int | None = 4096
     max_delta_ratio: float | None = 0.25
     max_deleted_ratio: float | None = 0.25
     step_columns: int = 1
-    index_threshold: int | None = 256
 
     @classmethod
     def never(cls) -> "CompactionPolicy":

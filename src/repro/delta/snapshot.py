@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import weakref
 
-import numpy as np
-
 from repro.errors import StorageError
 
 #: Decoded row lists, weakly keyed by main-store generation — the read
@@ -136,17 +134,7 @@ class Snapshot:
     def nrows(self) -> int:
         """Visible rows across both sides, as of the pinned epoch."""
         self._check_open()
-        # The delta's lock is the owning table's writer lock, so the
-        # two counts below read one consistent buffer state.
-        with self._delta._lock:
-            return len(self._surviving()) + len(
-                self._delta.live_indices(self.epoch)
-            )
-
-    def _surviving(self) -> np.ndarray:
-        return self._delta.surviving_main_positions(
-            self._main.nrows, self.epoch
-        )
+        return sum(self._delta.live_counts(self._main.nrows, self.epoch))
 
     def scan_batches(self) -> list:
         """The pinned view as column batches (see ``repro.exec``): one
@@ -175,9 +163,9 @@ class Snapshot:
             cached_table_column_stats,
         )
 
-        with self._delta._lock:
-            main_live = len(self._surviving())
-            delta_live = len(self._delta.live_indices(self.epoch))
+        main_live, delta_live = self._delta.live_counts(
+            self._main.nrows, self.epoch
+        )
         return TableStats(
             self._main.schema.name,
             main_live,

@@ -9,10 +9,12 @@ the compressed-domain work is deferred to compaction.
 Every write is tagged with a monotonically increasing *epoch*, so any
 reader can ask for the buffer's state "as of epoch E" — the versioned
 validity bitmaps behind :class:`repro.delta.Snapshot` (see
-``docs/ARCHITECTURE.md``, "The MVCC read path").  Once the buffer grows
-past ``index_threshold`` appended rows, per-column hash indexes map
-values to posting lists of delta indices so predicates stop evaluating
-row-wise (``docs/ARCHITECTURE.md``, "Indexed delta predicates").
+``docs/ARCHITECTURE.md``, "The MVCC read path").  Epochs only grow, so
+``insert_epochs`` never decreases and the rows appended by epoch E are
+a prefix of the buffer: visibility at E is that prefix less the
+``deleted_delta`` entries at or before E, computed on demand.
+Predicates over the buffer run through the read path's compiled
+evaluators (:class:`repro.exec.DeltaBatch`); the store keeps no index.
 
 The on-disk serialization of this state is the ``.delta`` sidecar
 documented in ``docs/delta-format.md``.
@@ -21,22 +23,13 @@ documented in ``docs/delta-format.md``.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.bitmap.plain import PlainBitmap
+from repro.errors import SerializationError, StorageError
 from repro.storage.schema import TableSchema
-
-#: Appended rows after which per-column hash indexes are built on demand.
-DEFAULT_INDEX_THRESHOLD = 256
-
-#: Highest distinct-to-appended-rows share at which a range predicate
-#: (<, >, <=, >=, !=) still probes the hash index value by value.  A
-#: hash index answers equality in O(1) but a range only by testing
-#: every distinct value; the probe beats the row-wise scan only while
-#: the distinct count stays well below the row count, so the decision
-#: follows the buffer's own statistics rather than a fixed cap.
-RANGE_PROBE_MAX_DISTINCT_SHARE = 0.5
 
 
 class DeltaStore:
@@ -60,19 +53,11 @@ class DeltaStore:
         "deleted_main",
         "deleted_delta",
         "epoch",
-        "index_threshold",
-        "_indexes",
-        "_live_cache",
         "_wal",
         "_lock",
     )
 
-    def __init__(
-        self,
-        schema: TableSchema,
-        start_epoch: int = 0,
-        index_threshold: int | None = DEFAULT_INDEX_THRESHOLD,
-    ):
+    def __init__(self, schema: TableSchema, start_epoch: int = 0):
         self.schema = schema
         self.columns: dict[str, list] = {
             name: [] for name in schema.column_names
@@ -81,14 +66,6 @@ class DeltaStore:
         self.deleted_main: dict[int, int] = {}
         self.deleted_delta: dict[int, int] = {}
         self.epoch = start_epoch
-        self.index_threshold = index_threshold
-        self._indexes: dict[str, dict] = {}
-        # Single-entry memo of (epoch, live indices).  What is visible
-        # *at* an epoch never changes once later writes carry higher
-        # epochs, so an entry only needs replacing when a different
-        # epoch is asked for — scans repeating against an unchanged
-        # buffer pay the liveness loop once.
-        self._live_cache: tuple | None = None
         # Redo emission: a repro.wal.TableWal once durability is on.
         self._wal = None
         # The writer lock.  A standalone store owns its own; a store
@@ -108,12 +85,12 @@ class DeltaStore:
         deleted_main: dict[int, int],
         deleted_delta: dict[int, int],
         epoch: int,
-        index_threshold: int | None = DEFAULT_INDEX_THRESHOLD,
     ) -> "DeltaStore":
         """Rebuild a buffer from already-coerced state (the persistence
         path of ``storage.filefmt`` and the post-compaction carry-over of
-        :meth:`repro.delta.MutableTable.compact_step`)."""
-        store = cls(schema, epoch, index_threshold)
+        :meth:`repro.delta.MutableTable.compact_step`); decreasing
+        insert epochs raise :class:`~repro.errors.SerializationError`."""
+        store = cls(schema, epoch)
         lengths = {len(values) for values in columns.values()}
         if len(lengths) > 1:
             raise StorageError(f"ragged delta columns: {sorted(lengths)}")
@@ -125,6 +102,8 @@ class DeltaStore:
                 f"{len(insert_epochs)} insert epochs for "
                 f"{store.n_appended} buffered rows"
             )
+        if any(b < a for a, b in zip(insert_epochs, insert_epochs[1:])):
+            raise SerializationError("delta insert epochs decrease")
         store.insert_epochs = list(insert_epochs)
         store.deleted_main = dict(deleted_main)
         store.deleted_delta = dict(deleted_delta)
@@ -138,9 +117,6 @@ class DeltaStore:
         index = self.n_appended
         for value, name in zip(coerced, self.schema.column_names):
             self.columns[name].append(value)
-            posting = self._indexes.get(name)
-            if posting is not None:
-                posting.setdefault(value, []).append(index)
         self.insert_epochs.append(epoch)
         return index
 
@@ -278,7 +254,7 @@ class DeltaStore:
         """Metadata-only rewire to a renamed table/column schema.
 
         ``renames`` maps old column names to new ones; unmapped names
-        must match.  Data, epochs and indexes are untouched — this is
+        must match.  Data and epochs are untouched — this is
         the O(1) half of the delta-preserving rename (see
         ``docs/ARCHITECTURE.md``, "Renames are metadata-only")."""
         renames = renames or {}
@@ -294,10 +270,6 @@ class DeltaStore:
             self.columns = {
                 renames.get(name, name): values
                 for name, values in self.columns.items()
-            }
-            self._indexes = {
-                renames.get(name, name): index
-                for name, index in self._indexes.items()
             }
             self.schema = schema
 
@@ -320,24 +292,47 @@ class DeltaStore:
         """True when compaction would be a no-op."""
         return self.n_appended == 0 and not self.deleted_main
 
+    def _visible_delta(self, epoch: int, nrows: int) -> tuple[int, list]:
+        """``(appended, dead)`` at ``epoch``, lock held: the leading
+        rows (at most ``nrows``) appended by then — ``insert_epochs``
+        never decreases, so they are a prefix — and those of them
+        deleted by then."""
+        appended = min(bisect_right(self.insert_epochs, epoch), nrows)
+        dead = [
+            index
+            for index, deleted in self.deleted_delta.items()
+            if deleted <= epoch and index < appended
+        ]
+        return appended, dead
+
+    def _dead_main(self, main_nrows: int, epoch: int) -> list[int]:
+        """Main positions deleted at or before ``epoch``, lock held."""
+        return [
+            position
+            for position, deleted in self.deleted_main.items()
+            if deleted <= epoch and position < main_nrows
+        ]
+
     def live_indices(self, epoch: int | None = None) -> list[int]:
-        """Delta indices visible at ``epoch``, in insertion order
-        (treat the returned list as read-only — it may be memoized)."""
+        """Delta indices visible at ``epoch``, in insertion order."""
+        with self._lock:
+            nrows = self.n_appended
+            validity = self.delta_validity(nrows, epoch)
+        if validity is None:
+            return list(range(nrows))
+        return validity.positions().tolist()
+
+    def live_counts(
+        self, main_nrows: int, epoch: int | None = None
+    ) -> tuple[int, int]:
+        """``(main rows, buffered rows)`` visible at ``epoch``, counted
+        without listing them."""
         with self._lock:
             if epoch is None:
                 epoch = self.epoch
-            cached = self._live_cache
-            if cached is not None and cached[0] == epoch:
-                return cached[1]
-            deleted = self.deleted_delta
-            indices = [
-                index
-                for index, inserted in enumerate(self.insert_epochs)
-                if inserted <= epoch
-                and (index not in deleted or deleted[index] > epoch)
-            ]
-            self._live_cache = (epoch, indices)
-            return indices
+            appended, dead = self._visible_delta(epoch, self.n_appended)
+            dead_main = len(self._dead_main(main_nrows, epoch))
+        return main_nrows - dead_main, appended - len(dead)
 
     def row(self, index: int) -> tuple:
         """One buffered row by delta index (live or not)."""
@@ -364,16 +359,25 @@ class DeltaStore:
         with self._lock:
             if epoch is None:
                 epoch = self.epoch
-            dead = [
-                position
-                for position, deleted in self.deleted_main.items()
-                if deleted <= epoch and position < main_nrows
-            ]
+            dead = self._dead_main(main_nrows, epoch)
         if not dead:
             return None
-        from repro.bitmap.plain import PlainBitmap
-
         bits = np.ones(main_nrows, dtype=bool)
+        bits[np.asarray(dead, dtype=np.int64)] = False
+        return PlainBitmap(bits)
+
+    def delta_validity(self, nrows: int, epoch: int | None = None):
+        """The validity of the buffer's first ``nrows`` rows at
+        ``epoch``, as :meth:`main_validity` (``None`` when all are
+        visible) — the selection vector of a ``DeltaBatch``."""
+        with self._lock:
+            if epoch is None:
+                epoch = self.epoch
+            appended, dead = self._visible_delta(epoch, nrows)
+        if appended == nrows and not dead:
+            return None
+        bits = np.zeros(nrows, dtype=bool)
+        bits[:appended] = True
         bits[np.asarray(dead, dtype=np.int64)] = False
         return PlainBitmap(bits)
 
@@ -383,128 +387,10 @@ class DeltaStore:
         """Sorted main-store positions visible at ``epoch`` (the
         versioned validity bitmap as a position array, ready for bitmap
         filtering)."""
-        with self._lock:
-            if epoch is None:
-                epoch = self.epoch
-            dead = [
-                position
-                for position, deleted in self.deleted_main.items()
-                if deleted <= epoch and position < main_nrows
-            ]
-        if not dead:
+        validity = self.main_validity(main_nrows, epoch)
+        if validity is None:
             return np.arange(main_nrows, dtype=np.int64)
-        mask = np.ones(main_nrows, dtype=bool)
-        mask[np.asarray(dead, dtype=np.int64)] = False
-        return np.flatnonzero(mask).astype(np.int64)
-
-    # ------------------------------------------------------------------
-    # Per-column hash indexes (value -> posting list of delta indices)
-    # ------------------------------------------------------------------
-
-    @property
-    def indexed_columns(self) -> tuple[str, ...]:
-        """Columns whose hash index has been built."""
-        return tuple(sorted(self._indexes))
-
-    def build_index(self, column: str) -> dict:
-        """Build (or return) the hash index of one column, regardless of
-        the size threshold."""
-        with self._lock:
-            if column not in self.columns:
-                raise StorageError(
-                    f"no column {column!r} in table {self.schema.name!r}"
-                )
-            index = self._indexes.get(column)
-            if index is None:
-                index = {}
-                for position, value in enumerate(self.columns[column]):
-                    index.setdefault(value, []).append(position)
-                self._indexes[column] = index
-            return index
-
-    def _index_for(self, column: str) -> dict | None:
-        """The column's hash index, building it once the buffer passes
-        ``index_threshold``; ``None`` while below the threshold."""
-        index = self._indexes.get(column)
-        if index is not None:
-            return index
-        if (
-            self.index_threshold is None
-            or self.n_appended < self.index_threshold
-        ):
-            return None
-        return self.build_index(column)
-
-    def matching_live_indices(
-        self, predicate, epoch: int | None = None
-    ) -> list[int]:
-        """Delta indices visible at ``epoch`` that satisfy ``predicate``
-        (all of them when ``None``) — through the per-column hash
-        indexes once the buffer has passed ``index_threshold``, row at a
-        time below it.  The predicate must already be validated against
-        the schema."""
-        with self._lock:
-            indices = self.live_indices(epoch)
-            if predicate is None:
-                return indices
-            matched = self.index_matches(predicate)
-            if matched is not None:
-                return [index for index in indices if index in matched]
-            columns = self.columns
-            return [
-                index
-                for index in indices
-                if predicate.matches(lambda attr, i=index: columns[attr][i])
-            ]
-
-    def index_matches(self, predicate) -> set[int] | None:
-        """Delta indices (liveness-agnostic) satisfying ``predicate``,
-        resolved through the hash indexes — or ``None`` when the buffer
-        is below the index threshold, in which case the caller should
-        fall back to row-wise evaluation.
-
-        Equality and IN are hash lookups; other comparisons probe each
-        distinct value once (``O(distinct)`` instead of ``O(rows)``) —
-        but only while the column's distinct count stays at or below
-        :data:`RANGE_PROBE_MAX_DISTINCT_SHARE` of the appended rows;
-        past it the probe loop would cost as much as the scan, so the
-        method declines and the caller goes row-wise.  Conjunctions
-        intersect, disjunctions union, and negations complement against
-        the appended universe.
-        """
-        from repro.smo.predicate import And, Comparison, Not, Or
-
-        # Reentrant lock: the And/Or/Not arms recurse through the
-        # public method while already holding it.
-        with self._lock:
-            if isinstance(predicate, Comparison):
-                index = self._index_for(predicate.attr)
-                if index is None:
-                    return None
-                if predicate.op not in ("=", "IN") and (
-                    len(index)
-                    > self.n_appended * RANGE_PROBE_MAX_DISTINCT_SHARE
-                ):
-                    return None
-                matched: set[int] = set()
-                for value, postings in index.items():
-                    if predicate.matches(lambda attr, v=value: v):
-                        matched.update(postings)
-                return matched
-            if isinstance(predicate, (And, Or)):
-                left = self.index_matches(predicate.left)
-                right = self.index_matches(predicate.right)
-                if left is None or right is None:
-                    return None
-                if isinstance(predicate, And):
-                    return left & right
-                return left | right
-            if isinstance(predicate, Not):
-                inner = self.index_matches(predicate.inner)
-                if inner is None:
-                    return None
-                return set(range(self.n_appended)) - inner
-            return None
+        return validity.positions()
 
     def __repr__(self) -> str:
         return (

@@ -11,12 +11,10 @@ with the cheapest representation its source offers:
 
 * :class:`TableBatch` — the compressed main store; predicates resolve
   in the compressed domain (``Predicate.bitmap``) without decoding;
-* :class:`DeltaBatch` — the write buffer; predicates resolve through
-  the delta's per-column hash indexes when built, columnar loops below
-  the threshold;
-* :class:`ValuesBatch` — already-decoded column vectors (the row-store
-  and query-level baselines); predicates run as compiled per-column
-  evaluators (:func:`compile_predicate`).
+* :class:`DeltaBatch` — the write buffer, and
+  :class:`ValuesBatch` — already-decoded column vectors (the row-store
+  and query-level baselines); both run predicates as compiled
+  per-column evaluators (:func:`compile_predicate`).
 
 Aggregation (GROUP BY, COUNT/SUM/MIN/MAX/AVG), DISTINCT and ORDER BY
 run in the same spirit — dictionary vids and bitmap popcounts on the

@@ -9,10 +9,11 @@ data: a predicate never moves values, it only tightens the selection.
 Values are materialized once, at the cursor/adapter boundary
 (:meth:`ColumnBatch.rows`), and only for selected rows.
 
-Each batch kind knows the cheapest way to evaluate a predicate against
-its own representation — see :meth:`TableBatch._matches` (compressed
-domain), :meth:`DeltaBatch._matches` (hash indexes) and
-:meth:`ValuesBatch._matches` (compiled per-column evaluators).
+A predicate runs in one of two domains: :meth:`TableBatch._matches`
+resolves it to bitmaps in the compressed domain, and every batch over
+plain vectors — :class:`ValuesBatch` and the write buffer's
+:class:`DeltaBatch` — shares :meth:`ValuesBatch._matches`, the compiled
+per-column evaluators of :mod:`repro.exec.predicate`.
 """
 
 from __future__ import annotations
@@ -23,30 +24,15 @@ import numpy as np
 
 from repro.bitmap.plain import PlainBitmap
 from repro.delta.snapshot import decoded_main_rows
-from repro.exec.predicate import compile_predicate
+from repro.exec.predicate import compile_predicate, gather
 
 
 def mask_from_positions(positions, nbits: int) -> PlainBitmap:
     """A dense selection bitmap with exactly ``positions`` set."""
     bits = np.zeros(nbits, dtype=bool)
     if len(positions):
-        bits[np.asarray(list(positions), dtype=np.int64)] = True
+        bits[np.asarray(positions, dtype=np.int64)] = True
     return PlainBitmap(bits)
-
-
-def gather(vector, positions) -> list:
-    """``[vector[p] for p in positions]`` as one C-level gather."""
-    count = len(positions)
-    if count == 0:
-        return []
-    if count == 1:
-        return [vector[int(positions[0])]]
-    positions = (
-        positions.tolist()
-        if isinstance(positions, np.ndarray)
-        else positions
-    )
-    return list(itemgetter(*positions)(vector))
 
 
 def project_rows(rows, out_positions) -> list:
@@ -239,11 +225,10 @@ class DeltaBatch(ColumnBatch):
     buffer, pinned at one epoch.
 
     Physical rows are every row ever appended (as of construction);
-    the initial selection is the liveness mask at the pinned epoch.
-    Predicates go through the buffer's per-column hash indexes when
-    they apply (equality/IN lookups, bounded range probes — exactly
-    :meth:`DeltaStore.index_matches`), falling back to the compiled
-    per-column evaluators over the buffer's plain vectors.
+    the initial selection is the buffer's validity at the pinned epoch
+    (:meth:`DeltaStore.delta_validity`).  Predicates run through the
+    compiled evaluators of :class:`ValuesBatch`; only selected
+    positions are read, as the vectors outgrow ``physical_rows``.
     """
 
     __slots__ = ("delta", "epoch", "column_names", "columns",
@@ -261,12 +246,7 @@ class DeltaBatch(ColumnBatch):
             delta.n_appended if physical_rows is None else physical_rows
         )
         if selection is ...:
-            live = delta.live_indices(self.epoch)
-            selection = (
-                None
-                if len(live) == self.physical_rows
-                else mask_from_positions(live, self.physical_rows)
-            )
+            selection = delta.delta_validity(self.physical_rows, self.epoch)
         super().__init__(selection)
 
     def with_selection(self, selection) -> "DeltaBatch":
@@ -275,20 +255,7 @@ class DeltaBatch(ColumnBatch):
             self.columns,
         )
 
-    def _matches(self, predicate) -> PlainBitmap:
-        matched = (
-            self.delta.index_matches(predicate)
-            if self.delta.columns is self.columns
-            else None
-        )
-        if matched is not None:
-            return mask_from_positions(
-                [p for p in matched if p < self.physical_rows],
-                self.physical_rows,
-            )
-        positions = self.selected_positions()
-        hits = compile_predicate(predicate)(self.columns, positions)
-        return mask_from_positions(positions[hits], self.physical_rows)
+    _matches = ValuesBatch._matches
 
     def rows(self, out_positions=None) -> list[tuple]:
         names = (

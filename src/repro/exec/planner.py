@@ -9,10 +9,10 @@ same lazy chain::
         ── [hash_join] ── DISTINCT/ORDER BY ── LIMIT ── tuples
 
 with each stage choosing its strategy from the batch kind the adapter
-emitted (compressed-domain bitmaps, delta hash indexes, or compiled
-columnar evaluators).  Semantics — row order, duplicate handling —
-match a row-at-a-time evaluation over the reference merge
-(``to_rows()``) exactly; tier-1 equivalence is pinned by
+emitted (compressed-domain bitmaps or compiled columnar evaluators).
+Semantics — row order, duplicate handling — match a row-at-a-time
+evaluation over the reference merge (``to_rows()``) exactly; tier-1
+equivalence is pinned by
 ``tests/property/test_exec_properties.py``.
 
 Observability hooks (see ``docs/observability.md``):
@@ -91,7 +91,7 @@ def _observed_batches(batches, span):
     """Pass batches through, timing the pull (inclusive of upstream)
     and recording batch count, selected rows, and the batch kinds
     actually seen (TableBatch / DeltaBatch / ValuesBatch — the
-    compressed-domain, hash-index and compiled-evaluator paths)."""
+    compressed-domain path, then the compiled evaluator twice)."""
     base_detail = span.detail
     kinds: list[str] = []
     iterator = iter(batches)

@@ -75,10 +75,9 @@ class Comparison(Predicate):
     def value_test(self):
         """A per-value callable with exactly :meth:`matches` semantics.
 
-        The batch evaluators (:mod:`repro.exec.predicate`) and the
-        delta hash indexes probe one value at a time; routing them
-        through this closure keeps every evaluation strategy's edge
-        cases (NULLs, IN tuples) identical to the row path's."""
+        The batch evaluators (:mod:`repro.exec.predicate`) test range
+        comparisons one value at a time through this closure, so their
+        edge cases (NULL ordering) stay identical to the row path's."""
         if self.op == IN:
             literals = self.value
             return lambda value: value in literals

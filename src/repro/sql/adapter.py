@@ -262,18 +262,18 @@ class RowEngineAdapter(EngineAdapter):
             # Row ids are stable under UPDATE, so only indexes on
             # assigned columns go stale.
             assigned = {column for column, _value in assignments}
-            self._rebuild_indexes(heap, only=assigned)
+            self._refresh_indexes(heap, only=assigned)
         return count
 
     def delete_rows(self, name: str, predicate) -> int:
         heap = self.engine.table(name)
         heap.rows, count = _drop_rows(heap.schema, heap.rows, predicate)
         if count:
-            self._rebuild_indexes(heap)  # deletes shift every row id
+            self._refresh_indexes(heap)  # deletes shift every row id
         return count
 
     @staticmethod
-    def _rebuild_indexes(heap, only=None) -> None:
+    def _refresh_indexes(heap, only=None) -> None:
         for column in list(heap.indexes):
             if only is None or column in only:
                 heap.create_index(column)
@@ -475,16 +475,7 @@ class MutableColumnAdapter(EngineAdapter):
         def reader(key):
             return lambda: aggregate_gauges(engine.delta_stats())[key]
 
-        for key in (
-            "delta.tables",
-            "delta.buffered_rows",
-            "delta.live_rows",
-            "delta.deleted_main",
-            "delta.indexed_columns",
-            "snapshot.pins_active",
-            "compaction.runs",
-            "compaction.steps",
-        ):
+        for key in aggregate_gauges(()):
             registry.gauge(key, fn=reader(key))
 
     @property
@@ -568,10 +559,10 @@ class MutableColumnAdapter(EngineAdapter):
         """Native column batches: the compressed main store flows
         through as a :class:`~repro.exec.batch.TableBatch` (predicates
         stay in the compressed domain) and the write buffer as a
-        :class:`~repro.exec.batch.DeltaBatch` (predicates hit the hash
-        indexes), merged epoch-wise.  Honors an active snapshot scope,
-        so pinned transactions read their frozen view through the same
-        pipeline."""
+        :class:`~repro.exec.batch.DeltaBatch` (predicates run through the
+        compiled evaluator), merged epoch-wise.  Honors an active
+        snapshot scope, so pinned transactions read their frozen view
+        through the same pipeline."""
         snapshot = self._pinned(name)
         if snapshot is not None:
             return snapshot.scan_batches()
@@ -581,7 +572,7 @@ class MutableColumnAdapter(EngineAdapter):
         return [TableBatch(self.catalog.table(name))]
 
     def scan_path(self, name: str) -> str:
-        return "main: compressed-domain bitmap, delta: hash index"
+        return "main: compressed-domain bitmap, delta: compiled evaluator"
 
     def table_stats(self, name: str):
         """Planner statistics for the view a scan would see: the pinned
@@ -650,13 +641,11 @@ class MutableColumnAdapter(EngineAdapter):
 
     def create_index(self, table: str, column: str) -> None:
         # As in ColumnStoreAdapter: the per-value bitmaps are the index
-        # on the main side; on the delta side, force the hash index.
+        # and the small delta is scanned.  Validate the reference and
+        # accept.
         schema = self.catalog.schema(table)
         if not schema.has_column(column):
             raise SchemaError(f"no column {column!r} in table {table!r}")
-        mutable = self.evolution_engine.delta_handle(table)
-        if mutable is not None and mutable.is_valid:
-            mutable.delta.build_index(column)
 
     def rename_column(self, table: str, old: str, new: str) -> None:
         # Metadata-only, delta-preserving (see rename_table).

@@ -21,9 +21,9 @@ state in a ``.delta`` sidecar next to the ``.cods`` file:
 
 The delta is uncompressed in memory, so it is stored uncompressed too:
 the JSON carries the appended column vectors, the per-row insert
-epochs, both epoch-tagged deletion maps, the epoch counter, and the
-hash-index metadata (threshold + which columns had an index built, so
-it can be rebuilt on load).  Version 3 adds the write-ahead-log
+epochs, both epoch-tagged deletion maps and the epoch counter (an
+``index`` object older writers added is ignored on load).  Version 3
+adds the write-ahead-log
 checkpoint fields: ``wal_lsn`` (the log position this sidecar
 checkpoints) and ``main_file`` (the versioned main this sidecar
 masks — the sidecar is the per-table atomic commit point of the
@@ -46,7 +46,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.bitmap.wah import WAHBitmap
-from repro.errors import SerializationError
+from repro.errors import SchemaError, SerializationError, StorageError
 from repro.storage.column import BitmapColumn
 from repro.storage.dictionary import Dictionary
 from repro.storage.schema import ColumnSchema, TableSchema
@@ -214,8 +214,8 @@ def save_delta(store, path, wal_lsn=None, main_file=None) -> None:
     atomic via temp file + ``os.replace``.
 
     The payload carries the full MVCC state — per-row insert epochs,
-    epoch-tagged deletion maps, the epoch counter — plus the hash-index
-    metadata (see ``docs/delta-format.md``).  The write-ahead-log
+    epoch-tagged deletion maps, the epoch counter (see
+    ``docs/delta-format.md``).  The write-ahead-log
     checkpoint path passes ``wal_lsn`` (the log position this sidecar
     makes durable) and ``main_file`` (the versioned main file it
     masks); plain saves omit both."""
@@ -234,10 +234,6 @@ def save_delta(store, path, wal_lsn=None, main_file=None) -> None:
         "deleted_delta": sorted(
             [index, at] for index, at in store.deleted_delta.items()
         ),
-        "index": {
-            "threshold": store.index_threshold,
-            "columns": list(store.indexed_columns),
-        },
     }
     if wal_lsn is not None:
         payload["wal_lsn"] = int(wal_lsn)
@@ -291,6 +287,10 @@ def _read_delta_payload(path) -> tuple[int, dict]:
             raise SerializationError(
                 f"{path}: undecodable .delta payload: {exc}"
             ) from exc
+    if not isinstance(payload, dict):
+        raise SerializationError(
+            f"{path}: .delta payload is not a JSON object"
+        )
     return version, payload
 
 
@@ -299,19 +299,36 @@ def load_delta(path, schema: TableSchema):
 
     Version-1 sidecars predate MVCC: their deletion *sets* become
     deletion maps with synthetic epochs (inserts at epoch 1, deletions
-    at epoch 2)."""
-    from repro.delta.store import DEFAULT_INDEX_THRESHOLD, DeltaStore
+    at epoch 2).  The ``index`` object older writers stored is ignored.
+    Any malformed payload raises :class:`SerializationError` naming the
+    file."""
+    from repro.delta.store import DeltaStore
 
     path = Path(path)
     version, payload = _read_delta_payload(path)
+    try:
+        state = _delta_state_from_payload(path, version, payload, schema)
+    except (
+        AttributeError, KeyError, TypeError, ValueError, SchemaError
+    ) as exc:
+        raise SerializationError(
+            f"{path}: malformed .delta payload: {exc!r}"
+        ) from exc
+    try:
+        return DeltaStore.restore(schema, *state)
+    except StorageError as exc:
+        raise SerializationError(f"{path}: {exc}") from exc
+
+
+def _delta_state_from_payload(path, version, payload, schema):
+    """``DeltaStore.restore``'s arguments after ``schema``, decoded
+    from a sidecar payload of either format."""
     columns, n_appended = _delta_columns_from_payload(path, payload, schema)
     if version == 1:
         insert_epochs = [1] * n_appended
         deleted_main = {int(p): 2 for p in payload["deleted_main"]}
         deleted_delta = {int(i): 2 for i in payload["deleted_delta"]}
         epoch = 2 if (deleted_main or deleted_delta) else min(n_appended, 1)
-        threshold = DEFAULT_INDEX_THRESHOLD
-        indexed = ()
     else:
         insert_epochs = [int(e) for e in payload["insert_epochs"]]
         deleted_main = {
@@ -321,26 +338,14 @@ def load_delta(path, schema: TableSchema):
             int(index): int(at) for index, at in payload["deleted_delta"]
         }
         epoch = int(payload["epoch"])
-        index_meta = payload.get("index", {})
-        threshold = index_meta.get("threshold", DEFAULT_INDEX_THRESHOLD)
-        indexed = index_meta.get("columns", ())
+        if not isinstance(payload.get("index", {}), dict):
+            raise SerializationError(f"{path}: `index` is not an object")
     for index in deleted_delta:
         if index < 0 or index >= n_appended:
             raise SerializationError(
                 f"{path}: deleted delta index {index} out of range"
             )
-    store = DeltaStore.restore(
-        schema,
-        columns,
-        insert_epochs,
-        deleted_main,
-        deleted_delta,
-        epoch,
-        index_threshold=threshold,
-    )
-    for name in indexed:
-        store.build_index(name)
-    return store
+    return columns, insert_epochs, deleted_main, deleted_delta, epoch
 
 
 def _load_delta_for_table(sidecar, table):

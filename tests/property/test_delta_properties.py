@@ -9,12 +9,15 @@ lookup and the row-at-a-time comparison could disagree."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitmap import WAHBitmap
 from repro.delta import CompactionPolicy, MutableTable
+from repro.exec import DeltaBatch
 from repro.smo.predicate import And, Comparison, Not, Or
 from repro.storage import DataType, Table, table_from_python
 from repro.storage.types import coerce
@@ -90,8 +93,8 @@ class Oracle:
         )
 
 
-def comparisons_on(name):
-    literals = st.sampled_from(LITERALS[name])
+def comparisons_on(name, literals_by_column=LITERALS):
+    literals = st.sampled_from(literals_by_column[name])
     return st.one_of(
         st.tuples(st.sampled_from(["<", "<=", ">", ">="]), literals),
         st.tuples(st.sampled_from(["=", "!="]), st.none() | literals),
@@ -101,15 +104,21 @@ def comparisons_on(name):
     ).map(lambda t: Comparison(name, *t))
 
 
-predicates = st.recursive(
-    st.one_of(*(comparisons_on(name) for name in NAMES)),
-    lambda inner: st.one_of(
-        st.tuples(inner, inner).map(lambda t: And(*t)),
-        st.tuples(inner, inner).map(lambda t: Or(*t)),
-        inner.map(Not),
-    ),
-    max_leaves=3,
-)
+def predicate_trees(literals_by_column=LITERALS):
+    return st.recursive(
+        st.one_of(
+            *(comparisons_on(name, literals_by_column) for name in NAMES)
+        ),
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda t: And(*t)),
+            st.tuples(inner, inner).map(lambda t: Or(*t)),
+            inner.map(Not),
+        ),
+        max_leaves=3,
+    )
+
+
+predicates = predicate_trees()
 
 rows = st.tuples(st.sampled_from(KS), st.sampled_from(FS), st.sampled_from(SS))
 
@@ -216,3 +225,63 @@ def test_repeated_compaction_is_idempotent(threshold):
     first = mutable.compact()
     second = mutable.compact()
     assert first is second  # no pending changes -> same main returned
+
+
+# The delta's one predicate path — the compiled evaluator — against
+# row-at-a-time ``Predicate.matches``, at buffer sizes around where a
+# hash index once took over (256 appended rows).  A NaN literal joins
+# the FLOAT literals; ints against FLOAT, NULL literals, IN lists with
+# None and != over NULL values come from the shared strategies.
+DELTA_LITERALS = {**LITERALS, "F": [*LITERALS["F"], float("nan")]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.sampled_from([0, 255, 256, 1000]),
+    seed=st.integers(0, 2**16),
+    predicate=predicate_trees(DELTA_LITERALS),
+    assignment=assignments,
+)
+def test_delta_predicates_match_row_semantics(
+    size, seed, predicate, assignment
+):
+    rng = random.Random(seed)
+    buffered = [
+        (rng.choice(KS), rng.choice(FS), rng.choice(SS))
+        for _ in range(size)
+    ]
+
+    def fresh():
+        mutable = MutableTable(
+            base_table([(1, 1.5, "a"), (None, None, None)]),
+            CompactionPolicy.never(),
+        )
+        mutable.insert_rows(buffered)
+        for index in range(0, size, 7):  # a sparse live selection
+            mutable.delta.delete_delta(index)
+        return mutable
+
+    def matches(row):
+        return Oracle._matches(predicate, row)
+
+    mutable = fresh()
+    live = mutable.delta.live_indices()
+    store = mutable.delta
+    expected = [i for i in live if matches(store.row(i))]
+    batch = DeltaBatch(store).filter(predicate)
+    assert batch.selected_positions().tolist() == expected
+    assert batch.rows() == [store.row(i) for i in expected]
+    assert mutable._delta_victims(predicate).selected_positions().tolist() == (
+        expected
+    )
+
+    oracle = Oracle(mutable.to_rows())
+    assert mutable.delete(predicate) == oracle.delete(predicate)
+    assert mutable.to_rows() == oracle.rows
+
+    mutable = fresh()
+    oracle = Oracle(mutable.to_rows())
+    assert mutable.update(assignment, predicate) == oracle.update(
+        assignment, predicate
+    )
+    assert mutable.to_rows() == oracle.rows

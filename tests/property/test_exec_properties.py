@@ -72,8 +72,7 @@ def row_batches(draw, max_rows=12):
 @st.composite
 def delta_states(draw):
     """A table with a main store, then a random DML tail that leaves a
-    delta behind (optionally with a mid-stream compaction and a forced
-    hash index)."""
+    delta behind (optionally with a mid-stream compaction)."""
     return {
         "main": draw(row_batches(max_rows=15)),
         "tail": draw(
@@ -87,7 +86,6 @@ def delta_states(draw):
             )
         ),
         "compact_midway": draw(st.booleans()),
-        "index": draw(st.booleans()),
     }
 
 
@@ -110,11 +108,6 @@ def build_adapter(state):
             adapter.delete_rows("t", predicate)
         if state["compact_midway"] and index == 0 and len(steps) > 1:
             adapter.compact_step("t")
-    if state["index"]:
-        mutable = adapter.evolution_engine.delta_handle("t")
-        if mutable is not None and mutable.is_valid:
-            mutable.delta.build_index("a")
-            mutable.delta.build_index("c")
     return adapter, executor
 
 

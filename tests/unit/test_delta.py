@@ -771,81 +771,3 @@ class TestWritePathExport:
         payload = load_write_path_json(out)
         assert payload["benchmark"] == "write_path"
         assert payload["compaction"]["final_rows"] >= 0
-
-
-class TestRangeProbeGuard:
-    """Range predicates probe the hash index only while the column's
-    distinct count is a small share of the appended rows; past the
-    share they fall back to row-wise evaluation."""
-
-    def make_store(self, n_rows=32, distinct=None):
-        store = DeltaStore(small_table().schema, index_threshold=1)
-        distinct = distinct if distinct is not None else n_rows
-        for i in range(n_rows):
-            store.append((i % distinct, f"s{i % distinct}"))
-        store.build_index("K")
-        return store
-
-    def test_equality_unaffected_by_the_guard(self):
-        # Every value distinct (100% share): equality stays a hash hit.
-        store = self.make_store(n_rows=32)
-        assert store.index_matches(Comparison("K", "=", 3)) == {3}
-        assert store.index_matches(
-            Comparison("K", "IN", (0, 1))
-        ) == {0, 1}
-
-    def test_range_probes_on_low_distinct_share(self):
-        # 8 distinct over 64 rows (12.5%): probing 8 values beats
-        # walking 64 rows, so the index answers.
-        store = self.make_store(n_rows=64, distinct=8)
-        assert store.index_matches(Comparison("K", "<", 2)) == {
-            i for i in range(64) if i % 8 < 2
-        }
-
-    def test_range_declines_on_high_distinct_share(self):
-        # All 32 values distinct (100% share): probing every value
-        # costs as much as the scan, so the index declines ...
-        store = self.make_store(n_rows=32)
-        assert store.index_matches(Comparison("K", "<", 2)) is None
-        # ... and the public entry point still answers, row-wise.
-        assert store.matching_live_indices(
-            Comparison("K", "<", 2)
-        ) == [0, 1]
-
-    def test_guard_applies_inside_conjunctions(self):
-        store = self.make_store(n_rows=32)
-        predicate = And(
-            Comparison("K", "=", 1), Comparison("K", "<", 10)
-        )
-        assert store.index_matches(predicate) is None
-        assert store.matching_live_indices(predicate) == [1]
-
-    def test_share_threshold_is_the_module_constant(self):
-        from repro.delta import RANGE_PROBE_MAX_DISTINCT_SHARE
-
-        # Just at the share: probes.  One distinct value past: declines.
-        at_share = self.make_store(
-            n_rows=32, distinct=int(32 * RANGE_PROBE_MAX_DISTINCT_SHARE)
-        )
-        assert at_share.index_matches(
-            Comparison("K", "<", 2)
-        ) is not None
-        past_share = self.make_store(
-            n_rows=32,
-            distinct=int(32 * RANGE_PROBE_MAX_DISTINCT_SHARE) + 2,
-        )
-        assert past_share.index_matches(Comparison("K", "<", 2)) is None
-
-    def test_row_wise_and_probed_results_agree(self):
-        probed = self.make_store(n_rows=64, distinct=16)
-        row_wise = self.make_store(n_rows=64, distinct=16)
-        row_wise._indexes.clear()
-        row_wise.index_threshold = None
-        for predicate in (
-            Comparison("K", ">", 7),
-            Comparison("K", "<=", 3),
-            Comparison("K", "!=", 5),
-        ):
-            assert probed.matching_live_indices(predicate) == (
-                row_wise.matching_live_indices(predicate)
-            )

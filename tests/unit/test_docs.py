@@ -429,14 +429,14 @@ class TestWritePathDocs:
         and where old images come from, by the names that do it."""
         from repro.delta import DeltaStore, MutableTable
         from repro.delta import snapshot
-        from repro.exec import TableBatch
+        from repro.exec import DeltaBatch, TableBatch
         from repro.smo.predicate import Predicate
         from repro.storage.dictionary import Dictionary
 
         owners = {
             "MutableTable": MutableTable, "DeltaStore": DeltaStore,
             "Dictionary": Dictionary, "Predicate": Predicate,
-            "TableBatch": TableBatch,
+            "TableBatch": TableBatch, "DeltaBatch": DeltaBatch,
         }
         text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
         section = text[text.index("## The main/delta split"):]
@@ -452,6 +452,8 @@ class TestWritePathDocs:
             ("Dictionary", "vid_or_none"),
             ("Predicate", "bitmap"),
             ("TableBatch", "rows"),
+            ("MutableTable", "_delta_victims"),
+            ("DeltaBatch", "rows"),
         } <= named
         assert "`decoded_main_rows`" in section
         assert callable(snapshot.decoded_main_rows)
@@ -567,17 +569,6 @@ class TestAggregationDocs:
                 f"ARCHITECTURE.md does not explain {term!r}"
             )
 
-    def test_architecture_names_the_live_probe_guard(self):
-        # The fixed range_probe_limit knob was replaced by the
-        # statistics-driven distinct-share guard; the doc must describe
-        # the rule that exists.
-        from repro.delta import RANGE_PROBE_MAX_DISTINCT_SHARE
-
-        text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
-        assert "range_probe_limit" not in text
-        assert "RANGE_PROBE_MAX_DISTINCT_SHARE" in text
-        assert str(RANGE_PROBE_MAX_DISTINCT_SHARE) in text
-
     def test_migration_doc_covers_the_table_stats_hint(self):
         text = (REPO / "docs" / "migration.md").read_text()
         assert "table_stats" in text
@@ -650,3 +641,39 @@ class TestOneCodecDocs:
             "python -m pytest benchmarks/bench_*.py --benchmark-disable -q"
             in ci
         )
+
+
+class TestOneDeltaPredicatePath:
+    REMOVED = (
+        "index_threshold", "index_matches", "matching_live_indices",
+        "build_index", "indexed_columns", "RANGE_PROBE_MAX_DISTINCT_SHARE",
+        "DEFAULT_INDEX_THRESHOLD", "_live_cache",
+    )
+
+    def test_removed_index_names_appear_nowhere(self):
+        """The delta's hash indexes are gone; only the migration note
+        may still name what was removed."""
+        paths = [
+            *(REPO / "src").rglob("*.py"),
+            *(REPO / "docs").glob("*.md"),
+            REPO / "README.md",
+            *(REPO / "examples").glob("*.py"),
+            *(REPO / "benchmarks").glob("bench_*.py"),
+        ]
+        migration = REPO / "docs" / "migration.md"
+        for path in paths:
+            if path == migration:
+                continue
+            text = path.read_text()
+            for name in self.REMOVED:
+                assert name not in text, f"{path} still mentions {name}"
+        note = migration.read_text()
+        assert "## Removed: delta hash indexes" in note
+        for name in self.REMOVED[:-1]:
+            assert name in note, f"migration.md omits {name}"
+
+    def test_ci_runs_each_write_gate_once_at_its_bound(self):
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert ci.count("benchmarks/bench_session_api.py") == 1
+        assert ci.count("benchmarks/bench_wal_commit.py") == 1
+        assert "--rows 2000 --max-overhead 0.25" in ci

@@ -1,7 +1,7 @@
 """The vectorized read path: batches, operators, and the planner.
 
-Covers the three batch kinds' predicate strategies (compressed-domain
-bitmaps, delta hash indexes, compiled columnar evaluators), selection
+Covers the two predicate strategies (compressed-domain bitmaps for the
+main store, compiled columnar evaluators for plain vectors), selection
 algebra, LIMIT's batch-level early exit, and SELECT execution through
 the pipeline on all three registered backends.
 """
@@ -137,29 +137,43 @@ class TestTableBatch:
 
 
 class TestDeltaBatch:
-    def delta(self, threshold):
+    def delta(self):
         schema = small_table().schema
-        store = DeltaStore(schema, index_threshold=threshold)
+        store = DeltaStore(schema)
         store.append_rows([(10, "x"), (11, "y"), (12, "x"), (13, "z")])
         store.delete_delta(1)
         return store
 
-    @pytest.mark.parametrize("threshold", [1, None])
+    @pytest.mark.parametrize("deleted_index", [1, None])
     def test_filter_matches_row_wise_with_and_without_index(
-        self, threshold
+        self, deleted_index
     ):
-        store = self.delta(threshold)
-        if threshold is not None:
-            store.build_index("s")
-            assert store.indexed_columns == ("s",)
+        # ``deleted_index`` is the delta position deleted before the
+        # filter runs; None filters a buffer with no deletes.
+        store = DeltaStore(small_table().schema)
+        store.append_rows([(10, "x"), (11, "y"), (12, "x"), (13, "z")])
+        if deleted_index is not None:
+            store.delete_delta(deleted_index)
         predicate = Or(Comparison("s", "=", "x"), Comparison("k", ">", 12))
         batch = DeltaBatch(store)
         got = batch.filter(predicate).rows()
         live = store.live_rows()
         assert got == reference_filter(live, ("k", "s"), predicate)
 
+    def test_filter_ignores_rows_appended_after_the_pin(self):
+        # The buffer's vectors outgrow a pinned batch; its filter reads
+        # only the batch's own physical rows.
+        store = DeltaStore(small_table().schema)
+        store.append_rows([(10, "x"), (11, "x")])
+        batch = DeltaBatch(store)
+        store.append_rows([(12, "x"), (13, "x")])
+        matched = batch.filter(Comparison("s", "=", "x"))
+        assert matched.physical_rows == 2
+        assert matched.selection.nbits == 2
+        assert matched.rows() == [(10, "x"), (11, "x")]
+
     def test_epoch_pinned_visibility(self):
-        store = self.delta(None)
+        store = self.delta()
         pinned = store.epoch
         store.append((14, "w"))
         store.delete_delta(0)
@@ -167,7 +181,7 @@ class TestDeltaBatch:
         assert batch.rows() == [(10, "x"), (12, "x"), (13, "z")]
 
     def test_projection(self):
-        store = self.delta(None)
+        store = self.delta()
         assert DeltaBatch(store).rows([1]) == [("x",), ("x",), ("z",)]
 
 

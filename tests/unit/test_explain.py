@@ -191,8 +191,8 @@ class TestTransactions:
             tx.execute("INSERT INTO r VALUES (7, 'z')")
             after = scan_detail(tx, "EXPLAIN SELECT * FROM r")
             assert after == (
-                "table=r (main: compressed-domain bitmap, delta: hash "
-                "index, transaction rows: compiled evaluator)"
+                "table=r (main: compressed-domain bitmap, delta: compiled "
+                "evaluator, transaction rows: compiled evaluator)"
             )
             analyzed = scan_detail(tx, "EXPLAIN ANALYZE SELECT * FROM r")
             assert analyzed.endswith("[TableBatch+DeltaBatch+ValuesBatch]")

@@ -1,5 +1,5 @@
-"""Unit tests for PR 2: MVCC snapshots, incremental compaction, the
-delta hash index, O(1) metadata renames, snapshot-scoped SQL and the
+"""Unit tests for MVCC snapshots, incremental compaction, predicates
+over the delta, O(1) metadata renames, snapshot-scoped SQL and the
 versioned ``.delta`` sidecar."""
 
 import struct
@@ -13,7 +13,7 @@ from repro.delta import (
     MutableTable,
     Snapshot,
 )
-from repro.errors import SerializationError, StorageError
+from repro.errors import SchemaError, SerializationError, StorageError
 from repro.exec import filter_batches, iter_rows
 from repro.smo.predicate import And, Comparison, Not, Or
 from repro.sql import MutableColumnAdapter, SqlExecutor
@@ -263,36 +263,14 @@ class TestIncrementalCompaction:
         assert seen == ["bg"]
 
 
-class TestDeltaHashIndex:
-    def indexed(self, threshold=2):
-        return MutableTable(
-            small_table(),
-            CompactionPolicy(None, None, None, index_threshold=threshold),
-        )
+class TestDeltaPredicates:
+    """Buffered rows are filtered by the read path's compiled
+    evaluator at every size, under pinned epochs and across renames."""
 
-    def test_index_builds_past_threshold(self):
-        mutable = self.indexed(threshold=3)
-        mutable.insert((5, "d"))
-        assert mutable.delta.index_matches(Comparison("S", "=", "d")) is None
-        mutable.insert_rows([(6, "e"), (7, "d")])
-        matched = mutable.delta.index_matches(Comparison("S", "=", "d"))
-        assert matched == {0, 2}
-        assert mutable.delta.indexed_columns == ("S",)
-
-    def test_index_disabled(self):
-        mutable = MutableTable(
-            small_table(),
-            CompactionPolicy(None, None, None, index_threshold=None),
-        )
-        mutable.insert_rows([(9, "x")] * 10)
-        assert mutable.delta.index_matches(Comparison("S", "=", "x")) is None
-
-    def test_index_matches_row_wise_for_all_operators(self):
+    def test_filter_matches_row_wise_for_all_operators(self):
         rows = [(k, s) for k in range(6) for s in "abc"]
-        indexed = self.indexed(threshold=1)
-        plain = MutableTable(small_table(), CompactionPolicy.never())
-        indexed.insert_rows(rows)
-        plain.insert_rows(rows)
+        mutable = frozen()
+        mutable.insert_rows(rows)
         predicates = [
             Comparison("K", "=", 3),
             Comparison("K", "!=", 2),
@@ -304,13 +282,15 @@ class TestDeltaHashIndex:
             Not(Comparison("S", "=", "a")),
         ]
         for predicate in predicates:
-            assert indexed.delta.index_matches(predicate) is not None
-            assert sorted(rows_where(indexed, predicate)) == sorted(
-                rows_where(plain, predicate)
-            ), str(predicate)
+            expected = [
+                row
+                for row in mutable.to_rows()
+                if predicate.matches(lambda a, r=row: r["KS".index(a)])
+            ]
+            assert rows_where(mutable, predicate) == expected, str(predicate)
 
-    def test_index_respects_deletes_and_epochs(self):
-        mutable = self.indexed(threshold=1)
+    def test_deletes_under_a_pinned_epoch(self):
+        mutable = frozen()
         mutable.insert_rows([(5, "d"), (6, "d")])
         snapshot = mutable.snapshot()
         mutable.delete(Comparison("K", "=", 5))
@@ -319,17 +299,16 @@ class TestDeltaHashIndex:
             (5, "d"), (6, "d"),
         ]
 
-    def test_index_survives_rename(self):
-        mutable = self.indexed(threshold=1)
+    def test_filter_after_column_rename(self):
+        mutable = frozen()
         mutable.insert((5, "d"))
-        mutable.delta.build_index("S")
         mutable.rewire_metadata(
             mutable.main.with_renamed_column("S", "Skill"), {"S": "Skill"}
         )
-        assert mutable.delta.indexed_columns == ("Skill",)
         assert rows_where(mutable, Comparison("Skill", "=", "d")) == [
             (5, "d")
         ]
+        assert mutable.delete(Comparison("Skill", "=", "d")) == 1
 
 
 class TestMetadataRenames:
@@ -508,10 +487,12 @@ class TestSnapshotScopedSql:
         )
         assert sorted(rows) == [(1, "a"), (3, "a")]
 
-    def test_create_index_builds_delta_index(self):
+    def test_create_index_only_validates(self):
         adapter, executor = self.executor()
         executor.execute("CREATE INDEX idx ON r (s)")
-        assert "s" in adapter.evolution_engine.mutable("r").delta.indexed_columns
+        assert executor.execute("SELECT k FROM r WHERE s = 'a'") == [(1,)]
+        with pytest.raises(SchemaError, match="no column"):
+            executor.execute("CREATE INDEX idx ON r (missing)")
 
 
 class TestSidecarV2:
@@ -530,17 +511,36 @@ class TestSidecarV2:
         assert restored.delta.deleted_main == mutable.delta.deleted_main
         assert restored.delta.deleted_delta == mutable.delta.deleted_delta
 
-    def test_index_metadata_roundtrip(self, tmp_path):
-        schema = small_table().schema
-        store = DeltaStore(schema, index_threshold=7)
-        store.append((5, "d"))
-        store.build_index("S")
+    def test_legacy_index_block_is_ignored(self, tmp_path):
+        # Older writers stored hash-index metadata in an `index` object;
+        # such a sidecar loads to the same rows, and saves drop it.
+        import json
+
+        payload = {
+            "table": "R",
+            "epoch": 3,
+            "columns": {"K": [5, 6, 7], "S": ["d", "e", "d"]},
+            "insert_epochs": [1, 1, 2],
+            "deleted_main": [[0, 3]],
+            "deleted_delta": [],
+            "index": {"threshold": 256, "columns": ["S"]},
+        }
         path = tmp_path / "r.delta"
-        save_delta(store, path)
-        loaded = load_delta(path, schema)
-        assert loaded.index_threshold == 7
-        assert loaded.indexed_columns == ("S",)
-        assert loaded.index_matches(Comparison("S", "=", "d")) == {0}
+        blob = json.dumps(payload).encode()
+        path.write_bytes(
+            b"CODD" + struct.pack("<H", 3)
+            + struct.pack("<I", len(blob)) + blob
+        )
+        loaded = load_delta(path, small_table().schema)
+        assert loaded.live_rows() == [(5, "d"), (6, "e"), (7, "d")]
+        assert loaded.deleted_main == {0: 3}
+        mutable = frozen()
+        mutable.restore_delta(loaded)
+        assert rows_where(mutable, Comparison("S", "=", "d")) == [
+            (5, "d"), (7, "d"),
+        ]
+        save_delta(loaded, path)
+        assert b'"index"' not in path.read_bytes()
 
     def test_v1_sidecar_still_loads(self, tmp_path):
         import json
@@ -592,19 +592,145 @@ class TestSidecarV2:
         assert not delta_sidecar_path(path).exists()
 
 
+def write_sidecar(path, payload, version=3):
+    import json
+
+    blob = json.dumps(payload).encode()
+    path.write_bytes(
+        b"CODD" + struct.pack("<H", version)
+        + struct.pack("<I", len(blob)) + blob
+    )
+
+
+def sidecar_payload(**changes):
+    payload = {
+        "table": "R",
+        "epoch": 2,
+        "columns": {"K": [5, 6], "S": ["d", "e"]},
+        "insert_epochs": [1, 2],
+        "deleted_main": [],
+        "deleted_delta": [],
+    }
+    payload.update(changes)
+    return payload
+
+
+class TestMalformedSidecars:
+    """Each payload once leaked a raw Python exception from
+    ``load_delta``; every one is a ``SerializationError`` naming the
+    file."""
+
+    def assert_rejected(self, tmp_path, payload):
+        path = tmp_path / "R.cods.delta"
+        write_sidecar(path, payload)
+        with pytest.raises(SerializationError) as raised:
+            load_delta(path, small_table().schema)
+        assert str(path) in str(raised.value)
+        return path
+
+    def test_missing_insert_epochs(self, tmp_path):
+        payload = sidecar_payload()
+        del payload["insert_epochs"]
+        self.assert_rejected(tmp_path, payload)
+
+    def test_non_integer_epoch(self, tmp_path):
+        self.assert_rejected(tmp_path, sidecar_payload(epoch="x"))
+
+    def test_index_that_is_not_an_object(self, tmp_path):
+        self.assert_rejected(tmp_path, sidecar_payload(index=[1]))
+
+    def test_one_element_deletion_pair(self, tmp_path):
+        self.assert_rejected(tmp_path, sidecar_payload(deleted_main=[[0]]))
+
+    def test_list_payload(self, tmp_path):
+        path = self.assert_rejected(tmp_path, [sidecar_payload()])
+        # The schema-free peek behind the catalog-open, checkpoint and
+        # recovery paths rejects it too.
+        from repro.storage.filefmt import _read_delta_payload
+
+        with pytest.raises(SerializationError, match="not a JSON object"):
+            _read_delta_payload(path)
+        from repro.storage import save_table
+
+        save_table(small_table(), tmp_path / "R.cods")
+        with pytest.raises(SerializationError):
+            load_mutable_table(tmp_path / "R.cods")
+
+    def test_decreasing_insert_epochs(self, tmp_path):
+        self.assert_rejected(
+            tmp_path, sidecar_payload(insert_epochs=[2, 1])
+        )
+
+
+class TestInsertEpochOrder:
+    """``insert_epochs`` never decreases, so the rows appended by an
+    epoch are a prefix of the buffer — what visibility reads."""
+
+    @staticmethod
+    def assert_ordered(store):
+        epochs = store.insert_epochs
+        assert all(a <= b for a, b in zip(epochs, epochs[1:])), epochs
+
+    def test_every_writer_keeps_the_order(self):
+        schema = small_table().schema
+        store = DeltaStore(schema)
+        store.append((5, "d"))
+        self.assert_ordered(store)
+        store.append_rows([(6, "e"), (7, "f")])
+        self.assert_ordered(store)
+        store.apply_update([0], [1], [(1, "z"), (6, "y")])
+        self.assert_ordered(store)
+        store.replay_insert([(8, "g")], store.epoch + 1)
+        self.assert_ordered(store)
+        store.replay_update([2], [0], [(2, "q")], store.epoch + 1)
+        self.assert_ordered(store)
+        restored = DeltaStore.restore(
+            schema, store.columns, store.insert_epochs,
+            store.deleted_main, store.deleted_delta, store.epoch,
+        )
+        self.assert_ordered(restored)
+        assert restored.live_rows() == store.live_rows()
+
+    def test_compaction_carry_over_keeps_the_order(self):
+        mutable = frozen()
+        mutable.insert_rows([(5, "d"), (6, "e")])
+        assert not mutable.compact_step(columns=1).done
+        mutable.insert((7, "f"))   # lands after the cutoff
+        mutable.insert((8, "g"))
+        assert mutable.compact_step(columns=1).done
+        self.assert_ordered(mutable.delta)
+        assert mutable.delta.live_rows() == [(7, "f"), (8, "g")]
+
+    def test_restore_rejects_decreasing_epochs(self):
+        with pytest.raises(SerializationError):
+            DeltaStore.restore(
+                small_table().schema,
+                {"K": [5, 6], "S": ["d", "e"]},
+                [2, 1], {}, {}, 2,
+            )
+
+    def test_visibility_is_the_prefix_less_deletions(self):
+        store = DeltaStore(small_table().schema)
+        store.append_rows([(5, "d"), (6, "e")])   # epoch 1
+        store.delete_delta(0)                     # epoch 2
+        store.append((7, "f"))                    # epoch 3
+        assert store.live_indices(0) == []
+        assert store.live_indices(1) == [0, 1]
+        assert store.live_indices(2) == [1]
+        assert store.live_indices() == [1, 2]
+        assert store.live_counts(4, 2) == (4, 1)
+        assert store.delta_validity(3, 3).positions().tolist() == [1, 2]
+        assert store.delta_validity(2, 1) is None
+
+
 class TestDeltaStatsSurface:
     def test_stats_carry_mvcc_fields(self):
-        mutable = MutableTable(
-            small_table(),
-            CompactionPolicy(None, None, None, index_threshold=1),
-        )
+        mutable = frozen()
         mutable.insert((5, "d"))
-        rows_where(mutable, Comparison("S", "=", "d"))  # builds the index
         with mutable.snapshot():
             stats = mutable.delta_stats()
             assert stats.epoch == mutable.epoch > 0
             assert stats.open_snapshots == 1
-            assert stats.indexed_columns == 1
             assert stats.as_dict()["open_snapshots"] == 1
 
     def test_epoch_is_monotonic_across_compactions(self):
