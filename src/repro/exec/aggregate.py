@@ -10,20 +10,23 @@ operations cheap *without decoding rows*:
   for a grouped one.  SUM/AVG/MIN/MAX are then NumPy reductions of
   those O(distinct) pair counts against the dictionary's values held
   as a typed array (``int64``, ``float64`` or ``object``, one code
-  path for all three), so Python loops only over result groups.
-  Delta and values batches fall back to a row-wise hash aggregator;
-  both sides produce *partials* keyed by decoded group values that
-  merge epoch-consistently, so a query sees exactly the main+delta
-  state its scan pinned.
+  path for all three).  Group keys decode by an array take on each
+  key column's dictionary values.  Partials are columns by group
+  slot — one key→slot map, and per aggregate one list indexed by
+  slot — so each reduction lands as a whole array.  Delta and values
+  batches fall back to a row-wise hash aggregator that writes into
+  the same slots, so main and delta partials merge epoch-consistently
+  and a query sees exactly the main+delta state its scan pinned.
+  Result groups are ordered by one rank array per key column and one
+  ``np.lexsort``.
 * **DISTINCT** — on a single dictionary-backed column, distinct values
   are the live vids; enumeration orders them by first selected
-  position (from the first-set bits, or from the cached vid array
-  under a selection), reproducing the streaming-dedup row order
-  exactly.
+  position, taken from the cached vid array with or without a
+  selection, reproducing the streaming-dedup row order exactly.
 * **ORDER BY** — each value bitmap's positions are an already-sorted
-  run, so the main store emits dictionary-order presorted runs that
-  merge (``heapq.merge``) with the sorted delta rows instead of
-  materializing and sorting the whole table.
+  run, so the main store emits presorted runs in the dictionary's
+  cached value order that merge (``heapq.merge``) with the sorted
+  delta rows instead of materializing and sorting the whole table.
 
 Strategy choice is statistics-driven: :func:`choose_aggregate_strategy`
 consults :class:`~repro.storage.statistics.TableStats` (distinct
@@ -36,12 +39,12 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import weakref
 from collections import Counter
 
 import numpy as np
 
-from repro.bitmap.batch import batch_first_set
 from repro.errors import SqlExecutionError
 from repro.exec.batch import TableBatch, gather, project_rows
 from repro.sql.ast import AGGREGATE_FUNCTIONS, Aggregate
@@ -164,95 +167,141 @@ def choose_aggregate_strategy(select, stats, pushdown=True) -> tuple[str, str]:
 
 
 class GroupAccumulator:
-    """Running aggregate partials keyed by decoded group-value tuples.
+    """Running aggregate partials as columns by group slot.
 
-    Per aggregate the partial state is: ``count`` → running count;
-    ``sum``/``avg`` → ``[total, nonnull]``; ``min``/``max`` → the best
-    value seen or :data:`_MISSING`.  Compressed and hash batches both
-    merge into the same structure, which is what makes main-store
-    partials and delta partials composable at any epoch.
+    ``slots`` maps each decoded group-value tuple to its slot, numbered
+    in first-seen order.  Per aggregate, ``values[i]`` holds one partial
+    per slot: ``count`` → the running count; ``sum``/``avg`` → the
+    running total, with the non-NULL count in ``nonnull[i]``;
+    ``min``/``max`` → the best value seen or :data:`_MISSING`.
+    Compressed and hash batches both fold into these columns, which is
+    what makes main-store partials and delta partials composable at any
+    epoch.
     """
 
-    __slots__ = ("aggs", "groups", "batches_compressed", "batches_hash")
+    __slots__ = (
+        "aggs", "slots", "values", "nonnull", "batches_compressed",
+        "batches_hash",
+    )
 
     def __init__(self, aggs):
         self.aggs = tuple(aggs)
-        self.groups: dict[tuple, list] = {}
+        self.slots: dict[tuple, int] = {}
+        self.values: list[list] = [[] for _ in self.aggs]
+        self.nonnull: list = [
+            [] if agg.func in ("sum", "avg") else None for agg in self.aggs
+        ]
         self.batches_compressed = 0
         self.batches_hash = 0
 
-    def _new_state(self) -> list:
-        state: list = []
-        for agg in self.aggs:
-            if agg.func == "count":
-                state.append(0)
-            elif agg.func in ("sum", "avg"):
-                state.append([0, 0])
-            else:
-                state.append(_MISSING)
-        return state
+    def open_slots(self, keys) -> list[int]:
+        """The slot of each key, opening default partials for new keys."""
+        slots = self.slots
+        before = len(slots)
+        target = [slots.setdefault(key, len(slots)) for key in keys]
+        grown = len(slots) - before
+        if grown:
+            for agg, column, nonnull in zip(
+                self.aggs, self.values, self.nonnull
+            ):
+                default = _MISSING if agg.func in ("min", "max") else 0
+                column.extend([default] * grown)
+                if nonnull is not None:
+                    nonnull.extend([0] * grown)
+        return target
 
-    def state(self, key: tuple) -> list:
-        found = self.groups.get(key)
-        if found is None:
-            found = self._new_state()
-            self.groups[key] = found
-        return found
-
-    def merge_minmax(self, state: list, index: int, func: str, value):
-        current = state[index]
-        if current is _MISSING:
-            state[index] = value
-        elif func == "min":
-            if value < current:
-                state[index] = value
-        elif value > current:
-            state[index] = value
+    def fold(self, index: int, target, values: list, nonnull=None,
+             fresh: bool = False):
+        """Merge one batch's per-group partials of aggregate ``index`` —
+        lists aligned with ``target``, the groups' slots.  On a
+        ``fresh`` accumulator the batch's groups are slots ``0..n-1``,
+        so the handed-over lists become the columns as they are."""
+        if fresh:
+            self.values[index] = values
+            if nonnull is not None:
+                self.nonnull[index] = nonnull
+            return
+        func = self.aggs[index].func
+        column = self.values[index]
+        if func in ("min", "max"):
+            for slot, value in zip(target, values):
+                if value is not _MISSING:
+                    _merge_minmax(column, slot, func, value)
+        elif nonnull is None:
+            for slot, n in zip(target, values):
+                column[slot] += n
+        else:
+            counts = self.nonnull[index]
+            for slot, total, n in zip(target, values, nonnull):
+                if n:
+                    column[slot] += total
+                    counts[slot] += n
 
     def finalized_rows(self, select, group_names) -> list[tuple]:
         """Decode partials into result rows in select-list order.
 
         An ungrouped aggregate over zero rows still yields one row
-        (COUNT = 0, the others NULL).  Output is sorted by group key
-        (NULLs last) so results are deterministic across strategies
-        and backends.
+        (COUNT = 0, the others NULL).  Groups are ordered by key (NULLs
+        last) — one rank array per key column, one ``np.lexsort`` — so
+        results are deterministic across strategies and backends.
         """
-        groups = self.groups
-        if not groups and not group_names:
-            groups = {(): self._new_state()}
-        layout = []
+        if not self.slots:
+            if group_names:
+                return []
+            return [tuple(
+                0 if item.func == "count" else None
+                for item in select.columns
+            )]
+        keys = list(zip(*self.slots)) if group_names else []
+        pick = None
+        if len(self.slots) > 1:
+            order = np.lexsort([_key_rank(column) for column in reversed(keys)])
+            pick = operator.itemgetter(*order.tolist())
+        out = []
         for item in select.columns:
             if isinstance(item, Aggregate):
-                layout.append(("agg", self.aggs.index(item)))
+                index = self.aggs.index(item)
+                column = _finalized_column(
+                    item, self.values[index], self.nonnull[index]
+                )
             else:
-                layout.append(("key", group_names.index(item)))
-        rows = []
-        for key, state in groups.items():
-            out = []
-            for kind, index in layout:
-                if kind == "key":
-                    out.append(key[index])
-                else:
-                    out.append(_finalize_one(self.aggs[index], state[index]))
-            rows.append((key, tuple(out)))
-        try:
-            rows.sort(key=lambda pair: tuple(
-                (value is None, value) for value in pair[0]
-            ))
-        except TypeError:
-            pass  # incomparable mixed keys: keep accumulation order
-        return [out for _key, out in rows]
+                column = keys[group_names.index(item)]
+            out.append(column if pick is None else pick(column))
+        return list(zip(*out))
 
 
-def _finalize_one(agg, state):
+def _merge_minmax(column: list, slot: int, func: str, value):
+    current = column[slot]
+    if current is _MISSING or (
+        value < current if func == "min" else value > current
+    ):
+        column[slot] = value
+
+
+def _key_rank(values) -> np.ndarray:
+    """Each group's rank in one key column's sorted distinct values,
+    NULL last; slot (accumulation) order when the values do not
+    compare."""
+    present = set(values)
+    present.discard(None)
+    try:
+        ordered = sorted(present)
+    except TypeError:
+        return np.arange(len(values))
+    rank = dict(zip(ordered, range(len(ordered))))
+    rank[None] = len(ordered)
+    return np.fromiter(map(rank.__getitem__, values), np.int64, len(values))
+
+
+def _finalized_column(agg, values: list, nonnull) -> list:
     func = agg.func
     if func == "count":
-        return state
+        return values
     if func == "sum":
-        return state[0] if state[1] else None
+        return [total if n else None for total, n in zip(values, nonnull)]
     if func == "avg":
-        return state[0] / state[1] if state[1] else None
-    return None if state is _MISSING else state
+        return [total / n if n else None for total, n in zip(values, nonnull)]
+    return [None if value is _MISSING else value for value in values]
 
 
 def _require_numeric(agg, value):
@@ -268,7 +317,8 @@ def _require_numeric(agg, value):
 # ----------------------------------------------------------------------
 
 #: Per-(main-store table, key) arrays: row-order vid arrays keyed by
-#: column name, typed dictionary values keyed by ``("typed", name)``.
+#: column name, typed dictionary values keyed by ``("typed", name)``,
+#: mixed-radix group codes keyed by ``("codes", *group_names)``.
 #: Tables are immutable — mutation swaps in a fresh ``Table`` object —
 #: so the weak keying doubles as invalidation, exactly like the
 #: decoded-row cache in :mod:`repro.delta.snapshot`.
@@ -310,17 +360,22 @@ class _TypedValues:
     """One column's dictionary as arrays indexed by vid — O(distinct),
     built once per immutable main table.
 
-    ``summable`` holds each numeric value and 0 elsewhere, as ``int64``
-    when every non-NULL value is an ``int`` whose magnitude times the
-    row count stays below 2**63 (so any sum is exact), as ``float64``
-    when every non-NULL value is a ``float``, and as ``object`` (Python
-    arithmetic: big ints, mixed int/float) otherwise.  :meth:`ranked`
-    orders the non-NULL values for MIN/MAX over any orderable type."""
+    ``objects`` holds the values themselves, for array takes (group
+    keys, MIN/MAX results, DISTINCT).  ``summable`` holds each numeric
+    value and 0 elsewhere, as ``int64`` when every non-NULL value is an
+    ``int`` whose magnitude times the row count stays below 2**63 (so
+    any sum is exact), as ``float64`` when every non-NULL value is a
+    ``float``, and as ``object`` (Python arithmetic: big ints, mixed
+    int/float) otherwise.  :meth:`ranked` orders the non-NULL values
+    for MIN/MAX and ORDER BY over any orderable type."""
 
-    __slots__ = ("values", "null", "numeric", "summable", "_ranked")
+    __slots__ = ("values", "objects", "null", "numeric", "summable",
+                 "_ranked")
 
     def __init__(self, values: list, nrows: int):
         self.values = values
+        self.objects = np.empty(len(values), dtype=object)
+        self.objects[:] = values
         self.null = np.array([value is None for value in values], bool)
         self.numeric = np.array(
             [
@@ -350,7 +405,7 @@ class _TypedValues:
 
     def ranked(self) -> tuple[np.ndarray, np.ndarray]:
         """``(order, rank)``: the non-NULL vids in value order, and each
-        vid's index in it.  Sorted on first use — only MIN/MAX need it."""
+        vid's index in it.  Sorted on first use."""
         if self._ranked is None:
             order = np.array(
                 sorted(
@@ -376,28 +431,31 @@ def _typed_values(table, name: str) -> _TypedValues:
 
 
 def _group_codes(table, group_names):
-    """Mixed-radix per-row codes combining the group columns' vids."""
-    columns = [table.column(name) for name in group_names]
-    sizes = [max(1, column.distinct_count) for column in columns]
-    codes = _decode_vids(table, group_names[0])
-    for name, size in zip(group_names[1:], sizes[1:]):
-        codes = codes * size + _decode_vids(table, name)
-    return codes, sizes
+    """Mixed-radix per-row codes combining the group columns' vids,
+    cached per table like the vid arrays they combine."""
+    sizes = [
+        max(1, table.column(name).distinct_count) for name in group_names
+    ]
+
+    def build():
+        codes = _decode_vids(table, group_names[0])
+        for name, size in zip(group_names[1:], sizes[1:]):
+            codes = codes * size + _decode_vids(table, name)
+        codes.flags.writeable = False
+        return codes
+
+    return _cached(table, ("codes", *group_names), build), sizes
 
 
-def _keys_for_codes(codes, columns, sizes) -> list[tuple]:
-    """Decode mixed-radix group codes back to value tuples — the only
-    place group keys are decoded, once per distinct combination."""
-    values_per = [column.dictionary.values() for column in columns]
-    keys = []
-    for code in codes.tolist():
-        parts = []
-        for size, values in zip(reversed(sizes[1:]), reversed(values_per[1:])):
-            code, vid = divmod(code, size)
-            parts.append(values[vid])
-        parts.append(values_per[0][code])
-        keys.append(tuple(reversed(parts)))
-    return keys
+def _keys_for_codes(table, group_names, codes, sizes) -> list[list]:
+    """Decode mixed-radix group codes into one value list per group
+    column: a ``divmod`` peels off each column's vids (last column
+    first), an array take on its dictionary values decodes them."""
+    columns = []
+    for name, size in zip(reversed(group_names), reversed(sizes)):
+        codes, vids = np.divmod(codes, size)
+        columns.append(_typed_values(table, name).objects[vids].tolist())
+    return columns[::-1]
 
 
 def _nonzero_counts(codes, space: int):
@@ -414,9 +472,10 @@ def _nonzero_counts(codes, space: int):
 def _value_pairs(table, name, selection, grouping):
     """The selected non-NULL values of column ``name`` as joint (group,
     value vid) counts sorted by group: ``(vid, counts, starts, slots,
-    nonnull)`` where ``starts`` opens each group's run, ``slots`` is its
-    index into ``grouping``'s group codes, and ``nonnull`` its row
-    count.  ``None`` when no non-NULL value is selected."""
+    nonnull)`` where ``starts`` opens each group's run and ``slots`` is
+    its index into ``grouping``'s group codes; ``nonnull`` counts the
+    non-NULL rows of every group, zero where there are none.  ``None``
+    when no non-NULL value is selected."""
     typed = _typed_values(table, name)
     if grouping is None:
         per_vid = _selected_value_counts(table, name, selection)
@@ -436,8 +495,9 @@ def _value_pairs(table, name, selection, grouping):
         return None
     group, vid, counts = group[keep], vid[keep], counts[keep]
     starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
-    slots = np.searchsorted(group_codes, group[starts]).tolist()
-    nonnull = np.add.reduceat(counts, starts).tolist()
+    slots = np.searchsorted(group_codes, group[starts])
+    nonnull = np.zeros(len(group_codes), dtype=np.int64)
+    nonnull[slots] = np.add.reduceat(counts, starts)
     return vid, counts, starts, slots, nonnull
 
 
@@ -449,9 +509,10 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
     aggregate is then one NumPy reduction over those pairs
     (``add.reduceat`` of value × count for SUM/AVG, ``minimum`` /
     ``maximum.reduceat`` of the value ranks for MIN/MAX), the same call
-    for every value dtype.  Python loops run over result groups only.
-    Float sums may differ in the last ulp from a row-by-row sum, as any
-    reordering of float additions can.
+    for every value dtype, scattered into one array by group and folded
+    into the accumulator's columns whole.  Float sums may differ in the
+    last ulp from a row-by-row sum, as any reordering of float
+    additions can.
     """
     table = batch.table
     selection = batch.selection
@@ -462,9 +523,9 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
             codes = codes[dense]
         space = math.prod(sizes)
         group_codes, star_counts = _nonzero_counts(codes, space)
-        keys = _keys_for_codes(
-            group_codes, [table.column(name) for name in group_names], sizes
-        )
+        keys = list(zip(*_keys_for_codes(
+            table, group_names, group_codes, sizes
+        )))
         grouping = (codes, space, dense, group_codes)
     elif batch.selected_count:
         star_counts = np.array([batch.selected_count])
@@ -472,12 +533,12 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
         grouping = None
     else:
         return
-    states = [acc.state(key) for key in keys]
+    fresh = not acc.slots
+    target = acc.open_slots(keys)
     pairs_cache: dict = {}
     for index, agg in enumerate(acc.aggs):
         if agg.column is None:
-            for state, n in zip(states, star_counts.tolist()):
-                state[index] += n
+            acc.fold(index, target, star_counts.tolist(), fresh=fresh)
             continue
         if agg.column not in pairs_cache:
             pairs_cache[agg.column] = _value_pairs(
@@ -490,27 +551,26 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
         typed = _typed_values(table, agg.column)
         func = agg.func
         if func == "count":
-            for slot, n in zip(slots, nonnull):
-                states[slot][index] += n
+            acc.fold(index, target, nonnull.tolist(), fresh=fresh)
         elif func in ("sum", "avg"):
             bad = np.flatnonzero(~typed.numeric[vid])
             if len(bad):
                 _require_numeric(agg, typed.values[vid[bad[0]]])
-            totals = np.add.reduceat(
+            totals = np.zeros(len(keys), dtype=typed.summable.dtype)
+            totals[slots] = np.add.reduceat(
                 typed.summable[vid] * counts, starts
-            ).tolist()
-            for slot, total, n in zip(slots, totals, nonnull):
-                partial = states[slot][index]
-                partial[0] += total
-                partial[1] += n
+            )
+            acc.fold(
+                index, target, totals.tolist(), nonnull.tolist(), fresh=fresh
+            )
         else:
             reduce = np.minimum if func == "min" else np.maximum
             order, rank = typed.ranked()
-            best = order[reduce.reduceat(rank[vid], starts)].tolist()
-            for slot, best_vid in zip(slots, best):
-                acc.merge_minmax(
-                    states[slot], index, func, typed.values[best_vid]
-                )
+            best = np.full(len(keys), _MISSING, dtype=object)
+            best[slots] = typed.objects[
+                order[reduce.reduceat(rank[vid], starts)]
+            ]
+            acc.fold(index, target, best.tolist(), fresh=fresh)
 
 
 def _accumulate_rows(batch, group_names, acc: GroupAccumulator):
@@ -530,11 +590,10 @@ def _accumulate_rows(batch, group_names, acc: GroupAccumulator):
         else:
             index = names.index(group_names[0])
             counts = Counter(row[0] for row in batch.rows([index]))
-        width = len(acc.aggs)
-        for value, n in counts.items():
-            state = acc.state((value,))
-            for position in range(width):
-                state[position] += n
+        fresh = not acc.slots
+        target = acc.open_slots([(value,) for value in counts])
+        for position in range(len(acc.aggs)):
+            acc.fold(position, target, list(counts.values()), fresh=fresh)
         return
     group_idx = [names.index(name) for name in group_names]
     agg_idx = [
@@ -542,27 +601,29 @@ def _accumulate_rows(batch, group_names, acc: GroupAccumulator):
         for agg in acc.aggs
     ]
     aggs = acc.aggs
+    slots, columns, nonnulls = acc.slots, acc.values, acc.nonnull
     for row in batch.rows():
         key = tuple(row[i] for i in group_idx)
-        state = acc.state(key)
+        slot = slots.get(key)
+        if slot is None:
+            (slot,) = acc.open_slots((key,))
         for index, agg in enumerate(aggs):
             source = agg_idx[index]
             if source is None:
-                state[index] += 1
+                columns[index][slot] += 1
                 continue
             value = row[source]
             if value is None:
                 continue
             func = agg.func
             if func == "count":
-                state[index] += 1
+                columns[index][slot] += 1
             elif func in ("sum", "avg"):
                 _require_numeric(agg, value)
-                partial = state[index]
-                partial[0] += value
-                partial[1] += 1
+                columns[index][slot] += value
+                nonnulls[index][slot] += 1
             else:
-                acc.merge_minmax(state, index, func, value)
+                _merge_minmax(columns[index], slot, func, value)
 
 
 def accumulate_batch(
@@ -590,7 +651,7 @@ def aggregate_rows(
     if stats is not None:
         stats.agg_batches_compressed += acc.batches_compressed
         stats.agg_batches_hash += acc.batches_hash
-        stats.agg_groups += len(acc.groups)
+        stats.agg_groups += len(acc.slots)
     return acc.finalized_rows(select, group_names)
 
 
@@ -599,27 +660,26 @@ def aggregate_rows(
 # ----------------------------------------------------------------------
 
 
-def _table_batch_distinct(batch: TableBatch, name: str):
+def _table_batch_distinct(batch: TableBatch, name: str) -> list:
     """Distinct values of one main-store column ordered by first
     *selected* position — the order streaming dedup would produce."""
-    column = batch.table.column(name)
-    nvids = column.distinct_count
+    table = batch.table
+    nvids = table.column(name).distinct_count
     if nvids == 0:
-        return
+        return []
+    vids = _decode_vids(table, name)
     if batch.selection is None:
-        first = batch_first_set(column.bitmaps)
+        positions = np.arange(len(vids))
     else:
         positions = np.flatnonzero(batch.selection.to_dense())
-        first = np.full(nvids, -1, dtype=np.int64)
-        # Fancy assignment keeps the last write per vid, so writing the
-        # ascending positions reversed leaves each vid's first in place.
-        first[_decode_vids(batch.table, name)[positions][::-1]] = (
-            positions[::-1]
-        )
+        vids = vids[positions]
+    first = np.full(nvids, -1, dtype=np.int64)
+    # Fancy assignment keeps the last write per vid, so writing the
+    # ascending positions reversed leaves each vid's first in place.
+    first[vids[::-1]] = positions[::-1]
     live = np.flatnonzero(first >= 0)
-    values = column.dictionary.values()
-    for vid in live[np.argsort(first[live], kind="stable")]:
-        yield values[vid]
+    live = live[np.argsort(first[live], kind="stable")]
+    return _typed_values(table, name).objects[live].tolist()
 
 
 def distinct_values(batches, name: str):
@@ -650,22 +710,25 @@ def _table_batch_ordered(
 ):
     """Selected main-store rows in ``name`` order, emitted as one
     presorted run per dictionary value (positions within a value bitmap
-    already ascend, preserving the stable-sort tie order).  Rows decode
-    lazily, one value run at a time — a LIMIT stops the scan early."""
+    already ascend, preserving the stable-sort tie order).  The value
+    order is the dictionary's cached rank, NULL last ascending and
+    first descending.  Rows decode lazily, one value run at a time — a
+    LIMIT stops the scan early."""
     from repro.delta.snapshot import decoded_main_rows
 
     column = batch.table.column(name)
-    values = column.dictionary.values()
-    vids = sorted(
-        range(len(values)),
-        key=lambda vid: (values[vid] is None, values[vid]),
-        reverse=not ascending,
+    typed = _typed_values(batch.table, name)
+    order, _rank = typed.ranked()
+    nulls = np.flatnonzero(typed.null)
+    vids = (
+        np.concatenate((order, nulls)) if ascending
+        else np.concatenate((nulls, order[::-1]))
     )
     dense = (
         batch.selection.to_dense() if batch.selection is not None else None
     )
     decoded = None
-    for vid in vids:
+    for vid in vids.tolist():
         positions = column.bitmaps[vid].positions()
         if dense is not None:
             positions = positions[dense[positions]]

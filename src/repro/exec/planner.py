@@ -276,7 +276,7 @@ def execute_select(adapter, select, stats=None, trace=None):
         if stats is not None:
             stats.agg_batches_compressed += accumulator.batches_compressed
             stats.agg_batches_hash += accumulator.batches_hash
-            stats.agg_groups += len(accumulator.groups)
+            stats.agg_groups += len(accumulator.slots)
         rows = iter(result)
         if spans is not None:
             span = spans["aggregate"]

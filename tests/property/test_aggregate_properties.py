@@ -22,6 +22,7 @@ stable at every intermediate step of an incremental compaction.
 """
 
 import datetime
+import itertools
 import math
 import sqlite3
 
@@ -249,6 +250,90 @@ def test_aggregates_match_the_sqlite_baseline_system(rows, query):
     ) == oracle
 
 
+# --- Two-key GROUP BY over main + delta, in exact order ----------------
+
+
+@st.composite
+def two_key_histories(draw):
+    """``t (a INT, c STRING, b INT)``: main rows with NULL group keys, a
+    DELETE of some of them once they are compacted, then delta rows
+    whose keys (``a`` 3 or 4, ``c`` 'w') the main dictionaries lack."""
+    measure = st.one_of(st.none(), st.integers(-2, 5))
+    main = [
+        (
+            draw(st.one_of(st.none(), st.integers(0, 2))),
+            draw(st.one_of(st.none(), st.sampled_from(["x", "y"]))),
+            draw(measure),
+        )
+        for _ in range(draw(st.integers(0, 20)))
+    ]
+    delta = [
+        (
+            draw(st.one_of(st.none(), st.integers(0, 4))),
+            draw(st.one_of(st.none(), st.sampled_from(["w", "x"]))),
+            draw(measure),
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    return main, draw(st.integers(-2, 5)), delta
+
+
+@st.composite
+def two_key_queries(draw):
+    keys = draw(st.sampled_from([("a", "c"), ("c", "a")]))
+    aggs = draw(st.lists(st.sampled_from(_AGGREGATES), min_size=1,
+                         max_size=3))
+    group_by = ", ".join(keys)
+    columns = ", ".join([group_by, *aggs])
+    return f"SELECT {columns} FROM t GROUP BY {group_by}", keys
+
+
+def run_history(adapter, history, query):
+    main, deleted, delta = history
+    executor = SqlExecutor(adapter)
+    executor.execute("CREATE TABLE t (a INT, c STRING, b INT)")
+    if main:
+        adapter.insert_rows("t", main)
+    if isinstance(adapter, MutableColumnAdapter):
+        mutable = adapter._mutable("t")
+        while not mutable.compact_step().done:
+            pass
+    executor.execute(f"DELETE FROM t WHERE b = {deleted}")
+    if delta:
+        adapter.insert_rows("t", delta)
+    return executor.execute(query)
+
+
+def sqlite_history(history, query):
+    main, deleted, delta = history
+    connection = sqlite3.connect(":memory:")
+    connection.execute("CREATE TABLE t (a INTEGER, c TEXT, b INTEGER)")
+    connection.executemany("INSERT INTO t VALUES (?, ?, ?)", main)
+    connection.execute("DELETE FROM t WHERE b = ?", (deleted,))
+    connection.executemany("INSERT INTO t VALUES (?, ?, ?)", delta)
+    out = [tuple(row) for row in connection.execute(query)]
+    connection.close()
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_key_histories(), two_key_queries())
+def test_two_key_groups_in_exact_order(history, spec):
+    """Compressed main partials (deleted rows masked) merged with hash
+    partials of delta keys the main dictionaries lack come out as the
+    row engine's exact sequence, SQLite's multiset, and in key order
+    with NULL keys last per column."""
+    query, keys = spec
+    ours = run_history(
+        MutableColumnAdapter(policy=CompactionPolicy.never()), history, query
+    )
+    assert ours == run_history(RowEngineAdapter(), history, query)
+    assert _normalized(ours) == _normalized(sqlite_history(history, query))
+    order = ", ".join(f"{key} IS NULL, {key}" for key in keys)
+    ordered = sqlite_history(history, f"{query} ORDER BY {order}")
+    assert [row[:2] for row in ours] == [row[:2] for row in ordered]
+
+
 # --- Epoch consistency on a live Database ---------------------------
 
 AGG_QUERIES = (
@@ -414,15 +499,19 @@ def _same_value_and_type(ours, theirs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(typed_batches(), st.sampled_from(["", "g"]))
+@given(typed_batches(), st.sampled_from(["", "g", "g, v"]))
 def test_compressed_and_hash_agree_in_value_and_type(spec, group_by):
     """The dictionary-domain folds return what the row-wise hash
     aggregator returns, as the same Python types (never NumPy scalars)
     — for int64, float64 and object value arrays alike, under any
-    selection, with or without delta rows — and fail with the same
-    message where SUM/AVG meet a non-numeric value."""
-    kind, schema, batches = spec
-    for aggs in ("COUNT(*), COUNT(v), MIN(v), MAX(v)", "SUM(v), AVG(v)"):
+    selection, with or without delta rows, whichever batch comes first
+    — and fail with the same message where SUM/AVG meet a non-numeric
+    value."""
+    kind, schema, scanned = spec
+    for batches, aggs in itertools.product(
+        (scanned, scanned[::-1]),
+        ("COUNT(*), COUNT(v), MIN(v), MAX(v)", "SUM(v), AVG(v)"),
+    ):
         query = f"SELECT {group_by + ', ' if group_by else ''}{aggs} FROM t"
         query += f" GROUP BY {group_by}" if group_by else ""
         compressed = _aggregate_or_error(batches, query, schema, "compressed")

@@ -354,6 +354,42 @@ class TestAggCounters:
         assert registry.counter("exec.agg_groups").value >= 3
 
 
+class TestGroupingStaysOnVidArrays:
+    """Once a compacted table's vid arrays are cached, a two-key GROUP
+    BY and an unfiltered DISTINCT need no bitmap word pass."""
+
+    def test_no_word_directory_after_warming(self, monkeypatch):
+        import repro.bitmap.batch as batch_module
+
+        adapter = MutableColumnAdapter()
+        executor = SqlExecutor(adapter)
+        executor.execute("CREATE TABLE t (a INT, b STRING)")
+        adapter.insert_rows(
+            "t", [(i % 40, f"s{i // 40 % 25}") for i in range(50_000)]
+        )
+        mutable = adapter._mutable("t")
+        while not mutable.compact_step().done:
+            pass
+        grouped = "SELECT a, b, COUNT(*) FROM t GROUP BY a, b"
+        warm = executor.execute(grouped)
+
+        def refuse(self, bitmaps):
+            raise AssertionError("word directory built")
+
+        monkeypatch.setattr(batch_module.WordDirectory, "__init__", refuse)
+        groups = adapter.metrics.counter("exec.agg_groups")
+        before = groups.value
+        assert executor.execute(grouped) == warm
+        assert groups.value - before == 1000
+        assert [row[:2] for row in warm] == sorted(
+            (a, f"s{b}") for a in range(40) for b in range(25)
+        )
+        assert {row[2] for row in warm} == {50}
+        assert executor.execute("SELECT DISTINCT b FROM t") == [
+            (f"s{b}",) for b in range(25)
+        ]
+
+
 class TestAggregateBench:
     def test_bench_script_runs(self, tmp_path):
         import subprocess

@@ -589,6 +589,22 @@ class TestAggregationDocs:
         ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
         assert "bench_aggregate.py" in ci
 
+    def test_grouping_and_distinct_read_the_vid_arrays(self):
+        text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+        assert "first-set bits" not in text
+        for term in ("columns by group slot", "array take", "lexsort"):
+            assert term in text, (
+                f"ARCHITECTURE.md does not explain {term!r}"
+            )
+        source = (REPO / "src" / "repro" / "exec" / "aggregate.py")
+        assert "batch_first_set" not in source.read_text()
+
+    def test_ci_leaves_the_docs_check_to_tier_1(self):
+        """Tier-1 collects ``tests/`` on every Python version, this file
+        included, so CI names no separate docs step."""
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert "tests/unit/test_docs.py" not in ci
+
 
 class TestOneCodecDocs:
     REMOVED = (
