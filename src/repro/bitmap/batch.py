@@ -9,6 +9,13 @@ filtering and concatenating every bitmap) are implemented here as single
 vectorized passes over the concatenation of all word arrays.  The
 semantics are identical to looping over
 :class:`~repro.bitmap.wah.WAHBitmap` methods; tests assert equivalence.
+
+Position extraction peels set bits off the literal words — the lowest
+set bit of every live word per round — so it costs the bits it returns
+plus the words, never a bit matrix.  Concatenation does not extract its
+left side at all: the left bitmaps' words up to their partial tail
+group are spliced into the output as they are, and only that tail group
+and the right side are rebuilt.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ class WordDirectory:
     )
 
     def __init__(self, bitmaps):
-        arrays = [bm.words for bm in bitmaps]
+        arrays = [bm._words for bm in bitmaps]
         counts = np.array([len(a) for a in arrays], dtype=np.int64)
         self.nbitmaps = len(arrays)
         self.words = (
@@ -68,17 +75,88 @@ class WordDirectory:
         ]
         self.group_offset = global_offset - seg_base[self.seg_of_word]
 
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """All set-bit positions of every bitmap: ``(positions,
+        boundaries)``, those of bitmap ``i`` being
+        ``positions[boundaries[i]:boundaries[i+1]]``, sorted.  The one
+        extraction kernel behind :func:`batch_positions` and
+        :meth:`WAHBitmap.positions`."""
+        one_fill = self.is_fill & self.fill_value
+        literal = ~self.is_fill
+
+        out_per_word = np.zeros(len(self.words), dtype=np.int64)
+        out_per_word[one_fill] = self.groups[one_fill] * GROUP_BITS
+        out_per_word[literal] = np.bitwise_count(self.words[literal])
+        out_offsets = np.concatenate(([0], np.cumsum(out_per_word)))
+        positions = np.empty(out_offsets[-1], dtype=np.int64)
+
+        fill_idx = np.flatnonzero(one_fill)
+        if len(fill_idx):
+            lengths = out_per_word[fill_idx]
+            starts = self.group_offset[fill_idx] * GROUP_BITS
+            total = int(lengths.sum())
+            base = np.repeat(starts, lengths)
+            run_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+            within = np.arange(total, dtype=np.int64) - run_start
+            positions[np.repeat(out_offsets[fill_idx], lengths) + within] = (
+                base + within
+            )
+
+        lit_idx = np.flatnonzero(literal)
+        _peel_literals(
+            self.words[lit_idx], out_offsets[lit_idx],
+            self.group_offset[lit_idx] * GROUP_BITS, positions,
+        )
+
+        # Per-bitmap boundaries in the flat positions array.
+        boundaries = np.empty(self.nbitmaps + 1, dtype=np.int64)
+        boundaries[0] = 0
+        boundaries[1:] = out_offsets[self.seg_word_start[1:]]
+        return positions, boundaries
+
+
+def _peel_literals(words, dest, base, out) -> None:
+    """Write the set bits of literal ``words`` into ``out``: the ``n``-th
+    set bit ``b`` of word ``k`` lands at ``out[dest[k] + n]`` as
+    ``base[k] + b``.
+
+    Each round takes the lowest set bit of every live word (``w & -w``;
+    its index is the popcount below it), clears it, and drops the words
+    it empties — the work is the set bits plus the words.
+    """
+    words = np.array(words, dtype=np.uint32)
+    dest = np.array(dest, dtype=np.int64)
+    base = np.asarray(base, dtype=np.int64)
+    live = words != 0
+    while True:
+        if not live.all():
+            words, dest, base = words[live], dest[live], base[live]
+        if not len(words):
+            return
+        low = words & -words
+        out[dest] = base + np.bitwise_count(low - np.uint32(1))
+        words ^= low
+        dest += 1
+        live = words != 0
+
+
+def _set_bits(words: np.ndarray) -> np.ndarray:
+    """Set bits carried by each WAH word: a literal's popcount, a
+    one-fill's groups times 31, none for a zero fill."""
+    per_word = np.bitwise_count(words).astype(np.int64)
+    per_word[(words & FILL_FLAG) != 0] = 0
+    one_fill = (words & ONE_FILL_FLAG) == ONE_FILL_FLAG
+    per_word[one_fill] = (
+        words[one_fill] & FILL_LEN_MASK
+    ).astype(np.int64) * GROUP_BITS
+    return per_word
+
 
 def batch_count(bitmaps) -> np.ndarray:
     """Set-bit count of each bitmap, in one vectorized pass."""
     directory = WordDirectory(bitmaps)
-    per_word = np.zeros(len(directory.words), dtype=np.int64)
-    one_fill = directory.is_fill & directory.fill_value
-    per_word[one_fill] = directory.groups[one_fill] * GROUP_BITS
-    literal = ~directory.is_fill
-    per_word[literal] = np.bitwise_count(directory.words[literal])
     counts = np.zeros(directory.nbitmaps, dtype=np.int64)
-    np.add.at(counts, directory.seg_of_word, per_word)
+    np.add.at(counts, directory.seg_of_word, _set_bits(directory.words))
     return counts
 
 
@@ -113,53 +191,7 @@ def batch_positions(bitmaps) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(positions, boundaries)`` where positions of bitmap ``i``
     are ``positions[boundaries[i]:boundaries[i+1]]``, sorted.
     """
-    directory = WordDirectory(bitmaps)
-    one_fill = directory.is_fill & directory.fill_value
-    literal = ~directory.is_fill
-    lit_words = directory.words[literal]
-    lit_pop = np.bitwise_count(lit_words).astype(np.int64)
-
-    out_per_word = np.zeros(len(directory.words), dtype=np.int64)
-    out_per_word[one_fill] = directory.groups[one_fill] * GROUP_BITS
-    out_per_word[literal] = lit_pop
-    out_offsets = np.concatenate(([0], np.cumsum(out_per_word)))
-    positions = np.empty(out_offsets[-1], dtype=np.int64)
-
-    fill_idx = np.flatnonzero(one_fill)
-    if len(fill_idx):
-        lengths = out_per_word[fill_idx]
-        starts = directory.group_offset[fill_idx] * GROUP_BITS
-        total = int(lengths.sum())
-        base = np.repeat(starts, lengths)
-        run_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        within = np.arange(total, dtype=np.int64) - run_start
-        positions[np.repeat(out_offsets[fill_idx], lengths) + within] = (
-            base + within
-        )
-
-    lit_idx = np.flatnonzero(literal)
-    if len(lit_idx):
-        # One byte per bit (not a uint32): this matrix is the largest
-        # temporary of every filter, concat and compaction.
-        matrix = np.unpackbits(
-            lit_words.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4),
-            axis=1, bitorder="little",
-        )
-        row, bit = np.nonzero(matrix)
-        del matrix
-        word_of = lit_idx[row]
-        rank_in_word = np.arange(len(row)) - np.repeat(
-            np.cumsum(lit_pop) - lit_pop, lit_pop
-        )
-        positions[out_offsets[word_of] + rank_in_word] = (
-            directory.group_offset[word_of] * GROUP_BITS + bit
-        )
-
-    # Per-bitmap boundaries in the flat positions array.
-    boundaries = np.empty(directory.nbitmaps + 1, dtype=np.int64)
-    boundaries[0] = 0
-    boundaries[1:] = out_offsets[directory.seg_word_start[1:]]
-    return positions, boundaries
+    return WordDirectory(bitmaps).positions()
 
 
 def batch_decode_vids(bitmaps, nrows: int) -> np.ndarray:
@@ -184,19 +216,14 @@ def batch_decode_vids(bitmaps, nrows: int) -> np.ndarray:
     return vids
 
 
-def batch_from_positions(flat_positions, bounds, nbits: int) -> list:
-    """One ``nbits``-bit WAH bitmap per segment of ``flat_positions``,
-    every word of every bitmap assembled in one vectorized pass.
+def _build_words(flat_positions, bounds, nbits: int) -> tuple:
+    """The canonical words of one ``nbits``-bit bitmap per segment of
+    ``flat_positions``, in one ``uint32`` buffer.
 
-    Segment ``i`` is ``flat_positions[bounds[i]:bounds[i + 1]]``, the
-    strictly increasing set positions of bitmap ``i`` (the layout
-    :func:`batch_positions` returns).  Word for word equal to
-    ``[WAHBitmap.from_positions(segment, nbits) for each segment]``: the
-    canonical words go into one ``uint32`` buffer that is sliced per
-    bitmap, so the only per-bitmap Python work is object creation.
-    This is the one constructor behind bulk load, bitmap filtering,
-    concatenation, delta encoding, PARTITION and DECOMPOSE's key column
-    (one single-position segment per key: a column of unit bitmaps).
+    Returns ``(buffer, word_bounds, counts)``: bitmap ``i`` is
+    ``buffer[word_bounds[i]:word_bounds[i + 1]]`` with ``counts[i]`` set
+    bits.  The raw-buffer form of :func:`batch_from_positions`, for
+    callers that splice the words before making bitmaps of them.
     """
     flat = np.asarray(flat_positions)
     bounds = np.asarray(bounds, dtype=np.int64)
@@ -276,12 +303,34 @@ def batch_from_positions(flat_positions, bounds, nbits: int) -> list:
         has_tail_fill
     ].astype(np.uint32)
     # Partial-tail literals are zero words; the buffer is zero-initialized.
+    return buffer, out_bounds, counts
 
-    edges = out_bounds.tolist()
+
+def _bitmaps(buffer, word_bounds, counts, nbits: int) -> list:
+    """One ``nbits``-bit bitmap per slice ``buffer[word_bounds[i]:
+    word_bounds[i + 1]]``, holding ``counts[i]`` set bits."""
+    edges = word_bounds.tolist()
     return [
         WAHBitmap(buffer[lo:hi], nbits, _count=count)
         for lo, hi, count in zip(edges, edges[1:], counts.tolist())
     ]
+
+
+def batch_from_positions(flat_positions, bounds, nbits: int) -> list:
+    """One ``nbits``-bit WAH bitmap per segment of ``flat_positions``,
+    every word of every bitmap assembled in one vectorized pass.
+
+    Segment ``i`` is ``flat_positions[bounds[i]:bounds[i + 1]]``, the
+    strictly increasing set positions of bitmap ``i`` (the layout
+    :func:`batch_positions` returns).  Word for word equal to
+    ``[WAHBitmap.from_positions(segment, nbits) for each segment]``: the
+    canonical words go into one ``uint32`` buffer that is sliced per
+    bitmap, so the only per-bitmap Python work is object creation.
+    This is the one constructor behind bulk load, bitmap filtering,
+    concatenation, delta encoding, PARTITION and DECOMPOSE's key column
+    (one single-position segment per key: a column of unit bitmaps).
+    """
+    return _bitmaps(*_build_words(flat_positions, bounds, nbits), nbits)
 
 
 def batch_select(bitmaps, sorted_positions) -> tuple[list, np.ndarray]:
@@ -350,36 +399,91 @@ def batch_concat_positions(
 
     Output value ``i`` continues left bitmap ``i`` (zeros beyond the
     left side's values) with the right bitmap ``j`` that has
-    ``right_target[j] == i`` (zeros when there is none).  Positions of
-    both sides are extracted once, scattered to their output value —
-    left part first, right part shifted by ``left_nbits`` — and built by
-    one :func:`batch_from_positions`.
+    ``right_target[j] == i`` (zeros when there is none).  The left side
+    is never decoded: each left bitmap's words before its partial tail
+    group — all of them when ``left_nbits % 31 == 0`` — are spliced in
+    as they are.  Only the rest is rebuilt, by one raw-buffer pass of
+    the batched constructor: the bits of that tail group (fewer than 31
+    per value) followed by the right side's positions, shifted by
+    ``left_nbits % 31``.  Where a spliced fill meets a rebuilt fill of
+    the same bit value the two become one fill, so every output is the
+    canonical encoding.
     """
     right_target = np.asarray(right_target, dtype=np.int64)
-    nleft = len(left_bitmaps)
+    left = list(left_bitmaps)
+    nleft = len(left)
     nout = max(nleft, int(right_target.max()) + 1 if len(right_target) else 0)
-    left_flat, left_bounds = batch_positions(list(left_bitmaps))
+    nbits = left_nbits + right_nbits
+    if (nbits + GROUP_BITS - 1) // GROUP_BITS > MAX_FILL_GROUPS:
+        raise BitmapError("bitmap too long for a single fill word")
+    tail_bits = left_nbits % GROUP_BITS
+    if nout > nleft:
+        left += [WAHBitmap.zeros(left_nbits)] * (nout - nleft)
+    left_len = np.array([len(bm._words) for bm in left], dtype=np.int64)
+    left_words = (
+        np.concatenate([bm._words for bm in left])
+        if left else np.empty(0, dtype=np.uint32)
+    )
+    left_end = np.cumsum(left_len)
+    left_start = left_end - left_len
+    bits_before = np.concatenate(([0], np.cumsum(_set_bits(left_words))))
+    left_counts = bits_before[left_end] - bits_before[left_start]
+
+    # The rebuilt part of output value i, counted from its tail group's
+    # first bit: the left tail bits, then the right positions.
+    tail_words = (
+        left_words[left_end - 1] if tail_bits
+        else np.zeros(nout, dtype=np.uint32)
+    )
+    tail_counts = np.bitwise_count(tail_words).astype(np.int64)
     right_flat, right_bounds = batch_positions(list(right_bitmaps))
-    left_counts = np.zeros(nout, dtype=np.int64)
-    left_counts[:nleft] = np.diff(left_bounds)
     right_counts = np.zeros(nout, dtype=np.int64)
     right_counts[right_target] = np.diff(right_bounds)
-    bounds = np.concatenate(([0], np.cumsum(left_counts + right_counts)))
-    # Each source segment moves as a block — its positions keep their
-    # order — to its slot in the output value: by ``*_shift`` places.
-    left_shift = bounds[:nleft] - left_bounds[:-1]
-    right_shift = (
-        bounds[right_target] + left_counts[right_target] - right_bounds[:-1]
+    bounds = np.concatenate(([0], np.cumsum(tail_counts + right_counts)))
+    rebuilt_flat = np.empty(int(bounds[-1]), dtype=np.int64)
+    _peel_literals(
+        tail_words, bounds[:-1], np.zeros(nout, dtype=np.int64),
+        rebuilt_flat,
     )
-    merged = np.empty(int(bounds[-1]), dtype=np.int64)
-    merged[
-        np.arange(len(left_flat))
-        + np.repeat(left_shift, np.diff(left_bounds))
-    ] = left_flat
-    del left_flat
-    merged[
+    # Each right segment moves as a block to its slot after the tail.
+    right_shift = (
+        bounds[right_target] + tail_counts[right_target] - right_bounds[:-1]
+    )
+    rebuilt_flat[
         np.arange(len(right_flat))
         + np.repeat(right_shift, np.diff(right_bounds))
-    ] = right_flat + left_nbits
+    ] = right_flat + tail_bits
     del right_flat
-    return batch_from_positions(merged, bounds, left_nbits + right_nbits)
+    rebuilt, rebuilt_bounds, _ = _build_words(
+        rebuilt_flat, bounds, tail_bits + right_nbits
+    )
+
+    # Splice, per output value: the left words before the tail group,
+    # then the rebuilt words.  ``source``'s last word, a zero literal,
+    # stands in for an empty side's word at the seam.
+    prefix_len = left_len - int(tail_bits > 0)
+    rebuilt_len = np.diff(rebuilt_bounds)
+    source = np.concatenate(
+        (left_words, rebuilt, np.zeros(1, dtype=np.uint32))
+    )
+    nothing = len(source) - 1
+    rebuilt_start = len(left_words) + rebuilt_bounds[:-1]
+    last = source[np.where(prefix_len > 0, left_start + prefix_len - 1,
+                           nothing)]
+    first = source[np.where(rebuilt_len > 0, rebuilt_start, nothing)]
+    # Same two top bits after a fill's: a fill of the same bit value.
+    join = ((last & FILL_FLAG) != 0) & (
+        (last >> np.uint32(30)) == (first >> np.uint32(30))
+    )
+    lengths = np.column_stack((prefix_len, rebuilt_len - join)).ravel()
+    starts = np.column_stack((left_start, rebuilt_start + join)).ravel()
+    ends = np.cumsum(lengths)
+    words = source[
+        np.arange(int(ends[-1]) if len(ends) else 0)
+        + np.repeat(starts - ends + lengths, lengths)
+    ]
+    words[ends[0::2][join] - 1] += first[join] & FILL_LEN_MASK
+    return _bitmaps(
+        words, np.concatenate(([0], ends[1::2])),
+        left_counts + right_counts, nbits,
+    )

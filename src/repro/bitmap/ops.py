@@ -10,25 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bitmap.batch import batch_positions
 from repro.bitmap.wah import WAHBitmap
 
 
 def union_disjoint(bitmaps, nbits: int) -> WAHBitmap:
     """OR of pairwise-disjoint bitmaps (e.g. several values of one column).
 
-    ``O(total set bits)`` — each bitmap contributes its positions once.
+    ``O(total set bits)`` — one batched extraction of every bitmap's
+    positions, then one sort.
     """
-    bitmaps = list(bitmaps)
-    if not bitmaps:
-        return WAHBitmap.zeros(nbits)
-    parts = [bm.positions() for bm in bitmaps]
-    return WAHBitmap.from_positions(np.sort(np.concatenate(parts)), nbits)
+    positions, _ = batch_positions(list(bitmaps))
+    return WAHBitmap.from_positions(np.sort(positions), nbits)
 
 
 def union(bitmaps, nbits: int) -> WAHBitmap:
     """OR of arbitrary (possibly overlapping) bitmaps."""
-    bitmaps = list(bitmaps)
-    if not bitmaps:
-        return WAHBitmap.zeros(nbits)
-    parts = [bm.positions() for bm in bitmaps]
-    return WAHBitmap.from_positions(np.unique(np.concatenate(parts)), nbits)
+    positions, _ = batch_positions(list(bitmaps))
+    return WAHBitmap.from_positions(np.unique(positions), nbits)

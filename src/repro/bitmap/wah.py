@@ -501,50 +501,13 @@ class WAHBitmap:
         """Sorted positions of all set bits.
 
         Cost is ``O(word_count + count)`` — proportional to the compressed
-        size plus the output, not to ``nbits``.
+        size plus the output, not to ``nbits``.  This is the batched
+        extraction kernel (:meth:`repro.bitmap.batch.WordDirectory.positions`)
+        over this one bitmap.
         """
-        if self.word_count == 0:
-            return np.empty(0, dtype=np.int64)
-        is_fill, fill_value, groups = self._word_fields()
-        group_offset = np.concatenate(([0], np.cumsum(groups)[:-1]))
+        from repro.bitmap.batch import WordDirectory
 
-        one_fill = is_fill & fill_value
-        literal = ~is_fill
-
-        # Set bits contributed per word.
-        lit_words = self._words[literal]
-        lit_pop = np.bitwise_count(lit_words).astype(np.int64)
-        out_per_word = np.zeros(self.word_count, dtype=np.int64)
-        out_per_word[one_fill] = groups[one_fill] * GROUP_BITS
-        out_per_word[literal] = lit_pop
-        out_offsets = np.concatenate(([0], np.cumsum(out_per_word)))
-        out = np.empty(out_offsets[-1], dtype=np.int64)
-
-        # One-fills: contiguous position ranges.
-        fill_idx = np.flatnonzero(one_fill)
-        if len(fill_idx):
-            lengths = out_per_word[fill_idx]
-            starts = group_offset[fill_idx] * GROUP_BITS
-            total = int(lengths.sum())
-            base = np.repeat(starts, lengths)
-            run_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-            within = np.arange(total, dtype=np.int64) - run_start
-            out[np.repeat(out_offsets[fill_idx], lengths) + within] = base + within
-
-        # Literals: extract bit indices per word.
-        lit_idx = np.flatnonzero(literal)
-        if len(lit_idx):
-            matrix = (lit_words[:, None] >> _BIT_INDEX) & np.uint32(1)
-            row, bit = np.nonzero(matrix)
-            # np.nonzero is row-major: sorted by word then bit.
-            word_of = lit_idx[row]
-            rank_in_word = np.arange(len(row)) - np.repeat(
-                np.cumsum(lit_pop) - lit_pop, lit_pop
-            )
-            out[out_offsets[word_of] + rank_in_word] = (
-                group_offset[word_of] * GROUP_BITS + bit
-            )
-        return out
+        return WordDirectory([self]).positions()[0]
 
     def one_intervals(self) -> tuple[np.ndarray, np.ndarray]:
         """Maximal intervals ``[start, end)`` of consecutive set bits.

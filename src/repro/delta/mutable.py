@@ -569,7 +569,9 @@ class MutableTable:
     def _merge_column(self, name: str, run: _CompactionRun) -> BitmapColumn:
         """Merge one column: surviving main rows (bitmap-filtered, never
         decompressed) concatenated with the WAH-encoded cutoff-live
-        buffered values."""
+        buffered values.  The concat splices the main part's words and
+        rebuilds only each value's partial tail group and the buffered
+        part, so an insert-only fold copies the main's words."""
         column_schema = self.schema.column(name)
         main_part = self._main.column(name)
         if len(run.keep) != self._main.nrows:

@@ -189,7 +189,7 @@ class BitmapColumn:
         dictionary = self._dictionary
         if counts is not None:
             kept = np.flatnonzero(counts).tolist()
-            dictionary = Dictionary([dictionary.value(vid) for vid in kept])
+            dictionary = dictionary.subset(kept)
             bitmaps = [bitmaps[vid] for vid in kept]
         return BitmapColumn(self.name, self.dtype, dictionary, bitmaps, nrows)
 
@@ -197,7 +197,8 @@ class BitmapColumn:
         """Concatenate rows of two columns (UNION TABLES).
 
         Bitmaps of shared values are concatenated; values present on only
-        one side get a zero-extension on the other.
+        one side get a zero-extension on the other.  The left side's
+        words are spliced, not decoded (:func:`batch_concat_positions`).
         """
         if self.dtype != other.dtype:
             raise StorageError(
@@ -206,7 +207,7 @@ class BitmapColumn:
             )
         from repro.bitmap.batch import batch_concat_positions
 
-        dictionary = Dictionary(self._dictionary.values())
+        dictionary = self._dictionary.copy()
         right_target = [dictionary.add(value) for value in other._dictionary]
         bitmaps = batch_concat_positions(
             self._bitmaps, other._bitmaps, right_target,

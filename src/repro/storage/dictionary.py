@@ -27,6 +27,25 @@ class Dictionary:
 
     # -- construction -------------------------------------------------------
 
+    @classmethod
+    def _of_distinct(cls, values: list) -> "Dictionary":
+        """A dictionary over ``values``, already distinct, built in one
+        step rather than by one :meth:`add` per value."""
+        dictionary = cls()
+        dictionary._values = values
+        dictionary._ids = dict(zip(values, range(len(values))))
+        return dictionary
+
+    def copy(self) -> "Dictionary":
+        """An independent dictionary with the same values and vids."""
+        return Dictionary._of_distinct(list(self._values))
+
+    def subset(self, vids) -> "Dictionary":
+        """The values under ``vids`` (distinct), renumbered ``0, 1, …``
+        in that order."""
+        values = self._values
+        return Dictionary._of_distinct([values[vid] for vid in vids])
+
     def add(self, value) -> int:
         """Insert ``value`` if new; return its vid."""
         vid = self._ids.get(value)

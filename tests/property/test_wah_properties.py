@@ -10,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitmap import WAHBitmap
-from repro.bitmap.batch import batch_from_positions
+from repro.bitmap.batch import (
+    batch_concat_positions,
+    batch_from_positions,
+    batch_positions,
+)
 from repro.bitmap.reference import encode_reference
 
 bit_arrays = st.lists(st.booleans(), min_size=0, max_size=600).map(
@@ -155,3 +159,67 @@ def test_batched_constructor_equals_per_segment_constructor(case):
         assert bitmap.words.tolist() == reference.words.tolist()
         assert bitmap.nbits == reference.nbits == nbits
         assert bitmap.count() == reference.count() == len(segment)
+
+
+def bitmaps_of(nbits):
+    """Up to five ``nbits``-bit bitmaps: all-zero, all-one, random or
+    run-shaped."""
+    pattern = st.one_of(
+        st.just(np.zeros(nbits, dtype=bool)),
+        st.just(np.ones(nbits, dtype=bool)),
+        any_bits.map(
+            lambda bits: np.resize(bits, nbits)
+            if len(bits) else np.zeros(nbits, dtype=bool)
+        ),
+    )
+    return st.lists(pattern.map(WAHBitmap.from_dense), max_size=5)
+
+
+# Left sizes on and off a group boundary, zero-length sides included.
+side_sizes = st.one_of(st.sampled_from([0, 31, 62, 93]), st.integers(0, 160))
+
+
+@settings(max_examples=300)
+@given(
+    st.tuples(side_sizes, side_sizes).flatmap(
+        lambda sizes: st.tuples(
+            st.just(sizes),
+            bitmaps_of(sizes[0]),
+            bitmaps_of(sizes[1]),
+            st.randoms(use_true_random=False),
+        )
+    )
+)
+def test_batched_concat_equals_constructor_of_concatenated_positions(case):
+    """``batch_concat_positions`` splices the left words and rebuilds the
+    rest; the result is ``WAHBitmap.from_positions`` of the concatenated
+    positions, word for word and count for count — right values landing
+    on left values, on none, and beyond the left dictionary."""
+    (left_nbits, right_nbits), left, right, rnd = case
+    target = rnd.sample(range(len(left) + len(right) + 2), len(right))
+    nbits = left_nbits + right_nbits
+    merged = batch_concat_positions(
+        left, right, target, left_nbits, right_nbits
+    )
+    assert len(merged) == max([len(left)] + [t + 1 for t in target])
+    for vid, bitmap in enumerate(merged):
+        parts = [np.empty(0, dtype=np.int64)]
+        if vid < len(left):
+            parts.append(left[vid].positions())
+        if vid in target:
+            parts.append(right[target.index(vid)].positions() + left_nbits)
+        reference = WAHBitmap.from_positions(np.concatenate(parts), nbits)
+        assert bitmap.nbits == nbits
+        assert bitmap.words.tolist() == reference.words.tolist()
+        assert bitmap.count() == reference.count()
+
+
+@given(st.integers(0, 200).flatmap(bitmaps_of))
+def test_batch_positions_equals_dense_flatnonzero(bitmaps):
+    flat, bounds = batch_positions(bitmaps)
+    assert len(bounds) == len(bitmaps) + 1 and bounds[0] == 0
+    for index, bitmap in enumerate(bitmaps):
+        assert np.array_equal(
+            flat[bounds[index]:bounds[index + 1]],
+            np.flatnonzero(bitmap.to_dense()),
+        )

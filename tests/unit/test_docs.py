@@ -484,6 +484,13 @@ class TestBatchedConstructorDocs:
         for caller in ("BitmapColumn.from_vids", "_delta_column", "PARTITION"):
             assert caller in text
 
+    def test_no_bit_matrix_expansion_in_the_bitmap_package(self):
+        # Extraction peels set bits; concat splices the left words.
+        for path in sorted((REPO / "src" / "repro" / "bitmap").rglob("*.py")):
+            assert "unpackbits" not in path.read_text(), path
+        text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+        assert "splices" in text and "peeling" in text
+
     def test_streaming_builder_is_gone(self):
         import repro.bitmap
 

@@ -137,6 +137,80 @@ class TestSimpleOps:
         assert len(engine.history) == 0
 
 
+class TestConcatSplicesTheMainStore:
+    """Concatenation splices the left side's words: flushing an
+    insert-only delta before an SMO and UNION extract the positions of
+    the rows they append (plus at most 30 tail bits per bitmap), never
+    the 50 000 main rows."""
+
+    MAIN_ROWS = 50_000
+    DELTA_ROWS = 500
+
+    @staticmethod
+    def columns(rows, offset=0):
+        keys = np.arange(offset, offset + rows)
+        return {
+            "A": (DataType.INT, (keys % 50).tolist()),
+            "S": (DataType.STRING, [f"s{k % 307}" for k in keys.tolist()]),
+        }
+
+    def engine_with_delta(self):
+        from repro.delta import CompactionPolicy
+
+        engine = EvolutionEngine()
+        engine.load_table(
+            table_from_python("R", self.columns(self.MAIN_ROWS))
+        )
+        delta = self.columns(self.DELTA_ROWS, self.MAIN_ROWS)
+        engine.mutable("R", CompactionPolicy.never()).insert_rows(
+            list(zip(delta["A"][1], delta["S"][1]))
+        )
+        return engine
+
+    @staticmethod
+    def extracted_positions(monkeypatch) -> list:
+        import repro.bitmap.batch as batch
+
+        extracted = []
+        extract = batch.batch_positions
+
+        def counting(bitmaps):
+            positions, bounds = extract(bitmaps)
+            extracted.append(len(positions))
+            return positions, bounds
+
+        monkeypatch.setattr(batch, "batch_positions", counting)
+        return extracted
+
+    def test_flush_before_copy_extracts_only_the_delta(self, monkeypatch):
+        engine = self.engine_with_delta()
+        extracted = self.extracted_positions(monkeypatch)
+        status = engine.apply(CopyTable("R", "R2"))
+        assert status.delta_rows_flushed == self.DELTA_ROWS
+        table = engine.table("R2")
+        assert table.nrows == self.MAIN_ROWS + self.DELTA_ROWS
+        columns = table.columns()
+        nbitmaps = sum(column.distinct_count for column in columns)
+        assert sum(extracted) <= (
+            self.DELTA_ROWS * len(columns) + 30 * nbitmaps
+        )
+        assert table.column("S").to_values()[-1] == "s" + str(
+            (self.MAIN_ROWS + self.DELTA_ROWS - 1) % 307
+        )
+
+    def test_union_never_extracts_its_left_side(self, monkeypatch):
+        engine = self.engine_with_delta()
+        engine.flush_delta("R")
+        engine.load_table(table_from_python("T", self.columns(200, 7)))
+        expected = engine.table("R").to_rows() + engine.table("T").to_rows()
+        extracted = self.extracted_positions(monkeypatch)
+        engine.apply(UnionTables("R", "T", "U"))
+        # Only the right side's 200 rows, once per column.
+        assert sum(extracted) == 200 * 2
+        monkeypatch.undo()
+        assert engine.table("U").to_rows() == expected
+
+
 class TestDecomposeMergePaths:
     def test_sql_like_roundtrip(self, engine, fig1_decomposed):
         engine.apply_sql_like(

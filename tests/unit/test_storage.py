@@ -175,6 +175,21 @@ class TestDictionary:
         assert vids_bulk.tolist() == vids_seq
         assert bulk.values() == sequential.values()
 
+    def test_copy_and_subset_equal_rebuilding_by_add(self):
+        nan = float("nan")
+        dictionary = Dictionary(["x", nan, 3, None, float("nan")])
+        kept = [4, 1, 0]
+        for built, values in (
+            (dictionary.copy(), dictionary.values()),
+            (dictionary.subset(kept), [dictionary.value(v) for v in kept]),
+        ):
+            rebuilt = Dictionary(values)
+            assert built.values() == rebuilt.values()
+            for value in values + [float("nan"), "y"]:
+                assert built.vid_or_none(value) == rebuilt.vid_or_none(value)
+        copy = dictionary.copy()
+        assert copy.add("new") == 5 and "new" not in dictionary
+
     def test_encode_numpy_ints(self):
         dictionary = Dictionary()
         vids = dictionary.encode(np.array([5, 3, 5, 9]))
