@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from repro.bitmap import WAHBitmap
-from repro.bitmap.batch import batch_decode_vids, batch_first_set
+from repro.bitmap.batch import (
+    batch_decode_vids,
+    batch_first_set,
+    batch_select,
+)
 
 _N = 1_000_000
 _rng = np.random.default_rng(16)
@@ -46,7 +50,7 @@ def test_micro_positions_sparse(benchmark):
 def test_micro_select_sparse(benchmark):
     benchmark.group = "wah micro (1M bits)"
     benchmark.name = "select 10k (sparse)"
-    benchmark(lambda: _sparse_bm.select(_select_positions))
+    benchmark(lambda: batch_select([_sparse_bm], _select_positions))
 
 
 def test_micro_logical_and(benchmark):

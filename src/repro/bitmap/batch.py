@@ -25,11 +25,11 @@ import numpy as np
 from repro.bitmap.wah import (
     FILL_FLAG,
     FILL_LEN_MASK,
-    FULL_GROUP,
     GROUP_BITS,
     MAX_FILL_GROUPS,
     ONE_FILL_FLAG,
     WAHBitmap,
+    _encode_runs,
 )
 from repro.errors import BitmapError
 
@@ -216,6 +216,46 @@ def batch_decode_vids(bitmaps, nrows: int) -> np.ndarray:
     return vids
 
 
+def batch_validate(bitmaps, nbits: int) -> None:
+    """Raise :class:`BitmapError` unless every bitmap is a well-formed
+    ``nbits``-bit word array, checked in one pass over all their words:
+    its header length is ``nbits``, its words cover exactly
+    ``ceil(nbits / 31)`` groups, no fill is empty and, when the last
+    group is partial, the last word is a literal with no padding bit
+    set.  The load-time guard of words read from a file."""
+    wrong_nbits = {bm._nbits for bm in bitmaps} - {nbits}
+    if wrong_nbits:
+        raise BitmapError(
+            f"a bitmap of {min(wrong_nbits)} bits among {nbits}-bit ones"
+        )
+    arrays = [bm._words for bm in bitmaps]
+    lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+    ngroups = (nbits + GROUP_BITS - 1) // GROUP_BITS
+    if not lengths.all():
+        # Only bitmaps of no groups have no words (and then all do).
+        if ngroups or lengths.any():
+            raise BitmapError(f"a bitmap without words among {nbits}-bit ones")
+        return
+    words = np.concatenate(arrays) if arrays else np.empty(0, np.uint32)
+    groups = np.where(words >= FILL_FLAG, words & FILL_LEN_MASK, 1)
+    if not groups.all():
+        raise BitmapError("a fill word of zero groups")
+    ends = np.cumsum(lengths)
+    covered = np.add.reduceat(groups, ends - lengths, dtype=np.int64)
+    wrong = np.flatnonzero(covered != ngroups)
+    if len(wrong):
+        raise BitmapError(
+            f"bitmap {wrong[0]}'s words cover {covered[wrong[0]]} groups, "
+            f"not {ngroups}"
+        )
+    tail_bits = nbits % GROUP_BITS
+    # A fill's flag bit, like a padding bit, lies above the tail bits.
+    if tail_bits and np.any(words[ends - 1] >> tail_bits):
+        raise BitmapError(
+            "a partial last group that is not a literal with zero padding"
+        )
+
+
 def _build_words(flat_positions, bounds, nbits: int) -> tuple:
     """The canonical words of one ``nbits``-bit bitmap per segment of
     ``flat_positions``, in one ``uint32`` buffer.
@@ -223,20 +263,17 @@ def _build_words(flat_positions, bounds, nbits: int) -> tuple:
     Returns ``(buffer, word_bounds, counts)``: bitmap ``i`` is
     ``buffer[word_bounds[i]:word_bounds[i + 1]]`` with ``counts[i]`` set
     bits.  The raw-buffer form of :func:`batch_from_positions`, for
-    callers that splice the words before making bitmaps of them.
+    callers that splice the words before making bitmaps of them.  The
+    positions become literal groups here; :func:`_encode_runs` writes
+    the words.
     """
     flat = np.asarray(flat_positions)
     bounds = np.asarray(bounds, dtype=np.int64)
     counts = np.diff(bounds)
-    occupied = counts > 0
-    ngroups = (nbits + GROUP_BITS - 1) // GROUP_BITS
-    partial = nbits % GROUP_BITS != 0
-    if ngroups > MAX_FILL_GROUPS:
-        raise BitmapError("bitmap too long for a single fill word")
     # One flag per position, true at each segment's first position:
     # first "exceeds its predecessor", then "opens a new literal word".
     first = np.ones(len(flat), dtype=bool)
-    seg_first = bounds[:-1][occupied]
+    seg_first = bounds[:-1][counts > 0]
     if len(flat):
         if flat.min() < 0 or flat.max() >= nbits:
             raise BitmapError("position out of range")
@@ -256,53 +293,10 @@ def _build_words(flat_positions, bounds, nbits: int) -> tuple:
     word_group = group[word_at].astype(np.int64)
     word_value = np.bitwise_or.reduceat(bit_of, word_at)
     word_bounds = np.searchsorted(word_at, bounds)
-    del flat, group, bit_of, first
-
-    # Runs: consecutive all-one groups of a segment merge into one
-    # one-fill; every other literal word is a run of its own.
-    full = word_value == FULL_GROUP
-    run_first = np.ones(len(word_at), dtype=bool)
-    run_first[1:] = ~(
-        full[1:] & full[:-1] & (word_group[1:] == word_group[:-1] + 1)
+    del flat, group, bit_of, first, word_at
+    buffer, out_bounds = _encode_runs(
+        word_group, None, word_value, word_bounds, nbits
     )
-    run_first[word_bounds[:-1][occupied]] = True
-    run_at = np.flatnonzero(run_first)
-    run_len = np.diff(run_at, append=len(word_at))
-    run_start = word_group[run_at]
-    run_end = run_start + run_len
-    run_bounds = np.searchsorted(run_at, word_bounds)
-
-    # Zero-fill gap in front of each run, and each segment's tail: a
-    # zero fill up to the end, the partial trailing group kept literal.
-    prev_end = np.zeros(len(run_at), dtype=np.int64)
-    prev_end[1:] = run_end[:-1]
-    prev_end[run_bounds[:-1][occupied]] = 0
-    gap = run_start - prev_end
-    has_gap = gap > 0
-    tail = np.full(len(counts), ngroups, dtype=np.int64)
-    tail[occupied] -= run_end[run_bounds[1:][occupied] - 1]
-    tail_fill = tail - partial
-    has_tail_fill = tail_fill > 0
-    tail_words = has_tail_fill.astype(np.int64) + ((tail > 0) & partial)
-
-    # Buffer layout: per segment, its runs (gap fill + payload), then
-    # its tail words.
-    run_cum = np.concatenate(([0], np.cumsum(1 + has_gap)))
-    tail_cum = np.concatenate(([0], np.cumsum(tail_words)))
-    out_bounds = run_cum[run_bounds] + tail_cum
-    run_out = run_cum[:-1] + np.repeat(tail_cum[:-1], np.diff(run_bounds))
-    buffer = np.zeros(int(out_bounds[-1]), dtype=np.uint32)
-    buffer[run_out[has_gap]] = FILL_FLAG | gap[has_gap].astype(np.uint32)
-    buffer[run_out + has_gap] = np.where(
-        full[run_at],
-        ONE_FILL_FLAG | run_len.astype(np.uint32),
-        word_value[run_at],
-    )
-    tail_at = out_bounds[1:] - tail_words
-    buffer[tail_at[has_tail_fill]] = FILL_FLAG | tail_fill[
-        has_tail_fill
-    ].astype(np.uint32)
-    # Partial-tail literals are zero words; the buffer is zero-initialized.
     return buffer, out_bounds, counts
 
 
@@ -322,13 +316,12 @@ def batch_from_positions(flat_positions, bounds, nbits: int) -> list:
 
     Segment ``i`` is ``flat_positions[bounds[i]:bounds[i + 1]]``, the
     strictly increasing set positions of bitmap ``i`` (the layout
-    :func:`batch_positions` returns).  Word for word equal to
-    ``[WAHBitmap.from_positions(segment, nbits) for each segment]``: the
-    canonical words go into one ``uint32`` buffer that is sliced per
-    bitmap, so the only per-bitmap Python work is object creation.
-    This is the one constructor behind bulk load, bitmap filtering,
-    concatenation, delta encoding, PARTITION and DECOMPOSE's key column
-    (one single-position segment per key: a column of unit bitmaps).
+    :func:`batch_positions` returns).  The canonical words go into one
+    ``uint32`` buffer that is sliced per bitmap, so the only per-bitmap
+    Python work is object creation.  This is the one constructor behind
+    bulk load, bitmap filtering, concatenation, delta encoding,
+    PARTITION and DECOMPOSE's key column (one single-position segment
+    per key: a column of unit bitmaps).
     """
     return _bitmaps(*_build_words(flat_positions, bounds, nbits), nbits)
 
@@ -336,11 +329,12 @@ def batch_from_positions(flat_positions, bounds, nbits: int) -> list:
 def batch_select(bitmaps, sorted_positions) -> tuple[list, np.ndarray]:
     """Bitmap-filter every bitmap of a column in one vectorized pass.
 
-    Returns ``([bm.select(sorted_positions) for bm in bitmaps], their
-    set-bit counts)``: all set positions are extracted once
-    (:func:`batch_positions`), their survival and rank under
-    ``sorted_positions`` is one ``searchsorted``, and all output bitmaps
-    are built by one :func:`batch_from_positions`.
+    Bit ``i`` of output bitmap ``k`` is bit ``sorted_positions[i]`` of
+    ``bitmaps[k]`` (a position past the end reads as zero).  Returns
+    ``(the filtered bitmaps, their set-bit counts)``: all set positions
+    are extracted once (:func:`batch_positions`), their survival and
+    rank under ``sorted_positions`` is one ``searchsorted``, and all
+    output bitmaps are built by one :func:`batch_from_positions`.
     """
     picks = np.asarray(sorted_positions, dtype=np.int64)
     flat, bounds = batch_positions(bitmaps)

@@ -4,7 +4,8 @@ A deliberately simple, word-by-word implementation of the same canonical
 WAH-32 encoding as :mod:`repro.bitmap.wah`.  It exists so the test suite
 can cross-validate the vectorized codec against an independent
 implementation: for every input, ``encode_reference(bits)`` must produce
-*bit-identical words* to ``WAHBitmap.from_dense(bits).words``.
+*bit-identical words* to every ``WAHBitmap`` constructor given the same
+bits.
 """
 
 from __future__ import annotations

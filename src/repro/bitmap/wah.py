@@ -14,7 +14,8 @@ Word format (32-bit words, 31-bit groups):
 * **Fill word** — bit 31 is ``1``; bit 30 is the fill bit value; bits
   ``0..29`` hold the run length measured in 31-bit groups (``>= 1``).
 
-Canonical encoding invariants (enforced by every constructor):
+Canonical encoding invariants, enforced by :func:`_encode_runs` — the one
+encoder every constructor writes its words through:
 
 * every maximal run of all-zero / all-one *complete* groups is a single
   fill word (so two equal bitmaps have identical word arrays);
@@ -64,75 +65,72 @@ def _groups_for(nbits: int) -> int:
     return (nbits + GROUP_BITS - 1) // GROUP_BITS
 
 
-def _encode_group_words(group_words: np.ndarray, nbits: int) -> np.ndarray:
-    """Run-compress an array of 31-bit group words into WAH words.
+def _encode_runs(start, length, word, bounds, nbits: int) -> tuple:
+    """The canonical words of one ``nbits``-bit bitmap per segment of
+    pieces, in one ``uint32`` buffer: ``(buffer, word_bounds)``, bitmap
+    ``i`` being ``buffer[word_bounds[i]:word_bounds[i + 1]]``.
 
-    The trailing partial group (if any) is forced to stay a literal so
-    that one-fills never cover padding bits.
+    Segment ``i`` is pieces ``bounds[i]`` to ``bounds[i + 1]``, sorted
+    and disjoint.  Piece ``k`` covers groups ``start[k]`` up to
+    ``start[k] + length[k]``: a literal (one group, the non-zero group
+    word ``word[k]``) or a run of all-one groups (``word[k] ==
+    FULL_GROUP``); ``length=None`` means every piece is one group.
+
+    The one writer of the word format: touching one-runs merge into one
+    one-fill, the groups between pieces become zero fills, and a partial
+    trailing group stays a literal, zero when no piece holds it.
     """
     ngroups = _groups_for(nbits)
-    if len(group_words) != ngroups:
-        raise BitmapError(
-            f"group word count {len(group_words)} does not match nbits "
-            f"{nbits} (expected {ngroups} groups)"
-        )
-    if ngroups == 0:
-        return np.empty(0, dtype=np.uint32)
+    if ngroups > MAX_FILL_GROUPS:
+        raise BitmapError("bitmap too long for a single fill word")
+    partial = nbits % GROUP_BITS != 0
+    bounds = np.asarray(bounds, dtype=np.int64)
+    occupied = bounds[1:] > bounds[:-1]
+    end = start + 1 if length is None else start + length
 
-    gw = _as_uint32(group_words)
-    partial_tail = nbits % GROUP_BITS != 0
+    # Runs: touching one-runs of a segment merge into one one-fill;
+    # every literal is a run of its own.
+    full = word == FULL_GROUP
+    run_first = np.ones(len(word), dtype=bool)
+    run_first[1:] = ~(full[1:] & full[:-1] & (start[1:] == end[:-1]))
+    run_first[bounds[:-1][occupied]] = True
+    run_at = np.flatnonzero(run_first)
+    run_start = start[run_at]
+    run_end = end[np.append(run_at, len(word))[1:] - 1]
+    run_bounds = np.searchsorted(run_at, bounds)
 
-    # Classify each group: 0 = zero fill, 1 = one fill, 2 = literal.
-    cls = np.full(ngroups, 2, dtype=np.int8)
-    cls[gw == 0] = 0
-    cls[gw == FULL_GROUP] = 1
-    if partial_tail:
-        cls[-1] = 2  # a partial group is always a literal
+    # Zero-fill gap in front of each run, and each segment's tail: a
+    # zero fill up to the end, the partial trailing group kept literal.
+    prev_end = np.zeros(len(run_at), dtype=np.int64)
+    prev_end[1:] = run_end[:-1]
+    prev_end[run_bounds[:-1][occupied]] = 0
+    gap = run_start - prev_end
+    has_gap = gap > 0
+    tail = np.full(len(occupied), ngroups, dtype=np.int64)
+    tail[occupied] -= run_end[run_bounds[1:][occupied] - 1]
+    tail_fill = tail - partial
+    has_tail_fill = tail_fill > 0
+    tail_words = has_tail_fill.astype(np.int64) + ((tail > 0) & partial)
 
-    # Maximal runs of equal class.
-    if ngroups == 1:
-        starts = np.array([0], dtype=np.int64)
-        ends = np.array([1], dtype=np.int64)
-    else:
-        change = np.flatnonzero(cls[1:] != cls[:-1]).astype(np.int64) + 1
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((change, [ngroups]))
-    run_cls = cls[starts]
-    run_len = ends - starts
-
-    # Output word count per run: one word per fill run (split if over-long),
-    # run_len words per literal run.
-    is_fill = run_cls != 2
-    fill_words = np.zeros(len(starts), dtype=np.int64)
-    fill_words[is_fill] = (run_len[is_fill] + MAX_FILL_GROUPS - 1) // MAX_FILL_GROUPS
-    out_per_run = np.where(is_fill, fill_words, run_len)
-    offsets = np.concatenate(([0], np.cumsum(out_per_run)))
-    out = np.zeros(offsets[-1], dtype=np.uint32)
-
-    # Emit fill words.  Over-long fills are split into MAX_FILL_GROUPS
-    # chunks; in practice a single fill word nearly always suffices.
-    fill_runs = np.flatnonzero(is_fill)
-    simple = fill_runs[fill_words[fill_runs] == 1]
-    if len(simple):
-        header = FILL_FLAG | (run_cls[simple].astype(np.uint32) << np.uint32(30))
-        out[offsets[simple]] = header | run_len[simple].astype(np.uint32)
-    for run in fill_runs[fill_words[fill_runs] > 1]:  # pragma: no cover - huge
-        remaining = int(run_len[run])
-        header = FILL_FLAG | (np.uint32(run_cls[run]) << np.uint32(30))
-        position = offsets[run]
-        while remaining > 0:
-            chunk = min(remaining, MAX_FILL_GROUPS)
-            out[position] = header | np.uint32(chunk)
-            remaining -= chunk
-            position += 1
-
-    # Emit literal words: scatter the original group words into place.
-    lit_groups = np.flatnonzero(cls == 2)
-    if len(lit_groups):
-        run_of_group = np.searchsorted(starts, lit_groups, side="right") - 1
-        target = offsets[run_of_group] + (lit_groups - starts[run_of_group])
-        out[target] = gw[lit_groups]
-    return out
+    # Buffer layout: per segment, its runs (gap fill + payload), then
+    # its tail words.
+    run_cum = np.concatenate(([0], np.cumsum(1 + has_gap)))
+    tail_cum = np.concatenate(([0], np.cumsum(tail_words)))
+    out_bounds = run_cum[run_bounds] + tail_cum
+    run_out = run_cum[:-1] + np.repeat(tail_cum[:-1], np.diff(run_bounds))
+    buffer = np.zeros(int(out_bounds[-1]), dtype=np.uint32)
+    buffer[run_out[has_gap]] = FILL_FLAG | gap[has_gap].astype(np.uint32)
+    buffer[run_out + has_gap] = np.where(
+        full[run_at],
+        ONE_FILL_FLAG | (run_end - run_start).astype(np.uint32),
+        word[run_at],
+    )
+    tail_at = out_bounds[1:] - tail_words
+    buffer[tail_at[has_tail_fill]] = FILL_FLAG | tail_fill[
+        has_tail_fill
+    ].astype(np.uint32)
+    # Partial-tail literals are zero words; the buffer is zero-initialized.
+    return buffer, out_bounds
 
 
 class WAHBitmap:
@@ -157,27 +155,30 @@ class WAHBitmap:
     # ------------------------------------------------------------------
 
     @classmethod
+    def _from_pieces(cls, start, length, word, nbits: int,
+                     count: int | None = None) -> "WAHBitmap":
+        """One bitmap of :func:`_encode_runs` pieces."""
+        words, _ = _encode_runs(start, length, word, (0, len(start)), nbits)
+        return cls(words, nbits, _count=count)
+
+    @classmethod
+    def _from_group_words(cls, group_words: np.ndarray, nbits: int,
+                          count: int | None = None) -> "WAHBitmap":
+        """Encode the full array of 31-bit group words; its non-zero
+        groups are the pieces."""
+        nonzero = np.flatnonzero(group_words)
+        return cls._from_pieces(
+            nonzero, None, group_words[nonzero], nbits, count
+        )
+
+    @classmethod
     def zeros(cls, nbits: int) -> "WAHBitmap":
         """All-zero bitmap of ``nbits`` bits."""
-        if nbits == 0:
-            return cls(np.empty(0, dtype=np.uint32), 0, _count=0)
-        ngroups = _groups_for(nbits)
-        partial = nbits % GROUP_BITS != 0
-        words: list[int] = []
-        remaining = ngroups - 1 if partial else ngroups
-        while remaining > 0:
-            chunk = min(remaining, MAX_FILL_GROUPS)
-            words.append(int(FILL_FLAG) | chunk)
-            remaining -= chunk
-        if partial:
-            words.append(0)
-        return cls(np.array(words, dtype=np.uint32), nbits, _count=0)
+        return cls._from_group_words(np.empty(0, dtype=np.uint32), nbits, 0)
 
     @classmethod
     def ones(cls, nbits: int) -> "WAHBitmap":
         """All-one bitmap of ``nbits`` bits."""
-        if nbits == 0:
-            return cls(np.empty(0, dtype=np.uint32), 0, _count=0)
         return cls.from_intervals([0], [nbits], nbits)
 
     @classmethod
@@ -190,8 +191,7 @@ class WAHBitmap:
         padded[:nbits] = dense
         matrix = padded.reshape(ngroups, GROUP_BITS).astype(np.uint32)
         group_words = (matrix * _BIT_MASKS).sum(axis=1, dtype=np.uint32)
-        count = int(dense.sum())
-        return cls(_encode_group_words(group_words, nbits), nbits, _count=count)
+        return cls._from_group_words(group_words, nbits, int(dense.sum()))
 
     @classmethod
     def from_positions(cls, positions, nbits: int) -> "WAHBitmap":
@@ -199,33 +199,22 @@ class WAHBitmap:
 
         Runs in ``O(len(positions))`` — independent of ``nbits`` — which is
         what makes rebuilding filtered bitmaps cheap for high-cardinality
-        columns.
+        columns.  The one-segment case of
+        :func:`repro.bitmap.batch.batch_from_positions`.
         """
-        pos = np.asarray(positions, dtype=np.int64)
-        if len(pos) == 0:
-            return cls.zeros(nbits)
-        if pos[0] < 0 or pos[-1] >= nbits:
-            raise BitmapError("position out of range")
-        if np.any(pos[1:] <= pos[:-1]):
-            raise BitmapError("positions must be strictly increasing")
+        from repro.bitmap.batch import _build_words
 
-        group = pos // GROUP_BITS
-        bit = (pos % GROUP_BITS).astype(np.uint32)
-        unique_groups, first_index = np.unique(group, return_index=True)
-        boundaries = first_index.astype(np.int64)
-        words_per_group = np.bitwise_or.reduceat(
-            (np.uint32(1) << bit).astype(np.uint32), boundaries
-        )
-        return cls._from_sparse_groups(
-            unique_groups, words_per_group, nbits, count=len(pos)
-        )
+        pos = np.asarray(positions, dtype=np.int64)
+        words, _, _ = _build_words(pos, (0, len(pos)), nbits)
+        return cls(words, nbits, _count=len(pos))
 
     @classmethod
     def from_intervals(cls, starts, ends, nbits: int) -> "WAHBitmap":
         """Build from disjoint, sorted, half-open set intervals.
 
-        ``starts[i] <= ends[i] <= starts[i+1]``; adjacent or empty
-        intervals are tolerated and merged.  Runs in ``O(len(starts))``.
+        ``starts[i] <= ends[i] <= starts[i+1]``; empty intervals are
+        ignored and touching ones meet in one run.  Runs in
+        ``O(len(starts))``.
         """
         lo = np.asarray(starts, dtype=np.int64)
         hi = np.asarray(ends, dtype=np.int64)
@@ -233,192 +222,40 @@ class WAHBitmap:
             raise BitmapError("starts and ends must have equal length")
         keep = hi > lo
         lo, hi = lo[keep], hi[keep]
-        if len(lo) == 0:
-            return cls.zeros(nbits)
-        if lo[0] < 0 or hi[-1] > nbits:
+        if len(lo) and (lo[0] < 0 or hi[-1] > nbits):
             raise BitmapError("interval out of range")
         if np.any(lo[1:] < hi[:-1]):
             raise BitmapError("intervals must be disjoint and sorted")
-        # Merge touching intervals so boundary groups are handled once.
-        if np.any(lo[1:] == hi[:-1]):
-            gap = np.concatenate(([True], lo[1:] > hi[:-1]))
-            lo = lo[gap]
-            hi = hi[np.concatenate((np.flatnonzero(gap)[1:] - 1, [len(hi) - 1]))]
-        count = int((hi - lo).sum())
 
-        # Split each interval into: an optional head fragment (partial
-        # first group), a run of fully covered groups (one-fill), and an
-        # optional tail fragment (partial last group).  Intervals living
-        # inside a single group are pure fragments.
-        g0 = lo // GROUP_BITS
-        g1 = (hi - 1) // GROUP_BITS
-        single = g0 == g1
-        frag_groups = []
-        frag_words = []
+        # Each interval is up to three pieces, in bit order: a head
+        # fragment (the whole interval when it sits inside one group),
+        # the whole groups it covers, and a tail fragment.
+        first_edge = -(-lo // GROUP_BITS) * GROUP_BITS
+        last_edge = hi // GROUP_BITS * GROUP_BITS
+        head_end = np.minimum(first_edge, hi)
+        piece_lo = np.column_stack(
+            (lo, first_edge, np.maximum(last_edge, head_end))
+        ).ravel()
+        piece_hi = np.column_stack((head_end, last_edge, hi)).ravel()
+        keep = piece_hi > piece_lo
+        piece_lo, piece_hi = piece_lo[keep], piece_hi[keep]
+        width = piece_hi - piece_lo
+        start = piece_lo // GROUP_BITS
+        # A fragment's mask; whole groups come out as FULL_GROUP.
+        word = (
+            ((1 << np.minimum(width, GROUP_BITS)) - 1)
+            << (piece_lo - start * GROUP_BITS)
+        ).astype(np.uint32)
+        length = np.maximum(width // GROUP_BITS, 1)
 
-        def _mask(start_bit: np.ndarray, end_bit: np.ndarray) -> np.ndarray:
-            start = start_bit.astype(np.uint32)
-            width = (end_bit - start_bit).astype(np.uint32)
-            return np.where(
-                width >= GROUP_BITS,
-                FULL_GROUP,
-                ((np.uint32(1) << width) - np.uint32(1)) << start,
-            ).astype(np.uint32)
-
-        # Single-group intervals narrower than a full group.
-        narrow = single & ((hi - lo) < GROUP_BITS)
-        if np.any(narrow):
-            frag_groups.append(g0[narrow])
-            frag_words.append(_mask(lo[narrow] % GROUP_BITS, hi[narrow] - g0[narrow] * GROUP_BITS))
-
-        head = ~single & (lo % GROUP_BITS != 0)
-        if np.any(head):
-            frag_groups.append(g0[head])
-            frag_words.append(
-                _mask(lo[head] % GROUP_BITS, np.full(int(head.sum()), GROUP_BITS))
-            )
-
-        tail = ~single & (hi % GROUP_BITS != 0)
-        if np.any(tail):
-            frag_groups.append(g1[tail])
-            frag_words.append(_mask(np.zeros(int(tail.sum()), dtype=np.int64), hi[tail] % GROUP_BITS))
-
-        # Fully covered groups (including exactly-one-group intervals).
-        full_lo = np.where(single, g0, -(-lo // GROUP_BITS))
-        full_hi = np.where(single, g0 + 1, hi // GROUP_BITS)
-        full_keep = ~narrow & (full_hi > full_lo)
-        full_lo = full_lo[full_keep]
-        full_hi = full_hi[full_keep]
-
-        # Aggregate fragments that landed in the same group.
-        if frag_groups:
-            fg = np.concatenate(frag_groups)
-            fw = np.concatenate(frag_words)
-            order = np.argsort(fg, kind="stable")
-            fg, fw = fg[order], fw[order]
-            ug, first = np.unique(fg, return_index=True)
-            agg = np.bitwise_or.reduceat(fw, first.astype(np.int64))
-        else:
-            ug = np.empty(0, dtype=np.int64)
-            agg = np.empty(0, dtype=np.uint32)
-
-        return cls._from_segments(full_lo, full_hi, ug, agg, nbits, count)
-
-    @classmethod
-    def from_runs(cls, runs, nbits: int) -> "WAHBitmap":
-        """Build from ``[(value, length_in_bits), ...]`` alternating runs.
-
-        Runs may have arbitrary values/lengths; they are converted to set
-        intervals.  ``sum(lengths)`` may be less than ``nbits`` (the rest
-        is zero).
-        """
-        starts = []
-        ends = []
-        cursor = 0
-        for value, length in runs:
-            if length < 0:
-                raise BitmapError("run length must be non-negative")
-            if value:
-                starts.append(cursor)
-                ends.append(cursor + length)
-            cursor += length
-        if cursor > nbits:
-            raise BitmapError("runs exceed nbits")
-        return cls.from_intervals(starts, ends, nbits)
-
-    @classmethod
-    def _from_sparse_groups(
-        cls,
-        groups: np.ndarray,
-        group_values: np.ndarray,
-        nbits: int,
-        count: int | None = None,
-    ) -> "WAHBitmap":
-        """Build from (sorted unique group index, group word) pairs.
-
-        Groups not listed are zero.  Runs in ``O(len(groups))``.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        return cls._from_segments(
-            empty, empty, groups, group_values, nbits, count
+        # Fragments of neighbouring intervals that share a group OR-merge.
+        first = np.ones(len(start), dtype=bool)
+        first[1:] = start[1:] != start[:-1]
+        at = np.flatnonzero(first)
+        return cls._from_pieces(
+            start[at], length[at], np.bitwise_or.reduceat(word, at), nbits,
+            int(width.sum()),
         )
-
-    @classmethod
-    def _from_segments(
-        cls,
-        fill_lo: np.ndarray,
-        fill_hi: np.ndarray,
-        lit_groups: np.ndarray,
-        lit_words: np.ndarray,
-        nbits: int,
-        count: int | None,
-    ) -> "WAHBitmap":
-        """Assemble WAH words from one-fill group ranges plus literal groups.
-
-        The ranges ``[fill_lo, fill_hi)`` and the literal groups must be
-        mutually disjoint.  Zero gaps are synthesized between segments.
-        The result is canonicalized (adjacent fills merged, all-zero /
-        all-one literals folded into fills) by a final tidy pass.
-        """
-        ngroups = _groups_for(nbits)
-        # Represent every segment as (start_group, end_group, kind, payload).
-        seg_start = np.concatenate((fill_lo, lit_groups))
-        seg_end = np.concatenate((fill_hi, lit_groups + 1))
-        seg_is_fill = np.concatenate(
-            (np.ones(len(fill_lo), dtype=bool), np.zeros(len(lit_groups), dtype=bool))
-        )
-        seg_word = np.concatenate(
-            (np.zeros(len(fill_lo), dtype=np.uint32), _as_uint32(lit_words))
-        )
-        order = np.argsort(seg_start, kind="stable")
-        seg_start = seg_start[order]
-        seg_end = seg_end[order]
-        seg_is_fill = seg_is_fill[order]
-        seg_word = seg_word[order]
-
-        if len(seg_start) and (
-            np.any(seg_start[1:] < seg_end[:-1])
-            or (len(seg_end) and seg_end[-1] > ngroups)
-        ):
-            raise BitmapError("segments overlap or exceed bitmap length")
-
-        # Gap (zero-fill) before each segment and after the last one.
-        prev_end = np.concatenate(([0], seg_end[:-1])) if len(seg_start) else np.empty(
-            0, dtype=np.int64
-        )
-        gaps = seg_start - prev_end
-        tail_gap = ngroups - (seg_end[-1] if len(seg_end) else 0)
-
-        words_per_seg = 1 + (gaps > 0).astype(np.int64)
-        offsets = np.concatenate(([0], np.cumsum(words_per_seg)))
-
-        partial_tail = nbits % GROUP_BITS != 0
-        tail_words = 0
-        if tail_gap > 0:
-            # A partial trailing group must stay a literal; a zero gap
-            # reaching it is emitted as (fill, literal-0) so that no
-            # canonicalization pass is needed afterwards.
-            tail_words = 2 if (partial_tail and tail_gap > 1) else 1
-        total = int(offsets[-1]) + tail_words
-        out = np.zeros(total, dtype=np.uint32)
-
-        if len(seg_start):
-            gap_positions = offsets[:-1][gaps > 0]
-            out[gap_positions] = FILL_FLAG | gaps[gaps > 0].astype(np.uint32)
-            seg_positions = offsets[:-1] + (gaps > 0)
-            fill_len = (seg_end - seg_start).astype(np.uint32)
-            payload = np.where(seg_is_fill, ONE_FILL_FLAG | fill_len, seg_word)
-            out[seg_positions] = payload.astype(np.uint32)
-        if tail_gap > 0:
-            if partial_tail:
-                if tail_gap > 1:
-                    out[-2] = FILL_FLAG | np.uint32(tail_gap - 1)
-                out[-1] = 0  # literal partial tail group
-            else:
-                out[-1] = FILL_FLAG | np.uint32(tail_gap)
-
-        bitmap = cls(out, nbits, _count=count)
-        return bitmap._canonicalized()
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -467,11 +304,6 @@ class WAHBitmap:
         groups = np.where(is_fill, words & FILL_LEN_MASK, 1).astype(np.int64)
         return is_fill, fill_value, groups
 
-    def group_offsets(self) -> np.ndarray:
-        """Starting group index of each word."""
-        _, _, groups = self._word_fields()
-        return np.concatenate(([0], np.cumsum(groups)[:-1])).astype(np.int64)
-
     def group_words(self) -> np.ndarray:
         """Decompress to the full array of 31-bit group words.
 
@@ -508,77 +340,6 @@ class WAHBitmap:
         from repro.bitmap.batch import WordDirectory
 
         return WordDirectory([self]).positions()[0]
-
-    def one_intervals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Maximal intervals ``[start, end)`` of consecutive set bits.
-
-        Fill words yield whole-group intervals directly; literal words are
-        expanded only locally.  Adjacent intervals are merged, so the
-        result is the canonical run representation of the set bits.
-        """
-        if self.count() == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        is_fill, fill_value, groups = self._word_fields()
-        group_offset = np.concatenate(([0], np.cumsum(groups)[:-1]))
-
-        starts_parts = []
-        ends_parts = []
-        order_keys = []
-
-        fill_idx = np.flatnonzero(is_fill & fill_value)
-        if len(fill_idx):
-            fs = group_offset[fill_idx] * GROUP_BITS
-            fe = fs + groups[fill_idx] * GROUP_BITS
-            starts_parts.append(fs)
-            ends_parts.append(fe)
-            order_keys.append(fs)
-
-        lit_idx = np.flatnonzero(~is_fill)
-        if len(lit_idx):
-            lw = self._words[lit_idx]
-            matrix = ((lw[:, None] >> _BIT_INDEX) & np.uint32(1)).astype(bool)
-            padded = np.zeros((len(lit_idx), GROUP_BITS + 2), dtype=bool)
-            padded[:, 1:-1] = matrix
-            rising = padded[:, 1:] & ~padded[:, :-1]
-            falling = ~padded[:, 1:] & padded[:, :-1]
-            row_r, bit_r = np.nonzero(rising)
-            row_f, bit_f = np.nonzero(falling)
-            base = group_offset[lit_idx] * GROUP_BITS
-            ls = base[row_r] + bit_r
-            le = base[row_f] + bit_f
-            starts_parts.append(ls)
-            ends_parts.append(le)
-            order_keys.append(ls)
-
-        starts = np.concatenate(starts_parts)
-        ends = np.concatenate(ends_parts)
-        order = np.argsort(np.concatenate(order_keys), kind="stable")
-        starts, ends = starts[order], ends[order]
-
-        # Merge intervals that touch (end == next start).
-        if len(starts) > 1:
-            keep = np.concatenate(([True], starts[1:] != ends[:-1]))
-            group_id = np.cumsum(keep) - 1
-            merged_starts = starts[keep]
-            merged_ends = np.zeros(group_id[-1] + 1, dtype=np.int64)
-            merged_ends[group_id] = ends  # last write per group wins
-            starts, ends = merged_starts, merged_ends
-        return starts, ends
-
-    def runs(self) -> list[tuple[int, int]]:
-        """All maximal ``(bit_value, length)`` runs, covering every bit."""
-        starts, ends = self.one_intervals()
-        result: list[tuple[int, int]] = []
-        cursor = 0
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            if s > cursor:
-                result.append((0, s - cursor))
-            result.append((1, e - s))
-            cursor = e
-        if cursor < self._nbits:
-            result.append((0, self._nbits - cursor))
-        return result
 
     # ------------------------------------------------------------------
     # Queries
@@ -632,39 +393,6 @@ class WAHBitmap:
         return bool((int(self._words[word]) >> bit) & 1)
 
     # ------------------------------------------------------------------
-    # The paper's structural operations
-    # ------------------------------------------------------------------
-
-    def select(self, sorted_positions: np.ndarray) -> "WAHBitmap":
-        """Bitmap filtering: keep only the bits at ``sorted_positions``.
-
-        Returns a bitmap of length ``len(sorted_positions)`` whose bit
-        ``i`` equals ``self.get(sorted_positions[i])``.  This is the
-        "shrink their bitmap by only taking the bits specified in the
-        position list" operation of Section 2.4, executed on the interval
-        (run) representation: each set-interval of the old bitmap maps to
-        a rank-space interval of the new one via binary search, so the
-        cost is ``O(intervals * log |P|)`` with no per-row work.
-        """
-        pos = np.asarray(sorted_positions, dtype=np.int64)
-        starts, ends = self.one_intervals()
-        lo = np.searchsorted(pos, starts, side="left")
-        hi = np.searchsorted(pos, ends, side="left")
-        return WAHBitmap.from_intervals(lo, hi, len(pos))
-
-    def concat(self, other: "WAHBitmap") -> "WAHBitmap":
-        """Concatenate two bitmaps (``self`` first).
-
-        Works on the interval representation, so fills stay fills; only
-        the boundary groups are re-encoded.
-        """
-        s1, e1 = self.one_intervals()
-        s2, e2 = other.one_intervals()
-        starts = np.concatenate((s1, s2 + self._nbits))
-        ends = np.concatenate((e1, e2 + self._nbits))
-        return WAHBitmap.from_intervals(starts, ends, self._nbits + other._nbits)
-
-    # ------------------------------------------------------------------
     # Logical operations
     # ------------------------------------------------------------------
 
@@ -677,17 +405,17 @@ class WAHBitmap:
     def __and__(self, other: "WAHBitmap") -> "WAHBitmap":
         self._check_aligned(other)
         gw = self.group_words() & other.group_words()
-        return WAHBitmap(_encode_group_words(gw, self._nbits), self._nbits)
+        return WAHBitmap._from_group_words(gw, self._nbits)
 
     def __or__(self, other: "WAHBitmap") -> "WAHBitmap":
         self._check_aligned(other)
         gw = self.group_words() | other.group_words()
-        return WAHBitmap(_encode_group_words(gw, self._nbits), self._nbits)
+        return WAHBitmap._from_group_words(gw, self._nbits)
 
     def __xor__(self, other: "WAHBitmap") -> "WAHBitmap":
         self._check_aligned(other)
         gw = self.group_words() ^ other.group_words()
-        return WAHBitmap(_encode_group_words(gw, self._nbits), self._nbits)
+        return WAHBitmap._from_group_words(gw, self._nbits)
 
     def invert(self) -> "WAHBitmap":
         """Bitwise NOT (respecting ``nbits``; padding stays zero)."""
@@ -696,78 +424,11 @@ class WAHBitmap:
         if len(gw) and tail:
             gw = gw.copy()
             gw[-1] &= (np.uint32(1) << np.uint32(tail)) - np.uint32(1)
-        return WAHBitmap(_encode_group_words(gw, self._nbits), self._nbits)
+        return WAHBitmap._from_group_words(gw, self._nbits)
 
     # ------------------------------------------------------------------
-    # Equality & canonical form
+    # Equality
     # ------------------------------------------------------------------
-
-    def _canonicalized(self) -> "WAHBitmap":
-        """Canonicalize word-level: merge adjacent same-value fills and
-        fold fill-shaped literals, without expanding to groups.
-
-        Runs in ``O(word_count)``; constructors that assemble words
-        directly rely on it to guarantee that equal bitmaps share
-        identical word arrays.
-        """
-        words = self._words
-        n = len(words)
-        if n == 0:
-            return self
-        is_fill = (words & FILL_FLAG) != 0
-        partial = self._nbits % GROUP_BITS != 0
-        if partial and bool(is_fill[-1]):
-            # A fill covering the partial tail group: constructors avoid
-            # this; fall back to the full re-encode for safety.
-            return WAHBitmap(
-                _encode_group_words(self.group_words(), self._nbits),
-                self._nbits,
-                _count=self._count,
-            )
-
-        kind = np.full(n, 2, dtype=np.int8)
-        kind[is_fill & ((words >> np.uint32(30)) & np.uint32(1) == 0)] = 0
-        kind[is_fill & ((words >> np.uint32(30)) & np.uint32(1) == 1)] = 1
-        kind[~is_fill & (words == 0)] = 0
-        kind[~is_fill & (words == FULL_GROUP)] = 1
-        if partial:
-            kind[-1] = 2  # the trailing partial group stays a literal
-
-        foldable = ~is_fill & (kind != 2)
-        adjacent = (
-            bool(np.any((kind[1:] == kind[:-1]) & (kind[1:] != 2)))
-            if n > 1
-            else False
-        )
-        if not foldable.any() and not adjacent:
-            return self
-
-        lengths = np.where(
-            is_fill, (words & FILL_LEN_MASK).astype(np.int64), 1
-        )
-        change = np.ones(n, dtype=bool)
-        change[1:] = (kind[1:] != kind[:-1]) | (kind[1:] == 2)
-        starts = np.flatnonzero(change)
-        run_kind = kind[starts]
-        run_groups = np.add.reduceat(lengths, starts)
-
-        oversize = (run_kind != 2) & (run_groups > MAX_FILL_GROUPS)
-        if np.any(oversize):  # pragma: no cover - ~33 Gbit runs
-            return WAHBitmap(
-                _encode_group_words(self.group_words(), self._nbits),
-                self._nbits,
-                _count=self._count,
-            )
-
-        out = np.empty(len(starts), dtype=np.uint32)
-        fills = run_kind != 2
-        out[fills] = (
-            FILL_FLAG
-            | (run_kind[fills].astype(np.uint32) << np.uint32(30))
-            | run_groups[fills].astype(np.uint32)
-        )
-        out[~fills] = words[starts[~fills]]
-        return WAHBitmap(out, self._nbits, _count=self._count)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WAHBitmap):

@@ -14,8 +14,8 @@ keeps landing.
 
 Reads have one contract: :meth:`EngineAdapter.scan_batches` hands the
 executor column batches, each of which evaluates predicates in its own
-representation (compressed-domain bitmaps on the main store, hash
-indexes on the delta buffer), and :meth:`EngineAdapter.table_stats`
+representation (compressed-domain bitmaps on the main store, the
+compiled evaluator on the delta buffer), and :meth:`EngineAdapter.table_stats`
 feeds the planner.  See ``docs/ARCHITECTURE.md``, "The execution
 pipeline".
 """

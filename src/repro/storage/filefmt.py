@@ -45,8 +45,14 @@ import struct
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.bitmap.batch import batch_validate
 from repro.bitmap.wah import WAHBitmap
-from repro.errors import SchemaError, SerializationError, StorageError
+from repro.errors import (
+    BitmapError,
+    SchemaError,
+    SerializationError,
+    StorageError,
+)
 from repro.storage.column import BitmapColumn
 from repro.storage.dictionary import Dictionary
 from repro.storage.schema import ColumnSchema, TableSchema
@@ -163,7 +169,12 @@ def save_table(table: Table, path) -> None:
 
 
 def load_table(path) -> Table:
-    """Inverse of :func:`save_table`; bitmaps stay compressed."""
+    """Inverse of :func:`save_table`; bitmaps stay compressed.
+
+    Each column's words are checked in one pass
+    (:func:`~repro.bitmap.batch.batch_validate`): a bitmap that does
+    not describe exactly ``nrows`` bits raises
+    :class:`SerializationError` naming the file and the column."""
     path = Path(path)
     with path.open("rb") as handle:
         if handle.read(4) != _MAGIC:
@@ -195,10 +206,16 @@ def load_table(path) -> Table:
                     f"{path}: bitmap/dictionary mismatch in column "
                     f"{column_schema.name!r}"
                 )
-            bitmaps = [
-                WAHBitmap.from_bytes(_read_block(handle))
-                for _ in range(bitmap_count)
-            ]
+            try:
+                bitmaps = [
+                    WAHBitmap.from_bytes(_read_block(handle))
+                    for _ in range(bitmap_count)
+                ]
+                batch_validate(bitmaps, nrows)
+            except (BitmapError, SerializationError) as exc:
+                raise SerializationError(
+                    f"{path}: column {column_schema.name!r}: {exc}"
+                ) from exc
             columns[column_schema.name] = BitmapColumn(
                 column_schema.name,
                 column_schema.dtype,

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bitmap import WAHBitmap
+from repro.bitmap.batch import batch_select
 from repro.core import EvolutionEngine, EvolutionStatus
 from repro.core.distinction import distinction_bitmap
 from repro.db import Database
@@ -168,7 +169,7 @@ class TestDefensiveErrors:
         bm = WAHBitmap.ones(10)
         # Positions beyond nbits: searchsorted clamps, so selecting past
         # the end yields zero bits rather than garbage.
-        out = bm.select(np.array([5, 20], dtype=np.int64))
+        [out], _ = batch_select([bm], np.array([5, 20], dtype=np.int64))
         assert out.nbits == 2
         assert out.get(0) is True
         assert out.get(1) is False

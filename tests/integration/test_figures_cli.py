@@ -95,6 +95,13 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert "Figure 3(b)" in out.read_text()
 
+    def test_main_runs_the_real_sweep(self, capsys):
+        """The tiny-sweep smoke run: ``cods-figures --figure 3a`` end to
+        end with the real ``scaled_distinct_sweep``."""
+        assert main(["--figure", "3a", "--rows", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 3(a)" in out and "D vs C" in out
+
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):
             figure_text("9z", 100)

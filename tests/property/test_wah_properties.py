@@ -14,6 +14,7 @@ from repro.bitmap.batch import (
     batch_concat_positions,
     batch_from_positions,
     batch_positions,
+    batch_select,
 )
 from repro.bitmap.reference import encode_reference
 
@@ -35,6 +36,12 @@ run_arrays = st.lists(
 )
 
 any_bits = st.one_of(bit_arrays, run_arrays)
+
+
+def intervals_of(bits):
+    """The maximal ``[start, end)`` runs of set bits of ``bits``."""
+    edges = np.diff(np.concatenate(([0], bits.astype(np.int8), [0])))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
 @given(any_bits)
@@ -59,12 +66,8 @@ def test_positions_roundtrip(bits):
 @given(any_bits)
 def test_intervals_roundtrip(bits):
     bm = WAHBitmap.from_dense(bits)
-    starts, ends = bm.one_intervals()
+    starts, ends = intervals_of(bits)
     assert WAHBitmap.from_intervals(starts, ends, len(bits)) == bm
-    # Intervals are maximal: strictly separated and nonempty.
-    assert np.all(ends > starts)
-    if len(starts) > 1:
-        assert np.all(starts[1:] > ends[:-1])
 
 
 @given(any_bits)
@@ -81,16 +84,87 @@ def test_select_matches_fancy_indexing(bits, rnd):
     n = len(bits)
     k = rnd.randint(0, n) if n else 0
     picks = np.array(sorted(rnd.sample(range(n), k)), dtype=np.int64)
-    assert np.array_equal(bm.select(picks).to_dense(), bits[picks])
+    [selected], _ = batch_select([bm], picks)
+    assert np.array_equal(selected.to_dense(), bits[picks])
 
 
 @given(any_bits, any_bits)
 def test_concat_matches_numpy(left, right):
     a = WAHBitmap.from_dense(left)
     b = WAHBitmap.from_dense(right)
+    [combined] = batch_concat_positions([a], [b], [0], len(left), len(right))
     assert np.array_equal(
-        a.concat(b).to_dense(), np.concatenate([left, right])
+        combined.to_dense(), np.concatenate([left, right])
     )
+
+
+def patterns_of(nbits):
+    """An ``nbits``-bit pattern: all zero, all one, random or runs."""
+    return st.one_of(
+        st.just(np.zeros(nbits, dtype=bool)),
+        st.just(np.ones(nbits, dtype=bool)),
+        any_bits.map(
+            lambda bits: np.resize(bits, nbits)
+            if len(bits) else np.zeros(nbits, dtype=bool)
+        ),
+    )
+
+
+# Lengths at a multiple of 31 and one either side, and anything else.
+edge_sizes = st.one_of(
+    st.sampled_from([0, 1, 30, 31, 32, 61, 62, 63, 92, 93, 94, 154, 155, 156]),
+    st.integers(0, 400),
+)
+
+
+@settings(max_examples=300)
+@given(
+    edge_sizes.flatmap(
+        lambda nbits: st.tuples(
+            patterns_of(nbits), patterns_of(nbits),
+            st.randoms(use_true_random=False),
+        )
+    )
+)
+def test_every_constructor_writes_the_reference_words(case):
+    """Every constructor's words are ``encode_reference`` of its dense
+    bits: they all write through the one run encoder."""
+    bits, other, rnd = case
+    nbits = len(bits)
+
+    def check(bitmap, dense):
+        assert bitmap.nbits == nbits
+        assert bitmap.words.tolist() == encode_reference(dense.tolist())
+        assert bitmap.count() == int(dense.sum())
+
+    check(WAHBitmap.from_dense(bits), bits)
+    check(WAHBitmap.from_positions(np.flatnonzero(bits), nbits), bits)
+    check(WAHBitmap.zeros(nbits), np.zeros(nbits, dtype=bool))
+    check(WAHBitmap.ones(nbits), np.ones(nbits, dtype=bool))
+    # Cutting runs in two gives touching intervals, and more of them
+    # sharing a group.
+    starts, ends = intervals_of(bits)
+    cuts = [
+        rnd.randint(start + 1, end - 1)
+        for start, end in zip(starts.tolist(), ends.tolist())
+        if end - start > 1 and rnd.random() < 0.5
+    ]
+    starts = np.sort(np.concatenate((starts, cuts)).astype(np.int64))
+    ends = np.sort(np.concatenate((ends, cuts)).astype(np.int64))
+    check(WAHBitmap.from_intervals(starts, ends, nbits), bits)
+
+    a, b = WAHBitmap.from_dense(bits), WAHBitmap.from_dense(other)
+    check(a & b, bits & other)
+    check(a | b, bits | other)
+    check(a ^ b, bits ^ other)
+    check(a.invert(), ~bits)
+    segments = [bits, other, np.zeros(nbits, bool), np.ones(nbits, bool)]
+    flat = np.concatenate([np.flatnonzero(s) for s in segments])
+    bounds = np.cumsum([0] + [int(s.sum()) for s in segments])
+    for bitmap, dense in zip(
+        batch_from_positions(flat, bounds, nbits), segments
+    ):
+        check(bitmap, dense)
 
 
 @given(st.integers(1, 400), st.integers(0, 10 ** 9))

@@ -170,7 +170,7 @@ class TestBatchFromPositions:
 
 class TestBatchFilterAndConcat:
     """``batch_select`` / ``batch_split`` / ``batch_concat_positions``
-    equal the per-bitmap ``select`` / ``concat`` they batch."""
+    equal filtering and concatenating each bitmap's dense bits."""
 
     def test_select(self, random_column):
         _vids, bitmaps = random_column
@@ -182,7 +182,9 @@ class TestBatchFilterAndConcat:
             np.empty(0, dtype=np.int64),
         ):
             filtered, counts = batch_select(bitmaps, picks)
-            assert_same_bitmaps(filtered, [bm.select(picks) for bm in bitmaps])
+            assert_same_bitmaps(filtered, [
+                WAHBitmap.from_dense(bm.to_dense()[picks]) for bm in bitmaps
+            ])
             assert counts.tolist() == [bm.count() for bm in filtered]
 
     def test_select_of_empty_column(self):
@@ -225,7 +227,9 @@ class TestBatchFilterAndConcat:
                 right[target.index(vid)] if vid in target
                 else WAHBitmap.zeros(120)
             )
-            assert_same_bitmaps([bitmap], [left_bm.concat(right_bm)])
+            assert_same_bitmaps([bitmap], [WAHBitmap.from_dense(
+                np.concatenate((left_bm.to_dense(), right_bm.to_dense()))
+            )])
 
     def test_concat_empty_sides(self):
         left = column_bitmaps(np.array([0, 1, 0]), 2)

@@ -700,3 +700,65 @@ class TestOneDeltaPredicatePath:
         assert ci.count("benchmarks/bench_session_api.py") == 1
         assert ci.count("benchmarks/bench_wal_commit.py") == 1
         assert "--rows 2000 --max-overhead 0.25" in ci
+
+
+class TestOneWahEncoder:
+    REMOVED = (
+        "one_intervals", "from_runs", "group_offsets", "_encode_group_words",
+        "_from_sparse_groups", "_from_segments", "_canonicalized",
+        "WAHBitmap.select", "WAHBitmap.concat", ".runs()",
+    )
+
+    def test_removed_bitmap_names_appear_nowhere(self):
+        """The single-bitmap structural operations and the extra
+        encoders are gone; only the migration note may still name
+        them."""
+        from repro.bitmap import WAHBitmap
+
+        paths = [
+            *(REPO / "src").rglob("*.py"),
+            *(REPO / "docs").glob("*.md"),
+            REPO / "README.md",
+            *(REPO / "examples").glob("*.py"),
+            *(REPO / "benchmarks").glob("bench_*.py"),
+        ]
+        migration = REPO / "docs" / "migration.md"
+        for path in paths:
+            if path == migration:
+                continue
+            text = path.read_text()
+            for name in self.REMOVED:
+                assert name not in text, f"{path} still mentions {name}"
+        for attribute in (
+            "select", "concat", "runs", "one_intervals", "from_runs",
+            "group_offsets", "_canonicalized", "_from_segments",
+            "_from_sparse_groups",
+        ):
+            assert not hasattr(WAHBitmap, attribute), attribute
+        note = migration.read_text()
+        assert "## Removed: single-bitmap structural operations" in note
+        for name in self.REMOVED[:-1]:
+            assert name in note, f"migration.md omits {name}"
+
+    def test_one_function_writes_fill_words(self):
+        """``FILL_FLAG |`` — building a fill word — appears in the
+        bitmap package only inside ``_encode_runs``."""
+        import inspect
+
+        import repro.bitmap.wah as wah
+
+        encoder = inspect.getsource(wah._encode_runs)
+        assert "FILL_FLAG |" in encoder
+        for path in sorted((REPO / "src" / "repro" / "bitmap").rglob("*.py")):
+            text = path.read_text()
+            if path.name == "wah.py":
+                text = text.replace(encoder, "")
+            assert "FILL_FLAG |" not in text, path
+        text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+        assert "`_encode_runs`" in text and "`batch_validate`" in text
+
+    def test_ci_leaves_the_figure_smoke_to_tier_1(self):
+        """``TestCli`` runs ``cods-figures --figure 3a`` on the real
+        sweep, so CI names no separate figures step."""
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert "benchmarks/run_figures.py" not in ci

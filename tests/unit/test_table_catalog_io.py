@@ -2,8 +2,10 @@
 
 import struct
 
+import numpy as np
 import pytest
 
+from repro.bitmap import WAHBitmap
 from repro.errors import SchemaError, SerializationError, StorageError
 from repro.storage import (
     Catalog,
@@ -14,6 +16,7 @@ from repro.storage import (
     infer_type,
     load_catalog,
     load_csv,
+    load_mutable_table,
     load_table,
     save_catalog,
     save_csv,
@@ -293,3 +296,82 @@ class TestBinaryIO:
             load_table(path)
         assert str(path) in str(info.value)
         assert "column 'b'" in str(info.value)
+
+
+class TestMalformedBitmaps:
+    """Each file once loaded and then answered queries wrongly (a one-fill
+    too long made ``s = 'b'`` match all 62 rows, not 31) or failed
+    later with a ``BitmapError``; the load rejects every one with a
+    ``SerializationError`` naming the file and the column."""
+
+    @staticmethod
+    def replay(tmp_path, nrows, words, nbits=None):
+        """Save an ``nrows``-row table whose column ``s`` alternates 'a'
+        and 'b', then swap the stored bitmap of 'b' for ``words`` with
+        header length ``nbits`` (``nrows`` by default)."""
+        table = table_from_python(
+            "T",
+            {
+                "k": (DataType.INT, list(range(nrows))),
+                "s": (DataType.STRING, ["a", "b"] * (nrows // 2)),
+            },
+            primary_key=(),
+        )
+        path = tmp_path / "T.cods"
+        save_table(table, path)
+        old = table.column("s").bitmaps[1].to_bytes()
+        new = WAHBitmap(
+            np.array(words, dtype=np.uint32),
+            nrows if nbits is None else nbits,
+        ).to_bytes()
+        data = path.read_bytes()
+        block = struct.pack("<I", len(old)) + old
+        assert data.count(block) == 1
+        path.write_bytes(
+            data.replace(block, struct.pack("<I", len(new)) + new)
+        )
+        return path
+
+    def assert_rejected(self, path):
+        with pytest.raises(SerializationError) as info:
+            load_table(path)
+        assert str(path) in str(info.value)
+        assert "column 's'" in str(info.value)
+
+    def test_well_formed_words_load_unchanged(self, tmp_path):
+        b = 0x2AAAAAAA  # bits 1, 3, ..., 29 of a group
+        path = self.replay(tmp_path, 62, [b, b ^ 0x7FFFFFFF])
+        column = load_table(path).column("s")
+        assert column.bitmaps[1].count() == 31
+        assert column.bitmaps[1].words.tolist() == [b, b ^ 0x7FFFFFFF]
+
+    def test_one_fill_longer_than_the_table(self, tmp_path):
+        path = self.replay(tmp_path, 62, [0xC000000A, 0x55555555])
+        self.assert_rejected(path)
+        with pytest.raises(SerializationError):
+            load_mutable_table(path)
+
+    def test_header_length_is_not_the_row_count(self, tmp_path):
+        self.assert_rejected(
+            self.replay(tmp_path, 62, [0x2AAAAAAA, 0x55555555], nbits=93)
+        )
+
+    def test_short_word_array(self, tmp_path):
+        self.assert_rejected(self.replay(tmp_path, 62, [0x2AAAAAAA]))
+
+    def test_no_words(self, tmp_path):
+        self.assert_rejected(self.replay(tmp_path, 62, []))
+
+    def test_padding_bits_set(self, tmp_path):
+        # 40 rows: the second group holds 9 bits; bit 9 is padding.
+        self.assert_rejected(
+            self.replay(tmp_path, 40, [0x2AAAAAAA, 0x0AA | 0x200])
+        )
+
+    def test_fill_over_the_partial_last_group(self, tmp_path):
+        self.assert_rejected(self.replay(tmp_path, 40, [0x80000002]))
+
+    def test_fill_of_zero_groups(self, tmp_path):
+        self.assert_rejected(
+            self.replay(tmp_path, 62, [0x2AAAAAAA, 0x80000000, 0x55555555])
+        )

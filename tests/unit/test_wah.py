@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.bitmap import GROUP_BITS, WAHBitmap
+from repro.bitmap.batch import batch_concat_positions, batch_select
 from repro.bitmap.reference import decode_reference, encode_reference
-from repro.bitmap.wah import FILL_FLAG, ONE_FILL_FLAG
+from repro.bitmap.wah import FILL_FLAG, MAX_FILL_GROUPS, ONE_FILL_FLAG
 from repro.errors import BitmapError, SerializationError
 
 
@@ -14,6 +15,12 @@ def bits_of(*positions, n):
     for p in positions:
         dense[p] = True
     return dense
+
+
+def intervals_of(dense):
+    """The maximal ``[start, end)`` runs of set bits of ``dense``."""
+    edges = np.diff(np.concatenate(([0], dense.astype(np.int8), [0])))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
 class TestConstruction:
@@ -90,13 +97,17 @@ class TestConstruction:
         bm = WAHBitmap.from_intervals([2, 4], [2, 6], 10)
         assert bm.positions().tolist() == [4, 5]
 
-    def test_from_runs(self):
-        bm = WAHBitmap.from_runs([(1, 3), (0, 4), (1, 2)], 12)
-        assert bm.positions().tolist() == [0, 1, 2, 7, 8]
-
-    def test_from_runs_validates(self):
+    def test_one_size_limit(self):
+        """One fill word holds at most ``MAX_FILL_GROUPS`` groups; every
+        constructor refuses a longer bitmap instead of splitting it."""
+        nbits = GROUP_BITS * (MAX_FILL_GROUPS + 1)
         with pytest.raises(BitmapError):
-            WAHBitmap.from_runs([(1, 20)], 10)
+            WAHBitmap.zeros(nbits)
+        with pytest.raises(BitmapError):
+            WAHBitmap.ones(nbits)
+        with pytest.raises(BitmapError):
+            WAHBitmap.from_intervals([5], [40], nbits)
+        assert WAHBitmap.zeros(nbits - GROUP_BITS).word_count == 1
 
     def test_negative_nbits_rejected(self):
         with pytest.raises(BitmapError):
@@ -113,7 +124,7 @@ class TestCanonicalForm:
         positions = np.flatnonzero(dense)
         from_dense = WAHBitmap.from_dense(dense)
         from_positions = WAHBitmap.from_positions(positions, n)
-        starts, ends = from_dense.one_intervals()
+        starts, ends = intervals_of(dense)
         from_intervals = WAHBitmap.from_intervals(starts, ends, n)
         assert from_dense == from_positions
         assert from_dense == from_intervals
@@ -180,30 +191,18 @@ class TestQueries:
         assert np.array_equal(positions, np.flatnonzero(dense))
         assert np.all(np.diff(positions) > 0)
 
-    def test_one_intervals_maximal(self):
-        bm = WAHBitmap.from_dense(
-            [1, 1, 0, 1, 1, 1, 0, 0, 1] + [0] * 50 + [1] * 40
-        )
-        starts, ends = bm.one_intervals()
-        assert starts.tolist() == [0, 3, 8, 59]
-        assert ends.tolist() == [2, 6, 9, 99]
-
-    def test_runs_cover_all_bits(self):
-        bm = WAHBitmap.from_dense([0, 1, 1, 0, 0, 0, 1])
-        runs = bm.runs()
-        assert runs == [(0, 1), (1, 2), (0, 3), (1, 1)]
-        assert sum(length for _value, length in runs) == bm.nbits
-
 
 class TestStructuralOps:
+    """Filter and concat of single bitmaps, through the column kernels."""
+
     def test_select_basic(self):
         bm = WAHBitmap.from_dense([1, 0, 1, 1, 0, 0, 1, 0])
-        out = bm.select(np.array([0, 1, 3, 6]))
+        [out], _ = batch_select([bm], np.array([0, 1, 3, 6]))
         assert out.to_dense().tolist() == [True, False, True, True]
 
     def test_select_empty_positions(self):
         bm = WAHBitmap.ones(100)
-        out = bm.select(np.array([], dtype=np.int64))
+        [out], _ = batch_select([bm], np.array([], dtype=np.int64))
         assert out.nbits == 0 and out.count() == 0
 
     def test_select_preserves_rank_order(self):
@@ -211,12 +210,18 @@ class TestStructuralOps:
         dense = rng.random(400) < 0.5
         bm = WAHBitmap.from_dense(dense)
         picks = np.sort(rng.choice(400, 150, replace=False))
-        assert np.array_equal(bm.select(picks).to_dense(), dense[picks])
+        [out], _ = batch_select([bm], picks)
+        assert np.array_equal(out.to_dense(), dense[picks])
+
+    @staticmethod
+    def concat(a, b):
+        [out] = batch_concat_positions([a], [b], [0], a.nbits, b.nbits)
+        return out
 
     def test_concat(self):
         a = WAHBitmap.from_dense([1, 0, 1])
         b = WAHBitmap.from_dense([0, 0, 1, 1])
-        combined = a.concat(b)
+        combined = self.concat(a, b)
         assert combined.nbits == 7
         assert combined.to_dense().tolist() == [
             True, False, True, False, False, True, True,
@@ -225,13 +230,13 @@ class TestStructuralOps:
     def test_concat_with_empty(self):
         a = WAHBitmap.from_dense([1, 0])
         empty = WAHBitmap.from_dense([])
-        assert a.concat(empty) == a
-        assert empty.concat(a) == a
+        assert self.concat(a, empty) == a
+        assert self.concat(empty, a) == a
 
     def test_concat_keeps_fills_compact(self):
         a = WAHBitmap.ones(31 * 100)
         b = WAHBitmap.ones(31 * 100)
-        combined = a.concat(b)
+        combined = self.concat(a, b)
         assert combined.word_count == 1
         assert combined.count() == 31 * 200
 
