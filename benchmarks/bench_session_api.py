@@ -10,8 +10,8 @@ storage:
 * ``executor`` — SQL text through the pre-façade entry point,
   :meth:`~repro.sql.executor.SqlExecutor.execute`;
 * ``session`` — the same SQL text through
-  :meth:`repro.db.Session.execute` (classification + routing on top of
-  the executor).
+  :meth:`repro.db.Session.execute` (one parse, then routing by the
+  parsed type on top of the executor).
 
 ``facade_overhead_fraction`` (session vs executor — identical work
 except the façade's routing) must stay ≤ 5%; the bench raises

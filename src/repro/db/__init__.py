@@ -12,7 +12,8 @@ surface:
   ``column``, ``row``);
 * :class:`Session` / :class:`Cursor` — ``execute()`` /
   ``executemany()`` / ``execute_script()`` accepting SQL **and** SMO
-  text through one routing front door;
+  text through one front door that parses each statement once and
+  routes it by its parsed type;
 * :class:`Transaction` — ``db.transaction(read_only=...)`` pins a
   whole-catalog epoch vector for mutually consistent multi-table
   reads, with buffered-write commit/rollback.
@@ -40,9 +41,9 @@ from repro.db.registry import (
     create_adapter,
     register_backend,
 )
-from repro.db.router import classify_statement, iter_script_statements
 from repro.db.session import Cursor, Session, bind_parameters
 from repro.db.transaction import Transaction
+from repro.sql.parser import iter_script_statements
 
 __all__ = [
     "BackendSpec",
@@ -53,7 +54,6 @@ __all__ = [
     "available_backends",
     "backend_spec",
     "bind_parameters",
-    "classify_statement",
     "connect",
     "create_adapter",
     "iter_script_statements",

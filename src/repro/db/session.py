@@ -1,35 +1,34 @@
 """Sessions and cursors: the DB-API-flavored execution surface.
 
-A :class:`Session` owns a :class:`~repro.sql.executor.SqlExecutor` over
-its database's adapter and routes every statement through the
-:mod:`repro.db.router` front door — SQL and DML to the executor, SMO
-text to the :class:`~repro.core.engine.EvolutionEngine` — so one
-``execute()`` speaks both languages against the same catalog.
-
-Statements take ``qmark``-style positional parameters (``?``), bound by
-literal substitution before parsing:
+A :class:`Session` is the one statement front door.  Its entry,
+:meth:`Session.run`, binds ``qmark``-style positional parameters
+(``?``) by literal substitution, parses the text once with
+:func:`~repro.sql.parser.parse_statement`, and routes on the parsed
+node's type: an SMO operator goes to the
+:class:`~repro.core.engine.EvolutionEngine`, a SQL node to the
+session's :class:`~repro.sql.executor.SqlExecutor` — so one
+``execute()`` speaks both languages against the same catalog:
 
     session.execute("SELECT * FROM r WHERE k = ?", (3,))
     session.executemany("INSERT INTO r VALUES (?, ?)", [(1, "a"), (2, "b")])
+    session.execute("DECOMPOSE TABLE r INTO a (k), b (k, s)")
 
-:class:`Cursor` wraps a session with the familiar
-``execute``/``fetchone``/``fetchall`` protocol plus ``description`` and
-``rowcount``, for callers porting DB-API code.
+:class:`Cursor`, :class:`~repro.db.Transaction` and the network server
+all enter through :meth:`Session.run` and read what they need (result
+columns, EXPLAIN shape, SMO status) from the node it returns, so no
+statement is parsed twice.  :class:`Cursor` wraps a session with the
+familiar ``execute``/``fetchone``/``fetchall`` protocol plus
+``description`` and ``rowcount``, for callers porting DB-API code.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.db.router import SMO, classify_statement, iter_script_statements
-from repro.errors import (
-    CapabilityError,
-    CodsError,
-    SmoValidationError,
-    SqlSyntaxError,
-)
+from repro.errors import CapabilityError, SmoValidationError, SqlSyntaxError
 from repro.obs.trace import TRACE_COLUMNS
-from repro.smo.parser import render_literal as _render_literal
+from repro.smo.ops import SchemaModificationOperator
+from repro.smo.parser import render_literal
 from repro.sql.ast import (
     Aggregate,
     CreateIndex,
@@ -38,33 +37,21 @@ from repro.sql.ast import (
     Explain,
     RenameTable,
     Select,
-    Statement,
 )
-from repro.sql.executor import SqlExecutor, script_error
-from repro.sql.parser import parse_sql
+from repro.sql.executor import SqlExecutor, run_script
+from repro.sql.parser import parse_statement
 
 #: SQL AST nodes that change the table set or its physical layout —
 #: under durability these checkpoint synchronously (see
 #: ``Database._schema_changed``).
 _DDL_NODES = (CreateTable, DropTable, RenameTable, CreateIndex)
 
-#: Leading keywords of textual DDL, mirroring :data:`_DDL_NODES`.
-_DDL_KEYWORDS = ("CREATE", "DROP", "ALTER")
-
-
-def render_literal(value) -> str:
-    """One Python value as a literal of the shared SQL/SMO grammar
-    (delegates to :func:`repro.smo.parser.render_literal`, recast as a
-    binding error)."""
-    try:
-        return _render_literal(value)
-    except SmoValidationError as exc:
-        raise SqlSyntaxError(f"cannot bind parameter: {exc}") from exc
-
 
 def bind_parameters(text: str, params) -> str:
     """Substitute ``?`` placeholders (outside string literals) with the
-    rendered ``params``; arity mismatches raise."""
+    ``params`` rendered by :func:`repro.smo.parser.render_literal`;
+    arity mismatches and unrenderable values raise
+    :class:`SqlSyntaxError`."""
     params = tuple(params)
     out = []
     next_param = 0
@@ -79,7 +66,10 @@ def bind_parameters(text: str, params) -> str:
                     f"statement has more placeholders than the "
                     f"{len(params)} bound parameter(s)"
                 )
-            out.append(render_literal(params[next_param]))
+            try:
+                out.append(render_literal(params[next_param]))
+            except SmoValidationError as exc:
+                raise SqlSyntaxError(f"cannot bind parameter: {exc}") from exc
             next_param += 1
         else:
             out.append(char)
@@ -89,6 +79,22 @@ def bind_parameters(text: str, params) -> str:
             f"{next_param} placeholder(s)"
         )
     return "".join(out)
+
+
+def bind_and_parse(text: str, params=None):
+    """Bind ``params`` into ``text`` and parse it, once: returns the
+    bound text and its node (a SQL AST node or an SMO operator)."""
+    if params is not None:
+        text = bind_parameters(text, params)
+    return text, parse_statement(text)
+
+
+def execute_each(execute, statement: str, param_rows) -> int:
+    """``execute(statement, params)`` per parameter tuple; returns the
+    summed affected-row count (``executemany`` of a session or a
+    transaction)."""
+    results = (execute(statement, params) for params in param_rows)
+    return sum(result for result in results if isinstance(result, int))
 
 
 class Session:
@@ -144,103 +150,75 @@ class Session:
     # -- execution ------------------------------------------------------
 
     def execute(self, statement, params=None):
-        """Execute one SQL *or* SMO statement (text or SQL AST).
+        """Execute one SQL *or* SMO statement — text, a SQL AST node or
+        an SMO operator — and return its result.
 
         When the database's ``slow_query_seconds`` threshold is set,
         statements at or over it are appended to
         ``database.slow_query_log``.
         """
+        return self.run(statement, params)[1]
+
+    def run(self, statement, params=None):
+        """The one entry behind every front end: bind and parse text
+        once, route by the parsed node's type, and return
+        ``(node, result)`` — callers read result columns, the EXPLAIN
+        shape and SMO status off the node instead of parsing again.
+
+        The slow-query log records the caller's own text (the node's
+        repr when a node was passed)."""
         if self._closed:
             raise CapabilityError("session is closed")
         self.database._check_open()
         threshold = self.database.slow_query_seconds
-        if threshold is None:
-            return self._execute(statement, params)
         start = time.perf_counter()
-        result = self._execute(statement, params)
-        elapsed = time.perf_counter() - start
-        if elapsed >= threshold:
-            self.database.slow_query_log.append({
-                "statement": (
-                    statement
-                    if isinstance(statement, str)
-                    else repr(statement)
-                ),
-                "seconds": elapsed,
-            })
-        return result
+        node = statement
+        if isinstance(statement, str):
+            node = bind_and_parse(statement, params)[1]
+        result = self._route(node)
+        if threshold is not None:
+            elapsed = time.perf_counter() - start
+            if elapsed >= threshold:
+                self.database.slow_query_log.append({
+                    "statement": (
+                        statement if isinstance(statement, str) else repr(node)
+                    ),
+                    "seconds": elapsed,
+                })
+        return node, result
 
-    def _execute(self, statement, params=None):
-        if isinstance(statement, Statement):
-            result = self.executor.execute(statement)
-            if isinstance(statement, _DDL_NODES):
-                self.database._schema_changed()
-            return result
-        text = statement
-        if params is not None:
-            text = bind_parameters(text, params)
-        if classify_statement(text) == SMO:
-            return self._execute_smo(text)
-        result = self.executor.execute(text)
-        first_word = text.lstrip().split(None, 1)[0].upper() if text.strip() else ""
-        if first_word in _DDL_KEYWORDS:
+    def _route(self, node):
+        if isinstance(node, SchemaModificationOperator):
+            engine = self.database.engine
+            if engine is None or not self.adapter.capabilities.smo:
+                raise CapabilityError(
+                    f"backend {self.database.backend!r} cannot run schema "
+                    f"modification operators; use backend='mutable'"
+                )
+            status = engine.apply(node)
+            self.database._schema_changed()
+            return status
+        result = self.executor.execute(node)
+        if isinstance(node, _DDL_NODES):
             self.database._schema_changed()
         return result
-
-    def _execute_smo(self, text: str):
-        engine = self.database.engine
-        if engine is None or not self.adapter.capabilities.smo:
-            raise CapabilityError(
-                f"backend {self.database.backend!r} cannot run schema "
-                f"modification operators; use backend='mutable'"
-            )
-        status = engine.apply_sql_like(text)
-        self.database._schema_changed()
-        return status
 
     def executemany(self, statement: str, param_rows) -> int:
         """Execute one parameterized statement per parameter tuple;
         returns the summed affected-row count."""
-        total = 0
-        for params in param_rows:
-            result = self.execute(statement, params)
-            if isinstance(result, int):
-                total += result
-        return total
+        return execute_each(self.execute, statement, param_rows)
 
     def execute_script(self, text: str) -> list:
         """Execute a ``;``-separated script that may mix SQL and SMO
         statements; returns per-statement results.
 
-        The whole script is syntax-checked (with each statement's own
-        parser) before anything runs, so a typo anywhere executes
-        nothing; a statement failing *during execution* leaves the
-        earlier statements applied.  Like
+        The whole script is parsed before anything runs, so a typo
+        anywhere executes nothing; a statement failing *during
+        execution* leaves the earlier statements applied.  Like
         :meth:`SqlExecutor.execute_script`, either failure re-raises
         annotated with its 1-based position and fragment.
         """
-        from repro.smo.parser import parse_smo
-
-        fragments = iter_script_statements(text)
-        prepared = []
-        for position, fragment in enumerate(fragments, start=1):
-            try:
-                if classify_statement(fragment) == SMO:
-                    parse_smo(fragment)  # syntax check; routed as text
-                    prepared.append(fragment)
-                else:
-                    prepared.append(parse_sql(fragment))
-            except CodsError as exc:
-                raise script_error(exc, position, fragment) from exc
-        results = []
-        for position, (fragment, statement) in enumerate(
-            zip(fragments, prepared), start=1
-        ):
-            try:
-                results.append(self.execute(statement))
-            except CodsError as exc:
-                raise script_error(exc, position, fragment) from exc
-        return results
+        return run_script(text, parse_statement, self.execute)
 
     def cursor(self) -> "Cursor":
         """A DB-API-flavored cursor over this session."""
@@ -248,23 +226,28 @@ class Session:
 
     # -- description helper ---------------------------------------------
 
-    def select_columns(self, select: Select) -> tuple[str, ...]:
-        """The output column names of a SELECT, mirroring the
-        executor's projection rules (the network server uses this to
-        ship a result set's column list alongside the first batch)."""
-        if select.columns is not None:
+    def result_columns(self, node) -> tuple[str, ...] | None:
+        """The column names of the result set ``node`` produces —
+        :data:`~repro.obs.TRACE_COLUMNS` for EXPLAIN [ANALYZE], the
+        projection for a SELECT (mirroring the executor's rules), and
+        ``None`` for statements that return no rows."""
+        if isinstance(node, Explain):
+            return TRACE_COLUMNS
+        if not isinstance(node, Select):
+            return None
+        if node.columns is not None:
             # Aggregates surface under their rendered label, e.g.
             # ``count(*)`` or ``sum(Salary)``.
             return tuple(
                 item.label if isinstance(item, Aggregate) else item
-                for item in select.columns
+                for item in node.columns
             )
-        left = self.adapter.schema(select.table).column_names
-        if select.join is None:
+        left = self.adapter.schema(node.table).column_names
+        if node.join is None:
             return tuple(left)
-        right = self.adapter.schema(select.join.table).column_names
+        right = self.adapter.schema(node.join.table).column_names
         return tuple(left) + tuple(
-            n for n in right if n not in select.join.join_attrs
+            n for n in right if n not in node.join.join_attrs
         )
 
 
@@ -300,43 +283,15 @@ class Cursor:
         self.trace = None
         self._rows, self._position = None, 0
 
-        select = None
-        explain = None
-        if isinstance(statement, Select):
-            select = statement
-        elif isinstance(statement, Explain):
-            explain = statement
-        elif isinstance(statement, str):
-            text = (
-                bind_parameters(statement, params)
-                if params is not None
-                else statement
-            )
-            if classify_statement(text) != SMO:
-                parsed = parse_sql(text)
-                if isinstance(parsed, Select):
-                    select = parsed
-                elif isinstance(parsed, Explain):
-                    explain = parsed
-                statement, params = parsed, None
-            else:
-                statement, params = text, None
-
-        result = self.session.execute(statement, params)
-        if explain is not None:
+        node, result = self.session.run(statement, params)
+        columns = self.session.result_columns(node)
+        if columns is not None:
             self._rows = list(result)
             self.description = tuple(
                 (name, None, None, None, None, None, None)
-                for name in TRACE_COLUMNS
+                for name in columns
             )
-            self.trace = self.session.last_trace
-        elif select is not None:
-            self._rows = list(result)
-            self.description = tuple(
-                (name, None, None, None, None, None, None)
-                for name in self.session.select_columns(select)
-            )
-            if self.session.trace_queries:
+            if isinstance(node, Explain) or self.session.trace_queries:
                 self.trace = self.session.last_trace
         elif isinstance(result, int):
             self.rowcount = result

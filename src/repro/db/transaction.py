@@ -20,12 +20,13 @@ read-your-writes on top:
 
 * ``read_only=True`` scopes reject DML outright;
 * read-write scopes apply DML to a per-table **overlay** (see
-  :mod:`repro.db.overlay`) *and* buffer the statement text; reads
-  inside the scope see the pinned state plus the scope's own writes
-  (read-your-writes), while every other session keeps reading live
-  state.  Commit replays the buffered text against live state (when
-  the scope exits cleanly); an exception rolls overlay and buffer away
-  untouched.  See ``docs/ARCHITECTURE.md`` ("Concurrency") and
+  :mod:`repro.db.overlay`) *and* buffer the parsed statement with its
+  text; reads inside the scope see the pinned state plus the scope's
+  own writes (read-your-writes), while every other session keeps
+  reading live state.  Commit runs the buffered statements against
+  live state without parsing them again (when the scope exits
+  cleanly); an exception rolls overlay and buffer away untouched.
+  See ``docs/ARCHITECTURE.md`` ("Concurrency") and
   ``docs/migration.md``.
 
 Tables created by *other* sessions after :meth:`Transaction.begin` are
@@ -39,9 +40,9 @@ rejected inside any scope.
 from __future__ import annotations
 
 from repro.db.overlay import ReadYourWritesAdapter
-from repro.db.router import SMO, classify_statement
-from repro.db.session import Session, bind_parameters
+from repro.db.session import Session, bind_and_parse, execute_each
 from repro.errors import CapabilityError, CodsError, TransactionError
+from repro.smo.ops import SchemaModificationOperator
 from repro.sql.adapter import require_table
 from repro.sql.ast import (
     Delete,
@@ -49,10 +50,10 @@ from repro.sql.ast import (
     InsertSelect,
     InsertValues,
     Select,
+    Statement,
     Update,
 )
 from repro.sql.executor import script_error
-from repro.sql.parser import parse_sql
 from repro.wal.crashpoints import crash_point
 
 _DML = (InsertValues, InsertSelect, Update, Delete)
@@ -84,14 +85,15 @@ class Transaction:
         # Pins land on a scoped adapter so only this transaction's
         # reads see them; the session reads through a read-your-writes
         # wrapper over it (written tables come from per-table
-        # overlays); buffered writes replay through a session on the
+        # overlays); buffered writes run through a session on the
         # database's shared adapter at commit.
         self._adapter = database.adapter.scoped()
         self._overlay = ReadYourWritesAdapter(self._adapter)
         self._session = Session(database, adapter=self._overlay)
         self._commit_session = database.session()
         self._pins: dict = {}
-        self._buffered: list[str] = []
+        # (bound text, parsed statement) per buffered write.
+        self._buffered: list[tuple[str, Statement]] = []
         self._state = "pending"  # -> open -> committed | rolled-back
 
     # -- lifecycle ------------------------------------------------------
@@ -136,8 +138,9 @@ class Transaction:
             snapshot.close()
 
     def commit(self) -> int:
-        """Release the pins and replay the buffered writes against the
-        live state; returns the summed affected-row count.
+        """Release the pins and run the buffered writes (parsed when
+        they were issued) against the live state; returns the summed
+        affected-row count.
 
         Replay is sequential and non-atomic: a statement that fails
         mid-commit raises annotated with its 1-based buffer position
@@ -172,9 +175,11 @@ class Transaction:
             if in_wal_txn:
                 wal.begin()
             try:
-                for position, text in enumerate(self._buffered, start=1):
+                for position, (text, statement) in enumerate(
+                    self._buffered, start=1
+                ):
                     try:
-                        result = self._commit_session.execute(text)
+                        result = self._commit_session.execute(statement)
                     except CodsError as exc:
                         self._state = "commit-failed"
                         self._buffered = self._buffered[position - 1:]
@@ -269,27 +274,28 @@ class Transaction:
         SELECTs return their rows immediately (resolved against the
         epoch vector, with the scope's buffered DML overlaid —
         read-your-writes).  In a read-write scope, DML lands in the
-        overlay, returns its affected-row count, and replays against
-        live state at commit.  SMOs and DDL raise — schema changes are
-        not transactional.
+        overlay, returns its affected-row count, and runs against live
+        state at commit.  SMOs and DDL raise — schema changes are not
+        transactional.
         """
+        return self.run(statement, params)[1]
+
+    def run(self, statement: str, params=None):
+        """:meth:`execute`, returning ``(node, result)`` like
+        :meth:`Session.run` — the statement is bound and parsed once,
+        here, and never again at commit."""
         self._check_open()
-        text = (
-            bind_parameters(statement, params)
-            if params is not None
-            else statement
-        )
-        if classify_statement(text) == SMO:
+        text, parsed = bind_and_parse(statement, params)
+        if isinstance(parsed, SchemaModificationOperator):
             raise TransactionError(
                 "schema modification operators are not transactional; "
                 "run them outside the scope"
             )
-        parsed = parse_sql(text)
         if isinstance(parsed, (Select, Explain)):
             # EXPLAIN [ANALYZE] is a read: it plans (or runs) its SELECT
             # against the pinned state like any other query here.
             self._pin_on_touch(parsed)
-            return self._session.execute(parsed)
+            return self._session.run(parsed)
         if isinstance(parsed, _DML):
             if self.read_only:
                 raise TransactionError(
@@ -306,11 +312,21 @@ class Transaction:
             # bad statements fail here instead of at commit, and later
             # reads in this scope see the write.
             result = self._session.execute(parsed)
-            self._buffered.append(text)
-            return result
+            self._buffered.append((text, parsed))
+            return parsed, result
         raise TransactionError(
             "DDL is not transactional; run it outside the scope"
         )
+
+    def executemany(self, statement: str, param_rows) -> int:
+        """:meth:`execute` per parameter tuple; returns the summed
+        affected-row count."""
+        return execute_each(self.execute, statement, param_rows)
+
+    def result_columns(self, node) -> tuple[str, ...] | None:
+        """The result-set columns of ``node`` as this scope sees them
+        (see :meth:`Session.result_columns`)."""
+        return self._session.result_columns(node)
 
     @property
     def pending_writes(self) -> int:

@@ -18,7 +18,7 @@ import sys
 from repro.db import Database
 from repro.delta import CompactionPolicy
 from repro.errors import CodsError
-from repro.smo.parser import TokenStream, literal_value, parse_predicate, parse_smo
+from repro.smo.parser import parse_smo
 from repro.storage.csvio import load_csv
 from repro.storage.table import Table, table_from_python
 from repro.storage.types import DataType
@@ -34,9 +34,9 @@ Commands (mirroring the Figure 4 buttons):
   execute             run the queued operators (with live status)
   history             show the evolution history
   sql <statement>     run one SQL or SMO statement via the repro.db facade
-                      (SELECTs execute on the vectorized batch pipeline)
-  insert <t> (v, ...) [, (v, ...)]  buffer rows in the table's delta
-  delete <t> [WHERE <predicate>]    delete rows (delta-masked)
+                      (SELECTs execute on the vectorized batch pipeline;
+                      sql INSERT INTO … / sql DELETE FROM … buffer
+                      writes in the table's delta)
   compact <t>         fold the delta into fresh WAH columns
   deltastat [t]       show main/delta statistics
   explain <SELECT>    show the query plan (no execution)
@@ -74,17 +74,18 @@ def figure1_table() -> Table:
 
 class DemoSession:
     """One interactive session: a database, a queue, and an output
-    stream.  Built on the :class:`repro.db.Database` façade — the
-    ``sql`` command goes straight through ``db.execute``; the SMO
-    queue and write-path commands use the engine underneath."""
+    stream.  Built on the :class:`repro.db.Database` façade: every
+    statement — the ``sql`` command, the queued SMOs, ``load`` and
+    ``example`` — goes through ``db``; only the read-only views
+    (``display``, ``deltastat``) and ``compact`` use the engine
+    underneath."""
 
     def __init__(self, out=sys.stdout):
         # Size-only trigger: ratio policies would fold the delta straight
         # back into the tiny demo tables, hiding the buffering from view.
-        self.delta_policy = CompactionPolicy(
+        self.db = Database(policy=CompactionPolicy(
             max_delta_rows=1024, max_delta_ratio=None, max_deleted_ratio=None
-        )
-        self.db = Database(policy=self.delta_policy)
+        ))
         self.engine = self.db.engine
         self.queue: list = []
         self.out = out
@@ -136,7 +137,7 @@ class DemoSession:
 
     def cmd_load(self, path: str, name: str | None = None) -> None:
         table = load_csv(path, name)
-        self.engine.load_table(table)
+        self.db.load_table(table)
         self._print(
             f"loaded {table.nrows} rows into {table.schema.name} "
             f"({', '.join(table.schema.column_names)})"
@@ -161,48 +162,11 @@ class DemoSession:
         self._print("Data Evolution Status:")
         for op in self.queue:
             self._print(f"  executing: {op.describe()}")
-            status = self.engine.apply(op)
+            status = self.db.execute(op)
             counters = status.summary()
             interesting = {k: v for k, v in counters.items() if v}
             self._print(f"  done. counters: {interesting or '{}'}")
         self.queue.clear()
-
-    def cmd_insert(self, rest: str) -> None:
-        tokens = TokenStream(rest.strip())
-        name = tokens.expect_ident()
-        rows = [self._parse_row(tokens)]
-        while tokens.punct_is(","):
-            tokens.next()
-            rows.append(self._parse_row(tokens))
-        tokens.done()
-        mutable = self.engine.mutable(name, self.delta_policy)
-        count = mutable.insert_rows(rows)
-        stats = mutable.delta_stats()
-        self._print(
-            f"buffered {count} row(s) in {name}'s delta "
-            f"({stats.delta_live} pending, {stats.compactions} compactions)"
-        )
-
-    @staticmethod
-    def _parse_row(tokens: TokenStream) -> tuple:
-        tokens.expect_punct("(")
-        values = [literal_value(*tokens.next())]
-        while tokens.punct_is(","):
-            tokens.next()
-            values.append(literal_value(*tokens.next()))
-        tokens.expect_punct(")")
-        return tuple(values)
-
-    def cmd_delete(self, rest: str) -> None:
-        tokens = TokenStream(rest.strip())
-        name = tokens.expect_ident()
-        predicate = None
-        if tokens.keyword_is("WHERE"):
-            tokens.next()
-            predicate = parse_predicate(tokens)
-        tokens.done()
-        count = self.engine.mutable(name, self.delta_policy).delete(predicate)
-        self._print(f"deleted {count} row(s) from {name}")
 
     def cmd_compact(self, name: str) -> None:
         mutable = self.engine.delta_handle(name)
@@ -257,50 +221,21 @@ class DemoSession:
             self._print(f"    {operator}  {detail}")
 
     def cmd_stats(self, fmt: str = "") -> None:
-        """Dump the metrics registry (plain, JSON lines or Prometheus
-        text — the same exporters ``db.metrics(fmt)`` serves), then the
-        slow-query log when one is armed."""
-        fmt = fmt.strip().lower()
-        if fmt in ("json", "prometheus"):
-            self._print(self.db.metrics(fmt))
-            return
-        for name, value in sorted(self.db.metrics().items()):
-            if isinstance(value, dict):  # histogram
-                if value["count"]:
-                    self._print(
-                        f"{name}: count={value['count']} "
-                        f"mean={value['mean']:.6f}s max={value['max']:.6f}s"
-                    )
-                else:
-                    self._print(f"{name}: count=0")
-            else:
-                self._print(f"{name}: {value}")
-        print_slow_queries(self.db.slow_query_log, self._print)
+        print_stats(
+            fmt, self.db.metrics, lambda: self.db.slow_query_log,
+            self._print,
+        )
 
     def cmd_sql(self, statement: str) -> None:
-        """One statement through the façade: SELECT prints rows, DML
-        prints the affected count, SMOs print their status summary."""
-        result = self.db.execute(statement)
-        if result is None:
-            self._print("ok")
-        elif isinstance(result, int):
-            self._print(f"{result} row(s) affected")
-        elif isinstance(result, list):
-            for row in result[:20]:
-                self._print(f"    {row}")
-            if len(result) > 20:
-                self._print(f"… ({len(result)} rows total)")
-            self._print(f"({len(result)} row(s))")
-        else:  # EvolutionStatus
-            counters = {k: v for k, v in result.summary().items() if v}
-            self._print(f"done. counters: {counters or '{}'}")
+        """One statement through the façade (see :func:`print_result`)."""
+        print_result(self.db.execute(statement), self._print)
 
     def cmd_history(self) -> None:
         text = self.engine.history.describe()
         self._print(text if text else "(no evolution history)")
 
     def cmd_example(self) -> None:
-        self.engine.load_table(figure1_table())
+        self.db.load_table(figure1_table())
         self._print("loaded Figure 1 table R (7 rows); try:")
         self._print(
             "  add DECOMPOSE TABLE R INTO S (Employee, Skill), "
@@ -330,17 +265,13 @@ class DemoSession:
                 parts = rest.split()
                 self.cmd_load(parts[0], parts[1] if len(parts) > 1 else None)
             elif verb in ("add", "create"):
-                self.cmd_add(rest if verb == "add" else rest)
+                self.cmd_add(rest)
             elif verb == "queue":
                 self.cmd_queue()
             elif verb == "execute":
                 self.cmd_execute()
             elif verb == "sql":
                 self.cmd_sql(rest)
-            elif verb == "insert":
-                self.cmd_insert(rest)
-            elif verb == "delete":
-                self.cmd_delete(rest)
             elif verb == "compact":
                 self.cmd_compact(rest.strip())
             elif verb == "deltastat":
@@ -383,17 +314,53 @@ class DemoSession:
             self.handle(line)
 
 
-def print_slow_queries(entries, out_line) -> None:
-    """Render a slow-query log (local deque or remote list) via
-    ``out_line`` — shared by the local and remote ``stats`` commands."""
-    entries = list(entries)
-    if not entries:
+def print_result(result, out_line) -> None:
+    """Render one statement's result via ``out_line`` — shared by the
+    local and remote ``sql`` commands: SELECT prints rows, DML the
+    affected count, an SMO its non-zero counters (an
+    ``EvolutionStatus`` locally, a counters dict over the wire)."""
+    if result is None:
+        out_line("ok")
+    elif isinstance(result, int):
+        out_line(f"{result} row(s) affected")
+    elif isinstance(result, list):
+        for row in result[:20]:
+            out_line(f"    {row}")
+        if len(result) > 20:
+            out_line(f"… ({len(result)} rows total)")
+        out_line(f"({len(result)} row(s))")
+    else:
+        summary = result if isinstance(result, dict) else result.summary()
+        counters = {k: v for k, v in summary.items() if v}
+        out_line(f"done. counters: {counters or '{}'}")
+
+
+def print_stats(fmt: str, metrics, slow_queries, out_line) -> None:
+    """Dump a metrics registry (plain, or the JSON lines / Prometheus
+    text ``metrics(fmt)`` serves), then the slow-query log when one is
+    armed — shared by the local and remote ``stats`` commands."""
+    fmt = fmt.strip().lower()
+    if fmt in ("json", "prometheus"):
+        out_line(metrics(fmt))
         return
-    out_line(f"slow queries ({len(entries)}):")
-    for entry in entries:
-        out_line(
-            f"  {entry['seconds'] * 1e3:8.2f} ms  {entry['statement']}"
-        )
+    for name, value in sorted(metrics().items()):
+        if isinstance(value, dict):  # histogram
+            if value["count"]:
+                out_line(
+                    f"{name}: count={value['count']} "
+                    f"mean={value['mean']:.6f}s max={value['max']:.6f}s"
+                )
+            else:
+                out_line(f"{name}: count=0")
+        else:
+            out_line(f"{name}: {value}")
+    entries = list(slow_queries())
+    if entries:
+        out_line(f"slow queries ({len(entries)}):")
+        for entry in entries:
+            out_line(
+                f"  {entry['seconds'] * 1e3:8.2f} ms  {entry['statement']}"
+            )
 
 
 _REMOTE_HELP = """\
@@ -423,38 +390,13 @@ class RemoteDemoSession:
         print(text, file=self.out)
 
     def cmd_sql(self, statement: str) -> None:
-        result = self.connection.execute(statement)
-        if result is None:
-            self._print("ok")
-        elif isinstance(result, int):
-            self._print(f"{result} row(s) affected")
-        elif isinstance(result, list):
-            for row in result[:20]:
-                self._print(f"    {row}")
-            if len(result) > 20:
-                self._print(f"… ({len(result)} rows total)")
-            self._print(f"({len(result)} row(s))")
-        else:  # SMO counters dict
-            counters = {k: v for k, v in result.items() if v}
-            self._print(f"done. counters: {counters or '{}'}")
+        print_result(self.connection.execute(statement), self._print)
 
     def cmd_stats(self, fmt: str = "") -> None:
-        fmt = fmt.strip().lower()
-        if fmt in ("json", "prometheus"):
-            self._print(self.connection.metrics(fmt))
-            return
-        for name, value in sorted(self.connection.metrics().items()):
-            if isinstance(value, dict):  # histogram
-                if value["count"]:
-                    self._print(
-                        f"{name}: count={value['count']} "
-                        f"mean={value['mean']:.6f}s max={value['max']:.6f}s"
-                    )
-                else:
-                    self._print(f"{name}: count=0")
-            else:
-                self._print(f"{name}: {value}")
-        print_slow_queries(self.connection.slow_queries(), self._print)
+        print_stats(
+            fmt, self.connection.metrics, self.connection.slow_queries,
+            self._print,
+        )
 
     def handle(self, line: str) -> bool:
         line = line.strip()

@@ -34,8 +34,6 @@ import socket
 import threading
 import time
 
-from repro.db.router import SMO, classify_statement
-from repro.db.session import bind_parameters
 from repro.errors import (
     AuthenticationError,
     CodsError,
@@ -43,7 +41,6 @@ from repro.errors import (
     ProtocolError,
     TransactionError,
 )
-from repro.obs.trace import TRACE_COLUMNS
 from repro.server.protocol import (
     DEFAULT_FETCH_ROWS,
     DEFAULT_MAX_FRAME,
@@ -58,8 +55,7 @@ from repro.server.protocol import (
     recv_exactly,
     write_frame,
 )
-from repro.sql.ast import Explain, Select
-from repro.sql.parser import parse_sql
+from repro.smo.ops import SchemaModificationOperator
 
 #: Hard per-request ceiling on rows per fetch frame, whatever the
 #: client asks for.
@@ -411,14 +407,11 @@ class CodsServer:
         }
 
     @staticmethod
-    def _statement_text(payload: dict) -> tuple[str, tuple | None]:
-        sql = payload.get("sql")
-        if not isinstance(sql, str):
-            raise ProtocolError("'execute' needs a string 'sql' field")
-        params = payload.get("params")
-        if params is not None:
-            params = tuple(decode_rows([params])[0])
-        return sql, params
+    def _scope(conn: _Connection):
+        """The connection's open transaction — pinned reads and overlay
+        writes, so read-your-writes holds across round trips — else its
+        session."""
+        return conn.transaction if conn.transaction is not None else conn.session
 
     def _rows_response(self, conn: _Connection, columns, rows: list) -> dict:
         """A result set: the first batch inline, a cursor for the rest.
@@ -439,37 +432,19 @@ class CodsServer:
         return response
 
     def _cmd_execute(self, conn: _Connection, payload: dict) -> dict:
-        sql, params = self._statement_text(payload)
-        if conn.transaction is not None:
-            # Through the open scope: pinned reads, overlay writes —
-            # read-your-writes holds across round trips.
-            text = (
-                bind_parameters(sql, params) if params is not None else sql
-            )
-            result = conn.transaction.execute(text)
-            if isinstance(result, list):
-                parsed = parse_sql(text)
-                if isinstance(parsed, Explain):
-                    columns = TRACE_COLUMNS
-                else:
-                    columns = conn.transaction._session.select_columns(parsed)
-                return self._rows_response(conn, columns, result)
-            if isinstance(result, int):
-                return {"ok": True, "kind": "count", "count": result}
-            return {"ok": True, "kind": "none"}
-        text = bind_parameters(sql, params) if params is not None else sql
-        if classify_statement(text) == SMO:
-            status = conn.session.execute(text)
-            return {"ok": True, "kind": "status", "summary": status.summary()}
-        # Parse for the column list but execute the *text*: the slow
-        # query log then records the SQL an operator can read back,
-        # not an AST repr.
-        parsed = parse_sql(text)
-        result = conn.session.execute(text)
-        if isinstance(parsed, Explain):
-            return self._rows_response(conn, TRACE_COLUMNS, result)
-        if isinstance(parsed, Select):
-            columns = conn.session.select_columns(parsed)
+        sql, params = payload.get("sql"), payload.get("params")
+        if not isinstance(sql, str):
+            raise ProtocolError("'execute' needs a string 'sql' field")
+        if params is not None:
+            params = tuple(decode_rows([params])[0])
+        # Either scope parses the text once and hands back the node it
+        # routed on.
+        scope = self._scope(conn)
+        node, result = scope.run(sql, params)
+        if isinstance(node, SchemaModificationOperator):
+            return {"ok": True, "kind": "status", "summary": result.summary()}
+        columns = scope.result_columns(node)
+        if columns is not None:
             return self._rows_response(conn, columns, result)
         if isinstance(result, int):
             return {"ok": True, "kind": "count", "count": result}
@@ -482,14 +457,7 @@ class CodsServer:
         param_rows = [
             tuple(row) for row in decode_rows(payload.get("param_rows") or [])
         ]
-        if conn.transaction is not None:
-            total = 0
-            for params in param_rows:
-                result = conn.transaction.execute(sql, params)
-                if isinstance(result, int):
-                    total += result
-            return {"ok": True, "kind": "count", "count": total}
-        count = conn.session.executemany(sql, param_rows)
+        count = self._scope(conn).executemany(sql, param_rows)
         return {"ok": True, "kind": "count", "count": count}
 
     def _cmd_fetch(self, conn: _Connection, payload: dict) -> dict:

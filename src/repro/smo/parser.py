@@ -22,6 +22,7 @@ AND/OR/NOT and parentheses.
 
 from __future__ import annotations
 
+import datetime
 import decimal
 import math
 import re
@@ -52,26 +53,32 @@ _TOKEN_RE = re.compile(
       | (?P<string>'(?:[^']|'')*')
       | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<op><=|>=|!=|<>|=|<|>)
-      | (?P<punct>[(),])
+      | (?P<punct>[(),*])
     )
     """,
     re.VERBOSE,
 )
 
 
-class _Tokens:
-    """A tiny cursor over the token stream."""
+class TokenStream:
+    """A tiny cursor over one statement's tokens (surrounding
+    whitespace and a trailing ``;`` are not part of the statement).
+    Shared with the SQL grammar, so a WHERE clause means the same in
+    an SMO and in SQL."""
 
     def __init__(self, text: str):
+        text = text.strip().rstrip(";")
         self.text = text
         self.tokens: list[tuple[str, str]] = []
         position = 0
         while position < len(text):
             match = _TOKEN_RE.match(text, position)
             if match is None:
-                if text[position:].strip():
+                rest = text[position:].lstrip()
+                if rest:
                     raise SmoValidationError(
-                        f"cannot tokenize SMO near {text[position:position+20]!r}"
+                        f"cannot tokenize statement near {rest[:20]!r} "
+                        f"in {text!r}"
                     )
                 break
             position = match.end()
@@ -90,7 +97,7 @@ class _Tokens:
     def next(self) -> tuple[str, str]:
         token = self.peek()
         if token is None:
-            raise SmoValidationError(f"unexpected end of SMO: {self.text!r}")
+            raise SmoValidationError(f"unexpected end of statement: {self.text!r}")
         self.index += 1
         return token
 
@@ -132,11 +139,11 @@ class _Tokens:
     def done(self) -> None:
         if self.peek() is not None:
             raise SmoValidationError(
-                f"unexpected trailing tokens in SMO: {self.text!r}"
+                f"unexpected trailing tokens in statement: {self.text!r}"
             )
 
 
-def _literal(kind: str, value: str):
+def literal_value(kind: str, value: str):
     if kind == "number":
         return float(value) if "." in value else int(value)
     if kind == "string":
@@ -152,7 +159,8 @@ def _literal(kind: str, value: str):
     raise SmoValidationError(f"expected a literal, found {value!r}")
 
 
-def _parse_attr_list(tokens: _Tokens) -> tuple[str, ...]:
+def parse_attr_list(tokens: TokenStream) -> tuple[str, ...]:
+    """``( name [, name …] )`` — shared with the SQL grammar."""
     tokens.expect_punct("(")
     attrs = [tokens.expect_ident()]
     while tokens.punct_is(","):
@@ -162,12 +170,23 @@ def _parse_attr_list(tokens: _Tokens) -> tuple[str, ...]:
     return tuple(attrs)
 
 
-def parse_predicate(tokens: _Tokens) -> Predicate:
+def parse_literal_list(tokens: TokenStream) -> tuple:
+    """``( literal [, literal …] )`` — an IN list, or a VALUES row."""
+    tokens.expect_punct("(")
+    values = [literal_value(*tokens.next())]
+    while tokens.punct_is(","):
+        tokens.next()
+        values.append(literal_value(*tokens.next()))
+    tokens.expect_punct(")")
+    return tuple(values)
+
+
+def parse_predicate(tokens: TokenStream) -> Predicate:
     """Parse OR-precedence predicate expression."""
     return _parse_or(tokens)
 
 
-def _parse_or(tokens: _Tokens) -> Predicate:
+def _parse_or(tokens: TokenStream) -> Predicate:
     left = _parse_and(tokens)
     while tokens.keyword_is("OR"):
         tokens.next()
@@ -175,7 +194,7 @@ def _parse_or(tokens: _Tokens) -> Predicate:
     return left
 
 
-def _parse_and(tokens: _Tokens) -> Predicate:
+def _parse_and(tokens: TokenStream) -> Predicate:
     left = _parse_not(tokens)
     while tokens.keyword_is("AND"):
         tokens.next()
@@ -183,14 +202,14 @@ def _parse_and(tokens: _Tokens) -> Predicate:
     return left
 
 
-def _parse_not(tokens: _Tokens) -> Predicate:
+def _parse_not(tokens: TokenStream) -> Predicate:
     if tokens.keyword_is("NOT"):
         tokens.next()
         return Not(_parse_not(tokens))
     return _parse_atom(tokens)
 
 
-def _parse_atom(tokens: _Tokens) -> Predicate:
+def _parse_atom(tokens: TokenStream) -> Predicate:
     if tokens.punct_is("("):
         tokens.next()
         inner = _parse_or(tokens)
@@ -199,33 +218,26 @@ def _parse_atom(tokens: _Tokens) -> Predicate:
     attr = tokens.expect_ident()
     if tokens.keyword_is("IN"):
         tokens.next()
-        tokens.expect_punct("(")
-        literals = []
-        kind, value = tokens.next()
-        literals.append(_literal(kind, value))
-        while tokens.punct_is(","):
-            tokens.next()
-            kind, value = tokens.next()
-            literals.append(_literal(kind, value))
-        tokens.expect_punct(")")
-        return Comparison(attr, "IN", tuple(literals))
+        return Comparison(attr, "IN", parse_literal_list(tokens))
     kind, op = tokens.next()
     if kind != "op":
         raise SmoValidationError(f"expected comparison operator after {attr!r}")
     if op == "<>":
         op = "!="
     kind, value = tokens.next()
-    return Comparison(attr, op, _literal(kind, value))
+    return Comparison(attr, op, literal_value(kind, value))
 
 
-def _parse_create_columns(tokens: _Tokens):
+def parse_create_columns(tokens: TokenStream):
+    """``( name TYPE [, …] [, KEY (…)] )`` — shared with SQL's CREATE
+    TABLE."""
     tokens.expect_punct("(")
     columns = []
     primary_key: tuple[str, ...] = ()
     while True:
         name = tokens.expect_ident()
         if name.upper() == "KEY":
-            primary_key = _parse_attr_list(tokens)
+            primary_key = parse_attr_list(tokens)
         else:
             type_name = tokens.expect_ident()
             columns.append(ColumnSchema(name, parse_type_name(type_name)))
@@ -239,7 +251,12 @@ def _parse_create_columns(tokens: _Tokens):
 
 def parse_smo(text: str) -> SchemaModificationOperator:
     """Parse one SMO statement into its operator object."""
-    tokens = _Tokens(text.strip().rstrip(";"))
+    return parse_smo_tokens(TokenStream(text))
+
+
+def parse_smo_tokens(tokens: TokenStream) -> SchemaModificationOperator:
+    """Parse one SMO statement from its tokenized form (the entry
+    :func:`repro.sql.parser.parse_statement` routes SMO verbs to)."""
     verb = tokens.expect_keyword(
         "DECOMPOSE", "MERGE", "CREATE", "DROP", "RENAME", "COPY", "UNION",
         "PARTITION", "ADD",
@@ -250,10 +267,10 @@ def parse_smo(text: str) -> SchemaModificationOperator:
         table = tokens.expect_ident()
         tokens.expect_keyword("INTO")
         left_name = tokens.expect_ident()
-        left_attrs = _parse_attr_list(tokens)
+        left_attrs = parse_attr_list(tokens)
         tokens.expect_punct(",")
         right_name = tokens.expect_ident()
-        right_attrs = _parse_attr_list(tokens)
+        right_attrs = parse_attr_list(tokens)
         tokens.done()
         return DecomposeTable(table, left_name, left_attrs, right_name, right_attrs)
 
@@ -267,14 +284,14 @@ def parse_smo(text: str) -> SchemaModificationOperator:
         join: tuple[str, ...] = ()
         if tokens.keyword_is("ON"):
             tokens.next()
-            join = _parse_attr_list(tokens)
+            join = parse_attr_list(tokens)
         tokens.done()
         return MergeTables(left, right, out, join)
 
     if verb == "CREATE":
         tokens.expect_keyword("TABLE")
         name = tokens.expect_ident()
-        columns, primary_key = _parse_create_columns(tokens)
+        columns, primary_key = parse_create_columns(tokens)
         tokens.done()
         return CreateTable(TableSchema(name, columns, primary_key))
 
@@ -346,7 +363,7 @@ def parse_smo(text: str) -> SchemaModificationOperator:
     if tokens.keyword_is("DEFAULT"):
         tokens.next()
         kind, value = tokens.next()
-        default = _literal(kind, value)
+        default = literal_value(kind, value)
     tokens.done()
     return AddColumn(
         table, ColumnSchema(column_name, parse_type_name(type_name)), default
@@ -377,15 +394,16 @@ def render_literal(value) -> str:
         return text if "." in text else text + ".0"
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
+    if isinstance(value, datetime.date) and not isinstance(
+        value, datetime.datetime
+    ):
+        # No date token: the ISO string literal is what DATE coercion
+        # parses.
+        return "'" + value.isoformat() + "'"
     raise SmoValidationError(
         f"cannot render a literal of type {type(value).__name__}"
     )
 
-
-# Public aliases: the SQL subset engine reuses this tokenizer and the
-# predicate grammar so WHERE clauses behave identically in SMOs and SQL.
-TokenStream = _Tokens
-literal_value = _literal
 
 
 def parse_script(text: str) -> list[SchemaModificationOperator]:

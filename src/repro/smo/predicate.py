@@ -40,6 +40,13 @@ class Predicate:
     def attributes(self) -> frozenset:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def typed(self, dtypes) -> "Predicate":  # pragma: no cover - interface
+        """This predicate with its literals coerced to their columns'
+        types (``dtypes``: name -> DataType; unknown names are left to
+        :meth:`validate`), as :meth:`bitmap` compares; the plain-vector
+        batch evaluators compare stored values as they are."""
+        raise NotImplementedError
+
     def validate(self, schema) -> None:
         for attr in self.attributes():
             if not schema.has_column(attr):
@@ -65,6 +72,20 @@ class Comparison(Predicate):
 
     def attributes(self) -> frozenset:
         return frozenset([self.attr])
+
+    def typed(self, dtypes) -> "Comparison":
+        dtype = dtypes.get(self.attr)
+        if dtype is None:
+            return self
+        if self.op == IN:
+            value = tuple(coerce(v, dtype) for v in self.value)
+        else:
+            value = coerce(self.value, dtype)
+        # A literal equal to its coerced form compares the same way, so
+        # the already-typed common case keeps this node.
+        if value == self.value:
+            return self
+        return Comparison(self.attr, self.op, value)
 
     def matches(self, row_value_of) -> bool:
         actual = row_value_of(self.attr)
@@ -138,6 +159,9 @@ class And(Predicate):
     def attributes(self) -> frozenset:
         return self.left.attributes() | self.right.attributes()
 
+    def typed(self, dtypes) -> "And":
+        return And(self.left.typed(dtypes), self.right.typed(dtypes))
+
     def matches(self, row_value_of) -> bool:
         return self.left.matches(row_value_of) and self.right.matches(
             row_value_of
@@ -157,6 +181,9 @@ class Or(Predicate):
 
     def attributes(self) -> frozenset:
         return self.left.attributes() | self.right.attributes()
+
+    def typed(self, dtypes) -> "Or":
+        return Or(self.left.typed(dtypes), self.right.typed(dtypes))
 
     def matches(self, row_value_of) -> bool:
         return self.left.matches(row_value_of) or self.right.matches(
@@ -178,6 +205,9 @@ class Not(Predicate):
 
     def attributes(self) -> frozenset:
         return self.inner.attributes()
+
+    def typed(self, dtypes) -> "Not":
+        return Not(self.inner.typed(dtypes))
 
     def matches(self, row_value_of) -> bool:
         return not self.inner.matches(row_value_of)

@@ -12,6 +12,8 @@ this code path.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.errors import CodsError, SqlExecutionError
 from repro.exec.planner import execute_select, plan_select
 from repro.obs.trace import ExecStats, QueryTrace
@@ -96,30 +98,17 @@ class SqlExecutor:
         position and the offending SQL fragment, so a mid-script
         failure never loses its place.
         """
-        fragments = iter_script_statements(text)
-        parsed = []
-        for position, fragment in enumerate(fragments, start=1):
-            try:
-                parsed.append(parse_sql(fragment))
-            except CodsError as exc:
-                raise script_error(exc, position, fragment) from exc
-        results = []
-        for position, (fragment, statement) in enumerate(
-            zip(fragments, parsed), start=1
-        ):
-            try:
-                results.append(self._dispatch(statement))
-            except CodsError as exc:
-                raise script_error(exc, position, fragment) from exc
-        return results
+        return run_script(text, parse_sql, self._dispatch)
 
     # -- dispatch ---------------------------------------------------------
 
     def _dispatch(self, statement: Statement):
         if isinstance(statement, Select):
-            return self._run_select_list(statement)
+            return self._run_select_list(self._typed(statement))
         if isinstance(statement, Explain):
-            return self._run_explain(statement)
+            return self._run_explain(
+                replace(statement, select=self._typed(statement.select))
+            )
         if isinstance(statement, InsertValues):
             require_table(self.adapter, statement.table)
             return self.adapter.insert_rows(statement.table, statement.rows)
@@ -128,7 +117,7 @@ class SqlExecutor:
             # Materialize before inserting: a lazy drain would scan the
             # source *while* the target's writer lock is held, and a
             # concurrent writer doing the mirror image deadlocks.
-            rows = list(self._run_select(statement.select))
+            rows = list(self._run_select(self._typed(statement.select)))
             return self.adapter.insert_rows(statement.table, rows)
         if isinstance(statement, Update):
             require_table(self.adapter, statement.table)
@@ -138,16 +127,21 @@ class SqlExecutor:
                     raise SqlExecutionError(
                         f"no column {column!r} in table {statement.table!r}"
                     )
-            if statement.where is not None:
-                statement.where.validate(schema)
+            where = statement.where
+            if where is not None:
+                where.validate(schema)
+                where = where.typed(_column_types(schema))
             return self.adapter.update_rows(
-                statement.table, statement.assignments, statement.where
+                statement.table, statement.assignments, where
             )
         if isinstance(statement, Delete):
             require_table(self.adapter, statement.table)
-            if statement.where is not None:
-                statement.where.validate(self.adapter.schema(statement.table))
-            return self.adapter.delete_rows(statement.table, statement.where)
+            where = statement.where
+            if where is not None:
+                schema = self.adapter.schema(statement.table)
+                where.validate(schema)
+                where = where.typed(_column_types(schema))
+            return self.adapter.delete_rows(statement.table, where)
         if isinstance(statement, CreateTable):
             self.adapter.create_table(statement.schema)
             return None
@@ -166,6 +160,22 @@ class SqlExecutor:
         raise SqlExecutionError(
             f"unsupported statement {statement!r}"
         )  # pragma: no cover
+
+    def _typed(self, select: Select) -> Select:
+        """``select`` with its WHERE literals coerced to the types of
+        the columns they compare against (see ``Predicate.typed``);
+        unknown tables are left for the planner to reject."""
+        if select.where is None:
+            return select
+        dtypes = {}
+        tables = [select.table]
+        if select.join is not None:
+            tables.insert(0, select.join.table)  # the left side wins
+        for table in tables:
+            if self.adapter.has_table(table):
+                dtypes.update(_column_types(self.adapter.schema(table)))
+        where = select.where.typed(dtypes)
+        return select if where is select.where else replace(select, where=where)
 
     # -- SELECT pipeline ------------------------------------------------------
 
@@ -233,6 +243,34 @@ class SqlExecutor:
             )
             self.last_trace = trace
         return trace.rows()
+
+
+def _column_types(schema) -> dict:
+    return {column.name: column.dtype for column in schema.columns}
+
+
+def run_script(text: str, parse, run) -> list:
+    """Split ``text`` into statements, ``parse`` every one before any
+    runs, then ``run`` each in order — the one script loop behind
+    :meth:`SqlExecutor.execute_script` and
+    :meth:`repro.db.Session.execute_script`.  A failure in either pass
+    re-raises through :func:`script_error`."""
+    fragments = iter_script_statements(text)
+    parsed = []
+    for position, fragment in enumerate(fragments, start=1):
+        try:
+            parsed.append(parse(fragment))
+        except CodsError as exc:
+            raise script_error(exc, position, fragment) from exc
+    results = []
+    for position, (fragment, statement) in enumerate(
+        zip(fragments, parsed), start=1
+    ):
+        try:
+            results.append(run(statement))
+        except CodsError as exc:
+            raise script_error(exc, position, fragment) from exc
+    return results
 
 
 def script_error(exc: CodsError, position: int, fragment: str) -> CodsError:

@@ -1,16 +1,25 @@
-"""Recursive-descent parser for the SQL subset.
+"""Recursive-descent parser for the SQL subset, and the statement front
+door for both languages.
 
 Shares the tokenizer and predicate grammar with the SMO language, so a
 WHERE clause means the same thing in ``PARTITION TABLE … WHERE`` and in
-``SELECT … WHERE``.
+``SELECT … WHERE``.  :func:`parse_statement` tokenizes a statement once
+and hands the tokens to the grammar its leading verb selects.
 """
 
 from __future__ import annotations
 
-import re
-
-from repro.errors import SqlSyntaxError
-from repro.smo.parser import TokenStream, literal_value, parse_predicate
+from repro.errors import SmoValidationError, SqlSyntaxError
+from repro.smo.ops import SchemaModificationOperator
+from repro.smo.parser import (
+    TokenStream,
+    literal_value,
+    parse_attr_list,
+    parse_create_columns,
+    parse_literal_list,
+    parse_predicate,
+    parse_smo_tokens,
+)
 from repro.sql.ast import (
     AGGREGATE_FUNCTIONS,
     Aggregate,
@@ -27,18 +36,7 @@ from repro.sql.ast import (
     Statement,
     Update,
 )
-from repro.storage.schema import ColumnSchema, TableSchema
-from repro.storage.types import parse_type_name
-
-
-def _attr_list(tokens: TokenStream) -> tuple[str, ...]:
-    tokens.expect_punct("(")
-    attrs = [tokens.expect_ident()]
-    while tokens.punct_is(","):
-        tokens.next()
-        attrs.append(tokens.expect_ident())
-    tokens.expect_punct(")")
-    return tuple(attrs)
+from repro.storage.schema import TableSchema
 
 
 _AGGREGATE_NAMES = frozenset(name.upper() for name in AGGREGATE_FUNCTIONS)
@@ -50,14 +48,15 @@ def _parse_select_item(tokens: TokenStream) -> str | Aggregate:
     if name.upper() not in _AGGREGATE_NAMES or not tokens.punct_is("("):
         return name
     tokens.next()
-    argument = tokens.expect_ident()
-    tokens.expect_punct(")")
     func = name.lower()
-    if argument == "__STAR__":
-        # COUNT(*) was rewritten to COUNT(__STAR__) pre-tokenization.
+    if tokens.punct_is("*"):
+        tokens.next()
+        tokens.expect_punct(")")
         if func != "count":
             raise SqlSyntaxError(f"{func.upper()}(*) is not supported")
         return Aggregate("count", None)
+    argument = tokens.expect_ident()
+    tokens.expect_punct(")")
     return Aggregate(func, argument)
 
 
@@ -68,14 +67,17 @@ def _parse_select(tokens: TokenStream) -> Select:
         tokens.next()
         distinct = True
 
-    columns: tuple[str | Aggregate, ...] | None
-    if tokens.punct_is("("):
-        raise SqlSyntaxError("unexpected '(' after SELECT")
-    names = [_parse_select_item(tokens)]
-    while tokens.punct_is(","):
+    columns: tuple[str | Aggregate, ...] | None = None
+    if tokens.punct_is("*"):
         tokens.next()
-        names.append(_parse_select_item(tokens))
-    columns = tuple(names)
+    else:
+        if tokens.punct_is("("):
+            raise SqlSyntaxError("unexpected '(' after SELECT")
+        names = [_parse_select_item(tokens)]
+        while tokens.punct_is(","):
+            tokens.next()
+            names.append(_parse_select_item(tokens))
+        columns = tuple(names)
 
     tokens.expect_keyword("FROM")
     table = tokens.expect_ident()
@@ -85,7 +87,7 @@ def _parse_select(tokens: TokenStream) -> Select:
         tokens.next()
         right = tokens.expect_ident()
         tokens.expect_keyword("ON")
-        join = JoinClause(right, _attr_list(tokens))
+        join = JoinClause(right, parse_attr_list(tokens))
 
     where = None
     if tokens.keyword_is("WHERE"):
@@ -133,19 +135,6 @@ def _parse_select(tokens: TokenStream) -> Select:
     return select
 
 
-def _parse_values_row(tokens: TokenStream) -> tuple:
-    tokens.expect_punct("(")
-    values = []
-    kind, value = tokens.next()
-    values.append(literal_value(kind, value))
-    while tokens.punct_is(","):
-        tokens.next()
-        kind, value = tokens.next()
-        values.append(literal_value(kind, value))
-    tokens.expect_punct(")")
-    return tuple(values)
-
-
 def _parse_assignment(tokens: TokenStream) -> tuple[str, object]:
     column = tokens.expect_ident()
     kind, op = tokens.next()
@@ -155,59 +144,49 @@ def _parse_assignment(tokens: TokenStream) -> tuple[str, object]:
     return column, literal_value(kind, value)
 
 
-def _parse_create_columns(tokens: TokenStream):
-    tokens.expect_punct("(")
-    columns = []
-    primary_key: tuple[str, ...] = ()
-    while True:
-        name = tokens.expect_ident()
-        if name.upper() == "KEY":
-            primary_key = _attr_list(tokens)
-        else:
-            type_name = tokens.expect_ident()
-            columns.append(ColumnSchema(name, parse_type_name(type_name)))
-        if tokens.punct_is(","):
-            tokens.next()
-            continue
-        break
-    tokens.expect_punct(")")
-    return tuple(columns), primary_key
+#: Verbs that can only begin a schema-modification statement (``DROP
+#: COLUMN`` is one too; ``DROP TABLE`` is SQL).
+_SMO_VERBS = frozenset(
+    {"DECOMPOSE", "MERGE", "COPY", "UNION", "PARTITION", "ADD", "RENAME"}
+)
 
 
-def _unwrap_star(select: Select) -> Select:
-    """Translate the ``__STAR__`` sentinel (the rewritten ``SELECT *``)
-    back to the 'all columns' form."""
-    if select.columns == ("__STAR__",):
-        return Select(
-            None, select.table, select.distinct, select.join,
-            select.where, select.order_by, select.limit, select.group_by,
-        )
-    return select
+def _starts_smo(tokens: TokenStream) -> bool:
+    head = [
+        value.upper() if kind == "ident" else ""
+        for kind, value in tokens.tokens[:2]
+    ]
+    return bool(head) and (head[0] in _SMO_VERBS or head == ["DROP", "COLUMN"])
+
+
+def parse_statement(text: str) -> Statement | SchemaModificationOperator:
+    """Parse one SQL *or* SMO statement in one tokenizer pass.
+
+    ``DECOMPOSE`` / ``MERGE`` / ``COPY`` / ``UNION`` / ``PARTITION`` /
+    ``ADD`` / ``RENAME`` and ``DROP COLUMN`` begin an SMO (parsed by
+    :func:`repro.smo.parser.parse_smo_tokens`, whose errors stay
+    :class:`SmoValidationError`); everything else — ``DROP TABLE``
+    and unknown verbs included — is SQL, so the SQL grammar's
+    :class:`SqlSyntaxError` is what callers see.
+    """
+    try:
+        tokens = TokenStream(text)
+        if not _starts_smo(tokens):
+            return _parse_sql(tokens)
+    except SmoValidationError as exc:
+        raise SqlSyntaxError(str(exc)) from exc
+    return parse_smo_tokens(tokens)
 
 
 def parse_sql(text: str) -> Statement:
     """Parse one SQL statement."""
-    from repro.errors import SmoValidationError
-
     try:
-        return _parse_sql(text)
+        return _parse_sql(TokenStream(text))
     except SmoValidationError as exc:
         raise SqlSyntaxError(str(exc)) from exc
 
 
-def _parse_sql(text: str) -> Statement:
-    stripped = text.strip().rstrip(";")
-    # '*' is not in the shared tokenizer's alphabet; rewrite 'SELECT *'
-    # (also inside INSERT … SELECT) to a sentinel column first.
-    stripped = re.sub(
-        r"(?is)\bselect\s+(distinct\s+)?\*",
-        lambda m: "SELECT " + ("DISTINCT " if m.group(1) else "") + "__STAR__",
-        stripped,
-    )
-    # Same trick for COUNT(*): the '*' argument becomes a sentinel
-    # identifier the select-list parser recognises.
-    stripped = re.sub(r"(?is)\bcount\s*\(\s*\*\s*\)", "COUNT(__STAR__)", stripped)
-    tokens = TokenStream(stripped)
+def _parse_sql(tokens: TokenStream) -> Statement:
     verb = tokens.expect_keyword(
         "SELECT", "INSERT", "UPDATE", "DELETE", "CREATE", "DROP", "ALTER",
         "EXPLAIN",
@@ -217,7 +196,7 @@ def _parse_sql(text: str) -> Statement:
         tokens.index = 0
         select = _parse_select(tokens)
         tokens.done()
-        return _unwrap_star(select)
+        return select
 
     if verb == "EXPLAIN":
         analyze = False
@@ -226,22 +205,22 @@ def _parse_sql(text: str) -> Statement:
             analyze = True
         select = _parse_select(tokens)
         tokens.done()
-        return Explain(_unwrap_star(select), analyze)
+        return Explain(select, analyze)
 
     if verb == "INSERT":
         tokens.expect_keyword("INTO")
         table = tokens.expect_ident()
         if tokens.keyword_is("VALUES"):
             tokens.next()
-            rows = [_parse_values_row(tokens)]
+            rows = [parse_literal_list(tokens)]
             while tokens.punct_is(","):
                 tokens.next()
-                rows.append(_parse_values_row(tokens))
+                rows.append(parse_literal_list(tokens))
             tokens.done()
             return InsertValues(table, tuple(rows))
         select = _parse_select(tokens)
         tokens.done()
-        return InsertSelect(table, _unwrap_star(select))
+        return InsertSelect(table, select)
 
     if verb == "UPDATE":
         table = tokens.expect_ident()
@@ -271,13 +250,13 @@ def _parse_sql(text: str) -> Statement:
         kind = tokens.expect_keyword("TABLE", "INDEX")
         if kind == "TABLE":
             name = tokens.expect_ident()
-            columns, primary_key = _parse_create_columns(tokens)
+            columns, primary_key = parse_create_columns(tokens)
             tokens.done()
             return CreateTable(TableSchema(name, columns, primary_key))
         index_name = tokens.expect_ident()
         tokens.expect_keyword("ON")
         table = tokens.expect_ident()
-        columns = _attr_list(tokens)
+        columns = parse_attr_list(tokens)
         if len(columns) != 1:
             raise SqlSyntaxError("only single-column indexes are supported")
         tokens.done()

@@ -146,8 +146,11 @@ class TestReadWriteScopes:
         db = seeded_db()
         tx = db.transaction().begin()
         tx.execute("INSERT INTO emp VALUES ('A', 'x')")
-        tx._buffered.append("DELETE FROM vanished")  # simulate a race
-        with pytest.raises(Exception, match="statement 2"):
+        tx.execute("DELETE FROM audit WHERE name = ?", ("Jones",))
+        db.execute("DROP TABLE audit")  # a race: the target vanishes
+        with pytest.raises(
+            Exception, match="statement 2 .*DELETE FROM audit WHERE name = 'Jones'"
+        ):
             tx.commit()
         # Terminal failed state: the applied statement left the buffer,
         # the failing one remains, and the scope cannot be reused.

@@ -1,7 +1,8 @@
-"""Unit tests for the `repro.db` façade: routing, registry,
+"""Unit tests for the `repro.db` façade: statement parsing and routing, registry,
 sessions/cursors, parameter binding, scripts, persistence and
 capability gating."""
 
+import datetime
 import json
 import struct
 
@@ -12,7 +13,6 @@ from repro.db import (
     available_backends,
     backend_spec,
     bind_parameters,
-    classify_statement,
     connect,
     iter_script_statements,
 )
@@ -22,6 +22,8 @@ from repro.errors import (
     SqlSyntaxError,
     StorageError,
 )
+from repro.smo.ops import SchemaModificationOperator
+from repro.sql.parser import parse_statement
 from repro.storage import DataType, table_from_python
 
 
@@ -65,7 +67,11 @@ class TestRouter:
         ("RENAME COLUMN a TO b IN r", "smo"),
     ])
     def test_classification(self, text, expected):
-        assert classify_statement(text) == expected
+        """One tokenizer pass, then the leading verb picks the grammar:
+        the parsed node's type is the route."""
+        parsed = parse_statement(text)
+        kind = "smo" if isinstance(parsed, SchemaModificationOperator) else "sql"
+        assert kind == expected
 
     def test_script_split_drops_comments(self):
         statements = iter_script_statements(
@@ -158,8 +164,14 @@ class TestParameterBinding:
             bind_parameters("SELECT * FROM r", (1,))
 
     def test_unbindable_type(self):
-        with pytest.raises(SqlSyntaxError, match="cannot bind"):
-            bind_parameters("SELECT * FROM r WHERE k = ?", ([1, 2],))
+        # A date binds (as its ISO literal); a datetime has no column
+        # type to land in.
+        for value in ([1, 2], datetime.datetime(2001, 2, 3, 4, 5)):
+            with pytest.raises(SqlSyntaxError, match="cannot bind"):
+                bind_parameters("SELECT * FROM r WHERE k = ?", (value,))
+        assert bind_parameters(
+            "SELECT * FROM r WHERE d = ?", (datetime.date(2001, 2, 3),)
+        ) == "SELECT * FROM r WHERE d = '2001-02-03'"
 
     def test_exponent_repr_floats_round_trip(self):
         db = Database()

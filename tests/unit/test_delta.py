@@ -627,16 +627,18 @@ class TestDemoDeltaCommands:
     def test_insert_delete_compact_deltastat(self):
         session, out = self.session()
         session.handle("example")
-        session.handle("insert R ('Smith', 'Welding', '12 Elm St')")
+        session.handle(
+            "sql INSERT INTO R VALUES ('Smith', 'Welding', '12 Elm St')"
+        )
         session.handle("deltastat")
-        session.handle("delete R WHERE Employee = 'Jones'")
+        session.handle("sql DELETE FROM R WHERE Employee = 'Jones'")
         session.handle("display R")
         session.handle("compact R")
         session.handle("deltastat R")
         text = out.getvalue()
-        assert "buffered 1 row(s)" in text
-        assert "deleted 3 row(s)" in text
-        assert "merged view" in text
+        assert "R: main=7 delta=+1 -0" in text
+        assert "3 row(s) affected" in text
+        assert "merged view: 7 main rows, +1 buffered, -3 deleted" in text
         assert "compacted R" in text
         assert "compactions=1" in text
 
@@ -644,9 +646,11 @@ class TestDemoDeltaCommands:
         session, out = self.session()
         session.handle("create CREATE TABLE Z (A INT, B STRING)")
         session.handle("execute")
-        session.handle("insert Z (1, 'x'), (2, 'y')")
+        session.handle("sql INSERT INTO Z VALUES (1, 'x'), (2, 'y')")
         session.handle("display Z")
-        assert "buffered 2 row(s)" in out.getvalue()
+        text = out.getvalue()
+        assert "2 row(s) affected" in text
+        assert "+2 buffered" in text
 
     def test_compact_with_empty_delta(self):
         session, out = self.session()
@@ -662,8 +666,17 @@ class TestDemoDeltaCommands:
     def test_bad_insert_reports_error(self):
         session, out = self.session()
         session.handle("example")
-        session.handle("insert R (1")
-        assert "error:" in out.getvalue()
+        session.handle("sql INSERT INTO R VALUES (1")
+        assert "error: unexpected end of statement" in out.getvalue()
+
+    def test_removed_write_commands_point_at_sql(self):
+        session, out = self.session()
+        session.handle("example")
+        session.handle("insert R ('a', 'b', 'c')")
+        session.handle("help")
+        text = out.getvalue()
+        assert "unknown command 'insert'" in text
+        assert "sql INSERT INTO" in text and "sql DELETE FROM" in text
 
 
 class TestMixedWorkload:

@@ -762,3 +762,54 @@ class TestOneWahEncoder:
         sweep, so CI names no separate figures step."""
         ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
         assert "benchmarks/run_figures.py" not in ci
+
+
+class TestOneStatementFrontDoor:
+    REMOVED = ("repro.db.router", "classify_statement", "__STAR__")
+
+    def test_removed_router_names_appear_nowhere(self):
+        """Statements are parsed once and routed by parsed type; only
+        the migration note may still name the text classifier."""
+        paths = [
+            *(REPO / "src").rglob("*.py"),
+            *(REPO / "docs").glob("*.md"),
+            REPO / "README.md",
+            *(REPO / "examples").glob("*.py"),
+            *(REPO / "benchmarks").glob("bench_*.py"),
+        ]
+        migration = REPO / "docs" / "migration.md"
+        for path in paths:
+            if path == migration:
+                continue
+            text = path.read_text()
+            for name in self.REMOVED:
+                assert name not in text, f"{path} still mentions {name}"
+        note = migration.read_text()
+        assert "## Removed: the statement router" in note
+        for name in self.REMOVED[:-1]:
+            assert name in note, f"migration.md omits {name}"
+        for command in ("sql INSERT INTO", "sql DELETE FROM"):
+            assert command in note, f"migration.md omits {command!r}"
+
+    def test_router_and_text_sniffing_are_gone(self):
+        import repro.db
+
+        assert not (REPO / "src" / "repro" / "db" / "router.py").exists()
+        assert not hasattr(repro.db, "classify_statement")
+        session = (REPO / "src" / "repro" / "db" / "session.py").read_text()
+        assert "_DDL_KEYWORDS" not in session
+        cli = (REPO / "src" / "repro" / "demo" / "cli.py").read_text()
+        for name in ("_parse_row", "cmd_insert", "cmd_delete", "TokenStream"):
+            assert name not in cli, f"the demo still has {name}"
+
+    def test_architecture_routes_by_parsed_type(self):
+        text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+        for term in (
+            "parse_statement", "parsed node's type",
+            "commit runs the buffered statements",
+        ):
+            assert term in text, f"ARCHITECTURE.md does not explain {term!r}"
+
+    def test_ci_runs_every_example(self):
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        assert "for example in examples/*.py; do" in ci
