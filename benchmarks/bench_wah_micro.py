@@ -11,8 +11,10 @@ import pytest
 
 from repro.bitmap import WAHBitmap
 from repro.bitmap.batch import (
+    PackedBitmaps,
     batch_decode_vids,
     batch_first_set,
+    batch_from_positions,
     batch_select,
 )
 
@@ -24,6 +26,7 @@ _sparse_positions = np.sort(
 ).astype(np.int64)
 _dense_bm = WAHBitmap.from_dense(_dense)
 _sparse_bm = WAHBitmap.from_positions(_sparse_positions, _N)
+_sparse_column = PackedBitmaps.pack([_sparse_bm])
 _select_positions = np.sort(
     _rng.choice(_N, 10_000, replace=False)
 ).astype(np.int64)
@@ -50,7 +53,7 @@ def test_micro_positions_sparse(benchmark):
 def test_micro_select_sparse(benchmark):
     benchmark.group = "wah micro (1M bits)"
     benchmark.name = "select 10k (sparse)"
-    benchmark(lambda: batch_select([_sparse_bm], _select_positions))
+    benchmark(lambda: batch_select(_sparse_column, _select_positions))
 
 
 def test_micro_logical_and(benchmark):
@@ -64,18 +67,12 @@ def test_micro_batch_column(benchmark):
     benchmark.group = "wah micro (column of 1000 bitmaps)"
     vids = _rng.integers(0, 1_000, 100_000)
     vids[:1000] = np.arange(1000)
+    # The packed column the engine holds (``BitmapColumn.from_vids``):
+    # one word buffer, no bitmap object per value.
     order = np.argsort(vids, kind="stable")
-    sorted_vids = vids[order]
-    bounds = np.concatenate(
-        ([0], np.flatnonzero(np.diff(sorted_vids)) + 1, [len(vids)])
-    )
-    bitmaps = [
-        WAHBitmap.from_positions(
-            np.sort(order[bounds[i]:bounds[i + 1]]), len(vids)
-        )
-        for i in range(1000)
-    ]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(vids))))
+    column = batch_from_positions(order, bounds, len(vids))
     benchmark.name = "batch_first_set + decode"
     benchmark(
-        lambda: (batch_first_set(bitmaps), batch_decode_vids(bitmaps, len(vids)))
+        lambda: (batch_first_set(column), batch_decode_vids(column, len(vids)))
     )

@@ -15,16 +15,17 @@ from repro.bitmap.wah import WAHBitmap
 
 
 def union_disjoint(bitmaps, nbits: int) -> WAHBitmap:
-    """OR of pairwise-disjoint bitmaps (e.g. several values of one column).
+    """OR of pairwise-disjoint bitmaps (e.g. several values of one column,
+    packed: ``column.bitmaps.take(vids)``).
 
     ``O(total set bits)`` — one batched extraction of every bitmap's
     positions, then one sort.
     """
-    positions, _ = batch_positions(list(bitmaps))
+    positions, _ = batch_positions(bitmaps)
     return WAHBitmap.from_positions(np.sort(positions), nbits)
 
 
 def union(bitmaps, nbits: int) -> WAHBitmap:
     """OR of arbitrary (possibly overlapping) bitmaps."""
-    positions, _ = batch_positions(list(bitmaps))
+    positions, _ = batch_positions(bitmaps)
     return WAHBitmap.from_positions(np.unique(positions), nbits)

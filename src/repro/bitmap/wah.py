@@ -155,21 +155,15 @@ class WAHBitmap:
     # ------------------------------------------------------------------
 
     @classmethod
-    def _from_pieces(cls, start, length, word, nbits: int,
-                     count: int | None = None) -> "WAHBitmap":
-        """One bitmap of :func:`_encode_runs` pieces."""
-        words, _ = _encode_runs(start, length, word, (0, len(start)), nbits)
-        return cls(words, nbits, _count=count)
-
-    @classmethod
     def _from_group_words(cls, group_words: np.ndarray, nbits: int,
                           count: int | None = None) -> "WAHBitmap":
         """Encode the full array of 31-bit group words; its non-zero
-        groups are the pieces."""
+        groups are the :func:`_encode_runs` pieces."""
         nonzero = np.flatnonzero(group_words)
-        return cls._from_pieces(
-            nonzero, None, group_words[nonzero], nbits, count
+        words, _ = _encode_runs(
+            nonzero, None, group_words[nonzero], (0, len(nonzero)), nbits
         )
+        return cls(words, nbits, _count=count)
 
     @classmethod
     def zeros(cls, nbits: int) -> "WAHBitmap":
@@ -202,11 +196,11 @@ class WAHBitmap:
         columns.  The one-segment case of
         :func:`repro.bitmap.batch.batch_from_positions`.
         """
-        from repro.bitmap.batch import _build_words
+        from repro.bitmap.batch import batch_from_positions
 
         pos = np.asarray(positions, dtype=np.int64)
-        words, _, _ = _build_words(pos, (0, len(pos)), nbits)
-        return cls(words, nbits, _count=len(pos))
+        packed = batch_from_positions(pos, (0, len(pos)), nbits)
+        return cls(packed.words, nbits, _count=len(pos))
 
     @classmethod
     def from_intervals(cls, starts, ends, nbits: int) -> "WAHBitmap":
@@ -214,48 +208,13 @@ class WAHBitmap:
 
         ``starts[i] <= ends[i] <= starts[i+1]``; empty intervals are
         ignored and touching ones meet in one run.  Runs in
-        ``O(len(starts))``.
+        ``O(len(starts))``.  The one-segment case of
+        :func:`repro.bitmap.batch.batch_from_intervals`.
         """
-        lo = np.asarray(starts, dtype=np.int64)
-        hi = np.asarray(ends, dtype=np.int64)
-        if len(lo) != len(hi):
-            raise BitmapError("starts and ends must have equal length")
-        keep = hi > lo
-        lo, hi = lo[keep], hi[keep]
-        if len(lo) and (lo[0] < 0 or hi[-1] > nbits):
-            raise BitmapError("interval out of range")
-        if np.any(lo[1:] < hi[:-1]):
-            raise BitmapError("intervals must be disjoint and sorted")
+        from repro.bitmap.batch import batch_from_intervals
 
-        # Each interval is up to three pieces, in bit order: a head
-        # fragment (the whole interval when it sits inside one group),
-        # the whole groups it covers, and a tail fragment.
-        first_edge = -(-lo // GROUP_BITS) * GROUP_BITS
-        last_edge = hi // GROUP_BITS * GROUP_BITS
-        head_end = np.minimum(first_edge, hi)
-        piece_lo = np.column_stack(
-            (lo, first_edge, np.maximum(last_edge, head_end))
-        ).ravel()
-        piece_hi = np.column_stack((head_end, last_edge, hi)).ravel()
-        keep = piece_hi > piece_lo
-        piece_lo, piece_hi = piece_lo[keep], piece_hi[keep]
-        width = piece_hi - piece_lo
-        start = piece_lo // GROUP_BITS
-        # A fragment's mask; whole groups come out as FULL_GROUP.
-        word = (
-            ((1 << np.minimum(width, GROUP_BITS)) - 1)
-            << (piece_lo - start * GROUP_BITS)
-        ).astype(np.uint32)
-        length = np.maximum(width // GROUP_BITS, 1)
-
-        # Fragments of neighbouring intervals that share a group OR-merge.
-        first = np.ones(len(start), dtype=bool)
-        first[1:] = start[1:] != start[:-1]
-        at = np.flatnonzero(first)
-        return cls._from_pieces(
-            start[at], length[at], np.bitwise_or.reduceat(word, at), nbits,
-            int(width.sum()),
-        )
+        packed = batch_from_intervals(starts, ends, (0, len(starts)), nbits)
+        return cls(packed.words, nbits, _count=int(packed.counts[0]))
 
     # ------------------------------------------------------------------
     # Basic properties

@@ -32,12 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bitmap.batch import batch_from_positions
-from repro.bitmap.wah import WAHBitmap
+from repro.bitmap.batch import batch_from_intervals, batch_from_positions
 from repro.core.status import EvolutionStatus
 from repro.smo.ops import MergeTables
 from repro.storage.column import BitmapColumn
-from repro.storage.dictionary import Dictionary
 from repro.storage.schema import TableSchema
 from repro.storage.table import Table
 
@@ -73,23 +71,17 @@ def _pass1_single(left: Table, right: Table, attr: str,
     s_counts = s_col.value_counts()
     t_counts = t_col.value_counts()
 
+    # The common join values, in S's vid order: one dictionary probe.
+    tvid_of_svid = t_col.dictionary.lookup(s_col.dictionary)
+    group_svids = np.flatnonzero(tvid_of_svid >= 0)
+    group_tvids = tvid_of_svid[group_svids]
+    cids = np.arange(len(group_svids), dtype=np.int64)
     svid_to_cid = np.full(s_col.distinct_count, -1, dtype=np.int64)
     tvid_to_cid = np.full(t_col.distinct_count, -1, dtype=np.int64)
-    group_svids = []
-    n1_list = []
-    n2_list = []
-    for svid, value in enumerate(s_col.dictionary.values()):
-        tvid = t_col.dictionary.vid_or_none(value)
-        if tvid is None:
-            continue
-        cid = len(group_svids)
-        svid_to_cid[svid] = cid
-        tvid_to_cid[tvid] = cid
-        group_svids.append(svid)
-        n1_list.append(int(s_counts[svid]))
-        n2_list.append(int(t_counts[tvid]))
-    n1 = np.array(n1_list, dtype=np.int64)
-    n2 = np.array(n2_list, dtype=np.int64)
+    svid_to_cid[group_svids] = cids
+    tvid_to_cid[group_tvids] = cids
+    n1 = s_counts[group_svids].astype(np.int64)
+    n2 = t_counts[group_tvids].astype(np.int64)
     sizes = n1 * n2
     offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
     status.emit(
@@ -103,7 +95,7 @@ def _pass1_single(left: Table, right: Table, attr: str,
     status.decompressed_column(2)
     return _JoinGroups(
         n1, n2, offsets, s_cid, t_cid,
-        {attr: np.array(group_svids, dtype=np.int64)},
+        {attr: group_svids},
         int(sizes.sum()),
     )
 
@@ -118,14 +110,7 @@ def _pass1_composite(left: Table, right: Table, join_attrs,
         s_col = left.column(attr)
         t_col = right.column(attr)
         s_matrix[:, index] = s_col.decode_vids()
-        remap = np.array(
-            [
-                -1 if (v := s_col.dictionary.vid_or_none(value)) is None
-                else v
-                for value in t_col.dictionary.values()
-            ],
-            dtype=np.int64,
-        )
+        remap = s_col.dictionary.lookup(t_col.dictionary)
         t_matrix[:, index] = remap[t_col.decode_vids()]
         status.decompressed_column(2)
     t_valid = ~np.any(t_matrix < 0, axis=1)
@@ -190,6 +175,25 @@ def _grouped_rank(cids: np.ndarray, n_groups: int) -> np.ndarray:
     return ranks
 
 
+def _interval_column(column: BitmapColumn, vids, starts, ends,
+                     total: int) -> BitmapColumn:
+    """A ``total``-row column of ``column``'s values in which value
+    ``vids[k]`` holds rows ``[starts[k], ends[k])``: the intervals are
+    grouped by value, in vid order, and every value's bitmap is built
+    by one batched call."""
+    order = np.lexsort((starts, vids))
+    sorted_vids = vids[order]
+    firsts = np.flatnonzero(np.diff(sorted_vids, prepend=-1))
+    return BitmapColumn(
+        column.name, column.dtype,
+        column.dictionary.subset(sorted_vids[firsts].tolist()),
+        batch_from_intervals(
+            starts[order], ends[order], np.append(firsts, len(order)), total
+        ),
+        total,
+    )
+
+
 def _build_join_column(
     column: BitmapColumn,
     groups: _JoinGroups,
@@ -197,33 +201,10 @@ def _build_join_column(
     total: int,
 ) -> BitmapColumn:
     """R's join-attribute column: per group one pure interval fill."""
-    group_vids = groups.group_value_vids[attr]
-    sizes = groups.n1 * groups.n2
-    ends = groups.offsets + sizes
-    # Group intervals are consecutive in group order; collect per vid.
-    order = np.lexsort((groups.offsets, group_vids))
-    dictionary = Dictionary()
-    bitmaps = []
-    boundaries = np.concatenate(
-        (
-            [0],
-            np.flatnonzero(np.diff(group_vids[order])) + 1,
-            [len(order)],
-        )
+    return _interval_column(
+        column, groups.group_value_vids[attr], groups.offsets,
+        groups.offsets + groups.n1 * groups.n2, total,
     )
-    for b in range(len(boundaries) - 1):
-        lo, hi = int(boundaries[b]), int(boundaries[b + 1])
-        if lo == hi:
-            continue
-        chunk = order[lo:hi]
-        vid = int(group_vids[chunk[0]])
-        dictionary.add(column.dictionary.value(vid))
-        bitmaps.append(
-            WAHBitmap.from_intervals(
-                groups.offsets[chunk], ends[chunk], total
-            )
-        )
-    return BitmapColumn(column.name, column.dtype, dictionary, bitmaps, total)
 
 
 def _build_s_side_column(
@@ -238,36 +219,12 @@ def _build_s_side_column(
     status.decompressed_column()
     kept = groups.s_cid >= 0
     cids = groups.s_cid[kept]
-    ranks = s_rank[kept]
-    starts = groups.offsets[cids] + ranks * groups.n2[cids]
-    ends = starts + groups.n2[cids]
-    kept_vids = vids[kept]
-
-    order = np.lexsort((starts, kept_vids))
-    sorted_vids = kept_vids[order]
-    sorted_starts = starts[order]
-    sorted_ends = ends[order]
-    dictionary = Dictionary()
-    bitmaps = []
-    if len(order):
-        boundaries = np.concatenate(
-            (
-                [0],
-                np.flatnonzero(np.diff(sorted_vids)) + 1,
-                [len(order)],
-            )
-        )
-        for b in range(len(boundaries) - 1):
-            lo, hi = int(boundaries[b]), int(boundaries[b + 1])
-            vid = int(sorted_vids[lo])
-            dictionary.add(column.dictionary.value(vid))
-            bitmaps.append(
-                WAHBitmap.from_intervals(
-                    sorted_starts[lo:hi], sorted_ends[lo:hi], total
-                )
-            )
-    status.created_bitmaps(len(bitmaps))
-    return BitmapColumn(column.name, column.dtype, dictionary, bitmaps, total)
+    starts = groups.offsets[cids] + s_rank[kept] * groups.n2[cids]
+    result = _interval_column(
+        column, vids[kept], starts, starts + groups.n2[cids], total
+    )
+    status.created_bitmaps(result.distinct_count)
+    return result
 
 
 def _build_t_side_column(
@@ -306,9 +263,7 @@ def _build_t_side_column(
     order = np.lexsort((positions, vid_per_position))
     sorted_vids = vid_per_position[order]
     starts = np.flatnonzero(np.diff(sorted_vids, prepend=-1))
-    dictionary = Dictionary(
-        column.dictionary.value(vid) for vid in sorted_vids[starts].tolist()
-    )
+    dictionary = column.dictionary.subset(sorted_vids[starts].tolist())
     bitmaps = batch_from_positions(
         positions[order], np.append(starts, len(order)), total
     )

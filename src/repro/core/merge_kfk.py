@@ -29,8 +29,7 @@ from repro.storage.table import Table
 def keys_all_present(s_col: BitmapColumn, t_col: BitmapColumn) -> bool:
     """Cheap referential-integrity probe on dictionaries only: every join
     value of ``S`` appears in ``T``."""
-    t_dict = t_col.dictionary
-    return all(value in t_dict for value in s_col.dictionary.values())
+    return bool(np.all(t_col.dictionary.lookup(s_col.dictionary) >= 0))
 
 
 def _t_row_of_svid_single(s_col: BitmapColumn, t_col: BitmapColumn
@@ -39,11 +38,12 @@ def _t_row_of_svid_single(s_col: BitmapColumn, t_col: BitmapColumn
 
     Uses only compressed-domain operations on ``T``: the key property
     means each value's bitmap in ``T`` has exactly one set bit, located
-    with ``first_set``.
+    with ``first_set``; the S values are looked up in ``T``'s
+    dictionary in one call.
     """
-    from repro.bitmap.batch import batch_count, batch_first_set
+    from repro.bitmap.batch import batch_first_set
 
-    counts = batch_count(t_col.bitmaps)
+    counts = t_col.value_counts()
     if np.any(counts != 1):
         bad_vid = int(np.flatnonzero(counts != 1)[0])
         raise EvolutionError(
@@ -52,12 +52,10 @@ def _t_row_of_svid_single(s_col: BitmapColumn, t_col: BitmapColumn
             f"{int(counts[bad_vid])} times"
         )
     t_first = batch_first_set(t_col.bitmaps)
-    rows = np.full(s_col.distinct_count, -1, dtype=np.int64)
-    t_dict = t_col.dictionary
-    for svid, value in enumerate(s_col.dictionary.values()):
-        tvid = t_dict.vid_or_none(value)
-        if tvid is not None:
-            rows[svid] = t_first[tvid]
+    tvids = t_col.dictionary.lookup(s_col.dictionary)
+    rows = np.full(len(tvids), -1, dtype=np.int64)
+    found = tvids >= 0
+    rows[found] = t_first[tvids[found]]
     return rows
 
 
@@ -85,13 +83,7 @@ def _t_row_per_s_row(
         t_col = right.column(attr)
         s_matrix[:, k] = s_col.decode_vids()
         status.decompressed_column()
-        remap = np.array(
-            [
-                -1 if (v := s_col.dictionary.vid_or_none(value)) is None else v
-                for value in t_col.dictionary.values()
-            ],
-            dtype=np.int64,
-        )
+        remap = s_col.dictionary.lookup(t_col.dictionary)
         t_matrix[:, k] = remap[t_col.decode_vids()]
         status.decompressed_column()
     # T rows holding values never seen in S cannot match any S row; give

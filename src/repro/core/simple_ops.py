@@ -11,7 +11,7 @@ table size; DROP/RENAME COLUMN are metadata.
 
 from __future__ import annotations
 
-from repro.bitmap.wah import WAHBitmap
+from repro.bitmap.batch import batch_from_intervals
 from repro.core.status import EvolutionStatus
 from repro.smo.ops import (
     AddColumn,
@@ -114,7 +114,7 @@ def add_column(
                 op.column.name,
                 op.column.dtype,
                 Dictionary([value]),
-                [WAHBitmap.ones(table.nrows)],
+                batch_from_intervals([0], [table.nrows], [0, 1], table.nrows),
                 table.nrows,
             )
             status.created_bitmaps(1)

@@ -729,7 +729,7 @@ def _table_batch_ordered(
     )
     decoded = None
     for vid in vids.tolist():
-        positions = column.bitmaps[vid].positions()
+        positions = column.bitmap_for_vid(vid).positions()
         if dense is not None:
             positions = positions[dense[positions]]
         if not len(positions):

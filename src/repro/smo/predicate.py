@@ -140,9 +140,9 @@ class Comparison(Predicate):
         vids = self._matching_vids(column)
         if len(vids) == 1:
             return column.bitmap_for_vid(vids[0])
-        return union_disjoint(
-            [column.bitmap_for_vid(v) for v in vids], table.nrows
-        )
+        # Several values: their word ranges, gathered from the packed
+        # buffer, are extracted in one pass.
+        return union_disjoint(column.bitmaps.take(vids), table.nrows)
 
     def __str__(self) -> str:
         if self.op == IN:

@@ -2,8 +2,11 @@
 
 A :class:`BitmapColumn` stores one compressed bitmap per distinct value
 (the ``v × r`` matrix of paper Section 2.2): bit ``k`` of value ``u``'s
-bitmap is set iff row ``k`` holds ``u``.  All evolution algorithms work
-on this representation; the expensive "materialize the rows" path is
+bitmap is set iff row ``k`` holds ``u``.  The bitmaps are packed
+(:class:`~repro.bitmap.batch.PackedBitmaps`): one word buffer, one word
+offset per value and each value's set-bit count, which every batched
+kernel reads and writes as it is.  All evolution algorithms work on
+this representation; the expensive "materialize the rows" path is
 :meth:`decode_vids` / :meth:`to_values`, and callers that care (the
 engine, the benchmarks) count how often it runs.
 """
@@ -12,8 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bitmap.batch import (
+    PackedBitmaps,
+    batch_concat_positions,
+    batch_decode_vids,
+    batch_from_positions,
+    batch_select,
+    batch_split,
+)
 from repro.bitmap.stats import CompressionStats
-from repro.errors import StorageError
+from repro.errors import BitmapError, StorageError
 from repro.storage.dictionary import Dictionary
 from repro.storage.types import DataType, coerce
 
@@ -24,12 +35,20 @@ class BitmapColumn:
     __slots__ = ("name", "dtype", "_dictionary", "_bitmaps", "_nrows")
 
     def __init__(self, name: str, dtype: DataType, dictionary: Dictionary,
-                 bitmaps: list, nrows: int):
+                 bitmaps, nrows: int):
+        """``bitmaps`` is a :class:`PackedBitmaps`, or a sequence of
+        ``WAHBitmap`` packed here; each must have ``nrows`` bits."""
         self.name = name
         self.dtype = dtype
         self._dictionary = dictionary
-        self._bitmaps = bitmaps
         self._nrows = int(nrows)
+        try:
+            bitmaps = PackedBitmaps.pack(bitmaps, self._nrows)
+        except BitmapError as exc:
+            raise StorageError(
+                f"column {name!r} of {self._nrows} rows: {exc}"
+            ) from exc
+        self._bitmaps = bitmaps
         if len(bitmaps) != len(dictionary):
             raise StorageError(
                 f"column {name!r}: {len(bitmaps)} bitmaps for "
@@ -61,8 +80,6 @@ class BitmapColumn:
         """Build from a pre-encoded vid array (row order): one stable
         sort groups the row positions by vid, one batched constructor
         builds every value's bitmap."""
-        from repro.bitmap.batch import batch_from_positions
-
         nrows = len(vids)
         order = np.argsort(vids, kind="stable")
         bounds = np.concatenate(
@@ -88,11 +105,13 @@ class BitmapColumn:
         return self._dictionary
 
     @property
-    def bitmaps(self) -> list:
-        """Per-vid bitmaps (the live list; treat as read-only)."""
+    def bitmaps(self) -> PackedBitmaps:
+        """The packed per-vid bitmaps: a read-only sequence whose
+        items are ``WAHBitmap`` views over the column's word buffer."""
         return self._bitmaps
 
     def bitmap_for_vid(self, vid: int):
+        """The bitmap of ``vid``: a view over its words."""
         return self._bitmaps[vid]
 
     def bitmap_for_value(self, value):
@@ -108,9 +127,7 @@ class BitmapColumn:
 
     def value_counts(self) -> np.ndarray:
         """Occurrences of each value, by vid — compressed-domain counts."""
-        from repro.bitmap.batch import batch_count
-
-        return batch_count(self._bitmaps)
+        return self._bitmaps.counts
 
     def get(self, row: int):
         """Value at a single row (slow; for display and tests)."""
@@ -132,8 +149,6 @@ class BitmapColumn:
         memory.  CODS algorithms only call it where the paper's
         algorithms also scan sequentially (e.g. mergence pass 2).
         """
-        from repro.bitmap.batch import batch_decode_vids
-
         if self._nrows == 0:
             return np.empty(0, dtype=np.int64)
         try:
@@ -161,8 +176,6 @@ class BitmapColumn:
         ``compact=True`` values that vanish are dropped from the
         dictionary (PARTITION needs this; DECOMPOSE keys keep all).
         """
-        from repro.bitmap.batch import batch_select
-
         filtered, counts = batch_select(self._bitmaps, sorted_positions)
         return self._filtered(
             filtered, counts if compact else None, len(sorted_positions)
@@ -172,8 +185,6 @@ class BitmapColumn:
         """PARTITION's two-way bitmap filtering in one pass: the rows
         where the dense boolean ``mask`` is set and the rows where it is
         not, each as ``select(..., compact=True)`` would return them."""
-        from repro.bitmap.batch import batch_split
-
         (true_bitmaps, true_counts), (false_bitmaps, false_counts) = (
             batch_split(self._bitmaps, mask)
         )
@@ -183,14 +194,16 @@ class BitmapColumn:
             self._filtered(false_bitmaps, false_counts, len(mask) - ntrue),
         )
 
-    def _filtered(self, bitmaps: list, counts, nrows: int) -> "BitmapColumn":
+    def _filtered(self, bitmaps: PackedBitmaps, counts, nrows: int
+                  ) -> "BitmapColumn":
         """This column over ``nrows`` filtered rows; with ``counts`` (set
         bits per bitmap) the values that vanished are dropped."""
         dictionary = self._dictionary
         if counts is not None:
-            kept = np.flatnonzero(counts).tolist()
-            dictionary = dictionary.subset(kept)
-            bitmaps = [bitmaps[vid] for vid in kept]
+            kept = np.flatnonzero(counts)
+            if len(kept) < len(counts):
+                dictionary = dictionary.subset(kept.tolist())
+                bitmaps = bitmaps.take(kept)
         return BitmapColumn(self.name, self.dtype, dictionary, bitmaps, nrows)
 
     def concat(self, other: "BitmapColumn") -> "BitmapColumn":
@@ -198,17 +211,17 @@ class BitmapColumn:
 
         Bitmaps of shared values are concatenated; values present on only
         one side get a zero-extension on the other.  The left side's
-        words are spliced, not decoded (:func:`batch_concat_positions`).
+        words are spliced, not decoded (:func:`batch_concat_positions`),
+        and the right dictionary is mapped in one call.
         """
         if self.dtype != other.dtype:
             raise StorageError(
                 f"cannot union column {self.name!r}: type mismatch "
                 f"{self.dtype} vs {other.dtype}"
             )
-        from repro.bitmap.batch import batch_concat_positions
-
-        dictionary = self._dictionary.copy()
-        right_target = [dictionary.add(value) for value in other._dictionary]
+        dictionary, right_target = self._dictionary.extended(
+            other._dictionary
+        )
         bitmaps = batch_concat_positions(
             self._bitmaps, other._bitmaps, right_target,
             self._nrows, other._nrows,
@@ -230,10 +243,9 @@ class BitmapColumn:
 
     def compression_stats(self) -> CompressionStats:
         """Aggregate compressed size over all value bitmaps."""
-        total = CompressionStats(0, 0)
-        for bitmap in self._bitmaps:
-            total = total + CompressionStats(bitmap.nbits, bitmap.nbytes)
-        return total
+        return CompressionStats(
+            self._nrows * len(self._bitmaps), self._bitmaps.words.nbytes
+        )
 
     def same_content(self, other: "BitmapColumn") -> bool:
         """Row-by-row logical equality (dictionary order independent)."""

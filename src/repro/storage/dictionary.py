@@ -9,6 +9,8 @@ dictionary lookup.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from repro.errors import StorageError
@@ -45,6 +47,18 @@ class Dictionary:
         in that order."""
         values = self._values
         return Dictionary._of_distinct([values[vid] for vid in vids])
+
+    def extended(self, other: "Dictionary") -> tuple["Dictionary", np.ndarray]:
+        """A new dictionary: these values, then ``other``'s values that
+        are new, in ``other``'s order; and the vid there of each of
+        ``other``'s values.  One call, where a loop of :meth:`add`
+        would pay a Python call per value."""
+        ids = self._ids
+        extended = Dictionary._of_distinct(
+            self._values + [value for value in other._values
+                            if value not in ids]
+        )
+        return extended, extended.lookup(other._values)
 
     def add(self, value) -> int:
         """Insert ``value`` if new; return its vid."""
@@ -109,6 +123,14 @@ class Dictionary:
 
     def vid_or_none(self, value):
         return self._ids.get(value)
+
+    def lookup(self, values) -> np.ndarray:
+        """The vid of each of ``values``, ``-1`` where absent: one
+        vectorized dictionary probe."""
+        return np.fromiter(
+            map(self._ids.get, values, repeat(-1)), dtype=np.int64,
+            count=len(values),
+        )
 
     def value(self, vid: int):
         """Value stored under ``vid``."""

@@ -13,6 +13,10 @@ Layout (all integers little-endian):
 Bitmaps are stored in their *compressed* form byte-for-byte, so loading
 a table never decompresses anything — matching the paper's premise that
 data can move between disk and the evolution engine fully compressed.
+A column's blocks are written from and read into its packed word
+buffer in one vectorized pass each
+(:meth:`~repro.bitmap.batch.PackedBitmaps.to_blocks` /
+:meth:`~repro.bitmap.batch.PackedBitmaps.from_blocks`).
 
 Tables with a pending write buffer (:mod:`repro.delta`) persist that
 state in a ``.delta`` sidecar next to the ``.cods`` file:
@@ -39,14 +43,14 @@ leave a truncated or half-written table, sidecar or manifest behind.
 from __future__ import annotations
 
 import datetime
+import io
 import json
 import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.bitmap.batch import batch_validate
-from repro.bitmap.wah import WAHBitmap
+from repro.bitmap.batch import PackedBitmaps, batch_validate
 from repro.errors import (
     BitmapError,
     SchemaError,
@@ -164,8 +168,7 @@ def save_table(table: Table, path) -> None:
             )
             _write_block(handle, dictionary_json.encode())
             handle.write(struct.pack("<I", column.distinct_count))
-            for bitmap in column.bitmaps:
-                _write_block(handle, bitmap.to_bytes())
+            handle.write(column.bitmaps.to_blocks())
 
 
 def load_table(path) -> Table:
@@ -176,7 +179,8 @@ def load_table(path) -> Table:
     not describe exactly ``nrows`` bits raises
     :class:`SerializationError` naming the file and the column."""
     path = Path(path)
-    with path.open("rb") as handle:
+    data = path.read_bytes()
+    with io.BytesIO(data) as handle:
         if handle.read(4) != _MAGIC:
             raise SerializationError(f"{path}: not a .cods file")
         version, nrows = struct.unpack("<HQ", handle.read(10))
@@ -207,10 +211,10 @@ def load_table(path) -> Table:
                     f"{column_schema.name!r}"
                 )
             try:
-                bitmaps = [
-                    WAHBitmap.from_bytes(_read_block(handle))
-                    for _ in range(bitmap_count)
-                ]
+                bitmaps, end = PackedBitmaps.from_blocks(
+                    data, handle.tell(), bitmap_count, nrows
+                )
+                handle.seek(end)
                 batch_validate(bitmaps, nrows)
             except (BitmapError, SerializationError) as exc:
                 raise SerializationError(

@@ -26,7 +26,13 @@ from repro.errors import (
     WalCorruptionError,
 )
 from repro.smo import parse_smo
-from repro.storage import DataType, table_from_python, verify_table
+from repro.storage import (
+    BitmapColumn,
+    DataType,
+    Table,
+    table_from_python,
+    verify_table,
+)
 from repro.wal import records as wal_records
 from repro.wal import wal_path
 
@@ -43,23 +49,38 @@ def table():
     )
 
 
+def with_bitmap(table, name: str, vid: int, bitmap):
+    """``table`` with ``bitmap`` in place of value ``vid``'s bitmap of
+    column ``name``: a corrupted copy, built through the constructors."""
+    column = table.column(name)
+    bitmaps = list(column.bitmaps)
+    bitmaps[vid] = bitmap
+    columns = {other: table.column(other) for other in table.column_names}
+    columns[name] = BitmapColumn(
+        name, column.dtype, column.dictionary, bitmaps, column.nrows
+    )
+    return Table(table.schema, columns, table.nrows)
+
+
 class TestCorruptedBitmaps:
     def test_empty_value_bitmap_caught_by_distinction(self, table):
-        column = table.column("K")
-        column.bitmaps[1] = WAHBitmap.zeros(table.nrows)
+        column = with_bitmap(
+            table, "K", 1, WAHBitmap.zeros(table.nrows)
+        ).column("K")
         with pytest.raises(EvolutionError, match="stale"):
             distinction_bitmap(column, EvolutionStatus())
 
     def test_coverage_gap_caught_by_decode(self, table):
-        column = table.column("P")
-        column.bitmaps[0] = WAHBitmap.zeros(table.nrows)
+        column = with_bitmap(
+            table, "P", 0, WAHBitmap.zeros(table.nrows)
+        ).column("P")
         with pytest.raises(StorageError):
             column.decode_vids()
 
     def test_verify_pinpoints_overlap(self, table):
-        column = table.column("D")
-        column.bitmaps[0] = WAHBitmap.ones(table.nrows)
-        report = verify_table(table)
+        report = verify_table(
+            with_bitmap(table, "D", 0, WAHBitmap.ones(table.nrows))
+        )
         assert not report.ok
         assert any("D" in v for v in report.violations)
 
@@ -67,9 +88,8 @@ class TestCorruptedBitmaps:
         """Validation is schema-level; corruption surfaces at execution
         as a library error, never as silently wrong output."""
         engine = EvolutionEngine()
-        engine.load_table(table)
-        engine.table("R").column("K").bitmaps[0] = WAHBitmap.zeros(
-            table.nrows
+        engine.load_table(
+            with_bitmap(table, "K", 0, WAHBitmap.zeros(table.nrows))
         )
         with pytest.raises(CodsError):
             engine.apply(

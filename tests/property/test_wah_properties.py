@@ -11,10 +11,15 @@ from hypothesis import strategies as st
 
 from repro.bitmap import WAHBitmap
 from repro.bitmap.batch import (
+    PackedBitmaps,
     batch_concat_positions,
+    batch_count,
+    batch_first_set,
+    batch_from_intervals,
     batch_from_positions,
     batch_positions,
     batch_select,
+    batch_split,
 )
 from repro.bitmap.reference import encode_reference
 
@@ -297,3 +302,79 @@ def test_batch_positions_equals_dense_flatnonzero(bitmaps):
             flat[bounds[index]:bounds[index + 1]],
             np.flatnonzero(bitmap.to_dense()),
         )
+
+
+# Column lengths on, one below and one above a group boundary.
+column_sizes = st.one_of(
+    st.sampled_from([0, 1, 30, 31, 32, 61, 62, 63, 92, 93, 94]),
+    st.integers(0, 200),
+)
+
+
+@settings(max_examples=200)
+@given(
+    column_sizes.flatmap(
+        lambda nbits: st.tuples(
+            bitmaps_of(nbits), st.randoms(use_true_random=False)
+        )
+    )
+)
+def test_every_packed_kernel_writes_the_per_bitmap_words(case):
+    """Each kernel over a packed column — pack, take, select, split,
+    counts, first set bits, intervals and the ``.cods`` blocks — writes
+    exactly the words, counts and bytes the per-bitmap path writes, on
+    empty columns and zero segments too."""
+    import struct
+
+    bitmaps, rnd = case
+    nbits = bitmaps[0].nbits if bitmaps else rnd.choice([0, 31, 32])
+    packed = PackedBitmaps.pack(bitmaps, nbits)
+    dense = [bitmap.to_dense() for bitmap in bitmaps]
+
+    def same(got, want):
+        assert isinstance(got, PackedBitmaps)
+        assert got.offsets[0] == 0 and got.offsets[-1] == len(got.words)
+        assert len(got) == len(want)
+        for view, bitmap in zip(got, want):
+            assert view.nbits == bitmap.nbits
+            assert view.words.tolist() == bitmap.words.tolist()
+            assert view.count() == bitmap.count()
+
+    same(packed, bitmaps)
+    assert batch_count(packed).tolist() == [bm.count() for bm in bitmaps]
+    assert batch_first_set(packed).tolist() == [
+        bm.first_set() for bm in bitmaps
+    ]
+    picks = [rnd.randrange(len(bitmaps)) for _ in range(rnd.randrange(4))
+             if bitmaps]
+    same(packed.take(picks), [bitmaps[i] for i in picks])
+
+    mask = np.array([rnd.random() < 0.4 for _ in range(nbits)], dtype=bool)
+    selected, counts = batch_select(packed, np.flatnonzero(mask))
+    same(selected, [WAHBitmap.from_dense(bits[mask]) for bits in dense])
+    assert counts.tolist() == selected.counts.tolist()
+    (true, _), (false, _) = batch_split(packed, mask)
+    same(true, [WAHBitmap.from_dense(bits[mask]) for bits in dense])
+    same(false, [WAHBitmap.from_dense(bits[~mask]) for bits in dense])
+
+    runs = [intervals_of(bits) for bits in dense]
+    same(
+        batch_from_intervals(
+            np.concatenate([lo for lo, _ in runs] + [[]]),
+            np.concatenate([hi for _, hi in runs] + [[]]),
+            np.cumsum([0] + [len(lo) for lo, _ in runs]),
+            nbits,
+        ),
+        bitmaps,
+    )
+
+    blocks = packed.to_blocks()
+    assert blocks == b"".join(
+        struct.pack("<I", len(data)) + data
+        for data in (bitmap.to_bytes() for bitmap in bitmaps)
+    )
+    loaded, end = PackedBitmaps.from_blocks(
+        b"x" + blocks, 1, len(bitmaps), nbits
+    )
+    same(loaded, bitmaps)
+    assert end == 1 + len(blocks)

@@ -5,10 +5,12 @@ import pytest
 
 from repro.bitmap import WAHBitmap
 from repro.bitmap.batch import (
+    PackedBitmaps,
     batch_concat_positions,
     batch_count,
     batch_decode_vids,
     batch_first_set,
+    batch_from_intervals,
     batch_from_positions,
     batch_positions,
     batch_select,
@@ -102,7 +104,7 @@ class TestBatchFromPositions:
     segment, word for word — the loop it replaced is the reference."""
 
     def test_zero_segments(self):
-        assert built([], 100) == []
+        assert list(built([], 100)) == []
 
     def test_empty_segments_are_zero_bitmaps(self):
         for nbits in (1, 31, 32, 62, 100):
@@ -189,8 +191,9 @@ class TestBatchFilterAndConcat:
 
     def test_select_of_empty_column(self):
         filtered, counts = batch_select([WAHBitmap.zeros(0)], np.empty(0, int))
-        assert filtered == [WAHBitmap.zeros(0)] and counts.tolist() == [0]
-        assert batch_select([], np.array([1]))[0] == []
+        assert list(filtered) == [WAHBitmap.zeros(0)]
+        assert counts.tolist() == [0]
+        assert list(batch_select([], np.array([1]))[0]) == []
 
     def test_split_is_select_both_ways(self, random_column):
         _vids, bitmaps = random_column
@@ -239,3 +242,111 @@ class TestBatchFilterAndConcat:
         assert_same_bitmaps(
             batch_concat_positions([], left, [0, 1], 0, 3), left
         )
+
+
+class TestPackedBitmaps:
+    """A column's bitmaps live in one word buffer; the sequence hands
+    out views over it and the kernels read and write it whole."""
+
+    def packed(self):
+        vids = np.array([0, 1, 0, 2, 2, 2, 1, 0] * 9)
+        order = np.argsort(vids, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(vids))))
+        return vids, batch_from_positions(order, bounds, len(vids))
+
+    def test_views_share_the_buffer(self):
+        vids, packed = self.packed()
+        assert isinstance(packed, PackedBitmaps) and len(packed) == 3
+        assert packed.words.dtype == np.uint32
+        assert packed.offsets.tolist()[0] == 0
+        assert packed.offsets[-1] == len(packed.words)
+        for vid, view in enumerate(packed):
+            assert np.shares_memory(view.words, packed.words)
+            assert view.positions().tolist() == np.flatnonzero(
+                vids == vid
+            ).tolist()
+            assert view.count() == packed.counts[vid]
+        assert packed[-1] == packed[2]
+        assert packed[1:] == [packed[1], packed[2]]
+        with pytest.raises(IndexError):
+            packed[3]
+        with pytest.raises(TypeError):
+            packed[0] = packed[1]
+
+    def test_pack_of_views_and_take(self):
+        _vids, packed = self.packed()
+        repacked = PackedBitmaps.pack(list(packed))
+        assert repacked.words.tolist() == packed.words.tolist()
+        assert repacked.offsets.tolist() == packed.offsets.tolist()
+        assert repacked.counts.tolist() == packed.counts.tolist()
+        assert PackedBitmaps.pack(packed) is packed
+        taken = packed.take([2, 0])
+        assert_same_bitmaps(taken, [packed[2], packed[0]])
+        assert len(packed.take([])) == 0
+
+    def test_pack_rejects_mixed_lengths(self):
+        with pytest.raises(BitmapError, match="bits"):
+            PackedBitmaps.pack([WAHBitmap.zeros(4), WAHBitmap.zeros(5)])
+        _vids, packed = self.packed()
+        with pytest.raises(BitmapError, match="bits"):
+            PackedBitmaps.pack(packed, packed.nbits + 1)
+
+    def test_zeros(self):
+        for nbits in (0, 1, 31, 32, 100):
+            zeros = PackedBitmaps.zeros(3, nbits)
+            assert_same_bitmaps(zeros, [WAHBitmap.zeros(nbits)] * 3)
+
+    def test_blocks_are_the_per_bitmap_bytes(self):
+        """A column's stored blocks come out of its buffer in one pass,
+        byte for byte what ``to_bytes`` writes per bitmap — a bit count
+        past 2**32 included — and read back into the same buffer."""
+        import struct
+
+        _vids, column = self.packed()
+        for packed in (PackedBitmaps.zeros(3, 2**32 + 5), column):
+            blocks = packed.to_blocks()
+            assert blocks == b"".join(
+                struct.pack("<I", len(data)) + data
+                for data in (bitmap.to_bytes() for bitmap in packed)
+            )
+            loaded, end = PackedBitmaps.from_blocks(
+                blocks, 0, len(packed), packed.nbits
+            )
+            assert end == len(blocks)
+            assert loaded.words.tolist() == packed.words.tolist()
+            assert loaded.offsets.tolist() == packed.offsets.tolist()
+            assert loaded.counts.tolist() == packed.counts.tolist()
+
+    def test_column_rejects_a_bitmap_of_the_wrong_length(self):
+        from repro.storage import BitmapColumn, DataType, Dictionary
+
+        with pytest.raises(StorageError, match="'c'.*bits"):
+            BitmapColumn(
+                "c", DataType.INT, Dictionary([1, 2]),
+                [WAHBitmap.ones(3), WAHBitmap.zeros(4)], 3,
+            )
+
+
+class TestBatchFromIntervals:
+    def test_equals_per_segment_constructor(self):
+        segments = [([0, 40], [31, 100]), ([], []), ([5, 7], [7, 9]),
+                    ([0], [124])]
+        starts = [s for lo, _ in segments for s in lo]
+        ends = [e for _, hi in segments for e in hi]
+        bounds = np.cumsum([0] + [len(lo) for lo, _ in segments])
+        for nbits in (124, 125, 155):
+            packed = batch_from_intervals(starts, ends, bounds, nbits)
+            want = []
+            for lo, hi in segments:
+                dense = np.zeros(nbits, dtype=bool)
+                for a, b in zip(lo, hi):
+                    dense[a:b] = True
+                want.append(WAHBitmap.from_dense(dense))
+            assert_same_bitmaps(packed, want)
+
+    def test_overlap_only_within_a_segment_is_rejected(self):
+        # 10..20 then 5..8 is fine across a segment boundary...
+        batch_from_intervals([10, 5], [20, 8], [0, 1, 2], 40)
+        # ...and rejected within one.
+        with pytest.raises(BitmapError):
+            batch_from_intervals([10, 5], [20, 8], [0, 2], 40)

@@ -813,3 +813,34 @@ class TestOneStatementFrontDoor:
     def test_ci_runs_every_example(self):
         ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
         assert "for example in examples/*.py; do" in ci
+
+
+class TestPackedBitmapColumns:
+    """A column's bitmaps are one word buffer the kernels read and
+    write whole; a ``WAHBitmap`` is only a view handed out on request."""
+
+    def test_no_bitmap_object_per_value_in_the_kernels(self):
+        import inspect
+
+        import repro.bitmap.batch as batch
+
+        assert not hasattr(batch, "_bitmaps")
+        assert not hasattr(batch, "_build_words")
+        source = inspect.getsource(batch)
+        views = inspect.getsource(batch.PackedBitmaps.__getitem__) + (
+            inspect.getsource(batch.PackedBitmaps.__iter__)
+        )
+        assert source.count("WAHBitmap(") == views.count("WAHBitmap(") == 2
+        assert "np.concatenate(arrays)" not in inspect.getsource(
+            batch.WordDirectory
+        )
+
+    def test_architecture_describes_the_packed_column(self):
+        text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+        for term in (
+            "one word buffer", "`PackedBitmaps`", "read-only sequence",
+            "`batch_from_intervals`", "`PackedBitmaps.take`",
+        ):
+            assert term in text, f"ARCHITECTURE.md omits {term!r}"
+        migration = (REPO / "docs" / "migration.md").read_text()
+        assert "## Changed: packed bitmap columns" in migration

@@ -10,8 +10,9 @@ from repro.core.query import (
     select_where,
     value_exists,
 )
+from repro.errors import StorageError
 from repro.smo import And, Comparison, Not, Or
-from repro.storage import DataType, table_from_python
+from repro.storage import BitmapColumn, DataType, table_from_python
 from repro.storage.verify import (
     VerificationReport,
     verify_catalog,
@@ -93,27 +94,50 @@ class TestVerify:
         assert report.ok
         assert str(report) == "ok"
 
+    @staticmethod
+    def corrupted(column, bitmap):
+        """``column`` with ``bitmap`` in place of vid 0's bitmap, built
+        through the constructor."""
+        bitmaps = list(column.bitmaps)
+        bitmaps[0] = bitmap
+        return BitmapColumn(
+            column.name, column.dtype, column.dictionary, bitmaps,
+            column.nrows,
+        )
+
     def test_overlapping_bitmaps_detected(self, table):
         column = table.column("city")
         codec = type(column.bitmaps[0])
-        column.bitmaps[0] = codec.from_positions([0, 1], table.nrows)
-        report = verify_column(column)
+        report = verify_column(
+            self.corrupted(column, codec.from_positions([0, 1], table.nrows))
+        )
         assert not report.ok
         assert any("multiple values" in v for v in report.violations)
 
     def test_uncovered_rows_detected(self, table):
         column = table.column("city")
         codec = type(column.bitmaps[0])
-        column.bitmaps[0] = codec.zeros(table.nrows)
-        report = verify_column(column)
+        report = verify_column(
+            self.corrupted(column, codec.zeros(table.nrows))
+        )
         assert any("no value" in v for v in report.violations)
 
+    def test_bits_past_the_last_row_detected(self, table):
+        column = table.column("city")
+        codec = type(column.bitmaps[0])
+        # A one-fill of two groups: 62 set bits in a 6-row column.
+        long_fill = codec(np.array([0xC0000002], dtype=np.uint32), 6)
+        report = verify_column(self.corrupted(column, long_fill))
+        assert any("past the last row 5" in v for v in report.violations)
+
     def test_wrong_length_detected(self, table):
+        """A bitmap of the wrong length cannot make a column at all."""
         column = table.column("pop")
         codec = type(column.bitmaps[0])
-        column.bitmaps[0] = codec.zeros(3)
-        report = verify_column(column)
-        assert any("bits" in v for v in report.violations)
+        with pytest.raises(StorageError) as info:
+            self.corrupted(column, codec.zeros(3))
+        assert "bits" in str(info.value)
+        assert "'pop'" in str(info.value)
 
     def test_key_violation_detected(self):
         bad = table_from_python(

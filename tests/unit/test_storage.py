@@ -282,7 +282,9 @@ class TestBitmapColumn:
 
     def test_decode_vids_detects_corruption(self):
         column = BitmapColumn.from_values("c", DataType.INT, [1, 2])
-        column.bitmaps[0] = type(column.bitmaps[0]).zeros(2)
+        bitmaps = list(column.bitmaps)
+        bitmaps[0] = type(bitmaps[0]).zeros(2)
+        column = BitmapColumn("c", DataType.INT, column.dictionary, bitmaps, 2)
         with pytest.raises(StorageError):
             column.decode_vids()
 
