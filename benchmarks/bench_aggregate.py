@@ -4,8 +4,9 @@ codes vs the row-at-a-time oracle.
 
 The aggregation subsystem (``repro.exec.aggregate``) promises that a
 low-cardinality GROUP BY over the compressed main store never decodes
-a data row: COUNTs are a ``bincount`` of the column's cached vid array
-under the selection, and SUM/MIN/MAX/AVG are NumPy reductions of the
+a data row: COUNTs are the bitmaps' popcounts when nothing is selected
+and a ``bincount`` of the column's cached vid array at the selected
+positions otherwise, and SUM/MIN/MAX/AVG are NumPy reductions of the
 (group, value vid) joint counts against the dictionary's typed values
 instead of row values.  This measures that promise
 against a row-wise oracle — materialize every merged row as a tuple,

@@ -3,8 +3,8 @@
 
 The columnar read refactor (``repro.exec``) promises that a selective
 filtered scan never pays for the rows it rejects: the predicate is
-resolved to a selection bitmap in the compressed domain (main store)
-and through the delta hash indexes (write buffer), and only selected
+resolved to selected positions in the compressed domain (main store)
+and by the compiled evaluators (write buffer), and only selected
 rows are decoded.  This measures that against the *seed* row-at-a-time
 path — scan every merged row as a tuple, test the predicate row by
 row — on a 6-column table with a non-empty delta:

@@ -5,8 +5,7 @@ PVLDB 3(2), 2010).
 The package implements the paper's platform end to end:
 
 * :mod:`repro.bitmap` — WAH-compressed bitmaps, the one storage
-  encoding of every column, plus the dense selection vector of the
-  read path;
+  encoding of every column;
 * :mod:`repro.storage` — a bitmap-encoded column store with catalog,
   CSV and binary persistence;
 * :mod:`repro.fd` — functional-dependency theory (lossless-join checks);
@@ -65,7 +64,7 @@ from repro.baselines import (
     SqliteEvolution,
     make_system,
 )
-from repro.bitmap import PlainBitmap, WAHBitmap
+from repro.bitmap import WAHBitmap
 from repro.core import EvolutionEngine, EvolutionStatus
 from repro.db import Database, Session, Transaction, connect
 from repro.delta import (
@@ -157,7 +156,6 @@ __all__ = [
     "MutableColumnAdapter",
     "MutableTable",
     "PartitionTable",
-    "PlainBitmap",
     "QueryLevelEvolution",
     "RenameColumn",
     "RenameTable",

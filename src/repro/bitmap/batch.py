@@ -556,21 +556,23 @@ def batch_select(bitmaps, sorted_positions) -> tuple:
     """Bitmap-filter every bitmap of a column in one vectorized pass.
 
     Bit ``i`` of output bitmap ``k`` is bit ``sorted_positions[i]`` of
-    ``bitmaps[k]`` (a position past the end reads as zero).  Returns
-    ``(the filtered bitmaps, their set-bit counts)``, packed: all set
-    positions are extracted once (:func:`batch_positions`), their
-    survival and rank under ``sorted_positions`` is one
-    ``searchsorted``, and all output bitmaps are built by one
-    :func:`batch_from_positions`.
+    ``bitmaps[k]`` (a position past the end reads as zero; positions
+    are sorted and distinct).  Returns ``(the filtered bitmaps, their
+    set-bit counts)``, packed: all set positions are extracted once
+    (:func:`batch_positions`), each one's rank under
+    ``sorted_positions`` is read from one dense row → rank array (-1
+    for rows not picked; :func:`batch_split` takes the same step), and
+    all output bitmaps are built by one :func:`batch_from_positions`.
     """
+    packed = PackedBitmaps.pack(bitmaps)
     picks = np.asarray(sorted_positions, dtype=np.int64)
-    flat, bounds = batch_positions(bitmaps)
-    if len(picks) == 0:
-        flat = flat[:0]  # nothing survives; keeps picks[rank] in range
-    rank = np.searchsorted(picks, flat)
-    rank[rank == len(picks)] = 0
-    kept = np.flatnonzero(picks[rank] == flat)
-    del flat
+    inside = picks[:np.searchsorted(picks, packed.nbits)]
+    row_rank = np.full(packed.nbits, -1, dtype=np.int64)
+    row_rank[inside] = np.arange(len(inside))
+    flat, bounds = batch_positions(packed)
+    rank = row_rank[flat]
+    del flat, row_rank
+    kept = np.flatnonzero(rank >= 0)
     selected = batch_from_positions(
         rank[kept], np.searchsorted(kept, bounds), len(picks)
     )

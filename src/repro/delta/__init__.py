@@ -9,8 +9,8 @@ MVCC in Li et al., "Mainlining Databases", this package pairs each
 table with an uncompressed write buffer:
 
 * :class:`DeltaStore` — appended rows in plain column vectors plus
-  epoch-versioned deletion maps (the validity bitmaps) over the main
-  store and the buffer itself;
+  epoch-versioned deletion maps over the main store and the buffer
+  itself;
 * :class:`MutableTable` — the DML facade: ``insert``/``update``/
   ``delete`` land in the delta, reads merge delta + main at query time;
 * :class:`Snapshot` — an MVCC handle pinning one (generation, epoch)

@@ -40,7 +40,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.bitmap.plain import PlainBitmap
 from repro.delta.policy import (
     CompactionPolicy,
     CompactionProgress,
@@ -319,7 +318,7 @@ class MutableTable:
         """The currently visible rows as column batches (see
         ``repro.exec``): the main store as a
         :class:`~repro.exec.batch.TableBatch` selected by the current
-        validity bitmap, then the live buffered rows as a
+        validity, then the live buffered rows as a
         :class:`~repro.exec.batch.DeltaBatch` pinned at the current
         epoch.  This is the epoch-wise main+delta merge every query
         reads; row order matches :meth:`to_rows`."""
@@ -447,12 +446,7 @@ class MutableTable:
 
             main_positions = self._matching_main_positions(predicate)
             old_main = (
-                TableBatch(
-                    self._main,
-                    PlainBitmap.from_positions(
-                        main_positions, self._main.nrows
-                    ),
-                ).rows()
+                TableBatch(self._main, main_positions).rows()
                 if len(main_positions)
                 else []
             )

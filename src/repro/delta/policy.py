@@ -25,7 +25,7 @@ class DeltaStats:
     main_rows: int
     delta_rows: int       # buffered rows ever appended
     delta_live: int       # buffered rows still visible
-    deleted_main: int     # main rows masked by the validity bitmap
+    deleted_main: int     # main rows masked by deletions
     deleted_delta: int    # buffered rows deleted before compaction
     compactions: int      # compactions performed so far
     epoch: int = 0        # write-versioning counter (monotonic)

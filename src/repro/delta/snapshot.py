@@ -139,7 +139,7 @@ class Snapshot:
     def scan_batches(self) -> list:
         """The pinned view as column batches (see ``repro.exec``): one
         :class:`~repro.exec.batch.TableBatch` over the pinned main
-        generation, selected by the validity bitmap at the pinned
+        generation, selected by the validity at the pinned
         epoch, then one :class:`~repro.exec.batch.DeltaBatch` of the
         buffered rows live at that epoch.  Batch order reproduces
         :meth:`to_rows`'s row order exactly."""

@@ -8,7 +8,7 @@ the compressed-domain work is deferred to compaction.
 
 Every write is tagged with a monotonically increasing *epoch*, so any
 reader can ask for the buffer's state "as of epoch E" — the versioned
-validity bitmaps behind :class:`repro.delta.Snapshot` (see
+validity behind :class:`repro.delta.Snapshot` (see
 ``docs/ARCHITECTURE.md``, "The MVCC read path").  Epochs only grow, so
 ``insert_epochs`` never decreases and the rows appended by epoch E are
 a prefix of the buffer: visibility at E is that prefix less the
@@ -27,7 +27,6 @@ from bisect import bisect_right
 
 import numpy as np
 
-from repro.bitmap.plain import PlainBitmap
 from repro.errors import SerializationError, StorageError
 from repro.storage.schema import TableSchema
 
@@ -38,7 +37,7 @@ class DeltaStore:
     ``columns`` maps each column name to a plain Python list in append
     order and ``insert_epochs[i]`` records the epoch at which delta row
     ``i`` was appended.  ``deleted_main`` maps deleted row positions of
-    the main store (the inverse of its validity bitmap) to the epoch of
+    the main store (the complement of its validity) to the epoch of
     the deletion, and ``deleted_delta`` does the same for deleted
     indices of the buffer itself (a row inserted and then deleted before
     compaction).  A row is *visible at epoch E* when it was inserted at
@@ -320,7 +319,7 @@ class DeltaStore:
             validity = self.delta_validity(nrows, epoch)
         if validity is None:
             return list(range(nrows))
-        return validity.positions().tolist()
+        return validity.tolist()
 
     def live_counts(
         self, main_nrows: int, epoch: int | None = None
@@ -352,45 +351,45 @@ class DeltaStore:
             ]
 
     def main_validity(self, main_nrows: int, epoch: int | None = None):
-        """The main store's validity at ``epoch`` as a dense selection
-        bitmap (:class:`~repro.bitmap.plain.PlainBitmap`), or ``None``
-        when no main row is deleted — the main-side selection vector of
-        the batch read path (``repro.exec``)."""
+        """The main store's validity at ``epoch`` as sorted surviving
+        positions (``int64``), or ``None`` when no main row is deleted —
+        the main-side selection of the batch read path
+        (``repro.exec``)."""
         with self._lock:
             if epoch is None:
                 epoch = self.epoch
             dead = self._dead_main(main_nrows, epoch)
         if not dead:
             return None
-        bits = np.ones(main_nrows, dtype=bool)
-        bits[np.asarray(dead, dtype=np.int64)] = False
-        return PlainBitmap(bits)
+        keep = np.ones(main_nrows, dtype=bool)
+        keep[dead] = False
+        return np.flatnonzero(keep)
 
     def delta_validity(self, nrows: int, epoch: int | None = None):
         """The validity of the buffer's first ``nrows`` rows at
         ``epoch``, as :meth:`main_validity` (``None`` when all are
-        visible) — the selection vector of a ``DeltaBatch``."""
+        visible) — the selection of a ``DeltaBatch``."""
         with self._lock:
             if epoch is None:
                 epoch = self.epoch
             appended, dead = self._visible_delta(epoch, nrows)
         if appended == nrows and not dead:
             return None
-        bits = np.zeros(nrows, dtype=bool)
-        bits[:appended] = True
-        bits[np.asarray(dead, dtype=np.int64)] = False
-        return PlainBitmap(bits)
+        live = np.arange(appended, dtype=np.int64)
+        if dead:
+            live = np.delete(live, dead)
+        return live
 
     def surviving_main_positions(
         self, main_nrows: int, epoch: int | None = None
     ) -> np.ndarray:
         """Sorted main-store positions visible at ``epoch`` (the
-        versioned validity bitmap as a position array, ready for bitmap
+        versioned validity as a position array, ready for bitmap
         filtering)."""
         validity = self.main_validity(main_nrows, epoch)
         if validity is None:
             return np.arange(main_nrows, dtype=np.int64)
-        return validity.positions()
+        return validity
 
     def __repr__(self) -> str:
         return (

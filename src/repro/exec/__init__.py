@@ -2,24 +2,31 @@
 the façade.
 
 Everything under :mod:`repro.exec` moves *column batches* — parallel
-per-column value vectors plus a selection bitmap (a
-:class:`repro.bitmap.plain.PlainBitmap`) — instead of row tuples.  The
+per-column value vectors plus a selection, the sorted ``int64``
+positions still in play (``None`` for every row) — instead of row
+tuples.  The
 read path flows ``scan → filter → project → [hash_join] → limit`` over
 batches, and tuples are only materialized at the cursor/adapter
 boundary (:func:`iter_rows`).  Each batch kind evaluates predicates
 with the cheapest representation its source offers:
 
 * :class:`TableBatch` — the compressed main store; predicates resolve
-  in the compressed domain (``Predicate.bitmap``) without decoding;
+  in the compressed domain (``Predicate.bitmap``) without decoding,
+  and the result bitmap's set positions are the matches; its starting
+  selection is the main store's validity (``None`` while no main row
+  is deleted);
 * :class:`DeltaBatch` — the write buffer, and
   :class:`ValuesBatch` — already-decoded column vectors (the row-store
   and query-level baselines); both run predicates as compiled
-  per-column evaluators (:func:`compile_predicate`).
+  per-column evaluators (:func:`compile_predicate`), which return the
+  selected positions that satisfy them.
 
-Aggregation (GROUP BY, COUNT/SUM/MIN/MAX/AVG), DISTINCT and ORDER BY
-run in the same spirit — dictionary vids and bitmap popcounts on the
-main store, hash/sort fallbacks elsewhere, chosen by per-table
-statistics (:mod:`repro.exec.aggregate`).
+Filters compose by sorted intersection of positions, so a selection
+costs what it keeps.  Aggregation (GROUP BY, COUNT/SUM/MIN/MAX/AVG),
+DISTINCT and ORDER BY run in the same spirit — bitmap popcounts and
+each value's first row on an unselected main store, dictionary vids
+at the selected positions otherwise, hash/sort fallbacks elsewhere,
+chosen by per-table statistics (:mod:`repro.exec.aggregate`).
 
 See ``docs/ARCHITECTURE.md``, "The execution pipeline".
 """
@@ -38,7 +45,6 @@ from repro.exec.batch import (
     DeltaBatch,
     TableBatch,
     ValuesBatch,
-    mask_from_positions,
 )
 from repro.exec.operators import (
     DEFAULT_BATCH_ROWS,
@@ -71,7 +77,6 @@ __all__ = [
     "hash_join_rows",
     "iter_rows",
     "limit_rows",
-    "mask_from_positions",
     "ordered_rows",
     "validate_aggregate_select",
 ]

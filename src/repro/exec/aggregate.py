@@ -4,10 +4,14 @@ The dictionary-plus-bitmaps layout makes three classic read-path
 operations cheap *without decoding rows*:
 
 * **GROUP BY / aggregates** — a :class:`~repro.exec.batch.TableBatch`
-  groups by dictionary *vids*.  Every count is a ``bincount`` over a
-  column's cached row-order vid array (restricted to the selection):
-  per vid for an ungrouped aggregate, per (group code, value vid) pair
-  for a grouped one.  SUM/AVG/MIN/MAX are then NumPy reductions of
+  groups by dictionary *vids*.  With no selection (no WHERE, no
+  deleted main row) a value's row count is its bitmap's popcount
+  (``BitmapColumn.value_counts``): an ungrouped aggregate and a
+  one-column GROUP BY's groups and COUNT(*) read those counts and
+  touch no row.  Under a selection, or where a grouped value aggregate
+  needs joint (group code, value vid) counts, every count is a
+  ``bincount`` over columns' cached row-order vid arrays, taken at the
+  selected positions.  SUM/AVG/MIN/MAX are then NumPy reductions of
   those O(distinct) pair counts against the dictionary's values held
   as a typed array (``int64``, ``float64`` or ``object``, one code
   path for all three).  Group keys decode by an array take on each
@@ -21,8 +25,11 @@ operations cheap *without decoding rows*:
   ``np.lexsort``.
 * **DISTINCT** — on a single dictionary-backed column, distinct values
   are the live vids; enumeration orders them by first selected
-  position, taken from the cached vid array with or without a
-  selection, reproducing the streaming-dedup row order exactly.
+  position, reproducing the streaming-dedup row order exactly.  With
+  no selection that order is each value's first row (its bitmap's
+  first set bit, the paper's distinction), found once per main
+  generation and cached; under a selection it is read from the cached
+  vid array at the selected positions.
 * **ORDER BY** — each value bitmap's positions are an already-sorted
   run, so the main store emits presorted runs in the dictionary's
   cached value order that merge (``heapq.merge``) with the sorted
@@ -37,6 +44,7 @@ returns is what EXPLAIN renders.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -46,7 +54,12 @@ from collections import Counter
 import numpy as np
 
 from repro.errors import SqlExecutionError
-from repro.exec.batch import TableBatch, gather, project_rows
+from repro.exec.batch import (
+    TableBatch,
+    gather,
+    intersect_positions,
+    project_rows,
+)
 from repro.sql.ast import AGGREGATE_FUNCTIONS, Aggregate
 
 __all__ = [
@@ -318,7 +331,8 @@ def _require_numeric(agg, value):
 
 #: Per-(main-store table, key) arrays: row-order vid arrays keyed by
 #: column name, typed dictionary values keyed by ``("typed", name)``,
-#: mixed-radix group codes keyed by ``("codes", *group_names)``.
+#: mixed-radix group codes keyed by ``("codes", *group_names)``, the
+#: non-empty vids in first-row order keyed by ``("first", name)``.
 #: Tables are immutable — mutation swaps in a fresh ``Table`` object —
 #: so the weak keying doubles as invalidation, exactly like the
 #: decoded-row cache in :mod:`repro.delta.snapshot`.
@@ -347,13 +361,16 @@ def _decode_vids(table, name: str) -> np.ndarray:
 
 
 def _selected_value_counts(table, name: str, selection) -> np.ndarray:
-    """Per-vid selected-row counts of one main-store column: a
-    ``bincount`` over the cached row-order vid array, restricted to the
-    selection's rows when there is one."""
-    vids = _decode_vids(table, name)
-    if selection is not None:
-        vids = vids[selection.to_dense()]
-    return np.bincount(vids, minlength=table.column(name).distinct_count)
+    """Per-vid selected-row counts of one main-store column: the
+    bitmaps' popcounts with no selection, else a ``bincount`` over the
+    cached row-order vid array at the selected positions."""
+    column = table.column(name)
+    if selection is None:
+        return column.value_counts()
+    return np.bincount(
+        _decode_vids(table, name)[selection],
+        minlength=column.distinct_count,
+    )
 
 
 class _TypedValues:
@@ -430,13 +447,11 @@ def _typed_values(table, name: str) -> _TypedValues:
     )
 
 
-def _group_codes(table, group_names):
-    """Mixed-radix per-row codes combining the group columns' vids,
-    cached per table like the vid arrays they combine."""
-    sizes = [
-        max(1, table.column(name).distinct_count) for name in group_names
-    ]
-
+def _group_codes(table, group_names, sizes, selection) -> np.ndarray:
+    """Mixed-radix codes combining the group columns' vids (radix
+    ``sizes``) at the selected positions (every row when ``selection``
+    is ``None``).  The whole table's codes are cached per table like
+    the vid arrays they combine."""
     def build():
         codes = _decode_vids(table, group_names[0])
         for name, size in zip(group_names[1:], sizes[1:]):
@@ -444,7 +459,8 @@ def _group_codes(table, group_names):
         codes.flags.writeable = False
         return codes
 
-    return _cached(table, ("codes", *group_names), build), sizes
+    codes = _cached(table, ("codes", *group_names), build)
+    return codes if selection is None else codes[selection]
 
 
 def _keys_for_codes(table, group_names, codes, sizes) -> list[list]:
@@ -483,12 +499,14 @@ def _value_pairs(table, name, selection, grouping):
         group, counts = np.zeros_like(vid), per_vid[vid]
         group_codes = group[:1]
     else:
-        codes, space, dense, group_codes = grouping
+        row_codes, space, group_codes = grouping
         nvals = max(1, len(typed.values))
         vids = _decode_vids(table, name)
-        if dense is not None:
-            vids = vids[dense]
-        joint, counts = _nonzero_counts(codes * nvals + vids, space * nvals)
+        if selection is not None:
+            vids = vids[selection]
+        joint, counts = _nonzero_counts(
+            row_codes() * nvals + vids, space * nvals
+        )
         group, vid = np.divmod(joint, nvals)
     keep = ~typed.null[vid]
     if not keep.any():
@@ -504,7 +522,9 @@ def _value_pairs(table, name, selection, grouping):
 def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
     """Fold one main-store batch in the dictionary domain.
 
-    Per aggregate column the selected rows collapse to their joint
+    Groups and COUNT(*) come from the group columns' codes — from the
+    one group column's popcounts when there is no selection.  Per
+    aggregate column the selected rows collapse to their joint
     (group code, value vid) counts (:func:`_value_pairs`); each
     aggregate is then one NumPy reduction over those pairs
     (``add.reduceat`` of value × count for SUM/AVG, ``minimum`` /
@@ -517,16 +537,24 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
     table = batch.table
     selection = batch.selection
     if group_names:
-        dense = None if selection is None else selection.to_dense()
-        codes, sizes = _group_codes(table, group_names)
-        if dense is not None:
-            codes = codes[dense]
+        sizes = [
+            max(1, table.column(name).distinct_count) for name in group_names
+        ]
         space = math.prod(sizes)
-        group_codes, star_counts = _nonzero_counts(codes, space)
+        # The selected rows' codes, built only when first needed.
+        row_codes = functools.cache(
+            lambda: _group_codes(table, group_names, sizes, selection)
+        )
+        if selection is None and len(group_names) == 1:
+            counts = table.column(group_names[0]).value_counts()
+            group_codes = np.flatnonzero(counts)
+            star_counts = counts[group_codes]
+        else:
+            group_codes, star_counts = _nonzero_counts(row_codes(), space)
         keys = list(zip(*_keys_for_codes(
             table, group_names, group_codes, sizes
         )))
-        grouping = (codes, space, dense, group_codes)
+        grouping = (row_codes, space, group_codes)
     elif batch.selected_count:
         star_counts = np.array([batch.selected_count])
         keys = [()]
@@ -660,6 +688,31 @@ def aggregate_rows(
 # ----------------------------------------------------------------------
 
 
+def _by_first_occurrence(vids: np.ndarray, nvids: int) -> np.ndarray:
+    """The vids present in ``vids``, ordered by their first index."""
+    first = np.full(nvids, len(vids), dtype=np.int64)
+    # Fancy assignment keeps the last write per vid, so writing the
+    # ascending indexes reversed leaves each vid's first in place.
+    first[vids[::-1]] = np.arange(len(vids) - 1, -1, -1)
+    live = np.flatnonzero(first < len(vids))
+    return live[np.argsort(first[live])]
+
+
+def _first_row_order(table, name: str) -> np.ndarray:
+    """The vids of ``name`` with a non-empty bitmap, ordered by their
+    first row (their bitmap's first set bit) — the order streaming
+    dedup meets them in an unselected scan.  Read off the cached vid
+    array once per main generation; O(distinct) kept."""
+    def build():
+        order = _by_first_occurrence(
+            _decode_vids(table, name), table.column(name).distinct_count
+        )
+        order.flags.writeable = False
+        return order
+
+    return _cached(table, ("first", name), build)
+
+
 def _table_batch_distinct(batch: TableBatch, name: str) -> list:
     """Distinct values of one main-store column ordered by first
     *selected* position — the order streaming dedup would produce."""
@@ -667,18 +720,12 @@ def _table_batch_distinct(batch: TableBatch, name: str) -> list:
     nvids = table.column(name).distinct_count
     if nvids == 0:
         return []
-    vids = _decode_vids(table, name)
     if batch.selection is None:
-        positions = np.arange(len(vids))
+        live = _first_row_order(table, name)
     else:
-        positions = np.flatnonzero(batch.selection.to_dense())
-        vids = vids[positions]
-    first = np.full(nvids, -1, dtype=np.int64)
-    # Fancy assignment keeps the last write per vid, so writing the
-    # ascending positions reversed leaves each vid's first in place.
-    first[vids[::-1]] = positions[::-1]
-    live = np.flatnonzero(first >= 0)
-    live = live[np.argsort(first[live], kind="stable")]
+        live = _by_first_occurrence(
+            _decode_vids(table, name)[batch.selection], nvids
+        )
     return _typed_values(table, name).objects[live].tolist()
 
 
@@ -724,14 +771,12 @@ def _table_batch_ordered(
         np.concatenate((order, nulls)) if ascending
         else np.concatenate((nulls, order[::-1]))
     )
-    dense = (
-        batch.selection.to_dense() if batch.selection is not None else None
-    )
+    selection = batch.selection
     decoded = None
     for vid in vids.tolist():
         positions = column.bitmap_for_vid(vid).positions()
-        if dense is not None:
-            positions = positions[dense[positions]]
+        if selection is not None:
+            positions = intersect_positions(positions, selection)
         if not len(positions):
             continue
         if decoded is None:

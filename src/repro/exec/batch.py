@@ -3,17 +3,19 @@
 A batch is a window of physical rows from one source (a compressed
 main-store table, a delta write buffer, or plain decoded vectors) plus
 a *selection* — which of those rows are still in play.  The selection
-is a dense :class:`~repro.bitmap.plain.PlainBitmap` (``None`` meaning
-"every row"), so filters compose with bitmap ANDs instead of copying
-data: a predicate never moves values, it only tightens the selection.
-Values are materialized once, at the cursor/adapter boundary
+is a sorted, distinct ``int64`` array of physical positions (``None``
+meaning "every row"), so filters compose by sorted intersection instead
+of copying data: a predicate never moves values, it only narrows the
+positions.  A selection costs what it keeps, never a byte per table
+row.  Values are materialized once, at the cursor/adapter boundary
 (:meth:`ColumnBatch.rows`), and only for selected rows.
 
 A predicate runs in one of two domains: :meth:`TableBatch._matches`
-resolves it to bitmaps in the compressed domain, and every batch over
-plain vectors — :class:`ValuesBatch` and the write buffer's
-:class:`DeltaBatch` — shares :meth:`ValuesBatch._matches`, the compiled
-per-column evaluators of :mod:`repro.exec.predicate`.
+resolves it to bitmaps in the compressed domain and reads their set
+positions, and every batch over plain vectors — :class:`ValuesBatch`
+and the write buffer's :class:`DeltaBatch` — shares
+:meth:`ValuesBatch._matches`, the compiled per-column evaluators of
+:mod:`repro.exec.predicate`.
 """
 
 from __future__ import annotations
@@ -22,17 +24,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from repro.bitmap.plain import PlainBitmap
 from repro.delta.snapshot import decoded_main_rows
 from repro.exec.predicate import compile_predicate, gather
-
-
-def mask_from_positions(positions, nbits: int) -> PlainBitmap:
-    """A dense selection bitmap with exactly ``positions`` set."""
-    bits = np.zeros(nbits, dtype=bool)
-    if len(positions):
-        bits[np.asarray(positions, dtype=np.int64)] = True
-    return PlainBitmap(bits)
 
 
 def project_rows(rows, out_positions) -> list:
@@ -47,13 +40,34 @@ def project_rows(rows, out_positions) -> list:
     return [project(row) for row in rows]
 
 
-def _and_selection(selection, other: PlainBitmap) -> PlainBitmap:
-    """AND a selection (``None`` = all rows) with a dense bitmap."""
-    return other if selection is None else selection & other
+def _found(needles: np.ndarray, haystack: np.ndarray) -> np.ndarray:
+    """Which of ``needles`` occur in ``haystack``, both sorted and
+    distinct: one ``searchsorted`` of the needles into the haystack."""
+    at = np.searchsorted(haystack, needles)
+    np.minimum(at, len(haystack) - 1, out=at)
+    return haystack[at] == needles
+
+
+def intersect_positions(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Sorted positions in both ``left`` and ``right`` (each sorted and
+    distinct): the smaller side searched into the larger."""
+    if len(left) > len(right):
+        left, right = right, left
+    if not len(left):
+        return left
+    return left[_found(left, right)]
+
+
+def difference_positions(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Sorted positions in ``left`` but not in ``right`` (each sorted
+    and distinct)."""
+    if not len(left) or not len(right):
+        return left
+    return left[~_found(left, right)]
 
 
 class ColumnBatch:
-    """One window of rows, column-wise, with a selection bitmap.
+    """One window of rows, column-wise, with a selection of positions.
 
     Subclasses provide ``column_names``, ``physical_rows``, the
     predicate hook :meth:`_matches` and the materialization hook
@@ -66,7 +80,7 @@ class ColumnBatch:
     column_names: tuple[str, ...]
     physical_rows: int
 
-    def __init__(self, selection: PlainBitmap | None = None):
+    def __init__(self, selection: np.ndarray | None = None):
         self.selection = selection
 
     # -- selection algebra ---------------------------------------------
@@ -75,39 +89,36 @@ class ColumnBatch:
     def selected_count(self) -> int:
         if self.selection is None:
             return self.physical_rows
-        return self.selection.count()
+        return len(self.selection)
 
     def selected_positions(self) -> np.ndarray:
         """Sorted physical positions still selected."""
         if self.selection is None:
             return np.arange(self.physical_rows, dtype=np.int64)
-        return self.selection.positions()
+        return self.selection
 
-    def with_selection(self, selection: PlainBitmap | None) -> "ColumnBatch":
+    def with_selection(self, selection: np.ndarray | None) -> "ColumnBatch":
         """The same source under a different selection."""
         raise NotImplementedError  # pragma: no cover - interface
 
     def filter(self, predicate) -> "ColumnBatch":
-        """Tighten the selection to rows satisfying ``predicate``.
+        """Narrow the selection to rows satisfying ``predicate``.
 
-        No value ever moves: the predicate is resolved to a bitmap in
-        whatever domain the batch's source supports and ANDed in.
+        No value ever moves: the predicate is resolved to positions in
+        whatever domain the batch's source supports and intersected
+        with the selection.
         """
-        return self.with_selection(
-            _and_selection(self.selection, self._matches(predicate))
-        )
+        return self.with_selection(self._matches(predicate))
 
     def without(self, subset: "ColumnBatch") -> "ColumnBatch":
         """The same source less the rows ``subset`` — a proper
         :meth:`filter` of this batch — selects."""
         return self.with_selection(
-            _and_selection(self.selection, ~subset.selection)
+            difference_positions(self.selected_positions(), subset.selection)
         )
 
-    def _matches(self, predicate) -> PlainBitmap:
-        """Bitmap of physical rows satisfying ``predicate``.  May
-        over-approximate outside the current selection (the caller ANDs
-        it back in)."""
+    def _matches(self, predicate) -> np.ndarray:
+        """Sorted selected positions satisfying ``predicate``."""
         raise NotImplementedError  # pragma: no cover - interface
 
     # -- materialization (the boundary) --------------------------------
@@ -161,10 +172,9 @@ class ValuesBatch(ColumnBatch):
             self.column_names, self.columns, selection, self._source_rows
         )
 
-    def _matches(self, predicate) -> PlainBitmap:
+    def _matches(self, predicate) -> np.ndarray:
         positions = self.selected_positions()
-        hits = compile_predicate(predicate)(self.columns, positions)
-        return mask_from_positions(positions[hits], self.physical_rows)
+        return positions[compile_predicate(predicate)(self.columns, positions)]
 
     def rows(self, out_positions=None) -> list[tuple]:
         if out_positions is None and self.selection is None:
@@ -188,12 +198,15 @@ class TableBatch(ColumnBatch):
     table.Table`.
 
     The initial selection is the table's validity at the reader's epoch
-    (main rows masked by delta deletions).  Predicates are evaluated in
-    the *compressed domain* — ``Predicate.bitmap`` ORs the dictionary
-    values' bitmaps, so no row is decoded to be *rejected*.  Selected
-    rows are gathered from the per-generation decoded-rows cache (a
-    generation's columns never change, so the decode happens at most
-    once per generation however many queries read it).
+    (the main positions no delta deletion masks; ``None`` when none
+    does).  Predicates are evaluated in the *compressed domain* —
+    ``Predicate.bitmap`` ORs the dictionary values' bitmaps and ANDs a
+    conjunction's in WAH words, so no row is decoded to be *rejected*;
+    the result's set positions are the matches, intersected with the
+    selection.  Selected rows are gathered from the per-generation
+    decoded-rows cache (a generation's columns never change, so the
+    decode happens at most once per generation however many queries
+    read it).
     """
 
     __slots__ = ("table", "column_names", "physical_rows")
@@ -207,16 +220,18 @@ class TableBatch(ColumnBatch):
     def with_selection(self, selection) -> "TableBatch":
         return TableBatch(self.table, selection)
 
-    def _matches(self, predicate) -> PlainBitmap:
-        return PlainBitmap(predicate.bitmap(self.table).to_dense())
+    def _matches(self, predicate) -> np.ndarray:
+        matches = predicate.bitmap(self.table).positions()
+        if self.selection is None:
+            return matches
+        return intersect_positions(self.selection, matches)
 
     def rows(self, out_positions=None) -> list[tuple]:
         base = decoded_main_rows(self.table)
         if self.selection is not None:
-            positions = self.selection.positions()
-            if not len(positions):
+            if not len(self.selection):
                 return []
-            base = gather(base, positions)
+            base = gather(base, self.selection)
         return project_rows(base, out_positions)
 
 

@@ -5,7 +5,7 @@ reproduction: :class:`~repro.sql.executor.SqlExecutor` delegates every
 query — on every registered backend — here.  The plan is always the
 same lazy chain::
 
-    adapter.scan_batches ── filter (selection bitmaps) ── project
+    adapter.scan_batches ── filter (selected positions) ── project
         ── [hash_join] ── DISTINCT/ORDER BY ── LIMIT ── tuples
 
 with each stage choosing its strategy from the batch kind the adapter

@@ -3,7 +3,7 @@
 This is the "query execution engine" box of Figure 2 (right side).
 SELECTs are planned onto the vectorized batch pipeline of
 :mod:`repro.exec` — data flows column-wise from the storage engine
-through filter, projection and join, with selection bitmaps standing
+through filter, projection and join, with selected positions standing
 in for row movement, and tuples are materialized only at this
 adapter/cursor boundary.  DML and DDL dispatch to the adapter
 directly.  Both query-level baselines run their evolutions through

@@ -30,11 +30,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmap.plain import PlainBitmap
 from repro.db import Database
 from repro.delta import CompactionPolicy
 from repro.errors import SqlExecutionError
-from repro.exec.aggregate import aggregate_rows
+from repro.exec.aggregate import aggregate_rows, distinct_values
 from repro.exec.batch import TableBatch, ValuesBatch
 from repro.sql import (
     ColumnStoreAdapter,
@@ -438,12 +437,18 @@ _MEASURES = {
 }
 
 
+#: How a main-store batch's selection is drawn: no selection, every
+#: row selected explicitly, a few rows deleted, most rows deleted.
+#: "none" reads the bitmaps' popcounts, the others count at positions.
+SELECTION_KINDS = ("none", "all", "few", "most")
+
+
 @st.composite
-def typed_batches(draw):
-    """A main-store batch whose measure column ``v`` holds one kind of
-    value (NULLs mixed in), a selection deleting none, a few or most of
-    its rows, and optionally a live delta of the same kind."""
-    kind = draw(st.sampled_from(sorted(_MEASURES)))
+def typed_tables(draw, kinds=tuple(sorted(_MEASURES))):
+    """``(kind, schema, rows, table)``: a main-store table whose group
+    column ``g`` and measure column ``v`` both hold NULLs, ``v`` one
+    kind of value."""
+    kind = draw(st.sampled_from(kinds))
     dtype, values = _MEASURES[kind]
     measure = st.one_of(st.none(), values)
     group = st.one_of(st.none(), st.integers(0, 2))
@@ -463,20 +468,40 @@ def typed_batches(draw):
         columns[name] = BitmapColumn.from_vids(
             name, column_type, dictionary, vids
         )
-    table = Table(schema, columns, nrows)
-    deleted = draw(st.sampled_from(["none", "few", "most"]))
-    selection = None
-    if deleted != "none" and nrows:
-        positions = st.integers(0, nrows - 1)
-        if deleted == "few":
-            dense = np.ones(nrows, dtype=bool)
-            dense[draw(st.lists(positions, max_size=2))] = False
-        else:
-            dense = np.zeros(nrows, dtype=bool)
-            dense[draw(st.lists(positions, max_size=nrows // 3))] = True
-        selection = PlainBitmap(dense)
+    return kind, schema, rows, Table(schema, columns, nrows)
+
+
+@st.composite
+def selections(draw, nrows: int, kind: str):
+    """A selection of ``kind`` (see :data:`SELECTION_KINDS`) over
+    ``nrows`` rows: ``None`` or sorted ``int64`` positions."""
+    if kind == "none":
+        return None
+    if kind == "all" or not nrows:
+        return np.arange(nrows, dtype=np.int64)
+    positions = st.integers(0, nrows - 1)
+    if kind == "few":
+        dense = np.ones(nrows, dtype=bool)
+        dense[draw(st.lists(positions, max_size=2))] = False
+    else:
+        dense = np.zeros(nrows, dtype=bool)
+        dense[draw(st.lists(positions, max_size=nrows // 3))] = True
+    return np.flatnonzero(dense)
+
+
+@st.composite
+def typed_batches(draw):
+    """A main-store batch whose measure column ``v`` holds one kind of
+    value (NULLs mixed in), under any selection kind, and optionally a
+    live delta of the same kind."""
+    kind, schema, rows, table = draw(typed_tables())
+    selection = draw(
+        selections(table.nrows, draw(st.sampled_from(SELECTION_KINDS)))
+    )
     batches = [TableBatch(table, selection)]
     if draw(st.booleans()):
+        measure = st.one_of(st.none(), _MEASURES[kind][1])
+        group = st.one_of(st.none(), st.integers(0, 2))
         delta = [(draw(group), draw(measure)) for _ in range(
             draw(st.integers(1, 5)))]
         batches.append(ValuesBatch.from_rows(("g", "v"), delta))
@@ -525,4 +550,95 @@ def test_compressed_and_hash_agree_in_value_and_type(spec, group_by):
             assert len(ours) == len(theirs)
             assert all(map(_same_value_and_type, ours, theirs)), (
                 ours, theirs,
+            )
+
+
+# --- Every selection kind against SQLite; popcounts against bincount ---
+
+#: Aggregates over the selection kinds: the ungrouped and one-column
+#: grouped forms read popcounts when nothing is selected.
+_SELECTION_QUERIES = (
+    "SELECT COUNT(*), COUNT(v), MIN(v), MAX(v) FROM t",
+    "SELECT g, COUNT(*) FROM t GROUP BY g",
+    "SELECT g, COUNT(*), COUNT(v), MIN(v), MAX(v) FROM t GROUP BY g",
+    "SELECT v, COUNT(*) FROM t GROUP BY v",
+)
+_NUMERIC_SELECTION_QUERIES = (
+    "SELECT COUNT(*), SUM(v), AVG(v) FROM t",
+    "SELECT g, SUM(v), AVG(v) FROM t GROUP BY g",
+)
+
+
+def _selected_rows(rows, selection):
+    return rows if selection is None else [rows[p] for p in selection]
+
+
+def _same_rows(ours, theirs) -> bool:
+    """Equal multisets of rows, floats within a relative 1e-9 (a sum's
+    order is each engine's own)."""
+    def key(row):
+        return [(value is None, 0 if value is None else value)
+                for value in row]
+
+    ours, theirs = sorted(ours, key=key), sorted(theirs, key=key)
+    return len(ours) == len(theirs) and all(
+        len(a) == len(b) and all(
+            math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-6)
+            if isinstance(x, float) and isinstance(y, (int, float))
+            else x == y
+            for x, y in zip(a, b)
+        )
+        for a, b in zip(ours, theirs)
+    )
+
+
+def _sqlite_rows(kind, rows, query):
+    connection = sqlite3.connect(":memory:")
+    column_type = {"int": "INTEGER", "float": "REAL", "string": "TEXT"}
+    connection.execute(f"CREATE TABLE t (g INTEGER, v {column_type[kind]})")
+    connection.executemany("INSERT INTO t VALUES (?, ?)", rows)
+    out = [tuple(row) for row in connection.execute(query)]
+    connection.close()
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    typed_tables(kinds=("float", "int", "string")),
+    st.sampled_from(SELECTION_KINDS),
+    st.data(),
+)
+def test_every_selection_kind_matches_sqlite(spec, selection_kind, data):
+    """Aggregates and DISTINCT over a main-store batch equal SQLite on
+    the selected rows (NULL groups and values included) for every
+    selection kind, and DISTINCT keeps first-selected-row order.  No
+    selection — the popcount and first-set-bit paths — returns exactly
+    what every row selected explicitly returns through ``bincount``
+    and the vid array."""
+    kind, schema, rows, table = spec
+    selection = data.draw(selections(table.nrows, selection_kind))
+    selected = _selected_rows(rows, selection)
+    queries = _SELECTION_QUERIES + (
+        _NUMERIC_SELECTION_QUERIES if kind != "string" else ()
+    )
+    everything = np.arange(table.nrows, dtype=np.int64)
+    for query in queries:
+        ours = aggregate_rows(
+            [TableBatch(table, selection)], parse_sql(query), schema
+        )
+        assert _same_rows(ours, _sqlite_rows(kind, selected, query)), query
+        if selection is None:
+            assert ours == aggregate_rows(
+                [TableBatch(table, everything)], parse_sql(query), schema
+            ), query
+    for index, name in enumerate(("g", "v")):
+        ours = list(distinct_values([TableBatch(table, selection)], name))
+        first_seen = list(dict.fromkeys(row[index] for row in selected))
+        assert ours == [(value,) for value in first_seen]
+        assert _same_rows(ours, _sqlite_rows(
+            kind, selected, f"SELECT DISTINCT {name} FROM t"
+        ))
+        if selection is None:
+            assert ours == list(
+                distinct_values([TableBatch(table, everything)], name)
             )

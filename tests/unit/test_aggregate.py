@@ -183,7 +183,7 @@ class TestSelectedValueCounts:
     def test_selection_paths_agree(self, selected):
         values, table = self.table()
         selection = WAHBitmap.from_positions(selected, len(values))
-        got = _selected_value_counts(table, "c", selection)
+        got = _selected_value_counts(table, "c", selection.positions())
         assert np.array_equal(
             got,
             self.brute_force(values, table, selection.to_dense()),
@@ -216,7 +216,7 @@ class TestNumericErrorParity:
         selection = (
             None
             if selected is None
-            else WAHBitmap.from_positions(selected, table.nrows)
+            else np.array(selected, dtype=np.int64)
         )
         return aggregate_rows(
             [TableBatch(table, selection)], parse_sql(sql), self.SCHEMA,
@@ -388,6 +388,49 @@ class TestGroupingStaysOnVidArrays:
         assert executor.execute("SELECT DISTINCT b FROM t") == [
             (f"s{b}",) for b in range(25)
         ]
+
+
+class TestUnselectedReadsArePopcounts:
+    """With no selection (no WHERE, no deleted main row), a one-column
+    GROUP BY's counts, an ungrouped aggregate and DISTINCT read the
+    bitmaps' popcounts and each value's first row: on a warm
+    generation no statement reads a row-order vid array or the group
+    codes built from them."""
+
+    QUERIES = (
+        "SELECT g, COUNT(*) FROM t GROUP BY g",
+        "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM t",
+        "SELECT DISTINCT g FROM t",
+    )
+
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_no_vid_array_read_per_statement(self, sql, monkeypatch):
+        import repro.exec.aggregate as aggregate_module
+
+        adapter = MutableColumnAdapter()
+        executor = SqlExecutor(adapter)
+        executor.execute("CREATE TABLE t (g STRING, v INT)")
+        adapter.insert_rows(
+            "t",
+            [(None if i % 11 == 0 else f"g{i % 6}", i % 13)
+             for i in range(2_000)],
+        )
+        mutable = adapter._mutable("t")
+        while not mutable.compact_step().done:
+            pass
+        warm = executor.execute(sql)
+        calls = []
+        for reader in ("_decode_vids", "_group_codes"):
+            original = getattr(aggregate_module, reader)
+
+            def counted(*args, _reader=reader, _original=original):
+                calls.append(_reader)
+                return _original(*args)
+
+            monkeypatch.setattr(aggregate_module, reader, counted)
+        assert executor.execute(sql) == warm
+        assert executor.execute(sql) == warm
+        assert calls == []
 
 
 class TestAggregateBench:

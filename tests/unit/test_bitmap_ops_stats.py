@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.bitmap import CompressionStats, PlainBitmap, WAHBitmap, bitmap_stats
+from repro.bitmap import CompressionStats, WAHBitmap, bitmap_stats
 from repro.bitmap.ops import union, union_disjoint
 
 
@@ -44,8 +44,9 @@ class TestCompressionStats:
 
     def test_bitmap_stats_wah_vs_plain(self):
         fills = WAHBitmap.ones(31 * 10_000)
-        plain = PlainBitmap(np.ones(31 * 10_000, dtype=bool))
-        assert bitmap_stats(fills).ratio > bitmap_stats(plain).ratio
+        # A plain bitmap stores one byte per row.
+        plain = CompressionStats(31 * 10_000, 31 * 10_000)
+        assert bitmap_stats(fills).ratio > plain.ratio
 
     def test_random_data_compresses_poorly(self):
         rng = np.random.default_rng(1)

@@ -347,7 +347,7 @@ class TestExecutionPipelineDocs:
         assert "## The execution pipeline: `repro.exec`" in text
         for term in (
             "ColumnBatch", "TableBatch", "DeltaBatch", "ValuesBatch",
-            "selection bitmap", "scan_batches",
+            "sorted, distinct `int64`", "scan_batches",
         ):
             assert term in text, (
                 f"ARCHITECTURE.md does not explain {term!r}"
@@ -414,6 +414,33 @@ class TestExecutionPipelineDocs:
         for name, text in self.doc_texts().items():
             for deleted in self.DELETED_READ_NAMES:
                 assert deleted not in text, f"{name} still mentions {deleted}"
+
+    REMOVED_SELECTION_NAMES = ("PlainBitmap", "mask_from_positions")
+
+    def test_removed_selection_names_live_only_in_the_migration_note(self):
+        """The dense selection bitmap is gone from the code and from
+        every document but its own migration note."""
+        import repro
+        import repro.bitmap
+        import repro.exec
+
+        for module in (repro, repro.bitmap, repro.exec):
+            for removed in self.REMOVED_SELECTION_NAMES:
+                assert not hasattr(module, removed), (
+                    f"{module.__name__} still exports {removed}"
+                )
+        heading = "## Removed: the dense selection bitmap"
+        for name, text in self.doc_texts().items():
+            note = ""
+            if name == "migration.md":
+                note = text[text.index(heading):]
+                note = note[:note.index("\n## ", 1)]
+            for removed in self.REMOVED_SELECTION_NAMES:
+                assert text.count(removed) == note.count(removed), (
+                    f"{name} mentions {removed} outside the migration note"
+                )
+                if name == "migration.md":
+                    assert removed in note
 
     def test_vectorized_scan_bench_is_wired(self):
         # The benchmark the execution-pipeline section points at must

@@ -19,7 +19,6 @@ from repro.exec import (
     filter_batches,
     iter_rows,
     limit_rows,
-    mask_from_positions,
 )
 from repro.smo.predicate import And, Comparison, Not, Or
 from repro.sql import (
@@ -122,18 +121,73 @@ class TestTableBatch:
 
     def test_validity_selection_masks_rows(self):
         table = small_table()
-        validity = mask_from_positions([0, 2, 4], table.nrows)
+        validity = np.array([0, 2, 4], dtype=np.int64)
         assert TableBatch(table, validity).rows() == [
             (1, "a"), (3, "a"), (5, "b"),
         ]
 
     def test_filter_composes_with_validity(self):
         table = small_table()
-        validity = mask_from_positions([0, 2, 4], table.nrows)
+        validity = np.array([0, 2, 4], dtype=np.int64)
         batch = TableBatch(table, validity).filter(
             Comparison("s", "=", "b")
         )
         assert batch.rows() == [(5, "b")]
+
+
+class TestTableBatchPositions:
+    """A main-store selection is the predicate bitmap's set positions,
+    sorted ``int64``, and composes by sorted intersection and
+    difference — no dense row mask in between."""
+
+    def table(self, nrows=500):
+        return table_from_python(
+            "r",
+            {
+                "k": (DataType.INT, [i % 7 for i in range(nrows)]),
+                "s": (DataType.STRING, [f"s{i % 5}" for i in range(nrows)]),
+            },
+        )
+
+    PREDICATES = (
+        Comparison("k", "=", 3),
+        Comparison("s", "IN", ("s1", "s4")),
+        And(Comparison("k", "=", 2), Comparison("s", "=", "s2")),
+        Comparison("k", "=", 99),
+    )
+
+    @pytest.mark.parametrize("predicate", PREDICATES, ids=str)
+    def test_filter_selects_the_predicate_bitmaps_positions(self, predicate):
+        table = self.table()
+        selection = TableBatch(table).filter(predicate).selection
+        assert isinstance(selection, np.ndarray)
+        assert selection.dtype == np.int64
+        assert np.array_equal(
+            selection, predicate.bitmap(table).positions()
+        )
+        assert np.all(np.diff(selection) > 0)
+
+    @pytest.mark.parametrize("predicate", PREDICATES, ids=str)
+    def test_filter_and_without_compose_with_validity(self, predicate):
+        table = self.table()
+        validity = np.arange(0, table.nrows, 3, dtype=np.int64)
+        batch = TableBatch(table, validity)
+        hit = batch.filter(predicate)
+        matches = predicate.bitmap(table).positions()
+        assert hit.selection.dtype == np.int64
+        assert hit.selection.tolist() == sorted(
+            set(validity.tolist()) & set(matches.tolist())
+        )
+        rest = batch.without(hit)
+        assert rest.selection.dtype == np.int64
+        assert rest.selection.tolist() == sorted(
+            set(validity.tolist()) - set(matches.tolist())
+        )
+        everything = TableBatch(table)
+        assert everything.without(everything.filter(predicate)) \
+            .selection.tolist() == sorted(
+                set(range(table.nrows)) - set(matches.tolist())
+            )
 
 
 class TestDeltaBatch:
@@ -169,7 +223,7 @@ class TestDeltaBatch:
         store.append_rows([(12, "x"), (13, "x")])
         matched = batch.filter(Comparison("s", "=", "x"))
         assert matched.physical_rows == 2
-        assert matched.selection.nbits == 2
+        assert matched.selection.tolist() == [0, 1]
         assert matched.rows() == [(10, "x"), (11, "x")]
 
     def test_epoch_pinned_visibility(self):

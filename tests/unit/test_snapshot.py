@@ -719,7 +719,7 @@ class TestInsertEpochOrder:
         assert store.live_indices(2) == [1]
         assert store.live_indices() == [1, 2]
         assert store.live_counts(4, 2) == (4, 1)
-        assert store.delta_validity(3, 3).positions().tolist() == [1, 2]
+        assert store.delta_validity(3, 3).tolist() == [1, 2]
         assert store.delta_validity(2, 1) is None
 
 
