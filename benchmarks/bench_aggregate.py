@@ -20,10 +20,12 @@ measure) with a non-empty delta:
   as one ``add.reduceat`` over the joint counts; ungrouped
   COUNT/SUM/MIN/MAX as reductions of the per-vid counts).
 
-Both the mutable (main + delta) and pure column backends run; the gate
-applies to the mutable backend, where epoch-consistent delta merging
-is part of the measured work.  The column backend is the deliberate
-query-level baseline — its scans decode every column, so both paths
+Both the CODS engine (a ``Database``: main + delta, reported as
+``mutable``) and the query-level ``ColumnStoreAdapter`` (``column``)
+run; the gate applies to the CODS engine, where epoch-consistent delta
+merging is part of the measured work.  The column store is the
+deliberate query-level baseline — its scans decode every column, so
+both paths
 pay full decompression and its ratios hover near 1×; it is reported
 to document that aggregation pushdown cannot rescue a decode-first
 scan.  Results go to ``BENCH_aggregate.json``.
@@ -42,6 +44,7 @@ from repro.bench.exporters import aggregate_json
 from repro.db import Database
 from repro.delta import CompactionPolicy
 from repro.exec import iter_rows
+from repro.sql import ColumnStoreAdapter, SqlExecutor
 from repro.sql.parser import parse_sql
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.table import Table
@@ -83,21 +86,26 @@ def build_table(nrows: int, seed: int = 2010) -> Table:
     return Table.from_columns(schema, data)
 
 
-def build_database(nrows: int, backend: str) -> Database:
-    db = Database(backend=backend, policy=CompactionPolicy.never())
+def build_adapter(nrows: int, backend: str):
+    """The storage adapter under test: a query-level column store for
+    ``column``, else a CODS ``Database``'s adapter with a live delta."""
+    if backend == "column":
+        adapter = ColumnStoreAdapter()
+        adapter.load_table(build_table(nrows))
+        return adapter
+    db = Database(policy=CompactionPolicy.never())
     db.load_table(build_table(nrows))
-    if backend == "mutable":
-        # A non-empty delta (~0.5% buffered inserts plus a few masked
-        # deletes): the compressed path must merge epoch-consistent
-        # hash partials from the buffer with the popcount partials.
-        for i in range(max(1, nrows // 200)):
-            db.execute(
-                f"INSERT INTO {TABLE} VALUES "
-                f"('g{i % GRP_CARDINALITY:02d}', "
-                f"{i % VALUE_CARDINALITY})"
-            )
-        db.execute(f"DELETE FROM {TABLE} WHERE v = {VALUE_CARDINALITY - 1}")
-    return db
+    # A non-empty delta (~0.5% buffered inserts plus a few masked
+    # deletes): the compressed path must merge epoch-consistent
+    # hash partials from the buffer with the popcount partials.
+    for i in range(max(1, nrows // 200)):
+        db.execute(
+            f"INSERT INTO {TABLE} VALUES "
+            f"('g{i % GRP_CARDINALITY:02d}', "
+            f"{i % VALUE_CARDINALITY})"
+        )
+    db.execute(f"DELETE FROM {TABLE} WHERE v = {VALUE_CARDINALITY - 1}")
+    return db.adapter
 
 
 def row_oracle(adapter, sql: str) -> list[tuple]:
@@ -138,19 +146,17 @@ def _best_of(callable_, repeats: int) -> tuple[float, list]:
     return best, rows
 
 
-def bench_query(db: Database, sql: str, repeats: int = 5) -> dict:
+def bench_query(adapter, sql: str, repeats: int = 5) -> dict:
     """Best-of-``repeats`` wall time for the compressed path (through
     the real SELECT entry point) and the row oracle, with a
     result-equality check."""
-    from repro.sql import SqlExecutor
-
-    executor = SqlExecutor(db.adapter)
+    executor = SqlExecutor(adapter)
     select = parse_sql(sql)
     agg_seconds, agg_rows = _best_of(
         lambda: executor.execute(select), repeats
     )
     oracle_seconds, oracle_rows = _best_of(
-        lambda: row_oracle(db.adapter, sql), repeats
+        lambda: row_oracle(adapter, sql), repeats
     )
     if sorted(map(repr, agg_rows)) != sorted(map(repr, oracle_rows)):
         raise AssertionError(f"paths diverged on {sql!r}")
@@ -164,15 +170,15 @@ def bench_query(db: Database, sql: str, repeats: int = 5) -> dict:
 
 
 def run_backend(nrows: int, backend: str) -> dict:
-    db = build_database(nrows, backend)
-    stats = db.adapter.table_stats(TABLE)
+    adapter = build_adapter(nrows, backend)
+    stats = adapter.table_stats(TABLE)
     return {
         "backend": backend,
         "main_rows": stats.main_rows,
         "delta_rows": stats.delta_rows,
-        "grouped_count": bench_query(db, GROUPED_COUNT_SQL),
-        "grouped_sum": bench_query(db, GROUPED_SUM_SQL),
-        "global": bench_query(db, GLOBAL_SQL),
+        "grouped_count": bench_query(adapter, GROUPED_COUNT_SQL),
+        "grouped_sum": bench_query(adapter, GROUPED_SUM_SQL),
+        "global": bench_query(adapter, GLOBAL_SQL),
     }
 
 

@@ -27,8 +27,8 @@ from bench_common import mutable_handle as _mutable_for
 
 from repro.bench.exporters import write_path_json
 from repro.bitmap import WAHBitmap
-from repro.db import Database
 from repro.delta import CompactionPolicy
+from repro.sql import ColumnStoreAdapter
 from repro.storage.table import Table
 from repro.workload.readwrite import MixedReadWriteWorkload
 
@@ -51,14 +51,13 @@ def bench_inserts(workload: MixedReadWriteWorkload, n_inserts: int) -> dict:
         mutable.insert(row)
     delta_seconds = time.perf_counter() - started
 
-    # The query-level comparator through the same façade, selected by
-    # backend name instead of a hand-assembled adapter.
-    rebuild_db = Database(backend="column")
-    rebuild_db.load_table(workload.build())
+    # The query-level comparator: every batch rebuilds all columns.
+    rebuild = ColumnStoreAdapter()
+    rebuild.load_table(workload.build())
     batch = max(1, len(inserts) // REBUILD_BATCHES)
     started = time.perf_counter()
     for index in range(0, len(inserts), batch):
-        rebuild_db.adapter.insert_rows("R", inserts[index:index + batch])
+        rebuild.insert_rows("R", inserts[index:index + batch])
     rebuild_seconds = time.perf_counter() - started
 
     return {

@@ -33,7 +33,7 @@ per-layer entry points onto it)::
 
     from repro.db import Database
 
-    db = Database()                       # in-memory, mutable backend
+    db = Database()                       # in-memory catalog
     db.execute("CREATE TABLE R (Employee STRING, Skill STRING, "
                "Address STRING)")
     db.executemany(

@@ -7,9 +7,9 @@ SQL (:class:`~repro.sql.executor.SqlExecutor` + adapters), DML/MVCC
 persistence (:mod:`repro.storage.filefmt`) — behind a DB-API-flavored
 surface:
 
-* :class:`Database` — opens/creates a catalog directory, selects a
-  backend from the :mod:`registry <repro.db.registry>` (``mutable``,
-  ``column``, ``row``);
+* :class:`Database` — opens/creates a catalog directory served by the
+  CODS engine (the paper's row and query-level column baselines are
+  plain adapter classes in :mod:`repro.sql.adapter`, not served here);
 * :class:`Session` / :class:`Cursor` — ``execute()`` /
   ``executemany()`` / ``execute_script()`` accepting SQL **and** SMO
   text through one front door that parses each statement once and
@@ -22,7 +22,7 @@ Quickstart::
 
     from repro.db import Database
 
-    db = Database()                       # in-memory, mutable backend
+    db = Database()                       # in-memory catalog
     db.execute("CREATE TABLE r (k INT, s STRING)")
     db.executemany("INSERT INTO r VALUES (?, ?)", [(1, "a"), (2, "b")])
     db.execute("DECOMPOSE TABLE r INTO a (k), b (k, s)")
@@ -34,28 +34,16 @@ for the mapping from the old entry points.
 """
 
 from repro.db.database import Database, connect
-from repro.db.registry import (
-    BackendSpec,
-    available_backends,
-    backend_spec,
-    create_adapter,
-    register_backend,
-)
 from repro.db.session import Cursor, Session, bind_parameters
 from repro.db.transaction import Transaction
 from repro.sql.parser import iter_script_statements
 
 __all__ = [
-    "BackendSpec",
     "Cursor",
     "Database",
     "Session",
     "Transaction",
-    "available_backends",
-    "backend_spec",
     "bind_parameters",
     "connect",
-    "create_adapter",
     "iter_script_statements",
-    "register_backend",
 ]

@@ -95,8 +95,6 @@ class BackgroundCompactor:
         if database.closed:
             return False
         engine = database.engine
-        if engine is None:
-            return False
         self._cycles.inc()
         busy = False
         for name in engine.catalog.table_names():

@@ -6,8 +6,8 @@ Before this layer the reproduction exposed four disjoint entry points —
 :class:`~repro.sql.executor.SqlExecutor` plus a hand-picked adapter for
 SQL, :class:`~repro.delta.MutableTable` for DML/snapshots, and
 :mod:`repro.storage.filefmt` for disk.  A :class:`Database` owns one
-backend adapter (resolved from the :mod:`repro.db.registry`) and serves
-all four through it, against one catalog::
+:class:`~repro.sql.adapter.MutableColumnAdapter` over the CODS engine
+and serves all four through it, against one catalog::
 
     from repro.db import Database
 
@@ -30,17 +30,17 @@ from collections import deque
 from pathlib import Path
 
 from repro.db.compactor import BackgroundCompactor
-from repro.db.registry import backend_spec, create_adapter
 from repro.db.session import Cursor, Session
 from repro.db.transaction import Transaction
 from repro.errors import (
-    CapabilityError,
     ObservabilityError,
     StorageError,
     WalCorruptionError,
     WalError,
 )
 from repro.obs.export import to_json_lines, to_prometheus
+from repro.sql.adapter import MutableColumnAdapter
+from repro.storage.filefmt import load_engine, save_engine
 from repro.storage.table import Table
 from repro.wal import (
     DEFAULT_GROUP_SIZE,
@@ -55,17 +55,17 @@ _DURABILITY_MODES = ("none", "commit", "group")
 
 
 class Database:
-    """A catalog served by one named backend (default ``mutable``).
+    """A catalog served by the CODS engine.
 
     ``path`` is a catalog directory: when it holds a saved catalog the
     database opens it, otherwise a fresh in-memory catalog is created
     and :meth:`save`/:meth:`close` will write it there.  ``path=None``
     keeps everything in memory.  ``policy`` is the
     :class:`~repro.delta.CompactionPolicy` handed to delta-backed
-    tables (mutable backend only).
+    tables.
 
-    ``durability`` selects the write-ahead-log mode (mutable backend,
-    catalog directory required):
+    ``durability`` selects the write-ahead-log mode (catalog directory
+    required):
 
     ``"none"`` (default)
         no redo logging; writes persist only at :meth:`save`/
@@ -86,7 +86,6 @@ class Database:
     def __init__(
         self,
         path=None,
-        backend: str = "mutable",
         policy=None,
         durability: str = "none",
         group_size: int = DEFAULT_GROUP_SIZE,
@@ -97,7 +96,6 @@ class Database:
                 f"{_DURABILITY_MODES}"
             )
         self.path = Path(path) if path is not None else None
-        self.backend = backend
         self.policy = policy
         self.durability = durability
         self.group_size = group_size
@@ -118,18 +116,10 @@ class Database:
         # writer lock, so two multi-table writers can never take table
         # locks in conflicting orders.
         self._commit_lock = threading.RLock()
-        spec = backend_spec(backend)
-        if (
-            self.path is not None
-            and (self.path / "catalog.json").exists()
-        ):
-            if spec.loader is None:
-                raise CapabilityError(
-                    f"backend {backend!r} cannot open a saved catalog"
-                )
-            self.adapter = spec.loader(self.path, policy)
-        else:
-            self.adapter = create_adapter(backend, policy)
+        saved = self.path is not None and (self.path / "catalog.json").exists()
+        self.adapter = MutableColumnAdapter(
+            load_engine(self.path, policy) if saved else None, policy
+        )
         self._wire_durability()
         # Slow-query log: statements at or over the threshold (seconds)
         # are appended by every session; None disables the timing.
@@ -154,11 +144,6 @@ class Database:
         if self.path is None:
             raise WalError(
                 "durability needs a catalog directory: pass a path"
-            )
-        if self.engine is None:
-            raise CapabilityError(
-                f"backend {self.backend!r} has no write-ahead log; use "
-                f"backend='mutable'"
             )
         self.path.mkdir(parents=True, exist_ok=True)
         had_catalog = (self.path / "catalog.json").exists()
@@ -192,7 +177,6 @@ class Database:
     def open(
         cls,
         path,
-        backend: str = "mutable",
         policy=None,
         durability: str = "none",
         group_size: int = DEFAULT_GROUP_SIZE,
@@ -200,7 +184,6 @@ class Database:
         """Alias of the constructor for callers who prefer a verb."""
         return cls(
             path,
-            backend=backend,
             policy=policy,
             durability=durability,
             group_size=group_size,
@@ -218,11 +201,6 @@ class Database:
         """Persist the catalog (and any delta sidecars) to ``path`` or
         the directory the database was opened with."""
         self._check_open()
-        spec = backend_spec(self.backend)
-        if spec.saver is None:
-            raise CapabilityError(
-                f"backend {self.backend!r} has no persistence"
-            )
         target = Path(path) if path is not None else self.path
         if target is None:
             raise StorageError(
@@ -235,7 +213,7 @@ class Database:
             # log truncation, in crash-atomic order.
             self.checkpoint()
             return target
-        spec.saver(self.adapter, target)
+        save_engine(self.engine, target)
         return target
 
     def checkpoint(self) -> int:
@@ -271,10 +249,7 @@ class Database:
                 return
             self.stop_compactor()
             if save is None:
-                save = (
-                    self.path is not None
-                    and backend_spec(self.backend).saver is not None
-                )
+                save = self.path is not None
             if save:
                 self.save()
             if self._wal is not None:
@@ -294,13 +269,8 @@ class Database:
 
     @property
     def engine(self):
-        """The :class:`~repro.core.engine.EvolutionEngine` under an
-        SMO-capable backend, else ``None``."""
-        return getattr(self.adapter, "evolution_engine", None)
-
-    @property
-    def capabilities(self):
-        return self.adapter.capabilities
+        """The :class:`~repro.core.engine.EvolutionEngine` underneath."""
+        return self.adapter.evolution_engine
 
     # -- execution (the default session) --------------------------------
 
@@ -351,30 +321,21 @@ class Database:
 
     # -- maintenance ----------------------------------------------------
 
-    def _require_compaction(self) -> None:
-        if not self.adapter.capabilities.compaction:
-            raise CapabilityError(
-                f"backend {self.backend!r} has no delta compaction"
-            )
-
     def compact(self, name: str):
         """Fold table ``name``'s write buffer into fresh compressed
         columns; returns the new main table."""
         self._check_open()
-        self._require_compaction()
         return self.adapter.compact(name)
 
     def compact_step(self, name: str, columns: int | None = None):
         """One incremental compaction step on table ``name``."""
         self._check_open()
-        self._require_compaction()
         return self.adapter.compact_step(name, columns)
 
     def delta_stats(self) -> list:
-        """Per-table delta statistics (mutable backend), else empty."""
+        """Per-table delta statistics."""
         self._check_open()
-        engine = self.engine
-        return engine.delta_stats() if engine is not None else []
+        return self.engine.delta_stats()
 
     def start_compactor(
         self, interval: float | None = None, columns: int | None = None
@@ -384,7 +345,6 @@ class Database:
         delta buffers incrementally under the per-table writer locks,
         and :meth:`close` stops it.  Returns the compactor."""
         self._check_open()
-        self._require_compaction()
         with self._compactor_lock:
             if self._compactor is not None and self._compactor.running:
                 return self._compactor
@@ -426,18 +386,14 @@ class Database:
         )
 
     def __repr__(self) -> str:
-        if self._closed:
-            return f"Database(backend={self.backend!r}, closed)"
         location = str(self.path) if self.path is not None else "memory"
-        return (
-            f"Database({location!r}, backend={self.backend!r}, "
-            f"tables={self.tables()})"
-        )
+        if self._closed:
+            return f"Database({location!r}, closed)"
+        return f"Database({location!r}, tables={self.tables()})"
 
 
 def connect(
     path=None,
-    backend: str = "mutable",
     policy=None,
     durability: str = "none",
     group_size: int = DEFAULT_GROUP_SIZE,
@@ -445,7 +401,6 @@ def connect(
     """DB-API-flavored alias: ``repro.db.connect(...)``."""
     return Database(
         path,
-        backend=backend,
         policy=policy,
         durability=durability,
         group_size=group_size,

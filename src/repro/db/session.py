@@ -189,13 +189,7 @@ class Session:
 
     def _route(self, node):
         if isinstance(node, SchemaModificationOperator):
-            engine = self.database.engine
-            if engine is None or not self.adapter.capabilities.smo:
-                raise CapabilityError(
-                    f"backend {self.database.backend!r} cannot run schema "
-                    f"modification operators; use backend='mutable'"
-                )
-            status = engine.apply(node)
+            status = self.database.engine.apply(node)
             self.database._schema_changed()
             return status
         result = self.executor.execute(node)

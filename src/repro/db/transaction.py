@@ -11,7 +11,7 @@ inside the scope are therefore mutually consistent: they all observe
 the catalog as of one instant.
 
 The pins live on a *scoped adapter* (a per-transaction adapter over the
-same engine, see :meth:`~repro.sql.adapter.EngineAdapter.scoped`), so
+same engine, see :meth:`~repro.sql.adapter.MutableColumnAdapter.scoped`), so
 only reads issued through the transaction see the frozen view — other
 sessions of the same database keep reading live state throughout.
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from repro.db.overlay import ReadYourWritesAdapter
 from repro.db.session import Session, bind_and_parse, execute_each
-from repro.errors import CapabilityError, CodsError, TransactionError
+from repro.errors import CodsError, TransactionError
 from repro.smo.ops import SchemaModificationOperator
 from repro.sql.adapter import require_table
 from repro.sql.ast import (
@@ -60,7 +60,7 @@ _DML = (InsertValues, InsertSelect, Update, Delete)
 
 
 class Transaction:
-    """A pinned, whole-catalog scope over an MVCC-capable backend.
+    """A pinned, whole-catalog scope over the database's MVCC engine.
 
     Use as a context manager::
 
@@ -75,11 +75,6 @@ class Transaction:
     """
 
     def __init__(self, database, read_only: bool = False):
-        if not database.adapter.capabilities.snapshots:
-            raise CapabilityError(
-                f"backend {database.backend!r} has no MVCC snapshots; "
-                f"transactions need backend='mutable'"
-            )
         self.database = database
         self.read_only = read_only
         # Pins land on a scoped adapter so only this transaction's

@@ -494,8 +494,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}")
             return 1
         remote = RemoteDemoSession(connection)
-        print(f"CODS demo — connected to {host or '127.0.0.1'}:{port} "
-              f"(backend={connection.server_info['backend']}); "
+        print(f"CODS demo — connected to {host or '127.0.0.1'}:{port}; "
               f"type 'help' for commands.")
         try:
             while True:

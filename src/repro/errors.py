@@ -68,8 +68,8 @@ class SqlExecutionError(SqlError):
 
 
 class CapabilityError(CodsError):
-    """A statement needs a capability the selected backend lacks (e.g.
-    SMOs on the row store, snapshots on the query-level column store)."""
+    """An operation on a handle that cannot serve it: a closed session
+    or cursor, or a fetch with no result set."""
 
 
 class TransactionError(CodsError):

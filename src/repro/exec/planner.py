@@ -2,7 +2,7 @@
 
 :func:`execute_select` is the one SELECT entry point of the
 reproduction: :class:`~repro.sql.executor.SqlExecutor` delegates every
-query — on every registered backend — here.  The plan is always the
+query — on every engine adapter — here.  The plan is always the
 same lazy chain::
 
     adapter.scan_batches ── filter (selected positions) ── project

@@ -5,9 +5,9 @@
         [--idle-timeout S] [--no-compact] [--slow-query S]
 
 Without ``--data`` the server runs an empty in-memory catalog (handy
-for demos; nothing persists).  The compactor runs by default on
-compaction-capable backends; shutdown (SIGINT) drains in-flight
-statements, stops it, checkpoints and closes the database.
+for demos; nothing persists).  The background compactor runs by
+default; shutdown (SIGINT) drains in-flight statements, stops it,
+checkpoints and closes the database.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ def main(argv=None) -> int:
                         help="catalog directory (default: in-memory)")
     parser.add_argument("--host", default=DEFAULT_HOST)
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
-    parser.add_argument("--backend", default="mutable")
     parser.add_argument("--durability", default="none",
                         choices=("none", "commit", "group"))
     parser.add_argument("--auth-token", default=None,
@@ -47,12 +46,10 @@ def main(argv=None) -> int:
                         help="log statements at or over this many seconds")
     args = parser.parse_args(argv)
 
-    db = Database(
-        args.data, backend=args.backend, durability=args.durability
-    )
+    db = Database(args.data, durability=args.durability)
     if args.slow_query is not None:
         db.slow_query_seconds = args.slow_query
-    if not args.no_compact and db.adapter.capabilities.compaction:
+    if not args.no_compact:
         db.start_compactor(interval=args.compact_interval)
     server = CodsServer(
         db,
@@ -66,7 +63,7 @@ def main(argv=None) -> int:
     host, port = server.address
     location = args.data if args.data is not None else "memory"
     print(f"cods-server: serving {location!r} on {host}:{port} "
-          f"(durability={args.durability}, backend={args.backend})")
+          f"(durability={args.durability})")
     try:
         server.serve_forever()
     finally:

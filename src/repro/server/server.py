@@ -402,7 +402,6 @@ class CodsServer:
             "ok": True,
             "server": "cods",
             "protocol": VERSION,
-            "backend": self.database.backend,
             "tables": self.database.tables(),
         }
 

@@ -1,11 +1,14 @@
 """Engine adapters: the storage interface the SQL executor targets.
 
-Three adapters let the same SQL drive every storage engine: a row store
-(tuples stay tuples), a column store executing at the *query level*
-(columns are decompressed into tuples, results are re-compressed into
-columns — the cost CODS avoids), and the delta-backed column store
-(:class:`MutableColumnAdapter`) whose DML lands in per-table write
-buffers instead of rebuilding compressed columns.
+Three adapters let the same SQL drive every storage engine: the
+delta-backed CODS column store (:class:`MutableColumnAdapter`, the one
+engine :class:`repro.db.Database` serves), whose DML lands in
+per-table write buffers instead of rebuilding compressed columns, and
+the paper's two comparators, called directly through
+:class:`~repro.sql.executor.SqlExecutor` — a row store (tuples stay
+tuples) and a column store executing at the *query level* (columns are
+decompressed into tuples, results are re-compressed into columns — the
+cost CODS avoids).
 
 The delta-backed adapter additionally supports *snapshot-scoped*
 queries — ``begin_snapshot``/``end_snapshot``/``snapshot_scope`` pin an
@@ -36,35 +39,18 @@ from repro.storage.table import Table
 
 @dataclass(frozen=True)
 class AdapterCapabilities:
-    """What a storage adapter can do, declared instead of duck-typed.
-
-    The executor and the :mod:`repro.db` façade branch on these flags
-    rather than special-casing adapter classes, so a new backend opts
-    into behaviours by declaration:
+    """What the planner may assume about an adapter without scanning:
 
     * ``pushdown`` — :meth:`EngineAdapter.scan_batches` emits batches
       over the compressed main store, so predicates, DISTINCT, ORDER BY
-      and aggregates can stay on dictionary codes and bitmaps;
-    * ``snapshots`` — ``begin_snapshot``/``end_snapshot``/
-      ``snapshot_scope`` pin MVCC views (required for
-      ``Database.transaction``);
+      and aggregates can stay on dictionary codes and bitmaps (plan-only
+      EXPLAIN reports its choice from this flag);
     * ``hash_join`` — :meth:`EngineAdapter.hash_join` provides an
-      engine-native join the executor should prefer;
-    * ``smo`` — schema modification operators can run against this
-      backend (it is built over an :class:`~repro.core.engine.
-      EvolutionEngine`);
-    * ``persistence`` — the backend's catalog can be saved to and
-      loaded from a directory of ``.cods`` files;
-    * ``compaction`` — ``compact``/``compact_step`` fold a write buffer
-      into fresh compressed columns.
+      engine-native join the executor should prefer.
     """
 
     pushdown: bool = False
-    snapshots: bool = False
     hash_join: bool = False
-    smo: bool = False
-    persistence: bool = False
-    compaction: bool = False
 
 
 class EngineAdapter:
@@ -164,14 +150,6 @@ class EngineAdapter:
     def hash_join(self, left: str, right: str, join_attrs, out_columns):
         """Engine-native equi-join yielding ``out_columns`` tuples.
         Only called when ``capabilities.hash_join`` is set."""
-        raise NotImplementedError
-
-    def scoped(self) -> "EngineAdapter":
-        """A fresh adapter over the *same* underlying engine, with its
-        own read-scope state (pinned snapshot stacks).  Transactions
-        pin their views on a scoped adapter so readers outside the
-        scope keep seeing live data.  Only meaningful when
-        ``capabilities.snapshots`` is set."""
         raise NotImplementedError
 
     def create_index(self, table: str, column: str) -> None:
@@ -304,8 +282,6 @@ class ColumnStoreAdapter(EngineAdapter):
     it is the MonetDB-style comparator, not the CODS path.
     """
 
-    capabilities = AdapterCapabilities(persistence=True)
-
     def __init__(self, catalog: Catalog | None = None):
         self.catalog = catalog if catalog is not None else Catalog()
         # Row-count of tuples materialized / re-compressed.
@@ -433,13 +409,7 @@ class MutableColumnAdapter(EngineAdapter):
     on each write.
     """
 
-    capabilities = AdapterCapabilities(
-        pushdown=True,
-        snapshots=True,
-        smo=True,
-        persistence=True,
-        compaction=True,
-    )
+    capabilities = AdapterCapabilities(pushdown=True)
 
     def __init__(self, engine=None, policy: CompactionPolicy | None = None):
         from repro.core.engine import EvolutionEngine
@@ -495,6 +465,10 @@ class MutableColumnAdapter(EngineAdapter):
         return self.catalog.schema(name)
 
     def scoped(self) -> "MutableColumnAdapter":
+        """A fresh adapter over the *same* engine, with its own
+        read-scope state (pinned snapshot stacks).  Transactions pin
+        their views on a scoped adapter so readers outside the scope
+        keep seeing live data."""
         clone = MutableColumnAdapter(self.evolution_engine, self.policy)
         # One engine, one accounting: the scoped adapter (transactions)
         # charges the same registry as its parent.

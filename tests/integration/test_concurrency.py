@@ -25,7 +25,6 @@ import pytest
 
 from repro.db import Database
 from repro.delta import CompactionPolicy
-from repro.errors import CapabilityError
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -238,11 +237,6 @@ class TestBackgroundCompactor:
         db.start_compactor(interval=0.01)
         db.stop_compactor()
         db.stop_compactor()
-
-    def test_requires_compaction_capability(self):
-        db = Database(backend="row")
-        with pytest.raises(CapabilityError, match="compaction"):
-            db.start_compactor()
 
     def test_survives_a_concurrent_drop(self):
         """Tables dropped between the catalog walk and the step are

@@ -10,7 +10,7 @@ import pytest
 
 from repro.db import Database
 from repro.delta import CompactionPolicy
-from repro.errors import CapabilityError, TransactionError
+from repro.errors import TransactionError
 from repro.exec import iter_rows
 from repro.workload.readwrite import MixedReadWriteWorkload
 
@@ -180,12 +180,6 @@ class TestReadWriteScopes:
                 tx.execute("ADD COLUMN age INT TO emp")
             with pytest.raises(TransactionError, match="not transactional"):
                 tx.execute("DROP TABLE emp")
-
-    def test_transactions_need_snapshot_capability(self):
-        db = Database(backend="row")
-        db.execute("CREATE TABLE r (k INT)")
-        with pytest.raises(CapabilityError, match="snapshots"):
-            db.transaction()
 
 
 class TestTransactionsUnderWorkload:

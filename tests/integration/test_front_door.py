@@ -32,7 +32,7 @@ TRICKY_STRINGS = (
 
 @pytest.fixture()
 def served():
-    db = Database(backend="mutable")
+    db = Database()
     server = CodsServer(db, "127.0.0.1", 0)
     server.start()
     try:

@@ -41,7 +41,7 @@ pytestmark = pytest.mark.timeout(120)
 @pytest.fixture()
 def served():
     """An in-memory database behind a server on an ephemeral port."""
-    db = Database(backend="mutable")
+    db = Database()
     server = CodsServer(db, "127.0.0.1", 0)
     server.start()
     try:
@@ -56,7 +56,6 @@ class TestServerBasics:
         db.execute("CREATE TABLE r (k INT)")
         with connect(*server.address) as conn:
             assert conn.server_info["server"] == "cods"
-            assert conn.server_info["backend"] == "mutable"
             assert conn.tables() == ["r"]
 
     def test_execute_mirrors_the_session_shapes(self, served):
@@ -79,7 +78,7 @@ class TestServerBasics:
             ) == [(7,)]
 
     def test_auth_token_is_required_when_configured(self):
-        db = Database(backend="mutable")
+        db = Database()
         server = CodsServer(db, "127.0.0.1", 0, auth_token="sesame")
         server.start()
         try:
@@ -163,7 +162,7 @@ class TestServerBasics:
             )
 
     def test_idle_sessions_are_reaped(self):
-        db = Database(backend="mutable")
+        db = Database()
         server = CodsServer(db, "127.0.0.1", 0, idle_timeout=0.2)
         server.start()
         try:

@@ -14,6 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database
+from repro.smo.parser import render_literal
+from repro.sql import (
+    ColumnStoreAdapter,
+    MutableColumnAdapter,
+    RowEngineAdapter,
+    SqlExecutor,
+)
 
 KS = list(range(5))
 SS = ["a", "b", "c"]
@@ -49,11 +56,11 @@ operations = st.lists(
 )
 
 
-def build_pair(initial, backend="mutable"):
+def build_pair(initial):
     """Two identical databases; the second one's session traces."""
     databases, sessions = [], []
     for _ in range(2):
-        db = Database(backend=backend)
+        db = Database()
         db.execute("CREATE TABLE r (k INT, s STRING, KEY(k))")
         if initial:
             db.executemany("INSERT INTO r VALUES (?, ?)", initial)
@@ -156,9 +163,16 @@ def test_tracing_mid_transaction_with_buffered_writes(
     select=st.sampled_from(SELECTS),
 )
 def test_tracing_is_inert_on_every_backend(initial, select):
-    for backend in ("mutable", "column", "row"):
-        _databases, sessions = build_pair(initial, backend=backend)
-        plain_rows, traced_rows = (s.execute(select) for s in sessions)
+    values = ", ".join(
+        f"({render_literal(k)}, {render_literal(s)})" for k, s in initial
+    )
+    for adapter in (MutableColumnAdapter, ColumnStoreAdapter, RowEngineAdapter):
+        executors = [SqlExecutor(adapter()) for _ in range(2)]
+        for executor in executors:
+            executor.execute("CREATE TABLE r (k INT, s STRING, KEY(k))")
+            executor.execute(f"INSERT INTO r VALUES {values}")
+        executors[1].trace_queries = True
+        plain_rows, traced_rows = (e.execute(select) for e in executors)
         assert traced_rows == plain_rows
-        analyzed = sessions[1].execute("EXPLAIN ANALYZE " + select)
+        analyzed = executors[1].execute("EXPLAIN ANALYZE " + select)
         assert analyzed[0][4] == len(plain_rows)  # root rows_out

@@ -1,6 +1,6 @@
-"""Unit tests for the `repro.db` façade: statement parsing and routing, registry,
-sessions/cursors, parameter binding, scripts, persistence and
-capability gating."""
+"""Unit tests for the `repro.db` façade: statement parsing and routing,
+sessions/cursors, parameter binding, scripts and persistence; plus the
+planner flags each engine adapter declares."""
 
 import datetime
 import json
@@ -10,8 +10,6 @@ import pytest
 
 from repro.db import (
     Database,
-    available_backends,
-    backend_spec,
     bind_parameters,
     connect,
     iter_script_statements,
@@ -23,6 +21,12 @@ from repro.errors import (
     StorageError,
 )
 from repro.smo.ops import SchemaModificationOperator
+from repro.sql import (
+    ColumnStoreAdapter,
+    MutableColumnAdapter,
+    RowEngineAdapter,
+    SqlExecutor,
+)
 from repro.sql.parser import parse_statement
 from repro.storage import DataType, table_from_python
 
@@ -120,29 +124,16 @@ class TestRouter:
         assert len(statements) == 2
 
 
-class TestRegistry:
-    def test_builtins_present(self):
-        assert {"row", "column", "mutable"} <= set(available_backends())
-
-    def test_unknown_backend(self):
-        with pytest.raises(CapabilityError, match="unknown backend"):
-            Database(backend="graph")
-
-    def test_duplicate_registration_rejected(self):
-        from repro.db import BackendSpec, register_backend
-
-        spec = backend_spec("row")
-        with pytest.raises(CapabilityError, match="already registered"):
-            register_backend(
-                BackendSpec("row", "dup", spec.factory)
-            )
-
+class TestAdapterCapabilities:
     def test_capabilities_by_backend(self):
-        assert Database(backend="mutable").capabilities.smo
-        assert Database(backend="mutable").capabilities.snapshots
-        assert not Database(backend="row").capabilities.smo
-        assert not Database(backend="column").capabilities.snapshots
-        assert Database(backend="row").capabilities.hash_join
+        # The CODS engine pushes work onto compressed batches; of the
+        # baselines only the row store joins natively.
+        assert MutableColumnAdapter.capabilities.pushdown
+        assert not MutableColumnAdapter.capabilities.hash_join
+        assert RowEngineAdapter.capabilities.hash_join
+        assert not RowEngineAdapter.capabilities.pushdown
+        assert not ColumnStoreAdapter.capabilities.pushdown
+        assert not ColumnStoreAdapter.capabilities.hash_join
 
 
 class TestParameterBinding:
@@ -204,23 +195,16 @@ class TestExecuteRouting:
         assert db.execute("DROP TABLE r") is None
         assert db.tables() == []
 
-    @pytest.mark.parametrize("backend", ["row", "column"])
-    def test_smo_requires_capability(self, backend):
-        db = Database(backend=backend)
-        db.execute("CREATE TABLE r (k INT)")
-        with pytest.raises(CapabilityError, match="mutable"):
-            db.execute("ADD COLUMN c INT TO r")
-
-    @pytest.mark.parametrize("backend", ["row", "column", "mutable"])
-    def test_sql_works_on_every_backend(self, backend):
-        db = Database(backend=backend)
-        db.execute("CREATE TABLE r (k INT, s STRING)")
-        db.execute("INSERT INTO r VALUES (1, 'a'), (2, 'b')")
-        assert db.execute("SELECT s FROM r WHERE k = 2") == [("b",)]
-
-    def test_engine_none_without_smo_backend(self):
-        assert Database(backend="row").engine is None
-        assert Database(backend="mutable").engine is not None
+    @pytest.mark.parametrize(
+        "adapter",
+        [RowEngineAdapter, ColumnStoreAdapter, MutableColumnAdapter],
+        ids=["row", "column", "mutable"],
+    )
+    def test_sql_works_on_every_backend(self, adapter):
+        executor = SqlExecutor(adapter())
+        executor.execute("CREATE TABLE r (k INT, s STRING)")
+        executor.execute("INSERT INTO r VALUES (1, 'a'), (2, 'b')")
+        assert executor.execute("SELECT s FROM r WHERE k = 2") == [("b",)]
 
     def test_closed_database_rejects_execution(self):
         db = seeded_db()
@@ -355,24 +339,9 @@ class TestPersistence:
                 raise RuntimeError("abort")
         assert Database(directory).execute("SELECT * FROM r") == []
 
-    def test_row_backend_has_no_persistence(self, tmp_path):
-        db = Database(backend="row")
-        with pytest.raises(CapabilityError, match="no persistence"):
-            db.save(tmp_path / "x")
-
     def test_save_needs_a_directory(self):
         with pytest.raises(StorageError, match="no catalog directory"):
             Database().save()
-
-    def test_column_backend_round_trip(self, tmp_path):
-        directory = tmp_path / "catalog"
-        db = Database(directory, backend="column")
-        db.execute("CREATE TABLE r (k INT)")
-        db.execute("INSERT INTO r VALUES (4)")
-        db.save()
-        assert Database(
-            directory, backend="column"
-        ).execute("SELECT * FROM r") == [(4,)]
 
     def test_connect_alias(self, tmp_path):
         db = connect(tmp_path / "catalog")

@@ -163,16 +163,31 @@ class TestApiDocs:
         text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
         assert "## The API layer: `repro.db`" in text
         assert "epoch vector" in text
-        assert "register_backend" in text
+        assert "A `Database` serves one engine" in text
 
     def test_registry_backends_are_documented(self):
+        # The backend registry is gone: ARCHITECTURE.md names the one
+        # served engine and the two baseline classes, and migration.md
+        # lists every removed name.
         import repro.db as db
 
         architecture = (REPO / "docs" / "ARCHITECTURE.md").read_text()
-        for backend in db.available_backends():
-            assert f"`{backend}`" in architecture, (
-                f"ARCHITECTURE.md does not document backend {backend!r}"
+        for adapter in (
+            "MutableColumnAdapter", "RowEngineAdapter", "ColumnStoreAdapter",
+        ):
+            assert f"`{adapter}`" in architecture, (
+                f"ARCHITECTURE.md does not document {adapter}"
             )
+        migration = (REPO / "docs" / "migration.md").read_text()
+        for removed in (
+            "BackendSpec", "register_backend", "backend_spec",
+            "available_backends", "create_adapter",
+        ):
+            assert f"`{removed}`" in migration, (
+                f"migration.md does not note the removal of {removed}"
+            )
+            assert not hasattr(db, removed)
+        assert "`repro.core.advisor`" in migration
 
 
 class TestObservabilityDocs:
@@ -316,7 +331,7 @@ class TestServerDocs:
         from repro.server import CodsServer
 
         text = (REPO / "docs" / "observability.md").read_text()
-        db = Database(backend="mutable")
+        db = Database()
         server = CodsServer(db, "127.0.0.1", 0)
         server.start()
         try:

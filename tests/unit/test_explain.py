@@ -1,7 +1,8 @@
-"""EXPLAIN / EXPLAIN ANALYZE through the Database façade.
+"""EXPLAIN / EXPLAIN ANALYZE on every engine.
 
 The shape contract: both variants return rows in the fixed
-``TRACE_COLUMNS`` 6-tuple layout on every backend; plain EXPLAIN
+``TRACE_COLUMNS`` 6-tuple layout on the CODS engine and on both
+baselines, each driven through its own ``SqlExecutor``; plain EXPLAIN
 renders the static plan without executing (and charges no counters),
 EXPLAIN ANALYZE executes the SELECT through the traced pipeline and
 charges exactly what a plain SELECT would."""
@@ -13,8 +14,18 @@ import pytest
 from repro.db import Database
 from repro.errors import SqlError
 from repro.obs import TRACE_COLUMNS, QueryTrace
+from repro.sql import (
+    ColumnStoreAdapter,
+    MutableColumnAdapter,
+    RowEngineAdapter,
+    SqlExecutor,
+)
 
-BACKENDS = ("mutable", "column", "row")
+ADAPTERS = {
+    "mutable": MutableColumnAdapter,
+    "column": ColumnStoreAdapter,
+    "row": RowEngineAdapter,
+}
 ROWS = [(i % 3, "ab"[i % 2]) for i in range(10)]
 SELECT = "SELECT s FROM r WHERE k = 1 ORDER BY s LIMIT 3"
 
@@ -23,12 +34,22 @@ def operators(rows):
     return [row[0].strip() for row in rows]
 
 
-@pytest.fixture(params=BACKENDS)
+def seed(target):
+    """Create and fill ``r`` through ``target``'s ``execute``."""
+    target.execute("CREATE TABLE r (k INT, s STRING, KEY(k))")
+    for k, s in ROWS:
+        target.execute(f"INSERT INTO r VALUES ({k}, '{s}')")
+    return target
+
+
+@pytest.fixture(params=ADAPTERS)
 def db(request):
-    database = Database(backend=request.param)
-    database.execute("CREATE TABLE r (k INT, s STRING, KEY(k))")
-    database.executemany("INSERT INTO r VALUES (?, ?)", ROWS)
-    return database
+    """An executor over one engine: CODS or a baseline."""
+    return seed(SqlExecutor(ADAPTERS[request.param]()))
+
+
+def is_cods(executor) -> bool:
+    return isinstance(executor.adapter, MutableColumnAdapter)
 
 
 class TestShape:
@@ -63,10 +84,10 @@ class TestShape:
             row[0].strip(): row[1] for row in db.execute("EXPLAIN " + SELECT)
         }["scan"]
         expected_fragment = {
-            "mutable": "main: compressed-domain bitmap",
-            "column": "decoded column vectors",
-            "row": "row heap",
-        }[db.backend]
+            MutableColumnAdapter: "main: compressed-domain bitmap",
+            ColumnStoreAdapter: "decoded column vectors",
+            RowEngineAdapter: "row heap",
+        }[type(db.adapter)]
         assert expected_fragment in detail
 
     def test_explain_requires_a_select(self, db):
@@ -85,11 +106,12 @@ class TestCounters:
         )
 
     def test_plain_explain_materializes_no_rows(self):
-        # The column backend counts every row it turns into a tuple,
-        # so it can witness that planning never touches data.
-        db = Database(backend="column")
+        # The query-level column store counts every row it turns into
+        # a tuple, so it can witness that planning never touches data.
+        db = SqlExecutor(ColumnStoreAdapter())
         db.execute("CREATE TABLE r (k INT, s STRING)")
-        db.executemany("INSERT INTO r VALUES (?, ?)", ROWS)
+        for k, s in ROWS:
+            db.execute(f"INSERT INTO r VALUES ({k}, '{s}')")
         assert db.adapter.rows_materialized == 0
         db.execute("EXPLAIN " + SELECT)
         assert db.adapter.rows_materialized == 0
@@ -113,8 +135,8 @@ class TestCounters:
 
 
 class TestRetention:
-    def test_cursor_description_and_trace(self, db):
-        cursor = db.cursor()
+    def test_cursor_description_and_trace(self):
+        cursor = seed(Database()).cursor()
         cursor.execute("EXPLAIN ANALYZE " + SELECT)
         assert [entry[0] for entry in cursor.description] == list(
             TRACE_COLUMNS
@@ -125,8 +147,8 @@ class TestRetention:
         assert isinstance(cursor.trace, QueryTrace)
         assert cursor.trace.executed
 
-    def test_plain_explain_trace_is_not_executed(self, db):
-        cursor = db.cursor()
+    def test_plain_explain_trace_is_not_executed(self):
+        cursor = seed(Database()).cursor()
         cursor.execute("EXPLAIN " + SELECT)
         assert isinstance(cursor.trace, QueryTrace)
         assert not cursor.trace.executed
@@ -134,17 +156,16 @@ class TestRetention:
 
     def test_session_retains_the_last_trace(self, db):
         db.execute("EXPLAIN ANALYZE " + SELECT)
-        trace = db._session.last_trace
+        trace = db.last_trace
         assert trace is not None and trace.executed
-        assert trace.rows() == db._session.last_trace.rows()
+        assert trace.rows() == db.last_trace.rows()
 
     def test_trace_queries_retains_traces_for_plain_selects(self, db):
-        session = db.session()
-        session.execute(SELECT)
-        assert session.last_trace is None  # span timing is opt-in
-        session.trace_queries = True
-        expected = session.execute(SELECT)
-        trace = session.last_trace
+        db.execute(SELECT)
+        assert db.last_trace is None  # span timing is opt-in
+        db.trace_queries = True
+        expected = db.execute(SELECT)
+        trace = db.last_trace
         assert trace is not None and trace.timed and trace.executed
         assert trace.root.rows_out == len(expected)
 
@@ -235,7 +256,7 @@ class TestAggregatePlans:
         detail = self.detail(db, self.AGG, "aggregate")
         assert "out=k,count(*),sum(k)" in detail
         assert "group_by=k" in detail
-        if db.backend == "mutable":
+        if is_cods(db):
             assert detail.startswith("compressed [estimated groups")
             assert "delta share" in detail
         else:
@@ -262,7 +283,7 @@ class TestAggregatePlans:
 
     def test_distinct_node_names_the_enumeration(self, db):
         detail = self.detail(db, "SELECT DISTINCT s FROM r", "distinct")
-        if db.backend == "mutable":
+        if is_cods(db):
             assert detail == "live-vid enumeration"
         else:
             assert detail == "streaming dedup"
@@ -271,7 +292,7 @@ class TestAggregatePlans:
         detail = self.detail(
             db, "SELECT s FROM r ORDER BY s DESC", "order_by"
         )
-        if db.backend == "mutable":
+        if is_cods(db):
             assert detail == "s DESC (dictionary-order presorted runs)"
         else:
             assert detail == "s DESC (materialize-and-sort)"
