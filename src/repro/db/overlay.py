@@ -152,8 +152,8 @@ class ReadYourWritesAdapter(EngineAdapter):
         return path
 
     def table_stats(self, name: str):
-        # The pinned view's statistics, written tables included: they
-        # are a hint for strategy choice, never for correctness.
+        # The pinned view's row counts, written tables included: EXPLAIN
+        # reports them, no execution choice reads them.
         return self._inner.table_stats(name)
 
     def create_index(self, table: str, column: str) -> None:

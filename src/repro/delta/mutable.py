@@ -264,21 +264,14 @@ class MutableTable:
             )
 
     def statistics(self):
-        """Planner statistics for the current view — live main/delta row
-        counts plus per-column distinct/min/max over the compressed main
-        store (cached per generation; see
-        :mod:`repro.storage.statistics`)."""
-        from repro.storage.statistics import (
-            TableStats,
-            cached_table_column_stats,
-        )
+        """Live main/delta row counts of the current view."""
+        from repro.storage.statistics import TableStats
 
         with self._lock:
             return TableStats(
                 self.name,
                 self._main.nrows - len(self._delta.deleted_main),
                 self._delta.n_live,
-                cached_table_column_stats(self._main),
             )
 
     # ------------------------------------------------------------------

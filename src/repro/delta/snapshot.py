@@ -20,23 +20,35 @@ import weakref
 
 from repro.errors import StorageError
 
-#: Decoded row lists, weakly keyed by main-store generation — the read
-#: path's one cache.  A generation's compressed columns never change, so
-#: its decoded rows can be shared by every batch that reads it, and the
-#: entry dies with the generation (when the last pinning snapshot
-#: closes).  The cache is deliberately *not* wired into
-#: ``Table.to_rows`` itself: the query-level baselines must keep paying
-#: the full decompression cost the paper charges them.
-_DECODED_ROWS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: Derived arrays of each main-store generation, weakly keyed by the
+#: immutable ``Table`` — the read path's one cache.  Each entry is a
+#: dict from a reader's key to what it built: ``"rows"`` holds the
+#: decoded row list, and :mod:`repro.exec.aggregate` keeps its vid
+#: arrays, typed dictionaries and group codes here.  A generation's
+#: compressed columns never change — and a metadata-only rename swaps
+#: in a fresh relabeled ``Table`` object — so an entry serves every
+#: batch that reads the generation and dies with it (when the last
+#: pinning snapshot closes).  The cache is deliberately *not* wired
+#: into ``Table.to_rows`` itself: the query-level baselines must keep
+#: paying the full decompression cost the paper charges them.
+_GENERATION_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def generation_cached(table, key, build):
+    """The value cached under ``key`` for main-store generation
+    ``table``, built by ``build()`` on first use."""
+    per_table = _GENERATION_CACHE.get(table)
+    if per_table is None:
+        per_table = _GENERATION_CACHE[table] = {}
+    found = per_table.get(key)
+    if found is None:
+        found = per_table[key] = build()
+    return found
 
 
 def decoded_main_rows(table) -> list:
     """Memoized ``table.to_rows()`` for the batch read path."""
-    rows = _DECODED_ROWS.get(table)
-    if rows is None:
-        rows = table.to_rows()
-        _DECODED_ROWS[table] = rows
-    return rows
+    return generation_cached(table, "rows", table.to_rows)
 
 
 def reference_rows(main, delta, epoch: int | None = None) -> list[tuple]:
@@ -154,24 +166,14 @@ class Snapshot:
         return batches
 
     def statistics(self):
-        """Planner statistics for the pinned view: live row counts at
-        the pinned epoch plus the shared per-generation column stats
-        (see :mod:`repro.storage.statistics`)."""
+        """Live main/delta row counts of the pinned view at its epoch."""
         self._check_open()
-        from repro.storage.statistics import (
-            TableStats,
-            cached_table_column_stats,
-        )
+        from repro.storage.statistics import TableStats
 
         main_live, delta_live = self._delta.live_counts(
             self._main.nrows, self.epoch
         )
-        return TableStats(
-            self._main.schema.name,
-            main_live,
-            delta_live,
-            cached_table_column_stats(self._main),
-        )
+        return TableStats(self._main.schema.name, main_live, delta_live)
 
     def to_rows(self) -> list[tuple]:
         """The pinned view as a fresh row list — the reference merge

@@ -25,8 +25,8 @@ Filters compose by sorted intersection of positions, so a selection
 costs what it keeps.  Aggregation (GROUP BY, COUNT/SUM/MIN/MAX/AVG),
 DISTINCT and ORDER BY run in the same spirit — bitmap popcounts and
 each value's first row on an unselected main store, dictionary vids
-at the selected positions otherwise, hash/sort fallbacks elsewhere,
-chosen by per-table statistics (:mod:`repro.exec.aggregate`).
+at the selected positions otherwise, row-wise hash and sort on delta
+and values batches (:mod:`repro.exec.aggregate`).
 
 See ``docs/ARCHITECTURE.md``, "The execution pipeline".
 """

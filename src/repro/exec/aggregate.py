@@ -11,15 +11,18 @@ operations cheap *without decoding rows*:
   touch no row.  Under a selection, or where a grouped value aggregate
   needs joint (group code, value vid) counts, every count is a
   ``bincount`` over columns' cached row-order vid arrays, taken at the
-  selected positions.  SUM/AVG/MIN/MAX are then NumPy reductions of
+  selected positions; several group columns combine into one
+  mixed-radix code per row, re-densified before a multiply could leave
+  int64, so any number and cardinality of group columns folds here.
+  SUM/AVG/MIN/MAX are then NumPy reductions of
   those O(distinct) pair counts against the dictionary's values held
   as a typed array (``int64``, ``float64`` or ``object``, one code
   path for all three).  Group keys decode by an array take on each
   key column's dictionary values.  Partials are columns by group
   slot — one key→slot map, and per aggregate one list indexed by
   slot — so each reduction lands as a whole array.  Delta and values
-  batches fall back to a row-wise hash aggregator that writes into
-  the same slots, so main and delta partials merge epoch-consistently
+  batches go through a row-wise hash aggregator that writes into the
+  same slots, so main and delta partials merge epoch-consistently
   and a query sees exactly the main+delta state its scan pinned.
   Result groups are ordered by one rank array per key column and one
   ``np.lexsort``.
@@ -35,24 +38,23 @@ operations cheap *without decoding rows*:
   cached value order that merge (``heapq.merge``) with the sorted
   delta rows instead of materializing and sorting the whole table.
 
-Strategy choice is statistics-driven: :func:`choose_aggregate_strategy`
-consults :class:`~repro.storage.statistics.TableStats` (distinct
-counts, delta share) and falls back to the hash aggregator when the
-estimated group count approaches the row count — the reason string it
-returns is what EXPLAIN renders.
+There is one aggregation path per batch domain: every main-store
+batch folds in the dictionary domain and every delta or values batch
+row by row.  :func:`choose_aggregate_strategy` only says whether an
+adapter's scans hand over compressed batches at all; the reason string
+it returns is what EXPLAIN renders.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import math
 import operator
-import weakref
 from collections import Counter
 
 import numpy as np
 
+from repro.delta.snapshot import decoded_main_rows, generation_cached
 from repro.errors import SqlExecutionError
 from repro.exec.batch import (
     TableBatch,
@@ -76,9 +78,10 @@ __all__ = [
 #: legal SQL value that aggregates must *skip*, so it cannot stand in).
 _MISSING = object()
 
-#: Estimated-groups floor below which compressed-domain aggregation is
-#: always preferred (grouping cost is bounded by the dictionary size).
-_COMPRESSED_MIN_GROUPS = 64
+#: Largest code space a mixed-radix code may span: the running code is
+#: re-densified before a multiply would pass it, so every group code and
+#: joint (group, value) code stays inside int64.
+_CODE_LIMIT = 2**62
 
 
 def validate_aggregate_select(select, schema) -> tuple:
@@ -141,37 +144,21 @@ def aggregate_output_names(select) -> tuple[str, ...]:
 def choose_aggregate_strategy(select, stats, pushdown=True) -> tuple[str, str]:
     """Pick ``compressed`` vs ``hash`` aggregation and say why.
 
-    The compressed path's grouping cost is bounded by the number of
-    distinct group-key combinations (dictionary sizes), so it wins
-    whenever that estimate stays well below the main-store row count;
-    a high-cardinality GROUP BY degenerates to per-group bookkeeping
-    and the row-wise hash aggregator is no worse.  Without statistics
-    (a row-oriented backend) or compressed batches (an adapter whose
-    scans decode to values, ``pushdown=False``) only the hash path
-    exists.
+    Main-store batches always fold in the dictionary domain, whatever
+    the number or cardinality of the group columns; only an adapter
+    whose scans decode to values (``pushdown=False``) has no compressed
+    batch to fold.  ``select`` and ``stats`` (``None`` allowed) only
+    shape the reason EXPLAIN renders.
     """
     if not pushdown:
         return "hash", "scan decodes to values (no compressed batches)"
-    if stats is None:
-        return "hash", "no table statistics (row-wise backend)"
-    estimated = 1
-    for name in select.group_by:
-        column = stats.column(name)
-        if column is None:
-            return "hash", f"no statistics for group column {name!r}"
-        estimated *= max(1, column.distinct)
-    ceiling = max(_COMPRESSED_MIN_GROUPS, stats.main_rows // 8)
-    if estimated > ceiling:
-        return (
-            "hash",
-            f"estimated groups {estimated} > ceiling {ceiling} "
-            f"(main_rows/8)",
-        )
-    return (
-        "compressed",
-        f"estimated groups {estimated} <= ceiling {ceiling}, "
-        f"delta share {stats.delta_share:.1%}",
+    reason = (
+        "main batches group by vid codes" if select.group_by
+        else "main batches reduce per-vid counts"
     )
+    if stats is not None:
+        reason += f", delta share {stats.delta_share:.1%}"
+    return "compressed", reason
 
 
 # ----------------------------------------------------------------------
@@ -329,35 +316,13 @@ def _require_numeric(agg, value):
 # Compressed-domain path (TableBatch)
 # ----------------------------------------------------------------------
 
-#: Per-(main-store table, key) arrays: row-order vid arrays keyed by
-#: column name, typed dictionary values keyed by ``("typed", name)``,
-#: mixed-radix group codes keyed by ``("codes", *group_names)``, the
-#: non-empty vids in first-row order keyed by ``("first", name)``.
-#: Tables are immutable — mutation swaps in a fresh ``Table`` object —
-#: so the weak keying doubles as invalidation, exactly like the
-#: decoded-row cache in :mod:`repro.delta.snapshot`.
-_COLUMN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _cached(table, key, build):
-    per_table = _COLUMN_CACHE.get(table)
-    if per_table is None:
-        per_table = {}
-        _COLUMN_CACHE[table] = per_table
-    found = per_table.get(key)
-    if found is None:
-        found = build()
-        per_table[key] = found
-    return found
-
-
 def _decode_vids(table, name: str) -> np.ndarray:
     def build():
         vids = table.column(name).decode_vids()
         vids.flags.writeable = False
         return vids
 
-    return _cached(table, name, build)
+    return generation_cached(table, ("vids", name), build)
 
 
 def _selected_value_counts(table, name: str, selection) -> np.ndarray:
@@ -438,7 +403,7 @@ class _TypedValues:
 
 
 def _typed_values(table, name: str) -> _TypedValues:
-    return _cached(
+    return generation_cached(
         table,
         ("typed", name),
         lambda: _TypedValues(
@@ -447,31 +412,68 @@ def _typed_values(table, name: str) -> _TypedValues:
     )
 
 
-def _group_codes(table, group_names, sizes, selection) -> np.ndarray:
-    """Mixed-radix codes combining the group columns' vids (radix
-    ``sizes``) at the selected positions (every row when ``selection``
-    is ``None``).  The whole table's codes are cached per table like
+def _radix(table, name: str) -> int:
+    return max(1, table.column(name).distinct_count)
+
+
+def _combine(codes, space: int, vids, size: int, steps: list):
+    """``codes * size + vids``: one more column's vids (radix ``size``)
+    appended to mixed-radix ``codes`` of radix ``space``.  When the
+    product would pass :data:`_CODE_LIMIT` the codes are first
+    re-densified to the ranks of the distinct codes present, which
+    never exceed the row count.  The step is appended to ``steps`` for
+    :func:`_split_codes`; returns ``(codes, space)``."""
+    dense = None
+    if space * size > _CODE_LIMIT:
+        dense, codes = np.unique(codes, return_inverse=True)
+        space = len(dense)
+    steps.append((size, dense))
+    return codes * size + vids, space * size
+
+
+def _split_codes(codes, steps) -> list[np.ndarray]:
+    """Invert :func:`_combine`: the vids each code combines, first
+    column first.  Per step, last first, a ``divmod`` peels off that
+    column's vids and the step's re-densified codes (if any) map the
+    quotient back to the code before it."""
+    parts = []
+    for size, dense in reversed(steps):
+        codes, vids = np.divmod(codes, size)
+        parts.append(vids)
+        if dense is not None:
+            codes = dense[codes]
+    parts.append(codes)
+    return parts[::-1]
+
+
+def _group_codes(table, group_names) -> tuple:
+    """``(codes, space, steps)``: the whole table's group codes
+    combining the group columns' vids (:func:`_combine`), their code
+    space and the steps that decode them — cached per generation like
     the vid arrays they combine."""
     def build():
         codes = _decode_vids(table, group_names[0])
-        for name, size in zip(group_names[1:], sizes[1:]):
-            codes = codes * size + _decode_vids(table, name)
+        space = _radix(table, group_names[0])
+        steps = []
+        for name in group_names[1:]:
+            codes, space = _combine(
+                codes, space, _decode_vids(table, name),
+                _radix(table, name), steps,
+            )
         codes.flags.writeable = False
-        return codes
+        return codes, space, steps
 
-    codes = _cached(table, ("codes", *group_names), build)
-    return codes if selection is None else codes[selection]
+    return generation_cached(table, ("codes", *group_names), build)
 
 
-def _keys_for_codes(table, group_names, codes, sizes) -> list[list]:
-    """Decode mixed-radix group codes into one value list per group
-    column: a ``divmod`` peels off each column's vids (last column
-    first), an array take on its dictionary values decodes them."""
-    columns = []
-    for name, size in zip(reversed(group_names), reversed(sizes)):
-        codes, vids = np.divmod(codes, size)
-        columns.append(_typed_values(table, name).objects[vids].tolist())
-    return columns[::-1]
+def _keys_for_codes(table, group_names, codes, steps) -> list[list]:
+    """Decode group codes into one value list per group column: the
+    vids :func:`_split_codes` recovers, through an array take on each
+    column's dictionary values."""
+    return [
+        _typed_values(table, name).objects[vids].tolist()
+        for name, vids in zip(group_names, _split_codes(codes, steps))
+    ]
 
 
 def _nonzero_counts(codes, space: int):
@@ -491,7 +493,9 @@ def _value_pairs(table, name, selection, grouping):
     nonnull)`` where ``starts`` opens each group's run and ``slots`` is
     its index into ``grouping``'s group codes; ``nonnull`` counts the
     non-NULL rows of every group, zero where there are none.  ``None``
-    when no non-NULL value is selected."""
+    when no non-NULL value is selected.  ``grouping`` is ``None`` for
+    an ungrouped aggregate, else ``(selected, group_codes)`` where
+    ``selected()`` gives the selected rows' ``(codes, space, steps)``."""
     typed = _typed_values(table, name)
     if grouping is None:
         per_vid = _selected_value_counts(table, name, selection)
@@ -499,15 +503,17 @@ def _value_pairs(table, name, selection, grouping):
         group, counts = np.zeros_like(vid), per_vid[vid]
         group_codes = group[:1]
     else:
-        row_codes, space, group_codes = grouping
-        nvals = max(1, len(typed.values))
+        selected, group_codes = grouping
+        row_codes, space, _steps = selected()
         vids = _decode_vids(table, name)
         if selection is not None:
             vids = vids[selection]
-        joint, counts = _nonzero_counts(
-            row_codes() * nvals + vids, space * nvals
+        steps = []
+        joint, space = _combine(
+            row_codes, space, vids, max(1, len(typed.values)), steps
         )
-        group, vid = np.divmod(joint, nvals)
+        joint, counts = _nonzero_counts(joint, space)
+        group, vid = _split_codes(joint, steps)
     keep = ~typed.null[vid]
     if not keep.any():
         return None
@@ -522,8 +528,9 @@ def _value_pairs(table, name, selection, grouping):
 def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
     """Fold one main-store batch in the dictionary domain.
 
-    Groups and COUNT(*) come from the group columns' codes — from the
-    one group column's popcounts when there is no selection.  Per
+    Groups and COUNT(*) come from the group columns' codes
+    (:func:`_group_codes`) — from the one group column's popcounts when
+    there is no selection.  Per
     aggregate column the selected rows collapse to their joint
     (group code, value vid) counts (:func:`_value_pairs`); each
     aggregate is then one NumPy reduction over those pairs
@@ -537,24 +544,26 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
     table = batch.table
     selection = batch.selection
     if group_names:
-        sizes = [
-            max(1, table.column(name).distinct_count) for name in group_names
-        ]
-        space = math.prod(sizes)
         # The selected rows' codes, built only when first needed.
-        row_codes = functools.cache(
-            lambda: _group_codes(table, group_names, sizes, selection)
-        )
+        @functools.cache
+        def selected():
+            codes, space, steps = _group_codes(table, group_names)
+            if selection is not None:
+                codes = codes[selection]
+            return codes, space, steps
+
         if selection is None and len(group_names) == 1:
             counts = table.column(group_names[0]).value_counts()
             group_codes = np.flatnonzero(counts)
             star_counts = counts[group_codes]
+            steps = []
         else:
-            group_codes, star_counts = _nonzero_counts(row_codes(), space)
+            codes, space, steps = selected()
+            group_codes, star_counts = _nonzero_counts(codes, space)
         keys = list(zip(*_keys_for_codes(
-            table, group_names, group_codes, sizes
+            table, group_names, group_codes, steps
         )))
-        grouping = (row_codes, space, group_codes)
+        grouping = (selected, group_codes)
     elif batch.selected_count:
         star_counts = np.array([batch.selected_count])
         keys = [()]
@@ -602,7 +611,7 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
 
 
 def _accumulate_rows(batch, group_names, acc: GroupAccumulator):
-    """The hash fallback: row-wise accumulation over any batch kind."""
+    """The hash path: row-wise accumulation over any batch kind."""
     names = batch.column_names
     count_star_only = all(
         agg.func == "count" and agg.column is None for agg in acc.aggs
@@ -710,7 +719,7 @@ def _first_row_order(table, name: str) -> np.ndarray:
         order.flags.writeable = False
         return order
 
-    return _cached(table, ("first", name), build)
+    return generation_cached(table, ("first", name), build)
 
 
 def _table_batch_distinct(batch: TableBatch, name: str) -> list:
@@ -761,8 +770,6 @@ def _table_batch_ordered(
     order is the dictionary's cached rank, NULL last ascending and
     first descending.  Rows decode lazily, one value run at a time — a
     LIMIT stops the scan early."""
-    from repro.delta.snapshot import decoded_main_rows
-
     column = batch.table.column(name)
     typed = _typed_values(batch.table, name)
     order, _rank = typed.ranked()

@@ -251,15 +251,12 @@ def execute_select(adapter, select, stats=None, trace=None):
     vid_distinct = presorted = False
 
     if select.is_aggregate:
-        # Statistics-driven strategy: compressed-domain (vids/popcounts)
-        # when the estimated group count stays small, row-wise hash
-        # aggregation otherwise.  Delta/values batches always hash;
-        # both merge into one partial store, keyed by decoded group
-        # values, so main+delta results are epoch-consistent.
+        # Main-store batches fold in the dictionary domain (vids and
+        # popcounts) on every pushdown adapter; delta/values batches
+        # hash.  Both merge into one partial store, keyed by decoded
+        # group values, so main+delta results are epoch-consistent.
         strategy, _reason = choose_aggregate_strategy(
-            select,
-            adapter.table_stats(select.table),
-            pushdown=adapter.capabilities.pushdown,
+            select, None, pushdown=adapter.capabilities.pushdown
         )
         batches = adapter.scan_batches(select.table)
         if spans is not None:

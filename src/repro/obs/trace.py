@@ -157,8 +157,8 @@ class ExecStats:
         self.rows_decoded = 0
         self.rows_returned = 0
         # Aggregation accounting (see repro.exec.aggregate): batches
-        # folded in the compressed vid/popcount domain vs the row-wise
-        # hash fallback, and distinct groups produced.
+        # folded in the compressed vid/popcount domain (main store) vs
+        # row-wise by hash (delta and values), and groups produced.
         self.agg_batches_compressed = 0
         self.agg_batches_hash = 0
         self.agg_groups = 0

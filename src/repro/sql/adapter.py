@@ -18,9 +18,9 @@ keeps landing.
 Reads have one contract: :meth:`EngineAdapter.scan_batches` hands the
 executor column batches, each of which evaluates predicates in its own
 representation (compressed-domain bitmaps on the main store, the
-compiled evaluator on the delta buffer), and :meth:`EngineAdapter.table_stats`
-feeds the planner.  See ``docs/ARCHITECTURE.md``, "The execution
-pipeline".
+compiled evaluator on the delta buffer), and
+:meth:`EngineAdapter.table_stats` reports live row counts to EXPLAIN.
+See ``docs/ARCHITECTURE.md``, "The execution pipeline".
 """
 
 from __future__ import annotations
@@ -138,13 +138,11 @@ class EngineAdapter:
         raise NotImplementedError
 
     def table_stats(self, name: str):
-        """Optional planner statistics for ``name`` — a
-        :class:`repro.storage.statistics.TableStats` (per-column
-        distinct counts and min/max, live main/delta row counts), or
-        ``None`` when the backend maintains none.  Statistics are a
-        *hint* for strategy choice (compressed-domain vs row-wise
-        aggregation, indexed vs row-wise delta probes); execution is
-        correct either way (see ``docs/migration.md``)."""
+        """Optional statistics for ``name`` — a
+        :class:`repro.storage.statistics.TableStats` (live main/delta
+        row counts), or ``None`` when the backend keeps none.  EXPLAIN
+        reports the delta share from them; no execution choice reads
+        them (see ``docs/migration.md``)."""
         return None
 
     def hash_join(self, left: str, right: str, join_attrs, out_columns):
@@ -379,8 +377,8 @@ class ColumnStoreAdapter(EngineAdapter):
         return "decoded column vectors via compiled evaluator"
 
     def table_stats(self, name: str):
-        """Statistics straight off the compressed catalog table (the
-        dictionary is the distinct-value list; no delta side here)."""
+        """Row counts straight off the compressed catalog table (no
+        delta side here)."""
         from repro.storage.statistics import table_statistics
 
         return table_statistics(self.catalog.table(name))
@@ -549,10 +547,9 @@ class MutableColumnAdapter(EngineAdapter):
         return "main: compressed-domain bitmap, delta: compiled evaluator"
 
     def table_stats(self, name: str):
-        """Planner statistics for the view a scan would see: the pinned
-        snapshot scope when one is open, else the live mutable handle
-        (per-generation cached column stats + live delta counts), else
-        the static catalog table."""
+        """Live row counts of the view a scan would see: the pinned
+        snapshot scope when one is open, else the live mutable handle,
+        else the static catalog table."""
         from repro.storage.statistics import table_statistics
 
         snapshot = self._pinned(name)

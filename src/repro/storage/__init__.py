@@ -18,7 +18,7 @@ from repro.storage.filefmt import (
     save_table,
 )
 from repro.storage.schema import ColumnSchema, TableSchema
-from repro.storage.statistics import ColumnStats, TableStats, table_statistics
+from repro.storage.statistics import TableStats, table_statistics
 from repro.storage.table import Table, table_from_python
 from repro.storage.verify import (
     VerificationReport,
@@ -40,7 +40,6 @@ __all__ = [
     "Catalog",
     "CatalogVersion",
     "ColumnSchema",
-    "ColumnStats",
     "DataType",
     "Dictionary",
     "Table",

@@ -1,61 +1,32 @@
-"""Per-column statistics for statistics-driven plan choices.
+"""Live row counts for planner decisions and EXPLAIN.
 
-The dictionary of a :class:`~repro.storage.column.BitmapColumn` already
-*is* a distinct-value catalog, so main-store statistics cost O(distinct)
-to compute — no data scan.  ``TableStats`` adds the delta row share so a
-planner can judge how representative the compressed main store is of
-the full (main + delta) table.
-
-``MutableTable.statistics()`` / ``Snapshot.statistics()`` build these
-(cached per compaction generation on the mutable side) and adapters
-surface them through the optional ``EngineAdapter.table_stats`` hook;
-``repro.exec`` uses them to pick compressed-domain vs row-wise
-aggregation and the delta store uses the same idea to decide indexed vs
-row-wise range probes.
+``TableStats`` counts a table's live main-store rows (compressed, read
+in the dictionary domain) and live delta rows (buffered, read row by
+row).  ``MutableTable.statistics()`` / ``Snapshot.statistics()`` build
+them for the current or pinned view, and adapters surface them through
+the optional ``EngineAdapter.table_stats`` hook; EXPLAIN reports the
+delta share in its aggregate node.  The counts are read off live
+bookkeeping — nothing is scanned, nothing is cached.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = [
-    "ColumnStats",
-    "TableStats",
-    "cached_table_column_stats",
-    "table_statistics",
-]
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    """Statistics for one column of a table's *main* (compressed) store.
-
-    ``distinct`` counts dictionary entries (including a ``None`` entry
-    if present); ``min``/``max`` range over the non-``None`` dictionary
-    values and are ``None`` for an all-NULL or empty column.
-    """
-
-    name: str
-    distinct: int
-    min: object = None
-    max: object = None
+__all__ = ["TableStats", "table_statistics"]
 
 
 @dataclass(frozen=True)
 class TableStats:
-    """Table-level statistics: live row counts and per-column stats.
+    """Table-level statistics: live row counts.
 
     ``main_rows`` counts main-store rows still visible (appended minus
-    deleted); ``delta_rows`` counts live delta rows.  Column statistics
-    describe the main store only — ``delta_share`` tells the planner how
-    much of the table those statistics do *not* cover.
+    deleted); ``delta_rows`` counts live delta rows.
     """
 
     table: str
     main_rows: int
     delta_rows: int = 0
-    columns: dict[str, ColumnStats] = field(default_factory=dict)
 
     @property
     def total_rows(self) -> int:
@@ -66,48 +37,8 @@ class TableStats:
         total = self.total_rows
         return self.delta_rows / total if total else 0.0
 
-    def column(self, name: str) -> ColumnStats | None:
-        return self.columns.get(name)
 
-
-def column_statistics(name: str, column) -> ColumnStats:
-    """Statistics for one :class:`BitmapColumn` — O(distinct), no scan."""
-    values = [v for v in column.dictionary.values() if v is not None]
-    try:
-        lo = min(values) if values else None
-        hi = max(values) if values else None
-    except TypeError:  # mixed incomparable types; keep the distinct count
-        lo = hi = None
-    return ColumnStats(name, column.distinct_count, lo, hi)
-
-
-#: Column statistics weakly keyed by the immutable main-store Table.  A
-#: generation's compressed columns never change — and a metadata-only
-#: rename swaps in a fresh relabeled Table object — so one computation
-#: serves every MutableTable view and pinned Snapshot of the same
-#: generation, and the entry dies with the generation.
-_COLUMN_STATS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def cached_table_column_stats(table) -> dict[str, ColumnStats]:
-    """Memoized per-column statistics for one main-store generation."""
-    stats = _COLUMN_STATS.get(table)
-    if stats is None:
-        stats = {
-            column.name: column_statistics(column.name, column)
-            for column in table.columns()
-        }
-        _COLUMN_STATS[table] = stats
-    return stats
-
-
-def table_statistics(table, main_rows: int | None = None,
-                     delta_rows: int = 0) -> TableStats:
-    """Statistics for a :class:`~repro.storage.table.Table` main store.
-
-    ``main_rows`` overrides the physical row count with the *live* count
-    when the caller tracks deletions (MutableTable / Snapshot do).
-    """
-    columns = cached_table_column_stats(table)
-    rows = table.nrows if main_rows is None else main_rows
-    return TableStats(table.name, rows, delta_rows, columns)
+def table_statistics(table) -> TableStats:
+    """Statistics for a :class:`~repro.storage.table.Table` main store
+    with no delta side."""
+    return TableStats(table.name, table.nrows)

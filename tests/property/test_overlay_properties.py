@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.baselines.row_sqlite import SqliteEvolution
 from repro.db import Database
 from repro.delta import CompactionPolicy
-from repro.delta.snapshot import _DECODED_ROWS
+from repro.delta.snapshot import _GENERATION_CACHE
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.table import Table
 from repro.storage.types import DataType
@@ -153,7 +153,7 @@ def test_overlay_starts_from_the_pinned_batches_without_decoding():
         before = decoded.value
         assert tx.execute("INSERT INTO t VALUES (2, 2, 'w')") == 1
         assert decoded.value == before
-        assert pinned_main not in _DECODED_ROWS
+        assert "rows" not in _GENERATION_CACHE.get(pinned_main, {})
         batches = tx._overlay.overlay("t").scan_batches()
         assert batches[0].table is pinned_main
         assert [type(batch).__name__ for batch in batches] == [
@@ -163,4 +163,4 @@ def test_overlay_starts_from_the_pinned_batches_without_decoding():
         # only the one match is decoded.
         assert tx.execute("SELECT * FROM t WHERE c = 'w'") == [(2, 2, "w")]
         assert decoded.value == before + 1
-        assert pinned_main not in _DECODED_ROWS
+        assert "rows" not in _GENERATION_CACHE.get(pinned_main, {})

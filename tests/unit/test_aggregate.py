@@ -1,24 +1,33 @@
 """Unit tests for the compressed-domain aggregation subsystem
-(``repro.exec.aggregate``) and its statistics-driven strategy choice.
+(``repro.exec.aggregate``).
 
 Semantics across backends are pinned by the property suite
 (``tests/property/test_aggregate_properties.py``); these tests target
-the pieces directly: strategy selection and its reason strings, the
-validation rules, the per-vid selected-count kernel, the numeric-type
-errors of SUM/AVG on both paths, the bincount-vs-unique histogram
-helper, the statistics catalog, and the ``exec.agg_*`` counters.
+the pieces directly: strategy selection (compressed iff pushdown) and
+its reason strings, the validation rules, the per-vid selected-count
+kernel, the numeric-type errors of SUM/AVG on both paths, the
+bincount-vs-unique histogram helper, the group codes past int64, the
+live row counts, the ``exec.agg_*`` counters, and high-cardinality
+GROUP BYs on a compacted table against SQLite.
 """
 
 import datetime
+import random
+import sqlite3
 
 import numpy as np
 import pytest
 
 from repro.bitmap import WAHBitmap
+from repro.db import Database
+from repro.delta import CompactionPolicy
 from repro.errors import SqlExecutionError
+from repro.exec import GroupAccumulator, accumulate_batch, execute_select
 from repro.exec.aggregate import (
+    _combine,
     _nonzero_counts,
     _selected_value_counts,
+    _split_codes,
     aggregate_rows,
     choose_aggregate_strategy,
     validate_aggregate_select,
@@ -28,82 +37,48 @@ from repro.sql import MutableColumnAdapter, RowEngineAdapter, SqlExecutor
 from repro.sql.parser import parse_sql
 from repro.storage.column import BitmapColumn
 from repro.storage.schema import ColumnSchema, TableSchema
-from repro.storage.statistics import (
-    ColumnStats,
-    TableStats,
-    column_statistics,
-    table_statistics,
-)
+from repro.storage.statistics import TableStats
 from repro.storage.table import Table
 from repro.storage.types import DataType
-
-
-def stats_with(distincts: dict, main_rows=10_000, delta_rows=0):
-    return TableStats(
-        "t",
-        main_rows,
-        delta_rows,
-        {
-            name: ColumnStats(name, distinct)
-            for name, distinct in distincts.items()
-        },
-    )
-
+from tests.property.test_aggregate_properties import _normalized
 
 GROUPED = parse_sql("SELECT grp, COUNT(*) FROM t GROUP BY grp")
 
 
 class TestStrategyChoice:
+    """Compressed iff the adapter's scans hand over compressed batches;
+    the statistics only shape the reason."""
+
     def test_low_cardinality_group_is_compressed(self):
         strategy, reason = choose_aggregate_strategy(
-            GROUPED, stats_with({"grp": 32}, delta_rows=100)
+            GROUPED, TableStats("t", 9_900, 100)
         )
         assert strategy == "compressed"
-        assert "32" in reason and "delta share" in reason
+        assert reason == "main batches group by vid codes, delta share 1.0%"
+
+    def test_high_cardinality_group_is_compressed(self):
+        select = parse_sql(
+            "SELECT a, b, c, d, e, COUNT(*) FROM t GROUP BY a, b, c, d, e"
+        )
+        strategy, _ = choose_aggregate_strategy(
+            select, TableStats("t", 10_000)
+        )
+        assert strategy == "compressed"
+
+    def test_no_statistics_is_compressed(self):
+        strategy, reason = choose_aggregate_strategy(
+            parse_sql("SELECT COUNT(*) FROM t"), None
+        )
+        assert (strategy, reason) == (
+            "compressed", "main batches reduce per-vid counts"
+        )
 
     def test_no_pushdown_forces_hash(self):
         strategy, reason = choose_aggregate_strategy(
-            GROUPED, stats_with({"grp": 32}), pushdown=False
+            GROUPED, TableStats("t", 10_000), pushdown=False
         )
         assert strategy == "hash"
         assert "decodes to values" in reason
-
-    def test_no_statistics_forces_hash(self):
-        strategy, reason = choose_aggregate_strategy(GROUPED, None)
-        assert strategy == "hash"
-        assert "no table statistics" in reason
-
-    def test_missing_column_stats_forces_hash(self):
-        strategy, reason = choose_aggregate_strategy(
-            GROUPED, stats_with({"other": 4})
-        )
-        assert strategy == "hash"
-        assert "'grp'" in reason
-
-    def test_high_cardinality_group_falls_back(self):
-        strategy, reason = choose_aggregate_strategy(
-            GROUPED, stats_with({"grp": 5_000}, main_rows=10_000)
-        )
-        assert strategy == "hash"
-        assert "estimated groups 5000" in reason
-
-    def test_multi_column_estimate_is_the_product(self):
-        select = parse_sql("SELECT a, b, COUNT(*) FROM t GROUP BY a, b")
-        stats = stats_with({"a": 50, "b": 40}, main_rows=10_000)
-        strategy, reason = choose_aggregate_strategy(select, stats)
-        assert strategy == "hash"
-        assert "estimated groups 2000" in reason
-        # 1250 estimated groups stays at the 10_000/8 ceiling.
-        strategy, _ = choose_aggregate_strategy(
-            select, stats_with({"a": 50, "b": 25}, main_rows=10_000)
-        )
-        assert strategy == "compressed"
-
-    def test_small_table_keeps_the_64_group_floor(self):
-        strategy, _ = choose_aggregate_strategy(
-            GROUPED, stats_with({"grp": 60}, main_rows=100)
-        )
-        assert strategy == "compressed"
 
 
 class TestValidation:
@@ -279,34 +254,27 @@ class TestNonzeroCounts:
         assert np.array_equal(got_counts, want_counts)
 
 
-class TestStatisticsCatalog:
-    def test_column_statistics_skip_nulls(self):
-        column = BitmapColumn.from_values(
-            "c", DataType.INT, [4, None, 9, 4, 1]
+class TestCodes:
+    def test_split_inverts_combine_past_int64(self):
+        """Five 20 000-value columns span 20 000**5 > 2**63 codes: the
+        running code is re-densified before it would overflow, and the
+        split still recovers every column's vids."""
+        rng = np.random.default_rng(3)
+        size = 20_000
+        columns = [rng.integers(0, size, 2_000) for _ in range(5)]
+        codes, space, steps = columns[0], size, []
+        for vids in columns[1:]:
+            codes, space = _combine(codes, space, vids, size, steps)
+            assert space < 2**63 and codes.min() >= 0
+        assert any(dense is not None for _size, dense in steps)
+        assert len(np.unique(codes)) == len(
+            set(zip(*(c.tolist() for c in columns)))
         )
-        stats = column_statistics("c", column)
-        assert (stats.distinct, stats.min, stats.max) == (4, 1, 9)
+        for got, want in zip(_split_codes(codes, steps), columns):
+            assert np.array_equal(got, want)
 
-    def test_all_null_column_has_no_range(self):
-        column = BitmapColumn.from_values("c", DataType.INT, [None, None])
-        stats = column_statistics("c", column)
-        assert (stats.distinct, stats.min, stats.max) == (1, None, None)
 
-    def test_table_statistics_cached_per_table_object(self):
-        adapter = MutableColumnAdapter()
-        executor = SqlExecutor(adapter)
-        executor.execute("CREATE TABLE t (grp STRING, v INT)")
-        adapter.insert_rows("t", [("a", 1), ("b", 2), ("a", 3)])
-        mutable = adapter._mutable("t")
-        while not mutable.compact_step().done:
-            pass
-        table = mutable.main
-        first = table_statistics(table)
-        again = table_statistics(table)
-        assert first.columns is again.columns
-        assert first.main_rows == 3
-        assert first.column("grp").distinct == 2
-
+class TestStatisticsCatalog:
     def test_delta_share(self):
         stats = TableStats("t", 75, 25)
         assert stats.total_rows == 100
@@ -431,6 +399,149 @@ class TestUnselectedReadsArePopcounts:
         assert executor.execute(sql) == warm
         assert executor.execute(sql) == warm
         assert calls == []
+
+
+def _compacted_db(rows, create, deleted_where=None):
+    """A ``Database`` whose table ``t`` holds ``rows`` in the compressed
+    main store (no delta rows), minus the rows ``deleted_where`` marks
+    deleted in place; and a SQLite twin with the same rows."""
+    db = Database(policy=CompactionPolicy.never())
+    db.execute(create)
+    db.adapter.insert_rows("t", rows)
+    db.compact("t")
+    lite = sqlite3.connect(":memory:")
+    lite.execute(create)
+    lite.executemany(
+        f"INSERT INTO t VALUES ({', '.join('?' * len(rows[0]))})", rows
+    )
+    if deleted_where is not None:
+        for engine in (db, lite):
+            engine.execute(f"DELETE FROM t WHERE {deleted_where}")
+    return db, lite
+
+
+class TestMainStoreGroupByMatchesSqlite:
+    """Every GROUP BY over a compacted table folds in the dictionary
+    domain — however many groups — and returns SQLite's rows, including
+    the unique-key shapes whose mixed-radix codes pass int64."""
+
+    NROWS = 20_000
+    CREATE = (
+        "CREATE TABLE t (k INT, a INT, b INT, c INT, d INT, h INT, "
+        "x INT, y INT, v INT)"
+    )
+    QUERIES = (
+        "SELECT k, COUNT(*) FROM t GROUP BY k",
+        "SELECT k, SUM(v), MIN(v) FROM t GROUP BY k",
+        "SELECT h, COUNT(*), SUM(v), MAX(v), AVG(v) FROM t GROUP BY h",
+        "SELECT x, y, COUNT(*) FROM t GROUP BY x, y",
+        "SELECT x, y, SUM(v), MAX(v) FROM t GROUP BY x, y",
+        "SELECT k, AVG(v) FROM t WHERE v < 5 GROUP BY k",
+        "SELECT k, a, b, c, d, COUNT(*) FROM t GROUP BY k, a, b, c, d",
+        "SELECT k, a, b, c, SUM(v) FROM t GROUP BY k, a, b, c",
+    )
+
+    @pytest.fixture(scope="class", params=[None, "x < 300"],
+                    ids=["compacted", "deleted-main-rows"])
+    def engines(self, request):
+        n = self.NROWS
+        keys = list(range(n))
+        random.Random(5).shuffle(keys)
+        rows = [
+            (
+                k, k * 7 % n, k * 13 % n, k * 17 % n, k * 19 % n,
+                k % 5_000, k % 997, k // 7 % 1_009,
+                None if k % 23 == 0 else k * 31 % 1_000,
+            )
+            for k in keys
+        ]
+        db, lite = _compacted_db(rows, self.CREATE, request.param)
+        yield db, lite
+        db.close()
+        lite.close()
+
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_folds_compressed_and_matches(self, engines, sql):
+        db, lite = engines
+        hashed = db.adapter.metrics.counter("exec.agg_batches_hash")
+        compressed = db.adapter.metrics.counter(
+            "exec.agg_batches_compressed"
+        )
+        before = compressed.value
+        got = db.execute(sql)
+        assert hashed.value == 0
+        assert compressed.value == before + 1
+        assert _normalized(got) == _normalized(lite.execute(sql).fetchall())
+
+
+class TestLayersCallShape:
+    """``benchmarks/e2e/layers.py`` re-composes an aggregate from the
+    public pieces: ``choose_aggregate_strategy(select,
+    adapter.table_stats(t), pushdown=...)`` then ``accumulate_batch``
+    per scanned batch.  That shape must keep returning what
+    ``execute_select`` returns."""
+
+    @pytest.mark.parametrize("sql", (
+        "SELECT g, COUNT(*), SUM(v) FROM t GROUP BY g",
+        "SELECT g, k, MIN(v) FROM t WHERE v > 3 GROUP BY g, k",
+        "SELECT COUNT(*), AVG(v) FROM t",
+    ))
+    def test_matches_execute_select(self, sql):
+        db = Database(policy=CompactionPolicy.never())
+        db.execute("CREATE TABLE t (g STRING, k INT, v INT)")
+        db.adapter.insert_rows(
+            "t", [(f"g{i % 9}", i, i % 11) for i in range(3_000)]
+        )
+        db.compact("t")
+        db.execute("DELETE FROM t WHERE k < 100")
+        db.execute("INSERT INTO t VALUES ('g1', -1, 7)")
+        adapter = db.adapter
+        select = parse_sql(sql)
+        group_names, aggs = validate_aggregate_select(
+            select, adapter.schema(select.table)
+        )
+        strategy, _ = choose_aggregate_strategy(
+            select, adapter.table_stats(select.table),
+            pushdown=adapter.capabilities.pushdown,
+        )
+        accumulator = GroupAccumulator(aggs)
+        for batch in adapter.scan_batches(select.table):
+            if select.where is not None:
+                batch = batch.filter(select.where)
+                if not batch.selected_count:
+                    continue
+            accumulate_batch(batch, group_names, accumulator, strategy)
+        rows = accumulator.finalized_rows(select, group_names)
+        assert strategy == "compressed"
+        assert accumulator.batches_compressed == 1
+        assert accumulator.batches_hash == 1
+        assert rows == list(execute_select(adapter, select))
+
+
+class TestGenerationCache:
+    def test_one_entry_per_generation_dies_with_it(self):
+        """Decoded rows and the aggregate's vid arrays of one main-store
+        generation share one cache entry, gone once the generation is."""
+        import gc
+        import weakref
+
+        from repro.delta.snapshot import _GENERATION_CACHE
+
+        db = Database(policy=CompactionPolicy.never())
+        db.execute("CREATE TABLE t (g STRING, v INT)")
+        db.adapter.insert_rows("t", [(f"g{i % 5}", i) for i in range(500)])
+        db.compact("t")
+        db.execute("SELECT g, SUM(v) FROM t WHERE v > 10 GROUP BY g")
+        db.execute("SELECT * FROM t WHERE v < 3")
+        main = db.adapter._mutable("t").main
+        entry = _GENERATION_CACHE[main]
+        assert "rows" in entry and ("vids", "g") in entry
+        generation = weakref.ref(main)
+        db.execute("INSERT INTO t VALUES ('g9', 1)")
+        db.compact("t")
+        del main, entry
+        gc.collect()
+        assert generation() is None
 
 
 class TestAggregateBench:

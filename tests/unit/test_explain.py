@@ -243,7 +243,7 @@ class TestTransactions:
 
 class TestAggregatePlans:
     """Aggregate, DISTINCT and ORDER BY nodes carry their strategy and
-    its reason — the EXPLAIN surface of the statistics-driven choice."""
+    its reason."""
 
     AGG = "SELECT k, COUNT(*), SUM(k) FROM r GROUP BY k"
 
@@ -257,15 +257,16 @@ class TestAggregatePlans:
         assert "out=k,count(*),sum(k)" in detail
         assert "group_by=k" in detail
         if is_cods(db):
-            assert detail.startswith("compressed [estimated groups")
-            assert "delta share" in detail
+            assert detail.startswith(
+                "compressed [main batches group by vid codes, delta share"
+            )
         else:
             # Decode-first scans have no compressed batches to fold.
             assert detail.startswith(
                 "hash [scan decodes to values (no compressed batches)]"
             )
 
-    def test_high_cardinality_group_explains_the_fallback(self):
+    def test_high_cardinality_group_stays_compressed(self):
         db = Database()
         db.execute("CREATE TABLE wide (k INT, s STRING)")
         db.executemany(
@@ -279,7 +280,10 @@ class TestAggregatePlans:
                 "EXPLAIN SELECT s, COUNT(*) FROM wide GROUP BY s"
             )
         }["aggregate"]
-        assert detail.startswith("hash [estimated groups 300 > ceiling")
+        assert detail == (
+            "compressed [main batches group by vid codes, delta share "
+            "0.0%] out=s,count(*) group_by=s"
+        )
 
     def test_distinct_node_names_the_enumeration(self, db):
         detail = self.detail(db, "SELECT DISTINCT s FROM r", "distinct")

@@ -3,15 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.query import (
-    count_where,
-    group_count,
-    positions_where,
-    select_where,
-    value_exists,
-)
+from repro.db import Database
+from repro.delta import CompactionPolicy
 from repro.errors import StorageError
-from repro.smo import And, Comparison, Not, Or
+from repro.exec.batch import TableBatch
+from repro.smo import Comparison, Or
 from repro.storage import BitmapColumn, DataType, table_from_python
 from repro.storage.verify import (
     VerificationReport,
@@ -32,60 +28,68 @@ def table():
     )
 
 
-class TestQuery:
-    def test_count_where(self, table):
-        assert count_where(table, Comparison("city", "=", "SF")) == 3
-        assert count_where(table, Comparison("pop", ">", 10)) == 3
-        assert count_where(
-            table,
-            And(Comparison("city", "=", "NY"), Comparison("pop", "=", 19)),
-        ) == 2
+@pytest.fixture
+def db(table):
+    """``table`` served as the main store of a ``Database`` (no delta
+    rows), so every query below reads bitmaps in the compressed domain."""
+    db = Database(policy=CompactionPolicy.never())
+    db.load_table(table)
+    yield db
+    db.close()
 
-    def test_select_where(self, table):
-        rows = select_where(table, Comparison("city", "=", "SF"))
+
+class TestQuery:
+    def test_count_where(self, db):
+        count = "SELECT COUNT(*) FROM Q WHERE "
+        assert db.execute(count + "city = 'SF'") == [(3,)]
+        assert db.execute(count + "pop > 10") == [(3,)]
+        assert db.execute(count + "city = 'NY' AND pop = 19") == [(2,)]
+
+    def test_select_where(self, db):
+        rows = db.execute("SELECT * FROM Q WHERE city = 'SF'")
         assert rows == [("SF", 8), ("SF", 8), ("SF", 9)]
 
-    def test_select_where_projection(self, table):
-        rows = select_where(
-            table, Comparison("pop", ">=", 12), attrs=["city"]
-        )
+    def test_select_where_projection(self, db):
+        rows = db.execute("SELECT city FROM Q WHERE pop >= 12")
         assert sorted(rows) == [("LA",), ("NY",), ("NY",)]
 
-    def test_select_where_empty(self, table):
-        assert select_where(table, Comparison("city", "=", "ZZ")) == []
+    def test_select_where_empty(self, db):
+        assert db.execute("SELECT * FROM Q WHERE city = 'ZZ'") == []
 
     def test_positions_where(self, table):
-        positions = positions_where(
-            table, Or(Comparison("city", "=", "LA"), Comparison("pop", "=", 9))
+        batch = TableBatch(table).filter(
+            Or(Comparison("city", "=", "LA"), Comparison("pop", "=", 9))
         )
-        assert positions.tolist() == [3, 5]
+        assert batch.selection.tolist() == [3, 5]
 
-    def test_group_count(self, table):
-        assert group_count(table, "city") == {"SF": 3, "NY": 2, "LA": 1}
+    def test_group_count(self, db):
+        assert db.execute(
+            "SELECT city, COUNT(*) FROM Q GROUP BY city"
+        ) == [("LA", 1), ("NY", 2), ("SF", 3)]
 
-    def test_value_exists(self, table):
-        assert value_exists(table, "city", "SF")
-        assert not value_exists(table, "city", "Boston")
+    def test_value_exists(self, db):
+        count = "SELECT COUNT(*) FROM Q WHERE city = "
+        assert db.execute(count + "'SF'") == [(3,)]
+        assert db.execute(count + "'Boston'") == [(0,)]
 
-    def test_query_survives_evolution(self, table):
+    def test_query_survives_evolution(self, db):
         """Bitmaps stay queryable after a data-level evolution."""
-        from repro.core import EvolutionEngine
-        from repro.smo import parse_smo
+        db.execute("PARTITION TABLE Q INTO West, East WHERE city = 'SF'")
+        assert db.execute(
+            "SELECT COUNT(*) FROM West WHERE pop = 8"
+        ) == [(2,)]
+        assert db.execute(
+            "SELECT city, COUNT(*) FROM West GROUP BY city"
+        ) == [("SF", 3)]
+        metrics = db.adapter.metrics
+        assert metrics.counter("exec.agg_batches_compressed").value == 2
+        assert metrics.counter("exec.agg_batches_hash").value == 0
 
-        engine = EvolutionEngine()
-        engine.load_table(table)
-        engine.apply(
-            parse_smo("PARTITION TABLE Q INTO West, East WHERE city = 'SF'")
-        )
-        west = engine.table("West")
-        assert count_where(west, Comparison("pop", "=", 8)) == 2
-        assert group_count(west, "city") == {"SF": 3}
-
-    def test_predicate_validation(self, table):
+    def test_predicate_validation(self, db):
         from repro.errors import SchemaError
 
         with pytest.raises(SchemaError):
-            count_where(table, Comparison("nope", "=", 1))
+            db.execute("SELECT COUNT(*) FROM Q WHERE nope = 1")
 
 
 class TestVerify:
