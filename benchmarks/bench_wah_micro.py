@@ -17,6 +17,7 @@ from repro.bitmap.batch import (
     batch_from_positions,
     batch_select,
 )
+from repro.storage import BitmapColumn, DataType, Dictionary
 
 _N = 1_000_000
 _rng = np.random.default_rng(16)
@@ -76,3 +77,33 @@ def test_micro_batch_column(benchmark):
     benchmark(
         lambda: (batch_first_set(column), batch_decode_vids(column, len(vids)))
     )
+
+
+_BUILD_ROWS = 200_000
+
+
+@pytest.mark.parametrize("distinct", [100, 70_000])
+def test_micro_from_vids(benchmark, distinct):
+    """A column build's counting order: one 8-bit radix pass at 100
+    values, two 16-bit passes at 70 000."""
+    benchmark.group = "column build (200k rows)"
+    benchmark.name = f"from_vids ({distinct} values)"
+    vids = _rng.integers(0, distinct, _BUILD_ROWS)
+    vids[:distinct] = np.arange(distinct)
+    dictionary = Dictionary(range(distinct))
+    benchmark(
+        lambda: BitmapColumn.from_vids("c", DataType.INT, dictionary, vids)
+    )
+
+
+def test_micro_one_value_positions(benchmark):
+    """One value's ``positions()``: the column-wide extraction kernel
+    over one bitmap's words."""
+    benchmark.group = "column build (200k rows)"
+    benchmark.name = "one value's positions() (100 values)"
+    column = BitmapColumn.from_vids(
+        "c", DataType.INT, Dictionary(range(100)),
+        np.arange(_BUILD_ROWS) % 100,
+    )
+    bitmap = column.bitmap_for_vid(7)
+    benchmark(bitmap.positions)

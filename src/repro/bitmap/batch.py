@@ -14,17 +14,25 @@ one value's bitmap, as a view over its slice of the buffer.  The
 semantics are identical to looping over ``WAHBitmap`` methods; tests
 assert equivalence.
 
-Position extraction peels set bits off the literal words — the lowest
-set bit of every live word per round — so it costs the bits it returns
-plus the words, never a bit matrix.  Concatenation does not extract its
-left side at all: the left bitmaps' words up to their partial tail
-group are spliced into the output as they are, and only that tail group
-and the right side are rebuilt.
+Every bitmap of a column spans the same ``ceil(nbits / 31)`` groups, so
+one kernel (:func:`_column_positions`) extracts positions in
+*column-wide* position space, the bitmaps laid end to end: a word's
+place is the running sum of the groups before it, and a position
+modulo the span is the row — no map from words to bitmaps.  Positions,
+decoded vids, first set bits and one value's ``positions()`` all come
+from it.  It peels set bits off the literal words — the lowest set bit
+of every live word per round — so it costs the bits it returns plus
+the words, never a bit matrix.  Column builds group their rows by vid
+in a counting order (:func:`counting_order`).  Concatenation does not
+extract its left side at all: the left bitmaps' words up to their
+partial tail group are spliced into the output as they are, and only
+that tail group and the right side are rebuilt.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +45,7 @@ from repro.bitmap.wah import (
     ONE_FILL_FLAG,
     WAHBitmap,
     _encode_runs,
+    _groups_for,
 )
 from repro.errors import BitmapError, SerializationError
 
@@ -52,6 +61,20 @@ def _exclusive_cumsum(values) -> np.ndarray:
     out = np.zeros(len(values) + 1, dtype=np.int64)
     np.cumsum(values, out=out[1:])
     return out
+
+
+def counting_order(keys: np.ndarray, nkeys: int) -> np.ndarray:
+    """Indices of ``keys`` (each in ``[0, nkeys)``) grouped by key,
+    ascending within a key: a stable argsort on the narrowest unsigned
+    key, which NumPy radix-sorts when it is 8 or 16 bits wide.  Past
+    65 536 keys, two 16-bit passes, low half first (LSD)."""
+    if nkeys <= 1 << 8:
+        return np.argsort(keys.astype(np.uint8), kind="stable")
+    low = np.argsort(keys.astype(np.uint16), kind="stable")
+    if nkeys <= 1 << 16:
+        return low
+    high = (keys[low] >> 16).astype(np.uint16)
+    return low[np.argsort(high, kind="stable")]
 
 
 class PackedBitmaps:
@@ -79,7 +102,7 @@ class PackedBitmaps:
     def counts(self) -> np.ndarray:
         """Set bits of each bitmap."""
         if self._counts is None:
-            before = _exclusive_cumsum(_set_bits(self.words))
+            before = _exclusive_cumsum(_word_layout(self.words)[1])
             self._counts = before[self.offsets[1:]] - before[self.offsets[:-1]]
         return self._counts
 
@@ -236,112 +259,88 @@ class PackedBitmaps:
         )
 
 
-class WordDirectory:
-    """The packed words of many bitmaps, with segment maps.
+def _span(nbits: int) -> int:
+    """Bits one ``nbits``-bit bitmap spans in column-wide position
+    space: its groups' bits."""
+    return _groups_for(nbits) * GROUP_BITS
 
-    Precomputes, for every word: its owning segment (bitmap index), fill
-    flags, groups spanned, and its group offset *within its segment*.
+
+def _word_layout(words: np.ndarray) -> tuple:
+    """Where each word of a column's packed buffer starts in
+    column-wide position space, and how many bits it sets.
+
+    Every bitmap of an ``nbits``-bit column spans exactly
+    ``ceil(nbits / 31)`` groups, so its bitmaps laid end to end put
+    bitmap ``i``'s bit ``b`` at column-wide position ``i * span + b``
+    (:func:`_span`): a word starts at 31 times the groups of all words
+    before it, with no per-bitmap bookkeeping, and a column-wide
+    position modulo ``span`` is the row.  Returns ``(start, set_bits,
+    literals, one_fills)``: per word its first position and its set
+    bits (a literal's popcount, a one-fill's groups times 31, none for
+    a zero fill), then the indices of the non-zero literals and of the
+    one-fills.
     """
+    literal = words < FILL_FLAG
+    groups = np.where(literal, 1, words & FILL_LEN_MASK)
+    start = _exclusive_cumsum(groups)[:-1]
+    start *= GROUP_BITS
+    set_bits = np.bitwise_count(words) * literal
+    literals = np.flatnonzero(set_bits)
+    one_fills = np.flatnonzero(words >= ONE_FILL_FLAG)
+    if len(one_fills):
+        set_bits = set_bits.astype(np.int64)
+        set_bits[one_fills] = groups[one_fills] * np.int64(GROUP_BITS)
+    return start, set_bits, literals, one_fills
 
-    __slots__ = (
-        "words", "seg_of_word", "seg_word_start", "is_fill", "fill_value",
-        "groups", "group_offset", "nbitmaps",
+
+def _column_positions(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every set bit of a column's packed words, in column-wide
+    position space (:func:`_word_layout`), ascending: ``(positions,
+    out_offsets)``, word ``k``'s bits being
+    ``positions[out_offsets[k]:out_offsets[k + 1]]``.  The one
+    extraction kernel behind :func:`batch_positions`,
+    :func:`batch_decode_vids` and :meth:`WAHBitmap.positions`.
+
+    A one-fill's bits are a range; a literal's are peeled off
+    (:func:`_peel_literals`).  The work is the words plus the bits
+    returned.
+    """
+    start, set_bits, literals, one_fills = _word_layout(words)
+    out_offsets = _exclusive_cumsum(set_bits)
+    positions = np.empty(out_offsets[-1], dtype=np.int64)
+    if len(one_fills):
+        # Fill k's bits are positions[out[k] + j] = start[k] + j.
+        lengths = set_bits[one_fills]
+        first = out_offsets[one_fills]
+        dest = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+            first - _exclusive_cumsum(lengths)[:-1], lengths
+        )
+        positions[dest] = dest + np.repeat(start[one_fills] - first, lengths)
+    _peel_literals(
+        words[literals], out_offsets[literals], start[literals], positions
     )
-
-    def __init__(self, bitmaps):
-        packed = PackedBitmaps.pack(bitmaps)
-        counts = np.diff(packed.offsets)
-        self.nbitmaps = len(packed)
-        self.words = words = packed.words
-        self.seg_word_start = packed.offsets
-        self.seg_of_word = np.repeat(
-            np.arange(self.nbitmaps, dtype=np.int64), counts
-        )
-        self.is_fill = (words & FILL_FLAG) != 0
-        self.fill_value = (words & np.uint32(0x40000000)) != 0
-        self.groups = np.where(
-            self.is_fill, words & FILL_LEN_MASK, 1
-        ).astype(np.int64)
-        # Group offset within each bitmap: global running sum minus the
-        # segment's base.
-        global_offset = _exclusive_cumsum(self.groups)
-        self.group_offset = (
-            global_offset[:-1]
-            - global_offset[self.seg_word_start[:-1]][self.seg_of_word]
-        )
-
-    def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """All set-bit positions of every bitmap: ``(positions,
-        boundaries)``, those of bitmap ``i`` being
-        ``positions[boundaries[i]:boundaries[i+1]]``, sorted.  The one
-        extraction kernel behind :func:`batch_positions` and
-        :meth:`WAHBitmap.positions`."""
-        one_fill = self.is_fill & self.fill_value
-        literal = ~self.is_fill
-        out_per_word = np.where(
-            self.is_fill, self.groups * GROUP_BITS * self.fill_value,
-            np.bitwise_count(self.words),
-        )
-        out_offsets = _exclusive_cumsum(out_per_word)
-        positions = np.empty(out_offsets[-1], dtype=np.int64)
-
-        fill_idx = np.flatnonzero(one_fill)
-        if len(fill_idx):
-            lengths = out_per_word[fill_idx]
-            starts = self.group_offset[fill_idx] * GROUP_BITS
-            total = int(lengths.sum())
-            base = np.repeat(starts, lengths)
-            run_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-            within = np.arange(total, dtype=np.int64) - run_start
-            positions[np.repeat(out_offsets[fill_idx], lengths) + within] = (
-                base + within
-            )
-
-        lit_idx = np.flatnonzero(literal)
-        _peel_literals(
-            self.words[lit_idx], out_offsets[lit_idx],
-            self.group_offset[lit_idx] * GROUP_BITS, positions,
-        )
-
-        # Per-bitmap boundaries in the flat positions array.
-        return positions, out_offsets[self.seg_word_start]
+    return positions, out_offsets
 
 
 def _peel_literals(words, dest, base, out) -> None:
     """Write the set bits of literal ``words`` into ``out``: the ``n``-th
     set bit ``b`` of word ``k`` lands at ``out[dest[k] + n]`` as
-    ``base[k] + b``.
+    ``base[k] + b``.  Updates ``words`` and ``dest`` in place.
 
-    Each round takes the lowest set bit of every live word (``w & -w``;
-    its index is the popcount below it), clears it, and drops the words
-    it empties — the work is the set bits plus the words.
+    Each round drops the words that are empty, takes the lowest set bit
+    of every other word (``w & -w``; its index is the popcount below
+    it) and clears it — the work is the set bits plus the words.
     """
-    words = np.array(words, dtype=np.uint32)
-    dest = np.array(dest, dtype=np.int64)
-    base = np.asarray(base, dtype=np.int64)
-    live = words != 0
     while True:
-        if not live.all():
-            words, dest, base = words[live], dest[live], base[live]
-        if not len(words):
+        live = np.flatnonzero(words)
+        if not len(live):
             return
+        if len(live) < len(words):
+            words, dest, base = words[live], dest[live], base[live]
         low = words & -words
         out[dest] = base + np.bitwise_count(low - np.uint32(1))
         words ^= low
         dest += 1
-        live = words != 0
-
-
-def _set_bits(words: np.ndarray) -> np.ndarray:
-    """Set bits carried by each WAH word: a literal's popcount, a
-    one-fill's groups times 31, none for a zero fill."""
-    per_word = np.bitwise_count(words).astype(np.int64)
-    per_word[(words & FILL_FLAG) != 0] = 0
-    one_fill = (words & ONE_FILL_FLAG) == ONE_FILL_FLAG
-    per_word[one_fill] = (
-        words[one_fill] & FILL_LEN_MASK
-    ).astype(np.int64) * GROUP_BITS
-    return per_word
 
 
 def batch_count(bitmaps) -> np.ndarray:
@@ -350,27 +349,23 @@ def batch_count(bitmaps) -> np.ndarray:
 
 
 def batch_first_set(bitmaps) -> np.ndarray:
-    """First set bit of each bitmap (-1 when empty), one pass."""
-    directory = WordDirectory(bitmaps)
-    interesting = (directory.is_fill & directory.fill_value) | (
-        ~directory.is_fill & (directory.words != 0)
-    )
-    result = np.full(directory.nbitmaps, -1, dtype=np.int64)
-    hits = np.flatnonzero(interesting)
-    if len(hits) == 0:
-        return result
-    seg_of_hit = directory.seg_of_word[hits]
-    first_per_seg_mask = np.concatenate(
-        ([True], seg_of_hit[1:] != seg_of_hit[:-1])
-    )
-    first_hits = hits[first_per_seg_mask]
-    segs = seg_of_hit[first_per_seg_mask]
-    base = directory.group_offset[first_hits] * GROUP_BITS
-    words = directory.words[first_hits].astype(np.int64)
-    lowest = words & -words
-    bit = np.bitwise_count((lowest - 1).astype(np.uint32)).astype(np.int64)
-    positions = np.where(directory.is_fill[first_hits], base, base + bit)
-    result[segs] = positions
+    """First set bit of each bitmap (-1 when empty), one pass over the
+    words: each bitmap's first word that sets a bit, placed in
+    column-wide position space (:func:`_word_layout`) and made local."""
+    packed = PackedBitmaps.pack(bitmaps)
+    words, offsets = packed.words, packed.offsets
+    start, set_bits, _, _ = _word_layout(words)
+    hits = np.flatnonzero(set_bits)
+    first = np.searchsorted(hits, offsets[:-1])
+    found = first < len(hits)
+    found[found] = hits[first[found]] < offsets[1:][found]
+    at = hits[first[found]]
+    word = words[at]
+    # A literal's lowest set bit; a one-fill sets its first bit.
+    low_bit = np.bitwise_count((word & -word) - np.uint32(1))
+    low_bit[word >= FILL_FLAG] = 0
+    result = np.full(len(packed), -1, dtype=np.int64)
+    result[found] = (start[at] + low_bit) % _span(packed.nbits)
     return result
 
 
@@ -378,28 +373,35 @@ def batch_positions(bitmaps) -> tuple[np.ndarray, np.ndarray]:
     """All set-bit positions of all bitmaps, one vectorized pass.
 
     Returns ``(positions, boundaries)`` where positions of bitmap ``i``
-    are ``positions[boundaries[i]:boundaries[i+1]]``, sorted.
+    are ``positions[boundaries[i]:boundaries[i+1]]``, sorted.  The
+    column-wide positions of :func:`_column_positions`, made local by
+    one subtraction of ``i`` spans (a remainder).
     """
-    return WordDirectory(bitmaps).positions()
+    packed = PackedBitmaps.pack(bitmaps)
+    positions, out_offsets = _column_positions(packed.words)
+    positions %= _span(packed.nbits)
+    return positions, out_offsets[packed.offsets]
 
 
 def batch_decode_vids(bitmaps, nrows: int) -> np.ndarray:
     """Row-order vid array of a whole column, one pass.
 
     Equivalent to scattering ``positions()`` of every bitmap; this is
-    the column "sequential scan" (decompression) primitive.
+    the column "sequential scan" (decompression) primitive.  Each
+    column-wide position (:func:`_column_positions`) divides into its
+    bitmap's vid and its row, so no per-bitmap boundaries are needed.
     """
-    positions, boundaries = batch_positions(bitmaps)
+    packed = PackedBitmaps.pack(bitmaps)
+    positions, _ = _column_positions(packed.words)
     if len(positions) != nrows:
         from repro.errors import StorageError
 
         raise StorageError(
             f"bitmaps cover {len(positions)} rows of {nrows}"
         )
+    vid, row = np.divmod(positions, _span(packed.nbits))
     vids = np.empty(nrows, dtype=np.int64)
-    vids[positions] = np.repeat(
-        np.arange(len(boundaries) - 1, dtype=np.int64), np.diff(boundaries)
-    )
+    vids[row] = vid
     return vids
 
 
@@ -579,28 +581,48 @@ def batch_select(bitmaps, sorted_positions) -> tuple:
     return selected, selected.counts
 
 
-def batch_split(bitmaps, mask: np.ndarray) -> tuple:
+class RowSplit(NamedTuple):
+    """PARTITION's division of the rows, made once per operator and
+    read by every column's :func:`batch_split`: the dense boolean row
+    ``mask``, every row's ``rank`` among the rows of its own side, and
+    the number of rows where the mask is set."""
+
+    mask: np.ndarray
+    rank: np.ndarray
+    ntrue: int
+
+    @classmethod
+    def of(cls, mask) -> "RowSplit":
+        """A :class:`RowSplit` as it is; a dense boolean row ``mask``,
+        split."""
+        if isinstance(mask, RowSplit):
+            return mask
+        mask = np.asarray(mask, dtype=bool)
+        ones_before = np.cumsum(mask)
+        rank = np.where(
+            mask, ones_before - 1, np.arange(len(mask)) - ones_before
+        )
+        return cls(mask, rank, int(ones_before[-1]) if len(mask) else 0)
+
+
+def batch_split(bitmaps, mask) -> tuple:
     """Bitmap-filter a column both ways in one pass (PARTITION).
 
-    ``mask`` is a dense boolean row vector.  Returns ``batch_select``'s
-    result for the rows where it is set and for the rows where it is
-    not, extracting the column's positions only once.
+    ``mask`` is a dense boolean row vector, or its :class:`RowSplit`
+    when many columns split alike.  Returns ``batch_select``'s result
+    for the rows where it is set and for the rows where it is not,
+    extracting the column's positions only once and reading each one's
+    side and rank from the split's row maps.
     """
-    mask = np.asarray(mask, dtype=bool)
+    split = RowSplit.of(mask)
     flat, bounds = batch_positions(bitmaps)
-    # Every row's rank among the rows of its own side.
-    ones_before = np.cumsum(mask)
-    ntrue = int(ones_before[-1]) if len(mask) else 0
-    row_rank = np.where(
-        mask, ones_before - 1, np.arange(len(mask)) - ones_before
-    )
-    side = mask[flat]
-    rank = row_rank[flat]
-    del flat, row_rank, ones_before
+    side = split.mask[flat]
+    rank = split.rank[flat]
+    del flat
     true_bounds = _exclusive_cumsum(side)[bounds]
-    true = batch_from_positions(rank[side], true_bounds, ntrue)
+    true = batch_from_positions(rank[side], true_bounds, split.ntrue)
     false = batch_from_positions(
-        rank[~side], bounds - true_bounds, len(mask) - ntrue
+        rank[~side], bounds - true_bounds, len(split.mask) - split.ntrue
     )
     return (true, true.counts), (false, false.counts)
 
@@ -659,7 +681,7 @@ def batch_concat_positions(
     bounds = _exclusive_cumsum(tail_counts + right_counts)
     rebuilt_flat = np.empty(int(bounds[-1]), dtype=np.int64)
     _peel_literals(
-        tail_words, bounds[:-1], np.zeros(nout, dtype=np.int64),
+        tail_words, bounds[:-1].copy(), np.zeros(nout, dtype=np.int64),
         rebuilt_flat,
     )
     # Each right segment moves as a block to its slot after the tail.

@@ -292,13 +292,13 @@ class WAHBitmap:
         """Sorted positions of all set bits.
 
         Cost is ``O(word_count + count)`` — proportional to the compressed
-        size plus the output, not to ``nbits``.  This is the batched
-        extraction kernel (:meth:`repro.bitmap.batch.WordDirectory.positions`)
-        over this one bitmap.
+        size plus the output, not to ``nbits``.  This is the column-wide
+        extraction kernel (:func:`repro.bitmap.batch._column_positions`)
+        over this one bitmap, whose column-wide positions are its own.
         """
-        from repro.bitmap.batch import WordDirectory
+        from repro.bitmap.batch import _column_positions
 
-        return WordDirectory([self]).positions()[0]
+        return _column_positions(self._words)[0]
 
     # ------------------------------------------------------------------
     # Queries

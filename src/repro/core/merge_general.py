@@ -32,7 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bitmap.batch import batch_from_intervals, batch_from_positions
+from repro.bitmap.batch import (
+    batch_from_intervals,
+    batch_from_positions,
+    counting_order,
+)
 from repro.core.status import EvolutionStatus
 from repro.smo.ops import MergeTables
 from repro.storage.column import BitmapColumn
@@ -154,23 +158,17 @@ def _grouped_rank(cids: np.ndarray, n_groups: int) -> np.ndarray:
     Rows with ``cid == -1`` get rank -1.
     """
     ranks = np.full(len(cids), -1, dtype=np.int64)
-    kept = cids >= 0
-    if not np.any(kept):
+    kept_idx = np.flatnonzero(cids >= 0)
+    if not len(kept_idx):
         return ranks
-    kept_idx = np.flatnonzero(kept)
     kept_cids = cids[kept_idx]
-    order = np.argsort(kept_cids, kind="stable")
-    sorted_cids = kept_cids[order]
-    group_start = np.concatenate(
-        ([0], np.flatnonzero(sorted_cids[1:] != sorted_cids[:-1]) + 1)
+    order = counting_order(kept_cids, n_groups)
+    sizes = np.bincount(kept_cids, minlength=n_groups)
+    group_start = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    kept_ranks = np.empty(len(order), dtype=np.int64)
+    kept_ranks[order] = np.arange(len(order), dtype=np.int64) - np.repeat(
+        group_start, sizes
     )
-    starts_per_row = np.repeat(
-        group_start,
-        np.diff(np.concatenate((group_start, [len(sorted_cids)]))),
-    )
-    rank_sorted = np.arange(len(sorted_cids), dtype=np.int64) - starts_per_row
-    kept_ranks = np.empty(len(sorted_cids), dtype=np.int64)
-    kept_ranks[order] = rank_sorted
     ranks[kept_idx] = kept_ranks
     return ranks
 

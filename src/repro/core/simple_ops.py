@@ -11,7 +11,7 @@ table size; DROP/RENAME COLUMN are metadata.
 
 from __future__ import annotations
 
-from repro.bitmap.batch import batch_from_intervals
+from repro.bitmap.batch import RowSplit, batch_from_intervals
 from repro.core.status import EvolutionStatus
 from repro.smo.ops import (
     AddColumn,
@@ -61,17 +61,18 @@ def partition_table(
         f"evaluating {op.predicate} on compressed bitmaps",
     ):
         matches = op.predicate.bitmap(table)
-    mask = matches.to_dense()
+    split = RowSplit.of(matches.to_dense())
     names = table.schema.column_names
-    ntrue = matches.count()
+    ntrue = split.ntrue
     with status.step(
         "filtering",
         f"bitmap filtering {len(names)} columns into {ntrue} + "
         f"{table.nrows - ntrue} rows, one pass per column",
     ):
-        # Both sides come out of one extraction of each column's
-        # positions; each side still counts as a filtering of its own.
-        sides = {name: table.column(name).split(mask) for name in names}
+        # The row maps are made once; both sides come out of one
+        # extraction of each column's positions, and each side still
+        # counts as a filtering of its own.
+        sides = {name: table.column(name).split(split) for name in names}
         status.filtered_bitmaps(
             2 * sum(table.column(name).distinct_count for name in names)
         )

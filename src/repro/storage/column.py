@@ -17,11 +17,13 @@ import numpy as np
 
 from repro.bitmap.batch import (
     PackedBitmaps,
+    RowSplit,
     batch_concat_positions,
     batch_decode_vids,
     batch_from_positions,
     batch_select,
     batch_split,
+    counting_order,
 )
 from repro.bitmap.stats import CompressionStats
 from repro.errors import BitmapError, StorageError
@@ -77,11 +79,12 @@ class BitmapColumn:
     @classmethod
     def from_vids(cls, name: str, dtype: DataType, dictionary: Dictionary,
                   vids: np.ndarray) -> "BitmapColumn":
-        """Build from a pre-encoded vid array (row order): one stable
-        sort groups the row positions by vid, one batched constructor
-        builds every value's bitmap."""
+        """Build from a pre-encoded vid array (row order): a counting
+        order (:func:`~repro.bitmap.batch.counting_order`) groups the
+        row positions by vid, one batched constructor builds every
+        value's bitmap."""
         nrows = len(vids)
-        order = np.argsort(vids, kind="stable")
+        order = counting_order(vids, len(dictionary))
         bounds = np.concatenate(
             ([0], np.cumsum(np.bincount(vids, minlength=len(dictionary))))
         )
@@ -181,17 +184,20 @@ class BitmapColumn:
             filtered, counts if compact else None, len(sorted_positions)
         )
 
-    def split(self, mask: np.ndarray) -> tuple["BitmapColumn", "BitmapColumn"]:
+    def split(self, mask) -> tuple["BitmapColumn", "BitmapColumn"]:
         """PARTITION's two-way bitmap filtering in one pass: the rows
-        where the dense boolean ``mask`` is set and the rows where it is
-        not, each as ``select(..., compact=True)`` would return them."""
+        where the dense boolean ``mask`` (or its :class:`RowSplit`) is
+        set and the rows where it is not, each as
+        ``select(..., compact=True)`` would return them."""
+        split = RowSplit.of(mask)
         (true_bitmaps, true_counts), (false_bitmaps, false_counts) = (
-            batch_split(self._bitmaps, mask)
+            batch_split(self._bitmaps, split)
         )
-        ntrue = int(np.count_nonzero(mask))
         return (
-            self._filtered(true_bitmaps, true_counts, ntrue),
-            self._filtered(false_bitmaps, false_counts, len(mask) - ntrue),
+            self._filtered(true_bitmaps, true_counts, split.ntrue),
+            self._filtered(
+                false_bitmaps, false_counts, len(split.mask) - split.ntrue
+            ),
         )
 
     def _filtered(self, bitmaps: PackedBitmaps, counts, nrows: int

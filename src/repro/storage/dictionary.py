@@ -24,8 +24,7 @@ class Dictionary:
     def __init__(self, values=()):
         self._values: list = []
         self._ids: dict = {}
-        for value in values:
-            self.add(value)
+        self._add_all(values)
 
     # -- construction -------------------------------------------------------
 
@@ -53,12 +52,18 @@ class Dictionary:
         are new, in ``other``'s order; and the vid there of each of
         ``other``'s values.  One call, where a loop of :meth:`add`
         would pay a Python call per value."""
-        ids = self._ids
-        extended = Dictionary._of_distinct(
-            self._values + [value for value in other._values
-                            if value not in ids]
-        )
+        extended = self.copy()
+        extended._add_all(other._values)
         return extended, extended.lookup(other._values)
+
+    def _add_all(self, values) -> None:
+        """Insert the new ones of ``values`` in first-seen order, in one
+        step: the vids a loop of :meth:`add` would give them."""
+        ids = self._ids
+        fresh = [value for value in dict.fromkeys(values) if value not in ids]
+        count = len(self._values)
+        ids.update(zip(fresh, range(count, count + len(fresh))))
+        self._values += fresh
 
     def add(self, value) -> int:
         """Insert ``value`` if new; return its vid."""
@@ -76,7 +81,6 @@ class Dictionary:
         n = len(values)
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        array = np.asarray(values, dtype=object)
         try:
             # np.unique needs a homogeneous, orderable array; fall back to
             # the Python path for mixed/unorderable content (e.g. None).
@@ -91,19 +95,17 @@ class Dictionary:
                 raise TypeError
             uniques, inverse = np.unique(typed, return_inverse=True)
         except TypeError:
-            return np.fromiter(
-                (self.add(value) for value in array),
-                dtype=np.int64,
-                count=n,
-            )
+            self._add_all(values)
+            return self.lookup(values)
         # Map the sorted uniques to vids, registering first occurrences in
         # row order so ids stay deterministic under streaming loads.
         first_rows = np.full(len(uniques), n, dtype=np.int64)
         np.minimum.at(first_rows, inverse, np.arange(n, dtype=np.int64))
         order = np.argsort(first_rows, kind="stable")
+        firsts = uniques[order].tolist()
+        self._add_all(firsts)
         vid_of_unique = np.empty(len(uniques), dtype=np.int64)
-        for unique_index in order.tolist():
-            vid_of_unique[unique_index] = self.add(uniques[unique_index].item())
+        vid_of_unique[order] = self.lookup(firsts)
         return vid_of_unique[inverse]
 
     # -- lookups ------------------------------------------------------------
@@ -143,14 +145,10 @@ class Dictionary:
         return list(self._values)
 
     def decode(self, vids: np.ndarray) -> list:
-        """Map an array of vids back to values."""
-        table = self._values
-        return [table[v] for v in vids.tolist()]
-
-    def decode_array(self, vids: np.ndarray) -> np.ndarray:
-        """Decode to a NumPy array (object dtype unless homogeneous)."""
-        table = np.asarray(self._values, dtype=object)
-        return table[np.asarray(vids, dtype=np.int64)]
+        """Map an array of vids back to values: one take from the
+        values as an object array."""
+        table = np.fromiter(self._values, dtype=object, count=len(self))
+        return table[vids].tolist()
 
     def __iter__(self):
         return iter(self._values)

@@ -1,1 +1,2 @@
-"""Fault-injection harnesses shared by unit/integration/property tests."""
+"""Fault-injection harnesses and test oracles shared by
+unit/integration/property tests."""

@@ -14,6 +14,7 @@ from repro.bitmap.batch import (
     PackedBitmaps,
     batch_concat_positions,
     batch_count,
+    batch_decode_vids,
     batch_first_set,
     batch_from_intervals,
     batch_from_positions,
@@ -21,7 +22,7 @@ from repro.bitmap.batch import (
     batch_select,
     batch_split,
 )
-from repro.bitmap.reference import encode_reference
+from tests.harness.wah_reference import decode_reference, encode_reference
 
 bit_arrays = st.lists(st.booleans(), min_size=0, max_size=600).map(
     lambda bits: np.array(bits, dtype=bool)
@@ -302,6 +303,52 @@ def test_batch_positions_equals_dense_flatnonzero(bitmaps):
             flat[bounds[index]:bounds[index + 1]],
             np.flatnonzero(bitmap.to_dense()),
         )
+
+
+def reference_positions(bitmap):
+    """The set bits of ``bitmap`` as the reference decoder reads its
+    words."""
+    bits = decode_reference(bitmap.words.tolist(), bitmap.nbits)
+    return [index for index, bit in enumerate(bits) if bit]
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from([0, 1, 30, 31, 32, 61, 62, 63]).flatmap(
+        lambda nbits: st.tuples(
+            bitmaps_of(nbits),
+            st.lists(st.integers(0, 3), min_size=nbits, max_size=nbits),
+        )
+    )
+)
+def test_column_extraction_matches_the_reference_decoder(case):
+    """The column-wide extraction kernel reads what the reference
+    decoder reads: every bitmap's positions, first set bits and one
+    value's ``positions()``, over one-fills, all-zero bitmaps and zero
+    segments; and a column's row-order vids."""
+    bitmaps, vids = case
+    want = [reference_positions(bitmap) for bitmap in bitmaps]
+    flat, bounds = batch_positions(bitmaps)
+    assert bounds.tolist() == np.cumsum([0] + [len(p) for p in want]).tolist()
+    for bitmap, low, high, positions in zip(
+        bitmaps, bounds, bounds[1:], want
+    ):
+        assert flat[low:high].tolist() == positions
+        assert bitmap.positions().tolist() == positions
+    assert batch_first_set(bitmaps).tolist() == [
+        positions[0] if positions else -1 for positions in want
+    ]
+
+    vids = np.array(vids, dtype=np.int64)
+    column = [
+        WAHBitmap.from_positions(np.flatnonzero(vids == vid), len(vids))
+        for vid in range(4)
+    ]
+    decoded = np.full(len(vids), -1)
+    for vid, bitmap in enumerate(column):
+        decoded[reference_positions(bitmap)] = vid
+    assert batch_decode_vids(column, len(vids)).tolist() == decoded.tolist()
+    assert decoded.tolist() == vids.tolist()
 
 
 # Column lengths on, one below and one above a group boundary.

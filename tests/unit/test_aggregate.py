@@ -341,10 +341,11 @@ class TestGroupingStaysOnVidArrays:
         grouped = "SELECT a, b, COUNT(*) FROM t GROUP BY a, b"
         warm = executor.execute(grouped)
 
-        def refuse(self, bitmaps):
-            raise AssertionError("word directory built")
+        def refuse(words):
+            raise AssertionError("bitmap words extracted")
 
-        monkeypatch.setattr(batch_module.WordDirectory, "__init__", refuse)
+        monkeypatch.setattr(batch_module, "_word_layout", refuse)
+        monkeypatch.setattr(batch_module, "_column_positions", refuse)
         groups = adapter.metrics.counter("exec.agg_groups")
         before = groups.value
         assert executor.execute(grouped) == warm

@@ -16,7 +16,9 @@ from repro.bitmap.batch import (
     batch_select,
     batch_split,
 )
+from repro.bitmap.wah import ONE_FILL_FLAG
 from repro.errors import BitmapError, StorageError
+from tests.harness.wah_reference import decode_reference
 
 
 def column_bitmaps(vids: np.ndarray, cardinality: int):
@@ -69,6 +71,30 @@ class TestBatchEquivalence:
         bitmaps = [WAHBitmap.from_positions([0], 3)]  # rows 1,2 uncovered
         with pytest.raises(StorageError):
             batch_decode_vids(bitmaps, 3)
+
+    def test_column_wide_positions_past_two_to_the_31(self):
+        """2 200 bitmaps of 1 000 003 bits put the last ones' bits past
+        2**31 in column-wide position space; a one-fill is among them."""
+        nrows, nvalues = 1_000_003, 2_200
+        rng = np.random.default_rng(31)
+        vids = rng.integers(0, nvalues, nrows)
+        vids[:10_000] = nvalues - 1
+        vids[-nvalues:] = np.arange(nvalues)
+        order = np.argsort(vids, kind="stable")
+        bounds = np.cumsum([0, *np.bincount(vids)])
+        column = batch_from_positions(order, bounds, nrows)
+        assert nvalues * -(-nrows // 31) * 31 > 2**31
+        assert np.array_equal(batch_decode_vids(column, nrows), vids)
+        flat, boundaries = batch_positions(column)
+        assert np.array_equal(flat, order)
+        assert np.array_equal(boundaries, bounds)
+        assert np.array_equal(batch_first_set(column), order[bounds[:-1]])
+        last = column[nvalues - 1]
+        assert last.words[0] == ONE_FILL_FLAG | (10_000 // 31)
+        bits = decode_reference(last.words.tolist(), nrows)
+        assert last.positions().tolist() == [
+            row for row, bit in enumerate(bits) if bit
+        ]
 
     def test_empty_list(self):
         assert batch_count([]).tolist() == []

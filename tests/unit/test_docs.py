@@ -874,8 +874,27 @@ class TestPackedBitmapColumns:
         )
         assert source.count("WAHBitmap(") == views.count("WAHBitmap(") == 2
         assert "np.concatenate(arrays)" not in inspect.getsource(
-            batch.WordDirectory
+            batch._column_positions
         )
+
+    def test_word_directory_and_test_oracles_are_gone(self):
+        """Extraction runs in column-wide position space with no word
+        directory; the reference codec lives under ``tests/``."""
+        import importlib.util
+
+        import repro.bitmap.batch as batch
+        from repro.storage import Dictionary
+
+        assert not hasattr(batch, "WordDirectory")
+        assert not hasattr(Dictionary, "decode_array")
+        assert importlib.util.find_spec("repro.bitmap.reference") is None
+        architecture = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+        assert "WordDirectory" not in architecture
+        assert "column-wide position space" in architecture
+        assert "counting order" in architecture
+        migration = (REPO / "docs" / "migration.md").read_text()
+        assert "## Removed: `WordDirectory`" in migration
+        assert "tests/harness/wah_reference.py" in migration
 
     def test_architecture_describes_the_packed_column(self):
         text = (REPO / "docs" / "ARCHITECTURE.md").read_text()

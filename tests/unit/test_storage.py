@@ -5,6 +5,7 @@ import datetime
 import numpy as np
 import pytest
 
+from repro.bitmap.batch import batch_from_positions
 from repro.errors import SchemaError, StorageError
 from repro.storage import (
     BitmapColumn,
@@ -216,6 +217,33 @@ class TestDictionary:
         assert vids.tolist() == [0, 1, 0, 2]
         assert dictionary.values() == ["a\0", "a", "b"]
 
+    def test_bulk_registration_gives_the_add_loop_vids(self):
+        """``Dictionary(values)`` and ``encode`` register a batch in one
+        step; the vids (and, for the constructor, the first-seen value
+        objects) are those of one ``add`` per value."""
+        nan = float("nan")
+        batches = (
+            ["b", "a", "b", "c", "a"],
+            [1, 1.0, True, 2, 1],
+            [True, 1.0, 1],
+            [nan, None, nan, float("nan"), 0.5],
+            [None, "x", None],
+            ["z\0", "z", "z\0"],
+            [3, None, 3.0, "z\0", nan, True, "z", nan],
+        )
+        for values in batches:
+            looped = Dictionary()
+            want = [looped.add(value) for value in values]
+            built = Dictionary(values)
+            assert built.lookup(values).tolist() == want
+            assert len(built) == len(looped)
+            assert all(a is b for a, b in zip(built, looped))
+            for prefix in ((), ("b", 1, None, "z")):
+                looped, bulk = Dictionary(prefix), Dictionary(prefix)
+                want = [looped.add(value) for value in values]
+                assert bulk.encode(values).tolist() == want
+                assert bulk.values() == looped.values()
+
     def test_lookup_errors(self):
         dictionary = Dictionary(["x"])
         with pytest.raises(StorageError):
@@ -237,6 +265,26 @@ class TestBitmapColumn:
         assert column.nrows == 5
         assert column.distinct_count == 3
         assert column.to_values() == ["x", "y", "x", "z", "x"]
+
+    @pytest.mark.parametrize(
+        "distinct", [1, 256, 65_535, 65_536, 65_537, 70_000]
+    )
+    def test_from_vids_writes_the_int64_argsort_words(self, distinct):
+        """The counting order (8-bit, 16-bit or two 16-bit passes) groups
+        the rows exactly as a stable int64 argsort does."""
+        rng = np.random.default_rng(distinct)
+        vids = rng.permutation(np.concatenate(
+            (np.arange(distinct), rng.integers(0, distinct, distinct + 99))
+        ))
+        column = BitmapColumn.from_vids(
+            "c", DataType.INT, Dictionary(range(distinct)), vids
+        )
+        bounds = np.cumsum([0, *np.bincount(vids, minlength=distinct)])
+        want = batch_from_positions(
+            np.argsort(vids, kind="stable"), bounds, len(vids)
+        )
+        assert np.array_equal(column.bitmaps.words, want.words)
+        assert np.array_equal(column.bitmaps.offsets, want.offsets)
 
     def test_positions_for_value(self):
         column = BitmapColumn.from_values("c", DataType.INT, [7, 8, 7, 7])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.bitmap import GROUP_BITS, WAHBitmap
 from repro.bitmap.batch import batch_concat_positions, batch_select
-from repro.bitmap.reference import decode_reference, encode_reference
+from tests.harness.wah_reference import decode_reference, encode_reference
 from repro.bitmap.wah import FILL_FLAG, MAX_FILL_GROUPS, ONE_FILL_FLAG
 from repro.errors import BitmapError, SerializationError
 
