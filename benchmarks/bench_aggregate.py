@@ -16,9 +16,13 @@ measure) with a non-empty delta:
 * ``grouped_count`` — ``SELECT grp, COUNT(*) ... GROUP BY grp``; the
   compressed path must be at least ``--min-speedup`` (default 3×)
   faster, the gate of record;
-* ``grouped_sum`` and ``global`` — reported for context (grouped SUM
-  as one ``add.reduceat`` over the joint counts; ungrouped
-  COUNT/SUM/MIN/MAX as reductions of the per-vid counts).
+* ``grouped_sum``, ``grouped_multi`` and ``global`` — reported for
+  context, with no gate (grouped SUM as one ``add.reduceat`` over the
+  histogram of the cached joint (group, value) codes; grouped
+  SUM/MIN/MAX/AVG of one column as one such histogram feeding one
+  reduction per kind, the shape of the end-to-end ``analytic_read``
+  workload's ``agg_sum``; ungrouped COUNT/SUM/MIN/MAX as reductions of
+  the per-vid counts).
 
 Both the CODS engine (a ``Database``: main + delta, reported as
 ``mutable``) and the query-level ``ColumnStoreAdapter`` (``column``)
@@ -60,6 +64,9 @@ VALUE_CARDINALITY = 200
 
 GROUPED_COUNT_SQL = f"SELECT grp, COUNT(*) FROM {TABLE} GROUP BY grp"
 GROUPED_SUM_SQL = f"SELECT grp, SUM(v) FROM {TABLE} GROUP BY grp"
+GROUPED_MULTI_SQL = (
+    f"SELECT grp, SUM(v), MIN(v), MAX(v), AVG(v) FROM {TABLE} GROUP BY grp"
+)
 GLOBAL_SQL = f"SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM {TABLE}"
 
 
@@ -122,6 +129,15 @@ def row_oracle(adapter, sql: str) -> list[tuple]:
         for grp, v in iter_rows(adapter.scan_batches(TABLE)):
             sums[grp] = sums.get(grp, 0) + v
         return sorted(sums.items())
+    if sql == GROUPED_MULTI_SQL:
+        parts: dict = {}
+        for grp, v in iter_rows(adapter.scan_batches(TABLE)):
+            count, total, low, high = parts.get(grp, (0, 0, v, v))
+            parts[grp] = (count + 1, total + v, min(low, v), max(high, v))
+        return sorted(
+            (grp, total, low, high, total / count)
+            for grp, (count, total, low, high) in parts.items()
+        )
     if sql == GLOBAL_SQL:
         count, total = 0, 0
         low, high = None, None
@@ -178,6 +194,7 @@ def run_backend(nrows: int, backend: str) -> dict:
         "delta_rows": stats.delta_rows,
         "grouped_count": bench_query(adapter, GROUPED_COUNT_SQL),
         "grouped_sum": bench_query(adapter, GROUPED_SUM_SQL),
+        "grouped_multi": bench_query(adapter, GROUPED_MULTI_SQL),
         "global": bench_query(adapter, GLOBAL_SQL),
     }
 
@@ -232,7 +249,8 @@ def main(argv=None) -> int:
             f"{backend} @ {record['main_rows']} main rows "
             f"(+{record['delta_rows']} delta)"
         )
-        for label in ("grouped_count", "grouped_sum", "global"):
+        for label in ("grouped_count", "grouped_sum", "grouped_multi",
+                      "global"):
             q = record[label]
             print(
                 f"  {label:>13}: oracle "

@@ -8,24 +8,23 @@ operations cheap *without decoding rows*:
   deleted main row) a value's row count is its bitmap's popcount
   (``BitmapColumn.value_counts``): an ungrouped aggregate and a
   one-column GROUP BY's groups and COUNT(*) read those counts and
-  touch no row.  Under a selection, or where a grouped value aggregate
-  needs joint (group code, value vid) counts, every count is a
-  ``bincount`` over columns' cached row-order vid arrays, taken at the
-  selected positions; several group columns combine into one
-  mixed-radix code per row, re-densified before a multiply could leave
-  int64, so any number and cardinality of group columns folds here.
-  SUM/AVG/MIN/MAX are then NumPy reductions of
-  those O(distinct) pair counts against the dictionary's values held
-  as a typed array (``int64``, ``float64`` or ``object``, one code
-  path for all three).  Group keys decode by an array take on each
-  key column's dictionary values.  Partials are columns by group
-  slot — one key→slot map, and per aggregate one list indexed by
-  slot — so each reduction lands as a whole array.  Delta and values
-  batches go through a row-wise hash aggregator that writes into the
-  same slots, so main and delta partials merge epoch-consistently
-  and a query sees exactly the main+delta state its scan pinned.
-  Result groups are ordered by one rank array per key column and one
-  ``np.lexsort``.
+  touch no row.  Otherwise every count is one histogram of codes
+  cached per main generation, taken at the selected positions: the
+  group columns' vids combine into one mixed-radix code per row,
+  re-densified before a multiply could leave int64 (any number and
+  cardinality of group columns folds here), and a value column's
+  joint (group…, value) codes are the same code with its vids as the
+  last step, 8 B per row per combination.  Each value column is one
+  histogram whose (group, value vid) pairs feed one NumPy reduction
+  per kind — SUM and AVG share one, MIN and MAX one rank gather —
+  against the dictionary's values held as a typed array (``int64``,
+  ``float64`` or ``object``, one code path for all three).  Group keys
+  are read off each key column's dictionary at the groups' vids only,
+  O(groups), and stay columns until the result: one rank array per key
+  column and one ``np.lexsort`` order them.  Delta and values batches
+  go through a row-wise hash aggregator that writes into the same
+  slots, so main and delta partials merge epoch-consistently and a
+  query sees exactly the main+delta state its scan pinned.
 * **DISTINCT** — on a single dictionary-backed column, distinct values
   are the live vids; enumeration orders them by first selected
   position, reproducing the streaming-dedup row order exactly.  With
@@ -47,7 +46,6 @@ it returns is what EXPLAIN renders.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import operator
 from collections import Counter
@@ -173,20 +171,24 @@ class GroupAccumulator:
     in first-seen order.  Per aggregate, ``values[i]`` holds one partial
     per slot: ``count`` → the running count; ``sum``/``avg`` → the
     running total, with the non-NULL count in ``nonnull[i]``;
-    ``min``/``max`` → the best value seen or :data:`_MISSING`.
+    ``min``/``max`` → the best value seen or :data:`_MISSING`.  While
+    the slots are one main batch's groups (:meth:`open_groups`),
+    ``keys`` also holds them as one list per group column and ``order``
+    sorts them, so :meth:`finalized_rows` need not transpose ``slots``.
     Compressed and hash batches both fold into these columns, which is
     what makes main-store partials and delta partials composable at any
     epoch.
     """
 
     __slots__ = (
-        "aggs", "slots", "values", "nonnull", "batches_compressed",
-        "batches_hash",
+        "aggs", "slots", "keys", "order", "values", "nonnull",
+        "batches_compressed", "batches_hash",
     )
 
     def __init__(self, aggs):
         self.aggs = tuple(aggs)
         self.slots: dict[tuple, int] = {}
+        self.keys = self.order = None
         self.values: list[list] = [[] for _ in self.aggs]
         self.nonnull: list = [
             [] if agg.func in ("sum", "avg") else None for agg in self.aggs
@@ -199,16 +201,28 @@ class GroupAccumulator:
         slots = self.slots
         before = len(slots)
         target = [slots.setdefault(key, len(slots)) for key in keys]
-        grown = len(slots) - before
-        if grown:
-            for agg, column, nonnull in zip(
-                self.aggs, self.values, self.nonnull
-            ):
-                default = _MISSING if agg.func in ("min", "max") else 0
-                column.extend([default] * grown)
-                if nonnull is not None:
-                    nonnull.extend([0] * grown)
+        if len(slots) > before:
+            self.keys = self.order = None
+            self._grow(len(slots) - before)
         return target
+
+    def open_groups(self, keys: list[list], order) -> range | list[int]:
+        """:meth:`open_slots` for distinct keys given as one list per
+        group column, ``order`` their positions in key order.  A fresh
+        accumulator registers them as slots ``0..n-1`` in one step."""
+        if self.slots:
+            return self.open_slots(zip(*keys))
+        self.slots = dict(zip(zip(*keys), range(len(order))))
+        self.keys, self.order = keys, order
+        self._grow(len(order))
+        return range(len(order))
+
+    def _grow(self, grown: int):
+        for agg, column, nonnull in zip(self.aggs, self.values, self.nonnull):
+            default = _MISSING if agg.func in ("min", "max") else 0
+            column.extend([default] * grown)
+            if nonnull is not None:
+                nonnull.extend([0] * grown)
 
     def fold(self, index: int, target, values: list, nonnull=None,
              fresh: bool = False):
@@ -252,11 +266,11 @@ class GroupAccumulator:
                 0 if item.func == "count" else None
                 for item in select.columns
             )]
-        keys = list(zip(*self.slots)) if group_names else []
-        pick = None
-        if len(self.slots) > 1:
-            order = np.lexsort([_key_rank(column) for column in reversed(keys)])
-            pick = operator.itemgetter(*order.tolist())
+        keys, order = self.keys, self.order
+        if keys is None:
+            keys = list(zip(*self.slots))
+            if len(self.slots) > 1:
+                order = np.lexsort([_key_rank(c) for c in reversed(keys)])
         out = []
         for item in select.columns:
             if isinstance(item, Aggregate):
@@ -266,8 +280,11 @@ class GroupAccumulator:
                 )
             else:
                 column = keys[group_names.index(item)]
-            out.append(column if pick is None else pick(column))
-        return list(zip(*out))
+            out.append(column)
+        rows = list(zip(*out))
+        if len(rows) < 2:
+            return rows
+        return list(operator.itemgetter(*order.tolist())(rows))
 
 
 def _merge_minmax(column: list, slot: int, func: str, value):
@@ -278,19 +295,21 @@ def _merge_minmax(column: list, slot: int, func: str, value):
         column[slot] = value
 
 
-def _key_rank(values) -> np.ndarray:
+def _key_rank(values, inverse=None) -> np.ndarray:
     """Each group's rank in one key column's sorted distinct values,
     NULL last; slot (accumulation) order when the values do not
-    compare."""
+    compare.  With ``inverse``, ``values`` are the column's distinct
+    values and ``inverse`` each group's index into them."""
     present = set(values)
     present.discard(None)
     try:
         ordered = sorted(present)
     except TypeError:
-        return np.arange(len(values))
+        return np.arange(len(values if inverse is None else inverse))
     rank = dict(zip(ordered, range(len(ordered))))
     rank[None] = len(ordered)
-    return np.fromiter(map(rank.__getitem__, values), np.int64, len(values))
+    ranks = np.fromiter(map(rank.__getitem__, values), np.int64, len(values))
+    return ranks if inverse is None else ranks[inverse]
 
 
 def _finalized_column(agg, values: list, nonnull) -> list:
@@ -446,16 +465,22 @@ def _split_codes(codes, steps) -> list[np.ndarray]:
     return parts[::-1]
 
 
-def _group_codes(table, group_names) -> tuple:
+def _group_codes(table, group_names, value=None) -> tuple:
     """``(codes, space, steps)``: the whole table's group codes
     combining the group columns' vids (:func:`_combine`), their code
     space and the steps that decode them — cached per generation like
-    the vid arrays they combine."""
+    the vid arrays they combine.  With ``value``, the joint
+    (group…, value) codes: one more step on top of the cached group
+    codes.  Either is one ``("codes", …)`` entry, 8 B per row."""
     def build():
-        codes = _decode_vids(table, group_names[0])
-        space = _radix(table, group_names[0])
-        steps = []
-        for name in group_names[1:]:
+        if value is None:
+            first, rest = group_names[0], group_names[1:]
+            codes, space = _decode_vids(table, first), _radix(table, first)
+            steps = []
+        else:
+            codes, space, steps = _group_codes(table, group_names)
+            steps, rest = list(steps), (value,)
+        for name in rest:
             codes, space = _combine(
                 codes, space, _decode_vids(table, name),
                 _radix(table, name), steps,
@@ -463,17 +488,24 @@ def _group_codes(table, group_names) -> tuple:
         codes.flags.writeable = False
         return codes, space, steps
 
-    return generation_cached(table, ("codes", *group_names), build)
+    names = group_names if value is None else (*group_names, value)
+    return generation_cached(table, ("codes", *names), build)
 
 
-def _keys_for_codes(table, group_names, codes, steps) -> list[list]:
-    """Decode group codes into one value list per group column: the
-    vids :func:`_split_codes` recovers, through an array take on each
-    column's dictionary values."""
-    return [
-        _typed_values(table, name).objects[vids].tolist()
-        for name, vids in zip(group_names, _split_codes(codes, steps))
-    ]
+def _keys_for_codes(table, group_names, codes, steps) -> tuple:
+    """Decode group codes into ``(keys, order)``: one value list per
+    group column and the groups' positions in key order.  Each column's
+    vids (:func:`_split_codes`) are read off its dictionary at the
+    distinct vids present only — O(groups), not O(dictionary) — and
+    ranked in NumPy from those values' ranks."""
+    keys, ranks = [], []
+    for name, vids in zip(group_names, _split_codes(codes, steps)):
+        present, inverse = np.unique(vids, return_inverse=True)
+        distinct = np.empty(len(present), dtype=object)
+        distinct[:] = table.column(name).dictionary.values_at(present.tolist())
+        keys.append(distinct[inverse].tolist())
+        ranks.append(_key_rank(distinct.tolist(), inverse))
+    return keys, np.lexsort(ranks[::-1])
 
 
 def _nonzero_counts(codes, space: int):
@@ -487,127 +519,115 @@ def _nonzero_counts(codes, space: int):
     return np.unique(codes, return_counts=True)
 
 
-def _value_pairs(table, name, selection, grouping):
-    """The selected non-NULL values of column ``name`` as joint (group,
-    value vid) counts sorted by group: ``(vid, counts, starts, slots,
-    nonnull)`` where ``starts`` opens each group's run and ``slots`` is
-    its index into ``grouping``'s group codes; ``nonnull`` counts the
-    non-NULL rows of every group, zero where there are none.  ``None``
-    when no non-NULL value is selected.  ``grouping`` is ``None`` for
-    an ungrouped aggregate, else ``(selected, group_codes)`` where
-    ``selected()`` gives the selected rows' ``(codes, space, steps)``."""
+def _value_partials(table, name, selection, group_names, group_codes,
+                    aggs) -> dict:
+    """Per-group partials of ``aggs``, the aggregates over value column
+    ``name``: ``{func: (values, nonnull)}``, arrays over ``group_codes``,
+    empty when no non-NULL value is selected.  The selected non-NULL
+    values collapse to joint (group, value vid) counts sorted by group —
+    per-vid counts ungrouped, else the histogram of the cached joint
+    codes of ``(*group_names, name)`` (:func:`_group_codes`), only their
+    last step split off — and each kind of aggregate is one reduction
+    of those pairs: SUM and AVG share one numeric check and one sum of
+    value × count, MIN and MAX one gather of the value ranks."""
     typed = _typed_values(table, name)
-    if grouping is None:
+    if not group_names:
         per_vid = _selected_value_counts(table, name, selection)
         vid = np.flatnonzero(per_vid)
         group, counts = np.zeros_like(vid), per_vid[vid]
-        group_codes = group[:1]
     else:
-        selected, group_codes = grouping
-        row_codes, space, _steps = selected()
-        vids = _decode_vids(table, name)
+        joint, space, steps = _group_codes(table, group_names, name)
         if selection is not None:
-            vids = vids[selection]
-        steps = []
-        joint, space = _combine(
-            row_codes, space, vids, max(1, len(typed.values)), steps
-        )
+            joint = joint[selection]
         joint, counts = _nonzero_counts(joint, space)
-        group, vid = _split_codes(joint, steps)
-    keep = ~typed.null[vid]
-    if not keep.any():
-        return None
-    group, vid, counts = group[keep], vid[keep], counts[keep]
+        size, dense = steps[-1]
+        group = joint // size
+        vid = joint - group * size
+        if dense is not None:
+            group = dense[group]
+    if typed.null.any():
+        keep = ~typed.null[vid]
+        group, vid, counts = group[keep], vid[keep], counts[keep]
+    if not len(vid):
+        return {}
     starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
     slots = np.searchsorted(group_codes, group[starts])
     nonnull = np.zeros(len(group_codes), dtype=np.int64)
     nonnull[slots] = np.add.reduceat(counts, starts)
-    return vid, counts, starts, slots, nonnull
+    partials = {"count": (nonnull, None)}
+    summed = [agg for agg in aggs if agg.func in ("sum", "avg")]
+    if summed:
+        # An int64 or float64 ``summable`` holds only numeric values.
+        if typed.summable.dtype == object:
+            bad = np.flatnonzero(~typed.numeric[vid])
+            if len(bad):
+                _require_numeric(summed[0], typed.values[vid[bad[0]]])
+        totals = np.zeros(len(group_codes), dtype=typed.summable.dtype)
+        totals[slots] = np.add.reduceat(typed.summable[vid] * counts, starts)
+        partials["sum"] = partials["avg"] = (totals, nonnull)
+    ranks = None
+    for func, reduce in (("min", np.minimum), ("max", np.maximum)):
+        if any(agg.func == func for agg in aggs):
+            order, rank = typed.ranked()
+            ranks = rank[vid] if ranks is None else ranks
+            best = np.full(len(group_codes), _MISSING, dtype=object)
+            best[slots] = typed.objects[order[reduce.reduceat(ranks, starts)]]
+            partials[func] = (best, None)
+    return partials
 
 
 def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
     """Fold one main-store batch in the dictionary domain.
 
-    Groups and COUNT(*) come from the group columns' codes
-    (:func:`_group_codes`) — from the one group column's popcounts when
-    there is no selection.  Per
-    aggregate column the selected rows collapse to their joint
-    (group code, value vid) counts (:func:`_value_pairs`); each
-    aggregate is then one NumPy reduction over those pairs
-    (``add.reduceat`` of value × count for SUM/AVG, ``minimum`` /
-    ``maximum.reduceat`` of the value ranks for MIN/MAX), the same call
-    for every value dtype, scattered into one array by group and folded
-    into the accumulator's columns whole.  Float sums may differ in the
-    last ulp from a row-by-row sum, as any reordering of float
+    Groups and COUNT(*) are the histogram of the group columns' codes
+    cached per generation (:func:`_group_codes`) at the selected rows —
+    the one group column's popcounts when there is no selection — and
+    their keys are read off the key columns' dictionaries at the
+    groups' vids alone (:func:`_keys_for_codes`).  Each value column
+    costs one histogram of its cached joint codes and one NumPy
+    reduction per kind of aggregate over it (:func:`_value_partials`),
+    the same calls for every value dtype, folded into the
+    accumulator's columns whole.  The pairs are in joint-code order, so
+    a float sum adds in the same order on every run; it may differ in
+    the last ulp from a row-by-row sum, as any reordering of float
     additions can.
     """
     table = batch.table
     selection = batch.selection
+    fresh = not acc.slots
     if group_names:
-        # The selected rows' codes, built only when first needed.
-        @functools.cache
-        def selected():
-            codes, space, steps = _group_codes(table, group_names)
-            if selection is not None:
-                codes = codes[selection]
-            return codes, space, steps
-
         if selection is None and len(group_names) == 1:
             counts = table.column(group_names[0]).value_counts()
             group_codes = np.flatnonzero(counts)
             star_counts = counts[group_codes]
             steps = []
         else:
-            codes, space, steps = selected()
+            codes, space, steps = _group_codes(table, group_names)
+            if selection is not None:
+                codes = codes[selection]
             group_codes, star_counts = _nonzero_counts(codes, space)
-        keys = list(zip(*_keys_for_codes(
-            table, group_names, group_codes, steps
-        )))
-        grouping = (selected, group_codes)
+        target = acc.open_groups(
+            *_keys_for_codes(table, group_names, group_codes, steps)
+        )
     elif batch.selected_count:
         star_counts = np.array([batch.selected_count])
-        keys = [()]
-        grouping = None
+        group_codes = np.zeros(1, dtype=np.int64)
+        target = acc.open_slots([()])
     else:
         return
-    fresh = not acc.slots
-    target = acc.open_slots(keys)
-    pairs_cache: dict = {}
+    partials = {None: {"count": (star_counts, None)}}
     for index, agg in enumerate(acc.aggs):
-        if agg.column is None:
-            acc.fold(index, target, star_counts.tolist(), fresh=fresh)
-            continue
-        if agg.column not in pairs_cache:
-            pairs_cache[agg.column] = _value_pairs(
-                table, agg.column, selection, grouping
+        if agg.column not in partials:
+            partials[agg.column] = _value_partials(
+                table, agg.column, selection, group_names, group_codes,
+                [other for other in acc.aggs if other.column == agg.column],
             )
-        pairs = pairs_cache[agg.column]
-        if pairs is None:
-            continue
-        vid, counts, starts, slots, nonnull = pairs
-        typed = _typed_values(table, agg.column)
-        func = agg.func
-        if func == "count":
-            acc.fold(index, target, nonnull.tolist(), fresh=fresh)
-        elif func in ("sum", "avg"):
-            bad = np.flatnonzero(~typed.numeric[vid])
-            if len(bad):
-                _require_numeric(agg, typed.values[vid[bad[0]]])
-            totals = np.zeros(len(keys), dtype=typed.summable.dtype)
-            totals[slots] = np.add.reduceat(
-                typed.summable[vid] * counts, starts
-            )
+        values, nonnull = partials[agg.column].get(agg.func, (None, None))
+        if values is not None:
             acc.fold(
-                index, target, totals.tolist(), nonnull.tolist(), fresh=fresh
+                index, target, values.tolist(),
+                None if nonnull is None else nonnull.tolist(), fresh=fresh,
             )
-        else:
-            reduce = np.minimum if func == "min" else np.maximum
-            order, rank = typed.ranked()
-            best = np.full(len(keys), _MISSING, dtype=object)
-            best[slots] = typed.objects[
-                order[reduce.reduceat(rank[vid], starts)]
-            ]
-            acc.fold(index, target, best.tolist(), fresh=fresh)
 
 
 def _accumulate_rows(batch, group_names, acc: GroupAccumulator):

@@ -4,7 +4,8 @@ Predicates evaluate in the compressed domain: a comparison first selects
 the satisfying *values* from the column dictionary (a hash lookup per
 literal for ``=`` / ``IN``, a scan of the ``O(distinct)`` values for the
 others), then ORs their disjoint bitmaps (``O(matching rows)``; one
-matching value is its bitmap as stored) — rows are never materialized.
+matching value is its bitmap as stored, none is ``WAHBitmap.zeros``)
+— rows are never materialized.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bitmap.ops import union, union_disjoint
+from repro.bitmap.wah import WAHBitmap
 from repro.errors import SchemaError
 from repro.storage.types import coerce
 
@@ -138,6 +140,8 @@ class Comparison(Predicate):
     def bitmap(self, table):
         column = table.column(self.attr)
         vids = self._matching_vids(column)
+        if not vids:
+            return WAHBitmap.zeros(table.nrows)
         if len(vids) == 1:
             return column.bitmap_for_vid(vids[0])
         # Several values: their word ranges, gathered from the packed

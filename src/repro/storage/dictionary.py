@@ -144,6 +144,10 @@ class Dictionary:
         """All values in vid order (copy)."""
         return list(self._values)
 
+    def values_at(self, vids) -> list:
+        """The values under ``vids``, in that order: ``O(len(vids))``."""
+        return [self._values[vid] for vid in vids]
+
     def decode(self, vids: np.ndarray) -> list:
         """Map an array of vids back to values: one take from the
         values as an object array."""

@@ -7,8 +7,10 @@ the pieces directly: strategy selection (compressed iff pushdown) and
 its reason strings, the validation rules, the per-vid selected-count
 kernel, the numeric-type errors of SUM/AVG on both paths, the
 bincount-vs-unique histogram helper, the group codes past int64, the
-live row counts, the ``exec.agg_*`` counters, and high-cardinality
-GROUP BYs on a compacted table against SQLite.
+live row counts, the ``exec.agg_*`` counters, the cached joint (group,
+value) codes against the hash path and a row oracle, key decode at the
+groups' vids, and high-cardinality GROUP BYs on a compacted table
+against SQLite.
 """
 
 import datetime
@@ -25,6 +27,7 @@ from repro.errors import SqlExecutionError
 from repro.exec import GroupAccumulator, accumulate_batch, execute_select
 from repro.exec.aggregate import (
     _combine,
+    _group_codes,
     _nonzero_counts,
     _selected_value_counts,
     _split_codes,
@@ -358,6 +361,128 @@ class TestGroupingStaysOnVidArrays:
             (f"s{b}",) for b in range(25)
         ]
 
+    def test_warm_grouped_aggregates_combine_no_codes(self, monkeypatch):
+        """Once warm, a grouped value aggregate reads its joint (group,
+        value) codes from the generation cache and a two-key COUNT its
+        group codes: neither combines codes or extracts bitmap words
+        again."""
+        import repro.bitmap.batch as batch_module
+        import repro.exec.aggregate as aggregate_module
+
+        adapter = MutableColumnAdapter()
+        executor = SqlExecutor(adapter)
+        executor.execute("CREATE TABLE t (a INT, b STRING, v INT)")
+        adapter.insert_rows(
+            "t",
+            [(i % 40, f"s{i // 40 % 25}", None if i % 9 == 0 else i % 97)
+             for i in range(50_000)],
+        )
+        mutable = adapter._mutable("t")
+        while not mutable.compact_step().done:
+            pass
+        queries = (
+            "SELECT a, SUM(v), MIN(v), MAX(v), AVG(v) FROM t GROUP BY a",
+            "SELECT a, b, COUNT(*) FROM t GROUP BY a, b",
+        )
+        warm = [executor.execute(sql) for sql in queries]
+
+        def refuse(*args):
+            raise AssertionError("codes combined or bitmap words extracted")
+
+        monkeypatch.setattr(aggregate_module, "_combine", refuse)
+        monkeypatch.setattr(batch_module, "_word_layout", refuse)
+        monkeypatch.setattr(batch_module, "_column_positions", refuse)
+        assert [executor.execute(sql) for sql in queries] == warm
+        assert len(warm[0]) == 40 and len(warm[1]) == 1000
+
+    def test_joint_codes_add_one_step_to_the_group_codes(self, monkeypatch):
+        """A value column's first grouped aggregate on a generation
+        builds its joint codes as one combine step on top of the cached
+        group codes, and equal to the codes a GROUP BY on the same
+        columns builds."""
+        import repro.exec.aggregate as aggregate_module
+
+        adapter = MutableColumnAdapter()
+        executor = SqlExecutor(adapter)
+        executor.execute("CREATE TABLE t (a INT, b STRING, v INT)")
+        adapter.insert_rows(
+            "t", [(i % 40, f"s{i // 40 % 25}", i % 97) for i in range(20_000)]
+        )
+        mutable = adapter._mutable("t")
+        while not mutable.compact_step().done:
+            pass
+        executor.execute("SELECT a, b, COUNT(*) FROM t GROUP BY a, b")
+        combine = aggregate_module._combine
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return combine(*args)
+
+        monkeypatch.setattr(aggregate_module, "_combine", counted)
+        executor.execute(
+            "SELECT a, b, SUM(v) FROM t WHERE v < 9 GROUP BY a, b"
+        )
+        assert calls == [97]
+        table = mutable.main
+        joint, space, steps = aggregate_module._group_codes(
+            table, ("a", "b"), "v"
+        )
+        monkeypatch.setattr(aggregate_module, "_combine", combine)
+        from repro.delta.snapshot import _GENERATION_CACHE
+
+        del _GENERATION_CACHE[table][("codes", "a", "b", "v")]
+        fresh = aggregate_module._group_codes(table, ("a", "b", "v"))
+        assert np.array_equal(joint, fresh[0])
+        assert (space, len(steps)) == (fresh[1], len(fresh[2]))
+
+
+class TestColdKeyDecode:
+    """Group keys decode at the groups' vids: a column that is only a
+    GROUP BY key never gets the O(dictionary) typed-values arrays, even
+    as the first query on a fresh generation of a 200 000-distinct
+    key."""
+
+    NKEYS = 200_000
+
+    def test_key_column_builds_no_typed_values(self, monkeypatch):
+        import repro.exec.aggregate as aggregate_module
+
+        n = self.NKEYS
+        keys = [f"k{i:06d}" for i in range(n)]
+        random.Random(4).shuffle(keys)
+        schema = TableSchema(
+            "t",
+            (ColumnSchema("k", DataType.STRING),
+             ColumnSchema("v", DataType.INT)),
+        )
+        db = Database(policy=CompactionPolicy.never())
+        db.load_table(Table.from_columns(
+            schema, {"k": keys, "v": [i % 1_000 for i in range(n)]}
+        ))
+        original = aggregate_module._TypedValues
+
+        class Refusing(original):
+            __slots__ = ()
+
+            def __init__(self, values, nrows):
+                if len(values) == n:
+                    raise AssertionError("typed values built for the key")
+                super().__init__(values, nrows)
+
+        monkeypatch.setattr(aggregate_module, "_TypedValues", Refusing)
+        sql = "SELECT k, COUNT(*) FROM t WHERE v = 3 GROUP BY k"
+        got = db.execute(sql)
+        select = parse_sql(sql)
+        hashed = aggregate_rows(
+            [batch.filter(select.where)
+             for batch in db.adapter.scan_batches("t")],
+            select, schema, "hash",
+        )
+        assert got == hashed
+        assert got == sorted((keys[i], 1) for i in range(3, n, 1_000))
+        db.close()
+
 
 class TestUnselectedReadsArePopcounts:
     """With no selection (no WHERE, no deleted main row), a one-column
@@ -402,6 +527,108 @@ class TestUnselectedReadsArePopcounts:
         assert calls == []
 
 
+def _oracle_rows(rows, names, select) -> list[tuple]:
+    """The row oracle: group ``rows`` (tuples over ``names``) in a
+    Python dict and finish each aggregate by its SQL definition, groups
+    ordered by key with NULLs last."""
+    group_at = [names.index(name) for name in select.group_by]
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(tuple(row[i] for i in group_at), []).append(row)
+
+    def finish(item, members):
+        if item.column is None:
+            return len(members)
+        values = [
+            row[names.index(item.column)] for row in members
+            if row[names.index(item.column)] is not None
+        ]
+        if item.func == "count":
+            return len(values)
+        if not values:
+            return None
+        if item.func in ("sum", "avg"):
+            total = sum(values)
+            return total if item.func == "sum" else total / len(values)
+        return (min if item.func == "min" else max)(values)
+
+    out = []
+    for key in sorted(
+        groups, key=lambda key: [(value is None, value) for value in key]
+    ):
+        out.append(tuple(
+            key[select.group_by.index(item)] if isinstance(item, str)
+            else finish(item, groups[key])
+            for item in select.columns
+        ))
+    return out
+
+
+class TestJointCodesMatchHashAndOracle:
+    """Grouped value aggregates read the cached joint (group…, value)
+    codes: with the value column also a group column, one to three
+    group columns, NULLs in key and value columns, and selections from
+    a WHERE clause, from deleted main rows, or empty, they return the
+    hash path's rows and the row oracle's, value and type.  Float
+    values are multiples of 0.25, so every sum is exact."""
+
+    NAMES = ("a", "b", "c", "v", "f")
+    CREATE = "CREATE TABLE t (a INT, b STRING, c INT, v INT, f FLOAT)"
+    ROWS = [
+        (
+            None if i % 11 == 0 else i % 7,
+            None if i % 13 == 0 else f"s{i % 5}",
+            i % 10,
+            None if i % 9 == 0 else i * 7 % 23,
+            None if i % 8 == 0 else (i % 17) * 0.25,
+        )
+        for i in range(600)
+    ]
+    QUERIES = (
+        "SELECT a, SUM(a), MIN(a), MAX(a), AVG(a), COUNT(a) FROM t{} "
+        "GROUP BY a",
+        "SELECT a, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v), AVG(v) "
+        "FROM t{} GROUP BY a",
+        "SELECT a, b, SUM(f), MIN(b), MAX(v), AVG(f), COUNT(f) FROM t{} "
+        "GROUP BY a, b",
+        "SELECT b, a, c, COUNT(*), SUM(v), MAX(f), MIN(f), SUM(c) FROM t{} "
+        "GROUP BY b, a, c",
+    )
+    #: name -> (WHERE clause, DELETE condition, kept row test)
+    SELECTIONS = {
+        "none": ("", None, lambda row: True),
+        "where": (" WHERE c < 4", None, lambda row: row[2] < 4),
+        "deleted": ("", "c = 0", lambda row: row[2] != 0),
+        "empty": (" WHERE c = 99", None, lambda row: False),
+    }
+
+    @pytest.mark.parametrize("selection", sorted(SELECTIONS))
+    @pytest.mark.parametrize("query", range(len(QUERIES)))
+    def test_matches(self, query, selection):
+        where, deleted, kept = self.SELECTIONS[selection]
+        db, lite = _compacted_db(self.ROWS, self.CREATE, deleted)
+        lite.close()
+        sql = self.QUERIES[query].format(where)
+        select = parse_sql(sql)
+        schema = db.adapter.schema("t")
+        batches = list(db.adapter.scan_batches("t"))
+        assert [type(batch) for batch in batches] == [TableBatch]
+        if select.where is not None:
+            batches = [batch.filter(select.where) for batch in batches]
+        compressed = aggregate_rows(batches, select, schema, "compressed")
+        hashed = aggregate_rows(batches, select, schema, "hash")
+        oracle = _oracle_rows(
+            [row for row in self.ROWS if kept(row)], self.NAMES, select
+        )
+        assert compressed == hashed == oracle
+        assert [list(map(type, row)) for row in compressed] == [
+            list(map(type, row)) for row in oracle
+        ]
+        assert db.execute(sql) == oracle
+        assert (selection == "empty") == (oracle == [])
+        db.close()
+
+
 def _compacted_db(rows, create, deleted_where=None):
     """A ``Database`` whose table ``t`` holds ``rows`` in the compressed
     main store (no delta rows), minus the rows ``deleted_where`` marks
@@ -440,6 +667,9 @@ class TestMainStoreGroupByMatchesSqlite:
         "SELECT k, AVG(v) FROM t WHERE v < 5 GROUP BY k",
         "SELECT k, a, b, c, d, COUNT(*) FROM t GROUP BY k, a, b, c, d",
         "SELECT k, a, b, c, SUM(v) FROM t GROUP BY k, a, b, c",
+        "SELECT k, a, b, c, SUM(d), MIN(d), MAX(d), AVG(d) FROM t "
+        "GROUP BY k, a, b, c",
+        "SELECT k, a, b, c, d, SUM(v), COUNT(v) FROM t GROUP BY k, a, b, c, d",
     )
 
     @pytest.fixture(scope="class", params=[None, "x < 300"],
@@ -473,6 +703,20 @@ class TestMainStoreGroupByMatchesSqlite:
         assert hashed.value == 0
         assert compressed.value == before + 1
         assert _normalized(got) == _normalized(lite.execute(sql).fetchall())
+
+    def test_joint_codes_re_densify_at_the_value_step(self, engines):
+        """Four 20 000-value group columns span 1.6e17 codes; the value
+        column ``d`` multiplies that past 2**62, so the cached joint
+        codes re-densify at their last step, the one the value
+        aggregate splits off."""
+        db, _lite = engines
+        db.execute("SELECT k, a, b, c, SUM(d) FROM t GROUP BY k, a, b, c")
+        main = db.adapter._mutable("t").main
+        codes, space, steps = _group_codes(main, ("k", "a", "b", "c", "d"))
+        assert [dense is not None for _size, dense in steps] == [
+            False, False, False, True,
+        ]
+        assert space < 2**63 and codes.min() >= 0
 
 
 class TestLayersCallShape:

@@ -284,6 +284,40 @@ class TestPredicates:
         assert Comparison("f", "=", nan).bitmap(table).count() == 0
         assert Comparison("f", "IN", (nan,)).bitmap(table).positions().tolist() == [1]
 
+    @pytest.mark.parametrize("nrows", [5, 1_000])
+    @pytest.mark.parametrize("predicate", [
+        Comparison("b", "=", "absent"),
+        Comparison("b", "IN", ("absent", "gone")),
+        Comparison("a", ">", 10_000),
+        Comparison("b", "<", "a"),
+    ], ids=str)
+    def test_zero_match_is_all_zeros_without_a_word_pass(
+        self, predicate, nrows, monkeypatch
+    ):
+        """A comparison no dictionary value satisfies returns the words
+        the union of no bitmap gave, without extracting positions."""
+        import repro.bitmap.ops as ops_module
+
+        table = table_from_python(
+            "P",
+            {
+                "a": (DataType.INT, list(range(nrows))),
+                "b": (DataType.STRING, [f"x{i % 3}" for i in range(nrows)]),
+            },
+        )
+        want = union_disjoint(
+            table.column(predicate.attr).bitmaps.take([]), nrows
+        )
+
+        def refuse(*args):
+            raise AssertionError("positions extracted for no bitmap")
+
+        monkeypatch.setattr(ops_module, "batch_positions", refuse)
+        got = predicate.bitmap(table)
+        assert got.nbits == want.nbits == nrows
+        assert np.array_equal(got.words, want.words)
+        assert got.count() == 0
+
     def test_unknown_operator(self):
         with pytest.raises(Exception):
             Comparison("a", "~~", 1)
