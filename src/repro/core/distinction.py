@@ -10,11 +10,13 @@ Two strategies:
 * **bitmap** (single key attribute, the paper's headline path): the
   first set bit of each value's compressed bitmap, found without
   decompressing anything — ``O(Σ words)`` over the value bitmaps.
-* **scan** (composite keys): decode the key columns to vid arrays and
-  take the first occurrence of each distinct combination.  The demo
-  paper defers composite keys to the tech report; this is our
-  reconstruction, and Property 2 makes the first occurrence as good a
-  witness as any other.
+* **scan** (composite keys): decode the key columns to vid arrays,
+  fold each row's vids into one combined code
+  (:mod:`repro.storage.codes`) and take the first row of each distinct
+  code — a histogram pass, or a 1-D ``np.unique`` where the code space
+  is sparse.  The demo paper defers composite keys to the tech report;
+  this is our reconstruction, and Property 2 makes the first
+  occurrence as good a witness as any other.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from repro.bitmap.batch import batch_first_set
 from repro.core.status import EvolutionStatus
 from repro.errors import EvolutionError
+from repro.storage.codes import first_rows, table_codes
 
 
 def distinction_with_ranks(
@@ -68,13 +71,9 @@ def distinction_bitmap(column, status: EvolutionStatus) -> np.ndarray:
 
 def distinction_scan(table, key_attrs, status: EvolutionStatus) -> np.ndarray:
     """Witness positions for distinct combinations of several columns."""
-    matrix = []
-    for attr in key_attrs:
-        matrix.append(table.column(attr).decode_vids())
-        status.decompressed_column()
-    stacked = np.stack(matrix, axis=1)
-    _, first_rows = np.unique(stacked, axis=0, return_index=True)
-    positions = np.sort(first_rows.astype(np.int64))
+    codes, space, _steps = table_codes(table, key_attrs)
+    status.decompressed_column(len(key_attrs))
+    positions = np.sort(first_rows(codes, space)[1])
     status.emit(
         "distinction",
         f"{len(positions)} distinct combinations of "

@@ -37,8 +37,10 @@ from repro.bitmap.batch import (
     batch_from_positions,
     counting_order,
 )
+from repro.core.merge_kfk import join_codes
 from repro.core.status import EvolutionStatus
 from repro.smo.ops import MergeTables
+from repro.storage.codes import dense_ids, split_codes
 from repro.storage.column import BitmapColumn
 from repro.storage.schema import TableSchema
 from repro.storage.table import Table
@@ -106,24 +108,15 @@ def _pass1_single(left: Table, right: Table, attr: str,
 
 def _pass1_composite(left: Table, right: Table, join_attrs,
                      status: EvolutionStatus) -> _JoinGroups:
-    """Pass 1 for composite join attributes, via a shared vid space."""
-    k = len(join_attrs)
-    s_matrix = np.empty((left.nrows, k), dtype=np.int64)
-    t_matrix = np.empty((right.nrows, k), dtype=np.int64)
-    for index, attr in enumerate(join_attrs):
-        s_col = left.column(attr)
-        t_col = right.column(attr)
-        s_matrix[:, index] = s_col.decode_vids()
-        remap = s_col.dictionary.lookup(t_col.dictionary)
-        t_matrix[:, index] = remap[t_col.decode_vids()]
-        status.decompressed_column(2)
-    t_valid = ~np.any(t_matrix < 0, axis=1)
-
-    stacked = np.vstack((s_matrix, t_matrix[t_valid]))
-    uniques, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    """Pass 1 for composite join attributes: the groups are the
+    distinct combined codes of S's rows and T's matchable rows
+    (:func:`~repro.core.merge_kfk.join_codes`), in the vid tuples'
+    lexicographic order."""
+    codes, space, steps, t_rows = join_codes(left, right, join_attrs, status)
+    present, inverse = dense_ids(codes, space)
     s_group = inverse[: left.nrows]
     t_group_valid = inverse[left.nrows :]
-    n_groups = len(uniques)
+    n_groups = len(present)
     n1_all = np.bincount(s_group, minlength=n_groups)
     n2_all = np.bincount(t_group_valid, minlength=n_groups)
     common = (n1_all > 0) & (n2_all > 0)
@@ -142,11 +135,10 @@ def _pass1_composite(left: Table, right: Table, join_attrs,
 
     s_cid = cid_of_group[s_group]
     t_cid = np.full(right.nrows, -1, dtype=np.int64)
-    t_cid[t_valid] = cid_of_group[t_group_valid]
-    group_value_vids = {
-        attr: uniques[common, index].astype(np.int64)
-        for index, attr in enumerate(join_attrs)
-    }
+    t_cid[t_rows] = cid_of_group[t_group_valid]
+    group_value_vids = dict(
+        zip(join_attrs, split_codes(present[common], steps))
+    )
     return _JoinGroups(
         n1, n2, offsets, s_cid, t_cid, group_value_vids, int(sizes.sum())
     )

@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.status import EvolutionStatus
 from repro.errors import EvolutionError
 from repro.smo.ops import MergeTables
+from repro.storage.codes import combine_columns, dense_ids
 from repro.storage.column import BitmapColumn
 from repro.storage.schema import TableSchema
 from repro.storage.table import Table
@@ -59,6 +60,33 @@ def _t_row_of_svid_single(s_col: BitmapColumn, t_col: BitmapColumn
     return rows
 
 
+def join_codes(left: Table, right: Table, join_attrs,
+               status: EvolutionStatus) -> tuple:
+    """``(codes, space, steps, t_rows)`` of a composite join: one
+    combined code (:mod:`repro.storage.codes`) per row of ``left``,
+    then one per row ``t_rows`` of ``right`` — its rows whose join
+    values all occur in ``left``, since no other can match.  ``right``'s
+    vids are remapped into ``left``'s dictionaries, so the radices are
+    ``left``'s distinct counts and equal combinations share a code."""
+    s_columns, t_columns = [], []
+    t_valid = np.ones(right.nrows, dtype=bool)
+    for attr in join_attrs:
+        s_col = left.column(attr)
+        t_col = right.column(attr)
+        s_columns.append(s_col.decode_vids())
+        remap = s_col.dictionary.lookup(t_col.dictionary)
+        t_columns.append(remap[t_col.decode_vids()])
+        status.decompressed_column(2)
+        t_valid &= t_columns[-1] >= 0
+    t_rows = np.flatnonzero(t_valid)
+    codes, space, steps = combine_columns(
+        [np.concatenate((s, t[t_rows])) for s, t in zip(s_columns, t_columns)],
+        [left.column(attr).distinct_count for attr in join_attrs],
+        left.nrows + len(t_rows),
+    )
+    return codes, space, steps, t_rows
+
+
 def _t_row_per_s_row(
     left: Table, right: Table, join_attrs, status: EvolutionStatus
 ) -> np.ndarray:
@@ -75,38 +103,17 @@ def _t_row_per_s_row(
         status.decompressed_column()
         return t_row_of_svid[s_vids]
 
-    # Composite key: match vid tuples through a shared value space.
-    s_matrix = np.empty((left.nrows, len(join_attrs)), dtype=np.int64)
-    t_matrix = np.empty((right.nrows, len(join_attrs)), dtype=np.int64)
-    for k, attr in enumerate(join_attrs):
-        s_col = left.column(attr)
-        t_col = right.column(attr)
-        s_matrix[:, k] = s_col.decode_vids()
-        status.decompressed_column()
-        remap = s_col.dictionary.lookup(t_col.dictionary)
-        t_matrix[:, k] = remap[t_col.decode_vids()]
-        status.decompressed_column()
-    # T rows holding values never seen in S cannot match any S row; give
-    # each a unique sentinel key so they form singleton groups instead of
-    # colliding with one another.
-    unmatched = np.any(t_matrix < 0, axis=1)
-    if np.any(unmatched):
-        rows = np.flatnonzero(unmatched)
-        t_matrix[rows, 0] = -(rows + 2)
-    stacked = np.vstack((t_matrix, s_matrix))
-    _, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    t_group = inverse[: right.nrows]
-    s_group = inverse[right.nrows :]
-    group_row = np.full(int(inverse.max()) + 1, -1, dtype=np.int64)
-    seen = np.zeros(len(group_row), dtype=np.int64)
-    np.add.at(seen, t_group, 1)
-    if np.any(seen > 1):
+    codes, space, _steps, t_rows = join_codes(left, right, join_attrs, status)
+    present, groups = dense_ids(codes, space)
+    t_group = groups[left.nrows :]
+    if np.any(np.bincount(t_group, minlength=len(present)) > 1):
         raise EvolutionError(
             f"join attributes {list(join_attrs)} are not a key of the "
             "right table (duplicate combinations found)"
         )
-    group_row[t_group] = np.arange(right.nrows, dtype=np.int64)
-    return group_row[s_group]
+    group_row = np.full(len(present), -1, dtype=np.int64)
+    group_row[t_group] = t_rows
+    return group_row[groups[: left.nrows]]
 
 
 def merge_key_fk(

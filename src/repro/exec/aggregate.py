@@ -10,15 +10,16 @@ operations cheap *without decoding rows*:
   one-column GROUP BY's groups and COUNT(*) read those counts and
   touch no row.  Otherwise every count is one histogram of codes
   cached per main generation, taken at the selected positions: the
-  group columns' vids combine into one mixed-radix code per row,
-  re-densified before a multiply could leave int64 (any number and
-  cardinality of group columns folds here), and a value column's
-  joint (group…, value) codes are the same code with its vids as the
-  last step, 8 B per row per combination.  Each value column is one
-  histogram whose (group, value vid) pairs feed one NumPy reduction
-  per kind — SUM and AVG share one, MIN and MAX one rank gather —
-  against the dictionary's values held as a typed array (``int64``,
-  ``float64`` or ``object``, one code path for all three).  Group keys
+  group columns' vids combine into one mixed-radix code per row
+  (:mod:`repro.storage.codes`), re-densified before a multiply could
+  leave int64 (any number and cardinality of group columns folds
+  here), and a value column's joint (group…, value) codes are the
+  same code with its vids as the last step, 8 B per row per
+  combination.  Each value column is one histogram whose (group,
+  value vid) pairs feed one NumPy reduction per kind — SUM and AVG
+  share one, MIN and MAX one rank gather — against the dictionary's
+  values held as a typed array (``int64``, ``float64`` or ``object``,
+  one code path for all three).  Group keys
   are read off each key column's dictionary at the groups' vids only,
   O(groups), and stay columns until the result: one rank array per key
   column and one ``np.lexsort`` order them.  Delta and values batches
@@ -61,6 +62,7 @@ from repro.exec.batch import (
     project_rows,
 )
 from repro.sql.ast import AGGREGATE_FUNCTIONS, Aggregate
+from repro.storage import codes as vid_codes
 
 __all__ = [
     "GroupAccumulator",
@@ -75,11 +77,6 @@ __all__ = [
 #: Sentinel for "no value seen yet" in MIN/MAX partials (``None`` is a
 #: legal SQL value that aggregates must *skip*, so it cannot stand in).
 _MISSING = object()
-
-#: Largest code space a mixed-radix code may span: the running code is
-#: re-densified before a multiply would pass it, so every group code and
-#: joint (group, value) code stays inside int64.
-_CODE_LIMIT = 2**62
 
 
 def validate_aggregate_select(select, schema) -> tuple:
@@ -435,55 +432,26 @@ def _radix(table, name: str) -> int:
     return max(1, table.column(name).distinct_count)
 
 
-def _combine(codes, space: int, vids, size: int, steps: list):
-    """``codes * size + vids``: one more column's vids (radix ``size``)
-    appended to mixed-radix ``codes`` of radix ``space``.  When the
-    product would pass :data:`_CODE_LIMIT` the codes are first
-    re-densified to the ranks of the distinct codes present, which
-    never exceed the row count.  The step is appended to ``steps`` for
-    :func:`_split_codes`; returns ``(codes, space)``."""
-    dense = None
-    if space * size > _CODE_LIMIT:
-        dense, codes = np.unique(codes, return_inverse=True)
-        space = len(dense)
-    steps.append((size, dense))
-    return codes * size + vids, space * size
-
-
-def _split_codes(codes, steps) -> list[np.ndarray]:
-    """Invert :func:`_combine`: the vids each code combines, first
-    column first.  Per step, last first, a ``divmod`` peels off that
-    column's vids and the step's re-densified codes (if any) map the
-    quotient back to the code before it."""
-    parts = []
-    for size, dense in reversed(steps):
-        codes, vids = np.divmod(codes, size)
-        parts.append(vids)
-        if dense is not None:
-            codes = dense[codes]
-    parts.append(codes)
-    return parts[::-1]
-
-
 def _group_codes(table, group_names, value=None) -> tuple:
     """``(codes, space, steps)``: the whole table's group codes
-    combining the group columns' vids (:func:`_combine`), their code
-    space and the steps that decode them — cached per generation like
-    the vid arrays they combine.  With ``value``, the joint
-    (group…, value) codes: one more step on top of the cached group
-    codes.  Either is one ``("codes", …)`` entry, 8 B per row."""
+    combining the group columns' vids (:mod:`repro.storage.codes`),
+    their code space and the steps that decode them — cached per
+    generation like the vid arrays they combine.  With ``value``, the
+    joint (group…, value) codes: one more step on top of the cached
+    group codes.  Either is one ``("codes", …)`` entry, 8 B per row."""
     def build():
         if value is None:
-            first, rest = group_names[0], group_names[1:]
-            codes, space = _decode_vids(table, first), _radix(table, first)
-            steps = []
+            codes, space, steps = vid_codes.combine_columns(
+                [_decode_vids(table, name) for name in group_names],
+                [_radix(table, name) for name in group_names],
+                table.nrows,
+            )
         else:
             codes, space, steps = _group_codes(table, group_names)
-            steps, rest = list(steps), (value,)
-        for name in rest:
-            codes, space = _combine(
-                codes, space, _decode_vids(table, name),
-                _radix(table, name), steps,
+            steps = list(steps)
+            codes, space = vid_codes.combine(
+                codes, space, _decode_vids(table, value),
+                _radix(table, value), steps,
             )
         codes.flags.writeable = False
         return codes, space, steps
@@ -495,28 +463,17 @@ def _group_codes(table, group_names, value=None) -> tuple:
 def _keys_for_codes(table, group_names, codes, steps) -> tuple:
     """Decode group codes into ``(keys, order)``: one value list per
     group column and the groups' positions in key order.  Each column's
-    vids (:func:`_split_codes`) are read off its dictionary at the
+    vids (``split_codes``) are read off its dictionary at the
     distinct vids present only — O(groups), not O(dictionary) — and
     ranked in NumPy from those values' ranks."""
     keys, ranks = [], []
-    for name, vids in zip(group_names, _split_codes(codes, steps)):
+    for name, vids in zip(group_names, vid_codes.split_codes(codes, steps)):
         present, inverse = np.unique(vids, return_inverse=True)
         distinct = np.empty(len(present), dtype=object)
         distinct[:] = table.column(name).dictionary.values_at(present.tolist())
         keys.append(distinct[inverse].tolist())
         ranks.append(_key_rank(distinct.tolist(), inverse))
     return keys, np.lexsort(ranks[::-1])
-
-
-def _nonzero_counts(codes, space: int):
-    """``(unique values, counts)`` of an int code array.  When the code
-    space is small relative to the data a ``bincount`` histogram beats
-    ``np.unique``'s sort by a wide margin."""
-    if space <= 4 * len(codes) + 1024:
-        histogram = np.bincount(codes, minlength=space)
-        present = np.flatnonzero(histogram)
-        return present, histogram[present]
-    return np.unique(codes, return_counts=True)
 
 
 def _value_partials(table, name, selection, group_names, group_codes,
@@ -539,7 +496,7 @@ def _value_partials(table, name, selection, group_names, group_codes,
         joint, space, steps = _group_codes(table, group_names, name)
         if selection is not None:
             joint = joint[selection]
-        joint, counts = _nonzero_counts(joint, space)
+        joint, counts = vid_codes.nonzero_counts(joint, space)
         size, dense = steps[-1]
         group = joint // size
         vid = joint - group * size
@@ -605,7 +562,7 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
             codes, space, steps = _group_codes(table, group_names)
             if selection is not None:
                 codes = codes[selection]
-            group_codes, star_counts = _nonzero_counts(codes, space)
+            group_codes, star_counts = vid_codes.nonzero_counts(codes, space)
         target = acc.open_groups(
             *_keys_for_codes(table, group_names, group_codes, steps)
         )

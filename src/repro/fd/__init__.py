@@ -2,7 +2,6 @@
 
 from repro.fd.decompose_check import (
     DecompositionPlan,
-    chase_lossless,
     check_lossless,
     fds_from_keys,
 )
@@ -14,14 +13,12 @@ from repro.fd.functional_deps import (
     implies,
     is_superkey,
     minimal_cover,
-    project_fds,
 )
 
 __all__ = [
     "DecompositionPlan",
     "FunctionalDependency",
     "candidate_keys",
-    "chase_lossless",
     "check_lossless",
     "closure",
     "discover",
@@ -31,5 +28,4 @@ __all__ = [
     "is_key_in_data",
     "is_superkey",
     "minimal_cover",
-    "project_fds",
 ]

@@ -2,58 +2,50 @@
 
 When a decomposition is requested without declared keys, CODS can verify
 against the data that the common attributes functionally determine the
-changed side (Property 2 requires it).  ``holds`` answers that in
-vectorized time; ``discover`` enumerates all minimal FDs with small
-left-hand sides (a TANE-flavoured levelwise search, adequate for the
-schema sizes in the paper's scenarios).
+changed side (Property 2 requires it).  ``holds`` answers that by
+counting distinct value combinations: each row's vids fold into one
+combined code (:mod:`repro.storage.codes`) and a histogram or a 1-D
+``np.unique`` counts them, O(rows) with no row sort.  ``discover``
+enumerates all minimal FDs with small left-hand sides (a
+TANE-flavoured levelwise search, adequate for the schema sizes in the
+paper's scenarios).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
 from repro.fd.functional_deps import FunctionalDependency, implies
-
-
-def _group_ids(table, attrs) -> np.ndarray:
-    """Dense group id per row for the combination of ``attrs`` values."""
-    attrs = list(attrs)
-    if not attrs:
-        return np.zeros(table.nrows, dtype=np.int64)
-    matrix = np.stack(
-        [table.column(attr).decode_vids() for attr in attrs], axis=1
-    )
-    _, inverse = np.unique(matrix, axis=0, return_inverse=True)
-    return inverse.astype(np.int64)
-
-
-def _distinct_count(ids: np.ndarray) -> int:
-    if len(ids) == 0:
-        return 0
-    return int(ids.max()) + 1
+from repro.storage.codes import combine, nonzero_counts, table_codes
 
 
 def holds(table, lhs, rhs) -> bool:
     """True iff ``lhs -> rhs`` holds in the data of ``table``.
 
     Standard partition argument: the FD holds iff grouping by ``lhs``
-    yields exactly as many groups as grouping by ``lhs ∪ rhs``.
+    yields exactly as many groups as grouping by ``lhs ∪ rhs``.  The
+    ``lhs ∪ rhs`` codes extend the ``lhs`` codes by one combine step
+    per ``rhs`` column, so every column is decoded once.
     """
     lhs = list(lhs)
     rhs = [attr for attr in rhs if attr not in lhs]
     if not rhs:
         return True
-    left_ids = _group_ids(table, lhs)
-    both_ids = _group_ids(table, lhs + rhs)
-    return _distinct_count(left_ids) == _distinct_count(both_ids)
+    codes, space, steps = table_codes(table, lhs)
+    groups = len(nonzero_counts(codes, space)[0])
+    for attr in rhs:
+        column = table.column(attr)
+        codes, space = combine(
+            codes, space, column.decode_vids(),
+            max(1, column.distinct_count), steps,
+        )
+    return len(nonzero_counts(codes, space)[0]) == groups
 
 
 def is_key_in_data(table, attrs) -> bool:
     """True iff ``attrs`` values are unique per row (a key of the data)."""
-    ids = _group_ids(table, attrs)
-    return _distinct_count(ids) == table.nrows
+    codes, space, _steps = table_codes(table, list(attrs))
+    return len(nonzero_counts(codes, space)[0]) == table.nrows
 
 
 def discover(table, max_lhs: int = 2) -> list[FunctionalDependency]:

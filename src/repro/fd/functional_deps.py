@@ -126,22 +126,3 @@ def minimal_cover(fds) -> list[FunctionalDependency]:
         else:
             index += 1
     return result
-
-
-def project_fds(fds, attrs) -> list[FunctionalDependency]:
-    """FDs implied on a projection (restricted to subsets of ``attrs``).
-
-    Exponential in ``len(attrs)`` in the worst case; intended for the
-    small schemas of decompositions.
-    """
-    attrs = frozenset(attrs)
-    projected: list[FunctionalDependency] = []
-    names = sorted(attrs)
-    for size in range(1, len(names)):
-        for lhs in combinations(names, size):
-            lhs_set = frozenset(lhs)
-            determined = closure(lhs_set, fds) & attrs
-            rhs = determined - lhs_set
-            if rhs:
-                projected.append(FunctionalDependency(lhs_set, rhs))
-    return minimal_cover(projected)

@@ -1,12 +1,14 @@
 """Property-based tests for bitmap columns, FDs and the SMO parser."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import LosslessJoinError
 from repro.fd import (
     FunctionalDependency,
     candidate_keys,
+    check_lossless,
     closure,
     is_superkey,
     minimal_cover,
@@ -14,6 +16,7 @@ from repro.fd import (
 from repro.fd.functional_deps import implies
 from repro.smo import parse_smo
 from repro.storage import BitmapColumn, DataType
+from tests.harness.chase import chase_lossless
 
 vid_arrays = st.lists(
     st.integers(min_value=0, max_value=6), min_size=0, max_size=120
@@ -54,7 +57,50 @@ fds = st.lists(
 )
 
 
+@st.composite
+def binary_decompositions(draw):
+    """``(universe, left, right, fds)``: a relation of at most five
+    attributes, two non-empty sides covering it, and FDs over it whose
+    left-hand sides are often drawn from the shared attributes, where
+    they decide the split."""
+    universe = sorted(draw(attrs))
+    sides = draw(st.lists(
+        st.sampled_from(("left", "right", "both")),
+        min_size=len(universe), max_size=len(universe),
+    ))
+    left = {attr for attr, side in zip(universe, sides) if side != "right"}
+    right = {attr for attr, side in zip(universe, sides) if side != "left"}
+    assume(left and right)
+    subset = st.sets(st.sampled_from(universe), min_size=1)
+    shared = st.sets(st.sampled_from(sorted(left & right or universe)),
+                     min_size=1)
+    dependencies = draw(st.lists(
+        st.tuples(st.one_of(shared, subset), subset).map(
+            lambda pair: FunctionalDependency(
+                frozenset(pair[0]), frozenset(pair[1])
+            )
+        ),
+        max_size=6,
+    ))
+    return universe, left, right, dependencies
+
+
 class TestFdProperties:
+    @settings(max_examples=300)
+    @given(binary_decompositions())
+    def test_check_lossless_accepts_what_the_chase_calls_lossless(
+        self, case
+    ):
+        universe, left, right, dependencies = case
+        try:
+            check_lossless(universe, left, right, dependencies)
+            accepted = True
+        except LosslessJoinError:
+            accepted = False
+        assert accepted == chase_lossless(
+            universe, [left, right], dependencies
+        )
+
     @given(attrs, fds)
     def test_closure_is_monotone_and_idempotent(self, start, dependencies):
         first = closure(start, dependencies)

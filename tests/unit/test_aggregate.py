@@ -26,11 +26,8 @@ from repro.delta import CompactionPolicy
 from repro.errors import SqlExecutionError
 from repro.exec import GroupAccumulator, accumulate_batch, execute_select
 from repro.exec.aggregate import (
-    _combine,
     _group_codes,
-    _nonzero_counts,
     _selected_value_counts,
-    _split_codes,
     aggregate_rows,
     choose_aggregate_strategy,
     validate_aggregate_select,
@@ -38,6 +35,7 @@ from repro.exec.aggregate import (
 from repro.exec.batch import TableBatch
 from repro.sql import MutableColumnAdapter, RowEngineAdapter, SqlExecutor
 from repro.sql.parser import parse_sql
+from repro.storage.codes import combine, nonzero_counts, split_codes
 from repro.storage.column import BitmapColumn
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.statistics import TableStats
@@ -251,7 +249,7 @@ class TestNonzeroCounts:
     def test_matches_numpy_unique(self, space):
         rng = np.random.default_rng(9)
         codes = rng.integers(0, min(space, 8), 500)
-        got_values, got_counts = _nonzero_counts(codes, space)
+        got_values, got_counts = nonzero_counts(codes, space)
         want_values, want_counts = np.unique(codes, return_counts=True)
         assert np.array_equal(got_values, want_values)
         assert np.array_equal(got_counts, want_counts)
@@ -267,13 +265,13 @@ class TestCodes:
         columns = [rng.integers(0, size, 2_000) for _ in range(5)]
         codes, space, steps = columns[0], size, []
         for vids in columns[1:]:
-            codes, space = _combine(codes, space, vids, size, steps)
+            codes, space = combine(codes, space, vids, size, steps)
             assert space < 2**63 and codes.min() >= 0
         assert any(dense is not None for _size, dense in steps)
         assert len(np.unique(codes)) == len(
             set(zip(*(c.tolist() for c in columns)))
         )
-        for got, want in zip(_split_codes(codes, steps), columns):
+        for got, want in zip(split_codes(codes, steps), columns):
             assert np.array_equal(got, want)
 
 
@@ -367,7 +365,7 @@ class TestGroupingStaysOnVidArrays:
         group codes: neither combines codes or extracts bitmap words
         again."""
         import repro.bitmap.batch as batch_module
-        import repro.exec.aggregate as aggregate_module
+        import repro.storage.codes as codes_module
 
         adapter = MutableColumnAdapter()
         executor = SqlExecutor(adapter)
@@ -389,7 +387,7 @@ class TestGroupingStaysOnVidArrays:
         def refuse(*args):
             raise AssertionError("codes combined or bitmap words extracted")
 
-        monkeypatch.setattr(aggregate_module, "_combine", refuse)
+        monkeypatch.setattr(codes_module, "combine", refuse)
         monkeypatch.setattr(batch_module, "_word_layout", refuse)
         monkeypatch.setattr(batch_module, "_column_positions", refuse)
         assert [executor.execute(sql) for sql in queries] == warm
@@ -401,6 +399,7 @@ class TestGroupingStaysOnVidArrays:
         group codes, and equal to the codes a GROUP BY on the same
         columns builds."""
         import repro.exec.aggregate as aggregate_module
+        import repro.storage.codes as codes_module
 
         adapter = MutableColumnAdapter()
         executor = SqlExecutor(adapter)
@@ -412,14 +411,13 @@ class TestGroupingStaysOnVidArrays:
         while not mutable.compact_step().done:
             pass
         executor.execute("SELECT a, b, COUNT(*) FROM t GROUP BY a, b")
-        combine = aggregate_module._combine
         calls = []
 
         def counted(*args):
             calls.append(args[3])
             return combine(*args)
 
-        monkeypatch.setattr(aggregate_module, "_combine", counted)
+        monkeypatch.setattr(codes_module, "combine", counted)
         executor.execute(
             "SELECT a, b, SUM(v) FROM t WHERE v < 9 GROUP BY a, b"
         )
@@ -428,7 +426,7 @@ class TestGroupingStaysOnVidArrays:
         joint, space, steps = aggregate_module._group_codes(
             table, ("a", "b"), "v"
         )
-        monkeypatch.setattr(aggregate_module, "_combine", combine)
+        monkeypatch.setattr(codes_module, "combine", combine)
         from repro.delta.snapshot import _GENERATION_CACHE
 
         del _GENERATION_CACHE[table][("codes", "a", "b", "v")]

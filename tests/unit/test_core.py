@@ -358,3 +358,133 @@ class TestMergeGeneral:
             if lr[0] == rr[0] and lr[1] == rr[1]
         )
         assert merged.sorted_rows() == expected
+
+
+class TestCombinedCodeRegressions:
+    """Exact outputs of the paths that group rows by combined vid codes:
+    row order, witnesses and status counts, not just the row sets."""
+
+    def test_kfk_composite_ignores_t_rows_with_values_absent_from_s(self):
+        """T repeats (9, 9) — both values absent from S — and (1, 9) —
+        j2 = 9 absent from S.  Neither can match an S row, so neither
+        pair makes the join attributes a non-key: the merge succeeds."""
+        left = table_from_python(
+            "S",
+            {
+                "j1": (DataType.INT, [1, 1, 2]),
+                "j2": (DataType.INT, [1, 2, 1]),
+                "a": (DataType.INT, [10, 20, 30]),
+            },
+        )
+        right = table_from_python(
+            "T",
+            {
+                "j1": (DataType.INT, [2, 9, 1, 9, 1, 1, 1]),
+                "j2": (DataType.INT, [1, 9, 1, 9, 9, 2, 9]),
+                "b": (DataType.INT, [70, 71, 72, 73, 74, 75, 76]),
+            },
+        )
+        op = MergeTables("S", "T", "R", ("j1", "j2"))
+        status = EvolutionStatus()
+        merged = merge_key_fk(left, right, op, ("j1", "j2"), status)
+        assert merged.to_rows() == [
+            (1, 1, 10, 72), (1, 2, 20, 75), (2, 1, 30, 70),
+        ]
+        assert status.columns_decompressed == 5
+
+    def test_kfk_composite_duplicate_of_matchable_values_is_not_a_key(self):
+        left = table_from_python(
+            "S",
+            {
+                "j1": (DataType.INT, [1, 2]),
+                "j2": (DataType.INT, [1, 2]),
+            },
+        )
+        right = table_from_python(
+            "T",
+            {
+                "j1": (DataType.INT, [1, 2, 1]),
+                "j2": (DataType.INT, [1, 2, 1]),
+                "b": (DataType.INT, [5, 6, 7]),
+            },
+        )
+        op = MergeTables("S", "T", "R", ("j1", "j2"))
+        with pytest.raises(EvolutionError, match="not a key"):
+            merge_key_fk(left, right, op, ("j1", "j2"), EvolutionStatus())
+
+    def test_general_composite_row_order_and_counts(self):
+        """R is clustered by join combination in the lexicographic order
+        of S's vid tuples (j1's vid most significant: 2 before 1, in
+        first-seen vid order) — neither value order nor S's row order —
+        and within a block S occurrence p, T occurrence q sits at
+        p·n2 + q."""
+        left = table_from_python(
+            "S",
+            {
+                "j1": (DataType.INT, [2, 1, 1, 2, 1]),
+                "j2": (DataType.INT, [1, 2, 1, 2, 1]),
+                "a": (DataType.INT, [10, 20, 30, 40, 50]),
+            },
+        )
+        right = table_from_python(
+            "T",
+            {
+                "j1": (DataType.INT, [1, 2, 2, 1, 3, 1]),
+                "j2": (DataType.INT, [1, 2, 1, 1, 1, 2]),
+                "b": (DataType.INT, [5, 6, 7, 8, 9, 4]),
+            },
+        )
+        op = MergeTables("S", "T", "R", ("j1", "j2"))
+        status = EvolutionStatus()
+        merged = merge_general(left, right, op, ("j1", "j2"), status)
+        assert merged.to_rows() == [
+            (2, 1, 10, 7),
+            (2, 2, 40, 6),
+            (1, 1, 30, 5), (1, 1, 30, 8), (1, 1, 50, 5), (1, 1, 50, 8),
+            (1, 2, 20, 4),
+        ]
+        assert status.summary() == {
+            "columns_reused": 0,
+            "bitmaps_reused": 0,
+            "bitmaps_filtered": 0,
+            "bitmaps_created": 14,
+            "columns_decompressed": 6,
+            "rows_materialized": 0,
+            "delta_rows_flushed": 0,
+        }
+
+    @pytest.mark.parametrize("changed", ["left", "right"])
+    def test_decompose_without_declared_key_checks_the_data(self, changed):
+        """R declares no key; (K1, K2) -> D holds in the data and
+        (K1, K2) -> P does not, so ``holds`` alone decides which side is
+        deduplicated, and its rows are the first occurrence of each
+        (K1, K2) in R's row order."""
+        table = table_from_python(
+            "R",
+            {
+                "K1": (DataType.INT, [3, 1, 3, 1, 3, 2]),
+                "K2": (DataType.INT, [0, 0, 0, 1, 1, 0]),
+                "P": (DataType.INT, [1, 2, 3, 4, 5, 6]),
+                "D": (DataType.INT, [7, 8, 7, 9, 8, 7]),
+            },
+        )
+        keyed, free = ("K1", "K2", "D"), ("K1", "K2", "P")
+        op = (
+            DecomposeTable("R", "S", keyed, "T", free) if changed == "left"
+            else DecomposeTable("R", "S", free, "T", keyed)
+        )
+        assert table.schema.all_keys() == ()
+        status = EvolutionStatus()
+        left, right = decompose(table, op, status)
+        deduplicated, reused = (
+            (left, right) if changed == "left" else (right, left)
+        )
+        assert deduplicated.to_rows() == [
+            (3, 0, 7), (1, 0, 8), (1, 1, 9), (3, 1, 8), (2, 0, 7),
+        ]
+        assert reused.to_rows() == [
+            (3, 0, 1), (1, 0, 2), (3, 0, 3), (1, 1, 4), (3, 1, 5), (2, 0, 6),
+        ]
+        assert deduplicated.schema.primary_key == ("K1", "K2")
+        assert status.columns_reused == 3
+        assert status.columns_decompressed == 2

@@ -6,7 +6,6 @@ from repro.errors import LosslessJoinError
 from repro.fd import (
     FunctionalDependency,
     candidate_keys,
-    chase_lossless,
     check_lossless,
     closure,
     discover,
@@ -16,9 +15,9 @@ from repro.fd import (
     is_key_in_data,
     is_superkey,
     minimal_cover,
-    project_fds,
 )
 from repro.storage import ColumnSchema, DataType, TableSchema, table_from_python
+from tests.harness.chase import chase_lossless
 
 FD = FunctionalDependency.of
 
@@ -89,18 +88,6 @@ class TestMinimalCover:
 
     def test_str(self):
         assert str(FD("A", "B")) == "A -> B"
-
-
-class TestProjectFds:
-    def test_projection_keeps_implied(self):
-        fds = [FD("A", "B"), FD("B", "C")]
-        projected = project_fds(fds, {"A", "C"})
-        assert implies(projected, FD("A", "C"))
-
-    def test_projection_drops_outside(self):
-        fds = [FD("A", "B")]
-        projected = project_fds(fds, {"A", "C"})
-        assert projected == []
 
 
 class TestCheckLossless:
