@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -350,43 +349,23 @@ class MutableTable:
         self._wal = table_wal
         self._delta._wal = table_wal
 
-    @contextmanager
-    def _wal_txn(self):
-        """One DML statement as one redo transaction: every record the
-        statement emits (including an auto-compaction it triggers)
-        commits or vanishes together.  Inside an outer transaction
-        (``db.transaction()`` replay) the log just nests."""
-        if self._wal is None:
-            yield
-            return
-        self._wal.begin()
-        try:
-            yield
-        except BaseException:
-            self._wal.abort()
-            raise
-        else:
-            self._wal.commit()
-
     def insert(self, row) -> None:
         """Append one row tuple (schema column order).
 
-        No ``_wal_txn`` here: an insert emits exactly one redo record,
-        which auto-commits as a single self-committed frame — the hot
-        write path skips the begin/commit-record machinery.  A
-        triggered auto-compaction's ``compact`` record rides its own
-        frame, which is safe: the fold is structural and idempotent.
+        Like every DML statement, an insert is one redo record, which
+        auto-commits as a single self-committed frame.  A triggered
+        auto-compaction's ``compact`` record rides its own frame, which
+        is safe: the fold is structural and idempotent.
         """
         with self._lock:
             self._check_valid()
-            self._delta.append(row)
+            self._delta.append_rows([row])
             self._maybe_autocompact()
 
     def insert_rows(self, rows) -> int:
         """Append an iterable of row tuples atomically (a malformed row
-        rejects the whole batch); returns the count.  Like
-        :meth:`insert`, the batch is one redo record, so it needs no
-        surrounding WAL transaction."""
+        rejects the whole batch); returns the count.  The batch is one
+        redo record."""
         with self._lock:
             self._check_valid()
             count = self._delta.append_rows(rows)
@@ -397,22 +376,20 @@ class MutableTable:
         """Delete visible rows matching ``predicate`` (all when None);
         returns the number deleted.
 
-        Main-store victims are found in the compressed domain (see
+        A delete is an update that appends nothing: one ``update`` redo
+        record naming the victims (see
+        :meth:`~repro.delta.store.DeltaStore.apply_update`).  Main-store
+        victims are found in the compressed domain (see
         :meth:`_matching_main_positions`) without materializing any row.
         """
         with self._lock:
             self._check_valid()
-            count = 0
-            with self._wal_txn():
-                for position in self._matching_main_positions(predicate):
-                    if self._delta.delete_main(int(position)):
-                        count += 1
-                victims = self._delta_victims(predicate)
-                for index in victims.selected_positions().tolist():
-                    if self._delta.delete_delta(index):
-                        count += 1
-                self._maybe_autocompact()
-            return count
+            positions = self._matching_main_positions(predicate).tolist()
+            victims = self._delta_victims(predicate)
+            indices = victims.selected_positions().tolist()
+            self._delta.apply_update(positions, indices, [])
+            self._maybe_autocompact()
+            return len(positions) + len(indices)
 
     def update(self, assignments: dict, predicate=None) -> int:
         """Set ``assignments`` (column -> new value) on rows matching
@@ -422,11 +399,10 @@ class MutableTable:
         new one — the standard out-of-place write of a main/delta store,
         so the compressed main is never patched.  The whole statement is
         one ``update`` redo record (see
-        :meth:`~repro.delta.store.DeltaStore.apply_update`), not a
-        delete+insert record pair per victim.  The main victims' old
-        images are gathered, in position order, from the decoded rows
-        the read path keeps per generation, the buffered ones from the
-        filtered ``DeltaBatch`` that found them.
+        :meth:`~repro.delta.store.DeltaStore.apply_update`).  The main
+        victims' old images are gathered, in position order, from the
+        decoded rows the read path keeps per generation, the buffered
+        ones from the filtered ``DeltaBatch`` that found them.
         """
         from repro.exec import TableBatch
 
@@ -453,13 +429,12 @@ class MutableTable:
                 )
                 for row in old_main + old_delta
             ]
-            with self._wal_txn():
-                count = self._delta.apply_update(
-                    [int(position) for position in main_positions],
-                    delta_victims.selected_positions().tolist(),
-                    updated,
-                )
-                self._maybe_autocompact()
+            count = self._delta.apply_update(
+                main_positions.tolist(),
+                delta_victims.selected_positions().tolist(),
+                updated,
+            )
+            self._maybe_autocompact()
             return count
 
     def _matching_main_positions(self, predicate) -> np.ndarray:
@@ -593,9 +568,8 @@ class MutableTable:
         still pin it."""
         if log and self._wal is not None:
             # Write-ahead: the structural record lands before the state
-            # changes, inside the statement's transaction when the fold
-            # was triggered by DML (auto-compaction), auto-committed
-            # when requested directly.
+            # changes, as its own auto-committed frame (inside the outer
+            # transaction during a ``db.transaction()`` replay).
             self._wal.log_compact(run.cutoff_epoch)
         old_main, old_delta = self._main, self._delta
         nrows = len(run.keep) + len(run.live_cutoff)

@@ -109,143 +109,92 @@ class DeltaStore:
         return store
 
     # ------------------------------------------------------------------
-    # Writes (each bumps the epoch counter)
+    # Writes.  Each statement is one redo record, logged at the next
+    # epoch before the state changes; its replay re-applies the same
+    # body at the logged epoch and emits nothing.
     # ------------------------------------------------------------------
 
-    def _admit(self, coerced: tuple, epoch: int) -> int:
-        index = self.n_appended
+    def _coerce(self, rows) -> list[tuple]:
+        return [self.schema.coerce_row(row) for row in rows]
+
+    def _check_indices(self, indices) -> None:
+        for index in indices:
+            if index < 0 or index >= self.n_appended:
+                raise StorageError(f"delta index {index} out of range")
+
+    def _admit(self, coerced: tuple, epoch: int) -> None:
         for value, name in zip(coerced, self.schema.column_names):
             self.columns[name].append(value)
         self.insert_epochs.append(epoch)
-        return index
 
-    def append(self, row) -> int:
-        """Buffer one row tuple (schema column order); returns its
-        delta index."""
-        with self._lock:
-            coerced = self.schema.coerce_row(row)
-            self.epoch += 1
-            if self._wal is not None:
-                self._wal.log_insert([coerced], self.epoch)
-            return self._admit(coerced, self.epoch)
+    def _insert_at(self, coerced: list[tuple], epoch: int) -> None:
+        for row in coerced:
+            self._admit(row, epoch)
+        self.epoch = epoch
+
+    def _update_at(self, positions, indices, coerced, epoch: int) -> None:
+        """Delete ``positions`` from main, then ``indices`` from the
+        buffer, then append ``coerced``: one epoch each, consecutive
+        from ``epoch`` in that order."""
+        current = epoch
+        for position in positions:
+            self.deleted_main[position] = current
+            current += 1
+        for index in indices:
+            self.deleted_delta[index] = current
+            current += 1
+        for row in coerced:
+            self._admit(row, current)
+            current += 1
+        if current > epoch:
+            self.epoch = current - 1
 
     def append_rows(self, rows) -> int:
         """Buffer many rows atomically: every row is coerced before any
         is admitted, so a malformed row leaves no partial batch behind.
-        The whole batch shares one epoch.  Returns the count."""
+        The whole batch shares one epoch and one ``insert`` record.
+        Returns the count."""
         with self._lock:
-            coerced = [self.schema.coerce_row(row) for row in rows]
-            if not coerced:
-                return 0
-            self.epoch += 1
-            if self._wal is not None:
-                self._wal.log_insert(coerced, self.epoch)
-            for row in coerced:
-                self._admit(row, self.epoch)
+            coerced = self._coerce(rows)
+            if coerced:
+                if self._wal is not None:
+                    self._wal.log_insert(coerced, self.epoch + 1)
+                self._insert_at(coerced, self.epoch + 1)
             return len(coerced)
-
-    def delete_main(self, position: int) -> bool:
-        """Mark one main-store row deleted; True if newly deleted."""
-        with self._lock:
-            if position in self.deleted_main:
-                return False
-            self.epoch += 1
-            if self._wal is not None:
-                self._wal.log_delete_main(position, self.epoch)
-            self.deleted_main[position] = self.epoch
-            return True
-
-    def delete_delta(self, index: int) -> bool:
-        """Delete one buffered row by delta index; True if newly deleted."""
-        with self._lock:
-            if index < 0 or index >= self.n_appended:
-                raise StorageError(f"delta index {index} out of range")
-            if index in self.deleted_delta:
-                return False
-            self.epoch += 1
-            if self._wal is not None:
-                self._wal.log_delete_delta(index, self.epoch)
-            self.deleted_delta[index] = self.epoch
-            return True
 
     def apply_update(self, positions, indices, rows) -> int:
-        """One UPDATE statement — delete the old versions (main
-        positions and delta indices), append the patched ``rows`` — as
-        a single call emitting *one* ``update`` redo record instead of
-        a delete+insert record pair per victim (roughly half the log
-        bytes).  Epoch numbering is identical to issuing the individual
-        calls: each sub-operation bumps the counter once, in the order
-        deletes-from-main, deletes-from-delta, appends.  Returns the
-        number of rows appended."""
+        """One UPDATE or DELETE statement — delete the old versions
+        (main positions and delta indices, each live and distinct),
+        append the replacement ``rows`` (none for a DELETE) — as one
+        ``update`` redo record.  Each sub-operation takes its own
+        epoch, in the order deletes-from-main, deletes-from-delta,
+        appends.  Returns the number of rows appended."""
         with self._lock:
-            coerced = [self.schema.coerce_row(row) for row in rows]
-            if not positions and not indices and not coerced:
-                return 0
-            for index in indices:
-                if index < 0 or index >= self.n_appended:
-                    raise StorageError(f"delta index {index} out of range")
-            if self._wal is not None:
-                self._wal.log_update(
-                    positions, indices, coerced, self.epoch + 1
-                )
-            for position in positions:
-                self.epoch += 1
-                self.deleted_main[position] = self.epoch
-            for index in indices:
-                self.epoch += 1
-                self.deleted_delta[index] = self.epoch
-            for row in coerced:
-                self.epoch += 1
-                self._admit(row, self.epoch)
+            coerced = self._coerce(rows)
+            self._check_indices(indices)
+            if positions or indices or coerced:
+                if self._wal is not None:
+                    self._wal.log_update(
+                        positions, indices, coerced, self.epoch + 1
+                    )
+                self._update_at(positions, indices, coerced, self.epoch + 1)
             return len(coerced)
 
-    # ------------------------------------------------------------------
-    # Redo replay (recovery-only: re-apply a logged write at its
-    # original epoch, emitting nothing — the records already exist)
-    # ------------------------------------------------------------------
-
     def replay_insert(self, rows, epoch: int) -> None:
-        """Re-admit logged rows at their logged (shared) epoch."""
+        """Recovery: re-admit logged rows at their logged epoch."""
         with self._lock:
-            coerced = [self.schema.coerce_row(row) for row in rows]
-            self.epoch = epoch
-            for row in coerced:
-                self._admit(row, epoch)
-
-    def replay_delete_main(self, position: int, epoch: int) -> None:
-        with self._lock:
-            self.epoch = epoch
-            self.deleted_main[position] = epoch
-
-    def replay_delete_delta(self, index: int, epoch: int) -> None:
-        with self._lock:
-            if index < 0 or index >= self.n_appended:
-                raise StorageError(f"delta index {index} out of range")
-            self.epoch = epoch
-            self.deleted_delta[index] = epoch
+            self._insert_at(self._coerce(rows), epoch)
 
     def replay_update(self, positions, indices, rows, epoch: int) -> None:
-        """Re-apply a logged ``update`` record at its logged first
-        epoch, reproducing :meth:`apply_update`'s per-operation epoch
-        sequence exactly (so later records — and ``compact`` cutoffs —
-        land on the same positions they were logged against)."""
+        """Recovery: re-apply a logged ``update`` record from its
+        logged first epoch, with :meth:`apply_update`'s epoch sequence
+        (so later records — and ``compact`` cutoffs — land on the same
+        positions they were logged against).  An out-of-range delta
+        index raises before any state changes."""
         with self._lock:
-            coerced = [self.schema.coerce_row(row) for row in rows]
-            current = epoch
-            for position in positions:
-                self.deleted_main[position] = current
-                self.epoch = current
-                current += 1
-            for index in indices:
-                if index < 0 or index >= self.n_appended:
-                    raise StorageError(f"delta index {index} out of range")
-                self.deleted_delta[index] = current
-                self.epoch = current
-                current += 1
-            for row in coerced:
-                self._admit(row, current)
-                self.epoch = current
-                current += 1
+            coerced = self._coerce(rows)
+            self._check_indices(indices)
+            self._update_at(positions, indices, coerced, epoch)
 
     def adopt_schema(
         self, schema: TableSchema, renames: dict[str, str] | None = None

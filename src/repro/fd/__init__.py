@@ -5,7 +5,7 @@ from repro.fd.decompose_check import (
     check_lossless,
     fds_from_keys,
 )
-from repro.fd.discovery import discover, holds, is_key_in_data
+from repro.fd.discovery import holds, is_key_in_data
 from repro.fd.functional_deps import (
     FunctionalDependency,
     candidate_keys,
@@ -21,7 +21,6 @@ __all__ = [
     "candidate_keys",
     "check_lossless",
     "closure",
-    "discover",
     "fds_from_keys",
     "holds",
     "implies",

@@ -163,25 +163,6 @@ class ExecStats:
         self.agg_batches_hash = 0
         self.agg_groups = 0
 
-    def flush_to(self, registry) -> None:
-        registry.counter("exec.queries").inc(self.queries)
-        if self.batches:
-            registry.counter("exec.batches").inc(self.batches)
-        if self.rows_decoded:
-            registry.counter("exec.rows_decoded").inc(self.rows_decoded)
-        if self.rows_returned:
-            registry.counter("exec.rows_returned").inc(self.rows_returned)
-        if self.agg_batches_compressed:
-            registry.counter("exec.agg_batches_compressed").inc(
-                self.agg_batches_compressed
-            )
-        if self.agg_batches_hash:
-            registry.counter("exec.agg_batches_hash").inc(
-                self.agg_batches_hash
-            )
-        if self.agg_groups:
-            registry.counter("exec.agg_groups").inc(self.agg_groups)
-
 
 class TimedIter:
     """Wrap an iterator, accumulating the wall time spent pulling from

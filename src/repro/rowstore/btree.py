@@ -4,7 +4,7 @@ The "C+I" series of the paper's Figure 3 is a commercial row store with
 indexes: after query-level evolution loads the result tables, indexes
 must be rebuilt from scratch — a cost CODS avoids entirely.  This tree
 is that index: keys map to lists of row ids, leaves are chained for
-range scans, and :meth:`bulk_load` builds a packed tree from sorted
+in-order iteration, and :meth:`bulk_load` builds a packed tree from sorted
 pairs (what a CREATE INDEX does).
 """
 
@@ -77,28 +77,6 @@ class BPlusTree:
         if index < len(leaf.keys) and leaf.keys[index] == key:
             return list(leaf.values[index])
         return []
-
-    def range_search(self, low=None, high=None) -> list[int]:
-        """Row ids with ``low <= key <= high`` (either bound optional)."""
-        result: list[int] = []
-        if low is None:
-            node = self._root
-            while not node.is_leaf:
-                node = node.children[0]
-            index = 0
-        else:
-            node = self._find_leaf(low)
-            index = self._leaf_index(node, low)
-        while node is not None:
-            while index < len(node.keys):
-                key = node.keys[index]
-                if high is not None and high < key:
-                    return result
-                result.extend(node.values[index])
-                index += 1
-            node = node.next_leaf
-            index = 0
-        return result
 
     def items(self):
         """Yield ``(key, row_ids)`` in key order."""

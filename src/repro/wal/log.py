@@ -15,10 +15,9 @@ the flush policy:
 
 Transactions nest by reference counting: the outermost
 :meth:`begin`/:meth:`commit` pair owns the transaction id, inner pairs
-(a statement inside a ``db.transaction()`` replay) reuse it, and only
-the outermost commit emits the ``commit`` record.  :meth:`abort` ends
-the transaction *without* a commit record — its staged records become
-dead weight that recovery ignores.
+reuse it, and only the outermost commit emits the ``commit`` record.
+:meth:`abort` ends the transaction *without* a commit record — its
+staged records become dead weight that recovery ignores.
 
 Opening an existing log repairs a torn tail (truncates trailing crash
 debris) and raises :class:`~repro.errors.WalCorruptionError` on damage
@@ -431,23 +430,8 @@ class TableWal:
     def rename(self, new_name: str) -> None:
         self.table = new_name
 
-    def begin(self) -> int:
-        return self.wal.begin()
-
-    def commit(self) -> None:
-        self.wal.commit()
-
-    def abort(self) -> None:
-        self.wal.abort()
-
     def log_insert(self, rows, epoch: int) -> None:
         self.wal.append_insert(self.table, rows, epoch)
-
-    def log_delete_main(self, pos: int, epoch: int) -> None:
-        self.wal.append(rec.delete_main_record(self.table, pos, epoch, 0))
-
-    def log_delete_delta(self, idx: int, epoch: int) -> None:
-        self.wal.append(rec.delete_delta_record(self.table, idx, epoch, 0))
 
     def log_update(self, positions, indices, rows, epoch: int) -> None:
         self.wal.append(

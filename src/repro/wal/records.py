@@ -15,20 +15,21 @@ checkpoint positions stay meaningful across truncations.
 Record payloads (``"t"`` discriminates):
 
 ``insert``    ``table``, ``rows`` (encoded values), ``epoch``, ``txn``
-``delmain``   ``table``, ``pos`` (main-store position), ``epoch``, ``txn``
-``deldelta``  ``table``, ``idx`` (delta index), ``epoch``, ``txn``
 ``update``    ``table``, ``mpos`` (main positions), ``didx`` (delta
               indices), ``rows`` (encoded replacement values), ``epoch``
               (the *first* sub-operation's epoch), ``txn`` — one UPDATE
-              statement as a single record instead of a delete+insert
-              pair per victim; older logs still carry the pair form and
-              recovery replays both
+              or DELETE statement; a DELETE's ``rows`` is empty
 ``compact``   ``table``, ``cutoff`` (fold epoch), ``txn``
 ``commit``    ``txn`` — marks every earlier record of ``txn`` durable
 
-A statement-level autocommit is one frame: its record carries a
-``"c": 1`` flag instead of a trailing ``commit`` record, halving the
-framing cost of the common single-statement transaction.
+Older logs also hold ``delmain`` (``pos``, one main position) and
+``deldelta`` (``idx``, one delta index) records, one per deleted row
+(an UPDATE there is such a record plus an ``insert`` per victim); they
+are never written now and replay as a one-position ``update``.
+
+Every DML statement is one record, and outside a ``db.transaction()``
+it auto-commits as one frame: the record carries a ``"c": 1`` flag
+instead of a trailing ``commit`` record.
 
 Scanning distinguishes a *torn tail* (an invalid frame that reaches or
 runs past end-of-file — the expected debris of a crash mid-append,
@@ -209,25 +210,11 @@ def insert_record(table: str, rows, epoch: int, txn: int) -> dict:
     }
 
 
-def delete_main_record(table: str, pos: int, epoch: int, txn: int) -> dict:
-    return {
-        "t": "delmain", "table": table, "pos": pos,
-        "epoch": epoch, "txn": txn,
-    }
-
-
-def delete_delta_record(table: str, idx: int, epoch: int, txn: int) -> dict:
-    return {
-        "t": "deldelta", "table": table, "idx": idx,
-        "epoch": epoch, "txn": txn,
-    }
-
-
 def update_record(
     table: str, positions, indices, rows, epoch: int, txn: int
 ) -> dict:
-    """One UPDATE statement: delete ``positions`` from main and
-    ``indices`` from the delta, then append ``rows`` — epochs run
+    """One UPDATE or DELETE statement: delete ``positions`` from main
+    and ``indices`` from the delta, then append ``rows`` — epochs run
     consecutively from ``epoch`` in that order (see
     ``DeltaStore.replay_update``)."""
     encode_value, _ = _value_codecs()

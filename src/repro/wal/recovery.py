@@ -84,12 +84,8 @@ def recover(engine, directory, wal, policy=None) -> int:
             continue  # already inside the checkpointed sidecar
         if kind == "insert":
             store.replay_insert(rec.decode_rows(payload["rows"]), epoch)
-        elif kind == "delmain":
-            store.replay_delete_main(payload["pos"], epoch)
-        elif kind == "deldelta":
-            store.replay_delete_delta(payload["idx"], epoch)
         elif kind == "update":
-            # One UPDATE statement; its "epoch" is the first
+            # One UPDATE or DELETE statement; its "epoch" is the first
             # sub-operation's, so the <= check above is right — the
             # statement is atomic w.r.t. checkpoints (emitted under the
             # table's writer lock, which the checkpoint also holds).
@@ -99,6 +95,11 @@ def recover(engine, directory, wal, policy=None) -> int:
                 rec.decode_rows(payload["rows"]),
                 epoch,
             )
+        elif kind == "delmain":
+            # Older logs: one record per deleted main row.
+            store.replay_update([payload["pos"]], [], [], epoch)
+        elif kind == "deldelta":
+            store.replay_update([], [payload["idx"]], [], epoch)
         else:
             raise WalCorruptionError(
                 f"{wal.path}: unknown record type {kind!r} at lsn {lsn}"

@@ -38,21 +38,3 @@ def test_bulk_load_matches_oracle(pairs, order):
     for key in oracle:
         assert sorted(tree.search(key)) == sorted(oracle[key])
     assert tree.keys() == sorted(oracle)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    operations,
-    st.integers(-5, 45),
-    st.integers(-5, 45),
-)
-def test_range_search_matches_oracle(pairs, low, high):
-    if low > high:
-        low, high = high, low
-    tree = BPlusTree(order=8)
-    expected = []
-    for key, row_id in pairs:
-        tree.insert(key, row_id)
-        if low <= key <= high:
-            expected.append(row_id)
-    assert sorted(tree.range_search(low, high)) == sorted(expected)

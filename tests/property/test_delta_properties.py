@@ -258,7 +258,7 @@ def test_delta_predicates_match_row_semantics(
         )
         mutable.insert_rows(buffered)
         for index in range(0, size, 7):  # a sparse live selection
-            mutable.delta.delete_delta(index)
+            mutable.delta.apply_update([], [index], [])
         return mutable
 
     def matches(row):

@@ -64,36 +64,46 @@ def frozen(table=None, **kwargs):
 class TestDeltaStore:
     def test_append_and_live_rows(self):
         store = DeltaStore(small_table().schema)
-        store.append((5, "d"))
-        store.append((6, "e"))
+        store.append_rows([(5, "d")])
+        store.append_rows([(6, "e")])
         assert store.n_appended == 2
         assert store.live_rows() == [(5, "d"), (6, "e")]
 
     def test_append_coerces(self):
         store = DeltaStore(small_table().schema)
-        store.append(("7", 8))
+        store.append_rows([("7", 8)])
         assert store.live_rows() == [(7, "8")]
 
     def test_append_arity_checked(self):
         store = DeltaStore(small_table().schema)
         with pytest.raises(StorageError):
-            store.append((1,))
+            store.append_rows([(1,)])
 
     def test_delete_delta_and_main(self):
         store = DeltaStore(small_table().schema)
-        store.append((5, "d"))
-        assert store.delete_delta(0)
-        assert not store.delete_delta(0)  # already gone
+        store.append_rows([(5, "d")])
+        assert store.apply_update([], [0], []) == 0  # appends nothing
+        assert store.deleted_delta == {0: 2}
         assert store.n_live == 0
-        assert store.delete_main(2)
-        assert not store.delete_main(2)
+        store.apply_update([2], [], [])
+        assert store.deleted_main == {2: 3}
         with pytest.raises(StorageError):
-            store.delete_delta(99)
+            store.apply_update([], [99], [])
+        assert store.epoch == 3
+
+    def test_replay_update_rejects_a_bad_index_before_any_change(self):
+        store = DeltaStore(small_table().schema)
+        store.append_rows([(5, "d")])
+        with pytest.raises(StorageError):
+            store.replay_update([1], [0, 3], [(6, "e")], 2)
+        assert store.deleted_main == {}
+        assert store.deleted_delta == {}
+        assert store.live_rows() == [(5, "d")]
+        assert store.epoch == 1
 
     def test_surviving_positions(self):
         store = DeltaStore(small_table().schema)
-        store.delete_main(0)
-        store.delete_main(3)
+        store.apply_update([0, 3], [], [])
         assert store.surviving_main_positions(4).tolist() == [1, 2]
 
 
@@ -541,10 +551,10 @@ class TestEngineFlushBeforeEvolve:
 class TestDeltaPersistence:
     def test_delta_roundtrip(self, tmp_path):
         store = DeltaStore(small_table().schema)
-        store.append((5, "d"))
-        store.append((6, "e"))
-        store.delete_delta(0)
-        store.delete_main(1)
+        store.append_rows([(5, "d")])
+        store.append_rows([(6, "e")])
+        store.apply_update([], [0], [])
+        store.apply_update([1], [], [])
         path = tmp_path / "r.delta"
         save_delta(store, path)
         loaded = load_delta(path, small_table().schema)
@@ -608,7 +618,7 @@ class TestDeltaPersistence:
         path = tmp_path / "R.cods"
         save_table(small_table(), path)
         store = DeltaStore(small_table().schema)
-        store.delete_main(999)  # beyond the 4-row main store
+        store.apply_update([999], [], [])  # beyond the 4-row main store
         save_delta(store, delta_sidecar_path(path))
         with pytest.raises(SerializationError):
             load_mutable_table(path)

@@ -195,7 +195,7 @@ class TestDeltaBatch:
         schema = small_table().schema
         store = DeltaStore(schema)
         store.append_rows([(10, "x"), (11, "y"), (12, "x"), (13, "z")])
-        store.delete_delta(1)
+        store.apply_update([], [1], [])
         return store
 
     @pytest.mark.parametrize("deleted_index", [1, None])
@@ -207,7 +207,7 @@ class TestDeltaBatch:
         store = DeltaStore(small_table().schema)
         store.append_rows([(10, "x"), (11, "y"), (12, "x"), (13, "z")])
         if deleted_index is not None:
-            store.delete_delta(deleted_index)
+            store.apply_update([], [deleted_index], [])
         predicate = Or(Comparison("s", "=", "x"), Comparison("k", ">", 12))
         batch = DeltaBatch(store)
         got = batch.filter(predicate).rows()
@@ -229,8 +229,8 @@ class TestDeltaBatch:
     def test_epoch_pinned_visibility(self):
         store = self.delta()
         pinned = store.epoch
-        store.append((14, "w"))
-        store.delete_delta(0)
+        store.append_rows([(14, "w")])
+        store.apply_update([], [0], [])
         batch = DeltaBatch(store, pinned)
         assert batch.rows() == [(10, "x"), (12, "x"), (13, "z")]
 

@@ -8,7 +8,6 @@ from repro.fd import (
     candidate_keys,
     check_lossless,
     closure,
-    discover,
     fds_from_keys,
     holds,
     implies,
@@ -187,24 +186,6 @@ class TestDataDriven:
     def test_is_key_in_data(self, table):
         assert not is_key_in_data(table, ["K"])
         assert is_key_in_data(table, ["K", "P"])
-
-    def test_discover_finds_built_in_fd(self, table):
-        found = discover(table, max_lhs=1)
-        assert FD("K", "D") in found
-        assert FD("K", "P") not in found
-
-    def test_discover_prunes_supersets(self, table):
-        found = discover(table, max_lhs=2)
-        # K -> D present; {K,P} -> D must be pruned as implied.
-        lhs_sizes = [
-            len(fd.lhs) for fd in found if fd.rhs == frozenset({"D"})
-            and "K" in fd.lhs
-        ]
-        assert 1 in lhs_sizes
-        assert all(
-            not (fd.lhs > frozenset({"K"}) and fd.rhs == frozenset({"D"}))
-            for fd in found
-        )
 
     def test_empty_table(self):
         table = table_from_python("E", {"a": (DataType.INT, [])})

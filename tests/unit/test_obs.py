@@ -12,7 +12,6 @@ from repro.errors import ObservabilityError
 from repro.obs import (
     TRACE_COLUMNS,
     Counter,
-    ExecStats,
     Histogram,
     MetricsRegistry,
     NullRegistry,
@@ -164,14 +163,6 @@ class TestNullRegistry:
         assert registry.names() == []
         assert registry.snapshot() == {}
         registry.reset()
-
-    def test_flush_to_null_registry_is_silent(self):
-        stats = ExecStats()
-        stats.queries = 1
-        stats.batches = 3
-        stats.rows_decoded = 12
-        stats.rows_returned = 4
-        stats.flush_to(NullRegistry())  # must not raise
 
 
 class TestSpans:

@@ -42,15 +42,6 @@ class TestBPlusTree:
         assert tree.keys() == sorted(range(200))
         assert tree.height > 1
 
-    def test_range_search(self):
-        tree = BPlusTree(order=8)
-        for key in range(100):
-            tree.insert(key, key)
-        assert sorted(tree.range_search(10, 20)) == list(range(10, 21))
-        assert sorted(tree.range_search(None, 5)) == list(range(0, 6))
-        assert sorted(tree.range_search(95, None)) == list(range(95, 100))
-        assert sorted(tree.range_search(None, None)) == list(range(100))
-
     def test_bulk_load_equals_incremental(self):
         pairs = [(k % 37, k) for k in range(500)]
         bulk = BPlusTree.bulk_load(pairs, order=16)

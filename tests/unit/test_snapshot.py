@@ -571,8 +571,8 @@ class TestSidecarV2:
     def test_out_of_range_delta_index_rejected(self, tmp_path):
         schema = small_table().schema
         store = DeltaStore(schema)
-        store.append((5, "d"))
-        store.delete_delta(0)
+        store.append_rows([(5, "d")])
+        store.apply_update([], [0], [])
         path = tmp_path / "r.delta"
         save_delta(store, path)
         blob = path.read_bytes().replace(b'[[0, ', b'[[7, ')
@@ -674,7 +674,7 @@ class TestInsertEpochOrder:
     def test_every_writer_keeps_the_order(self):
         schema = small_table().schema
         store = DeltaStore(schema)
-        store.append((5, "d"))
+        store.append_rows([(5, "d")])
         self.assert_ordered(store)
         store.append_rows([(6, "e"), (7, "f")])
         self.assert_ordered(store)
@@ -712,8 +712,8 @@ class TestInsertEpochOrder:
     def test_visibility_is_the_prefix_less_deletions(self):
         store = DeltaStore(small_table().schema)
         store.append_rows([(5, "d"), (6, "e")])   # epoch 1
-        store.delete_delta(0)                     # epoch 2
-        store.append((7, "f"))                    # epoch 3
+        store.apply_update([], [0], [])           # epoch 2
+        store.append_rows([(7, "f")])             # epoch 3
         assert store.live_indices(0) == []
         assert store.live_indices(1) == [0, 1]
         assert store.live_indices(2) == [1]

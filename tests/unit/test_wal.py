@@ -249,11 +249,11 @@ class TestAtomicSidecarSaves:
 
         schema = TableSchema("r", (ColumnSchema("k", DataType.INT),))
         store = DeltaStore(schema)
-        store.append((1,))
+        store.append_rows([(1,)])
         sidecar = delta_sidecar_path(tmp_path / "r.cods")
         save_delta(store, sidecar)
         before = sidecar.read_bytes()
-        store.append((2,))
+        store.append_rows([(2,)])
 
         crashed, _ = run_to_crash(
             lambda: save_delta(store, sidecar), label
@@ -397,9 +397,11 @@ class TestDatabaseDurability:
 
 
 class TestUpdateRecord:
-    """One UPDATE statement logs a single ``update`` record instead of
-    a delete+insert pair per victim; the pair form of older logs stays
-    replayable, and the single record costs roughly half the bytes."""
+    """One UPDATE or DELETE statement logs a single ``update`` record
+    that commits itself; the per-victim records of older logs
+    (``delmain``/``deldelta``, and the delete+insert pair form of an
+    UPDATE) stay replayable, and the single record costs roughly half
+    the bytes of the pair form."""
 
     def test_one_update_statement_is_one_record(self, tmp_path):
         db = Database(tmp_path / "cat", durability="commit")
@@ -409,11 +411,12 @@ class TestUpdateRecord:
         db.checkpoint()  # start the log empty; watch the UPDATE alone
         db.execute("UPDATE r SET s = 'z' WHERE s = 'v'")
         payloads = [payload for _, payload in db._wal.scan()]
-        # One ``update`` record for the whole statement (plus its
-        # commit) — no per-victim delete+insert pairs.
-        assert [payload["t"] for payload in payloads] == ["update", "commit"]
+        # One self-committed ``update`` frame for the whole statement:
+        # no per-victim delete+insert pairs and no ``commit`` record.
+        assert [payload["t"] for payload in payloads] == ["update"]
         update = payloads[0]
         assert update["table"] == "r"
+        assert update["c"] == 1
         assert len(update["rows"]) == 4
         db.close()
 
@@ -452,12 +455,57 @@ class TestUpdateRecord:
         epoch = db.engine.mutable("r").epoch
         wal = db._wal
         wal.begin()
-        wal.append(rec.delete_delta_record("r", 0, epoch + 1, 0))
-        wal.append(rec.insert_record("r", [(1, "z")], epoch + 2, 0))
+        wal.append({
+            "t": "deldelta", "table": "r", "idx": 0,
+            "epoch": epoch + 1, "txn": 0,
+        })
+        wal.append({
+            "t": "insert", "table": "r", "rows": [[1, "z"]],
+            "epoch": epoch + 2, "txn": 0,
+        })
         wal.commit()
         # Crash: abandon the object without close().
         with Database(tmp_path / "cat", durability="commit") as db2:
             assert db2.execute("SELECT * FROM r") == [(2, "b"), (1, "z")]
+
+    def test_the_old_per_victim_delete_form_still_replays(self, tmp_path):
+        from repro.delta import CompactionPolicy
+
+        never = CompactionPolicy.never()
+        db = Database(tmp_path / "cat", durability="commit", policy=never)
+        db.execute("CREATE TABLE r (k INT, s STRING)")
+        for k in range(4):
+            db.execute("INSERT INTO r VALUES (?, ?)", (k, "v"))
+        db.compact("r")
+        db.execute("INSERT INTO r VALUES (8, 'v')")
+        db.execute("INSERT INTO r VALUES (9, 'w')")
+        epoch = db.engine.mutable("r").epoch
+        # Hand-log ``DELETE FROM r WHERE s = 'v'`` the way older logs
+        # carried it: one record per victim, main victims first, in one
+        # transaction closed by a ``commit`` record.
+        wal = db._wal
+        wal.begin()
+        for offset, pos in enumerate([0, 1, 2, 3], start=1):
+            wal.append({
+                "t": "delmain", "table": "r", "pos": pos,
+                "epoch": epoch + offset, "txn": 0,
+            })
+        wal.append({
+            "t": "deldelta", "table": "r", "idx": 0,
+            "epoch": epoch + 5, "txn": 0,
+        })
+        wal.commit()
+        # Crash: abandon the object without close().
+        with Database(
+            tmp_path / "cat", durability="commit", policy=never
+        ) as db2:
+            assert db2.execute("SELECT * FROM r") == [(9, "w")]
+            store = db2.engine.mutable("r").delta
+            assert store.deleted_main == {
+                0: epoch + 1, 1: epoch + 2, 2: epoch + 3, 3: epoch + 4,
+            }
+            assert store.deleted_delta == {0: epoch + 5}
+            assert store.epoch == epoch + 5
 
     def test_update_record_roughly_halves_the_pair_form_bytes(self):
         rows = [(k, "value-%02d" % k) for k in range(16)]
@@ -466,11 +514,83 @@ class TestUpdateRecord:
             rec.update_record("r", positions, [], rows, 5, 1)
         )
         pair = b"".join(
-            rec.encode_frame(rec.delete_main_record("r", pos, 5, 1))
+            rec.encode_frame({
+                "t": "delmain", "table": "r", "pos": pos,
+                "epoch": 5, "txn": 1,
+            })
             + rec.encode_frame(rec.insert_record("r", [row], 6, 1))
             for pos, row in zip(positions, rows)
         )
         assert len(single) <= 0.55 * len(pair)
+
+
+class TestOneRecordPerStatement:
+    """Every DML statement appends exactly one self-committed frame;
+    a DELETE numbers its victims' epochs one each, main victims first,
+    exactly as the per-victim records of older logs did."""
+
+    def _db(self, tmp_path):
+        from repro.delta import CompactionPolicy
+
+        db = Database(
+            tmp_path / "cat",
+            durability="commit",
+            policy=CompactionPolicy.never(),
+        )
+        db.execute("CREATE TABLE r (k INT, s STRING)")
+        return db
+
+    @staticmethod
+    def _frames(db):
+        return [payload for _, payload in db._wal.scan()]
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "INSERT INTO r VALUES (7, 'v')",
+            "INSERT INTO r VALUES (7, 'v'), (8, 'w'), (9, 'v')",
+            "UPDATE r SET s = 'z' WHERE s = 'v'",
+            "DELETE FROM r WHERE s = 'v'",
+        ],
+    )
+    def test_each_statement_appends_one_frame(self, tmp_path, statement):
+        db = self._db(tmp_path)
+        for k in range(4):
+            db.execute("INSERT INTO r VALUES (?, ?)", (k, "vw"[k % 2]))
+        db.compact("r")
+        db.execute("INSERT INTO r VALUES (5, 'v')")
+        db.execute("INSERT INTO r VALUES (6, 'w')")
+        before = len(self._frames(db))
+        fsyncs = db._wal._fsyncs.value
+        db.execute(statement)
+        frames = self._frames(db)
+        assert len(frames) == before + 1
+        assert frames[-1]["c"] == 1
+        assert db._wal._fsyncs.value == fsyncs + 1
+        db.close()
+
+    def test_delete_of_main_and_delta_victims_is_one_update_record(
+        self, tmp_path
+    ):
+        db = self._db(tmp_path)
+        for k in range(4):
+            db.execute("INSERT INTO r VALUES (?, ?)", (k, "vw"[k % 2]))
+        db.compact("r")                                # epoch 4
+        db.execute("INSERT INTO r VALUES (5, 'v')")    # epoch 5
+        db.execute("INSERT INTO r VALUES (6, 'w')")    # epoch 6
+        db.execute("INSERT INTO r VALUES (7, 'v')")    # epoch 7
+        assert db.execute("DELETE FROM r WHERE s = 'v'") == 4
+        (record,) = self._frames(db)[-1:]
+        assert record["t"] == "update"
+        assert (record["mpos"], record["didx"], record["rows"]) == (
+            [0, 2], [0, 2], []
+        )
+        assert record["epoch"] == 8
+        store = db.engine.mutable("r").delta
+        assert store.deleted_main == {0: 8, 2: 9}
+        assert store.deleted_delta == {0: 10, 2: 11}
+        assert store.epoch == 11
+        db.close()
 
 
 class TestCommitFailureDurability:
