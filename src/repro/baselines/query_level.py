@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.baselines.base import EvolutionSystem
 from repro.errors import EvolutionError, LosslessJoinError
-from repro.fd import check_lossless, fds_from_keys, holds
+from repro.fd import check_lossless, fds_from_keys, holds_each
 from repro.smo.ops import (
     AddColumn,
     CopyTable,
@@ -115,8 +115,9 @@ class QueryLevelEvolution(EvolutionSystem):
         except LosslessJoinError:
             table = self.extract(op.table)
             common = sorted(set(op.left_attrs) & set(op.right_attrs))
-            left_holds = holds(table, common, op.left_attrs)
-            right_holds = holds(table, common, op.right_attrs)
+            left_holds, right_holds = holds_each(
+                table, common, (op.left_attrs, op.right_attrs)
+            )
             if not left_holds and not right_holds:
                 raise
             if left_holds and right_holds:

@@ -22,7 +22,7 @@ from repro.core.distinction import distinction, distinction_with_ranks
 from repro.core.filtering import filter_column
 from repro.core.status import EvolutionStatus
 from repro.errors import LosslessJoinError
-from repro.fd import check_lossless, fds_from_keys, holds
+from repro.fd import check_lossless, fds_from_keys, holds_each
 from repro.fd.decompose_check import DecompositionPlan
 from repro.smo.ops import DecomposeTable
 from repro.storage.column import BitmapColumn
@@ -51,8 +51,9 @@ def plan_decomposition(
         if not verify_with_data:
             raise
     common = sorted(set(op.left_attrs) & set(op.right_attrs))
-    left_holds = holds(table, common, op.left_attrs)
-    right_holds = holds(table, common, op.right_attrs)
+    left_holds, right_holds = holds_each(
+        table, common, (op.left_attrs, op.right_attrs)
+    )
     if not left_holds and not right_holds:
         raise LosslessJoinError(
             f"common attributes {common} determine neither output side, "

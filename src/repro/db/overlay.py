@@ -10,7 +10,9 @@ underneath and written tables from a per-table :class:`TableOverlay`.
 
 An overlay is the pinned snapshot's own column batches with the
 scope's writes applied as the main/delta split applies them: a DELETE
-narrows the batches' selections, an INSERT appends a
+adds its main victims to the main batch's exclusion list and narrows
+the other batches' selections (``ColumnBatch.without``), an INSERT
+appends a
 :class:`~repro.exec.batch.ValuesBatch`, and an UPDATE is both, as in
 :meth:`repro.delta.MutableTable.update`.  No row is decoded to start an
 overlay, and a written table keeps the compressed-domain paths.
@@ -50,8 +52,8 @@ class TableOverlay:
 
     def _take(self, predicate) -> list:
         """Drop the rows matching ``predicate`` (all when ``None``)
-        from every batch's selection; returns the victims as batches
-        selecting exactly them."""
+        from every batch (:meth:`~repro.exec.batch.ColumnBatch.without`);
+        returns the victims as batches selecting exactly them."""
         kept, victims = [], []
         for batch in self._batches:
             hit = batch if predicate is None else batch.filter(predicate)

@@ -20,16 +20,17 @@ snapshot closes.  The whole lifecycle is documented in
 ``docs/delta-format.md``.
 
 A DELETE or UPDATE costs in proportion to its victims, not the table.
-Main-store victims are located in the *compressed* domain: ``=`` / ``IN``
+Victims are found the way a SELECT finds them.  On the main store that
+is the scan's ``TableBatch`` — the compressed main less the positions
+already deleted — filtered in the *compressed* domain: ``=`` / ``IN``
 resolve to value ids by dictionary lookup, ``Predicate.bitmap`` hands
-back the matching value bitmap(s), and its positions are dropped when
-``deleted_main`` holds them (a dict lookup each) — survivors are never
-enumerated.  An UPDATE reads its victims' old images through the read
-path's row gather (``TableBatch.rows``) from the generation's decoded
-rows, so a cold generation costs one decode, shared with SELECT.
-Buffered victims are found the way a SELECT finds them: a
-``DeltaBatch`` filtered by the compiled evaluator, one pass over the
-buffer the compaction policy keeps small.
+back the matching value bitmap(s), and the deleted positions are
+subtracted from its positions — survivors are never enumerated.  An
+UPDATE reads its victims' old images through the read path's row
+gather (``TableBatch.rows``) from the generation's decoded rows, so a
+cold generation costs one decode, shared with SELECT.  Buffered
+victims are a ``DeltaBatch`` filtered by the compiled evaluator, one
+pass over the buffer the compaction policy keeps small.
 """
 
 from __future__ import annotations
@@ -309,23 +310,29 @@ class MutableTable:
     def scan_batches(self) -> list:
         """The currently visible rows as column batches (see
         ``repro.exec``): the main store as a
-        :class:`~repro.exec.batch.TableBatch` selected by the current
-        validity, then the live buffered rows as a
+        :class:`~repro.exec.batch.TableBatch` excluding the positions
+        deleted so far, then the live buffered rows as a
         :class:`~repro.exec.batch.DeltaBatch` pinned at the current
         epoch.  This is the epoch-wise main+delta merge every query
         reads; row order matches :meth:`to_rows`."""
-        from repro.exec import DeltaBatch, TableBatch
+        from repro.exec import DeltaBatch
 
         with self._lock:
-            batches = [
-                TableBatch(
-                    self._main, self._delta.main_validity(self._main.nrows)
-                )
-            ]
+            batches = [self._main_batch()]
             delta_batch = DeltaBatch(self._delta)
             if delta_batch.selected_count:
                 batches.append(delta_batch)
             return batches
+
+    def _main_batch(self):
+        """The visible main rows: a ``TableBatch`` over the main store
+        whose exclusion list is the positions deleted so far."""
+        from repro.exec import TableBatch
+
+        return TableBatch(
+            self._main,
+            deleted=self._delta.main_deletions(self._main.nrows),
+        )
 
     def to_rows(self) -> list[tuple]:
         """All visible rows as a fresh list: surviving main rows in row
@@ -439,17 +446,15 @@ class MutableTable:
 
     def _matching_main_positions(self, predicate) -> np.ndarray:
         """Sorted visible main positions satisfying ``predicate``: the
-        predicate bitmap's positions less those in ``deleted_main``, a
-        dict lookup each.  Only a predicate-less statement, which hits
+        scan's main batch (:meth:`_main_batch`) filtered exactly as a
+        SELECT filters it — the predicate bitmap's positions less the
+        deleted ones.  Only a predicate-less statement, which hits
         every survivor anyway, enumerates the survivors."""
-        if predicate is None:
-            return self._delta.surviving_main_positions(self._main.nrows)
-        predicate.validate(self.schema)
-        matching = predicate.bitmap(self._main).positions()
-        deleted = self._delta.deleted_main
-        return np.array(
-            [p for p in matching.tolist() if p not in deleted], dtype=np.int64
-        )
+        victims = self._main_batch()
+        if predicate is not None:
+            predicate.validate(self.schema)
+            victims = victims.filter(predicate)
+        return victims.selected_positions()
 
     def _delta_victims(self, predicate):
         """The live buffered rows satisfying ``predicate``: a

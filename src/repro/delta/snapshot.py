@@ -24,13 +24,13 @@ from repro.errors import StorageError
 #: immutable ``Table`` — the read path's one cache.  Each entry is a
 #: dict from a reader's key to what it built: ``"rows"`` holds the
 #: decoded row list, and :mod:`repro.exec.aggregate` keeps its vid
-#: arrays, typed dictionaries and group codes here.  A generation's
-#: compressed columns never change — and a metadata-only rename swaps
-#: in a fresh relabeled ``Table`` object — so an entry serves every
-#: batch that reads the generation and dies with it (when the last
-#: pinning snapshot closes).  The cache is deliberately *not* wired
-#: into ``Table.to_rows`` itself: the query-level baselines must keep
-#: paying the full decompression cost the paper charges them.
+#: arrays, typed dictionaries, group codes and their histograms here.
+#: A generation's compressed columns never change — and a metadata-only
+#: rename swaps in a fresh relabeled ``Table`` object — so an entry
+#: serves every batch that reads the generation and dies with it (when
+#: the last pinning snapshot closes).  The cache is deliberately *not*
+#: wired into ``Table.to_rows`` itself: the query-level baselines must
+#: keep paying the full decompression cost the paper charges them.
 _GENERATION_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -151,7 +151,7 @@ class Snapshot:
     def scan_batches(self) -> list:
         """The pinned view as column batches (see ``repro.exec``): one
         :class:`~repro.exec.batch.TableBatch` over the pinned main
-        generation, selected by the validity at the pinned
+        generation, excluding the positions deleted by the pinned
         epoch, then one :class:`~repro.exec.batch.DeltaBatch` of the
         buffered rows live at that epoch.  Batch order reproduces
         :meth:`to_rows`'s row order exactly."""
@@ -159,7 +159,9 @@ class Snapshot:
         from repro.exec import DeltaBatch, TableBatch
 
         main, delta, epoch = self._main, self._delta, self.epoch
-        batches = [TableBatch(main, delta.main_validity(main.nrows, epoch))]
+        batches = [
+            TableBatch(main, deleted=delta.main_deletions(main.nrows, epoch))
+        ]
         delta_batch = DeltaBatch(delta, epoch)
         if delta_batch.selected_count:
             batches.append(delta_batch)

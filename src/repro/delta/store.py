@@ -24,11 +24,20 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
+from itertools import islice
 
 import numpy as np
 
 from repro.errors import SerializationError, StorageError
 from repro.storage.schema import TableSchema
+
+
+def surviving_positions(nrows: int, deleted) -> np.ndarray:
+    """The sorted positions of ``range(nrows)`` not in the sorted
+    ``deleted`` (``None`` when none is): the one O(rows) complement of
+    an exclusion list, for the consumers that need the survivors."""
+    keep = np.arange(nrows, dtype=np.int64)
+    return keep if deleted is None else np.delete(keep, deleted)
 
 
 class DeltaStore:
@@ -52,6 +61,7 @@ class DeltaStore:
         "deleted_main",
         "deleted_delta",
         "epoch",
+        "_dead_sorted",
         "_wal",
         "_lock",
     )
@@ -65,6 +75,10 @@ class DeltaStore:
         self.deleted_main: dict[int, int] = {}
         self.deleted_delta: dict[int, int] = {}
         self.epoch = start_epoch
+        # ``(map, count, positions)``: the first ``count`` keys of the
+        # ``deleted_main`` map, sorted — extended as the map grows (see
+        # _all_main_deletions).
+        self._dead_sorted = (None, 0, None)
         # Redo emission: a repro.wal.TableWal once durability is on.
         self._wal = None
         # The writer lock.  A standalone store owns its own; a store
@@ -253,14 +267,6 @@ class DeltaStore:
         ]
         return appended, dead
 
-    def _dead_main(self, main_nrows: int, epoch: int) -> list[int]:
-        """Main positions deleted at or before ``epoch``, lock held."""
-        return [
-            position
-            for position, deleted in self.deleted_main.items()
-            if deleted <= epoch and position < main_nrows
-        ]
-
     def live_indices(self, epoch: int | None = None) -> list[int]:
         """Delta indices visible at ``epoch``, in insertion order."""
         with self._lock:
@@ -279,8 +285,10 @@ class DeltaStore:
             if epoch is None:
                 epoch = self.epoch
             appended, dead = self._visible_delta(epoch, self.n_appended)
-            dead_main = len(self._dead_main(main_nrows, epoch))
-        return main_nrows - dead_main, appended - len(dead)
+            dead_main = self.main_deletions(main_nrows, epoch)
+        if dead_main is not None:
+            main_nrows -= len(dead_main)
+        return main_nrows, appended - len(dead)
 
     def row(self, index: int) -> tuple:
         """One buffered row by delta index (live or not)."""
@@ -299,25 +307,47 @@ class DeltaStore:
                 for index in self.live_indices(epoch)
             ]
 
-    def main_validity(self, main_nrows: int, epoch: int | None = None):
-        """The main store's validity at ``epoch`` as sorted surviving
-        positions (``int64``), or ``None`` when no main row is deleted —
-        the main-side selection of the batch read path
-        (``repro.exec``)."""
+    def main_deletions(self, main_nrows: int, epoch: int | None = None):
+        """The main store's validity at ``epoch`` as an exclusion list:
+        the sorted main positions deleted by then (``int64``), or
+        ``None`` when none is — the main-side ``deleted`` of the batch
+        read path (``repro.exec``).  O(deletions), never O(rows)."""
         with self._lock:
-            if epoch is None:
-                epoch = self.epoch
-            dead = self._dead_main(main_nrows, epoch)
-        if not dead:
-            return None
-        keep = np.ones(main_nrows, dtype=bool)
-        keep[dead] = False
-        return np.flatnonzero(keep)
+            if epoch is None or epoch >= self.epoch:
+                dead = self._all_main_deletions()
+            else:
+                count = len(self.deleted_main)
+                dead = np.fromiter(self.deleted_main, np.int64, count)
+                at = np.fromiter(self.deleted_main.values(), np.int64, count)
+                dead = np.sort(dead[at <= epoch])
+        if len(dead) and dead[-1] >= main_nrows:
+            dead = dead[:np.searchsorted(dead, main_nrows)]
+        return dead if len(dead) else None
+
+    def _all_main_deletions(self) -> np.ndarray:
+        """Every deleted main position, sorted and read-only, lock held.
+        ``deleted_main`` only gains keys, at its end, so the positions
+        sorted by the last call are extended by the ones deleted since:
+        O(deletions) a statement with no sort of them all."""
+        mapping, count, dead = self._dead_sorted
+        if mapping is not self.deleted_main:  # a fresh or restored map
+            mapping, count = self.deleted_main, 0
+            dead = np.empty(0, dtype=np.int64)
+        grown = len(mapping) - count
+        if grown:
+            added = np.fromiter(
+                islice(reversed(mapping), grown), np.int64, grown
+            )
+            added.sort()
+            dead = np.insert(dead, np.searchsorted(dead, added), added)
+            dead.flags.writeable = False
+            self._dead_sorted = (mapping, len(mapping), dead)
+        return dead
 
     def delta_validity(self, nrows: int, epoch: int | None = None):
         """The validity of the buffer's first ``nrows`` rows at
-        ``epoch``, as :meth:`main_validity` (``None`` when all are
-        visible) — the selection of a ``DeltaBatch``."""
+        ``epoch`` as sorted live indices (``int64``), or ``None`` when
+        all are visible — the selection of a ``DeltaBatch``."""
         with self._lock:
             if epoch is None:
                 epoch = self.epoch
@@ -332,13 +362,12 @@ class DeltaStore:
     def surviving_main_positions(
         self, main_nrows: int, epoch: int | None = None
     ) -> np.ndarray:
-        """Sorted main-store positions visible at ``epoch`` (the
-        versioned validity as a position array, ready for bitmap
-        filtering)."""
-        validity = self.main_validity(main_nrows, epoch)
-        if validity is None:
-            return np.arange(main_nrows, dtype=np.int64)
-        return validity
+        """Sorted main-store positions visible at ``epoch``: the
+        complement of :meth:`main_deletions` — what a compaction's
+        bitmap filtering keeps."""
+        return surviving_positions(
+            main_nrows, self.main_deletions(main_nrows, epoch)
+        )
 
     def __repr__(self) -> str:
         return (

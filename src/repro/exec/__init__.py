@@ -12,9 +12,10 @@ with the cheapest representation its source offers:
 
 * :class:`TableBatch` — the compressed main store; predicates resolve
   in the compressed domain (``Predicate.bitmap``) without decoding,
-  and the result bitmap's set positions are the matches; its starting
-  selection is the main store's validity (``None`` while no main row
-  is deleted);
+  and the result bitmap's set positions are the matches; a scan's
+  batch carries the main store's validity as an *exclusion list*
+  (``deleted``: the sorted, distinct ``int64`` positions deleted at
+  the reader's epoch, ``None`` while none is) and no selection;
 * :class:`DeltaBatch` — the write buffer, and
   :class:`ValuesBatch` — already-decoded column vectors (the row-store
   and query-level baselines); both run predicates as compiled
@@ -22,11 +23,17 @@ with the cheapest representation its source offers:
   selected positions that satisfy them.
 
 Filters compose by sorted intersection of positions, so a selection
-costs what it keeps.  Aggregation (GROUP BY, COUNT/SUM/MIN/MAX/AVG),
-DISTINCT and ORDER BY run in the same spirit — bitmap popcounts and
-each value's first row on an unselected main store, dictionary vids
-at the selected positions otherwise, row-wise hash and sort on delta
-and values batches (:mod:`repro.exec.aggregate`).
+costs what it keeps, and a validity costs what it deletes: with D main
+rows deleted, every read pays O(D) on top of the unselected one — the
+filter's matches less D, the scan's cached rows spliced around D,
+counts and histograms less the D rows', DISTINCT's first-row order
+with the values whose first row is deleted moved, ORDER BY's value
+runs less D.  Aggregation (GROUP BY, COUNT/SUM/MIN/MAX/AVG), DISTINCT
+and ORDER BY run in the same spirit — bitmap popcounts, cached
+whole-table histograms and each value's first row on an unselected
+main store, dictionary vids at the selected positions otherwise,
+row-wise hash and sort on delta and values batches
+(:mod:`repro.exec.aggregate`).
 
 See ``docs/ARCHITECTURE.md``, "The execution pipeline".
 """

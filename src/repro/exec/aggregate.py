@@ -4,18 +4,19 @@ The dictionary-plus-bitmaps layout makes three classic read-path
 operations cheap *without decoding rows*:
 
 * **GROUP BY / aggregates** — a :class:`~repro.exec.batch.TableBatch`
-  groups by dictionary *vids*.  With no selection (no WHERE, no
-  deleted main row) a value's row count is its bitmap's popcount
-  (``BitmapColumn.value_counts``): an ungrouped aggregate and a
-  one-column GROUP BY's groups and COUNT(*) read those counts and
-  touch no row.  Otherwise every count is one histogram of codes
-  cached per main generation, taken at the selected positions: the
-  group columns' vids combine into one mixed-radix code per row
-  (:mod:`repro.storage.codes`), re-densified before a multiply could
-  leave int64 (any number and cardinality of group columns folds
-  here), and a value column's joint (group…, value) codes are the
-  same code with its vids as the last step, 8 B per row per
-  combination.  Each value column is one histogram whose (group,
+  groups by dictionary *vids*.  With no selection (no WHERE) a value's
+  row count is its bitmap's popcount (``BitmapColumn.value_counts``)
+  less the deleted rows' (a ``bincount`` of D vids): an ungrouped
+  aggregate and a one-column GROUP BY's groups and COUNT(*) read those
+  counts and touch no live row.  Otherwise every count is one
+  histogram of codes cached per main generation — at the selected
+  positions, or the whole table's (cached too) less the deleted
+  rows' — where the group columns' vids combine into one mixed-radix
+  code per row (:mod:`repro.storage.codes`), re-densified before a
+  multiply could leave int64 (any number and cardinality of group
+  columns folds here), and a value column's joint (group…, value)
+  codes are the same code with its vids as the last step, 8 B per row
+  per combination.  Each value column is one histogram whose (group,
   value vid) pairs feed one NumPy reduction per kind — SUM and AVG
   share one, MIN and MAX one rank gather — against the dictionary's
   values held as a typed array (``int64``, ``float64`` or ``object``,
@@ -31,12 +32,14 @@ operations cheap *without decoding rows*:
   position, reproducing the streaming-dedup row order exactly.  With
   no selection that order is each value's first row (its bitmap's
   first set bit, the paper's distinction), found once per main
-  generation and cached; under a selection it is read from the cached
-  vid array at the selected positions.
-* **ORDER BY** — each value bitmap's positions are an already-sorted
-  run, so the main store emits presorted runs in the dictionary's
-  cached value order that merge (``heapq.merge``) with the sorted
-  delta rows instead of materializing and sorting the whole table.
+  generation and cached — a value whose first row is deleted moves to
+  its first live row or drops out; under a selection it is read from
+  the cached vid array at the selected positions.
+* **ORDER BY** — each value bitmap's positions (less the deleted
+  ones) are an already-sorted run, so the main store emits presorted
+  runs in the dictionary's cached value order that merge
+  (``heapq.merge``) with the sorted delta rows instead of
+  materializing and sorting the whole table.
 
 There is one aggregation path per batch domain: every main-store
 batch folds in the dictionary domain and every delta or values batch
@@ -57,6 +60,7 @@ from repro.delta.snapshot import decoded_main_rows, generation_cached
 from repro.errors import SqlExecutionError
 from repro.exec.batch import (
     TableBatch,
+    difference_positions,
     gather,
     intersect_positions,
     project_rows,
@@ -341,17 +345,55 @@ def _decode_vids(table, name: str) -> np.ndarray:
     return generation_cached(table, ("vids", name), build)
 
 
-def _selected_value_counts(table, name: str, selection) -> np.ndarray:
-    """Per-vid selected-row counts of one main-store column: the
-    bitmaps' popcounts with no selection, else a ``bincount`` over the
-    cached row-order vid array at the selected positions."""
+def _selected_value_counts(table, name: str, selection,
+                           deleted=None) -> np.ndarray:
+    """Per-vid selected-row counts of one main-store column: a
+    ``bincount`` over the cached row-order vid array at the selected
+    positions, else the bitmaps' popcounts less the ``bincount`` of the
+    ``deleted`` rows — O(distinct + deleted)."""
     column = table.column(name)
-    if selection is None:
-        return column.value_counts()
-    return np.bincount(
-        _decode_vids(table, name)[selection],
-        minlength=column.distinct_count,
+    if selection is not None:
+        return np.bincount(
+            _decode_vids(table, name)[selection],
+            minlength=column.distinct_count,
+        )
+    counts = column.value_counts()
+    if deleted is None:
+        return counts
+    return counts - np.bincount(
+        _decode_vids(table, name)[deleted], minlength=column.distinct_count
     )
+
+
+def _selected_histogram(batch: TableBatch, names, codes, space) -> tuple:
+    """``(codes present, counts)`` of the generation's cached ``codes``
+    (:func:`_group_codes` of ``names``) over the batch's rows: the
+    histogram at the selected positions, else the whole table's,
+    cached per generation, less that of the deleted rows — O(groups +
+    deleted), with groups whose every row is deleted dropped."""
+    if batch.selection is not None:
+        return vid_codes.nonzero_counts(codes[batch.selection], space)
+
+    def build():
+        present, counts = vid_codes.nonzero_counts(codes, space)
+        present.flags.writeable = counts.flags.writeable = False
+        return present, counts
+
+    present, counts = generation_cached(
+        batch.table, ("histogram", *names), build
+    )
+    if batch.deleted is None:
+        return present, counts
+    gone, gone_counts = np.unique(codes[batch.deleted], return_counts=True)
+    at = np.searchsorted(present, gone)
+    counts = counts.copy()
+    counts[at] -= gone_counts
+    emptied = at[counts[at] == 0]
+    if not len(emptied):
+        return present, counts
+    kept = np.ones(len(present), dtype=bool)
+    kept[emptied] = False
+    return present[kept], counts[kept]
 
 
 class _TypedValues:
@@ -476,27 +518,31 @@ def _keys_for_codes(table, group_names, codes, steps) -> tuple:
     return keys, np.lexsort(ranks[::-1])
 
 
-def _value_partials(table, name, selection, group_names, group_codes,
+def _value_partials(batch: TableBatch, name, group_names, group_codes,
                     aggs) -> dict:
     """Per-group partials of ``aggs``, the aggregates over value column
     ``name``: ``{func: (values, nonnull)}``, arrays over ``group_codes``,
     empty when no non-NULL value is selected.  The selected non-NULL
     values collapse to joint (group, value vid) counts sorted by group —
     per-vid counts ungrouped, else the histogram of the cached joint
-    codes of ``(*group_names, name)`` (:func:`_group_codes`), only their
-    last step split off — and each kind of aggregate is one reduction
+    codes of ``(*group_names, name)`` (:func:`_group_codes`,
+    :func:`_selected_histogram`), only their last step split off — and
+    each kind of aggregate is one reduction
     of those pairs: SUM and AVG share one numeric check and one sum of
     value × count, MIN and MAX one gather of the value ranks."""
+    table = batch.table
     typed = _typed_values(table, name)
     if not group_names:
-        per_vid = _selected_value_counts(table, name, selection)
+        per_vid = _selected_value_counts(
+            table, name, batch.selection, batch.deleted
+        )
         vid = np.flatnonzero(per_vid)
         group, counts = np.zeros_like(vid), per_vid[vid]
     else:
         joint, space, steps = _group_codes(table, group_names, name)
-        if selection is not None:
-            joint = joint[selection]
-        joint, counts = vid_codes.nonzero_counts(joint, space)
+        joint, counts = _selected_histogram(
+            batch, (*group_names, name), joint, space
+        )
         size, dense = steps[-1]
         group = joint // size
         vid = joint - group * size
@@ -537,9 +583,10 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
     """Fold one main-store batch in the dictionary domain.
 
     Groups and COUNT(*) are the histogram of the group columns' codes
-    cached per generation (:func:`_group_codes`) at the selected rows —
-    the one group column's popcounts when there is no selection — and
-    their keys are read off the key columns' dictionaries at the
+    cached per generation (:func:`_group_codes`) over the batch's rows
+    (:func:`_selected_histogram`) — the one group column's popcounts,
+    less the deleted rows', when there is no selection — and their
+    keys are read off the key columns' dictionaries at the
     groups' vids alone (:func:`_keys_for_codes`).  Each value column
     costs one histogram of its cached joint codes and one NumPy
     reduction per kind of aggregate over it (:func:`_value_partials`),
@@ -550,19 +597,20 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
     additions can.
     """
     table = batch.table
-    selection = batch.selection
     fresh = not acc.slots
     if group_names:
-        if selection is None and len(group_names) == 1:
-            counts = table.column(group_names[0]).value_counts()
+        if batch.selection is None and len(group_names) == 1:
+            counts = _selected_value_counts(
+                table, group_names[0], None, batch.deleted
+            )
             group_codes = np.flatnonzero(counts)
             star_counts = counts[group_codes]
             steps = []
         else:
             codes, space, steps = _group_codes(table, group_names)
-            if selection is not None:
-                codes = codes[selection]
-            group_codes, star_counts = vid_codes.nonzero_counts(codes, space)
+            group_codes, star_counts = _selected_histogram(
+                batch, group_names, codes, space
+            )
         target = acc.open_groups(
             *_keys_for_codes(table, group_names, group_codes, steps)
         )
@@ -576,7 +624,7 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
     for index, agg in enumerate(acc.aggs):
         if agg.column not in partials:
             partials[agg.column] = _value_partials(
-                table, agg.column, selection, group_names, group_codes,
+                batch, agg.column, group_names, group_codes,
                 [other for other in acc.aggs if other.column == agg.column],
             )
         values, nonnull = partials[agg.column].get(agg.func, (None, None))
@@ -674,29 +722,60 @@ def aggregate_rows(
 # ----------------------------------------------------------------------
 
 
-def _by_first_occurrence(vids: np.ndarray, nvids: int) -> np.ndarray:
-    """The vids present in ``vids``, ordered by their first index."""
+def _by_first_occurrence(vids: np.ndarray, nvids: int) -> tuple:
+    """``(order, firsts)``: the vids present in ``vids`` ordered by
+    their first index, and those first indexes (ascending)."""
     first = np.full(nvids, len(vids), dtype=np.int64)
     # Fancy assignment keeps the last write per vid, so writing the
     # ascending indexes reversed leaves each vid's first in place.
     first[vids[::-1]] = np.arange(len(vids) - 1, -1, -1)
     live = np.flatnonzero(first < len(vids))
-    return live[np.argsort(first[live])]
+    live = live[np.argsort(first[live])]
+    return live, first[live]
 
 
-def _first_row_order(table, name: str) -> np.ndarray:
-    """The vids of ``name`` with a non-empty bitmap, ordered by their
-    first row (their bitmap's first set bit) — the order streaming
-    dedup meets them in an unselected scan.  Read off the cached vid
-    array once per main generation; O(distinct) kept."""
+def _first_row_order(table, name: str) -> tuple:
+    """``(order, firsts)``: the vids of ``name`` with a non-empty
+    bitmap, ordered by their first row (their bitmap's first set bit),
+    and those rows — the order streaming dedup meets them in an
+    unselected scan.  Read off the cached vid array once per main
+    generation; O(distinct) kept."""
     def build():
-        order = _by_first_occurrence(
+        order, firsts = _by_first_occurrence(
             _decode_vids(table, name), table.column(name).distinct_count
         )
-        order.flags.writeable = False
-        return order
+        order.flags.writeable = firsts.flags.writeable = False
+        return order, firsts
 
     return generation_cached(table, ("first", name), build)
+
+
+def _first_live_order(batch: TableBatch, name: str) -> np.ndarray:
+    """:func:`_first_row_order` past the batch's deleted rows: a value
+    whose first row is deleted moves to its first live row, read off its
+    bitmap, or drops out when every row of it is deleted; every other
+    value keeps its place.  O(distinct + deleted) plus one bitmap per
+    moved value."""
+    order, firsts = _first_row_order(batch.table, name)
+    # ``firsts`` ascends, so the deleted ones are found by position.
+    moved = np.searchsorted(firsts, intersect_positions(firsts, batch.deleted))
+    if not len(moved):
+        return order
+    column = batch.table.column(name)
+    vids, rows = [], []
+    for vid in order[moved].tolist():
+        live = difference_positions(
+            column.bitmap_for_vid(vid).positions(), batch.deleted
+        )
+        if len(live):
+            vids.append(vid)
+            rows.append(live[0])
+    by_row = np.argsort(rows)
+    return np.insert(
+        np.delete(order, moved),
+        np.searchsorted(np.delete(firsts, moved), np.asarray(rows)[by_row]),
+        np.asarray(vids, dtype=np.int64)[by_row],
+    )
 
 
 def _table_batch_distinct(batch: TableBatch, name: str) -> list:
@@ -706,12 +785,14 @@ def _table_batch_distinct(batch: TableBatch, name: str) -> list:
     nvids = table.column(name).distinct_count
     if nvids == 0:
         return []
-    if batch.selection is None:
-        live = _first_row_order(table, name)
-    else:
-        live = _by_first_occurrence(
+    if batch.selection is not None:
+        live, _firsts = _by_first_occurrence(
             _decode_vids(table, name)[batch.selection], nvids
         )
+    elif batch.deleted is not None:
+        live = _first_live_order(batch, name)
+    else:
+        live = _first_row_order(table, name)[0]
     return _typed_values(table, name).objects[live].tolist()
 
 
@@ -755,12 +836,14 @@ def _table_batch_ordered(
         np.concatenate((order, nulls)) if ascending
         else np.concatenate((nulls, order[::-1]))
     )
-    selection = batch.selection
+    selection, deleted = batch.selection, batch.deleted
     decoded = None
     for vid in vids.tolist():
         positions = column.bitmap_for_vid(vid).positions()
         if selection is not None:
             positions = intersect_positions(positions, selection)
+        elif deleted is not None:
+            positions = difference_positions(positions, deleted)
         if not len(positions):
             continue
         if decoded is None:

@@ -7,8 +7,12 @@ is a sorted, distinct ``int64`` array of physical positions (``None``
 meaning "every row"), so filters compose by sorted intersection instead
 of copying data: a predicate never moves values, it only narrows the
 positions.  A selection costs what it keeps, never a byte per table
-row.  Values are materialized once, at the cursor/adapter boundary
-(:meth:`ColumnBatch.rows`), and only for selected rows.
+row.  A main-store batch may instead carry the positions its validity
+*excludes* (:attr:`TableBatch.deleted`, the same form): a validity
+costs what it deletes, so a read over a main store with D deleted rows
+pays O(D) on top of the unselected read.  Values are materialized
+once, at the cursor/adapter boundary (:meth:`ColumnBatch.rows`), and
+only for selected rows.
 
 A predicate runs in one of two domains: :meth:`TableBatch._matches`
 resolves it to bitmaps in the compressed domain and reads their set
@@ -25,6 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from repro.delta.snapshot import decoded_main_rows
+from repro.delta.store import surviving_positions
 from repro.exec.predicate import compile_predicate, gather
 
 
@@ -64,6 +69,18 @@ def difference_positions(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     if not len(left) or not len(right):
         return left
     return left[~_found(left, right)]
+
+
+def _splice_out(rows: list, deleted: np.ndarray) -> list:
+    """A fresh list of ``rows`` less the positions ``deleted`` (sorted,
+    distinct, non-empty): one slice per run of kept rows, so the Python
+    work is O(len(deleted)) and the rest a pointer copy."""
+    bounds = deleted.tolist()
+    out = rows[:bounds[0]]
+    for start, stop in zip(bounds, bounds[1:]):
+        out += rows[start + 1:stop]
+    out += rows[bounds[-1] + 1:]
+    return out
 
 
 class ColumnBatch:
@@ -197,34 +214,73 @@ class TableBatch(ColumnBatch):
     """A batch over a compressed main-store :class:`~repro.storage.
     table.Table`.
 
-    The initial selection is the table's validity at the reader's epoch
-    (the main positions no delta deletion masks; ``None`` when none
-    does).  Predicates are evaluated in the *compressed domain* —
+    A scan's batch carries the table's validity at the reader's epoch
+    as an *exclusion list*: ``deleted`` holds the sorted, distinct
+    ``int64`` main positions a delta deletion masks (``None`` when none
+    does), and ``selection`` stays ``None`` until a predicate narrows
+    the batch; at most one of the two is set.  Every read then costs
+    the unselected read plus O(D) for D deleted rows, never an array
+    per table row: counts are the popcounts less the deleted rows'
+    (:mod:`repro.exec.aggregate`), :meth:`rows` splices the decoded
+    rows around the dead positions, and a filter subtracts them from
+    its matches.
+
+    Predicates are evaluated in the *compressed domain* —
     ``Predicate.bitmap`` ORs the dictionary values' bitmaps and ANDs a
     conjunction's in WAH words, so no row is decoded to be *rejected*;
-    the result's set positions are the matches, intersected with the
-    selection.  Selected rows are gathered from the per-generation
-    decoded-rows cache (a generation's columns never change, so the
-    decode happens at most once per generation however many queries
-    read it).
+    the result's set positions are the matches, less the deleted
+    positions or intersected with the selection.  Selected rows are
+    gathered from the per-generation decoded-rows cache (a generation's
+    columns never change, so the decode happens at most once per
+    generation however many queries read it).
     """
 
-    __slots__ = ("table", "column_names", "physical_rows")
+    __slots__ = ("table", "column_names", "physical_rows", "deleted")
 
-    def __init__(self, table, selection=None):
+    def __init__(self, table, selection=None, deleted=None):
+        if deleted is not None and not len(deleted):
+            deleted = None
+        if selection is not None and deleted is not None:
+            raise ValueError("a TableBatch takes a selection or deletions")
         super().__init__(selection)
         self.table = table
         self.column_names = table.schema.column_names
         self.physical_rows = table.nrows
+        self.deleted = deleted
+
+    @property
+    def selected_count(self) -> int:
+        if self.deleted is not None:
+            return self.physical_rows - len(self.deleted)
+        return super().selected_count
+
+    def selected_positions(self) -> np.ndarray:
+        """Sorted physical positions still selected; under deletions an
+        O(rows) array, for generic consumers only."""
+        if self.deleted is not None:
+            return surviving_positions(self.physical_rows, self.deleted)
+        return super().selected_positions()
 
     def with_selection(self, selection) -> "TableBatch":
         return TableBatch(self.table, selection)
 
+    def without(self, subset: "ColumnBatch") -> "TableBatch":
+        """Under an exclusion list, ``subset``'s positions join the
+        deleted ones: O(deleted + subset), whatever the table's size."""
+        if self.selection is not None:
+            return super().without(subset)
+        dropped = subset.selected_positions()
+        if self.deleted is not None:
+            dropped = np.union1d(self.deleted, dropped)
+        return TableBatch(self.table, deleted=dropped)
+
     def _matches(self, predicate) -> np.ndarray:
         matches = predicate.bitmap(self.table).positions()
-        if self.selection is None:
-            return matches
-        return intersect_positions(self.selection, matches)
+        if self.selection is not None:
+            return intersect_positions(self.selection, matches)
+        if self.deleted is not None:
+            return difference_positions(matches, self.deleted)
+        return matches
 
     def rows(self, out_positions=None) -> list[tuple]:
         base = decoded_main_rows(self.table)
@@ -232,6 +288,8 @@ class TableBatch(ColumnBatch):
             if not len(self.selection):
                 return []
             base = gather(base, self.selection)
+        elif self.deleted is not None:
+            base = _splice_out(base, self.deleted)
         return project_rows(base, out_positions)
 
 

@@ -5,7 +5,7 @@ from repro.fd.decompose_check import (
     check_lossless,
     fds_from_keys,
 )
-from repro.fd.discovery import holds, is_key_in_data
+from repro.fd.discovery import holds, holds_each, is_key_in_data
 from repro.fd.functional_deps import (
     FunctionalDependency,
     candidate_keys,
@@ -23,6 +23,7 @@ __all__ = [
     "closure",
     "fds_from_keys",
     "holds",
+    "holds_each",
     "implies",
     "is_key_in_data",
     "is_superkey",

@@ -9,7 +9,8 @@ kernel, the numeric-type errors of SUM/AVG on both paths, the
 bincount-vs-unique histogram helper, the group codes past int64, the
 live row counts, the ``exec.agg_*`` counters, the cached joint (group,
 value) codes against the hash path and a row oracle, key decode at the
-groups' vids, and high-cardinality GROUP BYs on a compacted table
+groups' vids (a three-key GROUP BY pinned unselected, selected and
+under deletions), and high-cardinality GROUP BYs on a compacted table
 against SQLite.
 """
 
@@ -480,6 +481,56 @@ class TestColdKeyDecode:
         assert got == hashed
         assert got == sorted((keys[i], 1) for i in range(3, n, 1_000))
         db.close()
+
+
+class TestThreeKeyGroupBy:
+    """A three-key GROUP BY decodes its keys from the split group codes
+    to the same rows unselected, through a selection of the live rows
+    and through the deleted positions (compressed and hash paths)."""
+
+    SCHEMA = TableSchema(
+        "t",
+        (
+            ColumnSchema("a", DataType.INT),
+            ColumnSchema("b", DataType.STRING),
+            ColumnSchema("c", DataType.INT),
+            ColumnSchema("v", DataType.INT),
+        ),
+    )
+    ROWS = [
+        (i % 2, f"s{(i * 7) % 3}", None if i % 11 == 5 else (i // 2) % 3, i)
+        for i in range(48)
+    ]
+    SQL = "SELECT c, a, b, COUNT(*), SUM(v), MAX(v) FROM t GROUP BY c, a, b"
+    DEAD = [0, 4, 11, 29, 30, 47]
+    ALL = [
+        (0, 0, "s0", 8, 168, 42), (0, 1, "s1", 8, 176, 43),
+        (1, 0, "s2", 7, 146, 44), (1, 1, "s0", 7, 165, 45),
+        (2, 0, "s1", 7, 184, 46), (2, 1, "s2", 7, 203, 47),
+        (None, 0, "s1", 1, 16, 16), (None, 0, "s2", 1, 38, 38),
+        (None, 1, "s0", 1, 27, 27), (None, 1, "s2", 1, 5, 5),
+    ]
+    LIVE = [
+        (0, 0, "s0", 6, 138, 42), (0, 1, "s1", 8, 176, 43),
+        (1, 0, "s2", 7, 146, 44), (1, 1, "s0", 7, 165, 45),
+        (2, 0, "s1", 6, 180, 46), (2, 1, "s2", 4, 116, 41),
+        (None, 0, "s1", 1, 16, 16), (None, 0, "s2", 1, 38, 38),
+        (None, 1, "s0", 1, 27, 27), (None, 1, "s2", 1, 5, 5),
+    ]
+
+    def run(self, batch, strategy="compressed"):
+        return aggregate_rows(
+            [batch], parse_sql(self.SQL), self.SCHEMA, strategy
+        )
+
+    def test_rows_match_the_pinned_decode(self):
+        table = Table.from_rows(self.SCHEMA, self.ROWS)
+        dead = np.array(self.DEAD, dtype=np.int64)
+        live = np.delete(np.arange(len(self.ROWS)), dead)
+        assert self.run(TableBatch(table)) == self.ALL
+        assert self.run(TableBatch(table, live)) == self.LIVE
+        assert self.run(TableBatch(table, deleted=dead)) == self.LIVE
+        assert self.run(TableBatch(table, deleted=dead), "hash") == self.LIVE
 
 
 class TestUnselectedReadsArePopcounts:

@@ -488,3 +488,40 @@ class TestCombinedCodeRegressions:
         assert deduplicated.schema.primary_key == ("K1", "K2")
         assert status.columns_reused == 3
         assert status.columns_decompressed == 2
+
+    def test_decompose_decodes_each_common_column_once(self, monkeypatch):
+        """With no declared key, both FD checks (``holds_each``) extend
+        one grouping of the common columns: each column is decoded once —
+        the common one included — and the single-column distinction
+        reads bitmaps only."""
+        from repro.storage.column import BitmapColumn
+
+        table = table_from_python(
+            "R",
+            {
+                "E": (DataType.INT, [i % 7 for i in range(60)]),
+                "K": (DataType.INT, list(range(60))),
+                "A": (DataType.STRING, [f"a{i % 7}" for i in range(60)]),
+                "P": (DataType.INT, [i % 7 * 10 for i in range(60)]),
+            },
+        )
+        decoded = []
+        decode_vids = BitmapColumn.decode_vids
+
+        def counted(column):
+            decoded.append(column.name)
+            return decode_vids(column)
+
+        monkeypatch.setattr(BitmapColumn, "decode_vids", counted)
+        op = DecomposeTable("R", "S", ("E", "K"), "T", ("E", "A"))
+        _left, right = decompose(table, op, EvolutionStatus())
+        assert sorted(decoded) == ["A", "E", "K"]
+        assert right.nrows == 7
+
+        decoded.clear()
+        plan = plan_decomposition(
+            table,
+            DecomposeTable("R", "S", ("E", "A", "K"), "T", ("E", "A", "P")),
+        )
+        assert plan.changed_side == "right"
+        assert sorted(decoded) == ["A", "E", "K", "P"]

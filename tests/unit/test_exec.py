@@ -2,7 +2,8 @@
 
 Covers the two predicate strategies (compressed-domain bitmaps for the
 main store, compiled columnar evaluators for plain vectors), selection
-algebra, LIMIT's batch-level early exit, and SELECT execution through
+algebra, the main batch's exclusion list of deleted positions, LIMIT's
+batch-level early exit, and SELECT execution through
 the pipeline on all three registered backends.
 """
 
@@ -183,11 +184,112 @@ class TestTableBatchPositions:
         assert rest.selection.tolist() == sorted(
             set(validity.tolist()) - set(matches.tolist())
         )
+        # Unselected, the rest is an exclusion list: the matches are
+        # its deleted positions, and no array of every row is built.
         everything = TableBatch(table)
-        assert everything.without(everything.filter(predicate)) \
-            .selection.tolist() == sorted(
-                set(range(table.nrows)) - set(matches.tolist())
-            )
+        rest = everything.without(everything.filter(predicate))
+        assert rest.selection is None
+        deleted = [] if rest.deleted is None else rest.deleted.tolist()
+        assert deleted == matches.tolist()
+        assert rest.selected_count == table.nrows - len(matches)
+        assert rest.selected_positions().tolist() == sorted(
+            set(range(table.nrows)) - set(matches.tolist())
+        )
+
+
+class TestExclusionList:
+    """A main batch's validity is the positions it deletes: with D of
+    an n-row main deleted, the scan holds D positions, counts n - D,
+    and no read class builds an array of every surviving row."""
+
+    N = 3_000
+    READS = (
+        "SELECT * FROM r",
+        "SELECT * FROM r WHERE k = 7",
+        "SELECT * FROM r WHERE s = 's1' AND v = 4",
+        "SELECT s, COUNT(*) FROM r GROUP BY s",
+        "SELECT s, SUM(v), MIN(v), MAX(v), AVG(v) FROM r GROUP BY s",
+        "SELECT s, v, COUNT(*) FROM r GROUP BY s, v",
+        "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM r",
+        "SELECT DISTINCT s FROM r",
+        "SELECT k, v FROM r ORDER BY v LIMIT 10",
+    )
+
+    def table(self):
+        n = self.N
+        return table_from_python(
+            "r",
+            {
+                "k": (DataType.INT, [i % 50 for i in range(n)]),
+                "s": (DataType.STRING, [f"s{i % 7}" for i in range(n)]),
+                "v": (DataType.INT, [i % 13 for i in range(n)]),
+            },
+        )
+
+    def mutable(self):
+        mutable = MutableTable(self.table(), CompactionPolicy.never())
+        assert mutable.delete(Comparison("k", "IN", (0, 17))) == 120
+        assert mutable.update({"v": 99}, Comparison("k", "=", 5)) == 60
+        return mutable
+
+    def test_the_scan_holds_the_deleted_positions_only(self):
+        mutable = self.mutable()
+        dead = sorted(mutable.delta.deleted_main)
+        batch = mutable.scan_batches()[0]
+        assert len(dead) == 180
+        assert batch.selection is None
+        assert batch.deleted.dtype == np.int64
+        assert batch.deleted.tolist() == dead
+        assert not any(
+            isinstance(value, np.ndarray) and len(value) == self.N
+            for value in (batch.selection, batch.deleted)
+        )
+        assert batch.selected_count == self.N - len(dead)
+
+    def test_a_full_scan_is_a_fresh_list(self):
+        from repro.db import Database
+        from repro.delta.snapshot import decoded_main_rows
+
+        mutable = self.mutable()
+        dead = set(mutable.delta.deleted_main)
+        rows = mutable.scan_batches()[0].rows()
+        cache = decoded_main_rows(mutable.main)
+        assert rows is not cache
+        assert rows == [
+            row for position, row in enumerate(cache) if position not in dead
+        ]
+        assert len(cache) == self.N
+
+        db = Database(policy=CompactionPolicy.never())
+        db.load_table(self.table())
+        db.execute("DELETE FROM r WHERE k = 3")
+        scanned = db.execute("SELECT * FROM r")
+        main = db.engine.delta_handle("r").main
+        assert scanned is not decoded_main_rows(main)
+        assert len(scanned) == self.N - 60
+        db.close()
+
+    def test_no_read_class_enumerates_the_survivors(self, monkeypatch):
+        from repro.db import Database
+
+        db = Database(policy=CompactionPolicy.never())
+        db.load_table(self.table())
+        db.execute("DELETE FROM r WHERE k IN (0, 17)")
+        db.execute("UPDATE r SET v = 99 WHERE k = 5")
+        # Warm: the generation's caches are built once, O(rows) each.
+        expected = [db.execute(sql) for sql in self.READS]
+        reference = db.engine.delta_handle("r").to_rows()
+        assert expected[0] == reference
+
+        def table_sized(*args, **kwargs):
+            raise AssertionError("a read enumerated every surviving row")
+
+        monkeypatch.setattr(TableBatch, "selected_positions", table_sized)
+        monkeypatch.setattr(
+            DeltaStore, "surviving_main_positions", table_sized
+        )
+        assert [db.execute(sql) for sql in self.READS] == expected
+        db.close()
 
 
 class TestDeltaBatch:

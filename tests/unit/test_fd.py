@@ -10,6 +10,7 @@ from repro.fd import (
     closure,
     fds_from_keys,
     holds,
+    holds_each,
     implies,
     is_key_in_data,
     is_superkey,
@@ -182,6 +183,25 @@ class TestDataDriven:
     def test_holds_trivial(self, table):
         assert holds(table, ["K"], ["K"])
         assert holds(table, ["K", "P"], ["K"])
+
+    def test_holds_each_groups_lhs_once_and_only_if_needed(
+        self, table, monkeypatch
+    ):
+        from repro.storage.column import BitmapColumn
+
+        decoded = []
+        decode_vids = BitmapColumn.decode_vids
+
+        def counted(column):
+            decoded.append(column.name)
+            return decode_vids(column)
+
+        monkeypatch.setattr(BitmapColumn, "decode_vids", counted)
+        assert holds_each(table, ["K"], [["K"], ["K", "P"]]) == [True, False]
+        assert sorted(decoded) == ["K", "P"]
+        decoded.clear()
+        assert holds_each(table, ["K", "D"], [["K"], ["D"]]) == [True, True]
+        assert decoded == []
 
     def test_is_key_in_data(self, table):
         assert not is_key_in_data(table, ["K"])
