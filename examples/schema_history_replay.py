@@ -29,7 +29,7 @@ from repro import (
     UnionTables,
 )
 from repro.smo import Comparison, PartitionTable
-from repro.storage import load_catalog, save_catalog
+from repro.storage import load_engine, save_engine
 from repro.workload import EmployeeWorkload
 
 
@@ -120,8 +120,8 @@ def main() -> None:
 
     # Persist and reload the evolved catalog.
     with tempfile.TemporaryDirectory() as tmp:
-        save_catalog(engine.catalog, Path(tmp) / "evolved")
-        reloaded = load_catalog(Path(tmp) / "evolved")
+        save_engine(engine, Path(tmp) / "evolved")
+        reloaded = load_engine(Path(tmp) / "evolved").catalog
         assert reloaded.table_names() == engine.catalog.table_names()
     print("Catalog persisted and reloaded (compressed bitmaps verbatim).")
 

@@ -102,7 +102,3 @@ class EvolutionStatus:
         ]
         lines.append(f"  counters: {self.summary()}")
         return "\n".join(lines)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(event.seconds for event in self.events)

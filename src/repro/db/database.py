@@ -49,7 +49,6 @@ from repro.wal import (
     recover,
     wal_path,
 )
-from repro.wal import checkpoint as run_checkpoint
 
 _DURABILITY_MODES = ("none", "commit", "group")
 
@@ -168,7 +167,7 @@ class Database:
         ):
             # Replayed state is in memory only; checkpoint right away
             # so the next crash does not have to replay it again.
-            run_checkpoint(self.engine, self.path, self._wal, self.policy)
+            save_engine(self.engine, self.path, self._wal)
         self.engine.attach_wal(self._wal)
 
     # -- lifecycle ------------------------------------------------------
@@ -198,8 +197,10 @@ class Database:
         return self._closed
 
     def save(self, path=None) -> Path:
-        """Persist the catalog (and any delta sidecars) to ``path`` or
-        the directory the database was opened with."""
+        """Persist the catalog (every table's main and sidecar) to
+        ``path`` or the directory the database was opened with.  Saving
+        to that directory with durability on is a :meth:`checkpoint`;
+        any other save runs the same protocol without the log."""
         self._check_open()
         target = Path(path) if path is not None else self.path
         if target is None:
@@ -207,13 +208,9 @@ class Database:
                 "no catalog directory: pass save(path) or open the "
                 "database with one"
             )
-        if self._wal is not None and target == self.path:
-            # A durable database's home-directory save IS a checkpoint:
-            # versioned mains, sidecars carrying the log position, and
-            # log truncation, in crash-atomic order.
-            self.checkpoint()
-            return target
-        save_engine(self.engine, target)
+        wal = self._wal if target == self.path else None
+        with self._commit_lock:
+            save_engine(self.engine, target, wal)
         return target
 
     def checkpoint(self) -> int:
@@ -227,9 +224,7 @@ class Database:
                 "durability='commit' or 'group'"
             )
         with self._commit_lock:
-            return run_checkpoint(
-                self.engine, self.path, self._wal, self.policy
-            )
+            return save_engine(self.engine, self.path, self._wal)
 
     def _schema_changed(self) -> None:
         """Table-set changes (DDL, SMOs, bulk loads) checkpoint

@@ -76,9 +76,9 @@ class DemoSession:
     """One interactive session: a database, a queue, and an output
     stream.  Built on the :class:`repro.db.Database` façade: every
     statement — the ``sql`` command, the queued SMOs, ``load`` and
-    ``example`` — goes through ``db``; only the read-only views
-    (``display``, ``deltastat``) and ``compact`` use the engine
-    underneath."""
+    ``example`` — and the ``display``, ``compact`` and ``deltastat``
+    views go through ``db``; only ``tables``, ``history``, the queue's
+    validation and the status pane read the engine underneath."""
 
     def __init__(self, out=sys.stdout):
         # Size-only trigger: ratio policies would fold the delta straight
@@ -104,15 +104,22 @@ class DemoSession:
     def cmd_tables(self) -> None:
         self._print(self.engine.catalog.describe())
 
+    def _delta_stats(self, name: str):
+        """Table ``name``'s delta statistics, or None when no write has
+        touched it; raises for an unknown table."""
+        self.db.schema(name)
+        for stats in self.db.delta_stats():
+            if stats.table == name:
+                return stats
+        return None
+
     def cmd_display(self, name: str) -> None:
-        pending = self.engine.pending_delta(name)
-        if pending is not None:
-            rows, nrows = pending.to_rows(), pending.nrows
-            names = pending.schema.column_names
-        else:
-            table = self.engine.table(name)
-            rows, nrows = table.to_rows(), table.nrows
-            names = table.schema.column_names
+        names = self.db.schema(name).column_names
+        rows = self.db.execute(f"SELECT * FROM {name}")
+        stats = self._delta_stats(name)
+        pending = stats is not None and bool(
+            stats.delta_rows or stats.deleted_main
+        )
         widths = [
             max(len(str(n)), *(len(str(row[i])) for row in rows), 1)
             if rows
@@ -126,10 +133,9 @@ class DemoSession:
             self._print(
                 " | ".join(str(v).ljust(w) for v, w in zip(row, widths))
             )
-        if nrows > 20:
-            self._print(f"… ({nrows} rows total)")
-        if pending is not None:
-            stats = pending.delta_stats()
+        if len(rows) > 20:
+            self._print(f"… ({len(rows)} rows total)")
+        if pending:
             self._print(
                 f"(merged view: {stats.main_rows} main rows, "
                 f"+{stats.delta_live} buffered, -{stats.deleted_main} deleted)"
@@ -169,13 +175,11 @@ class DemoSession:
         self.queue.clear()
 
     def cmd_compact(self, name: str) -> None:
-        mutable = self.engine.delta_handle(name)
-        if mutable is None or not mutable.has_pending_changes:
-            self.engine.table(name)  # raises for unknown tables
+        stats = self._delta_stats(name)
+        if stats is None or not (stats.delta_rows or stats.deleted_main):
             self._print(f"{name}: delta is empty, nothing to compact")
             return
-        stats = mutable.delta_stats()
-        table = mutable.compact()
+        table = self.db.compact(name)
         self._print(
             f"compacted {name}: +{stats.delta_live} buffered, "
             f"-{stats.deleted_main} deleted -> {table.nrows} rows, all WAH"
@@ -183,14 +187,13 @@ class DemoSession:
 
     def cmd_deltastat(self, name: str = "") -> None:
         if name:
-            mutable = self.engine.delta_handle(name)
-            if mutable is None:
-                self.engine.table(name)  # raises for unknown tables
+            stats = self._delta_stats(name)
+            if stats is None:
                 self._print(f"(no delta state for {name})")
                 return
-            stats_list = [mutable.delta_stats()]
+            stats_list = [stats]
         else:
-            stats_list = self.engine.delta_stats()
+            stats_list = self.db.delta_stats()
         if not stats_list:
             self._print("(no tables with delta state)")
             return

@@ -43,10 +43,6 @@ class SchemaError(CodsError):
     """Schema-level violation: unknown table/column, duplicate names, etc."""
 
 
-class KeyViolationError(SchemaError):
-    """Data does not satisfy a declared key or functional dependency."""
-
-
 class SmoValidationError(SchemaError):
     """A schema modification operator is not applicable to the catalog."""
 

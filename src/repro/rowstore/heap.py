@@ -59,9 +59,6 @@ class HeapTable:
         self.indexes[column_name] = tree
         return tree
 
-    def drop_index(self, column_name: str) -> None:
-        self.indexes.pop(column_name, None)
-
     # -- access ----------------------------------------------------------
 
     def scan(self):

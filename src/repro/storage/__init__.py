@@ -6,15 +6,11 @@ from repro.storage.csvio import infer_type, load_csv, save_csv
 from repro.storage.dictionary import Dictionary
 from repro.storage.filefmt import (
     delta_sidecar_path,
-    load_catalog,
     load_delta,
     load_engine,
-    load_mutable_table,
     load_table,
-    save_catalog,
     save_delta,
     save_engine,
-    save_mutable_table,
     save_table,
 )
 from repro.storage.schema import ColumnSchema, TableSchema
@@ -52,21 +48,17 @@ __all__ = [
     "coerce",
     "delta_sidecar_path",
     "infer_type",
-    "load_catalog",
     "load_csv",
     "load_delta",
     "load_engine",
-    "load_mutable_table",
     "load_table",
     "parse_text",
     "parse_type_name",
     "python_type",
     "render_text",
-    "save_catalog",
     "save_csv",
     "save_delta",
     "save_engine",
-    "save_mutable_table",
     "save_table",
     "table_from_python",
     "table_statistics",

@@ -117,10 +117,6 @@ class BitmapColumn:
         """The bitmap of ``vid``: a view over its words."""
         return self._bitmaps[vid]
 
-    def bitmap_for_value(self, value):
-        """Compressed bitmap of ``value``; raises if the value is absent."""
-        return self._bitmaps[self._dictionary.vid(coerce(value, self.dtype))]
-
     def positions_for_value(self, value) -> np.ndarray:
         """Sorted row positions holding ``value`` (empty if absent)."""
         vid = self._dictionary.vid_or_none(coerce(value, self.dtype))

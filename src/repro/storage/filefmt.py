@@ -18,8 +18,8 @@ buffer in one vectorized pass each
 (:meth:`~repro.bitmap.batch.PackedBitmaps.to_blocks` /
 :meth:`~repro.bitmap.batch.PackedBitmaps.from_blocks`).
 
-Tables with a pending write buffer (:mod:`repro.delta`) persist that
-state in a ``.delta`` sidecar next to the ``.cods`` file:
+Every saved table's write buffer (:mod:`repro.delta`), empty or not,
+persists in a ``.delta`` sidecar next to the ``.cods`` file:
 
     magic "CODD" | u16 format version | u32 payload JSON length | JSON
 
@@ -27,17 +27,18 @@ The delta is uncompressed in memory, so it is stored uncompressed too:
 the JSON carries the appended column vectors, the per-row insert
 epochs, both epoch-tagged deletion maps and the epoch counter (an
 ``index`` object older writers added is ignored on load).  Version 3
-adds the write-ahead-log
-checkpoint fields: ``wal_lsn`` (the log position this sidecar
-checkpoints) and ``main_file`` (the versioned main this sidecar
-masks — the sidecar is the per-table atomic commit point of the
-checkpoint protocol, see ``docs/wal-format.md``).  Versions 1 (no
+adds ``main_file`` (the versioned main this sidecar masks — the sidecar
+is the per-table atomic commit point of :func:`save_engine`) and, for a
+database with a write-ahead log, ``wal_lsn`` (the log position this
+sidecar checkpoints; see ``docs/wal-format.md``).  Versions 1 (no
 epochs, deletion *sets*) and 2 are still readable.  All layouts are
 specified field by field in ``docs/delta-format.md``.
 
 Every file in this module is written atomically: to a temp file that is
 fsynced and ``os.replace``\\ d into place, so a crash mid-save can never
 leave a truncated or half-written table, sidecar or manifest behind.
+A catalog directory has one writer, :func:`save_engine`, and one
+reader, :func:`load_engine`.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ import datetime
 import io
 import json
 import os
+import re
 import struct
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from repro.bitmap.batch import PackedBitmaps, batch_validate
@@ -68,6 +70,7 @@ _VERSION = 1
 _DELTA_MAGIC = b"CODD"
 _DELTA_VERSION = 3
 _CODEC = b"wah"
+_VERSIONED = re.compile(r"^(?P<table>.+)\.g(?P<gen>\d+)\.cods$")
 
 
 def delta_sidecar_path(path) -> Path:
@@ -236,10 +239,9 @@ def save_delta(store, path, wal_lsn=None, main_file=None) -> None:
 
     The payload carries the full MVCC state — per-row insert epochs,
     epoch-tagged deletion maps, the epoch counter (see
-    ``docs/delta-format.md``).  The write-ahead-log
-    checkpoint path passes ``wal_lsn`` (the log position this sidecar
-    makes durable) and ``main_file`` (the versioned main file it
-    masks); plain saves omit both."""
+    ``docs/delta-format.md``).  :func:`save_engine` passes ``main_file``
+    (the versioned main file it masks) and, with a log, ``wal_lsn``
+    (the log position this sidecar makes durable)."""
     path = Path(path)
     payload = {
         "table": store.schema.name,
@@ -381,25 +383,12 @@ def _load_delta_for_table(sidecar, table):
     return loaded
 
 
-def save_mutable_table(mutable, path) -> None:
-    """Persist a :class:`repro.delta.MutableTable`: the compressed main
-    as a ``.cods`` file plus (when non-empty) the delta sidecar.  A
-    stale sidecar from an earlier save is removed."""
-    path = Path(path)
-    save_table(mutable.main, path)
-    sidecar = delta_sidecar_path(path)
-    if mutable.has_pending_changes:
-        save_delta(mutable.delta, sidecar)
-    elif sidecar.exists():
-        sidecar.unlink()
-
-
 def _resolve_main_path(path) -> tuple[Path, Path]:
     """The (main file, sidecar) pair for the table addressed by the
     canonical ``.cods`` path.  A v3 sidecar may point at a *versioned*
-    main file (the WAL checkpoint protocol writes a fresh main under a
-    new name, then atomically republishes the sidecar to point at it —
-    so a crash between the two writes leaves the old, still-consistent
+    main file (:func:`save_engine` writes a fresh main under a new
+    name, then atomically republishes the sidecar to point at it — so
+    a crash between the two writes leaves the old, still-consistent
     pair)."""
     path = Path(path)
     sidecar = delta_sidecar_path(path)
@@ -411,75 +400,98 @@ def _resolve_main_path(path) -> tuple[Path, Path]:
     return path, sidecar
 
 
-def load_mutable_table(path, policy=None):
-    """Inverse of :func:`save_mutable_table`: restores the write buffer
-    from the sidecar when present (following the sidecar's
-    ``main_file`` pointer when it names a versioned main)."""
-    from repro.delta.mutable import MutableTable
-
-    main_path, sidecar = _resolve_main_path(path)
-    table = load_table(main_path)
-    mutable = MutableTable(table, policy)
+def _next_main_file(sidecar: Path, table: str) -> str:
+    """``{table}.g{k}.cods``, ``k`` one past the generation the current
+    sidecar points at (0 for a fresh or canonical table) — parsed from
+    the file name so the counter stays monotonic across sessions."""
+    generation = 0
     if sidecar.exists():
-        mutable.restore_delta(_load_delta_for_table(sidecar, table))
-    return mutable
+        _, payload = _read_delta_payload(sidecar)
+        match = _VERSIONED.match(payload.get("main_file") or "")
+        if match is not None and match.group("table") == table:
+            generation = int(match.group("gen")) + 1
+    return f"{table}.g{generation}.cods"
 
 
-def save_manifest(catalog, directory) -> None:
-    """Atomically (re)write ``catalog.json`` for the current table set."""
-    manifest = {"tables": catalog.table_names(), "version": catalog.version}
-    with _atomic_write(Path(directory) / "catalog.json", "save.manifest") as f:
-        f.write(json.dumps(manifest).encode())
+def save_engine(engine, directory, wal=None):
+    """Publish ``engine``'s catalog into ``directory``: the one writer
+    of catalog directories, for saves and checkpoints alike.
 
+    It runs with every table's writer lock held (taken in sorted-name
+    order, after the caller's commit lock), so no DML, fold or
+    compaction step can land between two of its writes.  Each step
+    leaves the directory loadable:
 
-def save_catalog(catalog, directory) -> None:
-    """Save every table of a catalog into ``directory`` as .cods files.
+    1. flush the log, when ``wal`` is given;
+    2. per table, write a fresh *versioned* main ``{name}.g{k}.cods``,
+       then atomically republish the ``{name}.cods.delta`` sidecar
+       naming it (``main_file``) and, with a log, the flushed position
+       (``wal_lsn``).  The sidecar replace is the table's commit point:
+       until it lands, loaders follow the old sidecar to the old main,
+       so a crash can never pair a new main with an old mask;
+    3. rewrite ``catalog.json`` (the table-*set* commit point), listing
+       the tables step 2 wrote;
+    4. truncate the log, when ``wal`` is given;
+    5. delete superseded mains, dropped tables' files and temp files
+       (orphans of a crash here are swept by the next save).
 
-    Tables first, manifest last: the manifest names only files that are
-    already complete on disk, so a crash mid-save leaves the previous
-    catalog loadable."""
+    Every table gets a sidecar, even with an empty buffer: it carries
+    the epoch counter and, under a log, the position recovery replays
+    from (``docs/wal-format.md``).  Returns the checkpointed log
+    position, or None without a log."""
+    # Imported lazily for the reason given in _atomic_write.
+    from repro.wal.crashpoints import crash_point
+
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name in catalog.table_names():
-        save_table(catalog.table(name), directory / f"{name}.cods")
-    save_manifest(catalog, directory)
-
-
-def load_catalog(directory):
-    """Inverse of :func:`save_catalog`."""
-    from repro.storage.catalog import Catalog
-
-    directory = Path(directory)
-    manifest_path = directory / "catalog.json"
-    if not manifest_path.exists():
-        raise SerializationError(f"{directory}: no catalog.json")
-    manifest = json.loads(manifest_path.read_text())
-    catalog = Catalog()
-    for name in manifest["tables"]:
-        catalog.put(load_table(directory / f"{name}.cods"), f"LOAD {name}")
-    return catalog
-
-
-def save_engine(engine, directory) -> None:
-    """Save an evolution engine's catalog plus, for every table with
-    unflushed writes, its delta sidecar."""
-    directory = Path(directory)
-    save_catalog(engine.catalog, directory)
-    for name in engine.catalog.table_names():
-        sidecar = delta_sidecar_path(directory / f"{name}.cods")
-        pending = engine.pending_delta(name)
-        if pending is not None:
-            save_delta(pending.delta, sidecar)
-        elif sidecar.exists():
-            sidecar.unlink()
+    # A table created meanwhile has no files here yet: it waits for
+    # the next save.
+    names = engine.catalog.table_names()
+    manifest = {"tables": names, "version": engine.catalog.version}
+    mutables = {name: engine.mutable(name) for name in names}
+    with ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mutables[name]._lock)
+        crash_point("checkpoint.begin")
+        wal_lsn = None
+        if wal is not None:
+            wal.flush()
+            wal_lsn = wal.durable_lsn
+        referenced = set()
+        for name in names:
+            mutable = mutables[name]
+            sidecar = delta_sidecar_path(directory / f"{name}.cods")
+            main_file = _next_main_file(sidecar, name)
+            crash_point("checkpoint.table")
+            save_table(mutable.main, directory / main_file)
+            save_delta(
+                mutable.delta, sidecar, wal_lsn=wal_lsn, main_file=main_file
+            )
+            referenced.update((main_file, sidecar.name))
+        with _atomic_write(directory / "catalog.json", "save.manifest") as f:
+            f.write(json.dumps(manifest).encode())
+        if wal is not None:
+            crash_point("checkpoint.truncate")
+            wal.truncate_all()
+        crash_point("checkpoint.cleanup")
+        for path in directory.iterdir():
+            if path.name not in referenced and path.name.endswith(
+                (".cods", ".cods.delta", ".tmp")
+            ):
+                path.unlink()
+    if wal is not None:
+        wal.metrics.counter("wal.checkpoints").inc()
+        wal.metrics.gauge("wal.checkpoint_lsn").set(wal_lsn)
+    return wal_lsn
 
 
 def load_engine(directory, policy=None):
     """Inverse of :func:`save_engine`: a fresh
     :class:`~repro.core.engine.EvolutionEngine` with the write buffers
     re-attached.  Each table's main file is resolved through its
-    sidecar's ``main_file`` pointer when present (WAL checkpoints), the
-    canonical ``{name}.cods`` otherwise."""
+    sidecar's ``main_file`` pointer when present, the canonical
+    ``{name}.cods`` otherwise (directories written before every save
+    versioned its mains: with or without a plain sidecar)."""
     from repro.core.engine import EvolutionEngine
     from repro.storage.catalog import Catalog
 

@@ -218,10 +218,6 @@ class Table:
             return self.to_rows() == other.to_rows()
         return self.sorted_rows() == other.sorted_rows()
 
-    def value_multiset(self, attr: str):
-        """Multiset of values of one column, as a sorted list."""
-        return sorted(self.column(attr).to_values(), key=lambda v: (v is None, str(v)))
-
     def __repr__(self) -> str:
         return (
             f"Table({self.schema.name!r}, rows={self._nrows}, "

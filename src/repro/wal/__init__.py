@@ -3,15 +3,15 @@
 An append-only checksummed redo log (:class:`WriteAheadLog`) receives
 every delta DML as epoch-tagged records inside transactions, commit is
 the fsync boundary (``"commit"`` policy) or a bounded group-commit
-window (``"group"``), ``.delta`` sidecar saves become incremental
-checkpoints that record the log position and truncate the log
-(:func:`checkpoint`), and opening a catalog replays committed
+window (``"group"``), a save of the catalog directory
+(:func:`repro.storage.filefmt.save_engine` given the log) becomes a
+checkpoint that records the log position in every sidecar and
+truncates the log, and opening a catalog replays committed
 transactions past the last checkpoint (:func:`recover`).  Every
 crash-atomic step announces a labeled :func:`crash_point` for the
 fault-injection harness.  Format and protocol: ``docs/wal-format.md``.
 """
 
-from repro.wal.checkpoint import checkpoint
 from repro.wal.crashpoints import (
     CrashPoint,
     crash_hook,
@@ -35,7 +35,6 @@ __all__ = [
     "TableWal",
     "WAL_FILENAME",
     "WriteAheadLog",
-    "checkpoint",
     "crash_hook",
     "crash_point",
     "install_crash_hook",

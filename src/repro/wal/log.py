@@ -13,19 +13,19 @@ the flush policy:
     an acked commit may ride in the buffer for a bounded window — the
     classic group-commit trade documented in ``docs/wal-format.md``.
 
-Transactions nest by reference counting: the outermost
-:meth:`begin`/:meth:`commit` pair owns the transaction id, inner pairs
-reuse it, and only the outermost commit emits the ``commit`` record.
-:meth:`abort` ends the transaction *without* a commit record — its
-staged records become dead weight that recovery ignores.
+A transaction is one :meth:`begin`/:meth:`commit` pair per thread; a
+second :meth:`begin` while one is open raises
+:class:`~repro.errors.WalError`.  :meth:`commit` emits the ``commit``
+record; :meth:`abort` ends the transaction *without* one — its staged
+records become dead weight that recovery ignores.
 
 Opening an existing log repairs a torn tail (truncates trailing crash
 debris) and raises :class:`~repro.errors.WalCorruptionError` on damage
 before the tail.  :meth:`truncate_all` starts a fresh file whose header
-carries the old end LSN as its base — the checkpoint protocol's last
-step (see :mod:`repro.wal.checkpoint`).
+carries the old end LSN as its base — the checkpoint's last step
+(see :func:`repro.storage.filefmt.save_engine`).
 
-The log is thread-safe: transaction state (depth, id, record count) is
+The log is thread-safe: transaction state (id, record count) is
 *per thread*, so concurrent sessions each hold their own open
 transaction, while the shared tail — buffer, file handle, LSNs, the
 transaction-id counter, the group-commit tally — sits behind one
@@ -102,7 +102,7 @@ class WriteAheadLog:
         # Shared tail state (buffer, handle, LSNs, txn-id counter,
         # group-commit tally) lives behind this reentrant lock — the
         # leaf of the system lock order.  Transaction state is
-        # per-thread so concurrent sessions nest independently.
+        # per-thread so concurrent sessions each hold their own.
         self._lock = threading.RLock()
         self._local = threading.local()
         self._open_txns = 0  # across all threads, guarded by _lock
@@ -182,11 +182,10 @@ class WriteAheadLog:
     # -- transactions ---------------------------------------------------
 
     def _state(self):
-        """This thread's transaction state (depth, txn id, record
+        """This thread's transaction state (txn id or None, record
         count), created on first touch."""
         local = self._local
-        if not hasattr(local, "depth"):
-            local.depth = 0
+        if not hasattr(local, "txn"):
             local.txn = None
             local.records = 0
         return local
@@ -194,32 +193,30 @@ class WriteAheadLog:
     @property
     def in_transaction(self) -> bool:
         """True when *the calling thread* has an open transaction."""
-        return self._state().depth > 0
+        return self._state().txn is not None
 
     def begin(self) -> int:
-        """Enter a transaction on the calling thread (nested calls
-        reuse the open one); returns its id."""
+        """Open a transaction on the calling thread; returns its id."""
         self._check_open()
         state = self._state()
-        if state.depth == 0:
-            with self._lock:
-                state.txn = self._next_txn
-                self._next_txn += 1
-                self._open_txns += 1
-            state.records = 0
-        state.depth += 1
+        if state.txn is not None:
+            raise WalError(
+                f"transaction {state.txn} is already open on this thread"
+            )
+        with self._lock:
+            state.txn = self._next_txn
+            self._next_txn += 1
+            self._open_txns += 1
+        state.records = 0
         return state.txn
 
     def commit(self) -> None:
-        """Leave the calling thread's transaction; the outermost leave
-        emits the ``commit`` record and applies the flush policy."""
+        """End the calling thread's transaction: emit the ``commit``
+        record (when it staged any) and apply the flush policy."""
         self._check_open()
         state = self._state()
-        if state.depth == 0:
+        if state.txn is None:
             raise WalError("commit without a matching begin")
-        state.depth -= 1
-        if state.depth:
-            return
         txn, state.txn = state.txn, None
         records, state.records = state.records, 0
         with self._lock:
@@ -234,19 +231,17 @@ class WriteAheadLog:
                     self.flush()
 
     def abort(self) -> None:
-        """Leave the calling thread's transaction without committing:
+        """End the calling thread's transaction without committing:
         staged records of this transaction stay in the log but, lacking
         a ``commit`` record, recovery never replays them."""
         self._check_open()
         state = self._state()
-        if state.depth == 0:
+        if state.txn is None:
             raise WalError("abort without a matching begin")
-        state.depth -= 1
-        if state.depth == 0:
-            state.txn = None
-            state.records = 0
-            with self._lock:
-                self._open_txns -= 1
+        state.txn = None
+        state.records = 0
+        with self._lock:
+            self._open_txns -= 1
 
     # -- appends --------------------------------------------------------
 
@@ -262,7 +257,7 @@ class WriteAheadLog:
         ``docs/wal-format.md``)."""
         self._check_open()
         state = self._state()
-        if state.depth == 0:
+        if state.txn is None:
             with self._lock:
                 payload["txn"] = self._next_txn
                 self._next_txn += 1
@@ -283,7 +278,7 @@ class WriteAheadLog:
         framer cannot take fall back to :meth:`append`."""
         self._check_open()
         state = self._state()
-        if state.depth == 0:
+        if state.txn is None:
             with self._lock:
                 frame = rec.encode_insert_frame(
                     table, rows, epoch, self._next_txn, True
@@ -391,8 +386,8 @@ class WriteAheadLog:
         crash leaves either the old or the new log, never neither.
         Returns the new base LSN.  The checkpoint protocol calls this
         last, after every sidecar has been published (and quiesced —
-        see :mod:`repro.wal.checkpoint` — so nothing can land in the
-        buffer between the flush and this truncation)."""
+        see :func:`repro.storage.filefmt.save_engine` — so nothing can
+        land in the buffer between the flush and this truncation)."""
         self._check_open()
         with self._lock:
             if self._buffer:

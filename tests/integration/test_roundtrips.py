@@ -16,7 +16,7 @@ from repro.smo import (
     UnionTables,
     parse_smo,
 )
-from repro.storage import load_catalog, save_catalog
+from repro.storage import load_engine, save_engine
 from repro.workload import EmployeeWorkload, SalesStarWorkload
 from tests.conftest import make_fd_table
 
@@ -86,10 +86,9 @@ class TestPersistenceAcrossEvolution:
                 "T (Employee, Address)"
             )
         )
-        save_catalog(engine.catalog, tmp_path / "db")
-        loaded = load_catalog(tmp_path / "db")
+        save_engine(engine, tmp_path / "db")
         # Continue evolving the reloaded catalog.
-        resumed = EvolutionEngine(loaded)
+        resumed = load_engine(tmp_path / "db")
         resumed.apply(MergeTables("S", "T", "R"))
         assert resumed.table("R").same_content(fig1_table.renamed("R"))
 

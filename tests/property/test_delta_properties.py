@@ -203,16 +203,19 @@ def test_autocompaction_is_transparent(initial, stream, threshold):
 @settings(max_examples=30, deadline=None)
 @given(initial=st.lists(rows, min_size=1, max_size=8), stream=operations)
 def test_persistence_preserves_any_state(tmp_path_factory, initial, stream):
-    from repro.storage import load_mutable_table, save_mutable_table
+    from repro.core import EvolutionEngine
+    from repro.storage import load_engine, save_engine
 
-    mutable = MutableTable(base_table(initial), CompactionPolicy.never())
+    engine = EvolutionEngine()
+    engine.load_table(base_table(initial))
+    mutable = engine.mutable("R", CompactionPolicy.never())
     oracle = Oracle(initial)
     apply_stream(mutable, oracle, stream)
 
-    path = tmp_path_factory.mktemp("delta") / "r.cods"
-    save_mutable_table(mutable, path)
-    restored = load_mutable_table(path, CompactionPolicy.never())
-    assert restored.to_rows() == oracle.rows
+    directory = tmp_path_factory.mktemp("delta")
+    save_engine(engine, directory)
+    restored = load_engine(directory, CompactionPolicy.never())
+    assert restored.mutable("R").to_rows() == oracle.rows
 
 
 @pytest.mark.parametrize("threshold", [1, 3, 7])

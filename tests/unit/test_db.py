@@ -319,8 +319,9 @@ class TestPersistence:
             db.execute("INSERT INTO r VALUES (1, 'a')")
             db.compact("r")
             db.execute("INSERT INTO r VALUES (2, 'b')")  # pending delta
-        # close() wrote the catalog; sidecar present for the open delta
-        assert (directory / "r.cods").exists()
+        # close() wrote the catalog: the versioned main and the sidecar
+        # naming it, which holds the open delta
+        assert (directory / "r.g0.cods").exists()
         assert (directory / "r.cods.delta").exists()
         reopened = Database(directory)
         assert reopened.execute("SELECT * FROM r ORDER BY k") == [
@@ -351,11 +352,16 @@ class TestPersistence:
     def test_v1_delta_sidecar_loads_through_the_facade(self, tmp_path):
         """A pre-MVCC (version 1) sidecar written next to a saved
         catalog must come back as a merged table when the directory is
-        opened as a Database."""
+        opened as a Database.  Its writers predate versioned mains, so
+        it sits next to the canonical ``R.cods``."""
+        from repro.storage import save_table
+
         directory = tmp_path / "catalog"
-        db = Database(directory)
-        db.load_table(small_table())
-        db.save()
+        directory.mkdir()
+        save_table(small_table(), directory / "R.cods")
+        (directory / "catalog.json").write_text(
+            '{"tables": ["R"], "version": 1}'
+        )
         payload = {
             "table": "R",
             "columns": {"K": [5, 6], "S": ["d", "e"]},

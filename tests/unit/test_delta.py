@@ -33,10 +33,8 @@ from repro.storage import (
     delta_sidecar_path,
     load_delta,
     load_engine,
-    load_mutable_table,
     save_delta,
     save_engine,
-    save_mutable_table,
     table_from_python,
 )
 from repro.workload import MixedReadWriteWorkload
@@ -565,24 +563,28 @@ class TestDeltaPersistence:
         assert loaded.epoch == store.epoch
 
     def test_mutable_roundtrip(self, tmp_path):
-        mutable = frozen()
+        engine = EvolutionEngine()
+        engine.load_table(small_table())
+        mutable = engine.mutable("R", CompactionPolicy.never())
         mutable.insert((5, "d"))
         mutable.delete(Comparison("K", "=", 1))
-        path = tmp_path / "r.cods"
-        save_mutable_table(mutable, path)
-        assert delta_sidecar_path(path).exists()
-        restored = load_mutable_table(path, CompactionPolicy.never())
-        assert restored.to_rows() == mutable.to_rows()
+        save_engine(engine, tmp_path)
+        assert delta_sidecar_path(tmp_path / "R.cods").exists()
+        restored = load_engine(tmp_path, CompactionPolicy.never())
+        assert restored.mutable("R").to_rows() == mutable.to_rows()
 
     def test_clean_table_removes_stale_sidecar(self, tmp_path):
-        mutable = frozen()
+        # Every saved table has a sidecar; after a fold, the next save
+        # replaces the one holding the old buffer with an empty one.
+        engine = EvolutionEngine()
+        engine.load_table(small_table())
+        mutable = engine.mutable("R", CompactionPolicy.never())
         mutable.insert((5, "d"))
-        path = tmp_path / "r.cods"
-        save_mutable_table(mutable, path)
+        save_engine(engine, tmp_path)
         mutable.compact()
-        save_mutable_table(mutable, path)
-        assert not delta_sidecar_path(path).exists()
-        restored = load_mutable_table(path)
+        save_engine(engine, tmp_path)
+        assert delta_sidecar_path(tmp_path / "R.cods").exists()
+        restored = load_engine(tmp_path).mutable("R")
         assert not restored.has_pending_changes
         assert restored.main.nrows == 5
 
@@ -613,20 +615,25 @@ class TestDeltaPersistence:
         assert pending.to_rows()[-1] == (9, "z")
 
     def test_out_of_range_sidecar_rejected_on_both_load_paths(self, tmp_path):
+        # Both main-file layouts load_engine reads: the canonical
+        # R.cods, and a versioned main the sidecar names.
         from repro.storage import save_table
 
-        path = tmp_path / "R.cods"
-        save_table(small_table(), path)
-        store = DeltaStore(small_table().schema)
-        store.apply_update([999], [], [])  # beyond the 4-row main store
-        save_delta(store, delta_sidecar_path(path))
-        with pytest.raises(SerializationError):
-            load_mutable_table(path)
         (tmp_path / "catalog.json").write_text(
             '{"tables": ["R"], "version": 1}'
         )
-        with pytest.raises(SerializationError):
-            load_engine(tmp_path)
+        store = DeltaStore(small_table().schema)
+        store.apply_update([999], [], [])  # beyond the 4-row main store
+        sidecar = delta_sidecar_path(tmp_path / "R.cods")
+        for main_file in ("R.cods", "R.g3.cods"):
+            save_table(small_table(), tmp_path / main_file)
+            save_delta(
+                store,
+                sidecar,
+                main_file=None if main_file == "R.cods" else main_file,
+            )
+            with pytest.raises(SerializationError, match="beyond"):
+                load_engine(tmp_path)
 
 
 class TestDemoDeltaCommands:

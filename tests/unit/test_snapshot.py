@@ -21,9 +21,9 @@ from repro.storage import (
     DataType,
     delta_sidecar_path,
     load_delta,
-    load_mutable_table,
+    load_engine,
     save_delta,
-    save_mutable_table,
+    save_engine,
     table_from_python,
 )
 from tests.conftest import rows_where
@@ -45,6 +45,14 @@ def frozen(table=None, **kwargs):
         CompactionPolicy.never(),
         **kwargs,
     )
+
+
+def engine_handle():
+    """An engine holding ``small_table()`` and its never-compacting
+    DML handle, for save/load round trips."""
+    engine = EvolutionEngine()
+    engine.load_table(small_table())
+    return engine, engine.mutable("R", CompactionPolicy.never())
 
 
 class TestSnapshotPinning:
@@ -497,14 +505,13 @@ class TestSnapshotScopedSql:
 
 class TestSidecarV2:
     def test_roundtrip_preserves_mvcc_state(self, tmp_path):
-        mutable = frozen()
+        engine, mutable = engine_handle()
         mutable.insert((5, "d"))
         mutable.delete(Comparison("K", "=", 2))
         mutable.insert((6, "e"))
         mutable.delete(Comparison("K", "=", 6))
-        path = tmp_path / "r.cods"
-        save_mutable_table(mutable, path)
-        restored = load_mutable_table(path, CompactionPolicy.never())
+        save_engine(engine, tmp_path)
+        restored = load_engine(tmp_path, CompactionPolicy.never()).mutable("R")
         assert restored.to_rows() == mutable.to_rows()
         assert restored.delta.epoch == mutable.delta.epoch
         assert restored.delta.insert_epochs == mutable.delta.insert_epochs
@@ -581,15 +588,20 @@ class TestSidecarV2:
             load_delta(path, schema)
 
     def test_sidecar_removed_after_incremental_cycle(self, tmp_path):
-        mutable = frozen()
+        # Every saved table keeps a sidecar: after a finished
+        # incremental cycle the saved one holds no buffered state.
+        engine, mutable = engine_handle()
         mutable.insert((5, "d"))
-        path = tmp_path / "r.cods"
-        save_mutable_table(mutable, path)
-        assert delta_sidecar_path(path).exists()
+        save_engine(engine, tmp_path)
+        sidecar = delta_sidecar_path(tmp_path / "R.cods")
+        assert load_delta(sidecar, mutable.schema).n_appended == 1
         while not mutable.compact_step().done:
             pass
-        save_mutable_table(mutable, path)
-        assert not delta_sidecar_path(path).exists()
+        save_engine(engine, tmp_path)
+        assert load_delta(sidecar, mutable.schema).is_empty
+        restored = load_engine(tmp_path).mutable("R")
+        assert not restored.has_pending_changes
+        assert restored.to_rows() == mutable.to_rows()
 
 
 def write_sidecar(path, payload, version=3):
@@ -653,8 +665,11 @@ class TestMalformedSidecars:
         from repro.storage import save_table
 
         save_table(small_table(), tmp_path / "R.cods")
+        (tmp_path / "catalog.json").write_text(
+            '{"tables": ["R"], "version": 1}'
+        )
         with pytest.raises(SerializationError):
-            load_mutable_table(tmp_path / "R.cods")
+            load_engine(tmp_path)
 
     def test_decreasing_insert_epochs(self, tmp_path):
         self.assert_rejected(

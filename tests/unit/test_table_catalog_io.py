@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bitmap import WAHBitmap
+from repro.core import EvolutionEngine
 from repro.errors import SchemaError, SerializationError, StorageError
 from repro.storage import (
     Catalog,
@@ -14,12 +15,11 @@ from repro.storage import (
     Table,
     TableSchema,
     infer_type,
-    load_catalog,
     load_csv,
-    load_mutable_table,
+    load_engine,
     load_table,
-    save_catalog,
     save_csv,
+    save_engine,
     save_table,
     table_from_python,
 )
@@ -246,14 +246,14 @@ class TestBinaryIO:
         catalog = Catalog()
         catalog.create(small_table)
         catalog.create(small_table.renamed("R2"))
-        save_catalog(catalog, tmp_path / "db")
-        loaded = load_catalog(tmp_path / "db")
+        save_engine(EvolutionEngine(catalog), tmp_path / "db")
+        loaded = load_engine(tmp_path / "db").catalog
         assert loaded.table_names() == ["R", "R2"]
         assert loaded.table("R").same_content(small_table, ordered=True)
 
     def test_catalog_missing_manifest(self, tmp_path):
         with pytest.raises(SerializationError):
-            load_catalog(tmp_path)
+            load_engine(tmp_path)
 
     def test_compressed_on_disk(self, tmp_path):
         # A highly compressible table must stay small on disk.
@@ -348,8 +348,11 @@ class TestMalformedBitmaps:
     def test_one_fill_longer_than_the_table(self, tmp_path):
         path = self.replay(tmp_path, 62, [0xC000000A, 0x55555555])
         self.assert_rejected(path)
+        (tmp_path / "catalog.json").write_text(
+            f'{{"tables": ["{path.stem}"], "version": 1}}'
+        )
         with pytest.raises(SerializationError):
-            load_mutable_table(path)
+            load_engine(tmp_path)
 
     def test_header_length_is_not_the_row_count(self, tmp_path):
         self.assert_rejected(

@@ -113,19 +113,22 @@ class TestWriteAheadLog:
         assert wal.pending_bytes == 0
         wal.close()
 
-    def test_nested_transaction_emits_one_commit(self, tmp_path):
+    def test_nested_begin_is_refused(self, tmp_path):
+        # Transactions do not nest: a second begin on a thread with an
+        # open transaction is an error and leaves that transaction as
+        # it was, so its commit still emits one commit record.
         wal = WriteAheadLog(wal_path(tmp_path))
-        outer = wal.begin()
-        inner = wal.begin()
-        assert inner == outer
+        txn = wal.begin()
         wal.append({"t": "delmain", "table": "r", "pos": 0, "epoch": 1})
-        wal.commit()
-        assert wal.in_transaction  # inner commit does not end the txn
+        with pytest.raises(WalError, match="already open"):
+            wal.begin()
+        assert wal.in_transaction
         wal.append({"t": "delmain", "table": "r", "pos": 1, "epoch": 2})
         wal.commit()
+        assert not wal.in_transaction
         payloads = [p for _, p in wal.scan()]
         assert [p["t"] for p in payloads] == ["delmain", "delmain", "commit"]
-        assert {p["txn"] for p in payloads} == {outer}
+        assert {p["txn"] for p in payloads} == {txn}
         wal.close()
 
     def test_empty_transaction_emits_nothing(self, tmp_path):
