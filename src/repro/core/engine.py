@@ -94,12 +94,13 @@ class EvolutionEngine:
 
     def subscribe_renames(self, listener) -> None:
         """Attach a ``listener(old, new)`` invoked after every table
-        rename, whichever entry point requested it.  Adapters holding
-        per-table state keyed by name (pinned snapshot scopes) use this
-        to follow metadata-only renames.
+        rename, whichever entry point requested it.  Holders of
+        per-table state keyed by name (a transaction's pins, see
+        :class:`repro.db.overlay.TransactionView`) use this to follow
+        metadata-only renames.
 
         Bound methods are held weakly so short-lived subscribers (e.g.
-        the per-transaction scoped adapters of :mod:`repro.db`) are
+        the per-transaction views of :mod:`repro.db`) are
         reclaimed with their owner instead of accumulating on the
         engine.  Plain functions and lambdas are held *strongly* (a
         weak reference to an inline lambda would die immediately), so
@@ -111,8 +112,8 @@ class EvolutionEngine:
         """Attach a ``listener(name)`` invoked whenever a table is
         removed from the catalog — by SQL DROP TABLE or by an SMO that
         consumes its input (DROP, DECOMPOSE, MERGE, UNION, PARTITION).
-        Adapters use it to invalidate per-table state keyed by name
-        (pinned snapshot scopes), so a name reused after a drop can
+        Transactions use it to close per-table state keyed by name
+        (their pins), so a name reused after a drop can
         never serve the dropped rows to a stale scope.  Same weak-
         reference semantics as :meth:`subscribe_renames`."""
         self._subscribe_weak(self._drop_listeners, listener)
@@ -124,7 +125,7 @@ class EvolutionEngine:
         except TypeError:
             reference = (lambda listener=listener: listener)
         # Prune dead references here too: notifications may be rare
-        # while subscribers (per-transaction scoped adapters) come and
+        # while subscribers (per-transaction views) come and
         # go, so the list must not grow with subscriber churn.
         listeners[:] = [
             existing for existing in listeners if existing() is not None
@@ -236,8 +237,8 @@ class EvolutionEngine:
     def drop_table(self, name: str, operation: str | None = None) -> None:
         """DROP TABLE at the data level: discard the write buffer
         unflushed, remove the catalog entry, and notify drop listeners
-        so every adapter over this engine invalidates its pinned scopes
-        on the name.  Both entry points — SQL ``DROP TABLE`` and the
+        so every transaction over this engine closes its pin on the
+        name.  Both entry points — SQL ``DROP TABLE`` and the
         SMO operator — route here, so the invalidation semantics cannot
         diverge."""
         self.discard_delta(name)

@@ -1,12 +1,19 @@
-"""Read-your-writes overlays for read-write transactions.
+"""A transaction's view of the catalog: its pins and its overlays.
 
-A read-write :class:`~repro.db.transaction.Transaction` buffers its DML
-as text and replays it at commit — but a SELECT inside the scope must
-still *see* those buffered writes (read-your-writes), while every other
-session keeps reading live state.  The seam is the adapter: the
-transaction's session reads through a :class:`ReadYourWritesAdapter`,
-which serves untouched tables straight from the scoped (pinned) adapter
-underneath and written tables from a per-table :class:`TableOverlay`.
+A :class:`~repro.db.transaction.Transaction` reads through one
+:class:`TransactionView`, the single owner of what the scope sees.
+The view holds a ``{name: Snapshot}`` dict of pins — every table at
+``begin``, any other table on its first touch — and answers
+``schema``, ``scan_batches`` and ``table_stats`` from them, so a
+pinned reader reads the schema, the rows and the counts of one
+instant.  Pins follow metadata-only renames and die with drops through
+the engine's rename and drop listeners.
+
+A read-write transaction buffers its DML as text and replays it at
+commit — but a SELECT inside the scope must still *see* those buffered
+writes (read-your-writes), while every other session keeps reading
+live state.  A table the scope has written is served by its
+:class:`TableOverlay`, started from the table's pin.
 
 An overlay is the pinned snapshot's own column batches with the
 scope's writes applied as the main/delta split applies them: a DELETE
@@ -85,81 +92,108 @@ class TableOverlay:
         return list(self._batches)
 
 
-class ReadYourWritesAdapter(EngineAdapter):
-    """The transaction session's adapter: reads fall through to the
-    scoped (pinned) adapter until a table is written, then come from
-    its :class:`TableOverlay`; DML always lands in the overlay (the
-    transaction buffers the statement text separately for commit
-    replay).
+class TransactionView(EngineAdapter):
+    """The transaction session's adapter: every read answers from the
+    table's pin, taken at :meth:`pin` (``begin``) or on first touch,
+    until the table is written; from then on its :class:`TableOverlay`
+    answers.  DML always lands in the overlay (the transaction buffers
+    the statement text separately for commit replay).
 
-    The first write to a table starts its overlay from the *inner*
-    adapter's batches — the pinned snapshot, thanks to the
-    transaction's pin-on-first-touch — so the overlay starts from
-    exactly the rows the scope was already reading, none decoded.
+    ``pins`` follows the catalog's names: a metadata-only rename moves
+    a pin (and an overlay) to the new name, and a drop closes the pin
+    and forgets the overlay, so a name reused after a drop is pinned
+    afresh on its next touch instead of serving the dropped rows.
     """
 
-    def __init__(self, inner: EngineAdapter):
-        self._inner = inner
+    def __init__(self, adapter):
+        self._adapter = adapter
+        self.pins: dict = {}
         self._overlays: dict[str, TableOverlay] = {}
+        engine = adapter.evolution_engine
+        engine.subscribe_renames(self._follow_rename)
+        engine.subscribe_drops(self._follow_drop)
 
     @property
     def capabilities(self):
-        return self._inner.capabilities
+        return self._adapter.capabilities
 
     @property
     def metrics(self):
-        return self._inner.metrics
+        return self._adapter.metrics
 
-    # -- overlay lifecycle ----------------------------------------------
+    # -- pins and overlays ----------------------------------------------
+
+    def pin(self, name: str):
+        """The table's pinned :class:`~repro.delta.Snapshot`, taken now
+        if the scope has not touched ``name`` yet."""
+        snapshot = self.pins.get(name)
+        if snapshot is None:
+            adapter = self._adapter
+            snapshot = adapter.evolution_engine.mutable(
+                name, adapter.policy
+            ).snapshot()
+            self.pins[name] = snapshot
+        return snapshot
 
     def overlay(self, name: str) -> TableOverlay:
-        """The table's overlay, started from the pinned view's batches
-        on first touch."""
+        """The table's overlay, started from its pin's batches on first
+        write."""
         overlay = self._overlays.get(name)
         if overlay is None:
-            overlay = TableOverlay(
-                self._inner.schema(name), self._inner.scan_batches(name)
-            )
+            snapshot = self.pin(name)
+            overlay = TableOverlay(snapshot.schema, snapshot.scan_batches())
             self._overlays[name] = overlay
         return overlay
 
-    def discard(self) -> None:
-        """Drop every overlay (rollback)."""
+    def close(self) -> None:
+        """Release every pin and drop every overlay (commit or
+        rollback).  ``pins`` keeps the closed handles, whose
+        coordinates stay readable."""
+        for snapshot in self.pins.values():
+            snapshot.close()
         self._overlays.clear()
+
+    def _follow_rename(self, old: str, new: str) -> None:
+        for held in (self.pins, self._overlays):
+            if old in held:
+                held[new] = held.pop(old)
+
+    def _follow_drop(self, name: str) -> None:
+        snapshot = self.pins.pop(name, None)
+        if snapshot is not None:
+            snapshot.close()
+        self._overlays.pop(name, None)
 
     # -- reads ----------------------------------------------------------
 
     def has_table(self, name: str) -> bool:
-        return self._inner.has_table(name)
+        return self._adapter.has_table(name)
 
     def table_names(self) -> list[str]:
-        return self._inner.table_names()
+        return self._adapter.table_names()
 
     def schema(self, name: str):
         overlay = self._overlays.get(name)
         if overlay is not None:
             return overlay.schema
-        return self._inner.schema(name)
+        return self.pin(name).schema
 
     def scan_batches(self, name: str):
         overlay = self._overlays.get(name)
         if overlay is not None:
             return overlay.scan_batches()
-        return self._inner.scan_batches(name)
+        return self.pin(name).scan_batches()
 
     def scan_path(self, name: str) -> str:
-        path = self._inner.scan_path(name)
+        path = self._adapter.scan_path(name)
         if name in self._overlays:
             return f"{path}, transaction rows: compiled evaluator"
         return path
 
     def table_stats(self, name: str):
-        # The pinned view's row counts, written tables included: EXPLAIN
+        # The pin's row counts, written tables included: EXPLAIN
         # reports them, no execution choice reads them.
-        return self._inner.table_stats(name)
-
-    def create_index(self, table: str, column: str) -> None:
-        self._inner.create_index(table, column)
+        return self.pin(name).statistics()
 
     # -- writes (presentation only; commit replays the text) ------------
 

@@ -102,8 +102,9 @@ class Session:
 
     Sessions are cheap — they share the database's adapter (and
     therefore its catalog) and add only the executor and routing
-    state.  A transaction passes its *scoped* adapter instead, so its
-    pinned read view never leaks into other sessions.  ``execute``
+    state.  A transaction passes its own
+    :class:`~repro.db.overlay.TransactionView` instead, so its pinned
+    read view never leaks into other sessions.  ``execute``
     returns what the underlying layer returns: a row list for SELECT,
     an affected-row count for DML, ``None`` for DDL, and an
     :class:`~repro.core.status.EvolutionStatus` for SMO statements.

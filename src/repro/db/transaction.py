@@ -10,10 +10,11 @@ stays frozen while concurrent inserts, deletes, updates and
 inside the scope are therefore mutually consistent: they all observe
 the catalog as of one instant.
 
-The pins live on a *scoped adapter* (a per-transaction adapter over the
-same engine, see :meth:`~repro.sql.adapter.MutableColumnAdapter.scoped`), so
-only reads issued through the transaction see the frozen view — other
-sessions of the same database keep reading live state throughout.
+The pins live on the transaction's own
+:class:`~repro.db.overlay.TransactionView`, which answers the scope's
+schema, row and count reads from them, so only reads issued through
+the transaction see the frozen view — other sessions of the same
+database keep reading live state throughout.
 
 Write semantics follow the classic deferred-update design, with
 read-your-writes on top:
@@ -30,8 +31,8 @@ read-your-writes on top:
   ``docs/migration.md``.
 
 Tables created by *other* sessions after :meth:`Transaction.begin` are
-pinned on first touch, so a read through the scope never silently
-serves live (mutating) state.
+pinned on first touch, so a read through the scope never serves live
+(mutating) state.
 
 Schema changes (SMOs, CREATE/DROP/ALTER) are not transactional and are
 rejected inside any scope.
@@ -39,11 +40,10 @@ rejected inside any scope.
 
 from __future__ import annotations
 
-from repro.db.overlay import ReadYourWritesAdapter
+from repro.db.overlay import TransactionView
 from repro.db.session import Session, bind_and_parse, execute_each
 from repro.errors import CodsError, TransactionError
 from repro.smo.ops import SchemaModificationOperator
-from repro.sql.adapter import require_table
 from repro.sql.ast import (
     Delete,
     Explain,
@@ -77,16 +77,14 @@ class Transaction:
     def __init__(self, database, read_only: bool = False):
         self.database = database
         self.read_only = read_only
-        # Pins land on a scoped adapter so only this transaction's
-        # reads see them; the session reads through a read-your-writes
-        # wrapper over it (written tables come from per-table
-        # overlays); buffered writes run through a session on the
+        # The session reads through the transaction's view (its pins,
+        # and an overlay per written table), so only this transaction
+        # sees them; buffered writes run through a session on the
         # database's shared adapter at commit.
-        self._adapter = database.adapter.scoped()
-        self._overlay = ReadYourWritesAdapter(self._adapter)
+        self._overlay = TransactionView(database.adapter)
+        self._pins = self._overlay.pins
         self._session = Session(database, adapter=self._overlay)
         self._commit_session = database.session()
-        self._pins: dict = {}
         # (bound text, parsed statement) per buffered write.
         self._buffered: list[tuple[str, Statement]] = []
         self._state = "pending"  # -> open -> committed | rolled-back
@@ -105,10 +103,8 @@ class Transaction:
         if self._state != "pending":
             raise TransactionError(f"transaction already {self._state}")
         with self.database._commit_lock:
-            self._pins = {
-                name: self._adapter.begin_snapshot(name)
-                for name in self._adapter.table_names()
-            }
+            for name in self._overlay.table_names():
+                self._overlay.pin(name)
         self._state = "open"
         return self
 
@@ -124,14 +120,6 @@ class Transaction:
     def state(self) -> str:
         return self._state
 
-    def _release_pins(self) -> None:
-        # Close the handles directly rather than via end_snapshot(name):
-        # a concurrent DROP/RENAME may have moved or already closed a
-        # table's scope stack, and the adapter drains closed entries
-        # lazily on its next read.
-        for snapshot in self._pins.values():
-            snapshot.close()
-
     def commit(self) -> int:
         """Release the pins and run the buffered writes (parsed when
         they were issued) against the live state; returns the summed
@@ -145,7 +133,7 @@ class Transaction:
         that did not land.
         """
         self._check_open()
-        self._release_pins()
+        self._overlay.close()
         total = 0
         # Under durability the whole replay is one WAL transaction: its
         # commit record lands (and is fsynced, per the flush policy)
@@ -205,11 +193,10 @@ class Transaction:
         """Discard the buffered writes and release the pins; returns
         how many statements were discarded."""
         self._check_open()
-        self._release_pins()
+        self._overlay.close()
         self._state = "rolled-back"
         discarded = len(self._buffered)
         self._buffered.clear()
-        self._overlay.discard()
         self.database.adapter.metrics.counter("txn.rollbacks").inc()
         return discarded
 
@@ -231,36 +218,6 @@ class Transaction:
             )
 
     # -- execution ------------------------------------------------------
-
-    def _referenced_tables(self, parsed) -> list[str]:
-        """Table names a parsed statement touches, reads first."""
-        if isinstance(parsed, Explain):
-            parsed = parsed.select
-        if isinstance(parsed, Select):
-            names = [parsed.table]
-            if parsed.join is not None:
-                names.append(parsed.join.table)
-            return names
-        if isinstance(parsed, InsertSelect):
-            return self._referenced_tables(parsed.select) + [parsed.table]
-        if isinstance(parsed, _DML):
-            return [parsed.table]
-        return []
-
-    def _pin_on_touch(self, parsed) -> None:
-        """Pin any referenced table missing from the epoch vector — a
-        table created by another session after :meth:`begin`.  Without
-        this, reads through the scope would silently serve live
-        (mutating) state for that table."""
-        for name in self._referenced_tables(parsed):
-            if not self._adapter.has_table(name):
-                continue  # unknown table: the read path raises properly
-            # Ask the adapter, not self._pins: a concurrent RENAME
-            # re-keys the adapter's scope stack to the new name while
-            # the pin stays filed here under the old one — pinning
-            # again would shadow the followed view with live state.
-            if self._adapter._pinned(name) is None:
-                self._pins[name] = self._adapter.begin_snapshot(name)
 
     def execute(self, statement: str, params=None):
         """Run a read against the pinned state (plus this scope's own
@@ -289,23 +246,17 @@ class Transaction:
         if isinstance(parsed, (Select, Explain)):
             # EXPLAIN [ANALYZE] is a read: it plans (or runs) its SELECT
             # against the pinned state like any other query here.
-            self._pin_on_touch(parsed)
             return self._session.run(parsed)
         if isinstance(parsed, _DML):
             if self.read_only:
                 raise TransactionError(
                     "cannot write inside a read-only transaction"
                 )
-            # Fail fast on an unknown target instead of deferring the
-            # error to commit, where earlier statements have already
-            # been applied.
-            require_table(self._adapter, parsed.table)
-            if isinstance(parsed, InsertSelect):
-                require_table(self._adapter, parsed.select.table)
-            self._pin_on_touch(parsed)
             # Apply to the overlay first: the count comes back now,
-            # bad statements fail here instead of at commit, and later
-            # reads in this scope see the write.
+            # bad statements (an unknown table, a row of the wrong
+            # arity) fail here instead of at commit, where earlier
+            # statements have already been applied, and later reads in
+            # this scope see the write.
             result = self._session.execute(parsed)
             self._buffered.append((text, parsed))
             return parsed, result

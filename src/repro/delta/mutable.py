@@ -45,7 +45,12 @@ from repro.delta.policy import (
     CompactionProgress,
     DeltaStats,
 )
-from repro.delta.snapshot import Snapshot, reference_rows
+from repro.delta.snapshot import (
+    Snapshot,
+    reference_rows,
+    view_batches,
+    view_statistics,
+)
 from repro.delta.store import DeltaStore
 from repro.errors import SchemaError, StorageError
 from repro.storage.column import BitmapColumn
@@ -265,14 +270,8 @@ class MutableTable:
 
     def statistics(self):
         """Live main/delta row counts of the current view."""
-        from repro.storage.statistics import TableStats
-
         with self._lock:
-            return TableStats(
-                self.name,
-                self._main.nrows - len(self._delta.deleted_main),
-                self._delta.n_live,
-            )
+            return view_statistics(self._main, self._delta)
 
     # ------------------------------------------------------------------
     # MVCC reads (snapshots pin a generation + epoch)
@@ -308,31 +307,12 @@ class MutableTable:
             }
 
     def scan_batches(self) -> list:
-        """The currently visible rows as column batches (see
-        ``repro.exec``): the main store as a
-        :class:`~repro.exec.batch.TableBatch` excluding the positions
-        deleted so far, then the live buffered rows as a
-        :class:`~repro.exec.batch.DeltaBatch` pinned at the current
-        epoch.  This is the epoch-wise main+delta merge every query
-        reads; row order matches :meth:`to_rows`."""
-        from repro.exec import DeltaBatch
-
+        """The currently visible rows as column batches
+        (:func:`~repro.delta.snapshot.view_batches` as of now): the
+        epoch-wise main+delta merge every query reads; row order
+        matches :meth:`to_rows`."""
         with self._lock:
-            batches = [self._main_batch()]
-            delta_batch = DeltaBatch(self._delta)
-            if delta_batch.selected_count:
-                batches.append(delta_batch)
-            return batches
-
-    def _main_batch(self):
-        """The visible main rows: a ``TableBatch`` over the main store
-        whose exclusion list is the positions deleted so far."""
-        from repro.exec import TableBatch
-
-        return TableBatch(
-            self._main,
-            deleted=self._delta.main_deletions(self._main.nrows),
-        )
+            return view_batches(self._main, self._delta)
 
     def to_rows(self) -> list[tuple]:
         """All visible rows as a fresh list: surviving main rows in row
@@ -446,11 +426,17 @@ class MutableTable:
 
     def _matching_main_positions(self, predicate) -> np.ndarray:
         """Sorted visible main positions satisfying ``predicate``: the
-        scan's main batch (:meth:`_main_batch`) filtered exactly as a
-        SELECT filters it — the predicate bitmap's positions less the
-        deleted ones.  Only a predicate-less statement, which hits
-        every survivor anyway, enumerates the survivors."""
-        victims = self._main_batch()
+        scan's main batch (``TableBatch`` excluding the positions
+        deleted so far) filtered exactly as a SELECT filters it — the
+        predicate bitmap's positions less the deleted ones.  Only a
+        predicate-less statement, which hits every survivor anyway,
+        enumerates the survivors."""
+        from repro.exec import TableBatch
+
+        victims = TableBatch(
+            self._main,
+            deleted=self._delta.main_deletions(self._main.nrows),
+        )
         if predicate is not None:
             predicate.validate(self.schema)
             victims = victims.filter(predicate)

@@ -78,6 +78,36 @@ def reference_rows(main, delta, epoch: int | None = None) -> list[tuple]:
     return rows + live
 
 
+def view_batches(main, delta, epoch: int | None = None) -> list:
+    """The main/delta view at ``epoch`` (``None`` = now) as column
+    batches (see ``repro.exec``): one
+    :class:`~repro.exec.batch.TableBatch` over ``main`` excluding the
+    positions deleted by the epoch, then one
+    :class:`~repro.exec.batch.DeltaBatch` of the buffered rows live at
+    it — the epoch-wise merge every query reads, in
+    :func:`reference_rows`'s row order.  Behind
+    ``MutableTable.scan_batches`` (under the table lock, ``epoch=None``)
+    and ``Snapshot.scan_batches``."""
+    from repro.exec import DeltaBatch, TableBatch
+
+    batches = [
+        TableBatch(main, deleted=delta.main_deletions(main.nrows, epoch))
+    ]
+    delta_batch = DeltaBatch(delta, epoch)
+    if delta_batch.selected_count:
+        batches.append(delta_batch)
+    return batches
+
+
+def view_statistics(main, delta, epoch: int | None = None):
+    """Live main/delta row counts of the view at ``epoch`` (``None`` =
+    now), counted without listing them (``DeltaStore.live_counts``)."""
+    from repro.storage.statistics import TableStats
+
+    main_live, delta_live = delta.live_counts(main.nrows, epoch)
+    return TableStats(main.schema.name, main_live, delta_live)
+
+
 class Snapshot:
     """A read-only view of one table, frozen at pin time.
 
@@ -149,33 +179,15 @@ class Snapshot:
         return sum(self._delta.live_counts(self._main.nrows, self.epoch))
 
     def scan_batches(self) -> list:
-        """The pinned view as column batches (see ``repro.exec``): one
-        :class:`~repro.exec.batch.TableBatch` over the pinned main
-        generation, excluding the positions deleted by the pinned
-        epoch, then one :class:`~repro.exec.batch.DeltaBatch` of the
-        buffered rows live at that epoch.  Batch order reproduces
-        :meth:`to_rows`'s row order exactly."""
+        """The pinned view as column batches (:func:`view_batches` at
+        the pinned epoch over the pinned generation)."""
         self._check_open()
-        from repro.exec import DeltaBatch, TableBatch
-
-        main, delta, epoch = self._main, self._delta, self.epoch
-        batches = [
-            TableBatch(main, deleted=delta.main_deletions(main.nrows, epoch))
-        ]
-        delta_batch = DeltaBatch(delta, epoch)
-        if delta_batch.selected_count:
-            batches.append(delta_batch)
-        return batches
+        return view_batches(self._main, self._delta, self.epoch)
 
     def statistics(self):
         """Live main/delta row counts of the pinned view at its epoch."""
         self._check_open()
-        from repro.storage.statistics import TableStats
-
-        main_live, delta_live = self._delta.live_counts(
-            self._main.nrows, self.epoch
-        )
-        return TableStats(self._main.schema.name, main_live, delta_live)
+        return view_statistics(self._main, self._delta, self.epoch)
 
     def to_rows(self) -> list[tuple]:
         """The pinned view as a fresh row list — the reference merge

@@ -10,10 +10,11 @@ tuples) and a column store executing at the *query level* (columns are
 decompressed into tuples, results are re-compressed into columns — the
 cost CODS avoids).
 
-The delta-backed adapter additionally supports *snapshot-scoped*
-queries — ``begin_snapshot``/``end_snapshot``/``snapshot_scope`` pin an
-MVCC view so a sequence of SELECTs reads one consistent state while DML
-keeps landing.
+Every adapter here reads live state.  A pinned MVCC view — a sequence
+of SELECTs reading one consistent state while DML keeps landing — is a
+transaction's: ``db.transaction(read_only=True)`` reads through its
+own :class:`~repro.db.overlay.TransactionView` over the shared
+:class:`MutableColumnAdapter`.
 
 Reads have one contract: :meth:`EngineAdapter.scan_batches` hands the
 executor column batches, each of which evaluates predicates in its own
@@ -25,7 +26,6 @@ See ``docs/ARCHITECTURE.md``, "The execution pipeline".
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.delta import CompactionPolicy
@@ -416,17 +416,6 @@ class MutableColumnAdapter(EngineAdapter):
             engine if engine is not None else EvolutionEngine()
         )
         self.policy = policy
-        # name -> stack of pinned Snapshots; the innermost (last) scope
-        # serves reads, and ending a scope re-exposes the one below it.
-        # Renames re-key the stacks via the engine's rename listener, so
-        # scopes follow a rename whichever entry point (SQL ALTER or SMO
-        # RENAME TABLE) requested it; drops — SQL DROP TABLE or an SMO
-        # that consumes the table — invalidate the stacks the same way,
-        # so a name reused after a drop can never serve dropped rows to
-        # a stale scope.
-        self._active_snapshots: dict[str, list] = {}
-        self.evolution_engine.subscribe_renames(self._follow_rename)
-        self.evolution_engine.subscribe_drops(self._follow_drop)
 
     def _register_gauges(self, registry) -> None:
         """Callback gauges over the engine's own delta accounting —
@@ -462,17 +451,6 @@ class MutableColumnAdapter(EngineAdapter):
     def schema(self, name: str) -> TableSchema:
         return self.catalog.schema(name)
 
-    def scoped(self) -> "MutableColumnAdapter":
-        """A fresh adapter over the *same* engine, with its own
-        read-scope state (pinned snapshot stacks).  Transactions pin
-        their views on a scoped adapter so readers outside the scope
-        keep seeing live data."""
-        clone = MutableColumnAdapter(self.evolution_engine, self.policy)
-        # One engine, one accounting: the scoped adapter (transactions)
-        # charges the same registry as its parent.
-        clone.__dict__["_metrics"] = self.metrics
-        return clone
-
     def create_table(self, schema: TableSchema) -> None:
         self.catalog.create(Table.empty(schema))
 
@@ -481,33 +459,16 @@ class MutableColumnAdapter(EngineAdapter):
 
     def drop_table(self, name: str) -> None:
         # The delta dies with the table — compacting it first would be
-        # wasted work — and so does any snapshot scope pinned on it (a
-        # later table reusing the name must not read the dropped rows).
-        # The engine's drop notification clears the scope stacks of
-        # *every* adapter over this engine (this one included), so
-        # transaction-scoped adapters are invalidated too.
+        # wasted work — and so does every transaction's pin on it (the
+        # engine's drop listeners), so a later table reusing the name
+        # never serves the dropped rows.
         self.evolution_engine.drop_table(name)
 
     def rename_table(self, old: str, new: str) -> None:
         # Metadata-only: O(1), never a compaction — the pending delta is
-        # rewired in place under the new name (and the rename listener
-        # moves any pinned snapshot scopes with it).
+        # rewired in place under the new name (and the rename listeners
+        # move every transaction's pin with it).
         self.evolution_engine.rename_table_metadata(old, new)
-
-    def _follow_rename(self, old: str, new: str) -> None:
-        if old in self._active_snapshots:
-            self._active_snapshots.setdefault(new, []).extend(
-                self._active_snapshots.pop(old)
-            )
-
-    def _follow_drop(self, name: str) -> None:
-        """The table is gone (SQL DROP TABLE or a consuming SMO): close
-        every snapshot scope pinned on the name, so a later table
-        reusing it serves live state instead of the dropped rows."""
-        stack = self._active_snapshots.pop(name, None)
-        if stack:
-            for snapshot in stack:
-                snapshot.close()
 
     def insert_rows(self, name: str, rows) -> int:
         return self._mutable(name).insert_rows(rows)
@@ -518,26 +479,13 @@ class MutableColumnAdapter(EngineAdapter):
     def delete_rows(self, name: str, predicate) -> int:
         return self._mutable(name).delete(predicate)
 
-    def _pinned(self, name: str):
-        """The innermost open snapshot scope for ``name``, if any."""
-        stack = self._active_snapshots.get(name)
-        while stack:
-            if not stack[-1].closed:
-                return stack[-1]
-            stack.pop()
-        return None
-
     def scan_batches(self, name: str):
         """Native column batches: the compressed main store flows
         through as a :class:`~repro.exec.batch.TableBatch` (predicates
         stay in the compressed domain) and the write buffer as a
         :class:`~repro.exec.batch.DeltaBatch` (predicates run through the
-        compiled evaluator), merged epoch-wise.  Honors an active
-        snapshot scope, so pinned transactions read their frozen view
-        through the same pipeline."""
-        snapshot = self._pinned(name)
-        if snapshot is not None:
-            return snapshot.scan_batches()
+        compiled evaluator), merged epoch-wise.  A transaction's pinned
+        view hands over the same batches (``Snapshot.scan_batches``)."""
         mutable = self.evolution_engine.delta_handle(name)
         if mutable is not None and mutable.is_valid:
             return mutable.scan_batches()
@@ -547,59 +495,14 @@ class MutableColumnAdapter(EngineAdapter):
         return "main: compressed-domain bitmap, delta: compiled evaluator"
 
     def table_stats(self, name: str):
-        """Live row counts of the view a scan would see: the pinned
-        snapshot scope when one is open, else the live mutable handle,
-        else the static catalog table."""
+        """Live row counts of the view a scan would see: the live
+        mutable handle, else the static catalog table."""
         from repro.storage.statistics import table_statistics
 
-        snapshot = self._pinned(name)
-        if snapshot is not None:
-            return snapshot.statistics()
         mutable = self.evolution_engine.delta_handle(name)
         if mutable is not None and mutable.is_valid:
             return mutable.statistics()
         return table_statistics(self.catalog.table(name))
-
-    # -- snapshot-scoped queries ----------------------------------------
-
-    def begin_snapshot(self, name: str):
-        """Pin table ``name``: until the matching ``end_snapshot``,
-        every SELECT over it reads the state as of this call, whatever
-        DML lands in the meantime.  Scopes nest — an inner pin shadows
-        the outer one and ending it re-exposes the outer pin.  Returns
-        the :class:`repro.delta.Snapshot`."""
-        snapshot = self._mutable(name).snapshot()
-        self._active_snapshots.setdefault(name, []).append(snapshot)
-        return snapshot
-
-    def end_snapshot(self, name: str) -> bool:
-        """Release table ``name``'s innermost *open* pinned view; True
-        if one existed.  Entries already closed elsewhere (e.g. a
-        snapshot used as its own context manager) are drained silently
-        so they can never shadow — or stand in for — a live pin."""
-        stack = self._active_snapshots.get(name)
-        released = False
-        while stack:
-            snapshot = stack.pop()
-            if not snapshot.closed:
-                snapshot.close()
-                released = True
-                break
-        if not stack:
-            self._active_snapshots.pop(name, None)
-        return released
-
-    @contextmanager
-    def snapshot_scope(self, *names: str):
-        """``with adapter.snapshot_scope("r", "s"): ...`` — every query
-        inside the block reads the pinned state of the named tables."""
-        for name in names:
-            self.begin_snapshot(name)
-        try:
-            yield self
-        finally:
-            for name in names:
-                self.end_snapshot(name)
 
     def compact(self, name: str) -> Table:
         """Force-fold table ``name``'s delta; returns the new main."""

@@ -7,12 +7,16 @@ can be declared via a schema or inferred from the data.
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
 
 from repro.errors import StorageError
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.table import Table
 from repro.storage.types import DataType, parse_text, render_text
+
+#: The statement tokenizer's identifier rule (``repro.smo.parser``).
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def infer_type(samples) -> DataType:
@@ -44,7 +48,9 @@ def load_csv(
     """Load a CSV file (with header row) into a column-store table.
 
     If ``schema`` is given its column names must match the header; types
-    are otherwise inferred from the full file contents.
+    are otherwise inferred from the full file contents.  Without
+    ``table_name`` the table is named after the file stem, which must
+    then be an identifier a statement can name.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -61,6 +67,11 @@ def load_csv(
                 f"expected {len(header)}"
             )
     name = table_name or path.stem
+    if not table_name and not _IDENTIFIER.fullmatch(name):
+        raise StorageError(
+            f"{path}: file name {name!r} is not a table name a statement "
+            "can use; name the table explicitly (demo: load <path> <name>)"
+        )
     if schema is None:
         dtypes = [
             infer_type([row[i] for row in rows]) for i in range(len(header))

@@ -10,7 +10,7 @@ import pytest
 
 from repro.db import Database
 from repro.delta import CompactionPolicy
-from repro.errors import TransactionError
+from repro.errors import CodsError, StorageError, TransactionError
 from repro.exec import iter_rows
 from repro.workload.readwrite import MixedReadWriteWorkload
 
@@ -236,6 +236,19 @@ class TestDroppedTableScopes:
         assert tx.execute("SELECT * FROM audit") == [(7,)]
         tx.rollback()
 
+    def test_drop_forgets_the_written_tables_overlay(self):
+        """A table the scope wrote loses its overlay with the drop: the
+        reused name reads the replacement table, not the dropped rows
+        plus the scope's writes."""
+        db = seeded_db()
+        tx = db.transaction().begin()
+        tx.execute("INSERT INTO audit VALUES ('Smith', 'hired')")
+        db.execute("DROP TABLE audit")
+        db.execute("CREATE TABLE audit (n INT)")
+        db.execute("INSERT INTO audit VALUES (7)")
+        assert tx.execute("SELECT * FROM audit") == [(7,)]
+        tx.rollback()
+
     def test_unconsumed_tables_stay_pinned(self):
         """Dropping one table must not disturb the other pins."""
         db = seeded_db()
@@ -255,15 +268,17 @@ class TestDroppedTableScopes:
             assert all(len(row) == 3 for row in rows)
 
     def test_snapshot_scope_on_adapter_follows_smo_drop(self):
-        """The same invalidation through the shared adapter's
-        snapshot_scope (no transaction machinery involved)."""
+        """The same without transaction machinery: a table snapshot
+        pinned before the SMO keeps reading the consumed table, and
+        never shadows the reused name on the shared adapter."""
         db = seeded_db()
         adapter = db.adapter
-        with adapter.snapshot_scope("audit"):
+        with db.engine.mutable("audit").snapshot() as snapshot:
             db.execute("DECOMPOSE TABLE audit INTO audit (name), "
                        "note_log (name, note)")
             rows = list(iter_rows(adapter.scan_batches("audit")))
             assert rows == [("Jones",)]
+            assert snapshot.to_rows() == [("Jones", "hired")]
 
 
 class TestPinOnFirstTouch:
@@ -386,3 +401,56 @@ class TestReadYourWrites:
         assert tx.execute("SELECT * FROM emp") == []
         tx.rollback()
         assert len(db.execute("SELECT * FROM emp")) == 2
+
+
+class TestPinnedSchema:
+    """A scope reads the schema of its pins, not of the live catalog: an
+    ADD COLUMN or DROP COLUMN by another session changes neither the
+    shape of the scope's rows nor the columns it can name, so one result
+    never mixes rows of two widths.  Commit replays against the live
+    shape, as it always has."""
+
+    def database(self) -> Database:
+        db = Database(policy=CompactionPolicy.never())
+        db.execute("CREATE TABLE r (k INT, s STRING)")
+        db.execute("INSERT INTO r VALUES (1, 'a'), (2, 'b')")
+        return db
+
+    def test_read_only_scope_keeps_the_pinned_columns(self):
+        db = self.database()
+        with db.transaction(read_only=True) as tx:
+            db.execute("ADD COLUMN z INT TO r DEFAULT 0")
+            node, rows = tx.run("SELECT * FROM r")
+            assert rows == [(1, "a"), (2, "b")]
+            assert tx.result_columns(node) == ("k", "s")
+            with pytest.raises(CodsError, match="'z'"):
+                tx.execute("SELECT z FROM r")
+        assert db.execute("SELECT * FROM r") == [(1, "a", 0), (2, "b", 0)]
+
+    def test_read_only_scope_reads_a_column_dropped_outside(self):
+        db = self.database()
+        with db.transaction(read_only=True) as tx:
+            db.execute("DROP COLUMN s FROM r")
+            assert tx.execute("SELECT s FROM r") == [("a",), ("b",)]
+        assert db.execute("SELECT * FROM r") == [(1,), (2,)]
+
+    def test_read_write_scope_writes_the_pinned_shape(self):
+        db = self.database()
+        tx = db.transaction().begin()
+        db.execute("ADD COLUMN z INT TO r DEFAULT 0")
+        with pytest.raises(StorageError, match="arity 3 != 2"):
+            tx.execute("INSERT INTO r VALUES (3, 'c', 9)")
+        assert tx.pending_writes == 0
+        assert tx.execute("INSERT INTO r VALUES (3, 'c')") == 1
+        rows = tx.execute("SELECT * FROM r")
+        assert rows == [(1, "a"), (2, "b"), (3, "c")]
+        assert all(len(row) == 2 for row in rows)
+        # Commit replays the statement text against the live,
+        # three-column table.
+        with pytest.raises(
+            StorageError, match="statement 1 .*row arity 2 != 3"
+        ):
+            tx.commit()
+        assert tx.state == "commit-failed"
+        assert tx.pending_writes == 1
+        assert db.execute("SELECT * FROM r") == [(1, "a", 0), (2, "b", 0)]

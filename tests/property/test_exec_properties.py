@@ -4,14 +4,15 @@ For random schemas, rows, predicates and delta states (buffered
 inserts, updates, deletes, partial compaction), a SELECT executed
 through the vectorized pipeline must return exactly — same rows, same
 order — what the seed row-at-a-time reference produces over the
-reference merge (``to_rows()`` of the table, or of the pinned snapshot
-while one is open) — rows that never pass through the adapter under
-test.
+reference merge (``to_rows()`` of the table, captured when a read-only
+transaction pinned it while one is open) — rows that never pass through
+the adapter under test.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db import Database
 from repro.delta import CompactionPolicy
 from repro.smo.predicate import And, Comparison, Not, Or
 from repro.sql import MutableColumnAdapter, SqlExecutor
@@ -89,10 +90,9 @@ def delta_states(draw):
     }
 
 
-def build_adapter(state):
-    adapter = MutableColumnAdapter(
-        policy=CompactionPolicy.never()
-    )
+def build_adapter(state, adapter=None):
+    if adapter is None:
+        adapter = MutableColumnAdapter(policy=CompactionPolicy.never())
     executor = SqlExecutor(adapter)
     executor.execute("CREATE TABLE t (a INT, b INT, c STRING)")
     if state["main"]:
@@ -154,17 +154,26 @@ def test_batch_select_equals_seed_row_path(state, shape):
     assert got == expected
 
 
+def select_text(projection, where) -> str:
+    """``Select(projection, "t", where=where)`` as SQL text (predicates
+    render as SQL)."""
+    columns = ", ".join(projection) if projection is not None else "*"
+    text = f"SELECT {columns} FROM t"
+    return text if where is None else f"{text} WHERE {where}"
+
+
 @settings(max_examples=60, deadline=None)
 @given(delta_states(), select_shapes(), delta_states())
 def test_batch_select_under_open_snapshot(state, shape, later):
-    """Pin the table, capture the seed reference, land more DML, and
-    the batch pipeline must keep answering from the pinned state."""
+    """Pin the table in a read-only transaction, capture the seed
+    reference, land more DML, and the batch pipeline must keep
+    answering from the pinned state."""
     projection, where, _limit = shape
-    adapter, executor = build_adapter(state)
-    snapshot = adapter.begin_snapshot("t")
-    try:
+    db = Database(policy=CompactionPolicy.never())
+    adapter, executor = build_adapter(state, db.adapter)
+    with db.transaction(read_only=True) as tx:
         pinned_reference = reference_select(
-            snapshot.to_rows(), where, projection
+            live_rows(adapter), where, projection
         )
         # Concurrent DML lands outside the pinned scope.
         for kind, rows, predicate in later["tail"]:
@@ -175,10 +184,7 @@ def test_batch_select_under_open_snapshot(state, shape, later):
                 mutable.update({"b": 2}, predicate)
             else:
                 mutable.delete(predicate)
-        select = Select(projection, "t", where=where)
-        assert executor.execute(select) == pinned_reference
-    finally:
-        adapter.end_snapshot("t")
+        assert tx.execute(select_text(projection, where)) == pinned_reference
     # After the pin is released, reads see the live state again.
     live = executor.execute(Select(projection, "t", where=where))
     assert live == reference_select(live_rows(adapter), where, projection)

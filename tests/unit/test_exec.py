@@ -10,6 +10,7 @@ the pipeline on all three registered backends.
 import numpy as np
 import pytest
 
+from repro.db import Database
 from repro.delta import CompactionPolicy, DeltaStore, MutableTable
 from repro.exec import (
     DeltaBatch,
@@ -437,14 +438,12 @@ class TestSelectThroughPipeline:
         ) == [(10, "y")]
 
     def test_snapshot_scope_reads_through_batches(self):
-        adapter = MutableColumnAdapter(policy=CompactionPolicy.never())
-        executor = seeded_executor(adapter)
-        with adapter.snapshot_scope("t"):
-            before = executor.execute("SELECT * FROM t WHERE s = 'a'")
+        db = Database(policy=CompactionPolicy.never())
+        executor = seeded_executor(db.adapter)
+        with db.transaction(read_only=True) as tx:
+            before = tx.execute("SELECT * FROM t WHERE s = 'a'")
             executor.execute("INSERT INTO t VALUES (9, 'a')")
-            assert executor.execute(
-                "SELECT * FROM t WHERE s = 'a'"
-            ) == before
+            assert tx.execute("SELECT * FROM t WHERE s = 'a'") == before
         assert (9, "a") in executor.execute("SELECT * FROM t WHERE s = 'a'")
 
 

@@ -7,6 +7,7 @@ import struct
 import pytest
 
 from repro.core.engine import EvolutionEngine
+from repro.db import Database
 from repro.delta import (
     CompactionPolicy,
     DeltaStore,
@@ -413,71 +414,43 @@ class TestSnapshotScopedSql:
         executor.execute("INSERT INTO r VALUES (1, 'a'), (2, 'b')")
         return adapter, executor
 
+    def database(self):
+        db = Database(policy=CompactionPolicy.never())
+        db.execute("CREATE TABLE r (k INT, s STRING)")
+        db.execute("INSERT INTO r VALUES (1, 'a'), (2, 'b')")
+        return db
+
     def test_scope_freezes_selects(self):
-        adapter, executor = self.executor()
-        with adapter.snapshot_scope("r"):
-            before = executor.execute("SELECT * FROM r")
-            executor.execute("INSERT INTO r VALUES (3, 'c')")
-            executor.execute("DELETE FROM r WHERE k = 1")
-            assert executor.execute("SELECT * FROM r") == before
-            assert executor.execute(
-                "SELECT * FROM r WHERE s = 'a'"
-            ) == [(1, "a")]
-        assert sorted(executor.execute("SELECT * FROM r")) == [
+        db = self.database()
+        with db.transaction(read_only=True) as tx:
+            before = tx.execute("SELECT * FROM r")
+            db.execute("INSERT INTO r VALUES (3, 'c')")
+            db.execute("DELETE FROM r WHERE k = 1")
+            assert tx.execute("SELECT * FROM r") == before
+            assert tx.execute("SELECT * FROM r WHERE s = 'a'") == [(1, "a")]
+        assert sorted(db.execute("SELECT * FROM r")) == [
             (2, "b"), (3, "c"),
         ]
 
-    def test_begin_end_snapshot(self):
-        adapter, executor = self.executor()
-        adapter.begin_snapshot("r")
-        executor.execute("DELETE FROM r")
-        assert len(executor.execute("SELECT * FROM r")) == 2
-        assert adapter.end_snapshot("r")
-        assert not adapter.end_snapshot("r")
-        assert executor.execute("SELECT * FROM r") == []
-
     def test_scope_survives_rename(self):
-        adapter, executor = self.executor()
-        adapter.begin_snapshot("r")
-        executor.execute("ALTER TABLE r RENAME TO r2")
-        executor.execute("INSERT INTO r2 VALUES (9, 'z')")
-        assert len(executor.execute("SELECT * FROM r2")) == 2  # pinned
-        adapter.end_snapshot("r2")
-        assert len(executor.execute("SELECT * FROM r2")) == 3
-
-    def test_nested_scopes_restore_the_outer_pin(self):
-        adapter, executor = self.executor()
-        with adapter.snapshot_scope("r"):
-            executor.execute("INSERT INTO r VALUES (3, 'c')")
-            with adapter.snapshot_scope("r"):
-                assert len(executor.execute("SELECT * FROM r")) == 3
-            # The outer pin is still in force after the inner one ends.
-            assert len(executor.execute("SELECT * FROM r")) == 2
-        assert len(executor.execute("SELECT * FROM r")) == 3
-
-    def test_end_snapshot_skips_already_closed_pins(self):
-        adapter, executor = self.executor()
-        adapter.begin_snapshot("r")               # outer pin
-        with adapter.begin_snapshot("r"):         # inner, self-closed
-            pass
-        # Ending the scope must release the OUTER pin, not count the
-        # dead inner entry as the release.
-        assert adapter.end_snapshot("r")
-        executor.execute("INSERT INTO r VALUES (3, 'c')")
-        assert len(executor.execute("SELECT * FROM r")) == 3  # unpinned
-        assert not adapter.end_snapshot("r")
-        mutable = adapter.evolution_engine.mutable("r")
-        assert mutable.open_snapshots == 0
+        db = self.database()
+        tx = db.transaction(read_only=True).begin()
+        db.execute("ALTER TABLE r RENAME TO r2")
+        db.execute("INSERT INTO r2 VALUES (9, 'z')")
+        assert len(tx.execute("SELECT * FROM r2")) == 2  # pinned
+        tx.rollback()
+        assert db.engine.mutable("r2").open_snapshots == 0  # released
+        assert len(db.execute("SELECT * FROM r2")) == 3
 
     def test_drop_table_clears_the_scope(self):
-        adapter, executor = self.executor()
-        with adapter.snapshot_scope("r"):
-            executor.execute("DROP TABLE r")
-            executor.execute("CREATE TABLE r (k INT, s STRING)")
-            executor.execute("INSERT INTO r VALUES (99, 'z')")
+        db = self.database()
+        with db.transaction(read_only=True) as tx:
+            db.execute("DROP TABLE r")
+            db.execute("CREATE TABLE r (k INT, s STRING)")
+            db.execute("INSERT INTO r VALUES (99, 'z')")
             # The re-created table must not be shadowed by the dropped
             # table's pinned rows.
-            assert executor.execute("SELECT * FROM r") == [(99, "z")]
+            assert tx.execute("SELECT * FROM r") == [(99, "z")]
 
     def test_predicate_pushdown_matches_scan(self):
         adapter, executor = self.executor()

@@ -178,6 +178,15 @@ class TestCsvIO:
         with pytest.raises(StorageError):
             load_csv(path)
 
+    def test_file_stem_must_be_an_identifier(self, small_table, tmp_path):
+        path = tmp_path / "my-data.csv"
+        save_csv(small_table, path)
+        with pytest.raises(StorageError, match="load <path> <name>"):
+            load_csv(path)
+        loaded = load_csv(path, "my_data")
+        assert loaded.schema.name == "my_data"
+        assert loaded.same_content(small_table, ordered=True)
+
     def test_explicit_schema_header_check(self, small_table, tmp_path):
         path = tmp_path / "r.csv"
         save_csv(small_table, path)
