@@ -28,7 +28,8 @@ back the matching value bitmap(s), and the deleted positions are
 subtracted from its positions — survivors are never enumerated.  An
 UPDATE reads its victims' old images through the read path's row
 gather (``TableBatch.rows``) from the generation's decoded rows, so a
-cold generation costs one decode, shared with SELECT.  Buffered
+cold generation costs one decode per column, shared with SELECT, the
+aggregates and the compaction fold.  Buffered
 victims are a ``DeltaBatch`` filtered by the compiled evaluator, one
 pass over the buffer the compaction policy keeps small.
 """
@@ -47,6 +48,7 @@ from repro.delta.policy import (
 )
 from repro.delta.snapshot import (
     Snapshot,
+    decoded_main_vids,
     reference_rows,
     view_batches,
     view_statistics,
@@ -56,14 +58,6 @@ from repro.errors import SchemaError, StorageError
 from repro.storage.column import BitmapColumn
 from repro.storage.dictionary import Dictionary
 from repro.storage.table import Table, canonical_sort_key
-
-
-def _delta_column(name, dtype, values) -> BitmapColumn:
-    """Encode plain row-ordered (already coerced) values into per-value
-    bitmaps: dictionary-encode, then the bulk-load constructor."""
-    dictionary = Dictionary()
-    vids = dictionary.encode(values)
-    return BitmapColumn.from_vids(name, dtype, dictionary, vids)
 
 
 def _relabeled_table(table: Table, name: str, renames: dict) -> Table:
@@ -460,13 +454,14 @@ class MutableTable:
     def compact(self, reason: str = "manual") -> Table:
         """Fold the delta into a fresh all-WAH main table.
 
-        Surviving main rows are kept by bitmap filtering (never
-        decompressed), buffered rows are WAH-encoded by the batched
-        constructor, and the two parts are concatenated per column.
-        Afterwards the buffer holds only writes that raced the fold (in
-        the single-threaded case: none) and the returned table *is* the
-        new main.  An in-flight incremental run is driven to completion
-        first.
+        Each column is merged by :meth:`_merge_column`: an insert-only
+        fold splices the main's words and appends the WAH-encoded
+        buffered rows; a fold that drops main rows rebuilds the column
+        once from the generation's vid arrays, the decode the reads
+        share.  Afterwards the buffer holds only writes that raced the
+        fold (in the single-threaded case: none) and the returned table
+        *is* the new main.  An in-flight incremental run is driven to
+        completion first.
         """
         with self._lock:
             self._check_valid()
@@ -520,20 +515,43 @@ class MutableTable:
             return CompactionProgress(run.next_index, total, False)
 
     def _merge_column(self, name: str, run: _CompactionRun) -> BitmapColumn:
-        """Merge one column: surviving main rows (bitmap-filtered, never
-        decompressed) concatenated with the WAH-encoded cutoff-live
-        buffered values.  The concat splices the main part's words and
-        rebuilds only each value's partial tail group and the buffered
-        part, so an insert-only fold copies the main's words."""
-        column_schema = self.schema.column(name)
+        """Merge one column: the surviving main rows, then the
+        cutoff-live buffered values, dictionary-encoded in first-seen
+        order.
+
+        An insert-only fold splices: the concat copies the main's words
+        and rebuilds only each value's partial tail group and the
+        buffered part.  A fold that drops main rows rebuilds the column
+        once from vids instead of filtering its bitmaps: the
+        generation's vid array (:func:`decoded_main_vids`, shared with
+        the read path) at the kept positions, then the buffered vids, in
+        the main dictionary less its vanished values and extended by the
+        buffer's new values.  Words, offsets and dictionary come out as
+        ``select(keep, compact=True)`` then ``concat`` would make them
+        (``tests/harness/fold_reference.py``)."""
+        dtype = self.schema.column(name).dtype
         main_part = self._main.column(name)
-        if len(run.keep) != self._main.nrows:
-            main_part = main_part.select(run.keep, compact=True)
-        values = [self._delta.columns[name][i] for i in run.live_cutoff]
-        delta_part = _delta_column(name, column_schema.dtype, values)
-        if delta_part.nrows:
-            return main_part.concat(delta_part)
-        return main_part
+        delta_dictionary = Dictionary()
+        delta_vids = delta_dictionary.encode(
+            [self._delta.columns[name][i] for i in run.live_cutoff]
+        )
+        if len(run.keep) == self._main.nrows:
+            if not len(delta_vids):
+                return main_part
+            return main_part.concat(BitmapColumn.from_vids(
+                name, dtype, delta_dictionary, delta_vids
+            ))
+        vids = decoded_main_vids(self._main, name)[run.keep]
+        counts = np.bincount(vids, minlength=main_part.distinct_count)
+        dictionary = main_part.dictionary
+        if not counts.all():
+            present = counts > 0
+            dictionary = dictionary.subset(np.flatnonzero(present).tolist())
+            vids = (np.cumsum(present) - 1)[vids]
+        if len(delta_vids):
+            dictionary, target = dictionary.extended(delta_dictionary)
+            vids = np.concatenate((vids, target[delta_vids]))
+        return BitmapColumn.from_vids(name, dtype, dictionary, vids)
 
     def replay_compact(self, cutoff_epoch: int) -> None:
         """Recovery-only: re-run a logged fold at its logged cutoff.

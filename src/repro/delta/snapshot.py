@@ -12,25 +12,38 @@ Old main/delta generations are retained only while a pinned snapshot
 still needs them: :meth:`Snapshot.close` (or exiting the context
 manager) releases the pin, and the owner drops its reference to any
 generation no longer pinned (``MutableTable.retained_versions``).
+
+What is derived from a generation is cached with it
+(:func:`generation_cached`).  Its columns are decoded at most once,
+into the vid arrays of :func:`decoded_main_vids`, and the decoded rows
+(:func:`decoded_main_rows`), the aggregates of
+:mod:`repro.exec.aggregate`, DML's old images and a compaction fold
+that drops main rows are all built from those arrays.
 """
 
 from __future__ import annotations
 
 import weakref
 
+import numpy as np
+
 from repro.errors import StorageError
 
 #: Derived arrays of each main-store generation, weakly keyed by the
 #: immutable ``Table`` — the read path's one cache.  Each entry is a
-#: dict from a reader's key to what it built: ``"rows"`` holds the
-#: decoded row list, and :mod:`repro.exec.aggregate` keeps its vid
-#: arrays, typed dictionaries, group codes and their histograms here.
-#: A generation's compressed columns never change — and a metadata-only
-#: rename swaps in a fresh relabeled ``Table`` object — so an entry
-#: serves every batch that reads the generation and dies with it (when
-#: the last pinning snapshot closes).  The cache is deliberately *not*
-#: wired into ``Table.to_rows`` itself: the query-level baselines must
-#: keep paying the full decompression cost the paper charges them.
+#: dict from a reader's key to what it built.  ``("vids", column)``
+#: holds the column's row-order vid array (:func:`decoded_main_vids`,
+#: 8 B per row per column read): the generation's single decode, from
+#: which ``"rows"`` (the decoded row list), the aggregates of
+#: :mod:`repro.exec.aggregate` (typed dictionaries, group codes and
+#: their histograms) and a compaction fold that drops rows are all
+#: built.  A generation's compressed columns never change — and a
+#: metadata-only rename swaps in a fresh relabeled ``Table`` object —
+#: so an entry serves every batch that reads the generation and dies
+#: with it (when the last pinning snapshot closes).  The cache is
+#: deliberately *not* wired into ``Table.to_rows`` itself: the
+#: query-level baselines must keep paying the full decompression cost
+#: the paper charges them.
 _GENERATION_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -46,9 +59,31 @@ def generation_cached(table, key, build):
     return found
 
 
+def decoded_main_vids(table, name: str) -> np.ndarray:
+    """Column ``name``'s row-order vid array (read-only) for
+    main-store generation ``table``: decoded once per generation and
+    shared by every reader of it."""
+    def build():
+        vids = table.column(name).decode_vids()
+        vids.flags.writeable = False
+        return vids
+
+    return generation_cached(table, ("vids", name), build)
+
+
 def decoded_main_rows(table) -> list:
-    """Memoized ``table.to_rows()`` for the batch read path."""
-    return generation_cached(table, "rows", table.to_rows)
+    """``table.to_rows()`` memoized for the batch read path, built
+    from the generation's vid arrays (:func:`decoded_main_vids`): one
+    take from each column's dictionary and one ``zip``."""
+    def build():
+        return list(zip(*(
+            table.column(name).dictionary.decode(
+                decoded_main_vids(table, name)
+            )
+            for name in table.schema.column_names
+        )))
+
+    return generation_cached(table, "rows", build)
 
 
 def reference_rows(main, delta, epoch: int | None = None) -> list[tuple]:

@@ -56,7 +56,11 @@ from collections import Counter
 
 import numpy as np
 
-from repro.delta.snapshot import decoded_main_rows, generation_cached
+from repro.delta.snapshot import (
+    decoded_main_rows,
+    decoded_main_vids as _decode_vids,
+    generation_cached,
+)
 from repro.errors import SqlExecutionError
 from repro.exec.batch import (
     TableBatch,
@@ -335,15 +339,6 @@ def _require_numeric(agg, value):
 # ----------------------------------------------------------------------
 # Compressed-domain path (TableBatch)
 # ----------------------------------------------------------------------
-
-def _decode_vids(table, name: str) -> np.ndarray:
-    def build():
-        vids = table.column(name).decode_vids()
-        vids.flags.writeable = False
-        return vids
-
-    return generation_cached(table, ("vids", name), build)
-
 
 def _selected_value_counts(table, name: str, selection,
                            deleted=None) -> np.ndarray:

@@ -48,9 +48,9 @@ def load_csv(
     """Load a CSV file (with header row) into a column-store table.
 
     If ``schema`` is given its column names must match the header; types
-    are otherwise inferred from the full file contents.  Without
-    ``table_name`` the table is named after the file stem, which must
-    then be an identifier a statement can name.
+    are otherwise inferred from the full file contents.  The table is
+    named ``table_name``, else the schema's name, else the file stem,
+    which must then be an identifier a statement can name.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -66,12 +66,18 @@ def load_csv(
                 f"{path}: row {index + 2} has {len(row)} fields, "
                 f"expected {len(header)}"
             )
-    name = table_name or path.stem
-    if not table_name and not _IDENTIFIER.fullmatch(name):
-        raise StorageError(
-            f"{path}: file name {name!r} is not a table name a statement "
-            "can use; name the table explicitly (demo: load <path> <name>)"
-        )
+    if table_name:
+        name = table_name
+    elif schema is not None:
+        name = schema.name
+    else:
+        name = path.stem
+        if not _IDENTIFIER.fullmatch(name):
+            raise StorageError(
+                f"{path}: file name {name!r} is not a table name a "
+                "statement can use; name the table explicitly (demo: "
+                "load <path> <name>)"
+            )
     if schema is None:
         dtypes = [
             infer_type([row[i] for row in rows]) for i in range(len(header))

@@ -254,6 +254,22 @@ class TestMutableTable:
         assert not left.same_content(right)
 
 
+def count_decodes(monkeypatch) -> list[str]:
+    """Record the name of every column whose vids are decoded from
+    here on."""
+    from repro.storage import BitmapColumn
+
+    decodes = []
+    decode_vids = BitmapColumn.decode_vids
+
+    def counted(column):
+        decodes.append(column.name)
+        return decode_vids(column)
+
+    monkeypatch.setattr(BitmapColumn, "decode_vids", counted)
+    return decodes
+
+
 class TestDmlTouchesOnlyItsVictims:
     """UPDATE and DELETE cost O(victims): no bitmap filtering, no
     position expansion of whole columns, no survivors array."""
@@ -300,18 +316,59 @@ class TestDmlTouchesOnlyItsVictims:
         self, monkeypatch
     ):
         mutable = self.wide(1_000)
-        decodes = []
-        to_rows = Table.to_rows
-
-        def counted(table):
-            decodes.append(table)
-            return to_rows(table)
-
-        monkeypatch.setattr(Table, "to_rows", counted)
+        decodes = count_decodes(monkeypatch)
         assert mutable.update({"S": "u"}, Comparison("K", "=", 3)) == 1
         assert mutable.update({"S": "v"}, Comparison("S", "=", "s5")) == 1
         assert len(list(iter_rows(mutable.scan_batches()))) == 1_000
-        assert decodes == [mutable.main]
+        assert sorted(decodes) == ["K", "S"]
+
+    def test_a_fold_with_deletions_reuses_the_warm_vid_arrays(
+        self, monkeypatch
+    ):
+        import repro.bitmap.batch as batch
+        import repro.storage.column as column_module
+        from repro.storage import BitmapColumn
+
+        mutable = self.wide(5_000)
+        mutable.insert_rows([(-1, "s1"), (-2, "new")])
+        assert mutable.delete(Comparison("K", "IN", (0, 7, 4_999))) == 3
+        assert mutable.delete(Comparison("S", "=", "s5")) == 6
+        expected = mutable.to_rows()
+        assert list(iter_rows(mutable.scan_batches())) == expected
+
+        def refiltered(*args, **kwargs):
+            raise AssertionError("the fold filtered or decoded a column")
+
+        monkeypatch.setattr(batch, "batch_select", refiltered)
+        monkeypatch.setattr(column_module, "batch_select", refiltered)
+        monkeypatch.setattr(batch, "batch_positions", refiltered)
+        monkeypatch.setattr(BitmapColumn, "decode_vids", refiltered)
+        mutable.compact()
+        monkeypatch.undo()
+        assert mutable.main.to_rows() == expected
+        assert "s5" not in mutable.main.column("S").dictionary
+
+    def test_a_cold_generation_is_decoded_once_per_column(
+        self, monkeypatch
+    ):
+        adapter = MutableColumnAdapter(policy=CompactionPolicy.never())
+        executor = SqlExecutor(adapter)
+        executor.execute("CREATE TABLE t (k INT, g STRING, v INT)")
+        adapter.insert_rows(
+            "t", [(i, f"g{i % 7}", i % 13) for i in range(3_000)]
+        )
+        adapter.compact("t")
+        executor.execute("INSERT INTO t VALUES (-1, 'g3', 5)")
+        assert executor.execute("DELETE FROM t WHERE g = 'g3'") == 430
+        decodes = count_decodes(monkeypatch)
+        rows = executor.execute("SELECT * FROM t")
+        groups = executor.execute(
+            "SELECT g, v, COUNT(*) FROM t GROUP BY g, v"
+        )
+        adapter.compact("t")
+        assert sorted(decodes) == ["g", "k", "v"]
+        assert len(rows) == sum(count for *_, count in groups) == 2_571
+        assert executor.execute("SELECT * FROM t") == rows
 
 
 class TestSqlDml:

@@ -508,7 +508,9 @@ class TestWritePathDocs:
 
     def test_ci_runs_the_write_path_crash_oracle(self):
         ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-        assert "benchmarks/e2e/run.py --workload oltp_durable --smoke" in ci
+        assert (
+            "benchmarks/e2e/run.py --workload oltp_durable --seconds 3" in ci
+        )
 
 
 class TestBatchedConstructorDocs:
@@ -523,7 +525,7 @@ class TestBatchedConstructorDocs:
         ):
             assert hasattr(batch, name), f"repro.bitmap.batch lost {name}"
             assert f"`{name}" in text, f"ARCHITECTURE.md omits {name}"
-        for caller in ("BitmapColumn.from_vids", "_delta_column", "PARTITION"):
+        for caller in ("BitmapColumn.from_vids", "_merge_column", "PARTITION"):
             assert caller in text
 
     def test_no_bit_matrix_expansion_in_the_bitmap_package(self):

@@ -187,6 +187,24 @@ class TestCsvIO:
         assert loaded.schema.name == "my_data"
         assert loaded.same_content(small_table, ordered=True)
 
+    def test_a_passed_schema_names_the_table(self, small_table, tmp_path):
+        path = tmp_path / "r.csv"
+        save_csv(small_table, path)
+        people = small_table.schema.renamed("people")
+        loaded = load_csv(path, schema=people)
+        assert loaded.schema.name == "people"
+        assert loaded.same_content(small_table, ordered=True)
+        assert load_csv(path, "crew", schema=people).schema.name == "crew"
+
+    def test_a_passed_schema_skips_the_file_stem_check(
+        self, small_table, tmp_path
+    ):
+        path = tmp_path / "my-data.csv"
+        save_csv(small_table, path)
+        loaded = load_csv(path, schema=small_table.schema.renamed("people"))
+        assert loaded.schema.name == "people"
+        assert loaded.same_content(small_table, ordered=True)
+
     def test_explicit_schema_header_check(self, small_table, tmp_path):
         path = tmp_path / "r.csv"
         save_csv(small_table, path)
