@@ -99,7 +99,6 @@ from repro.smo import (
     RenameColumn,
     RenameTable,
     UnionTables,
-    parse_script,
     parse_smo,
 )
 from repro.sql import MutableColumnAdapter, SqlExecutor
@@ -177,7 +176,6 @@ __all__ = [
     "load_csv",
     "load_table",
     "make_system",
-    "parse_script",
     "parse_smo",
     "save_csv",
     "save_table",

@@ -17,10 +17,8 @@ from repro.smo.ops import (
     AddColumn,
     CopyTable,
     CreateTable,
-    DecomposeTable,
     DropColumn,
     DropTable,
-    MergeTables,
     PartitionTable,
     RenameColumn,
     RenameTable,

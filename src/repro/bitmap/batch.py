@@ -343,11 +343,6 @@ def _peel_literals(words, dest, base, out) -> None:
         dest += 1
 
 
-def batch_count(bitmaps) -> np.ndarray:
-    """Set-bit count of each bitmap: the packed counts."""
-    return PackedBitmaps.pack(bitmaps).counts
-
-
 def batch_first_set(bitmaps) -> np.ndarray:
     """First set bit of each bitmap (-1 when empty), one pass over the
     words: each bitmap's first word that sets a bit, placed in

@@ -49,8 +49,6 @@ from repro.smo.ops import (
     SchemaModificationOperator,
     UnionTables,
 )
-from repro.smo.parser import parse_script, parse_smo
-from repro.smo.plan import EvolutionPlan
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
@@ -83,7 +81,7 @@ class EvolutionEngine:
 
     def load_table(self, table: Table) -> None:
         """Register a loaded table (the demo's "load data" action)."""
-        self.catalog.create(table, f"LOAD {table.name}")
+        self.catalog.create(table)
 
     def table(self, name: str) -> Table:
         return self.catalog.table(name)
@@ -181,9 +179,7 @@ class EvolutionEngine:
                     existing.policy = policy
                 return existing
             mutable = MutableTable(self.catalog.table(name), policy)
-            mutable.on_compact = lambda table, reason: self.catalog.put(
-                table, f"COMPACT {table.name}: {reason}"
-            )
+            mutable.on_compact = lambda table, reason: self.catalog.put(table)
             if self._wal is not None:
                 from repro.wal.log import TableWal
 
@@ -234,7 +230,7 @@ class EvolutionEngine:
         mutable.invalidate()
         return True
 
-    def drop_table(self, name: str, operation: str | None = None) -> None:
+    def drop_table(self, name: str) -> None:
         """DROP TABLE at the data level: discard the write buffer
         unflushed, remove the catalog entry, and notify drop listeners
         so every transaction over this engine closes its pin on the
@@ -242,19 +238,15 @@ class EvolutionEngine:
         SMO operator — route here, so the invalidation semantics cannot
         diverge."""
         self.discard_delta(name)
-        self.catalog.drop(name, operation or f"DROP TABLE {name}")
+        self.catalog.drop(name)
         self._notify_drop(name)
 
-    def rename_table_metadata(
-        self, old: str, new: str, operation: str | None = None
-    ) -> None:
+    def rename_table_metadata(self, old: str, new: str) -> None:
         """RENAME TABLE as a pure metadata operation: the catalog entry
         is re-keyed and any pending delta is rewired in place — O(1),
         never a compaction (see ``docs/ARCHITECTURE.md``, "Renames are
         metadata-only")."""
-        self.catalog.rename(
-            old, new, operation or f"RENAME TABLE {old} TO {new}"
-        )
+        self.catalog.rename(old, new)
         mutable = self._mutables.pop(old, None)
         if mutable is not None:
             mutable.rewire_metadata(self.catalog.table(new))
@@ -263,15 +255,11 @@ class EvolutionEngine:
             self._mutables[new] = mutable
         self._notify_rename(old, new)
 
-    def rename_column_metadata(
-        self, table: str, old: str, new: str, operation: str | None = None
-    ) -> None:
+    def rename_column_metadata(self, table: str, old: str, new: str) -> None:
         """RENAME COLUMN as a pure metadata operation, delta-preserving
         like :meth:`rename_table_metadata`."""
         renamed = self.catalog.table(table).with_renamed_column(old, new)
-        self.catalog.put(
-            renamed, operation or f"RENAME COLUMN {old} TO {new}"
-        )
+        self.catalog.put(renamed)
         mutable = self._mutables.get(table)
         if mutable is not None:
             mutable.rewire_metadata(renamed, {old: new})
@@ -332,19 +320,6 @@ class EvolutionEngine:
         self.history.record(op, self.catalog.table_names())
         return status
 
-    def apply_sql_like(self, text: str) -> EvolutionStatus:
-        """Parse and apply one textual SMO statement."""
-        return self.apply(parse_smo(text))
-
-    def apply_script(self, text: str) -> list[EvolutionStatus]:
-        """Parse and apply a multi-statement SMO script."""
-        return [self.apply(op) for op in parse_script(text)]
-
-    def apply_plan(self, plan: EvolutionPlan) -> list[EvolutionStatus]:
-        """Validate a whole plan first, then execute it."""
-        plan.validate(self.catalog)
-        return [self.apply(op) for op in plan]
-
     # -- dispatch -------------------------------------------------------------
 
     def _dispatch(self, op: SchemaModificationOperator,
@@ -354,42 +329,38 @@ class EvolutionEngine:
         elif isinstance(op, MergeTables):
             self._merge(op, status)
         elif isinstance(op, CreateTable):
-            self.catalog.create(Table.empty(op.schema), op.describe())
+            self.catalog.create(Table.empty(op.schema))
         elif isinstance(op, DropTable):
-            self.drop_table(op.table, op.describe())
+            self.drop_table(op.table)
         elif isinstance(op, RenameTable):
-            self.rename_table_metadata(op.table, op.new_name, op.describe())
+            self.rename_table_metadata(op.table, op.new_name)
         elif isinstance(op, CopyTable):
             table = copy_table(self.catalog.table(op.table), op.new_name, status)
-            self.catalog.create(table, op.describe())
+            self.catalog.create(table)
         elif isinstance(op, UnionTables):
-            left = self.catalog.drop(op.left, op.describe())
-            right = self.catalog.drop(op.right, op.describe())
+            left = self.catalog.drop(op.left)
+            right = self.catalog.drop(op.right)
             self._notify_drop(op.left)
             self._notify_drop(op.right)
-            self.catalog.put(union_tables(left, right, op, status), op.describe())
+            self.catalog.put(union_tables(left, right, op, status))
         elif isinstance(op, PartitionTable):
-            table = self.catalog.drop(op.table, op.describe())
+            table = self.catalog.drop(op.table)
             self._notify_drop(op.table)
             true_table, false_table = partition_table(table, op, status)
-            self.catalog.put(true_table, op.describe())
-            self.catalog.put(false_table, op.describe())
+            self.catalog.put(true_table)
+            self.catalog.put(false_table)
         elif isinstance(op, AddColumn):
             table = self.catalog.table(op.table)
-            self.catalog.put(add_column(table, op, status), op.describe())
+            self.catalog.put(add_column(table, op, status))
         elif isinstance(op, DropColumn):
             table = self.catalog.table(op.table)
-            self.catalog.put(
-                drop_column(table, op.column, status), op.describe()
-            )
+            self.catalog.put(drop_column(table, op.column, status))
         elif isinstance(op, RenameColumn):
             with status.step(
                 "metadata",
                 f"renaming column {op.column!r} to {op.new_name!r}",
             ):
-                self.rename_column_metadata(
-                    op.table, op.column, op.new_name, op.describe()
-                )
+                self.rename_column_metadata(op.table, op.column, op.new_name)
         else:  # pragma: no cover - future operators
             raise EvolutionError(f"unsupported operator {op!r}")
 
@@ -400,10 +371,10 @@ class EvolutionEngine:
             extra_fds=self.extra_fds,
             verify_with_data=self.verify_with_data,
         )
-        self.catalog.drop(op.table, op.describe())
+        self.catalog.drop(op.table)
         self._notify_drop(op.table)
-        self.catalog.put(left, op.describe())
-        self.catalog.put(right, op.describe())
+        self.catalog.put(left)
+        self.catalog.put(right)
 
     def choose_merge_strategy(self, op: MergeTables) -> str:
         """Pick the mergence algorithm (Section 2.5's two scenarios).
@@ -465,8 +436,8 @@ class EvolutionEngine:
                 else ()
             )
             result = result.project(expected, op.out_name, pk)
-        self.catalog.drop(op.left, op.describe())
-        self.catalog.drop(op.right, op.describe())
+        self.catalog.drop(op.left)
+        self.catalog.drop(op.right)
         self._notify_drop(op.left)
         self._notify_drop(op.right)
-        self.catalog.put(result, op.describe())
+        self.catalog.put(result)

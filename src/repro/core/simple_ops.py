@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from repro.bitmap.batch import RowSplit, batch_from_intervals
 from repro.core.status import EvolutionStatus
-from repro.smo.ops import (
-    AddColumn,
-    CopyTable,
-    PartitionTable,
-    UnionTables,
-)
+from repro.smo.ops import AddColumn, PartitionTable, UnionTables
 from repro.storage.column import BitmapColumn
 from repro.storage.dictionary import Dictionary
 from repro.storage.table import Table

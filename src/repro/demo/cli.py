@@ -7,7 +7,7 @@ CLI provides the same workflow (plus a scripted mode for automation):
 
     $ cods-demo                 # interactive session
     $ cods-demo --example       # run the built-in Figure 1 walkthrough
-    $ cods-demo --script f.smo  # execute an SMO script with status output
+    $ cods-demo --script f.smo  # one SMO per line, checked as one plan
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.db import Database
 from repro.delta import CompactionPolicy
 from repro.errors import CodsError
 from repro.smo.parser import parse_smo
+from repro.smo.plan import EvolutionPlan
 from repro.storage.csvio import load_csv
 from repro.storage.table import Table, table_from_python
 from repro.storage.types import DataType
@@ -29,7 +30,8 @@ Commands (mirroring the Figure 4 buttons):
   load <csv> [name]   load a CSV file into a table
   display <table>     show a table's rows (first 20)
   tables              list tables (the schema pane)
-  add <SMO>           queue a schema modification operator
+  add <SMO>           queue a schema modification operator, checked
+                      against the schemas the queue will leave
   queue               show queued operators
   execute             run the queued operators (with live status)
   history             show the evolution history
@@ -150,8 +152,10 @@ class DemoSession:
         )
 
     def cmd_add(self, smo_text: str) -> None:
+        """Queue one operator, validated with the queue as one plan: it
+        sees the schemas the queued operators will leave behind."""
         op = parse_smo(smo_text)
-        op.validate(self.engine.catalog)
+        EvolutionPlan([*self.queue, op]).validate(self.engine.catalog)
         self.queue.append(op)
         self._print(f"queued [{len(self.queue)}]: {op.describe()}")
 
@@ -166,13 +170,15 @@ class DemoSession:
             self._print("(nothing to execute)")
             return
         self._print("Data Evolution Status:")
-        for op in self.queue:
+        # Cleared even when an operator fails: the operators before it
+        # have run, so the queue no longer describes a plan.
+        queue, self.queue = self.queue, []
+        for op in queue:
             self._print(f"  executing: {op.describe()}")
             status = self.db.execute(op)
             counters = status.summary()
             interesting = {k: v for k, v in counters.items() if v}
             self._print(f"  done. counters: {interesting or '{}'}")
-        self.queue.clear()
 
     def cmd_compact(self, name: str) -> None:
         stats = self._delta_stats(name)
@@ -446,7 +452,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--script", type=str, default=None,
-        help="execute an SMO script file (one operator per line) and exit",
+        help="execute an SMO script file (one operator per line) and "
+             "exit; nothing runs if any line fails to parse or validate",
     )
     parser.add_argument(
         "--serve", action="store_true",
@@ -517,10 +524,14 @@ def main(argv=None) -> int:
         return 0
     if args.script:
         with open(args.script) as handle:
-            text = handle.read()
-        for op in text.splitlines():
-            if op.strip() and not op.strip().startswith("--"):
-                session.handle(f"add {op}")
+            lines = handle.read().splitlines()
+        for number, line in enumerate(lines, 1):
+            if line.strip() and not line.strip().startswith("--"):
+                try:
+                    session.cmd_add(line)
+                except CodsError as exc:
+                    print(f"error: {args.script}:{number}: {exc}")
+                    return 1
         session.handle("execute")
         session.handle("history")
         return 0

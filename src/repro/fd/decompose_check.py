@@ -29,10 +29,6 @@ class DecompositionPlan:
     common: frozenset
     changed_side: str
 
-    @property
-    def unchanged_side(self) -> str:
-        return "right" if self.changed_side == "left" else "left"
-
 
 def check_lossless(
     all_attrs,

@@ -42,6 +42,7 @@ import zlib
 
 import repro.errors as _errors
 from repro.errors import CodsError, NetworkError, ProtocolError
+from repro.storage.types import decode_value, encode_value
 
 MAGIC = b"CODN"
 VERSION = 1
@@ -146,41 +147,18 @@ def write_frame(
 
 
 # ----------------------------------------------------------------------
-# Value codecs (shared with the .delta sidecars and the WAL)
+# Row codecs (values through repro.storage.types, as in the WAL)
 # ----------------------------------------------------------------------
 
-# Resolved lazily for the same reason repro.wal.records does it:
-# filefmt imports repro.wal.crashpoints, and a module-level import here
-# could close a cycle while filefmt is half-initialized.
-_codecs = None
-
-
-def _value_codecs():
-    global _codecs
-    if _codecs is None:
-        from repro.storage.filefmt import _decode_value, _encode_value
-
-        _codecs = (_encode_value, _decode_value)
-    return _codecs
-
-
 def encode_row(row) -> list:
-    encode_value, _ = _value_codecs()
     return [encode_value(value) for value in row]
 
 
-def decode_row(row) -> tuple:
-    _, decode_value = _value_codecs()
-    return tuple(decode_value(value) for value in row)
-
-
 def encode_rows(rows) -> list[list]:
-    encode_value, _ = _value_codecs()
     return [[encode_value(value) for value in row] for row in rows]
 
 
 def decode_rows(rows) -> list[tuple]:
-    _, decode_value = _value_codecs()
     return [tuple(decode_value(value) for value in row) for row in rows]
 
 

@@ -16,7 +16,7 @@ from repro.smo.ops import (
     SchemaModificationOperator,
     UnionTables,
 )
-from repro.smo.parser import parse_predicate, parse_script, parse_smo
+from repro.smo.parser import parse_predicate, parse_smo
 from repro.smo.plan import EvolutionPlan, simulate
 from repro.smo.predicate import And, Comparison, Not, Or, Predicate
 
@@ -43,7 +43,6 @@ __all__ = [
     "SchemaModificationOperator",
     "UnionTables",
     "parse_predicate",
-    "parse_script",
     "parse_smo",
     "simulate",
 ]

@@ -404,12 +404,3 @@ def render_literal(value) -> str:
         f"cannot render a literal of type {type(value).__name__}"
     )
 
-
-
-def parse_script(text: str) -> list[SchemaModificationOperator]:
-    """Parse a semicolon/newline-separated sequence of SMO statements."""
-    operators = []
-    for statement in re.split(r";|\n", text):
-        if statement.strip() and not statement.strip().startswith("--"):
-            operators.append(parse_smo(statement))
-    return operators

@@ -21,11 +21,7 @@ from repro.sql.ast import (
     Update,
 )
 from repro.sql.executor import SqlExecutor
-from repro.sql.parser import (
-    iter_script_statements,
-    parse_sql,
-    parse_sql_script,
-)
+from repro.sql.parser import iter_script_statements, parse_sql
 
 __all__ = [
     "AdapterCapabilities",
@@ -46,5 +42,4 @@ __all__ = [
     "Update",
     "iter_script_statements",
     "parse_sql",
-    "parse_sql_script",
 ]

@@ -331,7 +331,7 @@ class ColumnStoreAdapter(EngineAdapter):
         existing = table.to_rows() if table.nrows else []
         self._rows_recompressed.inc(len(existing) + len(incoming))
         rebuilt = Table.from_rows(table.schema, existing + incoming)
-        self.catalog.put(rebuilt, f"INSERT {name}")
+        self.catalog.put(rebuilt)
         return len(incoming)
 
     def update_rows(self, name: str, assignments, predicate) -> int:
@@ -343,9 +343,7 @@ class ColumnStoreAdapter(EngineAdapter):
         )
         if count:
             self._rows_recompressed.inc(len(patched))
-            self.catalog.put(
-                Table.from_rows(table.schema, patched), f"UPDATE {name}"
-            )
+            self.catalog.put(Table.from_rows(table.schema, patched))
         return count
 
     def delete_rows(self, name: str, predicate) -> int:
@@ -355,9 +353,7 @@ class ColumnStoreAdapter(EngineAdapter):
         kept, count = _drop_rows(table.schema, rows, predicate)
         if count:
             self._rows_recompressed.inc(len(kept))
-            self.catalog.put(
-                Table.from_rows(table.schema, kept), f"DELETE FROM {name}"
-            )
+            self.catalog.put(Table.from_rows(table.schema, kept))
         return count
 
     def scan_batches(self, name: str):
@@ -392,7 +388,7 @@ class ColumnStoreAdapter(EngineAdapter):
 
     def rename_column(self, table: str, old: str, new: str) -> None:
         renamed = self.catalog.table(table).with_renamed_column(old, new)
-        self.catalog.put(renamed, f"RENAME COLUMN {old} TO {new}")
+        self.catalog.put(renamed)
 
 
 class MutableColumnAdapter(EngineAdapter):

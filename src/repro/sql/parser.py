@@ -278,12 +278,6 @@ def _parse_sql(tokens: TokenStream) -> Statement:
     return RenameTable(name, new_name)
 
 
-def parse_sql_script(text: str) -> list[Statement]:
-    """Parse a semicolon-separated script (same splitting rules as
-    :func:`iter_script_statements`)."""
-    return [parse_sql(f) for f in iter_script_statements(text)]
-
-
 def iter_script_statements(text: str) -> list[str]:
     """Split a script into statement fragments.
 

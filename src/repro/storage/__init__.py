@@ -1,6 +1,6 @@
 """Column-oriented storage: schemas, bitmap columns, tables, catalog, IO."""
 
-from repro.storage.catalog import Catalog, CatalogVersion
+from repro.storage.catalog import Catalog
 from repro.storage.column import BitmapColumn
 from repro.storage.csvio import infer_type, load_csv, save_csv
 from repro.storage.dictionary import Dictionary
@@ -27,14 +27,12 @@ from repro.storage.types import (
     coerce,
     parse_text,
     parse_type_name,
-    python_type,
     render_text,
 )
 
 __all__ = [
     "BitmapColumn",
     "Catalog",
-    "CatalogVersion",
     "ColumnSchema",
     "DataType",
     "Dictionary",
@@ -54,7 +52,6 @@ __all__ = [
     "load_table",
     "parse_text",
     "parse_type_name",
-    "python_type",
     "render_text",
     "save_csv",
     "save_delta",

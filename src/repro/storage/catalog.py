@@ -1,9 +1,10 @@
-"""The catalog: named tables plus schema-version history.
+"""The catalog: named tables and a version counter.
 
 The PRISM line of work the paper builds on (Curino et al., VLDB 2008)
 treats a database's life as a sequence of schema versions connected by
-SMOs.  Our catalog records that history so it can be inspected and
-replayed (tests verify replay determinism).
+SMOs.  The catalog counts its mutations (``version``, written to a
+catalog directory's manifest); the operators themselves are recorded
+by the engine's :class:`repro.smo.history.EvolutionHistory`.
 """
 
 from __future__ import annotations
@@ -16,25 +17,15 @@ from repro.storage.schema import TableSchema
 from repro.storage.table import Table
 
 
-@dataclass(frozen=True)
-class CatalogVersion:
-    """A snapshot entry in the evolution history."""
-
-    version: int
-    operation: str
-    tables: tuple[str, ...]
-
-
 @dataclass
 class Catalog:
-    """A mutable collection of named tables with version history."""
+    """A mutable collection of named tables with a version counter."""
 
     tables: dict = field(default_factory=dict)
-    history: list = field(default_factory=list)
     version: int = 0
-    #: Serializes mutations (the version counter and history list are
-    #: not atomic to update) — DDL from one session can race the
-    #: background compactor's post-compaction ``put``.  Reads stay
+    #: Serializes mutations (the version counter is not atomic to
+    #: update) — DDL from one session can race the background
+    #: compactor's post-compaction ``put``.  Reads stay
     #: lock-free: dict get/set are atomic, and multi-table consistency
     #: is the transaction layer's job, not the catalog's.
     _lock: threading.RLock = field(
@@ -60,43 +51,37 @@ class Catalog:
 
     # -- mutations ------------------------------------------------------------
 
-    def _record(self, operation: str) -> None:
-        self.version += 1
-        self.history.append(
-            CatalogVersion(self.version, operation, tuple(sorted(self.tables)))
-        )
-
-    def put(self, table: Table, operation: str | None = None) -> None:
+    def put(self, table: Table) -> None:
         """Insert or replace a table under its schema name."""
         with self._lock:
             self.tables[table.schema.name] = table
-            self._record(operation or f"PUT {table.schema.name}")
+            self.version += 1
 
-    def create(self, table: Table, operation: str | None = None) -> None:
+    def create(self, table: Table) -> None:
         """Insert a table; fails if the name exists."""
         with self._lock:
             if table.schema.name in self.tables:
                 raise SchemaError(
                     f"table {table.schema.name!r} already exists"
                 )
-            self.put(table, operation or f"CREATE TABLE {table.schema.name}")
+            self.put(table)
 
-    def drop(self, name: str, operation: str | None = None) -> Table:
+    def drop(self, name: str) -> Table:
         """Remove and return a table."""
         with self._lock:
             table = self.table(name)
             del self.tables[name]
-            self._record(operation or f"DROP TABLE {name}")
+            self.version += 1
             return table
 
-    def rename(self, old: str, new: str, operation: str | None = None) -> None:
+    def rename(self, old: str, new: str) -> None:
         with self._lock:
             table = self.table(old)
             if new in self.tables:
                 raise SchemaError(f"table {new!r} already exists")
             del self.tables[old]
             self.tables[new] = table.renamed(new)
-            self._record(operation or f"RENAME TABLE {old} TO {new}")
+            self.version += 1
 
     # -- introspection ------------------------------------------------------------
 

@@ -25,7 +25,6 @@ from repro.bitmap.batch import (
     batch_split,
     counting_order,
 )
-from repro.bitmap.stats import CompressionStats
 from repro.errors import BitmapError, StorageError
 from repro.storage.dictionary import Dictionary
 from repro.storage.types import DataType, coerce
@@ -116,13 +115,6 @@ class BitmapColumn:
     def bitmap_for_vid(self, vid: int):
         """The bitmap of ``vid``: a view over its words."""
         return self._bitmaps[vid]
-
-    def positions_for_value(self, value) -> np.ndarray:
-        """Sorted row positions holding ``value`` (empty if absent)."""
-        vid = self._dictionary.vid_or_none(coerce(value, self.dtype))
-        if vid is None:
-            return np.empty(0, dtype=np.int64)
-        return self._bitmaps[vid].positions()
 
     def value_counts(self) -> np.ndarray:
         """Occurrences of each value, by vid — compressed-domain counts."""
@@ -242,12 +234,6 @@ class BitmapColumn:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def compression_stats(self) -> CompressionStats:
-        """Aggregate compressed size over all value bitmaps."""
-        return CompressionStats(
-            self._nrows * len(self._bitmaps), self._bitmaps.words.nbytes
-        )
 
     def same_content(self, other: "BitmapColumn") -> bool:
         """Row-by-row logical equality (dictionary order independent)."""

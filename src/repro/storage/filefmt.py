@@ -43,7 +43,6 @@ reader, :func:`load_engine`.
 
 from __future__ import annotations
 
-import datetime
 import io
 import json
 import os
@@ -63,7 +62,7 @@ from repro.storage.column import BitmapColumn
 from repro.storage.dictionary import Dictionary
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.table import Table
-from repro.storage.types import DataType, coerce
+from repro.storage.types import DataType, coerce, decode_value, encode_value
 
 _MAGIC = b"CODS"
 _VERSION = 1
@@ -98,18 +97,6 @@ def _atomic_write(path, label: str):
         os.fsync(handle.fileno())
     crash_point(f"{label}.replace")
     os.replace(temp, path)
-
-
-def _encode_value(value):
-    if isinstance(value, datetime.date):
-        return {"__date__": value.isoformat()}
-    return value
-
-
-def _decode_value(value):
-    if isinstance(value, dict) and "__date__" in value:
-        return datetime.date.fromisoformat(value["__date__"])
-    return value
 
 
 def _schema_to_json(schema: TableSchema) -> dict:
@@ -167,7 +154,7 @@ def save_table(table: Table, path) -> None:
             column = table.column(name)
             _write_block(handle, _CODEC)
             dictionary_json = json.dumps(
-                [_encode_value(v) for v in column.dictionary.values()]
+                [encode_value(v) for v in column.dictionary.values()]
             )
             _write_block(handle, dictionary_json.encode())
             handle.write(struct.pack("<I", column.distinct_count))
@@ -204,7 +191,7 @@ def load_table(path) -> Table:
                     f"codec {codec!r}; only {_CODEC.decode()!r} is readable"
                 )
             values = [
-                _decode_value(v)
+                decode_value(v)
                 for v in json.loads(_read_block(handle).decode())
             ]
             (bitmap_count,) = struct.unpack("<I", handle.read(4))
@@ -247,7 +234,7 @@ def save_delta(store, path, wal_lsn=None, main_file=None) -> None:
         "table": store.schema.name,
         "epoch": store.epoch,
         "columns": {
-            name: [_encode_value(v) for v in values]
+            name: [encode_value(v) for v in values]
             for name, values in store.columns.items()
         },
         "insert_epochs": list(store.insert_epochs),
@@ -277,7 +264,7 @@ def _delta_columns_from_payload(path, payload, schema):
         )
     columns = {
         name: [
-            coerce(_decode_value(v), schema.column(name).dtype)
+            coerce(decode_value(v), schema.column(name).dtype)
             for v in values
         ]
         for name, values in payload["columns"].items()
@@ -504,7 +491,7 @@ def load_engine(directory, policy=None):
     sidecars: dict[str, Path] = {}
     for name in manifest["tables"]:
         main_path, sidecar = _resolve_main_path(directory / f"{name}.cods")
-        catalog.put(load_table(main_path), f"LOAD {name}")
+        catalog.put(load_table(main_path))
         if sidecar.exists():
             sidecars[name] = sidecar
     engine = EvolutionEngine(catalog)

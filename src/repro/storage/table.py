@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.errors import SchemaError, StorageError
 from repro.storage.column import BitmapColumn
 from repro.storage.schema import ColumnSchema, TableSchema
-from repro.storage.types import DataType, coerce
 
 
 def canonical_sort_key(row) -> tuple:

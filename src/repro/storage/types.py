@@ -27,20 +27,6 @@ class DataType(Enum):
         return self.value
 
 
-_PYTHON_TYPES = {
-    DataType.INT: int,
-    DataType.FLOAT: float,
-    DataType.STRING: str,
-    DataType.BOOL: bool,
-    DataType.DATE: datetime.date,
-}
-
-
-def python_type(dtype: DataType) -> type:
-    """The Python type used to represent values of ``dtype``."""
-    return _PYTHON_TYPES[dtype]
-
-
 def coerce(value, dtype: DataType):
     """Coerce ``value`` to the Python representation of ``dtype``.
 
@@ -76,6 +62,23 @@ def coerce(value, dtype: DataType):
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"cannot coerce {value!r} to {dtype}") from exc
     raise SchemaError(f"unknown data type {dtype!r}")  # pragma: no cover
+
+
+def encode_value(value):
+    """One value as JSON-ready data: a date becomes ``{"__date__":
+    iso}``, anything else passes through.  The one value codec of
+    ``.cods`` dictionaries and delta sidecars, WAL records and the
+    wire protocol's rows."""
+    if isinstance(value, datetime.date):
+        return {"__date__": value.isoformat()}
+    return value
+
+
+def decode_value(value):
+    """Inverse of :func:`encode_value`."""
+    if isinstance(value, dict) and "__date__" in value:
+        return datetime.date.fromisoformat(value["__date__"])
+    return value
 
 
 def parse_text(text: str, dtype: DataType):

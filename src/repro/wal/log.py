@@ -175,10 +175,6 @@ class WriteAheadLog:
         """One past the last staged byte (buffer included)."""
         return self._tail_lsn
 
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
     # -- transactions ---------------------------------------------------
 
     def _state(self):

@@ -46,6 +46,7 @@ import struct
 import zlib
 
 from repro.errors import WalCorruptionError
+from repro.storage.types import decode_value, encode_value
 
 MAGIC = b"CODW"
 VERSION = 1
@@ -177,30 +178,11 @@ def scan_frames(data: bytes, base_lsn: int, where: str = "wal"):
 
 
 # ----------------------------------------------------------------------
-# Record constructors / value codecs
+# Record constructors
 # ----------------------------------------------------------------------
 
 
-# filefmt's value codecs are resolved lazily and cached: filefmt
-# imports repro.wal.crashpoints, so a module-level import here would
-# close a cycle through the package __init__ while filefmt is still
-# half-initialized.
-_encode_value = None
-_decode_value = None
-
-
-def _value_codecs():
-    global _encode_value, _decode_value
-    if _encode_value is None:
-        from repro.storage.filefmt import _decode_value as dec
-        from repro.storage.filefmt import _encode_value as enc
-
-        _encode_value, _decode_value = enc, dec
-    return _encode_value, _decode_value
-
-
 def insert_record(table: str, rows, epoch: int, txn: int) -> dict:
-    encode_value, _ = _value_codecs()
     return {
         "t": "insert",
         "table": table,
@@ -217,7 +199,6 @@ def update_record(
     and ``indices`` from the delta, then append ``rows`` — epochs run
     consecutively from ``epoch`` in that order (see
     ``DeltaStore.replay_update``)."""
-    encode_value, _ = _value_codecs()
     return {
         "t": "update",
         "table": table,
@@ -239,5 +220,4 @@ def commit_record(txn: int) -> dict:
 
 def decode_rows(encoded) -> list[tuple]:
     """The ``rows`` of an ``insert`` record back as value tuples."""
-    _, decode_value = _value_codecs()
     return [tuple(decode_value(v) for v in row) for row in encoded]

@@ -16,6 +16,7 @@ from repro.smo import (
     UnionTables,
     parse_smo,
 )
+from repro.sql import iter_script_statements
 from repro.storage import load_engine, save_engine
 from repro.workload import EmployeeWorkload, SalesStarWorkload
 from tests.conftest import make_fd_table
@@ -115,8 +116,9 @@ class TestHistoryReplay:
     def test_versions_increase_monotonically(self, fig1_table):
         engine = EvolutionEngine()
         engine.load_table(fig1_table)
-        engine.apply_script(
+        for statement in iter_script_statements(
             "COPY TABLE R TO A; COPY TABLE R TO B; DROP TABLE A; DROP TABLE B"
-        )
+        ):
+            engine.apply(parse_smo(statement))
         versions = [entry.version for entry in engine.history]
         assert versions == [1, 2, 3, 4]

@@ -5,15 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LosslessJoinError
-from repro.fd import (
-    FunctionalDependency,
-    candidate_keys,
-    check_lossless,
-    closure,
-    is_superkey,
-    minimal_cover,
-)
-from repro.fd.functional_deps import implies
+from repro.fd import FunctionalDependency, check_lossless, closure
 from repro.smo import parse_smo
 from repro.storage import BitmapColumn, DataType
 from tests.harness.chase import chase_lossless
@@ -106,26 +98,6 @@ class TestFdProperties:
         first = closure(start, dependencies)
         assert frozenset(start) <= first
         assert closure(first, dependencies) == first
-
-    @given(fds)
-    def test_minimal_cover_equivalent(self, dependencies):
-        cover = minimal_cover(dependencies)
-        for fd in dependencies:
-            assert implies(cover, fd)
-        for fd in cover:
-            assert implies(dependencies, fd)
-
-    @given(fds)
-    def test_candidate_keys_are_minimal_superkeys(self, dependencies):
-        universe = frozenset("ABCDE")
-        keys = candidate_keys(universe, dependencies)
-        assert keys, "every relation has at least one key"
-        for key in keys:
-            assert is_superkey(key, universe, dependencies)
-            for attr in key:
-                assert not is_superkey(
-                    key - {attr}, universe, dependencies
-                ), "key is not minimal"
 
 
 identifiers = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,8}", fullmatch=True).filter(

@@ -13,7 +13,6 @@ from repro.bitmap import WAHBitmap
 from repro.bitmap.batch import (
     PackedBitmaps,
     batch_concat_positions,
-    batch_count,
     batch_decode_vids,
     batch_first_set,
     batch_from_intervals,
@@ -388,7 +387,7 @@ def test_every_packed_kernel_writes_the_per_bitmap_words(case):
             assert view.count() == bitmap.count()
 
     same(packed, bitmaps)
-    assert batch_count(packed).tolist() == [bm.count() for bm in bitmaps]
+    assert packed.counts.tolist() == [bm.count() for bm in bitmaps]
     assert batch_first_set(packed).tolist() == [
         bm.first_set() for bm in bitmaps
     ]

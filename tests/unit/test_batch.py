@@ -7,7 +7,6 @@ from repro.bitmap import WAHBitmap
 from repro.bitmap.batch import (
     PackedBitmaps,
     batch_concat_positions,
-    batch_count,
     batch_decode_vids,
     batch_first_set,
     batch_from_intervals,
@@ -42,7 +41,7 @@ class TestBatchEquivalence:
 
     def test_count(self, random_column):
         _vids, bitmaps = random_column
-        assert batch_count(bitmaps).tolist() == [
+        assert PackedBitmaps.pack(bitmaps).counts.tolist() == [
             bm.count() for bm in bitmaps
         ]
 
@@ -97,7 +96,7 @@ class TestBatchEquivalence:
         ]
 
     def test_empty_list(self):
-        assert batch_count([]).tolist() == []
+        assert PackedBitmaps.pack([]).counts.tolist() == []
         assert batch_first_set([]).tolist() == []
         flat, bounds = batch_positions([])
         assert len(flat) == 0 and bounds.tolist() == [0]

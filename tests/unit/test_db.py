@@ -115,14 +115,6 @@ class TestRouter:
             "SELECT a FROM r",
         ]
 
-    def test_parse_sql_script_shares_the_splitter(self):
-        from repro.sql import parse_sql_script
-
-        statements = parse_sql_script(
-            "INSERT INTO r VALUES ('a;b'); -- note\nSELECT a FROM r"
-        )
-        assert len(statements) == 2
-
 
 class TestAdapterCapabilities:
     def test_capabilities_by_backend(self):

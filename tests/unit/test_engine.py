@@ -12,7 +12,6 @@ from repro.smo import (
     CreateTable,
     DropColumn,
     DropTable,
-    EvolutionPlan,
     MergeTables,
     PartitionTable,
     RenameColumn,
@@ -20,6 +19,7 @@ from repro.smo import (
     UnionTables,
     parse_smo,
 )
+from repro.sql import iter_script_statements
 from repro.storage import ColumnSchema, DataType, TableSchema, table_from_python
 
 
@@ -213,20 +213,20 @@ class TestConcatSplicesTheMainStore:
 
 class TestDecomposeMergePaths:
     def test_sql_like_roundtrip(self, engine, fig1_decomposed):
-        engine.apply_sql_like(
+        engine.apply(parse_smo(
             "DECOMPOSE TABLE R INTO S (Employee, Skill), "
             "T (Employee, Address)"
-        )
+        ))
         s_rows, t_rows = fig1_decomposed
         assert engine.table("S").to_rows() == s_rows
         assert engine.table("T").sorted_rows() == t_rows
         assert "R" not in engine.catalog
 
     def test_merge_strategy_detection(self, engine):
-        engine.apply_sql_like(
+        engine.apply(parse_smo(
             "DECOMPOSE TABLE R INTO S (Employee, Skill), "
             "T (Employee, Address)"
-        )
+        ))
         op = MergeTables("S", "T", "R")
         assert engine.choose_merge_strategy(op) == "kfk-right"
 
@@ -288,37 +288,21 @@ class TestDecomposeMergePaths:
 
 
 class TestPlansAndScripts:
-    def test_apply_plan_validates_first(self, engine):
-        plan = EvolutionPlan([DropTable("R"), DropTable("R")])
-        with pytest.raises(SmoValidationError):
-            engine.apply_plan(plan)
-        # Nothing executed: R still present.
-        assert "R" in engine.catalog
-
-    def test_apply_script(self, engine):
-        statuses = engine.apply_script(
-            """
-            COPY TABLE R TO R2;
-            DROP COLUMN Address FROM R2;
-            RENAME TABLE R2 TO Slim
-            """
-        )
-        assert len(statuses) == 3
-        assert engine.table("Slim").column_names == ("Employee", "Skill")
-
     def test_history_records_everything(self, engine):
-        engine.apply_script("COPY TABLE R TO A; DROP TABLE A")
+        for statement in ("COPY TABLE R TO A", "DROP TABLE A"):
+            engine.apply(parse_smo(statement))
         statements = [entry.statement for entry in engine.history]
         assert statements == ["COPY TABLE R TO A", "DROP TABLE A"]
 
     def test_history_replay_reproduces_state(self, engine, fig1_table):
-        engine.apply_script(
+        for statement in iter_script_statements(
             """
             DECOMPOSE TABLE R INTO S (Employee, Skill), T (Employee, Address);
             MERGE TABLES S, T INTO R2;
             RENAME TABLE R2 TO Final
             """
-        )
+        ):
+            engine.apply(parse_smo(statement))
         fresh = EvolutionEngine()
         fresh.load_table(fig1_table)
         engine.history.replay(fresh)

@@ -5,16 +5,12 @@ import pytest
 from repro.errors import LosslessJoinError
 from repro.fd import (
     FunctionalDependency,
-    candidate_keys,
     check_lossless,
     closure,
     fds_from_keys,
     holds,
     holds_each,
-    implies,
     is_key_in_data,
-    is_superkey,
-    minimal_cover,
 )
 from repro.storage import ColumnSchema, DataType, TableSchema, table_from_python
 from tests.harness.chase import chase_lossless
@@ -35,57 +31,8 @@ class TestClosure:
         assert closure({"A"}, fds) == frozenset({"A"})
         assert closure({"A", "B"}, fds) == frozenset({"A", "B", "C"})
 
-    def test_implies(self):
-        fds = [FD("A", "B"), FD("B", "C")]
-        assert implies(fds, FD("A", "C"))
-        assert not implies(fds, FD("C", "A"))
 
-    def test_is_superkey(self):
-        fds = [FD("A", ["B", "C"])]
-        assert is_superkey({"A"}, {"A", "B", "C"}, fds)
-        assert not is_superkey({"B"}, {"A", "B", "C"}, fds)
-
-
-class TestCandidateKeys:
-    def test_simple(self):
-        fds = [FD("A", ["B", "C"])]
-        assert candidate_keys({"A", "B", "C"}, fds) == [frozenset({"A"})]
-
-    def test_two_keys(self):
-        fds = [FD("A", "B"), FD("B", "A"), FD("A", "C")]
-        keys = candidate_keys({"A", "B", "C"}, fds)
-        assert sorted(map(sorted, keys)) == [["A"], ["B"]]
-
-    def test_composite_key(self):
-        fds = [FD(["A", "B"], "C")]
-        keys = candidate_keys({"A", "B", "C"}, fds)
-        assert keys == [frozenset({"A", "B"})]
-
-    def test_no_fds_whole_relation_is_key(self):
-        keys = candidate_keys({"A", "B"}, [])
-        assert keys == [frozenset({"A", "B"})]
-
-    def test_minimality(self):
-        fds = [FD("A", ["B", "C", "D"]), FD(["A", "B"], "D")]
-        keys = candidate_keys({"A", "B", "C", "D"}, fds)
-        assert keys == [frozenset({"A"})]
-
-
-class TestMinimalCover:
-    def test_splits_rhs(self):
-        cover = minimal_cover([FD("A", ["B", "C"])])
-        assert all(len(fd.rhs) == 1 for fd in cover)
-        assert len(cover) == 2
-
-    def test_removes_redundant(self):
-        cover = minimal_cover([FD("A", "B"), FD("B", "C"), FD("A", "C")])
-        assert FD("A", "C") not in cover
-        assert implies(cover, FD("A", "C"))
-
-    def test_trims_extraneous_lhs(self):
-        cover = minimal_cover([FD("A", "B"), FD(["A", "C"], "B")])
-        assert all(fd.lhs == frozenset({"A"}) for fd in cover)
-
+class TestFunctionalDependency:
     def test_str(self):
         assert str(FD("A", "B")) == "A -> B"
 
@@ -98,7 +45,6 @@ class TestCheckLossless:
         fds = [FD("E", "A")]
         plan = check_lossless(self.ALL, ("E", "S"), ("E", "A"), fds)
         assert plan.changed_side == "right"
-        assert plan.unchanged_side == "left"
         assert plan.common == frozenset({"E"})
 
     def test_no_common_attributes(self):
@@ -135,7 +81,7 @@ class TestCheckLossless:
             primary_key=("a",),
         )
         fds = fds_from_keys(schema)
-        assert implies(fds, FD("a", "b"))
+        assert "b" in closure({"a"}, fds)
 
 
 class TestChase:

@@ -25,7 +25,6 @@ from repro.server.protocol import (
     PREAMBLE_SIZE,
     VERSION,
     check_preamble,
-    decode_row,
     decode_rows,
     encode_frame,
     encode_row,
@@ -103,13 +102,13 @@ class TestFrames:
 class TestValueCodec:
     def test_json_native_values_pass_through(self):
         row = (1, "a", None, 2.5)
-        assert decode_row(encode_row(row)) == row
+        assert decode_rows([encode_row(row)]) == [row]
 
     def test_dates_survive_the_wire(self):
         row = (datetime.date(2010, 9, 13), "vldb")
         encoded = encode_row(row)
         assert encoded[0] == {"__date__": "2010-09-13"}
-        assert decode_row(encoded) == row
+        assert decode_rows([encoded]) == [row]
 
     def test_rows_round_trip_as_tuples(self):
         rows = [(1, "a"), (2, "b")]

@@ -7,7 +7,8 @@ from repro.db import Database
 from repro.delta import CompactionPolicy
 from repro.errors import StorageError
 from repro.exec.batch import TableBatch
-from repro.smo import Comparison, Or
+from repro.smo import Comparison, Or, parse_smo
+from repro.sql import iter_script_statements
 from repro.storage import BitmapColumn, DataType, table_from_python
 from repro.storage.verify import (
     VerificationReport,
@@ -165,7 +166,7 @@ class TestVerify:
 
         engine = EvolutionEngine()
         engine.load_table(fig1_table)
-        engine.apply_script(
+        for statement in iter_script_statements(
             """
             DECOMPOSE TABLE R INTO S (Employee, Skill), T (Employee, Address);
             MERGE TABLES S, T INTO R;
@@ -174,6 +175,7 @@ class TestVerify:
             PARTITION TABLE R2 INTO A, B WHERE Employee = 'Jones';
             UNION TABLES A, B INTO R3
             """
-        )
+        ):
+            engine.apply(parse_smo(statement))
         report = verify_catalog(engine.catalog)
         assert report.ok, str(report)

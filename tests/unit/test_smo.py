@@ -24,11 +24,11 @@ from repro.smo import (
     RenameTable,
     UnionTables,
     parse_predicate,
-    parse_script,
     parse_smo,
     simulate,
 )
 from repro.smo.parser import TokenStream
+from repro.sql import iter_script_statements
 from repro.storage import (
     Catalog,
     ColumnSchema,
@@ -413,15 +413,17 @@ class TestParser:
 
     def test_script(self):
         script = """
-        CREATE TABLE R (A INT, B INT);
         -- a comment line
-        RENAME TABLE R TO R2
-        DROP TABLE R2
+        DECOMPOSE TABLE R INTO S (A, B),
+                               T (A, C);  -- a trailing comment
+        PARTITION TABLE S INTO S1, S2 WHERE B = 'a;b';
+        DROP TABLE T
         """
-        ops = parse_script(script)
+        ops = [parse_smo(text) for text in iter_script_statements(script)]
         assert [type(op) for op in ops] == [
-            CreateTable, RenameTable, DropTable,
+            DecomposeTable, PartitionTable, DropTable,
         ]
+        assert ops[1].predicate.value == "a;b"
 
     def test_describe_roundtrip(self):
         texts = [

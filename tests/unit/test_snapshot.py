@@ -16,6 +16,7 @@ from repro.delta import (
 )
 from repro.errors import SchemaError, SerializationError, StorageError
 from repro.exec import filter_batches, iter_rows
+from repro.smo import parse_smo
 from repro.smo.predicate import And, Comparison, Not, Or
 from repro.sql import MutableColumnAdapter, SqlExecutor
 from repro.storage import (
@@ -124,7 +125,7 @@ class TestSnapshotPinning:
         mutable.insert((5, "d"))
         snapshot = mutable.snapshot()
         pinned = snapshot.to_rows()
-        engine.apply_sql_like("DROP COLUMN S FROM R")  # flush + invalidate
+        engine.apply(parse_smo("DROP COLUMN S FROM R"))  # flush + invalidate
         assert not mutable.is_valid
         assert snapshot.to_rows() == pinned
         snapshot.close()
@@ -330,7 +331,7 @@ class TestMetadataRenames:
 
     def test_rename_table_smo_preserves_delta(self):
         engine, mutable = self.engine_with_delta()
-        status = engine.apply_sql_like("RENAME TABLE R TO R2")
+        status = engine.apply(parse_smo("RENAME TABLE R TO R2"))
         assert status.delta_rows_flushed == 0
         assert not any(e.step == "delta flush" for e in status.events)
         assert mutable.is_valid and mutable.compactions == 0
@@ -341,7 +342,7 @@ class TestMetadataRenames:
 
     def test_rename_column_smo_preserves_delta(self):
         engine, mutable = self.engine_with_delta()
-        status = engine.apply_sql_like("RENAME COLUMN S TO Skill IN R")
+        status = engine.apply(parse_smo("RENAME COLUMN S TO Skill IN R"))
         assert status.delta_rows_flushed == 0
         assert mutable.compactions == 0
         assert mutable.schema.column_names == ("K", "Skill")
@@ -351,7 +352,7 @@ class TestMetadataRenames:
     def test_rename_mid_incremental_run(self):
         engine, mutable = self.engine_with_delta()
         mutable.compact_step()
-        engine.apply_sql_like("RENAME COLUMN S TO Skill IN R")
+        engine.apply(parse_smo("RENAME COLUMN S TO Skill IN R"))
         assert mutable.compact_step(columns=2).done
         assert mutable.schema.column_names == ("K", "Skill")
         assert sorted(engine.table("R").to_rows()) == [
@@ -378,7 +379,7 @@ class TestMetadataRenames:
         engine, mutable = self.engine_with_delta()
         snapshot = mutable.snapshot()
         epoch = mutable.epoch
-        engine.apply_sql_like("RENAME TABLE R TO R2")
+        engine.apply(parse_smo("RENAME TABLE R TO R2"))
         assert mutable.epoch == epoch
         assert snapshot.to_rows()[-1] == (5, "d")
 
@@ -388,7 +389,7 @@ class TestMetadataRenames:
         engine, mutable = self.engine_with_delta()
         snapshot = mutable.snapshot()
         pinned = snapshot.to_rows()
-        engine.apply_sql_like("RENAME COLUMN S TO Skill IN R")
+        engine.apply(parse_smo("RENAME COLUMN S TO Skill IN R"))
         mutable.delete()  # later deletes stay invisible to the pin
         assert snapshot.to_rows() == pinned
         assert sorted(
@@ -399,7 +400,7 @@ class TestMetadataRenames:
         engine, mutable = self.engine_with_delta()
         snapshot = mutable.snapshot()  # pins generation 0
         mutable.compact()              # generation 0 becomes retained
-        engine.apply_sql_like("RENAME COLUMN S TO Skill IN R")
+        engine.apply(parse_smo("RENAME COLUMN S TO Skill IN R"))
         assert rows_where(snapshot, Comparison("Skill", "=", "d")) == [
             (5, "d")
         ]

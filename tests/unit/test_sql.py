@@ -7,8 +7,8 @@ from repro.sql import (
     ColumnStoreAdapter,
     RowEngineAdapter,
     SqlExecutor,
+    iter_script_statements,
     parse_sql,
-    parse_sql_script,
 )
 from repro.sql.ast import (
     CreateIndex,
@@ -107,10 +107,13 @@ class TestParser:
                 parse_sql(bad)
 
     def test_script(self):
-        statements = parse_sql_script(
-            "CREATE TABLE r (a INT); INSERT INTO r VALUES (1); "
-            "SELECT * FROM r"
-        )
+        statements = [
+            parse_sql(text)
+            for text in iter_script_statements(
+                "CREATE TABLE r (a INT); INSERT INTO r VALUES (1); "
+                "SELECT * FROM r"
+            )
+        ]
         assert len(statements) == 3
 
 

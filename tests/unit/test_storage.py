@@ -286,11 +286,6 @@ class TestBitmapColumn:
         assert np.array_equal(column.bitmaps.words, want.words)
         assert np.array_equal(column.bitmaps.offsets, want.offsets)
 
-    def test_positions_for_value(self):
-        column = BitmapColumn.from_values("c", DataType.INT, [7, 8, 7, 7])
-        assert column.positions_for_value(7).tolist() == [0, 2, 3]
-        assert column.positions_for_value(99).tolist() == []
-
     def test_value_counts(self):
         column = BitmapColumn.from_values("c", DataType.INT, [1, 2, 1, 1, 2])
         assert column.value_counts().tolist() == [3, 2]
@@ -341,12 +336,6 @@ class TestBitmapColumn:
             "c", DataType.INT, [1, None, 1, None]
         )
         assert column.to_values() == [1, None, 1, None]
-
-    def test_compression_stats(self):
-        column = BitmapColumn.from_values("c", DataType.INT, [0] * 10_000)
-        stats = column.compression_stats()
-        assert stats.logical_bits == 10_000
-        assert stats.ratio > 100
 
     def test_renamed_shares_bitmaps(self):
         column = BitmapColumn.from_values("c", DataType.INT, [1, 2])

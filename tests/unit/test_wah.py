@@ -307,10 +307,3 @@ class TestScale:
         assert bm.count() == 899_900
         assert bm.word_count < 10  # pure fills stay tiny
         assert bm.first_set() == 100
-
-    def test_compression_ratio_reported(self):
-        from repro.bitmap import bitmap_stats
-
-        bm = WAHBitmap.from_intervals([0], [31 * 10_000], 31 * 10_000)
-        stats = bitmap_stats(bm)
-        assert stats.ratio > 1000

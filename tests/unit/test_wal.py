@@ -110,7 +110,7 @@ class TestWriteAheadLog:
         records = [p for _, p in wal.scan()]
         assert [p["t"] for p in records] == ["insert"]
         assert records[0]["c"] == 1  # its own committed transaction
-        assert wal.pending_bytes == 0
+        assert wal.end_lsn - wal.durable_lsn == 0
         wal.close()
 
     def test_nested_begin_is_refused(self, tmp_path):
@@ -154,10 +154,12 @@ class TestWriteAheadLog:
         for epoch in (1, 2):
             wal.append({"t": "delmain", "table": "r", "pos": 0,
                         "epoch": epoch})
-            assert wal.pending_bytes > 0  # acked but not yet flushed
+            # Acked but not yet flushed.
+            assert wal.end_lsn - wal.durable_lsn > 0
         assert wal.scan() == []  # nothing on disk yet
         wal.append({"t": "delmain", "table": "r", "pos": 0, "epoch": 3})
-        assert wal.pending_bytes == 0  # third commit filled the group
+        # The third commit filled the group.
+        assert wal.end_lsn - wal.durable_lsn == 0
         assert len(wal.scan()) == 3  # one self-committed frame each
         wal.close()
 

@@ -220,6 +220,38 @@ class TestDemo:
         text = out.getvalue()
         assert "S(" in text and "T(" in text
 
+    def test_add_validates_against_the_queued_plan(self):
+        session, out = self.make_session()
+        session.handle("example")
+        session.handle(
+            "add DECOMPOSE TABLE R INTO S (Employee, Skill), "
+            "T (Employee, Address)"
+        )
+        # S and T exist once the queued DECOMPOSE has run ...
+        session.handle("add MERGE TABLES S, T INTO R2")
+        assert "queued [2]: MERGE TABLES S, T INTO R2" in out.getvalue()
+        # ... and R does not.
+        session.handle("add COPY TABLE R TO R3")
+        assert "error: plan step 3 (COPY TABLE R TO R3)" in out.getvalue()
+        assert len(session.queue) == 2
+        session.handle("execute")
+        assert session.engine.catalog.table_names() == ["R2"]
+
+    def test_a_failed_execute_empties_the_queue(self):
+        session, out = self.make_session()
+        session.handle("example")
+        # Schema-valid, but the data refutes Address -> either side.
+        session.handle(
+            "add DECOMPOSE TABLE R INTO S (Employee, Address), "
+            "T (Skill, Address)"
+        )
+        session.handle("add COPY TABLE S TO S2")
+        session.handle("execute")
+        assert "lossy" in out.getvalue()
+        assert session.queue == []
+        session.handle("add COPY TABLE R TO R2")
+        assert "queued [1]: COPY TABLE R TO R2" in out.getvalue()
+
     def test_load_csv_command(self, tmp_path, fig1_table):
         from repro.storage import save_csv
 
@@ -238,6 +270,27 @@ class TestDemo:
             "ADD COLUMN c INT TO W DEFAULT 1\n"
         )
         assert main(["--script", str(script)]) == 0
+
+    @pytest.mark.parametrize("bad_line", [
+        "DROP TABLE Nope",
+        "ADD COLUMN d INT TO V",
+        "FROBNICATE TABLE W",
+    ])
+    def test_script_mode_runs_nothing_when_a_line_fails(
+        self, tmp_path, capsys, bad_line
+    ):
+        from repro.demo.cli import main
+
+        script = tmp_path / "evolve.smo"
+        script.write_text(
+            "CREATE TABLE W (a INT, b STRING)\n"
+            f"{bad_line}\n"
+            "ADD COLUMN c INT TO W DEFAULT 1\n"
+        )
+        assert main(["--script", str(script)]) == 1
+        printed = capsys.readouterr().out
+        assert f"error: {script}:2:" in printed
+        assert "executing" not in printed
 
     def test_example_mode(self):
         from repro.demo.cli import main
