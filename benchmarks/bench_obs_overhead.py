@@ -15,9 +15,9 @@ database state:
 * ``instrumented`` — the default executor: always-on counters; the
   gate requires its overhead over baseline ≤ ``--max-overhead``
   (default 5%);
-* ``traced`` — ``trace_queries=True``: per-stage span timing.  Opt-in
-  and expected to cost real time (it wraps every pipeline stage), so
-  it is reported for context, never gated.
+* ``traced`` — ``trace_queries=True``: per-stage span timing, two
+  clock reads per batch or chunk each stage emits.  Opt-in, so it is
+  reported for context, never gated.
 
 The overhead under test (a few percent of a sub-millisecond query) is
 the same order as scheduler and frequency-scaling jitter, so the

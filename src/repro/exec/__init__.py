@@ -4,11 +4,11 @@ the façade.
 Everything under :mod:`repro.exec` moves *column batches* — parallel
 per-column value vectors plus a selection, the sorted ``int64``
 positions still in play (``None`` for every row) — instead of row
-tuples.  The
-read path flows ``scan → filter → project → [hash_join] → limit`` over
-batches, and tuples are only materialized at the cursor/adapter
-boundary (:func:`iter_rows`).  Each batch kind evaluates predicates
-with the cheapest representation its source offers:
+tuples.  The read path flows ``scan → filter`` over batches; from the
+projection on, each batch travels as one *chunk* (a list of row
+tuples), so every stage works per batch (:mod:`repro.exec.planner`).
+Each batch kind evaluates predicates with the cheapest representation
+its source offers:
 
 * :class:`TableBatch` — the compressed main store; predicates resolve
   in the compressed domain (``Predicate.bitmap``) without decoding,
@@ -43,8 +43,8 @@ from repro.exec.aggregate import (
     accumulate_batch,
     aggregate_rows,
     choose_aggregate_strategy,
-    distinct_values,
-    ordered_rows,
+    distinct_chunks,
+    ordered_chunks,
     validate_aggregate_select,
 )
 from repro.exec.batch import (
@@ -56,11 +56,12 @@ from repro.exec.batch import (
 from repro.exec.operators import (
     DEFAULT_BATCH_ROWS,
     batches_from_rows,
-    dedup_rows,
+    dedup_chunks,
     filter_batches,
-    hash_join_rows,
+    hash_join_chunks,
     iter_rows,
-    limit_rows,
+    limit_chunks,
+    row_chunks,
 )
 from repro.exec.planner import execute_select
 from repro.exec.predicate import compile_predicate
@@ -77,13 +78,14 @@ __all__ = [
     "batches_from_rows",
     "choose_aggregate_strategy",
     "compile_predicate",
-    "dedup_rows",
-    "distinct_values",
+    "dedup_chunks",
+    "distinct_chunks",
     "execute_select",
     "filter_batches",
-    "hash_join_rows",
+    "hash_join_chunks",
     "iter_rows",
-    "limit_rows",
-    "ordered_rows",
+    "limit_chunks",
+    "ordered_chunks",
+    "row_chunks",
     "validate_aggregate_select",
 ]

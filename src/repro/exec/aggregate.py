@@ -36,10 +36,10 @@ operations cheap *without decoding rows*:
   its first live row or drops out; under a selection it is read from
   the cached vid array at the selected positions.
 * **ORDER BY** — each value bitmap's positions (less the deleted
-  ones) are an already-sorted run, so the main store emits presorted
-  runs in the dictionary's cached value order that merge
-  (``heapq.merge``) with the sorted delta rows instead of
-  materializing and sorting the whole table.
+  ones) are an already-sorted run, so the main store emits one chunk
+  per run in the dictionary's cached value order, with the sorted
+  delta rows spliced between runs, instead of materializing and
+  sorting the whole table.
 
 There is one aggregation path per batch domain: every main-store
 batch folds in the dictionary domain and every delta or values batch
@@ -50,9 +50,9 @@ it returns is what EXPLAIN renders.
 
 from __future__ import annotations
 
-import heapq
 import operator
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 
@@ -77,8 +77,8 @@ __all__ = [
     "accumulate_batch",
     "aggregate_rows",
     "choose_aggregate_strategy",
-    "distinct_values",
-    "ordered_rows",
+    "distinct_chunks",
+    "ordered_chunks",
     "validate_aggregate_select",
 ]
 
@@ -791,22 +791,23 @@ def _table_batch_distinct(batch: TableBatch, name: str) -> list:
     return _typed_values(table, name).objects[live].tolist()
 
 
-def distinct_values(batches, name: str):
+def distinct_chunks(batches, name: str):
     """DISTINCT on a single column: live-vid enumeration on main-store
-    batches, value hashing on delta/values batches.  Yields 1-tuples in
-    global first-occurrence order (main first, then delta), matching
-    :func:`repro.exec.operators.dedup_rows` over the projected rows."""
+    batches, value hashing on delta/values batches.  Yields one chunk
+    of 1-tuples per batch, in global first-occurrence order (main
+    first, then delta), matching
+    :func:`repro.exec.operators.dedup_chunks` over the projected rows."""
     seen = set()
     for batch in batches:
         if isinstance(batch, TableBatch):
-            iterator = _table_batch_distinct(batch, name)
+            values = _table_batch_distinct(batch, name)  # each value once
         else:
             index = batch.column_names.index(name)
-            iterator = (row[0] for row in batch.rows([index]))
-        for value in iterator:
-            if value not in seen:
-                seen.add(value)
-                yield (value,)
+            values = dict.fromkeys(row[0] for row in batch.rows([index]))
+        chunk = [(value,) for value in values if value not in seen]
+        seen.update(values)
+        if chunk:
+            yield chunk
 
 
 # ----------------------------------------------------------------------
@@ -818,7 +819,7 @@ def _table_batch_ordered(
     batch: TableBatch, name: str, ascending: bool, out_positions
 ):
     """Selected main-store rows in ``name`` order, emitted as one
-    presorted run per dictionary value (positions within a value bitmap
+    presorted chunk per dictionary value (positions within a value bitmap
     already ascend, preserving the stable-sort tie order).  The value
     order is the dictionary's cached rank, NULL last ascending and
     first descending.  Rows decode lazily, one value run at a time — a
@@ -843,33 +844,40 @@ def _table_batch_ordered(
             continue
         if decoded is None:
             decoded = decoded_main_rows(batch.table)
-        yield from project_rows(gather(decoded, positions), out_positions)
+        yield project_rows(gather(decoded, positions), out_positions)
 
 
-def ordered_rows(batches, name: str, ascending: bool, out_positions,
-                 out_index: int):
-    """ORDER BY without a global sort: dictionary-order presorted runs
-    from main-store batches merged with (small) sorted delta/values
-    batches.  Tie order matches the row path's stable sort — within a
-    run rows keep scan order, and earlier batches win ties."""
+def ordered_chunks(batches, name: str, ascending: bool, out_positions,
+                   out_index: int):
+    """ORDER BY without a global sort: the first batch, when it is the
+    main store, yields one presorted chunk per dictionary value, and
+    the remaining (small) delta/values batches are sorted once and
+    spliced in front of the first run they do not follow.  Tie order
+    matches the row path's stable sort — within a run rows keep scan
+    order, and earlier batches win ties."""
     def sort_key(row):
         value = row[out_index]
         return (value is None, value)
 
-    streams = []
-    for batch in batches:
-        if isinstance(batch, TableBatch):
-            streams.append(
-                _table_batch_ordered(batch, name, ascending, out_positions)
-            )
-        else:
-            streams.append(iter(sorted(
-                batch.rows(out_positions),
-                key=sort_key,
-                reverse=not ascending,
-            )))
-    if not streams:
-        return iter(())
-    if len(streams) == 1:
-        return streams[0]
-    return heapq.merge(*streams, key=sort_key, reverse=not ascending)
+    batches = list(batches)
+    runs = ()
+    if batches and isinstance(batches[0], TableBatch):
+        runs = _table_batch_ordered(
+            batches.pop(0), name, ascending, out_positions
+        )
+    rest = sorted(
+        chain.from_iterable(batch.rows(out_positions) for batch in batches),
+        key=sort_key,
+        reverse=not ascending,
+    )
+    precedes = operator.lt if ascending else operator.gt
+    taken = 0
+    for run in runs:
+        key = sort_key(run[0])
+        end = taken
+        while end < len(rest) and precedes(sort_key(rest[end]), key):
+            end += 1
+        yield rest[taken:end] + run if end > taken else run
+        taken = end
+    if taken < len(rest):
+        yield rest[taken:]

@@ -1,37 +1,36 @@
 """Planning SELECTs onto the batch pipeline.
 
-:func:`execute_select` is the one SELECT entry point of the
-reproduction: :class:`~repro.sql.executor.SqlExecutor` delegates every
-query — on every engine adapter — here.  The plan is always the
-same lazy chain::
+:func:`plan_stages` is the one place a SELECT is validated and its
+strategies are chosen: vid DISTINCT, presorted ORDER BY, the aggregate
+strategy and the native or batch-pipeline join.  It returns the plan
+as a ``select`` :class:`~repro.obs.Span` whose children are the
+stages, in order, each with its operator, its detail and the step
+that builds its stream::
 
-    adapter.scan_batches ── filter (selected positions) ── project
-        ── [hash_join] ── DISTINCT/ORDER BY ── LIMIT ── tuples
+    scan ── [filter] ── project | aggregate ── [distinct] ── [order_by]
+        ── [limit]
+    scan ── scan ── hash_join ── [filter] ── project ── ...
 
-with each stage choosing its strategy from the batch kind the adapter
-emitted (compressed-domain bitmaps or compiled columnar evaluators).
-Semantics — row order, duplicate handling — match a row-at-a-time
-evaluation over the reference merge (``to_rows()``) exactly; tier-1
-equivalence is pinned by
-``tests/property/test_exec_properties.py``.
+Scan and filter stages stream column batches; every later stage
+streams chunks, one list of row tuples per batch (see
+:mod:`repro.exec.operators`).  Semantics — row order, duplicate
+handling — match a row-at-a-time evaluation over the reference merge
+(``to_rows()``) exactly; ``tests/property/test_exec_properties.py``
+pins that.  The plan has three readers (``docs/observability.md``):
 
-Observability hooks (see ``docs/observability.md``):
-
-* ``stats`` — an :class:`repro.obs.ExecStats`; batch and decoded-row
-  counts accumulate per *batch* at the materialization boundary, so
-  the always-on accounting adds no per-row work;
-* ``trace`` — a timed :class:`repro.obs.QueryTrace`; every stage is
-  wrapped in a timing iterator and emits a :class:`repro.obs.Span`
-  with inclusive wall time (this is the EXPLAIN ANALYZE path and is
-  never active by default);
-* :func:`plan_select` — the static span tree for plain EXPLAIN,
-  built without executing (and therefore without charging any
-  backend's materialization counters).
+* :func:`plan_select` — plain EXPLAIN renders the stages without
+  running them (no scan, no materialization counters);
+* :func:`execute_select` — composes the steps into a lazy iterator of
+  tuples, with the always-on ``stats`` counted per batch;
+* with a ``trace`` (EXPLAIN ANALYZE, ``trace_queries``) each stage's
+  output also passes through :func:`_timed`, which ticks once per
+  batch or chunk, never per row.
 """
 
 from __future__ import annotations
 
-import time
+from itertools import chain
+from time import perf_counter
 
 from repro.errors import SqlExecutionError
 from repro.exec.aggregate import (
@@ -39,187 +38,212 @@ from repro.exec.aggregate import (
     accumulate_batch,
     aggregate_output_names,
     choose_aggregate_strategy,
-    distinct_values,
-    ordered_rows,
+    distinct_chunks,
+    ordered_chunks,
     validate_aggregate_select,
 )
 from repro.exec.operators import (
     batches_from_rows,
-    dedup_rows,
+    chunks_of,
+    dedup_chunks,
     filter_batches,
-    hash_join_rows,
-    iter_rows,
-    limit_rows,
+    hash_join_chunks,
+    limit_chunks,
+    row_chunks,
+    sort_chunks,
 )
+from repro.obs.trace import Span
 
 
-def _use_vid_distinct(adapter, select) -> bool:
-    """DISTINCT reroutes to live-vid enumeration when it is a single
-    projected column on a pushdown backend (no join) — the conditions
-    are static so plain EXPLAIN renders the same choice."""
-    return (
-        select.distinct
-        and select.join is None
-        and adapter.capabilities.pushdown
-        and select.columns is not None
-        and len(select.columns) == 1
-        and isinstance(select.columns[0], str)
-    )
+def _passthrough(stream):
+    return stream
 
 
-def _use_presorted_order(adapter, select, column_names) -> bool:
-    """ORDER BY reroutes to dictionary-order presorted runs on a
-    pushdown backend when no join/DISTINCT/aggregation intervenes and
-    the sort column is projected (also static)."""
-    return (
-        select.order_by is not None
-        and select.join is None
-        and not select.distinct
-        and not select.is_aggregate
-        and adapter.capabilities.pushdown
-        and select.order_by[0] in column_names
-    )
+def plan_stages(adapter, select, stats=None, explain=False) -> Span:
+    """Validate ``select`` and choose every strategy once; return the
+    ``select`` span whose children are the plan's stages.  Planning
+    runs no step, so an invalid query costs no decode.  ``stats``
+    (an :class:`repro.obs.ExecStats`) is what the steps count into;
+    ``explain`` adds the table statistics EXPLAIN's aggregate detail
+    reports, which no execution choice reads."""
+    from repro.sql.adapter import require_table
 
+    table, where = select.table, select.where
+    order_column, ascending = select.order_by or (None, True)
+    require_table(adapter, table)
+    schema = adapter.schema(table)
+    names, aggregated = schema.column_names, select.is_aggregate
+    pushdown = adapter.capabilities.pushdown
+    root = Span("select", f"table={table}")
+    stage = root.child
+    vid_distinct = presorted = False
 
-def _scan_detail(adapter, table: str) -> str:
-    """The path a scan of ``table`` takes, as named by the adapter that
-    will emit the batches (static — safe for plan-only EXPLAIN)."""
-    return f"table={table} ({adapter.scan_path(table)})"
+    def scan(name, step=None):
+        stage(
+            "scan", f"table={name} ({adapter.scan_path(name)})",
+            step or (lambda: adapter.scan_batches(name)), inputs=0,
+        )
 
-
-def _observed_batches(batches, span):
-    """Pass batches through, timing the pull (inclusive of upstream)
-    and recording batch count, selected rows, and the batch kinds
-    actually seen (TableBatch / DeltaBatch / ValuesBatch — the
-    compressed-domain path, then the compiled evaluator twice)."""
-    base_detail = span.detail
-    kinds: list[str] = []
-    iterator = iter(batches)
-    while True:
-        started = time.perf_counter()
-        try:
-            batch = next(iterator)
-        except StopIteration:
-            span.seconds += time.perf_counter() - started
-            return
-        span.seconds += time.perf_counter() - started
-        span.batches += 1
-        span.rows_out += batch.selected_count
-        kind = type(batch).__name__
-        if kind not in kinds:
-            kinds.append(kind)
-            joined = "+".join(kinds)
-            span.detail = (
-                f"{base_detail} [{joined}]" if base_detail else joined
+    def filter_where():
+        if where is not None:
+            stage(
+                "filter", f"where {where}",
+                lambda batches: filter_batches(batches, where),
             )
-        yield batch
 
-
-def _plan_spans(adapter, select, trace, sql_detail=True):
-    """Build the span skeleton for ``select`` on ``trace`` and return
-    the spans keyed by stage name (stages absent from the query are
-    omitted).  Shared by the static plan and the analyzed run so both
-    render the same tree."""
-    root = trace.span("select", f"table={select.table}")
-    spans = {"select": root}
-    if select.is_aggregate and select.join is None:
-        spans["scan"] = root.child(
-            "scan", _scan_detail(adapter, select.table)
-        )
-        if select.where is not None:
-            spans["filter"] = root.child("filter", f"where {select.where}")
+    if aggregated:
+        group_names, aggs = validate_aggregate_select(select, schema)
+        if where is not None:
+            where.validate(schema)
+        columns = aggregate_output_names(select)
+        scan(table)
+        filter_where()
         strategy, reason = choose_aggregate_strategy(
-            select,
-            adapter.table_stats(select.table),
-            pushdown=adapter.capabilities.pushdown,
+            select, adapter.table_stats(table) if explain else None,
+            pushdown=pushdown,
         )
-        output = ",".join(aggregate_output_names(select))
         grouped = (
-            f" group_by={','.join(select.group_by)}"
-            if select.group_by
+            f" group_by={','.join(select.group_by)}" if select.group_by
             else ""
         )
-        spans["aggregate"] = root.child(
-            "aggregate", f"{strategy} [{reason}] out={output}{grouped}"
+        aggregate = stage(
+            "aggregate",
+            f"{strategy} [{reason}] out={','.join(columns)}{grouped}",
         )
-        if select.order_by is not None:
-            column, ascending = select.order_by
-            spans["order_by"] = root.child(
-                "order_by", f"{column} {'ASC' if ascending else 'DESC'}"
+
+        def fold(batches):
+            # Main-store batches fold in the dictionary domain (vids
+            # and popcounts), delta/values batches by hash; both merge
+            # into one partial store keyed by decoded group values.
+            accumulator = GroupAccumulator(aggs)
+            for batch in batches:
+                accumulate_batch(batch, group_names, accumulator, strategy)
+            aggregate.batches = (
+                accumulator.batches_compressed + accumulator.batches_hash
             )
-        if select.limit is not None:
-            spans["limit"] = root.child("limit", f"limit={select.limit}")
-        return spans
-    if select.join is not None:
-        spans["scan"] = root.child(
-            "scan", _scan_detail(adapter, select.table)
-        )
-        spans["scan_right"] = root.child(
-            "scan", _scan_detail(adapter, select.join.table)
-        )
-        native = adapter.capabilities.hash_join
-        spans["join"] = root.child(
-            "hash_join",
-            f"on={','.join(select.join.join_attrs)} "
-            + ("(engine-native)" if native else "(batch pipeline)"),
-        )
-        if select.where is not None:
-            spans["filter"] = root.child(
-                "filter", f"residual where {select.where}"
+            if stats is not None:
+                stats.agg_batches_compressed += accumulator.batches_compressed
+                stats.agg_batches_hash += accumulator.batches_hash
+                stats.agg_groups += len(accumulator.slots)
+            yield accumulator.finalized_rows(select, group_names)
+
+        aggregate.step = fold
+    elif select.join is not None:
+        right, attrs = select.join.table, select.join.join_attrs
+        require_table(adapter, right)
+        right_names = adapter.schema(right).column_names
+        columns = tuple(select.columns or (
+            names + tuple(name for name in right_names if name not in attrs)
+        ))
+        if adapter.capabilities.hash_join:
+            # The engine joins its own tables; the scans stay unpulled.
+            scan(table, lambda: ())
+            scan(right, lambda: ())
+            stage(
+                "hash_join", f"on={','.join(attrs)} (engine-native)",
+                lambda _left, _right: chunks_of(
+                    adapter.hash_join(table, right, attrs, columns)
+                ),
+                inputs=2,
             )
-        spans["project"] = root.child("project", "joined columns")
+        else:
+            scan(table)
+            scan(right)
+            stage(
+                "hash_join", f"on={','.join(attrs)} (batch pipeline)",
+                lambda left, right_batches: hash_join_chunks(
+                    left, right_batches, names, right_names,
+                    attrs, columns,
+                ),
+                inputs=2,
+            )
+        if where is None:
+            stage("project", "joined columns", _passthrough)
+        else:
+            # Joined rows re-enter the pipeline as value batches so the
+            # residual predicate runs columnar like any other filter.
+            stage(
+                "filter", f"residual where {where}",
+                lambda chunks: filter_batches(
+                    batches_from_rows(columns, chain.from_iterable(chunks)),
+                    where,
+                ),
+            )
+            stage(
+                "project", "joined columns",
+                lambda batches: row_chunks(batches, stats=stats),
+            )
     else:
-        spans["scan"] = root.child(
-            "scan", _scan_detail(adapter, select.table)
+        columns = tuple(select.columns or names)
+        if where is not None:
+            where.validate(schema)
+        out_positions = (
+            None if columns == names
+            else [schema.index_of(name) for name in columns]
         )
-        if select.where is not None:
-            spans["filter"] = root.child("filter", f"where {select.where}")
-        columns = select.columns or adapter.schema(select.table).column_names
-        spans["project"] = root.child(
-            "project", f"columns={','.join(columns)}"
+        scan(table)
+        filter_where()
+        # DISTINCT on one dictionary-backed column enumerates live vids
+        # instead of decoding and hashing every row; ORDER BY on a
+        # projected column emits dictionary-order presorted runs.
+        vid_distinct = (
+            select.distinct and pushdown and select.columns is not None
+            and len(select.columns) == 1
+            and isinstance(select.columns[0], str)
         )
+        presorted = (
+            pushdown and not select.distinct and order_column in columns
+        )
+        if vid_distinct:
+            def project(batches):
+                return distinct_chunks(batches, columns[0])
+        elif presorted:
+            def project(batches):
+                return ordered_chunks(
+                    batches, order_column, ascending, out_positions,
+                    columns.index(order_column),
+                )
+        else:
+            def project(batches):
+                return row_chunks(batches, out_positions, stats)
+        stage("project", f"columns={','.join(columns)}", project)
+
     if select.distinct:
-        spans["distinct"] = root.child(
+        stage(
             "distinct",
-            "live-vid enumeration"
-            if _use_vid_distinct(adapter, select)
-            else "streaming dedup",
+            "live-vid enumeration" if vid_distinct else "streaming dedup",
+            _passthrough if vid_distinct else dedup_chunks,
         )
-    if select.order_by is not None:
-        column, ascending = select.order_by
-        names = (
-            select.columns
-            if select.columns is not None
-            else adapter.schema(select.table).column_names
-        )
-        how = (
-            "dictionary-order presorted runs"
-            if _use_presorted_order(adapter, select, names)
-            else "materialize-and-sort"
-        )
-        spans["order_by"] = root.child(
-            "order_by", f"{column} {'ASC' if ascending else 'DESC'} ({how})"
+    if order_column is not None:
+        if order_column not in columns:
+            raise SqlExecutionError(
+                f"ORDER BY column {order_column!r} not in the select list"
+            )
+        detail = f"{order_column} {'ASC' if ascending else 'DESC'}"
+        if not aggregated:
+            detail += (
+                " (dictionary-order presorted runs)" if presorted
+                else " (materialize-and-sort)"
+            )
+        index = columns.index(order_column)
+        stage(
+            "order_by", detail,
+            _passthrough if presorted
+            else lambda chunks: sort_chunks(chunks, index, ascending),
         )
     if select.limit is not None:
-        spans["limit"] = root.child("limit", f"limit={select.limit}")
-    return spans
+        stage(
+            "limit", f"limit={select.limit}",
+            lambda chunks: limit_chunks(chunks, select.limit),
+        )
+    return root
 
 
 def plan_select(adapter, select, trace):
     """Fill ``trace`` with the *static* plan of ``select`` — the span
-    tree EXPLAIN renders — validating references like execution would
-    but running nothing (no scan, no materialization counters)."""
-    from repro.sql.adapter import require_table
-
-    require_table(adapter, select.table)
-    schema = adapter.schema(select.table)
-    if select.is_aggregate:
-        validate_aggregate_select(select, schema)
-    if select.join is not None:
-        require_table(adapter, select.join.table)
-    elif select.where is not None:
-        select.where.validate(schema)
-    _plan_spans(adapter, select, trace)
+    tree plain EXPLAIN renders — validating it like execution would
+    but running nothing."""
+    trace.root = plan_stages(adapter, select, explain=True)
     trace.executed = False
     return trace
 
@@ -228,175 +252,48 @@ def execute_select(adapter, select, stats=None, trace=None):
     """Run a parsed SELECT on ``adapter`` via the batch pipeline;
     returns a lazy iterator of result tuples.
 
-    ``stats`` accumulates always-on batch/row counters; ``trace`` (a
-    timed :class:`~repro.obs.QueryTrace`) additionally wraps each
-    stage in timing iterators for EXPLAIN ANALYZE.
+    ``stats`` accumulates the always-on batch/row counters; ``trace``
+    (a timed :class:`~repro.obs.QueryTrace`) receives the plan and has
+    every stage's output timed for EXPLAIN ANALYZE.
     """
-    from repro.obs.trace import TimedIter
-    from repro.sql.adapter import require_table
-
-    require_table(adapter, select.table)
-    left_schema = adapter.schema(select.table)
-    if select.is_aggregate:
-        # Validate (and reject aggregates over JOIN) before any span or
-        # scan work — an invalid query must not cost a decode.
-        group_names, aggs = validate_aggregate_select(select, left_schema)
-        if select.where is not None:
-            select.where.validate(left_schema)
-    spans = (
-        _plan_spans(adapter, select, trace) if trace is not None else None
-    )
+    root = plan_stages(adapter, select, stats, explain=trace is not None)
     if trace is not None:
+        trace.root = root
         trace.executed = True
-    vid_distinct = presorted = False
+    streams = []
+    for stage in root.children:
+        split = len(streams) - stage.inputs
+        stream = stage.step(*streams[split:])
+        del streams[split:]
+        streams.append(stream if trace is None else _timed(stream, stage))
+    return chain.from_iterable(streams.pop())
 
-    if select.is_aggregate:
-        # Main-store batches fold in the dictionary domain (vids and
-        # popcounts) on every pushdown adapter; delta/values batches
-        # hash.  Both merge into one partial store, keyed by decoded
-        # group values, so main+delta results are epoch-consistent.
-        strategy, _reason = choose_aggregate_strategy(
-            select, None, pushdown=adapter.capabilities.pushdown
-        )
-        batches = adapter.scan_batches(select.table)
-        if spans is not None:
-            batches = _observed_batches(batches, spans["scan"])
-        if select.where is not None:
-            batches = filter_batches(batches, select.where)
-            if spans is not None:
-                batches = _observed_batches(batches, spans["filter"])
-        started = time.perf_counter()
-        accumulator = GroupAccumulator(aggs)
-        for batch in batches:
-            accumulate_batch(batch, group_names, accumulator, strategy)
-        result = accumulator.finalized_rows(select, group_names)
-        if stats is not None:
-            stats.agg_batches_compressed += accumulator.batches_compressed
-            stats.agg_batches_hash += accumulator.batches_hash
-            stats.agg_groups += len(accumulator.slots)
-        rows = iter(result)
-        if spans is not None:
-            span = spans["aggregate"]
-            span.seconds += time.perf_counter() - started
-            span.batches = (
-                accumulator.batches_compressed + accumulator.batches_hash
-            )
-            rows = TimedIter(rows, span)
-        column_names = aggregate_output_names(select)
-    elif select.join is not None:
-        require_table(adapter, select.join.table)
-        right_schema = adapter.schema(select.join.table)
-        out_columns = select.columns or (
-            left_schema.column_names
-            + tuple(
-                name
-                for name in right_schema.column_names
-                if name not in select.join.join_attrs
-            )
-        )
-        column_names = tuple(out_columns)
-        if adapter.capabilities.hash_join:
-            rows = adapter.hash_join(
-                select.table, select.join.table,
-                select.join.join_attrs, out_columns,
-            )
-        else:
-            left_batches = adapter.scan_batches(select.table)
-            right_batches = adapter.scan_batches(select.join.table)
-            if spans is not None:
-                left_batches = _observed_batches(
-                    left_batches, spans["scan"]
-                )
-                right_batches = _observed_batches(
-                    right_batches, spans["scan_right"]
-                )
-            rows = hash_join_rows(
-                left_batches,
-                right_batches,
-                left_schema.column_names,
-                right_schema.column_names,
-                select.join.join_attrs,
-                out_columns,
-            )
-        if spans is not None:
-            rows = TimedIter(rows, spans["join"])
-        if select.where is not None:
-            # Joined rows re-enter the pipeline as value batches so the
-            # residual predicate runs columnar like any other filter.
-            batches = filter_batches(
-                batches_from_rows(column_names, rows), select.where
-            )
-            if spans is not None:
-                batches = _observed_batches(batches, spans["filter"])
-            rows = iter_rows(batches, stats=stats)
-        if spans is not None:
-            rows = TimedIter(rows, spans["project"])
-    else:
-        column_names = select.columns or left_schema.column_names
-        # Validate before any scan work: a bad predicate or projection
-        # must not cost a decode (or skew the baselines' materialization
-        # accounting).
-        if select.where is not None:
-            select.where.validate(left_schema)
-        if tuple(column_names) == left_schema.column_names:
-            out_positions = None  # identity projection
-        else:
-            out_positions = [
-                left_schema.index_of(name) for name in column_names
-            ]
-        batches = adapter.scan_batches(select.table)
-        if spans is not None:
-            batches = _observed_batches(batches, spans["scan"])
-        if select.where is not None:
-            batches = filter_batches(batches, select.where)
-            if spans is not None:
-                batches = _observed_batches(batches, spans["filter"])
-        vid_distinct = _use_vid_distinct(adapter, select)
-        presorted = _use_presorted_order(adapter, select, column_names)
-        if vid_distinct:
-            # DISTINCT on one dictionary-backed column: enumerate live
-            # vids instead of decoding and hashing every row.
-            rows = distinct_values(batches, column_names[0])
-        elif presorted:
-            # ORDER BY from dictionary-order presorted runs (main
-            # store) merged with the sorted delta — no global sort.
-            column, ascending = select.order_by
-            rows = ordered_rows(
-                batches, column, ascending, out_positions,
-                column_names.index(column),
-            )
-        else:
-            rows = iter_rows(batches, out_positions, stats=stats)
-        if spans is not None:
-            rows = TimedIter(rows, spans["project"])
 
-    if select.distinct:
-        if not vid_distinct:
-            rows = dedup_rows(rows)
-        if spans is not None:
-            rows = TimedIter(rows, spans["distinct"])
-    if select.order_by is not None:
-        column, ascending = select.order_by
-        if column not in column_names:
-            raise SqlExecutionError(
-                f"ORDER BY column {column!r} not in the select list"
-            )
-        if not presorted:
-            index = column_names.index(column)
-            started = time.perf_counter() if spans is not None else 0.0
-            rows = iter(
-                sorted(
-                    rows,
-                    key=lambda r: (r[index] is None, r[index]),
-                    reverse=not ascending,
-                )
-            )
-            if spans is not None:
-                spans["order_by"].seconds += time.perf_counter() - started
-        if spans is not None:
-            rows = TimedIter(rows, spans["order_by"])
-    if select.limit is not None:
-        rows = limit_rows(rows, select.limit)
-        if spans is not None:
-            rows = TimedIter(rows, spans["limit"])
-    return rows
+def _timed(stream, span):
+    """Pass ``stream`` through, adding the wall time of each pull
+    (inclusive of everything upstream) to ``span`` — two clock reads
+    per batch or chunk.  A chunk adds its length to ``rows_out``; a
+    column batch adds its selected rows, counts in ``batches`` and
+    appends its kind to the detail (TableBatch / DeltaBatch /
+    ValuesBatch: the compressed-domain path, then the compiled
+    evaluator twice)."""
+    base = span.detail
+    kinds: list[str] = []
+    iterator = iter(stream)
+    while True:
+        started = perf_counter()
+        item = next(iterator, None)
+        span.seconds += perf_counter() - started
+        if item is None:
+            return
+        if isinstance(item, list):
+            span.rows_out += len(item)
+        else:
+            span.batches += 1
+            span.rows_out += item.selected_count
+            kind = type(item).__name__
+            if kind not in kinds:
+                kinds.append(kind)
+                joined = "+".join(kinds)
+                span.detail = f"{base} [{joined}]" if base else joined
+        yield item

@@ -30,7 +30,6 @@ from repro.obs.trace import (
     ExecStats,
     QueryTrace,
     Span,
-    TimedIter,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "QueryTrace",
     "Span",
     "TRACE_COLUMNS",
-    "TimedIter",
     "global_registry",
     "prometheus_name",
     "reset_global_registry",

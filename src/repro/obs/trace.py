@@ -7,11 +7,12 @@ Two instruments with very different costs live here:
   per row) and the executor flushes into the adapter's registry once
   per query.  Always on.
 * :class:`QueryTrace` / :class:`Span` — the operator tree behind
-  ``EXPLAIN ANALYZE`` and opt-in query tracing.  When a trace is
-  active the planner wraps each pipeline stage in a timing iterator,
-  so spans carry *inclusive* wall time (a span's seconds include its
-  upstream producers, exactly like pulling on that iterator does).
-  Never constructed on the default path.
+  ``EXPLAIN``, ``EXPLAIN ANALYZE`` and opt-in query tracing.  The
+  planner's stages *are* the spans: each carries the step that
+  transforms its stream.  When a trace is active the planner times
+  each stage's output once per batch or chunk pulled, so spans carry
+  *inclusive* wall time (a span's seconds include its upstream
+  producers, exactly like pulling on that stream does).
 
 The row shape of a rendered trace is fixed —
 ``(operator, detail, batches, rows_in, rows_out, ms)`` with the
@@ -21,21 +22,24 @@ operator indented two spaces per tree level — and documented in
 
 from __future__ import annotations
 
-import time
-
 #: Column names of a rendered trace (the EXPLAIN cursor description).
 TRACE_COLUMNS = ("operator", "detail", "batches", "rows_in", "rows_out", "ms")
 
 
 class Span:
-    """One operator of a query's plan, with its observed traffic."""
+    """One operator of a query's plan, with its observed traffic.
+
+    A plan stage also carries ``step``, which builds the stage's output
+    stream from the streams of its ``inputs`` predecessors (0 for a
+    scan, 2 for a join; see :mod:`repro.exec.planner`)."""
 
     __slots__ = (
         "operator", "detail", "batches", "rows_in", "rows_out",
-        "seconds", "children",
+        "seconds", "children", "step", "inputs",
     )
 
-    def __init__(self, operator: str, detail: str = ""):
+    def __init__(self, operator: str, detail: str = "", step=None,
+                 inputs: int = 1):
         self.operator = operator
         self.detail = detail
         self.batches = 0
@@ -43,9 +47,12 @@ class Span:
         self.rows_out = 0
         self.seconds = 0.0
         self.children: list[Span] = []
+        self.step = step
+        self.inputs = inputs
 
-    def child(self, operator: str, detail: str = "") -> "Span":
-        span = Span(operator, detail)
+    def child(self, operator: str, detail: str = "", step=None,
+              inputs: int = 1) -> "Span":
+        span = Span(operator, detail, step, inputs)
         self.children.append(span)
         return span
 
@@ -71,8 +78,8 @@ class QueryTrace:
     """The span tree of one SELECT.
 
     ``timed=True`` (EXPLAIN ANALYZE, opt-in tracing) makes the planner
-    wrap pipeline stages in timing iterators; ``timed=False`` renders a
-    static plan (plain EXPLAIN) with zeroed counters.
+    time every stage's output; ``timed=False`` renders a static plan
+    (plain EXPLAIN) with zeroed counters.
     """
 
     def __init__(self, sql: str = "", timed: bool = False):
@@ -80,10 +87,6 @@ class QueryTrace:
         self.timed = timed
         self.executed = False
         self.root: Span | None = None
-
-    def span(self, operator: str, detail: str = "") -> Span:
-        self.root = Span(operator, detail)
-        return self.root
 
     def finalize(self) -> "QueryTrace":
         """Fill derived fields after execution: each pipeline stage's
@@ -162,31 +165,3 @@ class ExecStats:
         self.agg_batches_compressed = 0
         self.agg_batches_hash = 0
         self.agg_groups = 0
-
-
-class TimedIter:
-    """Wrap an iterator, accumulating the wall time spent pulling from
-    it (and everything upstream) into a span — the inclusive-time
-    semantics of EXPLAIN ANALYZE.  ``count_rows`` also tallies items
-    into ``span.rows_out`` (used for row-level stages; batch stages
-    count rows from batch sizes instead)."""
-
-    __slots__ = ("_iterator", "_span", "_count_rows")
-
-    def __init__(self, iterable, span: Span, count_rows: bool = True):
-        self._iterator = iter(iterable)
-        self._span = span
-        self._count_rows = count_rows
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        started = time.perf_counter()
-        try:
-            item = next(self._iterator)
-        finally:
-            self._span.seconds += time.perf_counter() - started
-        if self._count_rows:
-            self._span.rows_out += 1
-        return item

@@ -2,9 +2,9 @@
 
 The PRISM line of work the paper builds on (Curino et al., VLDB 2008)
 treats a database's life as a sequence of schema versions connected by
-SMOs.  The catalog counts its mutations (``version``, written to a
-catalog directory's manifest); the operators themselves are recorded
-by the engine's :class:`repro.smo.history.EvolutionHistory`.
+SMOs.  The catalog counts its mutations (``version``, kept in memory
+only); the operators themselves are recorded by the engine's
+:class:`repro.smo.history.EvolutionHistory`.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.table import Table
 from repro.storage.types import DataType, parse_text, render_text
 
-#: The statement tokenizer's identifier rule (``repro.smo.parser``).
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+#: The statement tokenizer's identifier rule (``repro.smo.parser``),
+#: which every table name read from a file must pass.
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def infer_type(samples) -> DataType:
@@ -72,7 +73,7 @@ def load_csv(
         name = schema.name
     else:
         name = path.stem
-        if not _IDENTIFIER.fullmatch(name):
+        if not IDENTIFIER.fullmatch(name):
             raise StorageError(
                 f"{path}: file name {name!r} is not a table name a "
                 "statement can use; name the table explicitly (demo: "

@@ -59,6 +59,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.storage.column import BitmapColumn
+from repro.storage.csvio import IDENTIFIER
 from repro.storage.dictionary import Dictionary
 from repro.storage.schema import ColumnSchema, TableSchema
 from repro.storage.table import Table
@@ -434,7 +435,7 @@ def save_engine(engine, directory, wal=None):
     # A table created meanwhile has no files here yet: it waits for
     # the next save.
     names = engine.catalog.table_names()
-    manifest = {"tables": names, "version": engine.catalog.version}
+    manifest = {"tables": names}
     mutables = {name: engine.mutable(name) for name in names}
     with ExitStack() as stack:
         for name in names:
@@ -472,6 +473,25 @@ def save_engine(engine, directory, wal=None):
     return wal_lsn
 
 
+def _manifest_tables(path: Path) -> list[str]:
+    """The table names ``catalog.json`` lists, each an identifier, so
+    every file they address stays inside the catalog directory."""
+    try:
+        manifest = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SerializationError(
+            f"{path}: undecodable manifest: {exc}"
+        ) from exc
+    names = manifest.get("tables") if isinstance(manifest, dict) else None
+    if not isinstance(names, list) or not all(
+        isinstance(name, str) and IDENTIFIER.fullmatch(name) for name in names
+    ):
+        raise SerializationError(
+            f"{path}: \"tables\" must be a list of table names"
+        )
+    return names
+
+
 def load_engine(directory, policy=None):
     """Inverse of :func:`save_engine`: a fresh
     :class:`~repro.core.engine.EvolutionEngine` with the write buffers
@@ -486,10 +506,9 @@ def load_engine(directory, policy=None):
     manifest_path = directory / "catalog.json"
     if not manifest_path.exists():
         raise SerializationError(f"{directory}: no catalog.json")
-    manifest = json.loads(manifest_path.read_text())
     catalog = Catalog()
     sidecars: dict[str, Path] = {}
-    for name in manifest["tables"]:
+    for name in _manifest_tables(manifest_path):
         main_path, sidecar = _resolve_main_path(directory / f"{name}.cods")
         catalog.put(load_table(main_path))
         if sidecar.exists():

@@ -22,9 +22,11 @@ import pytest
 
 from repro.db import Database
 from repro.delta import CompactionPolicy, DeltaStore
+from repro.errors import SerializationError
 from repro.storage import (
     DataType,
     delta_sidecar_path,
+    load_engine,
     save_delta,
     save_table,
     table_from_python,
@@ -169,6 +171,27 @@ def test_directory_with_canonical_mains_opens_and_is_republished(tmp_path):
     assert b'"main_file": "t.g0.cods"' in sidecar
     assert b"wal_lsn" not in sidecar
     assert rows_of(directory) == expected
+
+
+def test_the_manifest_lists_table_names_only(saved):
+    directory, _rows = saved
+    manifest = json.loads((directory / "catalog.json").read_text())
+    assert manifest == {"tables": ["t"]}
+
+
+@pytest.mark.parametrize("manifest", [
+    "not json", '{"version": 3}', '{"tables": 5}', '{"tables": ["../x"]}',
+])
+def test_a_hostile_manifest_raises_a_typed_error(tmp_path, manifest):
+    # "../x" would address a loadable table outside the directory.
+    directory = tmp_path / "catalog"
+    directory.mkdir()
+    save_table(four_rows().renamed("x"), tmp_path / "x.cods")
+    (directory / "catalog.json").write_text(manifest)
+    with pytest.raises(SerializationError):
+        load_engine(directory)
+    with pytest.raises(SerializationError):
+        Database(directory, policy=NEVER)
 
 
 def test_table_created_during_a_save_waits_for_the_next(tmp_path):

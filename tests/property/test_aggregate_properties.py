@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from repro.db import Database
 from repro.delta import CompactionPolicy
 from repro.errors import SqlExecutionError
-from repro.exec.aggregate import aggregate_rows, distinct_values
+from repro.exec.aggregate import aggregate_rows, distinct_chunks
 from repro.exec.batch import TableBatch, ValuesBatch
 from repro.sql import (
     ColumnStoreAdapter,
@@ -632,13 +632,15 @@ def test_every_selection_kind_matches_sqlite(spec, selection_kind, data):
                 [TableBatch(table, everything)], parse_sql(query), schema
             ), query
     for index, name in enumerate(("g", "v")):
-        ours = list(distinct_values([TableBatch(table, selection)], name))
+        ours = list(itertools.chain.from_iterable(
+            distinct_chunks([TableBatch(table, selection)], name)
+        ))
         first_seen = list(dict.fromkeys(row[index] for row in selected))
         assert ours == [(value,) for value in first_seen]
         assert _same_rows(ours, _sqlite_rows(
             kind, selected, f"SELECT DISTINCT {name} FROM t"
         ))
         if selection is None:
-            assert ours == list(
-                distinct_values([TableBatch(table, everything)], name)
-            )
+            assert ours == list(itertools.chain.from_iterable(
+                distinct_chunks([TableBatch(table, everything)], name)
+            ))

@@ -117,7 +117,7 @@ def test_column_adapter_matches_sqlite(rows, query):
 @given(small_tables(), small_tables())
 def test_join_matches_sqlite(left_rows, right_rows):
     """Every engine's JOIN: the row store's engine-native join and the
-    column stores' ``hash_join_rows``."""
+    column stores' ``hash_join_chunks``."""
     connection = sqlite3.connect(":memory:")
     connection.execute("CREATE TABLE s (a INTEGER, b INTEGER, c TEXT)")
     connection.execute("CREATE TABLE t2 (a INTEGER, d INTEGER, e TEXT)")

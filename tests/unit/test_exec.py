@@ -20,7 +20,8 @@ from repro.exec import (
     compile_predicate,
     filter_batches,
     iter_rows,
-    limit_rows,
+    limit_chunks,
+    row_chunks,
 )
 from repro.smo.predicate import And, Comparison, Not, Or
 from repro.sql import (
@@ -352,11 +353,14 @@ class TestOperatorsAndLimit:
                 yield (i, "x")
 
         batches = batches_from_rows(("k", "s"), source(), batch_rows=10)
-        got = list(limit_rows(iter_rows(batches), 3))
+        got = [
+            row for chunk in limit_chunks(row_chunks(batches), 3)
+            for row in chunk
+        ]
         assert got == [(0, "x"), (1, "x"), (2, "x")]
-        # Only the first chunk (plus one row of lookahead) was pulled;
-        # the remaining ~90 rows were never materialized.
-        assert len(pulled) <= 12
+        # Only the first chunk was pulled; the remaining 90 rows were
+        # never materialized.
+        assert len(pulled) == 10
 
     def test_filter_drops_emptied_batches(self):
         batches = batches_from_rows(
@@ -505,3 +509,65 @@ class TestScanBatchesSurface:
         before = adapter.rows_materialized
         executor.execute("SELECT * FROM t WHERE k = 1")
         assert adapter.rows_materialized == before + 4
+
+
+class TestPlanCosts:
+    """What a plan pulls and what timing it costs, pinned exactly."""
+
+    @staticmethod
+    def database(main_rows, delta_rows=0):
+        db = Database(policy=CompactionPolicy.never())
+        db.execute("CREATE TABLE t (k INT, s STRING)")
+        db.executemany(
+            "INSERT INTO t VALUES (?, ?)",
+            [(i, f"s{i % 50:02d}") for i in range(main_rows)],
+        )
+        db.compact("t")
+        db.executemany(
+            "INSERT INTO t VALUES (?, ?)",
+            [(-i, f"s{i % 50:02d}") for i in range(delta_rows)],
+        )
+        return db
+
+    @pytest.mark.parametrize("limit", [999, 1000])
+    def test_limit_decodes_no_batch_past_its_last_row(self, limit):
+        # The main store is one 1 000-row batch, the delta a second
+        # one: a LIMIT the first batch completes never decodes the
+        # second, even when it ends exactly at the batch boundary.
+        db = self.database(1000, 300)
+        decoded = db.adapter.metrics.counter("exec.rows_decoded")
+        before = decoded.value
+        assert len(db.execute(f"SELECT * FROM t LIMIT {limit}")) == limit
+        assert decoded.value - before == 1000
+        assert len(db.execute("SELECT * FROM t LIMIT 1001")) == 1001
+        assert decoded.value - before == 1000 + 1300
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT * FROM t",
+        "SELECT k, s FROM t ORDER BY s LIMIT 10",
+    ])
+    def test_traced_timing_ticks_per_batch_not_per_row(
+        self, monkeypatch, sql
+    ):
+        from repro.exec import planner
+
+        def clock_reads(rows):
+            db = self.database(rows, 20)
+            calls = []
+
+            def counting():
+                calls.append(None)
+                return 0.0
+
+            monkeypatch.setattr(planner, "perf_counter", counting)
+            try:
+                analyzed = db.execute("EXPLAIN ANALYZE " + sql)
+            finally:
+                monkeypatch.undo()
+            returned = len(db.execute(sql))
+            assert analyzed[0][4] == returned
+            return len(calls)
+
+        small = clock_reads(2000)
+        assert small > 0
+        assert clock_reads(20000) == small

@@ -17,7 +17,6 @@ from repro.obs import (
     NullRegistry,
     QueryTrace,
     Span,
-    TimedIter,
     global_registry,
     prometheus_name,
     reset_global_registry,
@@ -168,7 +167,7 @@ class TestNullRegistry:
 class TestSpans:
     def test_trace_rows_have_the_fixed_shape(self):
         trace = QueryTrace("SELECT 1", timed=True)
-        root = trace.span("select", "table=r")
+        root = trace.root = Span("select", "table=r")
         scan = root.child("scan", "table=r")
         scan.batches = 2
         scan.rows_out = 10
@@ -180,7 +179,7 @@ class TestSpans:
 
     def test_finalize_chains_rows_in_from_the_predecessor(self):
         trace = QueryTrace()
-        root = trace.span("select")
+        root = trace.root = Span("select")
         scan = root.child("scan")
         scan.rows_out = 8
         filter_span = root.child("filter")
@@ -191,7 +190,8 @@ class TestSpans:
 
     def test_as_dict_nests_children(self):
         trace = QueryTrace("SELECT 1")
-        trace.span("select").child("scan")
+        trace.root = Span("select")
+        trace.root.child("scan")
         plan = trace.as_dict()["plan"]
         assert plan["operator"] == "select"
         assert plan["children"][0]["operator"] == "scan"
@@ -200,16 +200,21 @@ class TestSpans:
         assert QueryTrace().rows() == []
         assert QueryTrace().as_dict()["plan"] is None
 
-    def test_timed_iter_counts_rows_and_accumulates_time(self):
-        span = Span("scan")
-        assert list(TimedIter(iter([1, 2, 3]), span)) == [1, 2, 3]
-        assert span.rows_out == 3
-        assert span.seconds >= 0.0
+    def test_stage_timer_counts_chunks_and_batches(self):
+        from repro.exec import ValuesBatch
+        from repro.exec.planner import _timed
 
-    def test_timed_iter_can_skip_row_counting(self):
-        span = Span("scan")
-        list(TimedIter(iter([object(), object()]), span, count_rows=False))
-        assert span.rows_out == 0
+        chunks = Span("project")
+        assert list(_timed(iter([[(1,), (2,)], [(3,)]]), chunks)) == [
+            [(1,), (2,)], [(3,)],
+        ]
+        assert (chunks.batches, chunks.rows_out) == (0, 3)
+        assert chunks.seconds >= 0.0
+        scan = Span("scan", "table=r")
+        batch = ValuesBatch.from_rows(("k",), [(1,), (2,)])
+        list(_timed(iter([batch, batch]), scan))
+        assert (scan.batches, scan.rows_out) == (2, 4)
+        assert scan.detail == "table=r [ValuesBatch]"
 
 
 class TestExporters:
