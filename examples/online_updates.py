@@ -74,8 +74,9 @@ def main() -> None:
     print("S =", db.execute("SELECT * FROM S"))
 
     # 3. A read-write transaction: reads pin the whole catalog, writes
-    #    apply to the scope's overlay (read-your-writes) and replay
-    #    against live state at commit (roll back on an exception).
+    #    apply to the scope's overlay (read-your-writes), and commit
+    #    publishes their effects all or nothing (an exception rolls
+    #    back; a conflicting commit raises TransactionConflict).
     with db.transaction() as tx:
         frozen = tx.execute("SELECT * FROM S")
         tx.execute("INSERT INTO S VALUES ('Nguyen', 'Poetry')")

@@ -83,6 +83,7 @@ from repro.errors import (
     SmoValidationError,
     SqlError,
     StorageError,
+    TransactionConflict,
     TransactionError,
 )
 from repro.fd import FunctionalDependency
@@ -169,6 +170,7 @@ __all__ = [
     "Table",
     "TableSchema",
     "Transaction",
+    "TransactionConflict",
     "TransactionError",
     "UnionTables",
     "WAHBitmap",

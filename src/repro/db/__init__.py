@@ -16,7 +16,7 @@ surface:
   routes it by its parsed type;
 * :class:`Transaction` — ``db.transaction(read_only=...)`` pins a
   whole-catalog epoch vector for mutually consistent multi-table
-  reads, with buffered-write commit/rollback.
+  reads, with all-or-nothing commit/rollback.
 
 Quickstart::
 

@@ -9,30 +9,30 @@ pinned reader reads the schema, the rows and the counts of one
 instant.  Pins follow metadata-only renames and die with drops through
 the engine's rename and drop listeners.
 
-A read-write transaction buffers its DML as text and replays it at
-commit — but a SELECT inside the scope must still *see* those buffered
-writes (read-your-writes), while every other session keeps reading
-live state.  A table the scope has written is served by its
-:class:`TableOverlay`, started from the table's pin.
+A read-write transaction runs each DML statement once, here, so the
+scope's reads see its writes (read-your-writes) while other sessions
+read live state.  A written table is served by its
+:class:`TableOverlay`: the pin's own column batches with the writes
+applied as the main/delta split applies them, by the same
+:func:`~repro.delta.mutable.find_victims` a live table's DML runs — a
+DELETE adds its main victims to the main batch's exclusion list and
+narrows the other batches (``ColumnBatch.without``), an INSERT appends
+a :class:`~repro.exec.batch.ValuesBatch`, and an UPDATE is both.  No
+row is decoded to start an overlay, and a written table keeps the
+compressed-domain paths.
 
-An overlay is the pinned snapshot's own column batches with the
-scope's writes applied as the main/delta split applies them: a DELETE
-adds its main victims to the main batch's exclusion list and narrows
-the other batches' selections (``ColumnBatch.without``), an INSERT
-appends a
-:class:`~repro.exec.batch.ValuesBatch`, and an UPDATE is both, as in
-:meth:`repro.delta.MutableTable.update`.  No row is decoded to start an
-overlay, and a written table keeps the compressed-domain paths.
-
-The overlay is *presentation only*: nothing here touches the delta
-stores or the WAL.  Commit replays the buffered statement text against
-live state (the classic deferred-update design), so another session's
-writes landing between execute and commit are merged by replay, not by
-the overlay — ``docs/migration.md`` spells out the visible differences.
+The overlay also records its *effects* against the pin — the pinned
+main positions and buffered indices it deleted, and the rows its value
+batches still hold (an UPDATE of the scope's own inserts leaves only
+the final images).  :meth:`repro.db.Transaction.commit` publishes them
+(:meth:`TransactionView.writes`); ``docs/migration.md`` spells out the
+rules.
 """
 
 from __future__ import annotations
 
+from repro.delta.mutable import find_victims
+from repro.errors import TransactionConflict
 from repro.exec import ValuesBatch
 from repro.sql.adapter import EngineAdapter
 
@@ -44,11 +44,13 @@ class TableOverlay:
     immutable, so a cursor still draining an earlier
     :meth:`scan_batches` copy never sees later writes."""
 
-    __slots__ = ("schema", "_batches")
+    __slots__ = ("schema", "_batches", "_deleted_main", "_deleted_delta")
 
     def __init__(self, schema, batches):
         self.schema = schema
         self._batches = list(batches)
+        self._deleted_main: list[int] = []
+        self._deleted_delta: list[int] = []
 
     def _append(self, rows: list) -> int:
         if rows:
@@ -57,36 +59,35 @@ class TableOverlay:
             )
         return len(rows)
 
-    def _take(self, predicate) -> list:
-        """Drop the rows matching ``predicate`` (all when ``None``)
-        from every batch (:meth:`~repro.exec.batch.ColumnBatch.without`);
-        returns the victims as batches selecting exactly them."""
-        kept, victims = [], []
-        for batch in self._batches:
-            hit = batch if predicate is None else batch.filter(predicate)
-            if not hit.selected_count:
-                kept.append(batch)
-                continue
-            victims.append(hit)
-            if hit.selected_count < batch.selected_count:
-                kept.append(batch.without(hit))
-        self._batches = kept
-        return victims
+    def take(self, predicate, assignments=None) -> int:
+        """A DELETE, or an UPDATE with ``assignments``: drop the rows
+        matching ``predicate`` (all when None), record the pinned ones
+        and append the new images; returns the victim count."""
+        hits, positions, indices, images = find_victims(
+            self._batches, self.schema, predicate, assignments
+        )
+        self._deleted_main += positions
+        self._deleted_delta += indices
+        self._batches = [
+            batch if hit is None else batch.without(hit)
+            for batch, hit in zip(self._batches, hits)
+            if hit is None or hit.selected_count < batch.selected_count
+        ]
+        self._append(images)
+        return sum(hit.selected_count for hit in hits if hit is not None)
 
     def insert_rows(self, rows) -> int:
         return self._append([self.schema.coerce_row(row) for row in rows])
 
-    def update(self, assignments, predicate) -> int:
-        coerced = self.schema.coerce_assignments(assignments)
-        names = self.schema.column_names
-        return self._append([
-            tuple(coerced.get(name, value) for name, value in zip(names, row))
-            for victim in self._take(predicate)
-            for row in victim.rows()
-        ])
-
-    def delete(self, predicate) -> int:
-        return sum(victim.selected_count for victim in self._take(predicate))
+    def effects(self):
+        """``(positions, indices, rows)``: the pinned main positions and
+        buffered indices the scope deleted, sorted, and the rows it
+        inserted that are still there."""
+        rows = [
+            row for batch in self._batches
+            if isinstance(batch, ValuesBatch) for row in batch.rows()
+        ]
+        return sorted(self._deleted_main), sorted(self._deleted_delta), rows
 
     def scan_batches(self) -> list:
         return list(self._batches)
@@ -96,19 +97,22 @@ class TransactionView(EngineAdapter):
     """The transaction session's adapter: every read answers from the
     table's pin, taken at :meth:`pin` (``begin``) or on first touch,
     until the table is written; from then on its :class:`TableOverlay`
-    answers.  DML always lands in the overlay (the transaction buffers
-    the statement text separately for commit replay).
+    answers.  DML always lands in the overlay, whose effects commit
+    publishes (:meth:`writes`).
 
     ``pins`` follows the catalog's names: a metadata-only rename moves
     a pin (and an overlay) to the new name, and a drop closes the pin
     and forgets the overlay, so a name reused after a drop is pinned
-    afresh on its next touch instead of serving the dropped rows.
+    afresh on its next touch instead of serving the dropped rows.  A
+    dropped table the scope had written is remembered: its writes can
+    no longer commit.
     """
 
     def __init__(self, adapter):
         self._adapter = adapter
         self.pins: dict = {}
         self._overlays: dict[str, TableOverlay] = {}
+        self._dropped_writes: list[str] = []
         engine = adapter.evolution_engine
         engine.subscribe_renames(self._follow_rename)
         engine.subscribe_drops(self._follow_drop)
@@ -145,6 +149,22 @@ class TransactionView(EngineAdapter):
             self._overlays[name] = overlay
         return overlay
 
+    def writes(self) -> list:
+        """``(name, pin, effects)`` of every table the scope changed,
+        in name order (the lock order); a :class:`~repro.errors.
+        TransactionConflict` when one of them was dropped since."""
+        if self._dropped_writes:
+            raise TransactionConflict.on(
+                self._dropped_writes[0], "dropped since the scope wrote it"
+            )
+        effects = {
+            name: overlay.effects() for name, overlay in self._overlays.items()
+        }
+        return [
+            (name, self.pins[name], effects[name])
+            for name in sorted(effects) if any(effects[name])
+        ]
+
     def close(self) -> None:
         """Release every pin and drop every overlay (commit or
         rollback).  ``pins`` keeps the closed handles, whose
@@ -162,7 +182,9 @@ class TransactionView(EngineAdapter):
         snapshot = self.pins.pop(name, None)
         if snapshot is not None:
             snapshot.close()
-        self._overlays.pop(name, None)
+        overlay = self._overlays.pop(name, None)
+        if overlay is not None and any(overlay.effects()):
+            self._dropped_writes.append(name)
 
     # -- reads ----------------------------------------------------------
 
@@ -195,13 +217,13 @@ class TransactionView(EngineAdapter):
         # reports them, no execution choice reads them.
         return self.pin(name).statistics()
 
-    # -- writes (presentation only; commit replays the text) ------------
+    # -- writes (commit publishes their effects) ----------------------
 
     def insert_rows(self, name: str, rows) -> int:
         return self.overlay(name).insert_rows(rows)
 
     def update_rows(self, name: str, assignments, predicate) -> int:
-        return self.overlay(name).update(assignments, predicate)
+        return self.overlay(name).take(predicate, assignments)
 
     def delete_rows(self, name: str, predicate) -> int:
-        return self.overlay(name).delete(predicate)
+        return self.overlay(name).take(predicate)

@@ -82,11 +82,11 @@ def bind_parameters(text: str, params) -> str:
 
 
 def bind_and_parse(text: str, params=None):
-    """Bind ``params`` into ``text`` and parse it, once: returns the
-    bound text and its node (a SQL AST node or an SMO operator)."""
+    """Bind ``params`` into ``text`` and parse it, once: returns its
+    node (a SQL AST node or an SMO operator)."""
     if params is not None:
         text = bind_parameters(text, params)
-    return text, parse_statement(text)
+    return parse_statement(text)
 
 
 def execute_each(execute, statement: str, param_rows) -> int:
@@ -175,7 +175,7 @@ class Session:
         start = time.perf_counter()
         node = statement
         if isinstance(statement, str):
-            node = bind_and_parse(statement, params)[1]
+            node = bind_and_parse(statement, params)
         result = self._route(node)
         if threshold is not None:
             elapsed = time.perf_counter() - start

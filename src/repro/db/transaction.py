@@ -1,60 +1,39 @@
 """Whole-catalog transactions: multi-table epoch-vector snapshots.
 
-PR 2's :class:`~repro.delta.Snapshot` pins *one* table's (generation,
-epoch) pair.  A :class:`Transaction` extends that to the whole catalog:
-entering the scope pins every table atomically (the runtime is
-single-threaded, so no write can interleave with the acquisition loop),
-producing an **epoch vector** — ``{table: (generation, epoch)}`` — that
-stays frozen while concurrent inserts, deletes, updates and
-``compact_step()`` calls proceed outside the scope.  Cross-table reads
-inside the scope are therefore mutually consistent: they all observe
-the catalog as of one instant.
-
+A :class:`Transaction` pins every table of the catalog at once, under
+the database's commit lock, so no commit lands between two pins: the
+**epoch vector** ``{table: (generation, epoch)}`` stays frozen while
+concurrent DML and compaction proceed outside the scope, and
+cross-table reads inside it observe the catalog as of one instant.
 The pins live on the transaction's own
-:class:`~repro.db.overlay.TransactionView`, which answers the scope's
-schema, row and count reads from them, so only reads issued through
-the transaction see the frozen view — other sessions of the same
-database keep reading live state throughout.
+:class:`~repro.db.overlay.TransactionView`; other sessions keep
+reading live state throughout.  Tables created by other sessions after
+:meth:`Transaction.begin` are pinned on first touch.
 
-Write semantics follow the classic deferred-update design, with
-read-your-writes on top:
-
-* ``read_only=True`` scopes reject DML outright;
-* read-write scopes apply DML to a per-table **overlay** (see
-  :mod:`repro.db.overlay`) *and* buffer the parsed statement with its
-  text; reads inside the scope see the pinned state plus the scope's
-  own writes (read-your-writes), while every other session keeps
-  reading live state.  Commit runs the buffered statements against
-  live state without parsing them again (when the scope exits
-  cleanly); an exception rolls overlay and buffer away untouched.
-  See ``docs/ARCHITECTURE.md`` ("Concurrency") and
-  ``docs/migration.md``.
-
-Tables created by *other* sessions after :meth:`Transaction.begin` are
-pinned on first touch, so a read through the scope never serves live
-(mutating) state.
-
-Schema changes (SMOs, CREATE/DROP/ALTER) are not transactional and are
-rejected inside any scope.
+Each DML statement runs once, on the view: ``read_only=True`` scopes
+reject it, read-write scopes apply it to a per-table **overlay** (see
+:mod:`repro.db.overlay`), which the scope's reads see
+(read-your-writes).  Commit publishes the overlays' effects — the
+pinned rows each table's statements deleted and the rows they
+inserted — carried onto the live generation, all or nothing: when
+another commit deleted one of those rows first, or dropped or reshaped
+a written table, it raises :class:`~repro.errors.TransactionConflict`
+and applies nothing (first committer wins).  An exception inside the
+scope rolls the overlays away.  Schema changes (SMOs, CREATE/DROP/
+ALTER) are not transactional and are rejected inside any scope.  See
+``docs/ARCHITECTURE.md`` ("Concurrency") and ``docs/migration.md``.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+
 from repro.db.overlay import TransactionView
 from repro.db.session import Session, bind_and_parse, execute_each
-from repro.errors import CodsError, TransactionError
-from repro.smo.ops import SchemaModificationOperator
+from repro.errors import TransactionConflict, TransactionError
 from repro.sql.ast import (
-    Delete,
-    Explain,
-    InsertSelect,
-    InsertValues,
-    Select,
-    Statement,
-    Update,
+    Delete, Explain, InsertSelect, InsertValues, Select, Update,
 )
-from repro.sql.executor import script_error
-from repro.wal.crashpoints import crash_point
 
 _DML = (InsertValues, InsertSelect, Update, Delete)
 
@@ -70,36 +49,28 @@ class Transaction:
             assert tx.execute("SELECT * FROM s") == before
 
         with db.transaction() as tx:
-            tx.execute("INSERT INTO s VALUES (1, 'a')")  # buffered
+            tx.execute("INSERT INTO s VALUES (1, 'a')")  # in the overlay
         # committed here; an exception inside the block rolls back
     """
 
     def __init__(self, database, read_only: bool = False):
         self.database = database
         self.read_only = read_only
-        # The session reads through the transaction's view (its pins,
-        # and an overlay per written table), so only this transaction
-        # sees them; buffered writes run through a session on the
-        # database's shared adapter at commit.
+        # The session reads and writes through the transaction's view
+        # (its pins and overlays): nobody else sees them until commit.
         self._overlay = TransactionView(database.adapter)
         self._pins = self._overlay.pins
         self._session = Session(database, adapter=self._overlay)
-        self._commit_session = database.session()
-        # (bound text, parsed statement) per buffered write.
-        self._buffered: list[tuple[str, Statement]] = []
+        # What each DML statement returned, in order.
+        self._counts: list[int] = []
         self._state = "pending"  # -> open -> committed | rolled-back
 
     # -- lifecycle ------------------------------------------------------
 
     def begin(self) -> "Transaction":
         """Pin every table of the catalog at its current (generation,
-        epoch); reads through this transaction observe that frozen
-        state until the scope ends (other sessions read live).
-
-        The pin loop holds the database's commit lock: a committing
-        transaction (which also holds it) can therefore never land
-        *between* two of our pins, so the epoch vector is atomic with
-        respect to whole-transaction commits — no torn vectors."""
+        epoch), under the commit lock so no commit lands between two
+        pins (no torn epoch vector)."""
         if self._state != "pending":
             raise TransactionError(f"transaction already {self._state}")
         with self.database._commit_lock:
@@ -121,84 +92,69 @@ class Transaction:
         return self._state
 
     def commit(self) -> int:
-        """Release the pins and run the buffered writes (parsed when
-        they were issued) against the live state; returns the summed
-        affected-row count.
+        """Publish the scope's effects and release the pins; returns
+        the summed counts the scope's DML statements returned.
 
-        Replay is sequential and non-atomic: a statement that fails
-        mid-commit raises annotated with its 1-based buffer position
-        and leaves the transaction in the terminal ``commit-failed``
-        state — earlier statements stay applied and are *removed* from
-        the buffer, so ``pending_writes`` names exactly the statements
-        that did not land.
-        """
+        Under the commit lock, commit takes every written table's writer
+        lock in sorted name order (the lock order) and carries each
+        table's victims onto its live generation, checking that none was
+        deleted since, before it applies anything: then each table is
+        one delta write, all in one WAL transaction.  A commit that
+        raises applies nothing and leaves the scope ``rolled-back``."""
         self._check_open()
-        self._overlay.close()
-        total = 0
-        # Under durability the whole replay is one WAL transaction: its
-        # commit record lands (and is fsynced, per the flush policy)
-        # when the loop finishes.  A *statement* failure mid-replay
-        # leaves the earlier statements applied (documented above), so
-        # that path commits the WAL transaction too — and force-flushes
-        # it, because by the time the caller sees the error it has been
-        # told the prefix is applied, so the prefix must survive a
-        # crash even under the group policy's buffered-commit window.
-        # Any other unwind (notably the fault-injection harness's
-        # simulated power cut) aborts instead: abort touches no disk,
-        # so the partial replay is forgotten exactly as a real crash
-        # would forget it.
-        #
-        # The replay holds the database's commit lock (the head of the
-        # lock order): whole commits serialize against each other and
-        # against checkpoints, and each statement then takes its
-        # table's writer lock underneath.
-        wal = self.database._wal
-        in_wal_txn = wal is not None and bool(self._buffered)
-        with self.database._commit_lock:
-            if in_wal_txn:
-                wal.begin()
-            try:
-                for position, (text, statement) in enumerate(
-                    self._buffered, start=1
-                ):
-                    try:
-                        result = self._commit_session.execute(statement)
-                    except CodsError as exc:
-                        self._state = "commit-failed"
-                        self._buffered = self._buffered[position - 1:]
-                        if in_wal_txn:
-                            in_wal_txn = False
-                            # A crash here loses the prefix's commit
-                            # record — recovery then rolls the whole
-                            # transaction back, which is fine: the
-                            # caller never saw this failure ack.
-                            crash_point("txn.commit.statement-failed")
-                            wal.commit()
-                            wal.flush()
-                        raise script_error(exc, position, text) from exc
-                    if isinstance(result, int):
-                        total += result
-            except BaseException:
-                if in_wal_txn and wal.in_transaction:
-                    wal.abort()
-                raise
-            if in_wal_txn:
-                wal.commit()
-        self._buffered = []
-        self._state = "committed"
-        self.database.adapter.metrics.counter("txn.commits").inc()
+        total = sum(self._counts)
+        try:
+            self._publish(self._overlay.writes())
+        except BaseException:
+            self._end("rolled-back", "txn.rollbacks")
+            raise
+        self._end("committed", "txn.commits")
         return total
 
+    def _publish(self, writes) -> None:
+        engine, wal = self.database.engine, self.database._wal
+        with self.database._commit_lock, ExitStack() as locks:
+            resolved = []
+            for name, pin, (positions, indices, rows) in writes:
+                table = pin.owner
+                locks.enter_context(table._lock)
+                if not table.is_valid or engine.delta_handle(name) is not table:
+                    raise TransactionConflict.on(
+                        name, "dropped or changed by a schema change"
+                    )
+                victims = table.carry_victims(pin.generation, positions, indices)
+                if victims is None:
+                    raise TransactionConflict.on(
+                        name, "a row it deleted or updated was deleted "
+                        "by another commit"
+                    )
+                resolved.append((table, victims, rows))
+            logged = wal is not None and bool(resolved)
+            if logged:
+                wal.begin()
+            try:
+                for table, (positions, indices), rows in resolved:
+                    table.publish(positions, indices, rows)
+            except BaseException:
+                if logged:  # records without a commit record never replay
+                    wal.abort()
+                raise
+            if logged:
+                wal.commit()
+
     def rollback(self) -> int:
-        """Discard the buffered writes and release the pins; returns
-        how many statements were discarded."""
+        """Discard the scope's writes and release the pins; returns
+        how many DML statements were discarded."""
         self._check_open()
-        self._overlay.close()
-        self._state = "rolled-back"
-        discarded = len(self._buffered)
-        self._buffered.clear()
-        self.database.adapter.metrics.counter("txn.rollbacks").inc()
+        discarded = self.pending_writes
+        self._end("rolled-back", "txn.rollbacks")
         return discarded
+
+    def _end(self, state: str, counter: str) -> None:
+        self._overlay.close()
+        self._counts.clear()
+        self._state = state
+        self.database.adapter.metrics.counter(counter).inc()
 
     def __enter__(self) -> "Transaction":
         return self.begin()
@@ -220,49 +176,32 @@ class Transaction:
     # -- execution ------------------------------------------------------
 
     def execute(self, statement: str, params=None):
-        """Run a read against the pinned state (plus this scope's own
-        writes), or apply-and-buffer a write.
-
-        SELECTs return their rows immediately (resolved against the
-        epoch vector, with the scope's buffered DML overlaid —
-        read-your-writes).  In a read-write scope, DML lands in the
-        overlay, returns its affected-row count, and runs against live
-        state at commit.  SMOs and DDL raise — schema changes are not
-        transactional.
-        """
+        """Run a SELECT or EXPLAIN against the pinned state plus the
+        scope's own writes, or DML on the scope's overlay (returning
+        its affected-row count); SMOs and DDL raise."""
         return self.run(statement, params)[1]
 
     def run(self, statement: str, params=None):
         """:meth:`execute`, returning ``(node, result)`` like
-        :meth:`Session.run` — the statement is bound and parsed once,
-        here, and never again at commit."""
+        :meth:`Session.run`."""
         self._check_open()
-        text, parsed = bind_and_parse(statement, params)
-        if isinstance(parsed, SchemaModificationOperator):
+        parsed = bind_and_parse(statement, params)
+        write = isinstance(parsed, _DML)
+        if not write and not isinstance(parsed, (Select, Explain)):
             raise TransactionError(
-                "schema modification operators are not transactional; "
+                "schema changes (SMOs and DDL) are not transactional; "
                 "run them outside the scope"
             )
-        if isinstance(parsed, (Select, Explain)):
-            # EXPLAIN [ANALYZE] is a read: it plans (or runs) its SELECT
-            # against the pinned state like any other query here.
-            return self._session.run(parsed)
-        if isinstance(parsed, _DML):
-            if self.read_only:
-                raise TransactionError(
-                    "cannot write inside a read-only transaction"
-                )
-            # Apply to the overlay first: the count comes back now,
-            # bad statements (an unknown table, a row of the wrong
-            # arity) fail here instead of at commit, where earlier
-            # statements have already been applied, and later reads in
-            # this scope see the write.
-            result = self._session.execute(parsed)
-            self._buffered.append((text, parsed))
-            return parsed, result
-        raise TransactionError(
-            "DDL is not transactional; run it outside the scope"
-        )
+        if write and self.read_only:
+            raise TransactionError(
+                "cannot write inside a read-only transaction"
+            )
+        # A write runs here, once: a bad statement (an unknown table, a
+        # row of the wrong arity) fails now, and later reads see it.
+        node, result = self._session.run(parsed)
+        if write:
+            self._counts.append(result)
+        return node, result
 
     def executemany(self, statement: str, param_rows) -> int:
         """:meth:`execute` per parameter tuple; returns the summed
@@ -276,5 +215,5 @@ class Transaction:
 
     @property
     def pending_writes(self) -> int:
-        """Buffered statements awaiting commit."""
-        return len(self._buffered)
+        """The scope's DML statements awaiting commit."""
+        return len(self._counts)

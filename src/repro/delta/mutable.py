@@ -20,24 +20,21 @@ snapshot closes.  The whole lifecycle is documented in
 ``docs/delta-format.md``.
 
 A DELETE or UPDATE costs in proportion to its victims, not the table.
-Victims are found the way a SELECT finds them.  On the main store that
-is the scan's ``TableBatch`` — the compressed main less the positions
-already deleted — filtered in the *compressed* domain: ``=`` / ``IN``
-resolve to value ids by dictionary lookup, ``Predicate.bitmap`` hands
-back the matching value bitmap(s), and the deleted positions are
-subtracted from its positions — survivors are never enumerated.  An
-UPDATE reads its victims' old images through the read path's row
-gather (``TableBatch.rows``) from the generation's decoded rows, so a
-cold generation costs one decode per column, shared with SELECT, the
-aggregates and the compaction fold.  Buffered
-victims are a ``DeltaBatch`` filtered by the compiled evaluator, one
-pass over the buffer the compaction policy keeps small.
+:func:`find_victims` finds them as a SELECT finds rows, over a live
+table's ``view_batches(main, delta)`` or a transaction's overlay: the
+main store's ``TableBatch`` filtered in the *compressed* domain (the
+predicate's value bitmaps less the deleted positions — survivors are
+never enumerated), the buffer's ``DeltaBatch`` by the compiled
+evaluator.  An UPDATE's old images come through the read path's row
+gather (``TableBatch.rows``), so a cold generation costs one decode
+per column, shared with SELECT, the aggregates and the fold.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
@@ -58,6 +55,38 @@ from repro.errors import SchemaError, StorageError
 from repro.storage.column import BitmapColumn
 from repro.storage.dictionary import Dictionary
 from repro.storage.table import Table, canonical_sort_key
+
+
+def find_victims(batches, schema, predicate, assignments=None):
+    """An UPDATE's or a DELETE's victims among ``batches`` (every row
+    when ``predicate`` is None), found as a SELECT finds rows:
+    ``(hits, positions, indices, images)`` — each batch narrowed to its
+    victims (``None`` when it has none), the main positions and the
+    buffered indices among them (``TableBatch`` and ``DeltaBatch``
+    victims), and the UPDATE's new images in scan order (none for a
+    DELETE)."""
+    from repro.exec import DeltaBatch, TableBatch
+
+    if predicate is not None:
+        predicate.validate(schema)
+    hits, positions, indices, images = [], [], [], []
+    for batch in batches:
+        hit = batch if predicate is None else batch.filter(predicate)
+        if not hit.selected_count:
+            hit = None
+        elif isinstance(hit, (TableBatch, DeltaBatch)):
+            side = positions if isinstance(hit, TableBatch) else indices
+            side += hit.selected_positions().tolist()
+        hits.append(hit)
+    if assignments is not None:
+        coerced = schema.coerce_assignments(assignments)
+        names = schema.column_names
+        images = [
+            tuple(coerced.get(name, value) for name, value in zip(names, row))
+            for hit in hits if hit is not None
+            for row in hit.rows()
+        ]
+    return hits, positions, indices, images
 
 
 def _relabeled_table(table: Table, name: str, renames: dict) -> Table:
@@ -81,6 +110,7 @@ class _CompactionRun:
 
     __slots__ = (
         "cutoff_epoch",
+        "main_rows",
         "keep",
         "cutoff_appended",
         "live_cutoff",
@@ -99,6 +129,7 @@ class _CompactionRun:
         self.cutoff_epoch = (
             delta.epoch if cutoff_epoch is None else cutoff_epoch
         )
+        self.main_rows = main.nrows
         self.keep = delta.surviving_main_positions(
             main.nrows, self.cutoff_epoch
         )
@@ -115,6 +146,24 @@ class _CompactionRun:
     @property
     def done(self) -> bool:
         return self.next_index >= len(self.column_names)
+
+    def carry(self, rows: np.ndarray) -> np.ndarray:
+        """Where rows of the folded generation land in the next one.
+        A row is its place in the generation's view: a main position,
+        or ``main_rows`` plus a buffered index.  The new main holds the
+        main rows kept, then the buffered rows live at the cutoff; later
+        buffered rows start the new buffer.  A row the fold dropped
+        (deleted by the cutoff) maps to ``-1``, as does ``-1``."""
+        carried = np.full(len(rows), -1, np.int64)
+        buffered = self.main_rows + np.asarray(self.live_cutoff, np.int64)
+        for start, kept in ((0, self.keep), (len(self.keep), buffered)):
+            at = kept.searchsorted(rows)  # O(rows log kept), no copy
+            hit = at < len(kept)
+            hit[hit] = kept[at[hit]] == rows[hit]
+            carried[hit] = start + at[hit]
+        late = self.main_rows + self.cutoff_appended  # first row past the cutoff
+        new_main = len(self.keep) + len(buffered)
+        return np.where(rows >= late, rows - late + new_main, carried)
 
     def rename_columns(self, renames: dict[str, str]) -> None:
         """Keep an in-flight run consistent with a metadata-only column
@@ -169,6 +218,9 @@ class MutableTable:
         self._generation = 0
         self._snapshots: list[Snapshot] = []
         self._retained: dict[int, tuple[Table, DeltaStore]] = {}
+        # The fold that ended each generation while a snapshot pins it
+        # or an older one: it carries a pinned transaction's victims.
+        self._folds: dict[int, _CompactionRun] = {}
         self._compaction_run: _CompactionRun | None = None
         # Redo logging: a repro.wal.TableWal once durability is on
         # (shared with the delta store; see attach_wal).
@@ -236,9 +288,11 @@ class MutableTable:
         return tuple(sorted(self._retained))
 
     def invalidate(self) -> None:
-        """Detach the handle from its table (writes will raise)."""
-        self._invalidated = True
-        self.on_compact = None
+        """Detach the handle from its table (writes will raise) once
+        the write in flight, a whole commit included, has finished."""
+        with self._lock:
+            self._invalidated = True
+            self.on_compact = None
 
     def _check_valid(self) -> None:
         if self._invalidated:
@@ -294,10 +348,13 @@ class MutableTable:
             except ValueError:  # already released
                 return
             pinned = {s.generation for s in self._snapshots}
+            oldest = min(pinned, default=self._generation)
             self._retained = {
-                generation: version
-                for generation, version in self._retained.items()
-                if generation in pinned
+                g: version for g, version in self._retained.items()
+                if g in pinned
+            }
+            self._folds = {
+                g: run for g, run in self._folds.items() if g >= oldest
             }
 
     def scan_batches(self) -> list:
@@ -331,17 +388,9 @@ class MutableTable:
         self._delta._wal = table_wal
 
     def insert(self, row) -> None:
-        """Append one row tuple (schema column order).
-
-        Like every DML statement, an insert is one redo record, which
-        auto-commits as a single self-committed frame.  A triggered
-        auto-compaction's ``compact`` record rides its own frame, which
-        is safe: the fold is structural and idempotent.
-        """
-        with self._lock:
-            self._check_valid()
-            self._delta.append_rows([row])
-            self._maybe_autocompact()
+        """Append one row tuple (schema column order): one redo record,
+        auto-committed as a single self-committed frame."""
+        self.insert_rows([row])
 
     def insert_rows(self, rows) -> int:
         """Append an iterable of row tuples atomically (a malformed row
@@ -355,22 +404,10 @@ class MutableTable:
 
     def delete(self, predicate=None) -> int:
         """Delete visible rows matching ``predicate`` (all when None);
-        returns the number deleted.
-
-        A delete is an update that appends nothing: one ``update`` redo
-        record naming the victims (see
-        :meth:`~repro.delta.store.DeltaStore.apply_update`).  Main-store
-        victims are found in the compressed domain (see
-        :meth:`_matching_main_positions`) without materializing any row.
-        """
-        with self._lock:
-            self._check_valid()
-            positions = self._matching_main_positions(predicate).tolist()
-            victims = self._delta_victims(predicate)
-            indices = victims.selected_positions().tolist()
-            self._delta.apply_update(positions, indices, [])
-            self._maybe_autocompact()
-            return len(positions) + len(indices)
+        returns the number deleted.  A delete is an update that appends
+        nothing: one ``update`` redo record naming the victims (see
+        :meth:`~repro.delta.store.DeltaStore.apply_update`)."""
+        return self._modify(predicate)
 
     def update(self, assignments: dict, predicate=None) -> int:
         """Set ``assignments`` (column -> new value) on rows matching
@@ -379,73 +416,53 @@ class MutableTable:
         An update is a delete of the old version plus an append of the
         new one — the standard out-of-place write of a main/delta store,
         so the compressed main is never patched.  The whole statement is
-        one ``update`` redo record (see
-        :meth:`~repro.delta.store.DeltaStore.apply_update`).  The main
-        victims' old images are gathered, in position order, from the
-        decoded rows the read path keeps per generation, the buffered
-        ones from the filtered ``DeltaBatch`` that found them.
+        one ``update`` redo record.
         """
-        from repro.exec import TableBatch
+        return self._modify(predicate, assignments) if assignments else 0
 
+    def _modify(self, predicate, assignments=None) -> int:
+        """One DELETE or UPDATE: :func:`find_victims` over the live
+        view, then :meth:`publish`; returns the victim count."""
         with self._lock:
             self._check_valid()
-            if not assignments:
-                return 0
-            names = self.schema.column_names
-            coerced = self.schema.coerce_assignments(assignments)
-
-            main_positions = self._matching_main_positions(predicate)
-            old_main = (
-                TableBatch(self._main, main_positions).rows()
-                if len(main_positions)
-                else []
+            _, positions, indices, images = find_victims(
+                view_batches(self._main, self._delta), self.schema,
+                predicate, assignments,
             )
-            delta_victims = self._delta_victims(predicate)
-            old_delta = delta_victims.rows()
+            self.publish(positions, indices, images)
+            return len(positions) + len(indices)
 
-            updated = [
-                tuple(
-                    coerced.get(name, value)
-                    for name, value in zip(names, row)
-                )
-                for row in old_main + old_delta
-            ]
-            count = self._delta.apply_update(
-                main_positions.tolist(),
-                delta_victims.selected_positions().tolist(),
-                updated,
-            )
-            self._maybe_autocompact()
-            return count
+    def carry_victims(self, generation: int, positions, indices):
+        """A transaction's victims — sorted main ``positions`` and
+        buffered ``indices`` of its pinned ``generation`` — carried
+        through every fold since (:meth:`_CompactionRun.carry`) onto the
+        live generation; ``None`` when one was deleted since.  Writer
+        lock held."""
+        fold = self._folds.get(generation)
+        offset = fold.main_rows if fold is not None else self._main.nrows
+        rows = np.array(positions + [offset + i for i in indices], np.int64)
+        for folded in range(generation, self._generation):
+            rows = self._folds[folded].carry(rows)
+        split = int(np.searchsorted(rows, self._main.nrows))
+        positions = rows[:split].tolist()
+        indices = (rows[split:] - self._main.nrows).tolist()
+        delta = self._delta
+        if (rows < 0).any() or any(
+            p in delta.deleted_main for p in positions
+        ) or any(i in delta.deleted_delta for i in indices):
+            return None
+        return positions, indices
 
-    def _matching_main_positions(self, predicate) -> np.ndarray:
-        """Sorted visible main positions satisfying ``predicate``: the
-        scan's main batch (``TableBatch`` excluding the positions
-        deleted so far) filtered exactly as a SELECT filters it — the
-        predicate bitmap's positions less the deleted ones.  Only a
-        predicate-less statement, which hits every survivor anyway,
-        enumerates the survivors."""
-        from repro.exec import TableBatch
-
-        victims = TableBatch(
-            self._main,
-            deleted=self._delta.main_deletions(self._main.nrows),
-        )
-        if predicate is not None:
-            predicate.validate(self.schema)
-            victims = victims.filter(predicate)
-        return victims.selected_positions()
-
-    def _delta_victims(self, predicate):
-        """The live buffered rows satisfying ``predicate``: a
-        ``DeltaBatch`` filtered exactly as a SELECT filters it."""
-        from repro.exec import DeltaBatch
-
-        victims = DeltaBatch(self._delta)
-        if predicate is None or not victims.selected_count:
-            return victims
-        predicate.validate(self.schema)
-        return victims.filter(predicate)
+    def publish(self, positions, indices, rows) -> None:
+        """Apply a statement's or a transaction's effects on the live
+        generation: one ``insert`` record when they only insert, else
+        one ``update`` record.  Writer lock held."""
+        self._check_valid()
+        if positions or indices:
+            self._delta.apply_update(positions, indices, rows)
+        else:
+            self._delta.append_rows(rows)
+        self._maybe_autocompact()
 
     # ------------------------------------------------------------------
     # Compaction (full or incremental; safe under pinned snapshots)
@@ -465,8 +482,6 @@ class MutableTable:
         """
         with self._lock:
             self._check_valid()
-            if self._compaction_run is None and self._delta.is_empty:
-                return self._main
             full_budget = max(1, len(self.schema.columns))
             while (
                 self._compaction_run is not None
@@ -578,29 +593,28 @@ class MutableTable:
         if log and self._wal is not None:
             # Write-ahead: the structural record lands before the state
             # changes, as its own auto-committed frame (inside the outer
-            # transaction during a ``db.transaction()`` replay).
+            # transaction during a ``db.transaction()`` commit).
             self._wal.log_compact(run.cutoff_epoch)
         old_main, old_delta = self._main, self._delta
         nrows = len(run.keep) + len(run.live_cutoff)
         new_main = Table(self.schema, run.merged, nrows)
 
-        # Only deletions newer than the cutoff need their new position
-        # (normally none): a folded row's new position is its rank among
-        # the rows that were kept.
-        deleted_main: dict[int, int] = {}
-        for position, at in old_delta.deleted_main.items():
-            if at > run.cutoff_epoch:
-                deleted_main[int(np.searchsorted(run.keep, position))] = at
-        new_deleted_delta: dict[int, int] = {}
-        for index, at in old_delta.deleted_delta.items():
-            if index >= run.cutoff_appended:
-                new_deleted_delta[index - run.cutoff_appended] = at
-            elif at > run.cutoff_epoch:
-                # A pre-cutoff buffered row deleted mid-run: it was folded
-                # into the new main, so the deletion masks its new position.
-                deleted_main[
-                    len(run.keep) + bisect_left(run.live_cutoff, index)
-                ] = at
+        # Only deletions newer than the cutoff survive the fold, at
+        # their rows' new places (normally none).
+        late = {
+            row: at for row, at in chain(
+                old_delta.deleted_main.items(),
+                ((run.main_rows + i, at)
+                 for i, at in old_delta.deleted_delta.items()),
+            ) if at > run.cutoff_epoch
+        }
+        moved = run.carry(np.fromiter(late, np.int64, len(late)))
+        deleted_main, new_deleted_delta = {}, {}
+        for row, at in zip(moved.tolist(), late.values()):
+            if row < nrows:
+                deleted_main[row] = at
+            else:
+                new_deleted_delta[row - nrows] = at
         carried = {
             name: old_delta.columns[name][run.cutoff_appended:]
             for name in self.schema.column_names
@@ -618,6 +632,9 @@ class MutableTable:
 
         if any(s.generation == self._generation for s in self._snapshots):
             self._retained[self._generation] = (old_main, old_delta)
+        if self._snapshots:
+            run.merged = {}
+            self._folds[self._generation] = run
         self._main = new_main
         self._delta = new_delta
         self._generation += 1
@@ -662,33 +679,28 @@ class MutableTable:
         rows never change).
         """
         with self._lock:
-            self._rewire_metadata_locked(new_main, renames)
-
-    def _rewire_metadata_locked(
-        self, new_main: Table, renames: dict[str, str] | None = None
-    ) -> None:
-        self._check_valid()
-        if new_main.nrows != self._main.nrows:
-            raise StorageError(
-                f"rewire_metadata: {new_main.nrows} rows != "
-                f"{self._main.nrows} (renames are metadata-only)"
-            )
-        renames = renames or {}
-        self._delta.adopt_schema(new_main.schema, renames)
-        if self._compaction_run is not None:
-            self._compaction_run.rename_columns(renames)
-        self._main = new_main
-        for generation, (main, delta) in list(self._retained.items()):
-            relabeled = _relabeled_table(
-                main, new_main.schema.name, renames
-            )
-            delta.adopt_schema(relabeled.schema, renames)
-            self._retained[generation] = (relabeled, delta)
-        for snapshot in self._snapshots:
-            if snapshot.generation == self._generation:
-                snapshot._rewire(new_main)
-            else:
-                snapshot._rewire(self._retained[snapshot.generation][0])
+            self._check_valid()
+            if new_main.nrows != self._main.nrows:
+                raise StorageError(
+                    f"rewire_metadata: {new_main.nrows} rows != "
+                    f"{self._main.nrows} (renames are metadata-only)"
+                )
+            renames = renames or {}
+            self._delta.adopt_schema(new_main.schema, renames)
+            if self._compaction_run is not None:
+                self._compaction_run.rename_columns(renames)
+            self._main = new_main
+            for generation, (main, delta) in list(self._retained.items()):
+                relabeled = _relabeled_table(
+                    main, new_main.schema.name, renames
+                )
+                delta.adopt_schema(relabeled.schema, renames)
+                self._retained[generation] = (relabeled, delta)
+            for snapshot in self._snapshots:
+                if snapshot.generation == self._generation:
+                    snapshot._rewire(new_main)
+                else:
+                    snapshot._rewire(self._retained[snapshot.generation][0])
 
     def _maybe_autocompact(self) -> None:
         reason = self.policy.should_compact(self.delta_stats())

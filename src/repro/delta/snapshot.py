@@ -170,6 +170,12 @@ class Snapshot:
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def owner(self):
+        """The pinned :class:`~repro.delta.MutableTable` (``None`` once
+        closed)."""
+        return self._owner
+
     def close(self) -> None:
         """Release the pin (idempotent).  After closing, reads raise."""
         if self._closed:

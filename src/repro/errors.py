@@ -74,6 +74,17 @@ class TransactionError(CodsError):
     scope that already committed or rolled back."""
 
 
+class TransactionConflict(TransactionError):
+    """A commit lost to another writer (first committer wins) and
+    applied nothing: a row it deleted or updated was deleted since its
+    pin, or a table it wrote was dropped or consumed by a schema
+    change.  The message names the table and the reason."""
+
+    @classmethod
+    def on(cls, table: str, reason: str) -> "TransactionConflict":
+        return cls(f"transaction conflict on table {table!r}: {reason}")
+
+
 class NetworkError(CodsError):
     """A transport-level problem in the client/server layer
     (:mod:`repro.server` / :mod:`repro.client`): the peer hung up, the

@@ -69,6 +69,7 @@ from repro.exec.batch import (
     intersect_positions,
     project_rows,
 )
+from repro.exec.operators import row_chunks
 from repro.sql.ast import AGGREGATE_FUNCTIONS, Aggregate
 from repro.storage import codes as vid_codes
 
@@ -791,19 +792,23 @@ def _table_batch_distinct(batch: TableBatch, name: str) -> list:
     return _typed_values(table, name).objects[live].tolist()
 
 
-def distinct_chunks(batches, name: str):
+def distinct_chunks(batches, name: str, stats=None):
     """DISTINCT on a single column: live-vid enumeration on main-store
     batches, value hashing on delta/values batches.  Yields one chunk
     of 1-tuples per batch, in global first-occurrence order (main
     first, then delta), matching
-    :func:`repro.exec.operators.dedup_chunks` over the projected rows."""
+    :func:`repro.exec.operators.dedup_chunks` over the projected rows;
+    ``stats`` counts each batch and the values decoded from it."""
     seen = set()
     for batch in batches:
         if isinstance(batch, TableBatch):
-            values = _table_batch_distinct(batch, name)  # each value once
+            values = rows = _table_batch_distinct(batch, name)  # once each
         else:
-            index = batch.column_names.index(name)
-            values = dict.fromkeys(row[0] for row in batch.rows([index]))
+            rows = batch.rows([batch.column_names.index(name)])
+            values = dict.fromkeys(row[0] for row in rows)
+        if stats is not None:
+            stats.batches += 1
+            stats.rows_decoded += len(rows)
         chunk = [(value,) for value in values if value not in seen]
         seen.update(values)
         if chunk:
@@ -848,13 +853,14 @@ def _table_batch_ordered(
 
 
 def ordered_chunks(batches, name: str, ascending: bool, out_positions,
-                   out_index: int):
+                   out_index: int, stats=None):
     """ORDER BY without a global sort: the first batch, when it is the
     main store, yields one presorted chunk per dictionary value, and
     the remaining (small) delta/values batches are sorted once and
     spliced in front of the first run they do not follow.  Tie order
     matches the row path's stable sort — within a run rows keep scan
-    order, and earlier batches win ties."""
+    order, and earlier batches win ties.  ``stats`` counts each batch
+    and its rows as they decode (a LIMIT counts only what it read)."""
     def sort_key(row):
         value = row[out_index]
         return (value is None, value)
@@ -865,14 +871,18 @@ def ordered_chunks(batches, name: str, ascending: bool, out_positions,
         runs = _table_batch_ordered(
             batches.pop(0), name, ascending, out_positions
         )
+        if stats is not None:
+            stats.batches += 1
     rest = sorted(
-        chain.from_iterable(batch.rows(out_positions) for batch in batches),
+        chain.from_iterable(row_chunks(batches, out_positions, stats)),
         key=sort_key,
         reverse=not ascending,
     )
     precedes = operator.lt if ascending else operator.gt
     taken = 0
     for run in runs:
+        if stats is not None:
+            stats.rows_decoded += len(run)
         key = sort_key(run[0])
         end = taken
         while end < len(rest) and precedes(sort_key(rest[end]), key):

@@ -196,12 +196,12 @@ def plan_stages(adapter, select, stats=None, explain=False) -> Span:
         )
         if vid_distinct:
             def project(batches):
-                return distinct_chunks(batches, columns[0])
+                return distinct_chunks(batches, columns[0], stats)
         elif presorted:
             def project(batches):
                 return ordered_chunks(
                     batches, order_column, ascending, out_positions,
-                    columns.index(order_column),
+                    columns.index(order_column), stats,
                 )
         else:
             def project(batches):

@@ -498,23 +498,17 @@ class CodsServer:
         transaction = conn.transaction
         if transaction is None:
             raise TransactionError("no transaction is open")
-        try:
-            total = transaction.commit()
-        finally:
-            # Even commit-failed is terminal: the connection is free to
-            # begin a fresh scope.
-            conn.transaction = None
-        return {"ok": True, "count": total}
+        # Commit ends the scope either way — committed, or rolled back
+        # by a conflict — so the connection is free to begin afresh.
+        conn.transaction = None
+        return {"ok": True, "count": transaction.commit()}
 
     def _cmd_rollback(self, conn: _Connection, payload: dict) -> dict:
         transaction = conn.transaction
         if transaction is None:
             raise TransactionError("no transaction is open")
-        try:
-            discarded = transaction.rollback()
-        finally:
-            conn.transaction = None
-        return {"ok": True, "discarded": discarded}
+        conn.transaction = None
+        return {"ok": True, "discarded": transaction.rollback()}
 
     def _cmd_metrics(self, conn: _Connection, payload: dict) -> dict:
         fmt = payload.get("fmt")

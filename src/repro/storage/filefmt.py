@@ -377,13 +377,20 @@ def _resolve_main_path(path) -> tuple[Path, Path]:
     main file (:func:`save_engine` writes a fresh main under a new
     name, then atomically republishes the sidecar to point at it — so
     a crash between the two writes leaves the old, still-consistent
-    pair)."""
+    pair).  Only a name :func:`_next_main_file` writes for this table
+    is accepted; anything else raises :class:`SerializationError`."""
     path = Path(path)
     sidecar = delta_sidecar_path(path)
     if sidecar.exists():
         version, payload = _read_delta_payload(sidecar)
         main_file = payload.get("main_file")
         if version >= 3 and main_file is not None:
+            match = _VERSIONED.fullmatch(str(main_file))
+            if match is None or match.group("table") != path.stem:
+                raise SerializationError(
+                    f"{sidecar}: main_file {main_file!r} is not a main "
+                    f"file of table {path.stem!r}"
+                )
             return path.with_name(main_file), sidecar
     return path, sidecar
 

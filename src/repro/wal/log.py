@@ -186,11 +186,6 @@ class WriteAheadLog:
             local.records = 0
         return local
 
-    @property
-    def in_transaction(self) -> bool:
-        """True when *the calling thread* has an open transaction."""
-        return self._state().txn is not None
-
     def begin(self) -> int:
         """Open a transaction on the calling thread; returns its id."""
         self._check_open()

@@ -10,7 +10,12 @@ import pytest
 
 from repro.db import Database
 from repro.delta import CompactionPolicy
-from repro.errors import CodsError, StorageError, TransactionError
+from repro.errors import (
+    CodsError,
+    StorageError,
+    TransactionConflict,
+    TransactionError,
+)
 from repro.exec import iter_rows
 from repro.workload.readwrite import MixedReadWriteWorkload
 
@@ -142,23 +147,20 @@ class TestReadWriteScopes:
         with pytest.raises(TransactionError, match="committed"):
             tx.execute("SELECT * FROM emp")
 
-    def test_commit_failure_names_the_statement(self):
+    def test_conflicting_commit_names_the_table(self):
         db = seeded_db()
         tx = db.transaction().begin()
         tx.execute("INSERT INTO emp VALUES ('A', 'x')")
         tx.execute("DELETE FROM audit WHERE name = ?", ("Jones",))
         db.execute("DROP TABLE audit")  # a race: the target vanishes
-        with pytest.raises(
-            Exception, match="statement 2 .*DELETE FROM audit WHERE name = 'Jones'"
-        ):
+        with pytest.raises(TransactionConflict, match="'audit'.*dropped"):
             tx.commit()
-        # Terminal failed state: the applied statement left the buffer,
-        # the failing one remains, and the scope cannot be reused.
-        assert tx.state == "commit-failed"
-        assert tx.pending_writes == 1
-        with pytest.raises(TransactionError, match="commit-failed"):
+        # Nothing applied, and the scope is over: it cannot be reused.
+        assert tx.state == "rolled-back"
+        assert tx.pending_writes == 0
+        with pytest.raises(TransactionError, match="rolled-back"):
             tx.execute("SELECT * FROM emp")
-        assert ("A", "x") in db.execute("SELECT * FROM emp")
+        assert ("A", "x") not in db.execute("SELECT * FROM emp")
 
     def test_buffered_writes_fail_fast_on_unknown_tables(self):
         db = seeded_db()
@@ -445,12 +447,97 @@ class TestPinnedSchema:
         rows = tx.execute("SELECT * FROM r")
         assert rows == [(1, "a"), (2, "b"), (3, "c")]
         assert all(len(row) == 2 for row in rows)
-        # Commit replays the statement text against the live,
-        # three-column table.
-        with pytest.raises(
-            StorageError, match="statement 1 .*row arity 2 != 3"
-        ):
+        # The ADD COLUMN consumed the table the scope wrote: its
+        # two-column rows cannot commit into the three-column table.
+        with pytest.raises(TransactionConflict, match="'r'.*schema change"):
             tx.commit()
-        assert tx.state == "commit-failed"
-        assert tx.pending_writes == 1
+        assert tx.state == "rolled-back"
         assert db.execute("SELECT * FROM r") == [(1, "a", 0), (2, "b", 0)]
+
+
+class TestCommitPublishesEffects:
+    """Commit publishes what the scope's statements did to its pinned
+    view — it never runs a statement again — all or nothing, first
+    committer wins."""
+
+    def test_a_conflicting_commit_applies_nothing(self):
+        db = Database(policy=CompactionPolicy.never())
+        db.execute("CREATE TABLE a (k INT)")
+        db.execute("CREATE TABLE b (k INT)")
+        tx = db.transaction().begin()
+        tx.execute("INSERT INTO a VALUES (1)")
+        tx.execute("INSERT INTO b VALUES (2)")
+        db.execute("DROP TABLE b")
+        with pytest.raises(TransactionConflict, match="'b'"):
+            tx.commit()
+        assert tx.state == "rolled-back"
+        assert db.execute("SELECT * FROM a") == []
+
+    def test_a_delete_leaves_rows_inserted_after_the_pin(self):
+        """Snapshot isolation's phantom rule: the DELETE removes the
+        rows it matched in the scope's view, not rows another session
+        inserted since."""
+        db = Database(policy=CompactionPolicy.never())
+        db.execute("CREATE TABLE t (k INT, v INT)")
+        db.execute("INSERT INTO t VALUES (1, 1), (2, 3)")
+        with db.transaction() as tx:
+            assert tx.execute(
+                "SELECT COUNT(*) FROM t WHERE v > 5"
+            ) == [(0,)]
+            db.execute("INSERT INTO t VALUES (3, 10)")
+            assert tx.execute("DELETE FROM t WHERE v > 5") == 0
+        assert sorted(db.execute("SELECT * FROM t")) == [
+            (1, 1), (2, 3), (3, 10),
+        ]
+
+    def test_the_second_of_two_increments_conflicts(self):
+        db = Database(policy=CompactionPolicy.never())
+        db.execute("CREATE TABLE c (n INT)")
+        db.execute("INSERT INTO c VALUES (0)")
+        first = db.transaction().begin()
+        second = db.transaction().begin()
+        for tx in (first, second):
+            ((n,),) = tx.execute("SELECT n FROM c")
+            assert n == 0
+            assert tx.execute("UPDATE c SET n = ?", (n + 1,)) == 1
+        assert first.commit() == 1
+        with pytest.raises(TransactionConflict, match="'c'.*deleted"):
+            second.commit()
+        assert db.execute("SELECT n FROM c") == [(1,)]
+
+    def test_victims_are_carried_through_folds_since_the_pin(self):
+        db = Database(policy=CompactionPolicy.never())
+        db.execute("CREATE TABLE t (k INT, v INT)")
+        db.execute("INSERT INTO t VALUES (1, 0), (2, 0)")
+        db.compact("t")
+        db.execute("INSERT INTO t VALUES (3, 0), (4, 0)")
+        with db.transaction() as tx:
+            # One main victim and one buffered victim of the pin.
+            assert tx.execute("UPDATE t SET v = 9 WHERE k = 2 OR k = 4") == 2
+            db.execute("DELETE FROM t WHERE k = 1")
+            db.compact("t")
+            db.execute("INSERT INTO t VALUES (5, 0)")
+            db.compact("t")
+        assert sorted(db.execute("SELECT * FROM t")) == [
+            (2, 9), (3, 0), (4, 9), (5, 0),
+        ]
+
+    def test_a_victim_folded_away_since_the_pin_conflicts(self):
+        db = Database(policy=CompactionPolicy.never())
+        db.execute("CREATE TABLE t (k INT, v INT)")
+        db.execute("INSERT INTO t VALUES (1, 0), (2, 0)")
+        tx = db.transaction().begin()
+        assert tx.execute("DELETE FROM t WHERE k = 2") == 1
+        db.execute("DELETE FROM t WHERE k = 2")
+        db.compact("t")  # the fold drops the row the scope deleted
+        with pytest.raises(TransactionConflict, match="'t'"):
+            tx.commit()
+        assert db.execute("SELECT * FROM t") == [(1, 0)]
+
+    def test_a_metadata_rename_is_not_a_conflict(self):
+        db = seeded_db()
+        with db.transaction() as tx:
+            tx.execute("DELETE FROM emp WHERE name = 'Jones'")
+            db.execute("RENAME TABLE emp TO staff")
+            db.execute("RENAME COLUMN skill TO trade IN staff")
+        assert db.execute("SELECT * FROM staff") == [("Ellis", "Alchemy")]

@@ -194,6 +194,27 @@ def test_a_hostile_manifest_raises_a_typed_error(tmp_path, manifest):
         Database(directory, policy=NEVER)
 
 
+@pytest.mark.parametrize("main_file", ["../t.cods", "u.g0.cods", "t.g0.cods"])
+def test_a_sidecar_names_only_its_own_tables_main_files(tmp_path, main_file):
+    # "../t.cods" would escape the directory and "u.g0.cods" would load
+    # another table's rows as t's; "t.g0.cods" is what the save wrote.
+    directory = tmp_path / "catalog"
+    db = Database(directory, policy=NEVER)
+    db.load_table(four_rows())
+    db.load_table(four_rows().renamed("u"))
+    db.close()
+    table = four_rows()
+    save_delta(
+        DeltaStore(table.schema), delta_sidecar_path(directory / "t.cods"),
+        main_file=main_file,
+    )
+    if main_file != "t.g0.cods":
+        with pytest.raises(SerializationError, match="main_file"):
+            load_engine(directory)
+        return
+    assert load_engine(directory).table("t").to_rows() == table.to_rows()
+
+
 def test_table_created_during_a_save_waits_for_the_next(tmp_path):
     # The manifest lists exactly the tables the save wrote: a table
     # created by another session mid-save has no files there yet.

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.bitmap import WAHBitmap
 from repro.delta import CompactionPolicy, MutableTable
+from repro.delta.mutable import find_victims
 from repro.exec import DeltaBatch
 from repro.smo.predicate import And, Comparison, Not, Or
 from repro.storage import DataType, Table, table_from_python
@@ -274,9 +275,10 @@ def test_delta_predicates_match_row_semantics(
     batch = DeltaBatch(store).filter(predicate)
     assert batch.selected_positions().tolist() == expected
     assert batch.rows() == [store.row(i) for i in expected]
-    assert mutable._delta_victims(predicate).selected_positions().tolist() == (
-        expected
+    _, _, indices, _ = find_victims(
+        mutable.scan_batches(), mutable.schema, predicate
     )
+    assert indices == expected
 
     oracle = Oracle(mutable.to_rows())
     assert mutable.delete(predicate) == oracle.delete(predicate)

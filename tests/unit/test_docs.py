@@ -470,8 +470,8 @@ class TestWritePathDocs:
         """Fact pins on "The main/delta split": how victims are located
         and where old images come from, by the names that do it."""
         from repro.delta import DeltaStore, MutableTable
-        from repro.delta import snapshot
-        from repro.exec import DeltaBatch, TableBatch
+        from repro.delta import mutable, snapshot
+        from repro.exec import DeltaBatch, TableBatch, ValuesBatch
         from repro.smo.predicate import Predicate
         from repro.storage.dictionary import Dictionary
 
@@ -479,6 +479,7 @@ class TestWritePathDocs:
             "MutableTable": MutableTable, "DeltaStore": DeltaStore,
             "Dictionary": Dictionary, "Predicate": Predicate,
             "TableBatch": TableBatch, "DeltaBatch": DeltaBatch,
+            "ValuesBatch": ValuesBatch,
         }
         text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
         section = text[text.index("## The main/delta split"):]
@@ -490,15 +491,17 @@ class TestWritePathDocs:
                 "not exist"
             )
         assert {
-            ("MutableTable", "_matching_main_positions"),
+            ("MutableTable", "delete"),
+            ("MutableTable", "update"),
             ("Dictionary", "vid_or_none"),
             ("Predicate", "bitmap"),
             ("TableBatch", "rows"),
-            ("MutableTable", "_delta_victims"),
             ("DeltaBatch", "rows"),
         } <= named
         assert "`decoded_main_rows`" in section
         assert callable(snapshot.decoded_main_rows)
+        assert "`find_victims`" in section
+        assert callable(mutable.find_victims)
 
     def test_the_filtering_read_of_old_images_is_gone(self):
         roots = [REPO / "docs", REPO / "src"]
@@ -605,6 +608,9 @@ class TestConcurrencyDocs:
         ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
         assert "pytest-timeout" in ci, "CI lacks the deadlock guard"
         assert "test_concurrency.py" in ci
+        guard = ci[ci.index("Concurrency stress (deadlock guard)"):]
+        guard = guard[:guard.index("- name:")]
+        assert "tests/integration/test_db_transactions.py" in guard
 
 
 class TestAggregationDocs:
@@ -850,7 +856,7 @@ class TestOneStatementFrontDoor:
         text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
         for term in (
             "parse_statement", "parsed node's type",
-            "commit runs the buffered statements",
+            "Commit publishes the overlays' effects",
         ):
             assert term in text, f"ARCHITECTURE.md does not explain {term!r}"
 

@@ -542,6 +542,38 @@ class TestPlanCosts:
         assert len(db.execute("SELECT * FROM t LIMIT 1001")) == 1001
         assert decoded.value - before == 1000 + 1300
 
+    @pytest.mark.parametrize("sql, batches, decoded", [
+        ("SELECT * FROM t", 1, 5000),
+        ("SELECT k, s FROM t ORDER BY s", 1, 5000),
+        # Value runs decode one at a time: LIMIT 150 reads two runs of
+        # 100 rows.
+        ("SELECT k, s FROM t ORDER BY s LIMIT 150", 1, 200),
+        ("SELECT DISTINCT s FROM t", 1, 50),
+    ])
+    def test_every_projection_charges_its_batches(self, sql, batches, decoded):
+        db = self.database(5000)
+        metrics = db.adapter.metrics
+        before = [metrics.counter(name).value
+                  for name in ("exec.batches", "exec.rows_decoded")]
+        db.execute(sql)
+        after = [metrics.counter(name).value
+                 for name in ("exec.batches", "exec.rows_decoded")]
+        assert [a - b for a, b in zip(after, before)] == [batches, decoded]
+
+    def test_projections_over_the_delta_charge_each_batch(self):
+        db = self.database(5000, 30)
+        metrics = db.adapter.metrics
+        for sql, decoded in [
+            ("SELECT k, s FROM t ORDER BY s", 5030),
+            ("SELECT DISTINCT s FROM t", 50 + 30),
+        ]:
+            before = [metrics.counter(name).value
+                      for name in ("exec.batches", "exec.rows_decoded")]
+            db.execute(sql)
+            after = [metrics.counter(name).value
+                     for name in ("exec.batches", "exec.rows_decoded")]
+            assert [a - b for a, b in zip(after, before)] == [2, decoded]
+
     @pytest.mark.parametrize("sql", [
         "SELECT * FROM t",
         "SELECT k, s FROM t ORDER BY s LIMIT 10",

@@ -15,7 +15,7 @@ import struct
 import pytest
 
 from repro.db import Database
-from repro.errors import WalCorruptionError, WalError
+from repro.errors import TransactionConflict, WalCorruptionError, WalError
 from repro.storage.filefmt import delta_sidecar_path, save_delta
 from repro.wal import (
     CrashPoint,
@@ -122,10 +122,8 @@ class TestWriteAheadLog:
         wal.append({"t": "delmain", "table": "r", "pos": 0, "epoch": 1})
         with pytest.raises(WalError, match="already open"):
             wal.begin()
-        assert wal.in_transaction
         wal.append({"t": "delmain", "table": "r", "pos": 1, "epoch": 2})
         wal.commit()
-        assert not wal.in_transaction
         payloads = [p for _, p in wal.scan()]
         assert [p["t"] for p in payloads] == ["delmain", "delmain", "commit"]
         assert {p["txn"] for p in payloads} == {txn}
@@ -598,43 +596,67 @@ class TestOneRecordPerStatement:
         db.close()
 
 
-class TestCommitFailureDurability:
-    """A transaction whose replay fails mid-commit acks the failure
-    only after its applied prefix is durable: the caller is told the
-    prefix landed, so the prefix must survive a crash right after the
-    ack — while a crash *before* the commit record rolls the whole
-    transaction back (the caller never saw the ack, so losing the
-    prefix is correct)."""
+    def test_a_transaction_logs_one_record_per_written_table(self, tmp_path):
+        db = self._db(tmp_path)
+        db.execute("CREATE TABLE a (k INT)")
+        db.execute("INSERT INTO r VALUES (1, 'v'), (2, 'w')")
+        before = len(self._frames(db))
+        with db.transaction() as tx:
+            tx.execute("INSERT INTO a VALUES (1)")
+            tx.execute("INSERT INTO a VALUES (2)")
+            tx.execute("INSERT INTO r VALUES (3, 'v')")
+            tx.execute("UPDATE r SET s = 'z' WHERE s = 'v'")
+            tx.execute("DELETE FROM r WHERE k = 2")
+        frames = self._frames(db)[before:]
+        # Insert-only effects are one insert record; r's net effects —
+        # two pinned rows gone, two images in — are one update record.
+        assert [(f["t"], f.get("table")) for f in frames] == [
+            ("insert", "a"), ("update", "r"), ("commit", None),
+        ]
+        assert frames[0]["rows"] == [[1], [2]]
+        assert (frames[1]["mpos"], frames[1]["didx"]) == ([], [0, 1])
+        assert sorted(frames[1]["rows"]) == [[1, "z"], [3, "z"]]
+        assert len({f["txn"] for f in frames}) == 1
+        db.close()
 
-    def _failing_commit(self, tmp_path):
-        # Group policy with a huge window: only the failure path's
-        # forced flush can make the prefix durable.
+
+class TestCommitFailureDurability:
+    """A conflicting commit leaves nothing, in memory or after a crash
+    and reopen; a commit that crashes before its commit record is
+    rolled back whole by recovery."""
+
+    def _two_table_commit(self, tmp_path, conflict: bool):
+        # Group policy with a huge window: nothing forces a flush.
         db = Database(tmp_path / "cat", durability="group", group_size=64)
         db.execute("CREATE TABLE a (k INT)")
         db.execute("CREATE TABLE b (k INT)")
         tx = db.transaction().begin()
         tx.execute("INSERT INTO a VALUES (1)")
         tx.execute("INSERT INTO b VALUES (2)")
-        db.execute("DROP TABLE b")  # the second statement now fails
+        if conflict:
+            db.execute("DROP TABLE b")  # the write to b cannot commit
         return db, tx
 
-    def test_applied_prefix_survives_a_crash_after_the_ack(self, tmp_path):
-        db, tx = self._failing_commit(tmp_path)
-        with pytest.raises(Exception, match="statement 2"):
+    def test_conflicting_commit_leaves_nothing(self, tmp_path):
+        db, tx = self._two_table_commit(tmp_path, conflict=True)
+        with pytest.raises(TransactionConflict, match="'b'"):
             tx.commit()
-        assert tx.state == "commit-failed"
+        assert tx.state == "rolled-back"
+        assert db.execute("SELECT k FROM a") == []
+        db._wal.flush()
         # Crash: abandon the object without close().
         with Database(tmp_path / "cat", durability="commit") as db2:
-            assert db2.execute("SELECT k FROM a") == [(1,)]
+            assert db2.execute("SELECT k FROM a") == []
+            assert "b" not in db2.tables()
 
     def test_crash_before_the_commit_record_rolls_back(self, tmp_path):
-        db, tx = self._failing_commit(tmp_path)
-        crashed, _ = run_to_crash(
-            tx.commit, "txn.commit.statement-failed"
-        )
+        db, tx = self._two_table_commit(tmp_path, conflict=False)
+        crashed, _ = run_to_crash(tx.commit, "wal.commit.record")
         assert crashed
-        # Crash: abandon the object without close().  The prefix's
-        # records never got their commit record, so recovery drops
-        # the whole transaction.
+        # Crash: abandon the object without close().  Both tables'
+        # records lack their commit record, so recovery drops the
+        # whole transaction.
+        db._wal.flush()
         with Database(tmp_path / "cat", durability="commit") as db2:
             assert db2.execute("SELECT k FROM a") == []
+            assert db2.execute("SELECT k FROM b") == []
