@@ -69,8 +69,8 @@ def counting_order(keys: np.ndarray, nkeys: int) -> np.ndarray:
     key, which NumPy radix-sorts when it is 8 or 16 bits wide.  Past
     65 536 keys, two 16-bit passes, low half first (LSD)."""
     if nkeys <= 1 << 8:
-        return np.argsort(keys.astype(np.uint8), kind="stable")
-    low = np.argsort(keys.astype(np.uint16), kind="stable")
+        return np.argsort(keys.astype(np.uint8, copy=False), kind="stable")
+    low = np.argsort(keys.astype(np.uint16, copy=False), kind="stable")
     if nkeys <= 1 << 16:
         return low
     high = (keys[low] >> 16).astype(np.uint16)

@@ -26,8 +26,10 @@ main store's ``TableBatch`` filtered in the *compressed* domain (the
 predicate's value bitmaps less the deleted positions — survivors are
 never enumerated), the buffer's ``DeltaBatch`` by the compiled
 evaluator.  An UPDATE's old images come through the read path's row
-gather (``TableBatch.rows``), so a cold generation costs one decode
-per column, shared with SELECT, the aggregates and the fold.
+gather (``TableBatch.rows``), built from each column's vid array
+(``BitmapColumn.vids``): a generation loaded or folded from vids is
+never decoded, and a cold one costs one decode per column, shared with
+SELECT, the aggregates and the fold.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from repro.delta.policy import (
 )
 from repro.delta.snapshot import (
     Snapshot,
-    decoded_main_vids,
     reference_rows,
     view_batches,
     view_statistics,
@@ -474,9 +475,9 @@ class MutableTable:
         Each column is merged by :meth:`_merge_column`: an insert-only
         fold splices the main's words and appends the WAH-encoded
         buffered rows; a fold that drops main rows rebuilds the column
-        once from the generation's vid arrays, the decode the reads
-        share.  Afterwards the buffer holds only writes that raced the
-        fold (in the single-threaded case: none) and the returned table
+        once from its vid array, the one the reads share.  Afterwards
+        the buffer holds only writes that raced the fold (in the
+        single-threaded case: none) and the returned table
         *is* the new main.  An in-flight incremental run is driven to
         completion first.
         """
@@ -537,10 +538,10 @@ class MutableTable:
         An insert-only fold splices: the concat copies the main's words
         and rebuilds only each value's partial tail group and the
         buffered part.  A fold that drops main rows rebuilds the column
-        once from vids instead of filtering its bitmaps: the
-        generation's vid array (:func:`decoded_main_vids`, shared with
-        the read path) at the kept positions, then the buffered vids, in
-        the main dictionary less its vanished values and extended by the
+        once from vids instead of filtering its bitmaps: the column's
+        vid array (``BitmapColumn.vids``, shared with the read path) at
+        the kept positions, then the buffered vids, in the main
+        dictionary less its vanished values and extended by the
         buffer's new values.  Words, offsets and dictionary come out as
         ``select(keep, compact=True)`` then ``concat`` would make them
         (``tests/harness/fold_reference.py``)."""
@@ -556,7 +557,7 @@ class MutableTable:
             return main_part.concat(BitmapColumn.from_vids(
                 name, dtype, delta_dictionary, delta_vids
             ))
-        vids = decoded_main_vids(self._main, name)[run.keep]
+        vids = main_part.vids()[run.keep]
         counts = np.bincount(vids, minlength=main_part.distinct_count)
         dictionary = main_part.dictionary
         if not counts.all():

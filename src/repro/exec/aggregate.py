@@ -34,7 +34,7 @@ operations cheap *without decoding rows*:
   first set bit, the paper's distinction), found once per main
   generation and cached — a value whose first row is deleted moves to
   its first live row or drops out; under a selection it is read from
-  the cached vid array at the selected positions.
+  the column's vid array at the selected positions.
 * **ORDER BY** — each value bitmap's positions (less the deleted
   ones) are an already-sorted run, so the main store emits one chunk
   per run in the dictionary's cached value order, with the sorted
@@ -56,11 +56,7 @@ from itertools import chain
 
 import numpy as np
 
-from repro.delta.snapshot import (
-    decoded_main_rows,
-    decoded_main_vids as _decode_vids,
-    generation_cached,
-)
+from repro.delta.snapshot import decoded_main_rows, generation_cached
 from repro.errors import SqlExecutionError
 from repro.exec.batch import (
     TableBatch,
@@ -344,20 +340,19 @@ def _require_numeric(agg, value):
 def _selected_value_counts(table, name: str, selection,
                            deleted=None) -> np.ndarray:
     """Per-vid selected-row counts of one main-store column: a
-    ``bincount`` over the cached row-order vid array at the selected
+    ``bincount`` over the column's row-order vid array at the selected
     positions, else the bitmaps' popcounts less the ``bincount`` of the
     ``deleted`` rows — O(distinct + deleted)."""
     column = table.column(name)
     if selection is not None:
         return np.bincount(
-            _decode_vids(table, name)[selection],
-            minlength=column.distinct_count,
+            column.vids()[selection], minlength=column.distinct_count
         )
     counts = column.value_counts()
     if deleted is None:
         return counts
     return counts - np.bincount(
-        _decode_vids(table, name)[deleted], minlength=column.distinct_count
+        column.vids()[deleted], minlength=column.distinct_count
     )
 
 
@@ -474,13 +469,13 @@ def _group_codes(table, group_names, value=None) -> tuple:
     """``(codes, space, steps)``: the whole table's group codes
     combining the group columns' vids (:mod:`repro.storage.codes`),
     their code space and the steps that decode them — cached per
-    generation like the vid arrays they combine.  With ``value``, the
-    joint (group…, value) codes: one more step on top of the cached
-    group codes.  Either is one ``("codes", …)`` entry, 8 B per row."""
+    generation.  With ``value``, the joint (group…, value) codes: one
+    more step on top of the cached group codes.  Either is one
+    ``("codes", …)`` entry, 8 B per row."""
     def build():
         if value is None:
             codes, space, steps = vid_codes.combine_columns(
-                [_decode_vids(table, name) for name in group_names],
+                [table.column(name).vids() for name in group_names],
                 [_radix(table, name) for name in group_names],
                 table.nrows,
             )
@@ -488,7 +483,7 @@ def _group_codes(table, group_names, value=None) -> tuple:
             codes, space, steps = _group_codes(table, group_names)
             steps = list(steps)
             codes, space = vid_codes.combine(
-                codes, space, _decode_vids(table, value),
+                codes, space, table.column(value).vids(),
                 _radix(table, value), steps,
             )
         codes.flags.writeable = False
@@ -734,11 +729,12 @@ def _first_row_order(table, name: str) -> tuple:
     """``(order, firsts)``: the vids of ``name`` with a non-empty
     bitmap, ordered by their first row (their bitmap's first set bit),
     and those rows — the order streaming dedup meets them in an
-    unselected scan.  Read off the cached vid array once per main
+    unselected scan.  Read off the column's vid array once per main
     generation; O(distinct) kept."""
     def build():
+        column = table.column(name)
         order, firsts = _by_first_occurrence(
-            _decode_vids(table, name), table.column(name).distinct_count
+            column.vids(), column.distinct_count
         )
         order.flags.writeable = firsts.flags.writeable = False
         return order, firsts
@@ -778,12 +774,13 @@ def _table_batch_distinct(batch: TableBatch, name: str) -> list:
     """Distinct values of one main-store column ordered by first
     *selected* position — the order streaming dedup would produce."""
     table = batch.table
-    nvids = table.column(name).distinct_count
+    column = table.column(name)
+    nvids = column.distinct_count
     if nvids == 0:
         return []
     if batch.selection is not None:
         live, _firsts = _by_first_occurrence(
-            _decode_vids(table, name)[batch.selection], nvids
+            column.vids()[batch.selection], nvids
         )
     elif batch.deleted is not None:
         live = _first_live_order(batch, name)

@@ -63,9 +63,11 @@ def plan_stages(adapter, select, stats=None, explain=False) -> Span:
     """Validate ``select`` and choose every strategy once; return the
     ``select`` span whose children are the plan's stages.  Planning
     runs no step, so an invalid query costs no decode.  ``stats``
-    (an :class:`repro.obs.ExecStats`) is what the steps count into;
-    ``explain`` adds the table statistics EXPLAIN's aggregate detail
-    reports, which no execution choice reads."""
+    (an :class:`repro.obs.ExecStats`) is what the steps count into.
+    ``explain`` (EXPLAIN, or a trace) fills in each stage's detail and
+    the table statistics EXPLAIN's aggregate detail reports, which no
+    execution choice reads; without it the details stay empty and
+    nothing is formatted."""
     from repro.sql.adapter import require_table
 
     table, where = select.table, select.where
@@ -74,20 +76,24 @@ def plan_stages(adapter, select, stats=None, explain=False) -> Span:
     schema = adapter.schema(table)
     names, aggregated = schema.column_names, select.is_aggregate
     pushdown = adapter.capabilities.pushdown
-    root = Span("select", f"table={table}")
-    stage = root.child
+    root = Span("select", f"table={table}" if explain else "")
     vid_distinct = presorted = False
+
+    def stage(operator, detail, step=None, inputs=1):
+        # ``detail`` formats the stage's EXPLAIN text, read only when
+        # the plan is (``explain``).
+        return root.child(operator, detail() if explain else "", step, inputs)
 
     def scan(name, step=None):
         stage(
-            "scan", f"table={name} ({adapter.scan_path(name)})",
+            "scan", lambda: f"table={name} ({adapter.scan_path(name)})",
             step or (lambda: adapter.scan_batches(name)), inputs=0,
         )
 
     def filter_where():
         if where is not None:
             stage(
-                "filter", f"where {where}",
+                "filter", lambda: f"where {where}",
                 lambda batches: filter_batches(batches, where),
             )
 
@@ -108,7 +114,7 @@ def plan_stages(adapter, select, stats=None, explain=False) -> Span:
         )
         aggregate = stage(
             "aggregate",
-            f"{strategy} [{reason}] out={','.join(columns)}{grouped}",
+            lambda: f"{strategy} [{reason}] out={','.join(columns)}{grouped}",
         )
 
         def fold(batches):
@@ -140,7 +146,7 @@ def plan_stages(adapter, select, stats=None, explain=False) -> Span:
             scan(table, lambda: ())
             scan(right, lambda: ())
             stage(
-                "hash_join", f"on={','.join(attrs)} (engine-native)",
+                "hash_join", lambda: f"on={','.join(attrs)} (engine-native)",
                 lambda _left, _right: chunks_of(
                     adapter.hash_join(table, right, attrs, columns)
                 ),
@@ -150,7 +156,7 @@ def plan_stages(adapter, select, stats=None, explain=False) -> Span:
             scan(table)
             scan(right)
             stage(
-                "hash_join", f"on={','.join(attrs)} (batch pipeline)",
+                "hash_join", lambda: f"on={','.join(attrs)} (batch pipeline)",
                 lambda left, right_batches: hash_join_chunks(
                     left, right_batches, names, right_names,
                     attrs, columns,
@@ -158,19 +164,19 @@ def plan_stages(adapter, select, stats=None, explain=False) -> Span:
                 inputs=2,
             )
         if where is None:
-            stage("project", "joined columns", _passthrough)
+            stage("project", lambda: "joined columns", _passthrough)
         else:
             # Joined rows re-enter the pipeline as value batches so the
             # residual predicate runs columnar like any other filter.
             stage(
-                "filter", f"residual where {where}",
+                "filter", lambda: f"residual where {where}",
                 lambda chunks: filter_batches(
                     batches_from_rows(columns, chain.from_iterable(chunks)),
                     where,
                 ),
             )
             stage(
-                "project", "joined columns",
+                "project", lambda: "joined columns",
                 lambda batches: row_chunks(batches, stats=stats),
             )
     else:
@@ -206,12 +212,12 @@ def plan_stages(adapter, select, stats=None, explain=False) -> Span:
         else:
             def project(batches):
                 return row_chunks(batches, out_positions, stats)
-        stage("project", f"columns={','.join(columns)}", project)
+        stage("project", lambda: f"columns={','.join(columns)}", project)
 
     if select.distinct:
+        dedup = "live-vid enumeration" if vid_distinct else "streaming dedup"
         stage(
-            "distinct",
-            "live-vid enumeration" if vid_distinct else "streaming dedup",
+            "distinct", lambda: dedup,
             _passthrough if vid_distinct else dedup_chunks,
         )
     if order_column is not None:
@@ -219,21 +225,25 @@ def plan_stages(adapter, select, stats=None, explain=False) -> Span:
             raise SqlExecutionError(
                 f"ORDER BY column {order_column!r} not in the select list"
             )
-        detail = f"{order_column} {'ASC' if ascending else 'DESC'}"
-        if not aggregated:
-            detail += (
-                " (dictionary-order presorted runs)" if presorted
-                else " (materialize-and-sort)"
-            )
+
+        def order_detail():
+            detail = f"{order_column} {'ASC' if ascending else 'DESC'}"
+            if not aggregated:
+                detail += (
+                    " (dictionary-order presorted runs)" if presorted
+                    else " (materialize-and-sort)"
+                )
+            return detail
+
         index = columns.index(order_column)
         stage(
-            "order_by", detail,
+            "order_by", order_detail,
             _passthrough if presorted
             else lambda chunks: sort_chunks(chunks, index, ascending),
         )
     if select.limit is not None:
         stage(
-            "limit", f"limit={select.limit}",
+            "limit", lambda: f"limit={select.limit}",
             lambda chunks: limit_chunks(chunks, select.limit),
         )
     return root
@@ -250,7 +260,15 @@ def plan_select(adapter, select, trace):
 
 def execute_select(adapter, select, stats=None, trace=None):
     """Run a parsed SELECT on ``adapter`` via the batch pipeline;
-    returns a lazy iterator of result tuples.
+    returns a lazy iterator of result tuples (:func:`select_chunks`,
+    flattened)."""
+    return chain.from_iterable(select_chunks(adapter, select, stats, trace))
+
+
+def select_chunks(adapter, select, stats=None, trace=None):
+    """Run a parsed SELECT on ``adapter`` via the batch pipeline;
+    returns the last stage's lazy stream of row chunks (lists of
+    result tuples, which a reader may not mutate).
 
     ``stats`` accumulates the always-on batch/row counters; ``trace``
     (a timed :class:`~repro.obs.QueryTrace`) receives the plan and has
@@ -266,7 +284,7 @@ def execute_select(adapter, select, stats=None, trace=None):
         stream = stage.step(*streams[split:])
         del streams[split:]
         streams.append(stream if trace is None else _timed(stream, stage))
-    return chain.from_iterable(streams.pop())
+    return streams.pop()
 
 
 def _timed(stream, span):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.errors import CodsError, SqlExecutionError
-from repro.exec.planner import execute_select, plan_select
+from repro.exec.planner import execute_select, plan_select, select_chunks
 from repro.obs.trace import ExecStats, QueryTrace
 from repro.sql.adapter import EngineAdapter, require_table
 from repro.sql.ast import (
@@ -195,14 +195,12 @@ class SqlExecutor:
         if trace is None and self.instrument and self.trace_queries:
             trace = QueryTrace(timed=True)
         if not self.instrument:
-            if trace is None:
-                return list(execute_select(self.adapter, select))
-            rows = list(execute_select(self.adapter, select, None, trace))
+            rows = _drain(select_chunks(self.adapter, select, None, trace))
         else:
             stats = ExecStats()
             with self._select_seconds.time():
-                rows = list(
-                    execute_select(self.adapter, select, stats, trace)
+                rows = _drain(
+                    select_chunks(self.adapter, select, stats, trace)
                 )
             queries, batches, decoded, returned = self._flush_counters
             queries.inc()
@@ -243,6 +241,15 @@ class SqlExecutor:
             )
             self.last_trace = trace
         return trace.rows()
+
+
+def _drain(chunks) -> list:
+    """The rows of a chunk stream as one fresh list, copied a chunk at
+    a time."""
+    rows: list = []
+    for chunk in chunks:
+        rows += chunk
+    return rows
 
 
 def _column_types(schema) -> dict:

@@ -9,6 +9,12 @@ kernel reads and writes as it is.  All evolution algorithms work on
 this representation; the expensive "materialize the rows" path is
 :meth:`decode_vids` / :meth:`to_values`, and callers that care (the
 engine, the benchmarks) count how often it runs.
+
+The read path asks :meth:`BitmapColumn.vids` instead: the row-order
+vid array, kept on the column.  A column built from its vids
+(:meth:`~BitmapColumn.from_vids`, :meth:`~BitmapColumn.concat` of two
+such columns) keeps a copy in the narrowest unsigned dtype, so it is
+never decoded; any other column decodes once, on its first read.
 """
 
 from __future__ import annotations
@@ -33,16 +39,21 @@ from repro.storage.types import DataType, coerce
 class BitmapColumn:
     """One column of a column-store table, encoded as per-value bitmaps."""
 
-    __slots__ = ("name", "dtype", "_dictionary", "_bitmaps", "_nrows")
+    __slots__ = ("name", "dtype", "_dictionary", "_bitmaps", "_nrows",
+                 "_vids")
 
     def __init__(self, name: str, dtype: DataType, dictionary: Dictionary,
-                 bitmaps, nrows: int):
+                 bitmaps, nrows: int, vids: np.ndarray | None = None):
         """``bitmaps`` is a :class:`PackedBitmaps`, or a sequence of
-        ``WAHBitmap`` packed here; each must have ``nrows`` bits."""
+        ``WAHBitmap`` packed here; each must have ``nrows`` bits.
+        ``vids``, the row-order vid array the bitmaps encode, is kept
+        as :meth:`vids` will return it (a narrow copy is widened on
+        first read); ``None`` leaves it to be decoded then."""
         self.name = name
         self.dtype = dtype
         self._dictionary = dictionary
         self._nrows = int(nrows)
+        self._vids = vids
         try:
             bitmaps = PackedBitmaps.pack(bitmaps, self._nrows)
         except BitmapError as exc:
@@ -81,14 +92,17 @@ class BitmapColumn:
         """Build from a pre-encoded vid array (row order): a counting
         order (:func:`~repro.bitmap.batch.counting_order`) groups the
         row positions by vid, one batched constructor builds every
-        value's bitmap."""
+        value's bitmap.  The column keeps a copy of ``vids`` in the
+        narrowest unsigned dtype (1–2 B a row for most columns), so
+        its first read decodes nothing."""
         nrows = len(vids)
-        order = counting_order(vids, len(dictionary))
+        narrow = _narrowed(vids, len(dictionary))
+        order = counting_order(narrow, len(dictionary))
         bounds = np.concatenate(
             ([0], np.cumsum(np.bincount(vids, minlength=len(dictionary))))
         )
         bitmaps = batch_from_positions(order, bounds, nrows)
-        return cls(name, dtype, dictionary, bitmaps, nrows)
+        return cls(name, dtype, dictionary, bitmaps, nrows, narrow)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -133,12 +147,28 @@ class BitmapColumn:
     # Materialization ("decompression") — the expensive path
     # ------------------------------------------------------------------
 
+    def vids(self) -> np.ndarray:
+        """The row-order vid array (read-only ``int64``) every reader
+        of the column shares: the kept copy, widened once, or else one
+        :meth:`decode_vids` on first use."""
+        vids = self._vids
+        if vids is None or vids.dtype != np.int64:
+            vids = (
+                self.decode_vids() if vids is None
+                else vids.astype(np.int64)
+            )
+            vids.flags.writeable = False
+            self._vids = vids
+        return vids
+
     def decode_vids(self) -> np.ndarray:
-        """Materialize the row-ordered vid array.
+        """Materialize the row-ordered vid array, uncached.
 
         This is what the paper calls decompression: ``O(nrows)`` work and
         memory.  CODS algorithms only call it where the paper's
-        algorithms also scan sequentially (e.g. mergence pass 2).
+        algorithms also scan sequentially (e.g. mergence pass 2), and
+        the query-level baselines pay it on every read; the read path
+        goes through :meth:`vids`.
         """
         if self._nrows == 0:
             return np.empty(0, dtype=np.int64)
@@ -206,7 +236,9 @@ class BitmapColumn:
         Bitmaps of shared values are concatenated; values present on only
         one side get a zero-extension on the other.  The left side's
         words are spliced, not decoded (:func:`batch_concat_positions`),
-        and the right dictionary is mapped in one call.
+        and the right dictionary is mapped in one call.  When both sides
+        hold their vids (an insert-only compaction fold), the result
+        keeps theirs, joined.
         """
         if self.dtype != other.dtype:
             raise StorageError(
@@ -220,15 +252,23 @@ class BitmapColumn:
             self._bitmaps, other._bitmaps, right_target,
             self._nrows, other._nrows,
         )
+        vids = None
+        if self._vids is not None and other._vids is not None:
+            vids = _narrowed(
+                np.concatenate((self._vids, right_target[other._vids])),
+                len(dictionary),
+            )
         return BitmapColumn(
             self.name, self.dtype, dictionary, bitmaps,
-            self._nrows + other._nrows,
+            self._nrows + other._nrows, vids,
         )
 
     def renamed(self, new_name: str) -> "BitmapColumn":
-        """Same data under a new column name (shares bitmaps)."""
+        """Same data under a new column name (shares bitmaps and the
+        vids held so far)."""
         return BitmapColumn(
-            new_name, self.dtype, self._dictionary, self._bitmaps, self._nrows
+            new_name, self.dtype, self._dictionary, self._bitmaps,
+            self._nrows, self._vids,
         )
 
     # ------------------------------------------------------------------
@@ -248,3 +288,9 @@ class BitmapColumn:
             f"BitmapColumn({self.name!r}, {self.dtype}, rows={self._nrows}, "
             f"distinct={self.distinct_count})"
         )
+
+
+def _narrowed(vids: np.ndarray, nvids: int) -> np.ndarray:
+    """A copy of ``vids`` in the narrowest unsigned dtype that holds
+    every vid below ``nvids``."""
+    return vids.astype(np.min_scalar_type(max(nvids - 1, 0)))

@@ -563,14 +563,16 @@ class TestUnselectedReadsArePopcounts:
             pass
         warm = executor.execute(sql)
         calls = []
-        for reader in ("_decode_vids", "_group_codes"):
-            original = getattr(aggregate_module, reader)
+        for owner, reader in (
+            (BitmapColumn, "vids"), (aggregate_module, "_group_codes"),
+        ):
+            original = getattr(owner, reader)
 
             def counted(*args, _reader=reader, _original=original):
                 calls.append(_reader)
                 return _original(*args)
 
-            monkeypatch.setattr(aggregate_module, reader, counted)
+            monkeypatch.setattr(owner, reader, counted)
         assert executor.execute(sql) == warm
         assert executor.execute(sql) == warm
         assert calls == []
@@ -814,8 +816,9 @@ class TestLayersCallShape:
 
 class TestGenerationCache:
     def test_one_entry_per_generation_dies_with_it(self):
-        """Decoded rows and the aggregate's vid arrays of one main-store
-        generation share one cache entry, gone once the generation is."""
+        """Decoded rows and the aggregates of one main-store generation
+        share one cache entry, gone once the generation is, like the
+        vid arrays its columns hold."""
         import gc
         import weakref
 
@@ -829,13 +832,14 @@ class TestGenerationCache:
         db.execute("SELECT * FROM t WHERE v < 3")
         main = db.adapter._mutable("t").main
         entry = _GENERATION_CACHE[main]
-        assert "rows" in entry and ("vids", "g") in entry
+        assert "rows" in entry and ("codes", "g") in entry
         generation = weakref.ref(main)
+        vids = weakref.ref(main.column("g").vids())
         db.execute("INSERT INTO t VALUES ('g9', 1)")
         db.compact("t")
         del main, entry
         gc.collect()
-        assert generation() is None
+        assert generation() is None and vids() is None
 
 
 class TestAggregateBench:

@@ -34,8 +34,10 @@ from repro.storage import (
     delta_sidecar_path,
     load_delta,
     load_engine,
+    load_table,
     save_delta,
     save_engine,
+    save_table,
     table_from_python,
 )
 from repro.workload import MixedReadWriteWorkload
@@ -313,15 +315,34 @@ class TestDmlTouchesOnlyItsVictims:
         assert rows[7] == (8, "s8") and rows[10] == (12, "s12")
         assert rows[-2:] == [(7, "u"), (-1, "u")]
 
+    @staticmethod
+    def update_twice_and_scan(mutable):
+        assert mutable.update({"S": "u"}, Comparison("K", "=", 3)) == 1
+        assert mutable.update({"S": "v"}, Comparison("S", "=", "s5")) == 1
+        assert len(list(iter_rows(mutable.scan_batches()))) == 1_000
+
     def test_updates_on_a_cold_generation_decode_the_main_once(
+        self, monkeypatch, tmp_path
+    ):
+        """A generation reopened from disk holds no vids: its first
+        read decodes each column once, and no read after that."""
+        engine = EvolutionEngine()
+        engine.load_table(self.wide(1_000).main)
+        save_engine(engine, tmp_path)
+        mutable = load_engine(tmp_path, CompactionPolicy.never()).mutable("R")
+        decodes = count_decodes(monkeypatch)
+        self.update_twice_and_scan(mutable)
+        assert sorted(decodes) == ["K", "S"]
+
+    def test_updates_on_a_generation_built_from_vids_decode_nothing(
         self, monkeypatch
     ):
         mutable = self.wide(1_000)
         decodes = count_decodes(monkeypatch)
-        assert mutable.update({"S": "u"}, Comparison("K", "=", 3)) == 1
-        assert mutable.update({"S": "v"}, Comparison("S", "=", "s5")) == 1
+        self.update_twice_and_scan(mutable)
+        mutable.compact()
         assert len(list(iter_rows(mutable.scan_batches()))) == 1_000
-        assert sorted(decodes) == ["K", "S"]
+        assert decodes == []
 
     def test_a_fold_with_deletions_reuses_the_warm_vid_arrays(
         self, monkeypatch
@@ -350,15 +371,20 @@ class TestDmlTouchesOnlyItsVictims:
         assert "s5" not in mutable.main.column("S").dictionary
 
     def test_a_cold_generation_is_decoded_once_per_column(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
+        """Reads, aggregates and a fold with deletions over a generation
+        loaded from disk (its columns hold no vids) share one decode
+        per column."""
+        path = tmp_path / "t.cods"
+        save_table(table_from_python("t", {
+            "k": (DataType.INT, list(range(3_000))),
+            "g": (DataType.STRING, [f"g{i % 7}" for i in range(3_000)]),
+            "v": (DataType.INT, [i % 13 for i in range(3_000)]),
+        }), path)
         adapter = MutableColumnAdapter(policy=CompactionPolicy.never())
         executor = SqlExecutor(adapter)
-        executor.execute("CREATE TABLE t (k INT, g STRING, v INT)")
-        adapter.insert_rows(
-            "t", [(i, f"g{i % 7}", i % 13) for i in range(3_000)]
-        )
-        adapter.compact("t")
+        adapter.load_table(load_table(path))
         executor.execute("INSERT INTO t VALUES (-1, 'g3', 5)")
         assert executor.execute("DELETE FROM t WHERE g = 'g3'") == 430
         decodes = count_decodes(monkeypatch)

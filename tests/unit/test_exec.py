@@ -603,3 +603,39 @@ class TestPlanCosts:
         small = clock_reads(2000)
         assert small > 0
         assert clock_reads(20000) == small
+
+
+class TestLoadedTablesAreNeverDecoded:
+    """A table bulk-loaded from vid arrays keeps them on its columns:
+    the benchmark's analytic read stream (every read class, warm-up and
+    timed passes) decodes no column."""
+
+    def test_the_analytic_read_stream_decodes_no_column(self, monkeypatch):
+        from pathlib import Path
+
+        from repro.storage.column import BitmapColumn
+
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[2] / "benchmarks" / "e2e")
+        )
+        import datagen
+
+        decodes = []
+        decode_vids = BitmapColumn.decode_vids
+
+        def counted(column):
+            decodes.append(column.name)
+            return decode_vids(column)
+
+        monkeypatch.setattr(BitmapColumn, "decode_vids", counted)
+        generated = datagen.generate_f(2010, 2_000)
+        db = Database()
+        db.load_table(generated.table())
+        session = db.session()
+        ops = datagen.analytic_stream(2010, generated, 2)
+        assert {op.cls for op in ops} == set(datagen.READ_CLASSES)
+        for op in ops:
+            session.execute(op.sql, op.params)
+        assert decodes == []
+        assert session.execute("SELECT * FROM F") == generated.rows()
+        db.close()

@@ -738,3 +738,43 @@ class TestDeltaStatsSurface:
         snapshot.close()
         assert repr(snapshot) == "Snapshot(closed)"
         assert isinstance(snapshot, Snapshot)
+
+
+class TestDecodedRows:
+    """The decoded-rows build runs its ``zip`` with the cyclic
+    collector paused and hands the caller's collector state back."""
+
+    @pytest.fixture
+    def collector(self):
+        import gc
+
+        enabled = gc.isenabled()
+        yield gc
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_collector_state_is_put_back(self, collector, enabled):
+        from repro.delta.snapshot import decoded_main_rows
+
+        (collector.enable if enabled else collector.disable)()
+        assert decoded_main_rows(small_table()) == small_table().to_rows()
+        assert collector.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_failed_build_puts_it_back_too(
+        self, collector, enabled, monkeypatch
+    ):
+        import repro.delta.snapshot as snapshot
+
+        seen = []
+
+        def failing_zip(*columns):
+            seen.append(collector.isenabled())
+            raise MemoryError("no room for the rows")
+
+        monkeypatch.setattr(snapshot, "zip", failing_zip, raising=False)
+        (collector.enable if enabled else collector.disable)()
+        with pytest.raises(MemoryError):
+            snapshot.decoded_main_rows(small_table())
+        assert seen == [False]
+        assert collector.isenabled() is enabled

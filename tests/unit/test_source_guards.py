@@ -224,3 +224,49 @@ def test_src_defines_only_what_src_benchmarks_or_examples_name():
     assert not unexpected, f"definitions only tests name: {unexpected}"
     stale = sorted(set(TEST_ONLY_ALLOWED) - set(found))
     assert not stale, f"allowlisted definitions now named or gone: {stale}"
+
+
+# -- uncached decodes ----------------------------------------------------
+
+#: Modules of ``src/`` that may call ``decode_vids(``, each with the
+#: reason it pays the uncached decode instead of ``BitmapColumn.vids``.
+DECODE_ALLOWED = {
+    "repro/storage/column.py": "defines it; vids() fills its slot from "
+    "it once, and to_values() is the baselines' full decompression",
+    "repro/storage/codes.py": "table_codes serves FD checks, which "
+    "count each decode the paper charges them",
+    "repro/fd/discovery.py": "FD checks scan each right-hand column as "
+    "the paper's algorithm does, counted per check",
+    "repro/core/merge_kfk.py": "MERGE's sequential pass (paper pass 2), "
+    "counted in columns_decompressed",
+    "repro/core/merge_general.py": "MERGE's sequential pass (paper "
+    "pass 2), counted in columns_decompressed",
+}
+
+
+def _calls_decode_vids(tree) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "decode_vids"
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_the_allowlist_pays_an_uncached_decode():
+    """Readers take a column's vids through ``BitmapColumn.vids``
+    (kept on the column, decoded at most once); ``decode_vids`` stays
+    the uncached decode that SMOs and FD checks pay and count.  An
+    entry leaves the list once its module no longer calls it."""
+    found = {
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if _calls_decode_vids(ast.parse(path.read_text()))
+    }
+    assert sorted(found - set(DECODE_ALLOWED)) == []
+    assert sorted(set(DECODE_ALLOWED) - found) == []
+
+
+def test_the_decode_guard_sees_method_calls_only():
+    assert _calls_decode_vids(ast.parse("column.decode_vids()"))
+    assert not _calls_decode_vids(ast.parse("batch_decode_vids(b, n)"))
