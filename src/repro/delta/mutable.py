@@ -475,7 +475,7 @@ class MutableTable:
         Each column is merged by :meth:`_merge_column`: an insert-only
         fold splices the main's words and appends the WAH-encoded
         buffered rows; a fold that drops main rows rebuilds the column
-        once from its vid array, the one the reads share.  Afterwards
+        once from its vid array as the column holds it.  Afterwards
         the buffer holds only writes that raced the fold (in the
         single-threaded case: none) and the returned table
         *is* the new main.  An in-flight incremental run is driven to
@@ -539,8 +539,9 @@ class MutableTable:
         and rebuilds only each value's partial tail group and the
         buffered part.  A fold that drops main rows rebuilds the column
         once from vids instead of filtering its bitmaps: the column's
-        vid array (``BitmapColumn.vids``, shared with the read path) at
-        the kept positions, then the buffered vids, in the main
+        vids at the kept positions, read as the column holds them
+        (``BitmapColumn.held_vids``: the narrow copy is not widened on
+        a column about to die), then the buffered vids, in the main
         dictionary less its vanished values and extended by the
         buffer's new values.  Words, offsets and dictionary come out as
         ``select(keep, compact=True)`` then ``concat`` would make them
@@ -557,7 +558,7 @@ class MutableTable:
             return main_part.concat(BitmapColumn.from_vids(
                 name, dtype, delta_dictionary, delta_vids
             ))
-        vids = main_part.vids()[run.keep]
+        vids = main_part.held_vids()[run.keep]
         counts = np.bincount(vids, minlength=main_part.distinct_count)
         dictionary = main_part.dictionary
         if not counts.all():

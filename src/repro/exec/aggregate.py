@@ -4,29 +4,35 @@ The dictionary-plus-bitmaps layout makes three classic read-path
 operations cheap *without decoding rows*:
 
 * **GROUP BY / aggregates** — a :class:`~repro.exec.batch.TableBatch`
-  groups by dictionary *vids*.  With no selection (no WHERE) a value's
-  row count is its bitmap's popcount (``BitmapColumn.value_counts``)
-  less the deleted rows' (a ``bincount`` of D vids): an ungrouped
-  aggregate and a one-column GROUP BY's groups and COUNT(*) read those
-  counts and touch no live row.  Otherwise every count is one
-  histogram of codes cached per main generation — at the selected
-  positions, or the whole table's (cached too) less the deleted
-  rows' — where the group columns' vids combine into one mixed-radix
-  code per row (:mod:`repro.storage.codes`), re-densified before a
-  multiply could leave int64 (any number and cardinality of group
-  columns folds here), and a value column's joint (group…, value)
-  codes are the same code with its vids as the last step, 8 B per row
-  per combination.  Each value column is one histogram whose (group,
-  value vid) pairs feed one NumPy reduction per kind — SUM and AVG
-  share one, MIN and MAX one rank gather — against the dictionary's
-  values held as a typed array (``int64``, ``float64`` or ``object``,
-  one code path for all three).  Group keys
-  are read off each key column's dictionary at the groups' vids only,
-  O(groups), and stay columns until the result: one rank array per key
-  column and one ``np.lexsort`` order them.  Delta and values batches
-  go through a row-wise hash aggregator that writes into the same
-  slots, so main and delta partials merge epoch-consistently and a
-  query sees exactly the main+delta state its scan pinned.
+  groups by dictionary *vids*.  With no selection (no WHERE) the
+  batch reads its generation's **whole-table partials**: one entry
+  per group-column tuple (the groups' codes, COUNT(*), decoded keys
+  and key order) and one per group-column tuple and value column (each
+  group's non-NULL count, exact sum and MIN/MAX value ranks), each
+  O(groups) and built by the first statement that needs it, so a warm
+  statement folds them as they are.  D deleted rows adjust them in
+  O(D): the deleted rows' own (group, value) pairs subtract their
+  counts and integer sums, and a group re-reduces from its slice of
+  the cached joint histogram only where a float or object sum lost
+  rows or its MIN/MAX value lost its last row.  Under a selection
+  every count is one histogram, per statement, of codes cached per
+  main generation at the selected positions, where the group
+  columns' vids combine into one mixed-radix code per row
+  (:mod:`repro.storage.codes`), re-densified before a multiply could
+  leave int64 (any number and cardinality of group columns folds
+  here), and a value column's joint (group…, value) codes are the
+  same code with its vids as the last step, 8 B per row per
+  combination.  Each value column's (group, value vid) pairs feed one
+  NumPy reduction per kind — SUM and AVG share one, MIN and MAX one
+  rank gather — against the dictionary's values held as a typed array
+  (``int64``, ``float64`` or ``object``, one code path for all three).
+  Group keys are read off each key column's dictionary at the groups'
+  vids only, O(groups), and stay columns until the result: one rank
+  array per key column and one ``np.lexsort`` order them.  Delta and
+  values batches go through a row-wise hash aggregator that writes
+  into the same slots, so main and delta partials merge
+  epoch-consistently and a query sees exactly the main+delta state its
+  scan pinned.
 * **DISTINCT** — on a single dictionary-backed column, distinct values
   are the live vids; enumeration orders them by first selected
   position, reproducing the streaming-dedup row order exactly.  With
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -184,7 +190,7 @@ class GroupAccumulator:
 
     __slots__ = (
         "aggs", "slots", "keys", "order", "values", "nonnull",
-        "batches_compressed", "batches_hash",
+        "batches_compressed", "batches_hash", "partials_reused",
     )
 
     def __init__(self, aggs):
@@ -197,6 +203,7 @@ class GroupAccumulator:
         ]
         self.batches_compressed = 0
         self.batches_hash = 0
+        self.partials_reused = 0
 
     def open_slots(self, keys) -> list[int]:
         """The slot of each key, opening default partials for new keys."""
@@ -337,54 +344,33 @@ def _require_numeric(agg, value):
 # Compressed-domain path (TableBatch)
 # ----------------------------------------------------------------------
 
-def _selected_value_counts(table, name: str, selection,
-                           deleted=None) -> np.ndarray:
+def _selected_value_counts(table, name: str, selection) -> np.ndarray:
     """Per-vid selected-row counts of one main-store column: a
     ``bincount`` over the column's row-order vid array at the selected
-    positions, else the bitmaps' popcounts less the ``bincount`` of the
-    ``deleted`` rows — O(distinct + deleted)."""
+    positions, else (``selection`` ``None``) the bitmaps' popcounts."""
     column = table.column(name)
-    if selection is not None:
-        return np.bincount(
-            column.vids()[selection], minlength=column.distinct_count
-        )
-    counts = column.value_counts()
-    if deleted is None:
-        return counts
-    return counts - np.bincount(
-        column.vids()[deleted], minlength=column.distinct_count
+    if selection is None:
+        return column.value_counts()
+    return np.bincount(
+        column.vids()[selection], minlength=column.distinct_count
     )
 
 
-def _selected_histogram(batch: TableBatch, names, codes, space) -> tuple:
-    """``(codes present, counts)`` of the generation's cached ``codes``
-    (:func:`_group_codes` of ``names``) over the batch's rows: the
-    histogram at the selected positions, else the whole table's,
-    cached per generation, less that of the deleted rows — O(groups +
-    deleted), with groups whose every row is deleted dropped."""
-    if batch.selection is not None:
-        return vid_codes.nonzero_counts(codes[batch.selection], space)
+def _joint_histogram(table, group_names, name) -> tuple:
+    """``(joint, steps, present, counts)``: the generation's joint
+    (group…, value) codes of value column ``name`` (:func:`_group_codes`)
+    and their steps, and the codes present over the whole table with
+    their counts, that histogram cached per generation too."""
+    joint, space, steps = _group_codes(table, group_names, name)
 
     def build():
-        present, counts = vid_codes.nonzero_counts(codes, space)
+        present, counts = vid_codes.nonzero_counts(joint, space)
         present.flags.writeable = counts.flags.writeable = False
         return present, counts
 
-    present, counts = generation_cached(
-        batch.table, ("histogram", *names), build
-    )
-    if batch.deleted is None:
-        return present, counts
-    gone, gone_counts = np.unique(codes[batch.deleted], return_counts=True)
-    at = np.searchsorted(present, gone)
-    counts = counts.copy()
-    counts[at] -= gone_counts
-    emptied = at[counts[at] == 0]
-    if not len(emptied):
-        return present, counts
-    kept = np.ones(len(present), dtype=bool)
-    kept[emptied] = False
-    return present[kept], counts[kept]
+    return (joint, steps, *generation_cached(
+        table, ("histogram", *group_names, name), build
+    ))
 
 
 class _TypedValues:
@@ -509,121 +495,423 @@ def _keys_for_codes(table, group_names, codes, steps) -> tuple:
     return keys, np.lexsort(ranks[::-1])
 
 
-def _value_partials(batch: TableBatch, name, group_names, group_codes,
-                    aggs) -> dict:
-    """Per-group partials of ``aggs``, the aggregates over value column
-    ``name``: ``{func: (values, nonnull)}``, arrays over ``group_codes``,
-    empty when no non-NULL value is selected.  The selected non-NULL
-    values collapse to joint (group, value vid) counts sorted by group —
-    per-vid counts ungrouped, else the histogram of the cached joint
-    codes of ``(*group_names, name)`` (:func:`_group_codes`,
-    :func:`_selected_histogram`), only their last step split off — and
-    each kind of aggregate is one reduction
-    of those pairs: SUM and AVG share one numeric check and one sum of
-    value × count, MIN and MAX one gather of the value ranks."""
+def _split_value(joint, steps) -> tuple:
+    """``(group codes, value vids)`` of joint (group…, value) codes:
+    only their last step split off."""
+    size, dense = steps[-1]
+    group = joint // size
+    vid = joint - group * size
+    if dense is not None:
+        group = dense[group]
+    return group, vid
+
+
+#: The partial each aggregate function reads: AVG is SUM over COUNT.
+_KIND = {"count": "count", "sum": "sum", "avg": "sum", "min": "min",
+         "max": "max"}
+
+
+def _group_starts(group) -> np.ndarray:
+    """Where each run of equal codes in ``group`` (sorted) starts."""
+    starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
+    return starts[:len(group)]
+
+
+def _reduced(typed, kinds, starts, vid, counts) -> dict:
+    """Per-group partials of one value column from its (group, value
+    vid) pairs in group order, group ``i``'s from ``starts[i]`` on and
+    pair ``j`` held by ``counts[j]`` rows: ``{kind: array over the
+    groups}`` for each of ``kinds``, one NumPy reduction each, NULL
+    values and pairs no row holds adding nothing.
+
+    ``count`` is the non-NULL count; ``sum`` is ``(totals, bad)``,
+    value × count added in pair order and each group's non-numeric row
+    count (``None`` for an ``int64`` or ``float64`` ``summable``, which
+    holds only numbers); ``min`` and ``max`` are each group's best value
+    rank (:meth:`_TypedValues.ranked`), -1 for a group with none."""
+    live = counts > 0
+    if typed.null.any():
+        live &= ~typed.null[vid]
+    if live.all():
+        live = None
+
+    def only_live(values, fill):
+        return values if live is None else np.where(live, values, fill)
+
+    parts = {}
+    if "count" in kinds:
+        parts["count"] = np.add.reduceat(only_live(counts, 0), starts)
+    if "sum" in kinds:
+        summable = typed.summable
+        bad = None
+        if summable.dtype == object:
+            bad = np.add.reduceat(
+                only_live(counts * ~typed.numeric[vid], 0), starts
+            )
+        added = summable[vid] * counts
+        if live is not None:
+            added[~live] = 0
+        parts["sum"] = (np.add.reduceat(added, starts), bad)
+    ranks = None
+    for kind, reduce, none in (
+        ("min", np.minimum, len(typed.values)), ("max", np.maximum, -1),
+    ):
+        if kind in kinds:
+            if ranks is None:
+                ranks = typed.ranked()[1][vid]
+            best = reduce.reduceat(only_live(ranks, none), starts)
+            if live is not None:
+                best[best == none] = -1
+            parts[kind] = best
+    return parts
+
+
+def _first_non_numeric(typed, vid, counts):
+    """The first value of the pairs ``vid`` that a row holds and SUM
+    cannot add."""
+    wrong = (counts > 0) & ~typed.numeric[vid] & ~typed.null[vid]
+    return typed.values[vid[np.argmax(wrong)]]
+
+
+def _selected_partials(batch: TableBatch, group_names, columns) -> tuple:
+    """``(groups, COUNT(*) per group, {value column: partials})`` of a
+    batch under a selection, per statement: the histogram of the
+    cached group codes at the selected positions, keys decoded at its
+    groups' vids (:func:`_keys_for_codes`), and per value column the
+    histogram of its cached joint codes there (per-vid counts
+    ungrouped), reduced by :func:`_reduced`: every selected group holds
+    a pair, so the pairs' groups are the groups in order.  ``None`` when
+    an ungrouped batch selects no row."""
+    table, selection = batch.table, batch.selection
+    groups = None
+    if group_names:
+        codes, space, steps = _group_codes(table, group_names)
+        group_codes, star = vid_codes.nonzero_counts(codes[selection], space)
+        groups = _keys_for_codes(table, group_names, group_codes, steps)
+    elif len(selection):
+        star = np.array([len(selection)])
+    else:
+        return None
+    partials = {}
+    for name, (kinds, summed) in columns.items():
+        typed = _typed_values(table, name)
+        if group_names:
+            joint, space, steps = _group_codes(table, group_names, name)
+            joint, counts = vid_codes.nonzero_counts(joint[selection], space)
+            group, vid = _split_value(joint, steps)
+        else:
+            per_vid = _selected_value_counts(table, name, selection)
+            vid = np.flatnonzero(per_vid)
+            group, counts = np.zeros_like(vid), per_vid[vid]
+        parts = _reduced(typed, kinds, _group_starts(group), vid, counts)
+        bad = parts["sum"][1] if summed is not None else None
+        if bad is not None and bad.any():
+            _require_numeric(summed, _first_non_numeric(typed, vid, counts))
+        partials[name] = parts
+    return groups, star, partials
+
+
+# -- whole-table partials, cached per generation ------------------------
+
+
+def _build_groups(table, group_names) -> tuple:
+    """``(codes, counts, keys, order)``: the whole table's groups of
+    ``group_names`` — their ascending group codes, COUNT(*) and keys in
+    :func:`_keys_for_codes` form — read off one group column's
+    popcounts, else the histogram of the cached group codes."""
+    if len(group_names) == 1:
+        per_vid = _selected_value_counts(table, group_names[0], None)
+        codes, steps = np.flatnonzero(per_vid), []
+        counts = per_vid[codes]
+    else:
+        every, space, steps = _group_codes(table, group_names)
+        codes, counts = vid_codes.nonzero_counts(every, space)
+    keys, order = _keys_for_codes(table, group_names, codes, steps)
+    for array in (codes, counts, order):
+        array.flags.writeable = False
+    return codes, counts, tuple(map(tuple, keys)), order
+
+
+def _whole_pairs(table, group_names, name) -> tuple:
+    """``(group, vid, counts)``: value column ``name``'s (group code,
+    value vid) pairs over the whole table in joint-code order — the
+    cached histogram of its joint codes — or, ungrouped, one pair per
+    vid of the column, in group 0 with its popcount, so a vid is its
+    own pair index."""
+    if not group_names:
+        counts = _selected_value_counts(table, name, None)
+        vid = np.arange(len(counts))
+        return np.zeros_like(vid), vid, counts
+    _joint, steps, present, counts = _joint_histogram(
+        table, group_names, name
+    )
+    return (*_split_value(present, steps), counts)
+
+
+def _deleted_pairs(table, group_names, name, bounds, deleted) -> tuple:
+    """``(at, group, vid, gone, whole)``: the (group, value vid) pairs
+    the ``deleted`` rows hold — each one's index among
+    :func:`_whole_pairs`, group position, vid, deleted rows and rows
+    in the whole table.  O(D log D)."""
+    if not group_names:
+        at, gone = np.unique(
+            table.column(name).vids()[deleted], return_counts=True
+        )
+        whole = _selected_value_counts(table, name, None)[at]
+        return at, np.zeros_like(at), at, gone, whole
+    joint, steps, present, counts = _joint_histogram(
+        table, group_names, name
+    )
+    codes, gone = np.unique(joint[deleted], return_counts=True)
+    at = np.searchsorted(present, codes)
+    group = np.searchsorted(bounds, at, side="right") - 1
+    return at, group, codes % steps[-1][0], gone, counts[at]
+
+
+def _slice_pairs(table, group_names, name, bounds, slots, at, gone) -> tuple:
+    """``(starts, vid, counts)``: the :func:`_whole_pairs` of the
+    groups at positions ``slots`` (ascending) only, less the deleted
+    rows ``gone`` of the pairs ``at``; group ``slots[i]``'s pairs start
+    at ``starts[i]``.  O(those groups' pairs)."""
+    low = bounds[slots]
+    lengths = bounds[slots + 1] - low
+    starts = np.cumsum(lengths) - lengths
+    index = None
+    if len(slots) < len(bounds) - 1:
+        index = np.arange(lengths.sum()) + np.repeat(low - starts, lengths)
+    if group_names:
+        _joint, steps, present, counts = _joint_histogram(
+            table, group_names, name
+        )
+        vid = (present if index is None else present[index]) % steps[-1][0]
+    else:
+        counts = _selected_value_counts(table, name, None)
+        vid = np.arange(len(counts)) if index is None else index
+    if index is None:
+        counts = counts.copy()
+        counts[at] -= gone
+    else:
+        counts = counts[index]
+        inside = np.minimum(np.searchsorted(index, at), len(index) - 1)
+        hit = index[inside] == at
+        counts[inside[hit]] -= gone[hit]
+    return starts, vid, counts
+
+
+def _less_deleted(table, group_names, name, typed, entry, kinds,
+                  deleted) -> tuple:
+    """``(parts, at, gone)``: the whole-table partials ``entry`` of
+    value column ``name``, ``kinds`` of them, less the ``deleted``
+    rows, and the deleted rows ``gone`` of the live pairs ``at`` among
+    :func:`_whole_pairs`.  The D rows' own pairs subtract their counts
+    and integer sums, O(D); a group re-reduces from its slice of the
+    pairs (:func:`_slice_pairs`) only where a float or object sum lost
+    rows or where its MIN/MAX value lost its last row."""
+    at, group, vid, gone, whole = _deleted_pairs(
+        table, group_names, name, entry["bounds"], deleted
+    )
+    live = ~typed.null[vid]
+    at, group, vid, gone, whole = (
+        at[live], group[live], vid[live], gone[live], whole[live]
+    )
+    parts = {kind: entry[kind] for kind in kinds}
+    parts["count"] = parts["count"].copy()
+    np.subtract.at(parts["count"], group, gone)
+    redo = []
+    if "sum" in kinds:
+        totals, bad = parts["sum"]
+        if bad is not None:
+            bad = bad.copy()
+            np.subtract.at(bad, group, gone * ~typed.numeric[vid])
+        if totals.dtype == np.int64:
+            totals = totals.copy()
+            np.subtract.at(totals, group, typed.summable[vid] * gone)
+        else:
+            # A float or object sum re-adds its pairs in order instead.
+            redo.append(("sum", group))
+        parts["sum"] = (totals, bad)
+    for kind in ("min", "max"):
+        if kind in kinds:
+            lost = (whole == gone) & (
+                typed.ranked()[1][vid] == parts[kind][group]
+            )
+            redo.append((kind, group[lost]))
+    slots = np.unique(np.concatenate(
+        [touched for _kind, touched in redo] or [group[:0]]
+    ))
+    if len(slots):
+        fresh = _reduced(
+            typed, [kind for kind, _touched in redo],
+            *_slice_pairs(table, group_names, name, entry["bounds"],
+                          slots, at, gone),
+        )
+        for kind, _touched in redo:
+            if kind == "sum":
+                totals = parts["sum"][0].copy()
+                totals[slots] = fresh["sum"][0]
+                parts["sum"] = (totals, parts["sum"][1])
+            else:
+                parts[kind] = parts[kind].copy()
+                parts[kind][slots] = fresh[kind]
+    return parts, at, gone
+
+
+def _whole_value_partials(batch, group_names, name, kinds, summed,
+                          built) -> dict:
+    """Value column ``name``'s partials over a batch with no selection,
+    read off its whole-table entry of this generation — ``bounds``
+    (group ``g``'s pairs are ``bounds[g]:bounds[g + 1]`` of
+    :func:`_whole_pairs`) and each kind of partial, O(groups), added
+    by the first statement that needs it — less the batch's deleted
+    rows (:func:`_less_deleted`).  Every group of the table holds a
+    pair, so the pairs' groups are the groups entry's, in order.
+    SUM/AVG raise while a non-numeric value is live."""
     table = batch.table
     typed = _typed_values(table, name)
-    if not group_names:
-        per_vid = _selected_value_counts(
-            table, name, batch.selection, batch.deleted
-        )
-        vid = np.flatnonzero(per_vid)
-        group, counts = np.zeros_like(vid), per_vid[vid]
+    entry = generation_cached(table, ("partials", group_names, name), dict)
+    missing = [kind for kind in kinds if kind not in entry]
+    if missing:
+        built.append(("partials", group_names, name))
+        group, vid, counts = _whole_pairs(table, group_names, name)
+        starts = _group_starts(group)
+        entry["bounds"] = np.append(starts, len(group))
+        entry.update(_reduced(typed, missing, starts, vid, counts))
+    at = gone = np.zeros(0, dtype=np.int64)
+    if batch.deleted is None:
+        parts = {kind: entry[kind] for kind in kinds}
     else:
-        joint, space, steps = _group_codes(table, group_names, name)
-        joint, counts = _selected_histogram(
-            batch, (*group_names, name), joint, space
+        parts, at, gone = _less_deleted(
+            table, group_names, name, typed, entry, kinds, batch.deleted
         )
-        size, dense = steps[-1]
-        group = joint // size
-        vid = joint - group * size
-        if dense is not None:
-            group = dense[group]
-    if typed.null.any():
-        keep = ~typed.null[vid]
-        group, vid, counts = group[keep], vid[keep], counts[keep]
-    if not len(vid):
-        return {}
-    starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
-    slots = np.searchsorted(group_codes, group[starts])
-    nonnull = np.zeros(len(group_codes), dtype=np.int64)
-    nonnull[slots] = np.add.reduceat(counts, starts)
-    partials = {"count": (nonnull, None)}
-    summed = [agg for agg in aggs if agg.func in ("sum", "avg")]
-    if summed:
-        # An int64 or float64 ``summable`` holds only numeric values.
-        if typed.summable.dtype == object:
-            bad = np.flatnonzero(~typed.numeric[vid])
-            if len(bad):
-                _require_numeric(summed[0], typed.values[vid[bad[0]]])
-        totals = np.zeros(len(group_codes), dtype=typed.summable.dtype)
-        totals[slots] = np.add.reduceat(typed.summable[vid] * counts, starts)
-        partials["sum"] = partials["avg"] = (totals, nonnull)
-    ranks = None
-    for func, reduce in (("min", np.minimum), ("max", np.maximum)):
-        if any(agg.func == func for agg in aggs):
-            order, rank = typed.ranked()
-            ranks = rank[vid] if ranks is None else ranks
-            best = np.full(len(group_codes), _MISSING, dtype=object)
-            best[slots] = typed.objects[order[reduce.reduceat(ranks, starts)]]
-            partials[func] = (best, None)
-    return partials
+    bad = parts["sum"][1] if summed is not None else None
+    if bad is not None and bad.any():
+        _starts, vid, counts = _slice_pairs(
+            table, group_names, name, entry["bounds"],
+            np.flatnonzero(bad)[:1], at, gone,
+        )
+        _require_numeric(summed, _first_non_numeric(typed, vid, counts))
+    return parts
+
+
+def _whole_partials(batch: TableBatch, group_names, columns,
+                    built: list) -> tuple:
+    """:func:`_selected_partials` for a batch with no selection, read
+    off the generation's whole-table entries: the groups of
+    ``group_names`` with their COUNT(*) and decoded keys
+    (:func:`_build_groups`) and each value column's partials
+    (:func:`_whole_value_partials`), each O(groups) and built by the
+    first statement that needs it.  D deleted rows subtract their
+    groups' counts, and a group they empty drops out.  Each entry this
+    call builds is noted in ``built``."""
+    table, deleted = batch.table, batch.deleted
+    groups = kept = None
+    if group_names:
+        def build():
+            built.append(("groups", *group_names))
+            return _build_groups(table, group_names)
+
+        group_codes, star, keys, order = generation_cached(
+            table, ("groups", *group_names), build
+        )
+        groups = keys, order
+        if deleted is not None:
+            every = (
+                table.column(group_names[0]).vids() if len(group_names) == 1
+                else _group_codes(table, group_names)[0]
+            )
+            gone, gone_counts = np.unique(every[deleted], return_counts=True)
+            at = np.searchsorted(group_codes, gone)
+            star = star.copy()
+            star[at] -= gone_counts
+            if not star[at].all():
+                kept = star > 0
+    elif batch.selected_count:
+        star = np.array([batch.selected_count])
+    else:
+        return None
+    partials = {
+        name: _whole_value_partials(
+            batch, group_names, name, kinds, summed, built
+        )
+        for name, (kinds, summed) in columns.items()
+    }
+    if kept is not None:
+        flags = kept.tolist()
+        position = np.cumsum(kept) - 1
+        groups = (
+            [list(compress(column, flags)) for column in keys],
+            position[order[kept[order]]],
+        )
+        star = star[kept]
+        partials = {
+            name: {
+                kind: (part[0][kept], None) if kind == "sum" else part[kept]
+                for kind, part in parts.items()
+            }
+            for name, parts in partials.items()
+        }
+    return groups, star, partials
 
 
 def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
     """Fold one main-store batch in the dictionary domain.
 
-    Groups and COUNT(*) are the histogram of the group columns' codes
-    cached per generation (:func:`_group_codes`) over the batch's rows
-    (:func:`_selected_histogram`) — the one group column's popcounts,
-    less the deleted rows', when there is no selection — and their
-    keys are read off the key columns' dictionaries at the
-    groups' vids alone (:func:`_keys_for_codes`).  Each value column
-    costs one histogram of its cached joint codes and one NumPy
-    reduction per kind of aggregate over it (:func:`_value_partials`),
-    the same calls for every value dtype, folded into the
-    accumulator's columns whole.  The pairs are in joint-code order, so
-    a float sum adds in the same order on every run; it may differ in
-    the last ulp from a row-by-row sum, as any reordering of float
-    additions can.
+    With no selection the batch reads the generation's whole-table
+    groups and partials (:func:`_whole_partials`), adjusted by its
+    deleted rows: O(groups + D) per statement once the entries exist.
+    Under a selection every statement counts the selected positions
+    (:func:`_selected_partials`).  Either way a group's partials fold
+    into the accumulator's columns whole, the same calls for every
+    value dtype.  Pairs add in joint-code order, so a float sum adds
+    in the same order on every run; it may differ in the last ulp from
+    a row-by-row sum, as any reordering of float additions can.
     """
-    table = batch.table
-    fresh = not acc.slots
-    if group_names:
-        if batch.selection is None and len(group_names) == 1:
-            counts = _selected_value_counts(
-                table, group_names[0], None, batch.deleted
-            )
-            group_codes = np.flatnonzero(counts)
-            star_counts = counts[group_codes]
-            steps = []
-        else:
-            codes, space, steps = _group_codes(table, group_names)
-            group_codes, star_counts = _selected_histogram(
-                batch, group_names, codes, space
-            )
-        target = acc.open_groups(
-            *_keys_for_codes(table, group_names, group_codes, steps)
-        )
-    elif batch.selected_count:
-        star_counts = np.array([batch.selected_count])
-        group_codes = np.zeros(1, dtype=np.int64)
-        target = acc.open_slots([()])
+    columns: dict = {}
+    for agg in acc.aggs:
+        if agg.column is not None:
+            kinds, summed = columns.get(agg.column, ({"count"}, None))
+            kinds.add(_KIND[agg.func])
+            if summed is None and agg.func in ("sum", "avg"):
+                summed = agg
+            columns[agg.column] = kinds, summed
+    if batch.selection is None:
+        built = []
+        found = _whole_partials(batch, group_names, columns, built)
+        if found is not None and not built and (group_names or columns):
+            acc.partials_reused += 1
     else:
+        found = _selected_partials(batch, group_names, columns)
+    if found is None:
         return
-    partials = {None: {"count": (star_counts, None)}}
+    groups, star, partials = found
+    fresh = not acc.slots
+    target = acc.open_groups(*groups) if group_names else acc.open_slots([()])
     for index, agg in enumerate(acc.aggs):
-        if agg.column not in partials:
-            partials[agg.column] = _value_partials(
-                batch, agg.column, group_names, group_codes,
-                [other for other in acc.aggs if other.column == agg.column],
-            )
-        values, nonnull = partials[agg.column].get(agg.func, (None, None))
-        if values is not None:
-            acc.fold(
-                index, target, values.tolist(),
-                None if nonnull is None else nonnull.tolist(), fresh=fresh,
-            )
+        nonnull = None
+        if agg.column is None:
+            values = star
+        else:
+            parts, kind = partials[agg.column], _KIND[agg.func]
+            if kind == "count":
+                values = parts["count"]
+            elif kind == "sum":
+                values, nonnull = parts["sum"][0], parts["count"]
+            else:
+                values = _ranked_values(
+                    _typed_values(batch.table, agg.column), parts[kind]
+                )
+        acc.fold(
+            index, target, values.tolist(),
+            None if nonnull is None else nonnull.tolist(), fresh=fresh,
+        )
+
+
+def _ranked_values(typed, ranks) -> np.ndarray:
+    """The values of best-value ``ranks``, :data:`_MISSING` for -1."""
+    values = np.full(len(ranks), _MISSING, dtype=object)
+    has = ranks >= 0
+    values[has] = typed.objects[typed.ranked()[0][ranks[has]]]
+    return values
 
 
 def _accumulate_rows(batch, group_names, acc: GroupAccumulator):
@@ -704,6 +992,7 @@ def aggregate_rows(
     if stats is not None:
         stats.agg_batches_compressed += acc.batches_compressed
         stats.agg_batches_hash += acc.batches_hash
+        stats.agg_partials_reused += acc.partials_reused
         stats.agg_groups += len(acc.slots)
     return acc.finalized_rows(select, group_names)
 

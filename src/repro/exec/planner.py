@@ -130,6 +130,7 @@ def plan_stages(adapter, select, stats=None, explain=False) -> Span:
             if stats is not None:
                 stats.agg_batches_compressed += accumulator.batches_compressed
                 stats.agg_batches_hash += accumulator.batches_hash
+                stats.agg_partials_reused += accumulator.partials_reused
                 stats.agg_groups += len(accumulator.slots)
             yield accumulator.finalized_rows(select, group_names)
 

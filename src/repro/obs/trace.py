@@ -152,6 +152,7 @@ class ExecStats:
     __slots__ = (
         "queries", "batches", "rows_decoded", "rows_returned",
         "agg_batches_compressed", "agg_batches_hash", "agg_groups",
+        "agg_partials_reused",
     )
 
     def __init__(self):
@@ -165,3 +166,6 @@ class ExecStats:
         self.agg_batches_compressed = 0
         self.agg_batches_hash = 0
         self.agg_groups = 0
+        # Main batches folded from a generation's cached whole-table
+        # partials without building one.
+        self.agg_partials_reused = 0

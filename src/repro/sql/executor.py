@@ -219,6 +219,9 @@ class SqlExecutor:
                     stats.agg_batches_hash
                 )
                 registry.counter("exec.agg_groups").inc(stats.agg_groups)
+                registry.counter("exec.agg_partials_reused").inc(
+                    stats.agg_partials_reused
+                )
         if trace is not None:
             if trace.root is not None:
                 trace.root.rows_out = len(rows)

@@ -161,6 +161,14 @@ class BitmapColumn:
             self._vids = vids
         return vids
 
+    def held_vids(self) -> np.ndarray:
+        """The row-order vids as the column holds them — its narrow
+        copy, or the ``int64`` array a reader widened — else one
+        :meth:`decode_vids`; the slot is left as it is.  For a writer
+        that reads a column once on its way out (a fold)."""
+        vids = self._vids
+        return self.decode_vids() if vids is None else vids
+
     def decode_vids(self) -> np.ndarray:
         """Materialize the row-ordered vid array, uncached.
 

@@ -27,6 +27,7 @@ import math
 import sqlite3
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -644,3 +645,214 @@ def test_every_selection_kind_matches_sqlite(spec, selection_kind, data):
             assert ours == list(itertools.chain.from_iterable(
                 distinct_chunks([TableBatch(table, everything)], name)
             ))
+
+
+# --- Cached whole-table partials: cold, warm and adjusted by deletions ---
+
+#: Group keys and value columns of the partials oracle's table.
+_KEY_COLUMNS = (
+    ("k1", DataType.INT, st.integers(0, 2)),
+    ("k2", DataType.STRING, st.sampled_from(["x", "y"])),
+    ("k3", DataType.INT, st.integers(0, 1)),
+)
+_VALUE_COLUMNS = (
+    ("vi", DataType.INT, st.integers(-5, 5)),
+    ("vf", DataType.FLOAT,
+     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)),
+    ("vs", DataType.STRING, st.sampled_from(["p", "q", "r"])),
+    # Integers plus, at most, one string that SUM cannot add.
+    ("vm", DataType.INT, st.integers(-5, 5)),
+)
+#: One row holds each value column's unique extreme, one ``vm``'s string.
+_EXTREMES = {"vi": 10**6, "vf": -1e6, "vs": "zzz", "vm": 10**6}
+_NOT_NUMERIC = "oops"
+#: Which main rows the batch's validity excludes.
+DELETION_KINDS = ("none", "random", "group", "extreme", "bad", "all")
+
+
+@st.composite
+def partials_tables(draw):
+    """``(schema, rows, extreme, bad)``: rows over the key and value
+    columns above, all holding NULLs, with row ``extreme`` the only
+    holder of each value column's extreme value and row ``bad`` (or
+    ``None``) the only non-numeric ``vm`` value."""
+    columns = _KEY_COLUMNS + _VALUE_COLUMNS
+    rows = [
+        tuple(draw(st.one_of(st.none(), values)) for _n, _t, values in columns)
+        for _ in range(draw(st.integers(0, 24)))
+    ]
+    keys = tuple(draw(values) for _n, _t, values in _KEY_COLUMNS)
+    extreme = draw(st.integers(0, len(rows)))
+    rows.insert(extreme, keys + tuple(
+        _EXTREMES[name] for name, _t, _v in _VALUE_COLUMNS
+    ))
+    bad = None
+    if draw(st.booleans()):
+        bad = draw(st.integers(0, len(rows) - 1))
+        rows[bad] = rows[bad][:-1] + (_NOT_NUMERIC,)
+    schema = TableSchema(
+        "t", tuple(ColumnSchema(name, dtype) for name, dtype, _v in columns)
+    )
+    return schema, rows, extreme, bad
+
+
+def _fresh_table(schema, rows) -> Table:
+    """A new main-store generation of ``rows``, values kept as they
+    are (``vm``'s string included): nothing cached for it yet."""
+    columns = {}
+    for index, column in enumerate(schema.columns):
+        dictionary = Dictionary()
+        vids = np.array(
+            [dictionary.add(row[index]) for row in rows], dtype=np.int64
+        )
+        columns[column.name] = BitmapColumn.from_vids(
+            column.name, column.dtype, dictionary, vids
+        )
+    return Table(schema, columns, len(rows))
+
+
+def _deleted_rows(kind, rows, keys, extreme, bad, data) -> np.ndarray | None:
+    """The main positions deletion ``kind`` excludes: a random set, all
+    rows of one group of ``keys``, the extremes' row, the non-numeric
+    value's row, or every row."""
+    if kind == "none" or (kind == "bad" and bad is None):
+        return None
+    if kind == "random":
+        picked = data.draw(st.sets(st.integers(0, len(rows) - 1)))
+    elif kind == "group":
+        key_names = [name for name, _t, _v in _KEY_COLUMNS]
+        at = [key_names.index(key) for key in keys]
+        victim = rows[data.draw(st.integers(0, len(rows) - 1))]
+        picked = [
+            position for position, row in enumerate(rows)
+            if all(row[i] == victim[i] for i in at)
+        ]
+    elif kind == "all":
+        picked = range(len(rows))
+    else:
+        picked = [extreme if kind == "extreme" else bad]
+    return np.array(sorted(picked), dtype=np.int64)
+
+
+def _partials_queries(keys):
+    group = ", ".join(keys)
+    head = f"{group}, " if keys else ""
+    tail = f" GROUP BY {group}" if keys else ""
+    for name, _t, _v in _VALUE_COLUMNS:
+        # ``vm``'s string and integers do not compare: no MIN or MAX.
+        extremes = "" if name == "vm" else f", MIN({name}), MAX({name})"
+        for aggs in (
+            f"COUNT(*), COUNT({name}){extremes}",
+            f"SUM({name}), AVG({name}), COUNT({name})",
+        ):
+            yield f"SELECT {head}{aggs} FROM t{tail}"
+
+
+def _agree(ours, theirs) -> bool:
+    if isinstance(theirs, str):
+        return ours == theirs
+    return isinstance(ours, list) and len(ours) == len(theirs) and all(
+        len(a) == len(b) and all(map(_same_value_and_type, a, b))
+        for a, b in zip(ours, theirs)
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    partials_tables(),
+    st.lists(st.sampled_from([name for name, _t, _v in _KEY_COLUMNS]),
+             max_size=3, unique=True),
+    st.sampled_from(DELETION_KINDS),
+    st.booleans(),
+    st.data(),
+)
+def test_cached_partials_cold_warm_and_deleted_match_hash(
+    spec, keys, deletion, with_delta, data
+):
+    """Every grouped and global COUNT/SUM/AVG/MIN/MAX over 0–3 keys
+    and an INT, FLOAT, STRING or part non-numeric value column, with
+    NULLs in keys and values: a main batch under deleted rows (a whole
+    group, the only row holding a MIN or MAX, the only non-numeric
+    value, …) or under a selection, with or without delta rows, returns
+    on a cold generation, again warm, and warm from entries built
+    before the deletion, exactly the same rows — equal to the hash
+    path's."""
+    schema, rows, extreme, bad = spec
+    deleted = _deleted_rows(deletion, rows, keys, extreme, bad, data)
+    selection = np.array(
+        sorted(data.draw(st.sets(st.integers(0, len(rows) - 1)))),
+        dtype=np.int64,
+    )
+    delta = []
+    if with_delta:
+        columns = _KEY_COLUMNS + _VALUE_COLUMNS
+        delta = [
+            tuple(data.draw(st.one_of(st.none(), values))
+                  for _n, _t, values in columns)
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+    names = schema.column_names
+
+    def batches(table, **main):
+        out = [TableBatch(table, **main)]
+        if delta:
+            out.append(ValuesBatch.from_rows(names, delta))
+        return out
+
+    for query in _partials_queries(keys):
+        for main in ({"deleted": deleted}, {"selection": selection}):
+            table = _fresh_table(schema, rows)
+            cold = _aggregate_or_error(
+                batches(table, **main), query, schema, "compressed"
+            )
+            warm = _aggregate_or_error(
+                batches(table, **main), query, schema, "compressed"
+            )
+            before = _fresh_table(schema, rows)
+            _aggregate_or_error(batches(before), query, schema, "compressed")
+            after = _aggregate_or_error(
+                batches(before, **main), query, schema, "compressed"
+            )
+            hashed = _aggregate_or_error(
+                batches(table, **main), query, schema, "hash"
+            )
+            assert cold == warm == after, (query, main)
+            assert _agree(cold, hashed), (query, main, cold, hashed)
+
+
+def test_sum_raises_until_its_only_non_numeric_row_is_deleted(monkeypatch):
+    """SUM over a column whose one non-numeric value a deletion then
+    masks raises before the deletion and not after, cold or warm; the
+    deleted row's own count clears its group, so no pair is searched
+    for a live non-numeric value."""
+    import repro.exec.aggregate as aggregate_module
+
+    searched = []
+    original = aggregate_module._first_non_numeric
+
+    def spied(*args):
+        searched.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(aggregate_module, "_first_non_numeric", spied)
+    schema = TableSchema(
+        "t", (ColumnSchema("g", DataType.INT), ColumnSchema("v", DataType.INT))
+    )
+    rows = [(i % 3, i) for i in range(12)]
+    rows[7] = (1, _NOT_NUMERIC)
+    gone = np.array([7], dtype=np.int64)
+    for query in ("SELECT g, SUM(v) FROM t GROUP BY g",
+                  "SELECT AVG(v) FROM t"):
+        table = _fresh_table(schema, rows)
+        select = parse_sql(query)
+        for _ in range(2):
+            with pytest.raises(SqlExecutionError, match="numeric"):
+                aggregate_rows([TableBatch(table)], select, schema)
+            searched.clear()
+            got = aggregate_rows(
+                [TableBatch(table, deleted=gone)], select, schema
+            )
+            assert searched == []
+            assert got == aggregate_rows(
+                [TableBatch(table, deleted=gone)], select, schema, "hash"
+            )

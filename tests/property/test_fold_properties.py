@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import datetime
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.delta import CompactionPolicy, MutableTable
 from repro.smo.predicate import Comparison
 from repro.storage import DataType, table_from_python
+from repro.storage.column import BitmapColumn
+from repro.storage.table import Table
 from tests.harness.fold_reference import (
     column_differences,
     reference_merge_column,
@@ -208,4 +211,43 @@ def test_incremental_fold_matches_the_reference(main_rows, before, between):
         progress = mutable.compact_step(columns=1)
     assert mutable.to_rows() == oracle.rows
     mutable.compact()
+    assert mutable.main.to_rows() == oracle.rows
+
+
+def test_a_fold_with_deletions_leaves_the_old_columns_vids_as_held():
+    """The fold reads each dying column's vids as the column holds
+    them: a narrow copy stays narrow, a widened one stays the array a
+    reader widened, and a column holding none keeps none.  Every merged
+    column is bit-identical to the reference fold (``CheckedTable``)."""
+    rows = [
+        (i, *(pool[i % len(pool)] for pool in POOLS.values()))
+        for i in range(40)
+    ]
+    table = table_from_python(
+        "R",
+        {
+            name: (dtype, [row[at] for row in rows])
+            for at, (name, dtype) in enumerate(DTYPES.items())
+        },
+    )
+    bare = table.column("F")
+    columns = {name: table.column(name) for name in DTYPES}
+    columns["F"] = BitmapColumn(
+        "F", bare.dtype, bare.dictionary, bare.bitmaps, bare.nrows
+    )
+    old = Table(table.schema, columns, table.nrows)
+    widened = old.column("I").vids()
+    mutable, oracle = CheckedTable(old, CompactionPolicy.never()), Oracle(rows)
+    held = {name: old.column(name)._vids for name in DTYPES}
+    assert held["I"] is widened and held["F"] is None
+    assert {held[name].dtype for name in ("ID", "S", "D")} == {
+        np.dtype(np.uint8)
+    }
+    apply(mutable, oracle, ("insert", [(7, 2.0, "zz", None)]), BUFFER_ID)
+    delete(mutable, oracle, by_s("b"))
+    delete(mutable, oracle, by_id([0, 1, 17]))
+    mutable.compact()
+    assert mutable.main is not old
+    for name in DTYPES:
+        assert old.column(name)._vids is held[name], name
     assert mutable.main.to_rows() == oracle.rows

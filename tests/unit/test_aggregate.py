@@ -842,6 +842,94 @@ class TestGenerationCache:
         assert generation() is None and vids() is None
 
 
+class TestCachedPartials:
+    """A whole-table aggregate reads its generation's cached groups and
+    partials: a repeat builds nothing and counts one reused batch, a
+    WHERE keeps the per-statement path, and a deletion re-reduces at
+    most the group it touched."""
+
+    SQL = "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(v) FROM t GROUP BY g"
+
+    def db(self, value_type="INT", value=lambda i: i % 13):
+        db = Database(policy=CompactionPolicy.never())
+        db.execute(f"CREATE TABLE t (g STRING, v {value_type})")
+        db.adapter.insert_rows(
+            "t", [(f"g{i % 6}", value(i)) for i in range(600)]
+        )
+        db.compact("t")
+        return db
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        import repro.exec.aggregate as aggregate_module
+
+        calls = []
+        original = getattr(aggregate_module, name)
+
+        def spied(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(aggregate_module, name, spied)
+        return calls
+
+    def test_repeat_builds_no_entry_and_counts_one_reuse(self, monkeypatch):
+        from repro.delta.snapshot import _GENERATION_CACHE
+
+        db = self.db()
+        reused = db.adapter.metrics.counter("exec.agg_partials_reused")
+        first = db.execute(self.SQL)
+        assert reused.value == 0
+        entries = len(_GENERATION_CACHE[db.adapter._mutable("t").main])
+        builds = [
+            self.spy(monkeypatch, name)
+            for name in ("_build_groups", "_whole_pairs", "_reduced")
+        ]
+        assert db.execute(self.SQL) == first
+        assert reused.value == 1
+        assert builds == [[], [], []]
+        assert len(
+            _GENERATION_CACHE[db.adapter._mutable("t").main]
+        ) == entries
+
+    def test_a_where_clause_is_not_served_from_partials(self):
+        db = self.db()
+        reused = db.adapter.metrics.counter("exec.agg_partials_reused")
+        sql = self.SQL.replace(" GROUP BY", " WHERE v < 9 GROUP BY")
+        assert db.execute(sql) == db.execute(sql)
+        assert reused.value == 0
+
+    @pytest.mark.parametrize(
+        "value_type, value, victim, redone",
+        [
+            # An integer sum subtracts: a group re-reduces only where
+            # its MIN or MAX value lost its last row.
+            ("INT", lambda i: i % 13, "v = 5 AND g = 'g1'", 0),
+            ("INT", lambda i: i % 13, "v = 0 AND g = 'g0'", 1),
+            ("INT", lambda i: i, "v = 0", 1),
+            # A float sum re-adds the touched group in pair order.
+            ("FLOAT", lambda i: i / 4, "v = 37.5", 1),
+        ],
+    )
+    def test_one_deletion_redoes_at_most_its_group(
+        self, monkeypatch, value_type, value, victim, redone
+    ):
+        db = self.db(value_type, value)
+        db.execute(self.SQL)
+        slices = self.spy(monkeypatch, "_slice_pairs")
+        db.execute(f"DELETE FROM t WHERE {victim}")
+        reused = db.adapter.metrics.counter("exec.agg_partials_reused")
+        before = reused.value
+        got = db.execute(self.SQL)
+        assert reused.value == before + 1
+        assert [len(call[4]) for call in slices] == [1] * redone
+        select = parse_sql(self.SQL)
+        assert got == aggregate_rows(
+            db.adapter.scan_batches("t"), select, db.adapter.schema("t"),
+            "hash",
+        )
+
+
 class TestAggregateBench:
     def test_bench_script_runs(self, tmp_path):
         import subprocess
