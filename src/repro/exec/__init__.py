@@ -26,11 +26,11 @@ Filters compose by sorted intersection of positions, so a selection
 costs what it keeps, and a validity costs what it deletes: with D main
 rows deleted, every read pays O(D) on top of the unselected one — the
 filter's matches less D, the scan's cached rows spliced around D,
-counts and histograms less the D rows', DISTINCT's first-row order
+cached partials less the D rows' histogram, DISTINCT's first-row order
 with the values whose first row is deleted moved, ORDER BY's value
 runs less D.  Aggregation (GROUP BY, COUNT/SUM/MIN/MAX/AVG), DISTINCT
 and ORDER BY run in the same spirit — bitmap popcounts, cached
-whole-table histograms and each value's first row on an unselected
+whole-table partials and each value's first row on an unselected
 main store, dictionary vids at the selected positions otherwise,
 row-wise hash and sort on delta and values batches
 (:mod:`repro.exec.aggregate`).

@@ -3,36 +3,36 @@
 The dictionary-plus-bitmaps layout makes three classic read-path
 operations cheap *without decoding rows*:
 
-* **GROUP BY / aggregates** — a :class:`~repro.exec.batch.TableBatch`
-  groups by dictionary *vids*.  With no selection (no WHERE) the
-  batch reads its generation's **whole-table partials**: one entry
-  per group-column tuple (the groups' codes, COUNT(*), decoded keys
-  and key order) and one per group-column tuple and value column (each
-  group's non-NULL count, exact sum and MIN/MAX value ranks), each
-  O(groups) and built by the first statement that needs it, so a warm
-  statement folds them as they are.  D deleted rows adjust them in
-  O(D): the deleted rows' own (group, value) pairs subtract their
-  counts and integer sums, and a group re-reduces from its slice of
-  the cached joint histogram only where a float or object sum lost
-  rows or its MIN/MAX value lost its last row.  Under a selection
-  every count is one histogram, per statement, of codes cached per
-  main generation at the selected positions, where the group
-  columns' vids combine into one mixed-radix code per row
-  (:mod:`repro.storage.codes`), re-densified before a multiply could
-  leave int64 (any number and cardinality of group columns folds
-  here), and a value column's joint (group…, value) codes are the
-  same code with its vids as the last step, 8 B per row per
-  combination.  Each value column's (group, value vid) pairs feed one
-  NumPy reduction per kind — SUM and AVG share one, MIN and MAX one
-  rank gather — against the dictionary's values held as a typed array
-  (``int64``, ``float64`` or ``object``, one code path for all three).
-  Group keys are read off each key column's dictionary at the groups'
-  vids only, O(groups), and stay columns until the result: one rank
-  array per key column and one ``np.lexsort`` order them.  Delta and
-  values batches go through a row-wise hash aggregator that writes
-  into the same slots, so main and delta partials merge
-  epoch-consistently and a query sees exactly the main+delta state its
-  scan pinned.
+* **GROUP BY / aggregates** — every main-store
+  :class:`~repro.exec.batch.TableBatch` folds through one pipeline,
+  and an ungrouped aggregate is a grouping by no column: one group 0
+  that every row holds.  A batch's rows are a selection (WHERE), the
+  whole table, or the whole table less D deleted rows, and every count
+  is one histogram over such a row set (:func:`_histogram`) of codes
+  cached per main generation: the group columns' vids combined into
+  one mixed-radix code per row (:mod:`repro.storage.codes`,
+  re-densified before a multiply could leave int64), and per value
+  column the joint (group…, value) codes with its vids as the last
+  step, 8 B per row per combination; the whole table's codes of one
+  column are its vids, read off the bitmaps' popcounts.  With no
+  selection the histograms are built once per generation into its
+  **whole-table partials** — one entry per group-column tuple (the
+  groups' codes, COUNT(*), decoded keys and key order) and one per
+  value column (its pairs and each group's non-NULL count, exact sum
+  and MIN/MAX value ranks) — so a warm statement folds them as they
+  are, and D deleted rows subtract their own histogram in O(D), a
+  group re-reducing from its slice of the pairs only where a float or
+  object sum lost rows or its MIN/MAX value lost its last row.  Each
+  value column's (group, value vid) pairs feed one NumPy reduction per
+  kind — SUM and AVG share one, MIN and MAX one rank gather — against
+  the dictionary's values held as a typed array (``int64``,
+  ``float64`` or ``object``, one code path for all three).  Group keys
+  are read off each key column's dictionary at the groups' vids only,
+  O(groups), and stay columns until the result: one rank array per key
+  column and one ``np.lexsort`` order them.  Delta and values batches
+  go through a row-wise hash aggregator that writes into the same
+  slots, so main and delta partials merge epoch-consistently and a
+  query sees exactly the main+delta state its scan pinned.
 * **DISTINCT** — on a single dictionary-backed column, distinct values
   are the live vids; enumeration orders them by first selected
   position, reproducing the streaming-dedup row order exactly.  With
@@ -66,6 +66,7 @@ from repro.delta.snapshot import decoded_main_rows, generation_cached
 from repro.errors import SqlExecutionError
 from repro.exec.batch import (
     TableBatch,
+    ValuesBatch,
     difference_positions,
     gather,
     intersect_positions,
@@ -217,14 +218,17 @@ class GroupAccumulator:
 
     def open_groups(self, keys: list[list], order) -> range | list[int]:
         """:meth:`open_slots` for distinct keys given as one list per
-        group column, ``order`` their positions in key order.  A fresh
+        group column, ``order`` their positions in key order (with no
+        group column, the one group ``()`` if any).  A fresh
         accumulator registers them as slots ``0..n-1`` in one step."""
+        count = len(order)
+        groups = zip(*keys) if keys else [()] * count
         if self.slots:
-            return self.open_slots(zip(*keys))
-        self.slots = dict(zip(zip(*keys), range(len(order))))
+            return self.open_slots(groups)
+        self.slots = dict(zip(groups, range(count)))
         self.keys, self.order = keys, order
-        self._grow(len(order))
-        return range(len(order))
+        self._grow(count)
+        return range(count)
 
     def _grow(self, grown: int):
         for agg, column, nonnull in zip(self.aggs, self.values, self.nonnull):
@@ -238,11 +242,14 @@ class GroupAccumulator:
         """Merge one batch's per-group partials of aggregate ``index`` —
         lists aligned with ``target``, the groups' slots.  On a
         ``fresh`` accumulator the batch's groups are slots ``0..n-1``,
-        so the handed-over lists become the columns as they are."""
+        so the handed-over lists become the columns, a sum with no
+        non-NULL row reset to the ``0`` a row-wise sum starts from."""
         if fresh:
-            self.values[index] = values
             if nonnull is not None:
                 self.nonnull[index] = nonnull
+                if 0 in nonnull:
+                    values = [v if n else 0 for v, n in zip(values, nonnull)]
+            self.values[index] = values
             return
         func = self.aggs[index].func
         column = self.values[index]
@@ -344,35 +351,6 @@ def _require_numeric(agg, value):
 # Compressed-domain path (TableBatch)
 # ----------------------------------------------------------------------
 
-def _selected_value_counts(table, name: str, selection) -> np.ndarray:
-    """Per-vid selected-row counts of one main-store column: a
-    ``bincount`` over the column's row-order vid array at the selected
-    positions, else (``selection`` ``None``) the bitmaps' popcounts."""
-    column = table.column(name)
-    if selection is None:
-        return column.value_counts()
-    return np.bincount(
-        column.vids()[selection], minlength=column.distinct_count
-    )
-
-
-def _joint_histogram(table, group_names, name) -> tuple:
-    """``(joint, steps, present, counts)``: the generation's joint
-    (group…, value) codes of value column ``name`` (:func:`_group_codes`)
-    and their steps, and the codes present over the whole table with
-    their counts, that histogram cached per generation too."""
-    joint, space, steps = _group_codes(table, group_names, name)
-
-    def build():
-        present, counts = vid_codes.nonzero_counts(joint, space)
-        present.flags.writeable = counts.flags.writeable = False
-        return present, counts
-
-    return (joint, steps, *generation_cached(
-        table, ("histogram", *group_names, name), build
-    ))
-
-
 class _TypedValues:
     """One column's dictionary as arrays indexed by vid — O(distinct),
     built once per immutable main table.
@@ -383,17 +361,19 @@ class _TypedValues:
     ``int`` whose magnitude times the row count stays below 2**63 (so
     any sum is exact), as ``float64`` when every non-NULL value is a
     ``float``, and as ``object`` (Python arithmetic: big ints, mixed
-    int/float) otherwise.  :meth:`ranked` orders the non-NULL values
-    for MIN/MAX and ORDER BY over any orderable type."""
+    int/float) otherwise; ``nullable`` is whether NULL is a value.
+    :meth:`ranked` orders the non-NULL values for MIN/MAX and ORDER BY
+    over any orderable type."""
 
-    __slots__ = ("values", "objects", "null", "numeric", "summable",
-                 "_ranked")
+    __slots__ = ("values", "objects", "null", "nullable", "numeric",
+                 "summable", "_ranked")
 
     def __init__(self, values: list, nrows: int):
         self.values = values
         self.objects = np.empty(len(values), dtype=object)
         self.objects[:] = values
         self.null = np.array([value is None for value in values], bool)
+        self.nullable = bool(self.null.any())
         self.numeric = np.array(
             [
                 isinstance(value, (int, float))
@@ -420,9 +400,10 @@ class _TypedValues:
         )
         self._ranked = None
 
-    def ranked(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(order, rank)``: the non-NULL vids in value order, and each
-        vid's index in it.  Sorted on first use."""
+    def ranked(self) -> tuple:
+        """``(order, rank, by_rank)``: the non-NULL vids in value order,
+        each vid's index in it, and the values in that order with
+        :data:`_MISSING` last, at rank -1.  Sorted on first use."""
         if self._ranked is None:
             order = np.array(
                 sorted(
@@ -433,7 +414,8 @@ class _TypedValues:
             )
             rank = np.zeros(len(self.values), dtype=np.int64)
             rank[order] = np.arange(len(order))
-            self._ranked = (order, rank)
+            by_rank = np.append(self.objects[order], [_MISSING])
+            self._ranked = (order, rank, by_rank)
         return self._ranked
 
 
@@ -457,7 +439,13 @@ def _group_codes(table, group_names, value=None) -> tuple:
     their code space and the steps that decode them — cached per
     generation.  With ``value``, the joint (group…, value) codes: one
     more step on top of the cached group codes.  Either is one
-    ``("codes", …)`` entry, 8 B per row."""
+    ``("codes", …)`` entry, 8 B per row.  With no group column every
+    row is group 0, a stride-0 view, and the joint codes are the value
+    column's vids under one step: neither costs a byte."""
+    if value is not None and not group_names:
+        radix = _radix(table, value)
+        return table.column(value).vids(), radix, [(radix, None)]
+
     def build():
         if value is None:
             codes, space, steps = vid_codes.combine_columns(
@@ -479,12 +467,37 @@ def _group_codes(table, group_names, value=None) -> tuple:
     return generation_cached(table, ("codes", *names), build)
 
 
+def _histogram(table, group_names, value=None, rows=None) -> tuple:
+    """``(present, counts, steps)``: the codes of :func:`_group_codes`
+    that the rows at positions ``rows`` hold — a selection, a batch's
+    deleted rows, or with ``None`` the whole table — ascending, the
+    rows holding each, and the steps that decode them.  The whole
+    table's codes of one column are its vids, read off its bitmaps'
+    popcounts without a vid array, and a one-code space is counted, not
+    histogrammed."""
+    names = group_names if value is None else (*group_names, value)
+    if rows is None and len(names) == 1:
+        per_vid = table.column(names[0]).value_counts()
+        present = np.flatnonzero(per_vid)
+        steps = [] if value is None else [(_radix(table, value), None)]
+        return present, per_vid[present], steps
+    codes, space, steps = _group_codes(table, group_names, value)
+    nrows = table.nrows if rows is None else len(rows)
+    if space == 1:
+        present = np.zeros(min(1, nrows), dtype=np.int64)
+        return present, present + nrows, steps
+    if rows is not None:
+        codes = codes[rows]
+    return (*vid_codes.nonzero_counts(codes, space), steps)
+
+
 def _keys_for_codes(table, group_names, codes, steps) -> tuple:
     """Decode group codes into ``(keys, order)``: one value list per
     group column and the groups' positions in key order.  Each column's
     vids (``split_codes``) are read off its dictionary at the
     distinct vids present only — O(groups), not O(dictionary) — and
-    ranked in NumPy from those values' ranks."""
+    ranked in NumPy from those values' ranks.  With no group column
+    there are no keys; one group, or none, is in order already."""
     keys, ranks = [], []
     for name, vids in zip(group_names, vid_codes.split_codes(codes, steps)):
         present, inverse = np.unique(vids, return_inverse=True)
@@ -492,15 +505,21 @@ def _keys_for_codes(table, group_names, codes, steps) -> tuple:
         distinct[:] = table.column(name).dictionary.values_at(present.tolist())
         keys.append(distinct[inverse].tolist())
         ranks.append(_key_rank(distinct.tolist(), inverse))
+    if len(codes) < 2:
+        return keys, np.arange(len(codes))
     return keys, np.lexsort(ranks[::-1])
 
 
 def _split_value(joint, steps) -> tuple:
-    """``(group codes, value vids)`` of joint (group…, value) codes:
-    only their last step split off."""
+    """``(group codes, value vids)`` of ascending joint (group…, value)
+    codes: only their last step split off.  Codes all below that step's
+    radix are all in the first group and are the vids themselves."""
     size, dense = steps[-1]
-    group = joint // size
-    vid = joint - group * size
+    if len(joint) and joint[-1] < size:
+        group, vid = np.zeros(len(joint), dtype=np.int64), joint
+    else:
+        group = joint // size
+        vid = joint - group * size
     if dense is not None:
         group = dense[group]
     return group, vid
@@ -509,12 +528,6 @@ def _split_value(joint, steps) -> tuple:
 #: The partial each aggregate function reads: AVG is SUM over COUNT.
 _KIND = {"count": "count", "sum": "sum", "avg": "sum", "min": "min",
          "max": "max"}
-
-
-def _group_starts(group) -> np.ndarray:
-    """Where each run of equal codes in ``group`` (sorted) starts."""
-    starts = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
-    return starts[:len(group)]
 
 
 def _reduced(typed, kinds, starts, vid, counts) -> dict:
@@ -530,7 +543,7 @@ def _reduced(typed, kinds, starts, vid, counts) -> dict:
     holds only numbers); ``min`` and ``max`` are each group's best value
     rank (:meth:`_TypedValues.ranked`), -1 for a group with none."""
     live = counts > 0
-    if typed.null.any():
+    if typed.nullable:
         live &= ~typed.null[vid]
     if live.all():
         live = None
@@ -575,127 +588,53 @@ def _first_non_numeric(typed, vid, counts):
 
 def _selected_partials(batch: TableBatch, group_names, columns) -> tuple:
     """``(groups, COUNT(*) per group, {value column: partials})`` of a
-    batch under a selection, per statement: the histogram of the
-    cached group codes at the selected positions, keys decoded at its
-    groups' vids (:func:`_keys_for_codes`), and per value column the
-    histogram of its cached joint codes there (per-vid counts
-    ungrouped), reduced by :func:`_reduced`: every selected group holds
-    a pair, so the pairs' groups are the groups in order.  ``None`` when
-    an ungrouped batch selects no row."""
+    batch under a selection, per statement: the histogram of the group
+    codes at the selected positions, keys decoded at its groups' vids
+    (:func:`_keys_for_codes`), and per value column the histogram of
+    its joint codes there, reduced by :func:`_reduced`: every selected
+    group holds a pair, so the pairs' groups are the groups in order,
+    and each group's pairs start where its code first appears."""
     table, selection = batch.table, batch.selection
-    groups = None
-    if group_names:
-        codes, space, steps = _group_codes(table, group_names)
-        group_codes, star = vid_codes.nonzero_counts(codes[selection], space)
-        groups = _keys_for_codes(table, group_names, group_codes, steps)
-    elif len(selection):
-        star = np.array([len(selection)])
-    else:
-        return None
+    codes, star, steps = _histogram(table, group_names, rows=selection)
+    keys, order = _keys_for_codes(table, group_names, codes, steps)
     partials = {}
     for name, (kinds, summed) in columns.items():
         typed = _typed_values(table, name)
-        if group_names:
-            joint, space, steps = _group_codes(table, group_names, name)
-            joint, counts = vid_codes.nonzero_counts(joint[selection], space)
-            group, vid = _split_value(joint, steps)
-        else:
-            per_vid = _selected_value_counts(table, name, selection)
-            vid = np.flatnonzero(per_vid)
-            group, counts = np.zeros_like(vid), per_vid[vid]
-        parts = _reduced(typed, kinds, _group_starts(group), vid, counts)
+        joint, counts, steps = _histogram(table, group_names, name, selection)
+        group, vid = _split_value(joint, steps)
+        starts = np.searchsorted(group, codes)
+        parts = _reduced(typed, kinds, starts, vid, counts)
         bad = parts["sum"][1] if summed is not None else None
         if bad is not None and bad.any():
             _require_numeric(summed, _first_non_numeric(typed, vid, counts))
         partials[name] = parts
-    return groups, star, partials
+    return (keys, order), star, partials
 
 
 # -- whole-table partials, cached per generation ------------------------
 
 
-def _build_groups(table, group_names) -> tuple:
-    """``(codes, counts, keys, order)``: the whole table's groups of
-    ``group_names`` — their ascending group codes, COUNT(*) and keys in
-    :func:`_keys_for_codes` form — read off one group column's
-    popcounts, else the histogram of the cached group codes."""
-    if len(group_names) == 1:
-        per_vid = _selected_value_counts(table, group_names[0], None)
-        codes, steps = np.flatnonzero(per_vid), []
-        counts = per_vid[codes]
-    else:
-        every, space, steps = _group_codes(table, group_names)
-        codes, counts = vid_codes.nonzero_counts(every, space)
-    keys, order = _keys_for_codes(table, group_names, codes, steps)
-    for array in (codes, counts, order):
-        array.flags.writeable = False
-    return codes, counts, tuple(map(tuple, keys)), order
-
-
-def _whole_pairs(table, group_names, name) -> tuple:
-    """``(group, vid, counts)``: value column ``name``'s (group code,
-    value vid) pairs over the whole table in joint-code order — the
-    cached histogram of its joint codes — or, ungrouped, one pair per
-    vid of the column, in group 0 with its popcount, so a vid is its
-    own pair index."""
-    if not group_names:
-        counts = _selected_value_counts(table, name, None)
-        vid = np.arange(len(counts))
-        return np.zeros_like(vid), vid, counts
-    _joint, steps, present, counts = _joint_histogram(
-        table, group_names, name
-    )
-    return (*_split_value(present, steps), counts)
-
-
-def _deleted_pairs(table, group_names, name, bounds, deleted) -> tuple:
-    """``(at, group, vid, gone, whole)``: the (group, value vid) pairs
-    the ``deleted`` rows hold — each one's index among
-    :func:`_whole_pairs`, group position, vid, deleted rows and rows
-    in the whole table.  O(D log D)."""
-    if not group_names:
-        at, gone = np.unique(
-            table.column(name).vids()[deleted], return_counts=True
-        )
-        whole = _selected_value_counts(table, name, None)[at]
-        return at, np.zeros_like(at), at, gone, whole
-    joint, steps, present, counts = _joint_histogram(
-        table, group_names, name
-    )
-    codes, gone = np.unique(joint[deleted], return_counts=True)
-    at = np.searchsorted(present, codes)
-    group = np.searchsorted(bounds, at, side="right") - 1
-    return at, group, codes % steps[-1][0], gone, counts[at]
-
-
-def _slice_pairs(table, group_names, name, bounds, slots, at, gone) -> tuple:
-    """``(starts, vid, counts)``: the :func:`_whole_pairs` of the
-    groups at positions ``slots`` (ascending) only, less the deleted
-    rows ``gone`` of the pairs ``at``; group ``slots[i]``'s pairs start
-    at ``starts[i]``.  O(those groups' pairs)."""
+def _slice_pairs(entry, slots, at, gone) -> tuple:
+    """``(starts, vid, counts)``: the whole-table pairs of ``entry``
+    (:func:`_whole_value_partials`) of the groups at positions
+    ``slots`` (ascending) only, less the deleted rows ``gone`` of the
+    pairs ``at``; group ``slots[i]``'s pairs start at ``starts[i]``.
+    O(those groups' pairs)."""
+    bounds = entry["bounds"]
+    present, counts = entry["present"], entry["counts"]
     low = bounds[slots]
     lengths = bounds[slots + 1] - low
     starts = np.cumsum(lengths) - lengths
-    index = None
     if len(slots) < len(bounds) - 1:
         index = np.arange(lengths.sum()) + np.repeat(low - starts, lengths)
-    if group_names:
-        _joint, steps, present, counts = _joint_histogram(
-            table, group_names, name
-        )
-        vid = (present if index is None else present[index]) % steps[-1][0]
-    else:
-        counts = _selected_value_counts(table, name, None)
-        vid = np.arange(len(counts)) if index is None else index
-    if index is None:
-        counts = counts.copy()
-        counts[at] -= gone
-    else:
-        counts = counts[index]
+        present, counts = present[index], counts[index]
         inside = np.minimum(np.searchsorted(index, at), len(index) - 1)
         hit = index[inside] == at
         counts[inside[hit]] -= gone[hit]
-    return starts, vid, counts
+    else:
+        counts = counts.copy()
+        counts[at] -= gone
+    return starts, _split_value(present, entry["steps"])[1], counts
 
 
 def _less_deleted(table, group_names, name, typed, entry, kinds,
@@ -703,17 +642,19 @@ def _less_deleted(table, group_names, name, typed, entry, kinds,
     """``(parts, at, gone)``: the whole-table partials ``entry`` of
     value column ``name``, ``kinds`` of them, less the ``deleted``
     rows, and the deleted rows ``gone`` of the live pairs ``at`` among
-    :func:`_whole_pairs`.  The D rows' own pairs subtract their counts
-    and integer sums, O(D); a group re-reduces from its slice of the
-    pairs (:func:`_slice_pairs`) only where a float or object sum lost
-    rows or where its MIN/MAX value lost its last row."""
-    at, group, vid, gone, whole = _deleted_pairs(
-        table, group_names, name, entry["bounds"], deleted
-    )
-    live = ~typed.null[vid]
-    at, group, vid, gone, whole = (
-        at[live], group[live], vid[live], gone[live], whole[live]
-    )
+    the entry's pairs.  The D rows' own pairs (their histogram) subtract
+    their counts and integer sums, O(D); a group re-reduces from its
+    slice of the pairs (:func:`_slice_pairs`) only where a float or
+    object sum lost rows or where its MIN/MAX value lost its last
+    row."""
+    codes, gone, steps = _histogram(table, group_names, name, deleted)
+    vid = _split_value(codes, steps)[1]
+    if typed.nullable:
+        live = ~typed.null[vid]
+        codes, vid, gone = codes[live], vid[live], gone[live]
+    at = np.searchsorted(entry["present"], codes)
+    group = np.searchsorted(entry["bounds"][1:-1], at, side="right")
+    whole = entry["counts"][at]
     parts = {kind: entry[kind] for kind in kinds}
     parts["count"] = parts["count"].copy()
     np.subtract.at(parts["count"], group, gone)
@@ -736,14 +677,12 @@ def _less_deleted(table, group_names, name, typed, entry, kinds,
                 typed.ranked()[1][vid] == parts[kind][group]
             )
             redo.append((kind, group[lost]))
-    slots = np.unique(np.concatenate(
-        [touched for _kind, touched in redo] or [group[:0]]
-    ))
+    slots = np.concatenate([touched for _kind, touched in redo] or [group[:0]])
     if len(slots):
+        slots = np.unique(slots)
         fresh = _reduced(
             typed, [kind for kind, _touched in redo],
-            *_slice_pairs(table, group_names, name, entry["bounds"],
-                          slots, at, gone),
+            *_slice_pairs(entry, slots, at, gone),
         )
         for kind, _touched in redo:
             if kind == "sum":
@@ -756,26 +695,36 @@ def _less_deleted(table, group_names, name, typed, entry, kinds,
     return parts, at, gone
 
 
-def _whole_value_partials(batch, group_names, name, kinds, summed,
+def _whole_value_partials(batch, group_names, codes, name, kinds, summed,
                           built) -> dict:
     """Value column ``name``'s partials over a batch with no selection,
-    read off its whole-table entry of this generation — ``bounds``
-    (group ``g``'s pairs are ``bounds[g]:bounds[g + 1]`` of
-    :func:`_whole_pairs`) and each kind of partial, O(groups), added
-    by the first statement that needs it — less the batch's deleted
-    rows (:func:`_less_deleted`).  Every group of the table holds a
-    pair, so the pairs' groups are the groups entry's, in order.
-    SUM/AVG raise while a non-numeric value is live."""
+    read off its whole-table entry of this generation — the pairs, as
+    the joint codes ``present`` over the whole table and the rows
+    ``counts`` holding each (:func:`_histogram`), with ``bounds``
+    (group ``g``'s pairs are ``bounds[g]:bounds[g + 1]``), and each
+    kind of partial, O(groups), added by the first statement that needs
+    it — less the batch's deleted rows (:func:`_less_deleted`).  Every
+    group of the table holds a pair, so the pairs' groups are the
+    groups entry's, ``codes``, in order.  SUM/AVG raise while a
+    non-numeric value is live."""
     table = batch.table
     typed = _typed_values(table, name)
     entry = generation_cached(table, ("partials", group_names, name), dict)
     missing = [kind for kind in kinds if kind not in entry]
     if missing:
         built.append(("partials", group_names, name))
-        group, vid, counts = _whole_pairs(table, group_names, name)
-        starts = _group_starts(group)
-        entry["bounds"] = np.append(starts, len(group))
-        entry.update(_reduced(typed, missing, starts, vid, counts))
+        if not entry:
+            present, counts, steps = _histogram(table, group_names, name)
+            group, _vid = _split_value(present, steps)
+            present.flags.writeable = counts.flags.writeable = False
+            entry.update(
+                present=present, counts=counts, steps=steps,
+                bounds=np.append(np.searchsorted(group, codes), len(group)),
+            )
+        vid = _split_value(entry["present"], entry["steps"])[1]
+        entry.update(_reduced(
+            typed, missing, entry["bounds"][:-1], vid, entry["counts"]
+        ))
     at = gone = np.zeros(0, dtype=np.int64)
     if batch.deleted is None:
         parts = {kind: entry[kind] for kind in kinds}
@@ -786,8 +735,7 @@ def _whole_value_partials(batch, group_names, name, kinds, summed,
     bad = parts["sum"][1] if summed is not None else None
     if bad is not None and bad.any():
         _starts, vid, counts = _slice_pairs(
-            table, group_names, name, entry["bounds"],
-            np.flatnonzero(bad)[:1], at, gone,
+            entry, np.flatnonzero(bad)[:1], at, gone
         )
         _require_numeric(summed, _first_non_numeric(typed, vid, counts))
     return parts
@@ -798,40 +746,37 @@ def _whole_partials(batch: TableBatch, group_names, columns,
     """:func:`_selected_partials` for a batch with no selection, read
     off the generation's whole-table entries: the groups of
     ``group_names`` with their COUNT(*) and decoded keys
-    (:func:`_build_groups`) and each value column's partials
+    (:func:`_keys_for_codes`) and each value column's partials
     (:func:`_whole_value_partials`), each O(groups) and built by the
     first statement that needs it.  D deleted rows subtract their
-    groups' counts, and a group they empty drops out.  Each entry this
-    call builds is noted in ``built``."""
+    groups' counts (their histogram), and a group they empty drops
+    out.  Each entry this call builds is noted in ``built``."""
     table, deleted = batch.table, batch.deleted
-    groups = kept = None
-    if group_names:
-        def build():
-            built.append(("groups", *group_names))
-            return _build_groups(table, group_names)
 
-        group_codes, star, keys, order = generation_cached(
-            table, ("groups", *group_names), build
-        )
-        groups = keys, order
-        if deleted is not None:
-            every = (
-                table.column(group_names[0]).vids() if len(group_names) == 1
-                else _group_codes(table, group_names)[0]
-            )
-            gone, gone_counts = np.unique(every[deleted], return_counts=True)
-            at = np.searchsorted(group_codes, gone)
+    def build():
+        built.append(("groups", *group_names))
+        codes, counts, steps = _histogram(table, group_names)
+        keys, order = _keys_for_codes(table, group_names, codes, steps)
+        for array in (codes, counts, order):
+            array.flags.writeable = False
+        return codes, counts, tuple(map(tuple, keys)), order
+
+    group_codes, star, keys, order = generation_cached(
+        table, ("groups", *group_names), build
+    )
+    groups, kept = (keys, order), None
+    if deleted is not None:
+        if len(star) == 1:  # the one group holds every deleted row
+            star = star - len(deleted)
+        else:
+            codes, gone, _steps = _histogram(table, group_names, rows=deleted)
             star = star.copy()
-            star[at] -= gone_counts
-            if not star[at].all():
-                kept = star > 0
-    elif batch.selected_count:
-        star = np.array([batch.selected_count])
-    else:
-        return None
+            star[np.searchsorted(group_codes, codes)] -= gone
+        if np.count_nonzero(star) < len(star):
+            kept = star > 0
     partials = {
         name: _whole_value_partials(
-            batch, group_names, name, kinds, summed, built
+            batch, group_names, group_codes, name, kinds, summed, built
         )
         for name, (kinds, summed) in columns.items()
     }
@@ -862,9 +807,10 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
     Under a selection every statement counts the selected positions
     (:func:`_selected_partials`).  Either way a group's partials fold
     into the accumulator's columns whole, the same calls for every
-    value dtype.  Pairs add in joint-code order, so a float sum adds
-    in the same order on every run; it may differ in the last ulp from
-    a row-by-row sum, as any reordering of float additions can.
+    value dtype and every number of group columns, none included.
+    Pairs add in joint-code order, so a float sum adds in the same
+    order on every run; it may differ in the last ulp from a row-by-row
+    sum, as any reordering of float additions can.
     """
     columns: dict = {}
     for agg in acc.aggs:
@@ -876,16 +822,18 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
             columns[agg.column] = kinds, summed
     if batch.selection is None:
         built = []
-        found = _whole_partials(batch, group_names, columns, built)
-        if found is not None and not built and (group_names or columns):
+        groups, star, partials = _whole_partials(
+            batch, group_names, columns, built
+        )
+        # A bare COUNT(*) reads no keys and no value partials.
+        if not built and (groups[0] or partials):
             acc.partials_reused += 1
     else:
-        found = _selected_partials(batch, group_names, columns)
-    if found is None:
-        return
-    groups, star, partials = found
+        groups, star, partials = _selected_partials(
+            batch, group_names, columns
+        )
     fresh = not acc.slots
-    target = acc.open_groups(*groups) if group_names else acc.open_slots([()])
+    target = acc.open_groups(*groups)
     for index, agg in enumerate(acc.aggs):
         nonnull = None
         if agg.column is None:
@@ -897,21 +845,12 @@ def _accumulate_table(batch: TableBatch, group_names, acc: GroupAccumulator):
             elif kind == "sum":
                 values, nonnull = parts["sum"][0], parts["count"]
             else:
-                values = _ranked_values(
-                    _typed_values(batch.table, agg.column), parts[kind]
-                )
+                typed = _typed_values(batch.table, agg.column)
+                values = typed.ranked()[2][parts[kind]]
         acc.fold(
             index, target, values.tolist(),
             None if nonnull is None else nonnull.tolist(), fresh=fresh,
         )
-
-
-def _ranked_values(typed, ranks) -> np.ndarray:
-    """The values of best-value ``ranks``, :data:`_MISSING` for -1."""
-    values = np.full(len(ranks), _MISSING, dtype=object)
-    has = ranks >= 0
-    values[has] = typed.objects[typed.ranked()[0][ranks[has]]]
-    return values
 
 
 def _accumulate_rows(batch, group_names, acc: GroupAccumulator):
@@ -924,8 +863,6 @@ def _accumulate_rows(batch, group_names, acc: GroupAccumulator):
         # Single-column COUNT(*): project just the group column and
         # fold a Counter — no full-row tuples.  An unfiltered values
         # batch hands its vector to Counter directly (C speed).
-        from repro.exec.batch import ValuesBatch
-
         if isinstance(batch, ValuesBatch) and batch.selection is None:
             counts = Counter(batch.columns[group_names[0]])
         else:
@@ -983,9 +920,17 @@ def accumulate_batch(
 def aggregate_rows(
     batches, select, schema, strategy: str = "compressed", stats=None
 ) -> list[tuple]:
-    """Drain ``batches`` through the aggregation pipeline and return the
-    finalized result rows (select-list order, sorted by group key)."""
+    """Drain ``batches`` through the aggregation pipeline — the
+    planner's aggregate stage — and return the finalized result rows
+    (select-list order, sorted by group key), counted into ``stats``."""
     group_names, aggs = validate_aggregate_select(select, schema)
+    acc = _drain(batches, group_names, aggs, strategy, stats)
+    return acc.finalized_rows(select, group_names)
+
+
+def _drain(batches, group_names, aggs, strategy, stats) -> GroupAccumulator:
+    """Fold ``batches`` into one accumulator, counted into ``stats``,
+    for a SELECT already validated into ``group_names`` and ``aggs``."""
     acc = GroupAccumulator(aggs)
     for batch in batches:
         accumulate_batch(batch, group_names, acc, strategy)
@@ -994,24 +939,12 @@ def aggregate_rows(
         stats.agg_batches_hash += acc.batches_hash
         stats.agg_partials_reused += acc.partials_reused
         stats.agg_groups += len(acc.slots)
-    return acc.finalized_rows(select, group_names)
+    return acc
 
 
 # ----------------------------------------------------------------------
 # DISTINCT as live-vid enumeration
 # ----------------------------------------------------------------------
-
-
-def _by_first_occurrence(vids: np.ndarray, nvids: int) -> tuple:
-    """``(order, firsts)``: the vids present in ``vids`` ordered by
-    their first index, and those first indexes (ascending)."""
-    first = np.full(nvids, len(vids), dtype=np.int64)
-    # Fancy assignment keeps the last write per vid, so writing the
-    # ascending indexes reversed leaves each vid's first in place.
-    first[vids[::-1]] = np.arange(len(vids) - 1, -1, -1)
-    live = np.flatnonzero(first < len(vids))
-    live = live[np.argsort(first[live])]
-    return live, first[live]
 
 
 def _first_row_order(table, name: str) -> tuple:
@@ -1022,9 +955,11 @@ def _first_row_order(table, name: str) -> tuple:
     generation; O(distinct) kept."""
     def build():
         column = table.column(name)
-        order, firsts = _by_first_occurrence(
+        present, first = vid_codes.first_rows(
             column.vids(), column.distinct_count
         )
+        by_row = np.argsort(first)
+        order, firsts = present[by_row], first[by_row]
         order.flags.writeable = firsts.flags.writeable = False
         return order, firsts
 
@@ -1068,9 +1003,10 @@ def _table_batch_distinct(batch: TableBatch, name: str) -> list:
     if nvids == 0:
         return []
     if batch.selection is not None:
-        live, _firsts = _by_first_occurrence(
+        present, first = vid_codes.first_rows(
             column.vids()[batch.selection], nvids
         )
+        live = present[np.argsort(first)]
     elif batch.deleted is not None:
         live = _first_live_order(batch, name)
     else:
@@ -1117,7 +1053,7 @@ def _table_batch_ordered(
     LIMIT stops the scan early."""
     column = batch.table.column(name)
     typed = _typed_values(batch.table, name)
-    order, _rank = typed.ranked()
+    order = typed.ranked()[0]
     nulls = np.flatnonzero(typed.null)
     vids = (
         np.concatenate((order, nulls)) if ascending

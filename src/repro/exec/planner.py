@@ -34,8 +34,7 @@ from time import perf_counter
 
 from repro.errors import SqlExecutionError
 from repro.exec.aggregate import (
-    GroupAccumulator,
-    accumulate_batch,
+    _drain,
     aggregate_output_names,
     choose_aggregate_strategy,
     distinct_chunks,
@@ -121,18 +120,9 @@ def plan_stages(adapter, select, stats=None, explain=False) -> Span:
             # Main-store batches fold in the dictionary domain (vids
             # and popcounts), delta/values batches by hash; both merge
             # into one partial store keyed by decoded group values.
-            accumulator = GroupAccumulator(aggs)
-            for batch in batches:
-                accumulate_batch(batch, group_names, accumulator, strategy)
-            aggregate.batches = (
-                accumulator.batches_compressed + accumulator.batches_hash
-            )
-            if stats is not None:
-                stats.agg_batches_compressed += accumulator.batches_compressed
-                stats.agg_batches_hash += accumulator.batches_hash
-                stats.agg_partials_reused += accumulator.partials_reused
-                stats.agg_groups += len(accumulator.slots)
-            yield accumulator.finalized_rows(select, group_names)
+            acc = _drain(batches, group_names, aggs, strategy, stats)
+            aggregate.batches = acc.batches_compressed + acc.batches_hash
+            yield acc.finalized_rows(select, group_names)
 
         aggregate.step = fold
     elif select.join is not None:

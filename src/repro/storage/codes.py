@@ -39,9 +39,9 @@ def combine_columns(columns, radices, nrows: int) -> tuple:
     """``(codes, space, steps)``: one code per row for the equal-length
     vid arrays ``columns``, column ``i``'s vids in ``[0, radices[i])``,
     folded by :func:`combine`.  With no columns every one of the
-    ``nrows`` rows has code 0."""
+    ``nrows`` rows has code 0: a read-only stride-0 view, no bytes."""
     if not columns:
-        return np.zeros(nrows, dtype=np.int64), 1, []
+        return np.broadcast_to(np.int64(0), nrows), 1, []
     codes = np.asarray(columns[0], dtype=np.int64)
     space, steps = max(1, int(radices[0])), []
     for vids, size in zip(columns[1:], radices[1:]):

@@ -4,8 +4,9 @@
 Semantics across backends are pinned by the property suite
 (``tests/property/test_aggregate_properties.py``); these tests target
 the pieces directly: strategy selection (compressed iff pushdown) and
-its reason strings, the validation rules, the per-vid selected-count
-kernel, the numeric-type errors of SUM/AVG on both paths, the
+its reason strings, the validation rules, the one histogram helper
+with no group column and grouped by one, the numeric-type errors of
+SUM/AVG on both paths, the type of a sum a delta alone adds to, the
 bincount-vs-unique histogram helper, the group codes past int64, the
 live row counts, the ``exec.agg_*`` counters, the cached joint (group,
 value) codes against the hash path and a row oracle, key decode at the
@@ -28,12 +29,12 @@ from repro.errors import SqlExecutionError
 from repro.exec import GroupAccumulator, accumulate_batch, execute_select
 from repro.exec.aggregate import (
     _group_codes,
-    _selected_value_counts,
+    _histogram,
     aggregate_rows,
     choose_aggregate_strategy,
     validate_aggregate_select,
 )
-from repro.exec.batch import TableBatch
+from repro.exec.batch import TableBatch, ValuesBatch
 from repro.sql import MutableColumnAdapter, RowEngineAdapter, SqlExecutor
 from repro.sql.parser import parse_sql
 from repro.storage.codes import combine, nonzero_counts, split_codes
@@ -125,9 +126,12 @@ class TestValidation:
 
 
 class TestSelectedValueCounts:
-    """The one per-vid counts kernel — a ``bincount`` over the cached
-    vid array, whole or restricted to the selection — must agree with a
-    brute-force histogram."""
+    """The one histogram helper — one column's popcounts over the whole
+    table, else a ``bincount`` or a ``np.unique`` of the codes at the
+    rows — must agree with a brute-force histogram, for the column's
+    group codes and for its joint codes under no group column."""
+
+    FORMS = [(("c",), None, 0), ((), "c", 1)]
 
     def table(self, nrows=400, cardinality=7, seed=3):
         rng = np.random.default_rng(seed)
@@ -137,17 +141,37 @@ class TestSelectedValueCounts:
 
     def brute_force(self, values, table, dense):
         order = list(table.column("c").dictionary.values())
+        vid = dict(zip(order, range(len(order))))
         counts = np.zeros(len(order), dtype=np.int64)
         for position, value in enumerate(values):
             if dense is None or dense[position]:
-                counts[order.index(value)] += 1
+                counts[vid[value]] += 1
         return counts
 
-    def test_no_selection_uses_popcounts(self):
+    @staticmethod
+    def per_vid(table, found, nsteps):
+        present, counts, steps = found
+        assert len(steps) == nsteps
+        out = np.zeros(table.column("c").distinct_count, dtype=np.int64)
+        out[present] = counts
+        return out
+
+    @pytest.mark.parametrize("group_names, value, nsteps", FORMS)
+    def test_no_selection_uses_popcounts(
+        self, monkeypatch, group_names, value, nsteps
+    ):
         values, table = self.table()
-        got = _selected_value_counts(table, "c", None)
+
+        def refuse(self):
+            raise AssertionError("vid array read")
+
+        monkeypatch.setattr(BitmapColumn, "vids", refuse)
+        got = self.per_vid(
+            table, _histogram(table, group_names, value), nsteps
+        )
         assert np.array_equal(got, self.brute_force(values, table, None))
 
+    @pytest.mark.parametrize("group_names, value, nsteps", FORMS)
     @pytest.mark.parametrize(
         "selected",
         [
@@ -157,10 +181,19 @@ class TestSelectedValueCounts:
             [],
         ],
     )
-    def test_selection_paths_agree(self, selected):
-        values, table = self.table()
+    # 7 values take the bincount; ~3 900 over at most 398 selected
+    # rows, a code space too sparse for one, np.unique.
+    @pytest.mark.parametrize("nrows, cardinality", [(400, 7), (4_000, 10**5)])
+    def test_selection_paths_agree(
+        self, group_names, value, nsteps, selected, nrows, cardinality
+    ):
+        values, table = self.table(nrows, cardinality)
         selection = WAHBitmap.from_positions(selected, len(values))
-        got = _selected_value_counts(table, "c", selection.positions())
+        got = self.per_vid(
+            table,
+            _histogram(table, group_names, value, selection.positions()),
+            nsteps,
+        )
         assert np.array_equal(
             got,
             self.brute_force(values, table, selection.to_dense()),
@@ -243,6 +276,30 @@ class TestNumericErrorParity:
         assert self.run(
             "SELECT g, SUM(empty), MAX(empty) FROM t GROUP BY g", strategy
         ) == [(0, None, None), (1, None, None)]
+
+
+class TestEmptyMainSumTakesTheDeltaType:
+    """A main batch's group with no non-NULL value adds nothing, so a
+    delta's ints sum to an int on the compressed path, as row by row."""
+
+    SCHEMA = TableSchema(
+        "t",
+        (ColumnSchema("g", DataType.INT), ColumnSchema("v", DataType.FLOAT)),
+    )
+
+    def test_grouped_sum_of_a_delta_int_stays_int(self):
+        table = Table.from_rows(self.SCHEMA, [(0, None), (None, 0.0)])
+        # An uncoerced delta write: the int 0 in a FLOAT column.
+        delta = ValuesBatch.from_rows(("g", "v"), [(0, 0)])
+        select = parse_sql("SELECT g, SUM(v) FROM t GROUP BY g")
+        results = [
+            aggregate_rows(
+                [TableBatch(table), delta], select, self.SCHEMA, strategy
+            )
+            for strategy in ("compressed", "hash")
+        ]
+        assert results[0] == results[1] == [(0, 0), (None, 0.0)]
+        assert [type(row[1]) for row in results[0]] == [int, float]
 
 
 class TestNonzeroCounts:
@@ -883,7 +940,7 @@ class TestCachedPartials:
         entries = len(_GENERATION_CACHE[db.adapter._mutable("t").main])
         builds = [
             self.spy(monkeypatch, name)
-            for name in ("_build_groups", "_whole_pairs", "_reduced")
+            for name in ("_keys_for_codes", "_histogram", "_reduced")
         ]
         assert db.execute(self.SQL) == first
         assert reused.value == 1
@@ -922,7 +979,7 @@ class TestCachedPartials:
         before = reused.value
         got = db.execute(self.SQL)
         assert reused.value == before + 1
-        assert [len(call[4]) for call in slices] == [1] * redone
+        assert [len(call[1]) for call in slices] == [1] * redone
         select = parse_sql(self.SQL)
         assert got == aggregate_rows(
             db.adapter.scan_batches("t"), select, db.adapter.schema("t"),

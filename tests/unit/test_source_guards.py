@@ -1,6 +1,7 @@
 """Guards over the source tree that no runtime test would notice."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -270,3 +271,59 @@ def test_only_the_allowlist_pays_an_uncached_decode():
 def test_the_decode_guard_sees_method_calls_only():
     assert _calls_decode_vids(ast.parse("column.decode_vids()"))
     assert not _calls_decode_vids(ast.parse("batch_decode_vids(b, n)"))
+
+
+# -- what the benchmark of record imports --------------------------------
+
+
+def _repro_imports(tree) -> list[tuple[str, str, int]]:
+    """``(module, name, line)`` of each ``from repro… import name``."""
+    return [
+        (node.module, alias.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "repro"
+        for alias in node.names
+    ]
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether ``from module import name`` finds ``name``: an attribute
+    of the module, or else a submodule of it."""
+    try:
+        found = importlib.import_module(module)
+    except ImportError:
+        return False
+    if hasattr(found, name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_name_the_e2e_benchmark_imports_resolves():
+    """``benchmarks/e2e`` runs against ``src/`` but tier-1 does not
+    collect it, so a renamed or deleted public name it imports would
+    otherwise only fail the benchmark itself."""
+    found = [
+        f"{path.name}:{line} {module}.{name}"
+        for path in sorted((ROOT / "benchmarks" / "e2e").glob("*.py"))
+        for module, name, line in _repro_imports(ast.parse(path.read_text()))
+        if not _resolves(module, name)
+    ]
+    assert not found, f"unresolved imports: {found}"
+
+
+def test_the_benchmark_import_guard_sees_a_missing_name():
+    tree = ast.parse(
+        "from repro.exec import accumulate_batch\n"
+        "from repro.storage import codes\n"
+        "from repro.exec import no_such_name\n"
+        "from os import path\n"
+    )
+    assert [
+        (module, name) for module, name, _line in _repro_imports(tree)
+        if not _resolves(module, name)
+    ] == [("repro.exec", "no_such_name")]
